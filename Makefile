@@ -14,6 +14,12 @@
 #   make bench-smoke  quick end-to-end check of the benchmark harness
 #   make bench-gate   validate gates.*.passed in the committed
 #                     BENCH_hotpath.json without running benchmarks
+#   make ledger       the end-to-end × per-layer performance ledger: all five
+#                     bench/ workloads -> bench/out/ledger.json (untracked;
+#                     see bench/README.md)
+#   make ledger-compare PARENT=a.json CHANGE=b.json
+#                     apply BENCHMARK.json's bounds to two ledger files
+#                     (exits non-zero on a regression)
 #   make test-corpus  replay the committed fuzz reproducers in
 #                     tests/corpus (also part of test-fast; named target
 #                     for the PR-blocking CI step)
@@ -39,7 +45,7 @@
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m pytest
 PYTHON := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test-fast test-matrix test-all test-corpus test-recovery test-workload test-impairments fuzz bench bench-smoke bench-gate lint analyze
+.PHONY: test-fast test-matrix test-all test-corpus test-recovery test-workload test-impairments fuzz bench bench-smoke bench-gate ledger ledger-compare lint analyze
 
 test-fast:
 	$(PYTEST) -x -q
@@ -81,3 +87,9 @@ bench-smoke:
 
 bench-gate:
 	$(PYTHON) -m repro.perf --gate-check
+
+ledger:
+	python3 -m bench --out bench/out/ledger.json
+
+ledger-compare:
+	python3 -m bench --compare $(PARENT) $(CHANGE)

@@ -6,6 +6,12 @@ from repro.core.messages import (
     MessageType,
     ProtocolMessage,
     QuorumCertificate,
+    PayloadRecord,
+    CertifiedBlock,
+    NewViewProposal,
+    Round2Proposal,
+    SyncRequest,
+    SyncResponse,
     make_message,
     verify_message,
     make_qc,
@@ -50,6 +56,12 @@ __all__ = [
     "MessageType",
     "ProtocolMessage",
     "QuorumCertificate",
+    "PayloadRecord",
+    "CertifiedBlock",
+    "NewViewProposal",
+    "Round2Proposal",
+    "SyncRequest",
+    "SyncResponse",
     "make_message",
     "verify_message",
     "make_qc",

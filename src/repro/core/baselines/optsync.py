@@ -15,7 +15,6 @@ certificate quorum and the (shorter) responsive commit delay.
 from __future__ import annotations
 
 from repro.core.baselines.sync_hotstuff import SyncHotStuffReplica
-from repro.core.blocks import Block
 
 
 class OptSyncReplica(SyncHotStuffReplica):
@@ -30,9 +29,6 @@ class OptSyncReplica(SyncHotStuffReplica):
     def vote_quorum(self) -> int:
         """Votes needed for a responsive certificate: ⌊3n/4⌋ + 1."""
         return (3 * self.config.n) // 4 + 1
-
-    def _on_propose(self, message) -> None:  # type: ignore[override]
-        super()._on_propose(message)
 
     def _commit_delay(self) -> float:
         """Responsive commits happen after ~2δ rather than 2Δ."""

@@ -28,6 +28,7 @@ from repro.core.blocks import Block, make_block
 from repro.core.client import AckRouter
 from repro.core.config import ProtocolConfig
 from repro.core.messages import (
+    CertifiedBlock,
     MessageType,
     ProtocolMessage,
     QuorumCertificate,
@@ -108,7 +109,7 @@ class SyncHotStuffReplica(BaseReplica):
         parent = self.leader_chain_tip
         block = make_block(parent, self.pid, self.v_cur, parent.height + 1, self.next_batch())
         self.store_block(block)
-        payload = {"block": block, "cert": self.certs.get(parent.block_hash)}
+        payload = CertifiedBlock(block, self.certs.get(parent.block_hash))
         message = self.sign_message(
             MessageType.SHS_PROPOSE, payload, view=self.v_cur, round_number=block.height
         )
@@ -117,21 +118,24 @@ class SyncHotStuffReplica(BaseReplica):
         self.leader_chain_tip = block
 
     # --------------------------------------------------------------- dispatch
+    #: Handler *names*, resolved on the instance so subclass overrides
+    #: (OptSync's ``_on_vote``, test mutants) are honoured.
+    _HANDLERS = {
+        MessageType.SHS_PROPOSE: "_on_propose",
+        MessageType.SHS_VOTE: "_on_vote",
+        MessageType.BLAME: "_on_blame",
+        MessageType.BLAME_QC: "_on_blame_qc",
+        MessageType.SHS_STATUS: "_on_status",
+        MessageType.SYNC_REQUEST: "_on_sync_request",
+        MessageType.SYNC_RESPONSE: "_on_sync_response",
+    }
+
     def on_message(self, sender: int, message: Any) -> None:
         if not isinstance(message, ProtocolMessage):
             return
-        handlers = {
-            MessageType.SHS_PROPOSE: self._on_propose,
-            MessageType.SHS_VOTE: self._on_vote,
-            MessageType.BLAME: self._on_blame,
-            MessageType.BLAME_QC: self._on_blame_qc,
-            MessageType.SHS_STATUS: self._on_status,
-            MessageType.SYNC_REQUEST: self._on_sync_request,
-            MessageType.SYNC_RESPONSE: self._on_sync_response,
-        }
-        handler = handlers.get(message.msg_type)
+        handler = self._HANDLERS.get(message.msg_type)
         if handler is not None:
-            handler(message)
+            getattr(self, handler)(message)
 
     # ------------------------------------------------------------- proposals
     def _on_propose(self, message: ProtocolMessage) -> None:
@@ -142,18 +146,15 @@ class SyncHotStuffReplica(BaseReplica):
         if not self.verify_signed_message(message):
             return
         payload = message.data
-        if not isinstance(payload, dict):
+        if not isinstance(payload, CertifiedBlock):
             return
-        block = payload.get("block")
-        cert = payload.get("cert")
-        if not isinstance(block, Block):
-            return
+        block, cert = payload.block, payload.cert
         self._record_proposal(message, block)
         if self.v_cur in self.equivocation_handled:
             return
         cert_ok = False
         cert_block: Optional[Block] = None
-        if isinstance(cert, QuorumCertificate):
+        if cert is not None:
             cert_ok = self.verify_quorum_certificate(cert)
             cert_block = cert.block
             if cert_ok and cert_block is not None:
@@ -300,9 +301,7 @@ class SyncHotStuffReplica(BaseReplica):
         self.commit_timers.cancel_all()
         self.blame_timer.cancel()
         block, cert = self._highest_certified()
-        status = self.sign_message(
-            MessageType.SHS_STATUS, {"block": block, "cert": cert}, view=view
-        )
+        status = self.sign_message(MessageType.SHS_STATUS, CertifiedBlock(block, cert), view=view)
         self.broadcast(status)
         self.after(
             2 * self.config.delta, lambda: self._start_new_view(view), label="shs:new-view"
@@ -312,13 +311,11 @@ class SyncHotStuffReplica(BaseReplica):
         if not self.verify_signed_message(message):
             return
         payload = message.data
-        if not isinstance(payload, dict):
+        if not isinstance(payload, CertifiedBlock):
             return
-        block = payload.get("block")
-        cert = payload.get("cert")
-        if isinstance(block, Block):
-            self.store_block(block)
-        if isinstance(cert, QuorumCertificate) and cert.block is not None:
+        cert = payload.cert
+        self.store_block(payload.block)
+        if cert is not None and cert.block is not None:
             if self.verify_quorum_certificate(cert):
                 self.store_block(cert.block)
                 self.certs.setdefault(cert.block.block_hash, cert)

@@ -23,7 +23,12 @@ from typing import Any, Dict, List, Optional
 from repro.core.blocks import Block, make_block
 from repro.core.client import AckRouter
 from repro.core.config import ProtocolConfig
-from repro.core.messages import MessageType, ProtocolMessage
+from repro.core.messages import (
+    MessageType,
+    ProtocolMessage,
+    data_signing_input,
+    make_message,
+)
 from repro.core.replica_base import BaseReplica
 from repro.core.types import NodeId
 from repro.crypto.signatures import SignatureScheme
@@ -90,14 +95,8 @@ class TrustedControlNode(Process):
         )
         self.chain_tip = block
         self.blocks_ordered += 1
-        order = ProtocolMessage(
-            msg_type=MessageType.TB_ORDER,
-            view=1,
-            round=block.height,
-            sender=self.pid,
-            data=block,
-            view_sig=self.scheme.sign(self.pid, ("view", MessageType.TB_ORDER.value, 1)),
-            data_sig=self.scheme.sign(self.pid, ("data", block.block_hash, 1)),
+        order = make_message(
+            self.scheme, self.pid, MessageType.TB_ORDER, 1, block, round_number=block.height
         )
         for replica_id in self.replica_ids:
             self.network.send(self.pid, replica_id, order)
@@ -160,7 +159,8 @@ class TrustedBaselineReplica(BaseReplica):
             return
         if self.config.charge_crypto_energy:
             self.meter.charge_verify(self.scheme.verify_energy_j, self.sim.now, "tb-order")
-        if not self.scheme.verify(self.pid, ("data", block.block_hash, 1), message.data_sig):
+        signed = data_signing_input(message.data_digest, message.view)
+        if not self.scheme.verify(self.pid, signed, message.data_sig):
             return
         self.store_block(block)
         if self.blocks.has_ancestry(block):

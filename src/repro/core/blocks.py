@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.types import Batch, Command, NodeId, Round, View
-from repro.crypto.hashing import sha256_hex
+from repro.crypto.hashing import structural_digest
 
 #: Hash placeholder used as the genesis block's parent.
 NO_PARENT = "genesis"
@@ -39,7 +39,7 @@ class Block:
     @cached_property
     def block_hash(self) -> str:
         """Deterministic content hash (cached per instance)."""
-        return sha256_hex(
+        return structural_digest(
             {
                 "parent": self.parent_hash,
                 "height": self.height,

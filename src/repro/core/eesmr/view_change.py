@@ -29,11 +29,12 @@ from typing import List, Optional
 from repro.core.blocks import Block, make_block
 from repro.core.messages import (
     MessageType,
+    NewViewProposal,
     ProtocolMessage,
     QuorumCertificate,
+    Round2Proposal,
     make_qc,
     make_view_qc,
-    message_data_digest,
 )
 from repro.core.types import View
 
@@ -294,11 +295,13 @@ class ViewChangeMixin:
             commands=[],
         )
         self.store_block(new_block)
-        payload = {"block": new_block, "status": status}
         message = self.sign_message(
-            MessageType.NEW_VIEW_PROPOSAL, payload, view=view, round_number=1
+            MessageType.NEW_VIEW_PROPOSAL,
+            NewViewProposal(new_block, tuple(status)),
+            view=view,
+            round_number=1,
         )
-        self.nv_proposal_digest[view] = message_data_digest(payload)
+        self.nv_proposal_digest[view] = message.data_digest
         self.leader_chain_tip = new_block
         self.stats.proposals_made += 1
         self.broadcast(message)
@@ -316,15 +319,12 @@ class ViewChangeMixin:
         if not self.verify_signed_message(message):
             return
         payload = message.data
-        if not isinstance(payload, dict):
+        if not isinstance(payload, NewViewProposal):
             return
-        block = payload.get("block")
-        status = payload.get("status") or []
-        if not isinstance(block, Block):
-            return
+        block = payload.block
         highest: Optional[Block] = None
-        for qc in status:
-            if not isinstance(qc, QuorumCertificate) or qc.block is None:
+        for qc in payload.status:
+            if qc.block is None:
                 continue
             if not self.verify_quorum_certificate(qc):
                 continue
@@ -340,8 +340,9 @@ class ViewChangeMixin:
             return
         # LockCompare: the proposal belongs to a later view, so adopt it.
         self.b_lock = block
-        digest = message_data_digest(payload)
-        vote = self.sign_message(MessageType.VOTE, digest, view=message.view, round_number=1)
+        vote = self.sign_message(
+            MessageType.VOTE, message.data_digest, view=message.view, round_number=1
+        )
         self.stats.votes_sent += 1
         self.broadcast(vote)
         self.blame_timer.start(6 * self.config.delta)
@@ -364,7 +365,7 @@ class ViewChangeMixin:
             return
         self.round2_sent.add(message.view)
         vote_qc = make_qc(list(votes.values())[: self.config.quorum])
-        payload = {"qc": vote_qc, "block_hash": self.leader_chain_tip.block_hash}
+        payload = Round2Proposal(vote_qc, self.leader_chain_tip.block_hash)
         round2 = self.sign_message(MessageType.PROPOSE, payload, view=message.view, round_number=2)
         self.broadcast(round2)
 
@@ -373,11 +374,9 @@ class ViewChangeMixin:
         if message.view != self.v_cur or self.r_cur not in (1, 2):
             return
         payload = message.data
-        if not isinstance(payload, dict):
+        if not isinstance(payload, Round2Proposal) or payload.qc.cert_type != MessageType.VOTE:
             return
-        qc = payload.get("qc")
-        if not isinstance(qc, QuorumCertificate) or qc.cert_type != MessageType.VOTE:
-            return
+        qc = payload.qc
         if not self.verify_quorum_certificate(qc):
             return
         self._enter_steady_state(message.view)

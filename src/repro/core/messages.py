@@ -9,18 +9,25 @@ type and view combine into a :class:`QuorumCertificate` via :func:`make_qc`.
 Wire sizes are tracked explicitly because the energy model charges radio
 energy per byte: a message's size is its header, its payload and its
 signatures.
+
+What is signed is a property a message is *constructed with*: every
+composite protocol payload is a frozen :class:`PayloadRecord` whose digest
+is built from its children's digests, :func:`make_message` computes that
+digest once, signs it and seeds the message's memos, and because protocol
+payloads are immutable by type the n receivers of a flooded message reuse
+the digest, the wire size and the verification verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from typing import Any, Optional, Tuple
 
 from repro.core.blocks import Block
 from repro.core.types import NodeId, Round, View
-from repro.crypto.hashing import is_deeply_immutable, sha256_hex
+from repro.crypto.hashing import is_deeply_immutable, sha256_hex, structural_digest
 from repro.crypto.signatures import Signature, SignatureScheme
 
 #: Fixed per-message header bytes (type, view, round, sender).
@@ -116,6 +123,133 @@ def payload_wire_size(payload: Any) -> int:
     return 32
 
 
+def view_signing_input(msg_type: MessageType, view: View) -> bytes:
+    """The bytes ``viewSig`` covers: the message (or certificate) type and view."""
+    return f"view|{msg_type.value!r}|{view!r}".encode()
+
+
+def data_signing_input(digest: str, view: View) -> bytes:
+    """The bytes ``dataSig`` covers: the payload digest and view.
+
+    Together with :func:`view_signing_input` this is the only place the
+    signed format exists: a domain word and the two values as Python
+    literals (self-delimiting and type-distinguishing, so ``1``, ``True``
+    and ``"1"`` never share bytes).  A signer builds them once per message,
+    its first verifier once more, and the scheme receives bytes.
+    """
+    return f"data|{digest!r}|{view!r}".encode()
+
+
+# ----------------------------------------------------------- payload records
+def _require(value: Any, kind: Any, what: str) -> None:
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{what} must be {kind}, got {type(value).__name__}")
+
+
+def _require_all(values: Any, kind: Any, what: str) -> None:
+    _require(values, tuple, what)
+    for value in values:
+        _require(value, kind, f"every element of {what}")
+
+
+def _child_digest(value: Any) -> Any:
+    """What a record's digest commits to for one field value."""
+    if isinstance(value, Block):
+        return value.block_hash
+    if isinstance(value, QuorumCertificate):
+        return value.content_digest
+    if isinstance(value, tuple):
+        return [_child_digest(item) for item in value]
+    return value
+
+
+class PayloadRecord:
+    """Base of the typed, immutable composite payloads.
+
+    Every subclass is a frozen dataclass whose fields are checked at
+    construction to hold only blocks, certificates, primitives and tuples
+    of those, so a record cannot change after it is signed and its digest,
+    wire size and verification verdict may be computed once per message.
+    """
+
+    @_frozen_memo
+    def wire_size_bytes(self) -> int:
+        """Bytes on the wire: each field plus an 8-byte field header."""
+        return sum(payload_wire_size(getattr(self, f.name)) + 8 for f in fields(self))
+
+    @_frozen_memo
+    def digest(self) -> str:
+        """Structural digest: H(record type, child digests in field order).
+
+        Blocks contribute ``block_hash``, certificates their
+        ``content_digest``; the record type is the domain tag, so two
+        records of different types never share a digest.
+        """
+        return structural_digest(
+            [type(self).__name__, *(_child_digest(getattr(self, f.name)) for f in fields(self))]
+        )
+
+
+@dataclass(frozen=True)
+class CertifiedBlock(PayloadRecord):
+    """A block and the certificate that justifies it (``SHS_PROPOSE`` / ``SHS_STATUS``)."""
+
+    block: Block
+    cert: Optional[QuorumCertificate] = None
+
+    def __post_init__(self) -> None:
+        _require(self.block, Block, "block")
+        _require(self.cert, (QuorumCertificate, type(None)), "cert")
+
+
+@dataclass(frozen=True)
+class NewViewProposal(PayloadRecord):
+    """EESMR round 1 of a new view: the block and the commit certificates it extends."""
+
+    block: Block
+    status: Tuple[QuorumCertificate, ...] = ()
+
+    def __post_init__(self) -> None:
+        _require(self.block, Block, "block")
+        _require_all(self.status, QuorumCertificate, "status")
+
+
+@dataclass(frozen=True)
+class Round2Proposal(PayloadRecord):
+    """EESMR round 2 of a new view: the vote certificate for the round-1 block."""
+
+    qc: QuorumCertificate
+    block_hash: str
+
+    def __post_init__(self) -> None:
+        _require(self.qc, QuorumCertificate, "qc")
+        _require(self.block_hash, str, "block_hash")
+
+
+@dataclass(frozen=True)
+class SyncRequest(PayloadRecord):
+    """Catch-up request: send me what you committed above ``height``."""
+
+    height: int
+
+    def __post_init__(self) -> None:
+        _require(self.height, int, "height")
+
+
+@dataclass(frozen=True)
+class SyncResponse(PayloadRecord):
+    """Catch-up reply: a committed suffix, its tip certificate if any, the server's height."""
+
+    blocks: Tuple[Block, ...]
+    cert: Optional[QuorumCertificate]
+    height: int
+
+    def __post_init__(self) -> None:
+        _require_all(self.blocks, Block, "blocks")
+        _require(self.cert, (QuorumCertificate, type(None)), "cert")
+        _require(self.height, int, "height")
+
+
 @dataclass(frozen=True)
 class ProtocolMessage:
     """A signed protocol message.
@@ -145,9 +279,11 @@ class ProtocolMessage:
         The flyweight memos below are only sound for messages whose payload
         is deeply immutable — a list payload mutated in place must see its
         digest, wire size and verification verdict recomputed, exactly as
-        the seed recomputed them on every access.
+        the seed recomputed them on every access.  Protocol payloads are
+        immutable by type; only arbitrary payloads are walked.
         """
-        return is_deeply_immutable(self.data)
+        data = self.data
+        return isinstance(data, _IMMUTABLE_PAYLOAD_TYPES) or is_deeply_immutable(data)
 
     @property
     def data_digest(self) -> str:
@@ -176,24 +312,6 @@ class ProtocolMessage:
             self.__dict__["_memo_wire_size"] = size
         return size
 
-    def precompute(self) -> "ProtocolMessage":
-        """Warm every per-message flyweight before the message hits the wire.
-
-        Touches the digest and wire-size memos so the O(n·d) hops of a flood
-        and the n verifications all reuse one computation.  Raw application
-        payloads without a ``wire_size_bytes`` attribute are instead sized
-        through :data:`~repro.crypto.hashing.canonical_cache` by the network
-        layer, which memoizes them on first touch.
-
-        A no-op when the flyweight is disabled: warming nothing is work
-        the seed never did, and the legacy-mode benchmark baseline must
-        not pay for it.
-        """
-        if _FLYWEIGHT_ENABLED:
-            self.data_digest  # noqa: B018  # property read warms the memo
-            self.wire_size_bytes  # noqa: B018  # property read warms the memo
-        return self
-
     def matches(self, msg_type: MessageType, view: View) -> bool:
         """The ``MatchingMsg`` helper of Algorithm 1."""
         return self.msg_type == msg_type and self.view == view
@@ -205,10 +323,15 @@ def message_data_digest(data: Any) -> str:
         return data.block_hash
     if isinstance(data, QuorumCertificate):
         return data.digest
+    if isinstance(data, PayloadRecord):
+        return data.digest
     if isinstance(data, ProtocolMessage):
         return sha256_hex((data.msg_type.value, data.view, data.round, data.data_digest))
     if isinstance(data, (list, tuple)):
-        return sha256_hex([message_data_digest(item) for item in data])
+        # A tuple (not a list) of digests, so the cache can key it by value;
+        # the item digests are recomputed on every call, so a mutated list
+        # payload still changes the result.
+        return sha256_hex(tuple(message_data_digest(item) for item in data))
     return sha256_hex(data)
 
 
@@ -220,18 +343,27 @@ def make_message(
     data: Any,
     round_number: Round = 0,
 ) -> ProtocolMessage:
-    """Create and sign a protocol message (Algorithm 1's ``Msg`` function)."""
-    view_sig = scheme.sign(sender, ("view", msg_type.value, view))
-    data_sig = scheme.sign(sender, ("data", message_data_digest(data), view))
-    return ProtocolMessage(
+    """Create and sign a protocol message (Algorithm 1's ``Msg`` function).
+
+    The payload digest is computed once here, signed, and seeded into the
+    message's memos together with the wire size, so the O(n·d) hops of a
+    flood and the n verifications all reuse one computation.  (Nothing is
+    seeded when the flyweight is off or the payload is mutable.)
+    """
+    digest = message_data_digest(data)
+    message = ProtocolMessage(
         msg_type=msg_type,
         view=view,
         round=round_number,
         sender=sender,
         data=data,
-        view_sig=view_sig,
-        data_sig=data_sig,
-    ).precompute()
+        view_sig=scheme.sign(sender, view_signing_input(msg_type, view)),
+        data_sig=scheme.sign(sender, data_signing_input(digest, view)),
+    )
+    if _FLYWEIGHT_ENABLED and message._data_immutable:
+        message.__dict__["_memo_data_digest"] = digest
+        message.wire_size_bytes  # noqa: B018  # property read warms the memo
+    return message
 
 
 def verify_message(scheme: SignatureScheme, verifier: NodeId, message: ProtocolMessage) -> bool:
@@ -254,10 +386,10 @@ def verify_message(scheme: SignatureScheme, verifier: NodeId, message: ProtocolM
             scheme.note_verify(verifier, 2)
             return memo[1]
     view_ok = scheme.verify(
-        verifier, ("view", message.msg_type.value, message.view), message.view_sig
+        verifier, view_signing_input(message.msg_type, message.view), message.view_sig
     )
     data_ok = scheme.verify(
-        verifier, ("data", message.data_digest, message.view), message.data_sig
+        verifier, data_signing_input(message.data_digest, message.view), message.data_sig
     )
     result = view_ok and data_ok
     if _FLYWEIGHT_ENABLED and message._data_immutable:
@@ -283,6 +415,27 @@ class QuorumCertificate:
         block_bytes = self.block.wire_size_bytes if self.block is not None else 0
         return 32 + signature_bytes + block_bytes
 
+    @_frozen_memo
+    def content_digest(self) -> str:
+        """Structural digest of the whole certificate.
+
+        ``digest`` is only what the signers signed; this also commits to
+        the type, view, signer list, every signature and the attached
+        block, which is what a payload record carrying the certificate
+        must bind.
+        """
+        return structural_digest(
+            [
+                "QuorumCertificate",
+                self.cert_type.value,
+                self.view,
+                self.digest,
+                list(self.signers),
+                [[sig.signer, sig.scheme, sig.tag] for sig in self.signatures],
+                self.block.block_hash if self.block is not None else None,
+            ]
+        )
+
     def matches(self, cert_type: MessageType, view: View) -> bool:
         """The ``MatchingQC`` helper of Algorithm 1."""
         return self.cert_type == cert_type and self.view == view
@@ -291,6 +444,11 @@ class QuorumCertificate:
     def size(self) -> int:
         """Number of signatures aggregated."""
         return len(self.signatures)
+
+
+#: Payload types that cannot change after construction, so a message
+#: carrying one may memoize without walking it.
+_IMMUTABLE_PAYLOAD_TYPES = (Block, QuorumCertificate, PayloadRecord, str, type(None))
 
 
 def make_qc(messages: list[ProtocolMessage], block: Optional[Block] = None) -> QuorumCertificate:
@@ -342,41 +500,53 @@ def make_view_qc(messages: list[ProtocolMessage]) -> QuorumCertificate:
     return QuorumCertificate(
         cert_type=first.msg_type,
         view=first.view,
-        digest=sha256_hex(("view", first.msg_type.value, first.view)),
+        digest=sha256_hex(view_signing_input(first.msg_type, first.view)),
         signers=tuple(sorted(seen)),
         signatures=tuple(seen[s] for s in sorted(seen)),
     )
 
 
-def _memoized_valid_count(
+def _verify_certificate(
     scheme: SignatureScheme,
     verifier: NodeId,
-    qc: "QuorumCertificate",
-    slot: str,
-    payload: Tuple[Any, ...],
-) -> Optional[int]:
-    """Count valid signatures on a QC, memoized per (certificate, scheme).
+    qc: QuorumCertificate,
+    threshold: int,
+    over_view: bool,
+) -> bool:
+    """Whether ``qc`` carries ``threshold`` distinct valid signatures.
 
-    Returns ``None`` when a signature's declared signer does not match the
-    certificate's signer list (the caller must reject the QC outright; that
-    adversarial shape is never memoized).  Replicas after the first reuse
-    the count but still book their verification operations via
+    ``over_view`` selects what they cover: (type, view) for a
+    view-signature QC, (digest, view) otherwise; the signed bytes are built
+    once for the whole certificate.  The count of valid signatures is
+    memoized per (certificate, scheme): replicas after the first reuse it
+    but still book their verification operations via
     :meth:`SignatureScheme.note_verify`.
     """
+    if len(set(qc.signers)) < threshold:
+        return False
+    if len(qc.signers) != len(qc.signatures):
+        return False
+    slot = "_view_valid_by" if over_view else "_data_valid_by"
     if _FLYWEIGHT_ENABLED:
         memo = qc.__dict__.get(slot)
         if memo is not None and memo[0] is scheme:
             scheme.note_verify(verifier, len(qc.signatures))
-            return memo[1]
+            return memo[1] >= threshold
+    if over_view:
+        signed = view_signing_input(qc.cert_type, qc.view)
+    else:
+        signed = data_signing_input(qc.digest, qc.view)
     valid = 0
     for signer, signature in zip(qc.signers, qc.signatures):
         if signature.signer != signer:
-            return None
-        if scheme.verify(verifier, payload, signature):
+            # A signature not by its declared signer: reject the QC
+            # outright; this adversarial shape is never memoized.
+            return False
+        if scheme.verify(verifier, signed, signature):
             valid += 1
     if _FLYWEIGHT_ENABLED:
         qc.__dict__[slot] = (scheme, valid)
-    return valid
+    return valid >= threshold
 
 
 def verify_view_qc(
@@ -386,16 +556,7 @@ def verify_view_qc(
     threshold: int,
 ) -> bool:
     """Verify a view-signature QC (e.g. a blame certificate)."""
-    if len(set(qc.signers)) < threshold:
-        return False
-    if len(qc.signers) != len(qc.signatures):
-        return False
-    valid = _memoized_valid_count(
-        scheme, verifier, qc, "_view_valid_by", ("view", qc.cert_type.value, qc.view)
-    )
-    if valid is None:
-        return False
-    return valid >= threshold
+    return _verify_certificate(scheme, verifier, qc, threshold, over_view=True)
 
 
 def verify_qc(
@@ -405,13 +566,4 @@ def verify_qc(
     threshold: int,
 ) -> bool:
     """Verify a quorum certificate: enough distinct valid signatures over the digest."""
-    if len(set(qc.signers)) < threshold:
-        return False
-    if len(qc.signers) != len(qc.signatures):
-        return False
-    valid = _memoized_valid_count(
-        scheme, verifier, qc, "_data_valid_by", ("data", qc.digest, qc.view)
-    )
-    if valid is None:
-        return False
-    return valid >= threshold
+    return _verify_certificate(scheme, verifier, qc, threshold, over_view=False)

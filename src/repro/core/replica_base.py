@@ -20,6 +20,8 @@ from repro.core.messages import (
     MessageType,
     ProtocolMessage,
     QuorumCertificate,
+    SyncRequest,
+    SyncResponse,
     make_message,
     verify_message,
     verify_qc,
@@ -227,9 +229,7 @@ class BaseReplica(Process):
 
     def request_sync(self, peer: NodeId) -> None:
         """Solicit missing blocks above our committed height from ``peer``."""
-        message = self.sign_message(
-            MessageType.SYNC_REQUEST, {"height": self.committed_height}
-        )
+        message = self.sign_message(MessageType.SYNC_REQUEST, SyncRequest(self.committed_height))
         self.send(peer, message)
 
     def _sync_tip_certificate(self, tip: Block) -> Optional[QuorumCertificate]:
@@ -240,11 +240,10 @@ class BaseReplica(Process):
         if not self.verify_signed_message(message):
             return
         data = message.data
-        theirs = data.get("height") if isinstance(data, dict) else None
         mine = self.committed_height
-        if not isinstance(theirs, int) or isinstance(theirs, bool) or theirs >= mine:
+        if not isinstance(data, SyncRequest) or data.height >= mine:
             return
-        base = max(theirs, 0)
+        base = max(data.height, 0)
         top = min(mine, base + self.sync_max_batch)
         suffix = []
         for height in range(base + 1, top + 1):
@@ -258,8 +257,7 @@ class BaseReplica(Process):
         if self.sync_serve_certificates:
             cert = self._sync_tip_certificate(suffix[-1])
         reply = self.sign_message(
-            MessageType.SYNC_RESPONSE,
-            {"blocks": tuple(suffix), "cert": cert, "height": mine},
+            MessageType.SYNC_RESPONSE, SyncResponse(tuple(suffix), cert, mine)
         )
         self.send(message.sender, reply)
 
@@ -267,11 +265,9 @@ class BaseReplica(Process):
         if not self.verify_signed_message(message):
             return
         data = message.data
-        if not isinstance(data, dict):
+        if not isinstance(data, SyncResponse) or not data.blocks:
             return
-        blocks = data.get("blocks") or ()
-        if not blocks or not all(isinstance(b, Block) for b in blocks):
-            return
+        blocks = data.blocks
         for parent, child in zip(blocks, blocks[1:]):
             if child.parent_hash != parent.block_hash or child.height != parent.height + 1:
                 return
@@ -286,9 +282,9 @@ class BaseReplica(Process):
         # such failed attempts instead).
         if not self.blocks.has_ancestry(tip) or not self._sync_extends_commit(tip):
             return
-        cert = data.get("cert")
+        cert = data.cert
         if (
-            isinstance(cert, QuorumCertificate)
+            cert is not None
             and cert.block is not None
             and cert.block.block_hash == tip.block_hash
         ):

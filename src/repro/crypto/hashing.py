@@ -39,6 +39,18 @@ def _serialize_canonical(payload: Any) -> bytes:
         return repr(payload).encode("utf-8")
 
 
+def structural_digest(payload: Any) -> str:
+    """SHA-256 over the strict JSON of primitives and child digests.
+
+    For owners that memoise the result themselves (``Block.block_hash``, the
+    payload records and ``QuorumCertificate.content_digest`` of
+    ``repro.core.messages``): nothing is cached here, and a part that is not
+    a JSON primitive raises ``TypeError`` instead of falling back to
+    ``repr`` — a digest must never depend on an object's memory address.
+    """
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def _value_key(payload: tuple) -> Optional[tuple]:
     """A collision-safe cache key for a tuple of primitives, or ``None``.
 
@@ -115,12 +127,13 @@ class CanonicalCache:
     * **identity-keyed, weak**: frozen dataclass instances are keyed by
       ``id()`` with a weak reference so entries vanish when the message is
       garbage collected (bounded memory over long runs);
-    * **value-keyed, bounded**: small primitive tuples (the ``("view",
-      type, view)`` / ``("data", digest, view)`` signing payloads) are keyed
-      by value, so the same logical payload hits across all n verifiers;
+    * **value-keyed, bounded**: small primitive tuples (e.g. the item
+      digests of a tuple payload) are keyed by value, so the same logical
+      payload hits whichever instance carries it;
     * mutable payloads (dicts, lists, arbitrary objects) are never cached —
       a payload mutated after signing must re-serialize and fail
-      verification.
+      verification.  Each such serialization is counted in
+      :attr:`uncached`; protocol payloads never take this path.
 
     Set :attr:`enabled` to ``False`` to force recomputation everywhere (the
     ``repro.perf`` legacy mode uses this to measure the uncached baseline).
@@ -135,6 +148,7 @@ class CanonicalCache:
         self._value_digests: Dict[Any, str] = {}
         self.hits = 0
         self.misses = 0
+        self.uncached = 0
 
     # ------------------------------------------------------------- plumbing
     def _identity_entry(self, payload: Any) -> Optional[Tuple[Any, bytes, Optional[str]]]:
@@ -169,6 +183,9 @@ class CanonicalCache:
             return payload
         if isinstance(payload, str):
             return payload.encode("utf-8")
+        if payload is None or isinstance(payload, (int, float)):
+            # Scalars: nothing worth keeping and nothing that can go stale.
+            return _serialize_canonical(payload)
         entry = self._identity_entry(payload)
         if entry is not None:
             self.hits += 1
@@ -188,6 +205,8 @@ class CanonicalCache:
         if _is_identity_cacheable(payload):
             self.misses += 1
             self._store_identity(payload, data, None)
+        else:
+            self.uncached += 1
         return data
 
     def digest_for(self, payload: Any) -> str:
@@ -218,19 +237,6 @@ class CanonicalCache:
         """Byte length of the canonical serialization (cached transitively)."""
         return len(self.bytes_for(payload))
 
-    def precompute(self, payload: Any) -> bytes:
-        """Eagerly serialize + digest a message (the flyweight warm-up hook).
-
-        Message constructors call this once so every later hop, signature
-        check and wire-size query is a dictionary lookup.
-        """
-        data = self.bytes_for(payload)
-        if _is_identity_cacheable(payload):
-            entry = self._identity_entry(payload)
-            if entry is None or entry[2] is None:
-                self._store_identity(payload, data, hashlib.sha256(data).hexdigest())
-        return data
-
     # ------------------------------------------------------------ lifecycle
     def clear(self) -> None:
         """Drop every cached entry (tests and benchmark isolation)."""
@@ -239,12 +245,19 @@ class CanonicalCache:
         self._value_digests.clear()
         self.hits = 0
         self.misses = 0
+        self.uncached = 0
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/size counters for perf reports."""
+        """Hit/miss/size counters for perf reports.
+
+        ``uncached`` counts serializations of payloads the cache may not
+        keep (mutable, so re-serialized on every call); they are neither
+        hits nor misses.
+        """
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "uncached": self.uncached,
             "identity_entries": len(self._by_id),
             "value_entries": len(self._by_value),
         }

@@ -11,6 +11,7 @@ parties) and MACs (cheaper, but equivocation hard to prove) is captured by
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -81,10 +82,10 @@ class SignatureScheme:
         self.keystore = keystore
         self.sign_counts: Counter[int] = Counter()
         self.verify_counts: Counter[int] = Counter()
-        # (signer, payload bytes) -> tag; deterministic MACs make signing a
-        # pure function, so the same payload signed for n recipients costs
-        # one HMAC.
-        self._sign_memo: Dict[Tuple[int, bytes], str] = {}
+        # (signer, payload bytes) -> finished Signature (a flyweight);
+        # deterministic MACs make signing a pure function, so the same
+        # payload signed for n recipients costs one HMAC and one digest.
+        self._sign_memo: Dict[Tuple[int, bytes], Signature] = {}
         # (signer, tag, payload bytes) -> bool; once one replica has checked
         # a (payload, signature) pair, the other n-1 verifiers pay a lookup.
         self._verify_memo: Dict[Tuple[int, str, bytes], bool] = {}
@@ -95,20 +96,20 @@ class SignatureScheme:
         data = canonical_cache.bytes_for(payload)
         self.sign_counts[signer] += 1
         key = (signer, data)
-        tag = self._sign_memo.get(key) if self.cache_operations else None
-        if tag is None:
+        signature = self._sign_memo.get(key) if self.cache_operations else None
+        if signature is None:
             pair = self.keystore.key_pair(signer)
-            tag = pair.sign_tag(self._domain_separated(data))
+            signature = Signature(
+                signer=signer,
+                scheme=self.spec.name,
+                tag=pair.sign_tag(self._domain_separated(data)),
+                payload_digest=hashlib.sha256(data).hexdigest()[:16],
+            )
             if self.cache_operations:
                 if len(self._sign_memo) >= self.max_cache_entries:
                     self._sign_memo.clear()
-                self._sign_memo[key] = tag
-        return Signature(
-            signer=signer,
-            scheme=self.spec.name,
-            tag=tag,
-            payload_digest=_short_digest(data),
-        )
+                self._sign_memo[key] = signature
+        return signature
 
     def note_verify(self, verifier: int, operations: int = 1) -> None:
         """Count verification operations satisfied from a higher-level memo.
@@ -164,12 +165,6 @@ class SignatureScheme:
     # -------------------------------------------------------------- internal
     def _domain_separated(self, data: bytes) -> bytes:
         return self.spec.name.encode("utf-8") + b"|" + data
-
-
-def _short_digest(data: bytes) -> str:
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def available_schemes() -> list[str]:

@@ -83,6 +83,20 @@ def test_message_with_mutable_data_recomputes_digest_after_mutation():
     assert not verify_message(scheme, 2, message)
 
 
+def test_uncached_counts_exactly_the_payloads_the_cache_may_not_keep():
+    for payload in ({"k": 1}, [1, 2], ("wrapper", [1]), {"k": 1}):
+        canonical_bytes(payload)
+    sha256_hex([3, 4])
+    assert canonical_cache.stats()["uncached"] == 5
+    hits, misses = canonical_cache.hits, canonical_cache.misses
+    assert (hits, misses) == (0, 0)  # neither hits nor misses
+    for payload in ("text", b"raw", ("view", "propose", 1), FrozenPayload("x", 1)):
+        canonical_bytes(payload)
+    assert canonical_cache.stats()["uncached"] == 5
+    canonical_cache.clear()
+    assert canonical_cache.stats()["uncached"] == 0
+
+
 def test_frozen_payloads_are_cached_by_identity_not_value():
     a = FrozenPayload("x", 1)
     b = FrozenPayload("x", 1)
@@ -190,8 +204,17 @@ def test_sign_memo_returns_identical_tags_and_counts():
     scheme.keystore.generate([0])
     first = scheme.sign(0, ("view", "propose", 5))
     second = scheme.sign(0, ("view", "propose", 5))
-    assert first.tag == second.tag
+    assert first is second  # the memo holds the finished Signature
     assert scheme.sign_counts[0] == 2
+
+
+def test_sign_memo_honours_the_cache_operations_switch(monkeypatch):
+    scheme = make_scheme("rsa-1024")
+    scheme.keystore.generate([0])
+    monkeypatch.setattr(type(scheme), "cache_operations", False)
+    first = scheme.sign(0, ("view", "propose", 5))
+    second = scheme.sign(0, ("view", "propose", 5))
+    assert first == second and first is not second
 
 
 def test_forged_tag_rejected_even_after_genuine_verification():
