@@ -35,6 +35,11 @@
 #   make lint         ruff over src/tests/examples (critical rules plus
 #                     bugbear and a curated modernisation subset — see
 #                     ruff.toml)
+#   make import-time  the 15 largest cumulative entries of
+#                     `python -X importtime -c "import repro.cli"` — what
+#                     a cold `repro run` pays before it simulates anything
+#                     (networkx / numpy / multiprocessing must not appear;
+#                     see "Cold start and footprint" in docs/performance.md)
 #   make analyze      detlint: the determinism & registry-coherence
 #                     static analyzer over src/repro (AST-only, < 10s;
 #                     PR-blocking in CI — see docs/analysis.md)
@@ -45,7 +50,7 @@
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m pytest
 PYTHON := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test-fast test-matrix test-all test-corpus test-recovery test-workload test-impairments fuzz bench bench-smoke bench-gate ledger ledger-compare lint analyze
+.PHONY: test-fast test-matrix test-all test-corpus test-recovery test-workload test-impairments fuzz bench bench-smoke bench-gate ledger ledger-compare lint analyze import-time
 
 test-fast:
 	$(PYTEST) -x -q
@@ -73,6 +78,9 @@ lint:
 
 analyze:
 	$(PYTHON) -m repro.analysis src/repro
+
+import-time:
+	$(PYTHON) -X importtime -c "import repro.cli" 2>&1 | sort -t'|' -k2,2n | tail -15
 
 test-matrix:
 	$(PYTEST) -q -m "matrix or slow" tests/testkit

@@ -22,24 +22,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from typing import Optional, Sequence
 
 from repro.core.adversary import FaultPlan
-from repro.eval import experiments
 from repro.eval.runner import MEDIA, PROTOCOLS, TOPOLOGIES, DeploymentSpec, run_protocol
 from repro.eval.tables import format_table
+from repro.optional import MissingDependencyError
 
-#: Experiment names accepted by the ``experiment`` subcommand.
+#: Experiment names accepted by the ``experiment`` subcommand, mapped to the
+#: :mod:`repro.eval.experiments` function each one calls.  Names, not
+#: functions: the experiments module (like the fuzzer and the analyzer) is
+#: imported by the subcommand that runs it, so ``repro run`` loads none of them.
 EXPERIMENTS = {
-    "table1": experiments.table1_media_energy,
-    "table2": experiments.table2_signature_energy,
-    "table3": experiments.table3_complexity,
-    "fig2a": experiments.fig2a_kcast_reliability,
-    "fig2b": experiments.fig2b_unicast_vs_multicast,
-    "fig2c": experiments.fig2c_leader_vs_replica,
-    "fig2e": experiments.fig2e_view_change_energy,
-    "fig2f": experiments.fig2f_total_energy_vs_n,
-    "headline": experiments.headline_ratios,
+    "table1": "table1_media_energy",
+    "table2": "table2_signature_energy",
+    "table3": "table3_complexity",
+    "fig1": "fig1_feasible_region",
+    "fig2a": "fig2a_kcast_reliability",
+    "fig2b": "fig2b_unicast_vs_multicast",
+    "fig2c": "fig2c_leader_vs_replica",
+    "fig2e": "fig2e_view_change_energy",
+    "fig2f": "fig2f_total_energy_vs_n",
+    "headline": "headline_ratios",
 }
 
 
@@ -335,7 +340,11 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    result = EXPERIMENTS[args.name]()
+    from repro.eval import experiments
+
+    result = getattr(experiments, EXPERIMENTS[args.name])()
+    if isinstance(result, experiments.FeasibleRegion):
+        result = result.summary_rows()
     if isinstance(result, list) and result and isinstance(result[0], dict):
         headers = list(result[0].keys())
         print(format_table(headers, [[row[h] for h in headers] for row in result]))
@@ -351,6 +360,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_feasibility(args: argparse.Namespace) -> int:
+    from repro.eval import experiments
+
     region = experiments.fig1_feasible_region(
         message_sizes=tuple(args.payloads),
         node_counts=tuple(range(4, args.max_nodes + 1, 2)),
@@ -411,6 +422,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except MissingDependencyError as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "matrix":

@@ -46,7 +46,7 @@ class OptSyncReplica(SyncHotStuffReplica):
         block = self.blocks.get(block_hash)
         if block is None:
             return
-        if block_hash in self.commit_timers.running_keys():
+        if block_hash in self.commit_timers:
             # Responsive path: replace the synchronous wait with the 2δ wait.
             self.commit_timers.start(
                 block_hash,

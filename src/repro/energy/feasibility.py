@@ -10,15 +10,14 @@ the more energy-efficient choice.
 :func:`feasible_region` reproduces that surface with numpy; the resulting
 :class:`FeasibleRegion` exposes the raw grid plus the summaries the paper
 draws from it (where the sign flips, what fraction of the grid favours
-EESMR).
+EESMR).  numpy is imported by :func:`feasible_region`, not by this module:
+``repro.energy`` is on every run's import path and Fig. 1 is not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.crypto.energy_costs import RSA_1024, SignatureEnergyCost
 from repro.energy.model import CostParameters, parameters_from_components
@@ -27,7 +26,11 @@ from repro.energy.protocol_costs import (
     eesmr_cost_model,
     trusted_baseline_cost_model,
 )
+from repro.optional import require
 from repro.radio.media import MediumEnergyModel, lte_medium, wifi_medium
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -49,19 +52,19 @@ class FeasibleRegion:
     @property
     def favourable_fraction(self) -> float:
         """Fraction of grid points where protocol A is more efficient."""
-        return float(np.count_nonzero(self.favourable_mask)) / self.difference.size
+        return float(self.favourable_mask.sum()) / self.difference.size
 
     def is_favourable(self, message_bytes: int, n: int) -> bool:
         """Whether protocol A wins at (or nearest to) the given point."""
-        i = int(np.argmin(np.abs(self.message_sizes - message_bytes)))
-        j = int(np.argmin(np.abs(self.node_counts - n)))
+        i = int(abs(self.message_sizes - message_bytes).argmin())
+        j = int(abs(self.node_counts - n).argmin())
         return bool(self.difference[i, j] < 0)
 
     def crossover_n(self, message_bytes: int) -> Optional[int]:
         """For a fixed payload, the smallest n at which protocol A stops winning."""
-        i = int(np.argmin(np.abs(self.message_sizes - message_bytes)))
+        i = int(abs(self.message_sizes - message_bytes).argmin())
         row = self.difference[i, :]
-        losing = np.nonzero(row >= 0)[0]
+        losing = (row >= 0).nonzero()[0]
         if losing.size == 0:
             return None
         return int(self.node_counts[losing[0]])
@@ -76,7 +79,7 @@ class FeasibleRegion:
                     "crossover_n": self.crossover_n(int(m)),
                     "min_difference_j": float(self.difference[i].min()),
                     "max_difference_j": float(self.difference[i].max()),
-                    "favourable_fraction": float(np.mean(self.difference[i] < 0)),
+                    "favourable_fraction": float((self.difference[i] < 0).mean()),
                 }
             )
         return rows
@@ -108,6 +111,7 @@ def feasible_region(
     model_b = model_b or trusted_baseline_cost_model()
     local_medium = local_medium or wifi_medium()
     external_medium = external_medium or lte_medium()
+    np = require("numpy", "feasible_region() (the Fig. 1 grid)")
 
     sizes = np.asarray(sorted(set(int(m) for m in message_sizes)), dtype=int)
     counts = np.asarray(sorted(set(int(n) for n in node_counts)), dtype=int)

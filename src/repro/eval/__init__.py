@@ -1,4 +1,10 @@
-"""Experiment harness: runner, workloads and per-figure experiments."""
+"""Experiment harness: runner, workloads and per-figure experiments.
+
+:mod:`repro.eval.experiments` is a submodule, not an eager import: every
+run imports this package for the runner, and only the table/figure
+commands need the experiments.  ``from repro.eval import experiments``
+loads it on demand.
+"""
 
 from repro.eval.runner import DeploymentSpec, ProtocolRunner, RunResult, run_protocol
 from repro.eval.workloads import (
@@ -8,7 +14,6 @@ from repro.eval.workloads import (
     client_for_run,
     SensorReadingWorkload,
 )
-from repro.eval import experiments
 from repro.eval.tables import format_table, format_series
 
 __all__ = [

@@ -22,9 +22,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
-import networkx as nx
+from repro.optional import require
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,12 @@ class Hypergraph:
         return True
 
     def to_digraph(self, exclude: Optional[Iterable[int]] = None) -> nx.DiGraph:
-        """Flatten to a directed graph on nodes (hyper-edges become stars)."""
+        """Flatten to a networkx digraph on nodes (hyper-edges become stars).
+
+        The export for graph tooling, and the reference the tests compare
+        the native searches below against; nothing on a run path calls it.
+        """
+        nx = require("networkx", "Hypergraph.to_digraph()")
         skip = set(exclude or ())
         graph = nx.DiGraph()
         graph.add_nodes_from(n for n in self.nodes if n not in skip)
@@ -219,21 +227,48 @@ class Hypergraph:
                     graph.add_edge(edge.sender, receiver)
         return graph
 
+    def _successors(self, exclude: Optional[Iterable[int]] = None) -> Dict[int, List[int]]:
+        """One-hop successor lists of the flattened digraph on surviving nodes.
+
+        Built from ``receivers_sorted`` so every traversal below visits
+        neighbours in one fixed order.
+        """
+        skip = set(exclude or ())
+        successors: Dict[int, List[int]] = {n: [] for n in self.nodes if n not in skip}
+        for edge in self.edges:
+            out = successors.get(edge.sender)
+            if out is not None:
+                out.extend(r for r in edge.receivers_sorted if r in successors)
+        return successors
+
     def is_strongly_connected(self, exclude: Optional[Iterable[int]] = None) -> bool:
-        """Whether the surviving nodes form a strongly connected digraph."""
-        graph = self.to_digraph(exclude=exclude)
-        if graph.number_of_nodes() <= 1:
+        """Whether the surviving nodes form a strongly connected digraph.
+
+        One node reaches everyone and everyone reaches it: a forward and a
+        reverse breadth-first search from the same source.
+        """
+        successors = self._successors(exclude)
+        if len(successors) <= 1:
             return True
-        return nx.is_strongly_connected(graph)
+        source = next(iter(successors))
+        if len(_bfs_depths(successors, source)) < len(successors):
+            return False
+        predecessors: Dict[int, List[int]] = {n: [] for n in successors}
+        for node, out in successors.items():
+            for receiver in out:
+                predecessors[receiver].append(node)
+        return len(_bfs_depths(predecessors, source)) == len(successors)
 
     def diameter(self) -> int:
         """Longest shortest-path length between any two nodes (hop count)."""
-        graph = self.to_digraph()
-        if graph.number_of_nodes() <= 1:
-            return 0
-        if not nx.is_strongly_connected(graph):
-            raise ValueError("diameter undefined: hypergraph is not strongly connected")
-        return nx.diameter(graph)
+        successors = self._successors()
+        diameter = 0
+        for source in successors:
+            depths = _bfs_depths(successors, source)
+            if len(depths) < len(successors):
+                raise ValueError("diameter undefined: hypergraph is not strongly connected")
+            diameter = max(diameter, max(depths.values()))
+        return diameter
 
     # ------------------------------------------------------- fault tolerance
     def max_faults_necessary_condition(self) -> int:
@@ -275,5 +310,21 @@ class Hypergraph:
                 if not self.is_strongly_connected(exclude=removed):
                     return False
             return True
-        graph = self.to_digraph()
-        return nx.node_connectivity(graph) > f
+        nx = require("networkx", "is_partition_resistant() past the exhaustive limit")
+        return nx.node_connectivity(self.to_digraph()) > f
+
+
+def _bfs_depths(adjacency: Dict[int, List[int]], source: int) -> Dict[int, int]:
+    """Hop distance from ``source`` to every node reachable through ``adjacency``."""
+    depths = {source: 0}
+    frontier = [source]
+    while frontier:
+        reached = []
+        for node in frontier:
+            depth = depths[node] + 1
+            for neighbor in adjacency[node]:
+                if neighbor not in depths:
+                    depths[neighbor] = depth
+                    reached.append(neighbor)
+        frontier = reached
+    return depths

@@ -80,7 +80,9 @@ class TimerRegistry:
 
     The registry mirrors the protocol pseudo-code operations "set
     T_commit(B)", "cancel all commit timers T_commit(.)" with an explicit,
-    testable object.
+    testable object.  It holds armed timers only — an entry leaves when its
+    timer fires or is cancelled — so every operation costs O(armed), not
+    O(timers ever started): a replica starts one ``T_commit`` per block.
     """
 
     def __init__(self, sim: Simulator, prefix: str = "timer") -> None:
@@ -89,42 +91,42 @@ class TimerRegistry:
         self._timers: Dict[Hashable, Timer] = {}
 
     def __len__(self) -> int:
-        return sum(1 for t in self._timers.values() if t.running)
+        return len(self._timers)
 
     def __contains__(self, key: Hashable) -> bool:
-        timer = self._timers.get(key)
-        return timer is not None and timer.running
+        return key in self._timers
 
     def start(self, key: Hashable, duration: float, callback: Callable[[], None]) -> Timer:
         """Start (or restart) the timer associated with ``key``."""
-        timer = self._timers.get(key)
-        if timer is None:
-            timer = Timer(self._sim, f"{self._prefix}:{key}", callback)
-            self._timers[key] = timer
-        else:
-            timer._callback = callback
+        self.cancel(key)
+
+        def fire() -> None:
+            del self._timers[key]
+            callback()
+
+        timer = Timer(self._sim, f"{self._prefix}:{key}", fire)
+        self._timers[key] = timer
         timer.start(duration)
         return timer
 
     def cancel(self, key: Hashable) -> None:
-        """Cancel the timer for ``key`` if it exists."""
-        timer = self._timers.get(key)
+        """Cancel the timer for ``key`` if it is armed."""
+        timer = self._timers.pop(key, None)
         if timer is not None:
             timer.cancel()
 
     def cancel_all(self) -> int:
         """Cancel every running timer; returns how many were cancelled."""
-        cancelled = 0
+        cancelled = len(self._timers)
         for timer in self._timers.values():
-            if timer.running:
-                timer.cancel()
-                cancelled += 1
+            timer.cancel()
+        self._timers.clear()
         return cancelled
 
     def running_keys(self) -> list[Hashable]:
-        """Keys of all currently armed timers."""
-        return [key for key, timer in self._timers.items() if timer.running]
+        """Keys of all currently armed timers, in the order they were started."""
+        return list(self._timers)
 
     def get(self, key: Hashable) -> Optional[Timer]:
-        """Return the timer object for ``key`` (running or not)."""
+        """Return the armed timer for ``key`` (``None`` once it fired or was cancelled)."""
         return self._timers.get(key)

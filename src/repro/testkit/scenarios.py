@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -606,6 +605,9 @@ class ScenarioMatrix:
             for cell, spec in runnable:
                 report.outcomes.append(self.run_cell(cell, spec=spec))
         else:
+            # Only a sharded sweep pays for multiprocessing's import.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=min(parallel, len(runnable))) as pool:
                 futures = [
                     pool.submit(_run_cell_in_worker, self, cell, spec)

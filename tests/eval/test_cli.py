@@ -39,7 +39,16 @@ def test_experiment_subcommand_table(capsys):
 
 
 def test_experiment_names_all_callable():
+    from repro.eval import experiments
+
     assert set(EXPERIMENTS) >= {"table1", "table2", "table3", "fig2c", "headline"}
+    assert all(callable(getattr(experiments, function)) for function in EXPERIMENTS.values())
+
+
+def test_experiment_fig1_prints_the_region_summary(capsys):
+    assert main(["experiment", "fig1"]) == 0
+    out = capsys.readouterr().out
+    assert "crossover_n" in out and "favourable_fraction" in out
 
 
 def test_feasibility_subcommand(capsys):

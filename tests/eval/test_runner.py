@@ -35,6 +35,17 @@ def test_compute_delta_covers_diameter():
     assert runner.compute_delta(explicit, topology) == 42.0
 
 
+@pytest.mark.parametrize(
+    "n, k, delta",
+    [(25, 2, 14.0), (100, 2, 52.0), (7, 2, 5.0), (7, 3, 4.0), (5, 2, 4.0)],
+)
+def test_compute_delta_of_the_benchmark_topologies_is_pinned(n, k, delta):
+    """Δ sets every timer: the ring k-casts `bench/` runs must keep these values."""
+    runner = ProtocolRunner()
+    spec = DeploymentSpec(n=n, f=1, k=k)
+    assert runner.compute_delta(spec, runner.build_topology(spec)) == delta
+
+
 def test_run_protocol_convenience_function():
     result = run_protocol(honest_spec(n=5, f=1, k=2, blocks=2, seed=51))
     assert result.committed_blocks == 2

@@ -106,3 +106,34 @@ def test_registry_len_and_contains_count_running_only():
     assert len(registry) == 1
     assert "a" not in registry
     assert registry.running_keys() == ["b"]
+
+
+def test_registry_holds_armed_timers_only():
+    sim = Simulator()
+    registry = TimerRegistry(sim, prefix="commit")
+    for height in range(50):
+        registry.start(f"block-{height}", 1.0 + height, lambda: None)
+    registry.cancel("block-7")
+    assert len(registry) == 49
+    assert registry.get("block-7") is None
+    sim.run_until_idle()
+    # Every timer fired: nothing is left to scan, cancel or keep alive.
+    assert len(registry) == 0
+    assert registry.running_keys() == []
+    assert registry.cancel_all() == 0
+    assert registry._timers == {}
+
+
+def test_registry_callback_may_restart_its_own_key():
+    sim = Simulator()
+    fired = []
+    registry = TimerRegistry(sim, prefix="commit")
+
+    def first():
+        fired.append("first")
+        registry.start("a", 1.0, lambda: fired.append("second"))
+
+    registry.start("a", 1.0, first)
+    sim.run_until_idle()
+    assert fired == ["first", "second"]
+    assert len(registry) == 0
