@@ -1,8 +1,8 @@
 """detlint: determinism & registry-coherence static analysis.
 
 Every PR in this repo rests on one contract — seeded byte-determinism:
-golden trace fingerprints stay byte-identical across optimized, legacy,
-serial and parallel runs, and every source of randomness flows through
+golden trace fingerprints stay byte-identical across serial and
+parallel runs, and every source of randomness flows through
 :func:`repro.sim.rng.derive_seed` child streams.  The scenario matrix
 and the fuzzer enforce that contract *dynamically*, on the paths they
 happen to execute; this package enforces it *statically*, on every path,

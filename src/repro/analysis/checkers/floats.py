@@ -35,7 +35,6 @@ from repro.analysis.registry import Checker, register
 #: Module prefixes whose ``sum`` calls are float-bearing (energy/metrics).
 FLOAT_MODULES = (
     "repro.energy",
-    "repro.perf",
     "repro.session.metrics",
     "repro.testkit.invariants",
     "repro.crypto.energy_costs",

@@ -2,12 +2,12 @@
 
 Protocol, network, session and testkit code observing the host's clock
 (``time.time``, ``datetime.now``, ``time.monotonic``) makes run results
-a function of the machine, not the seed.  The only legitimate consumers
-of wall time are the perf harness (:mod:`repro.perf` — measuring host
-seconds is its whole job) and ``time.perf_counter`` used for duration
-measurement, which is allowlisted everywhere because it never leaks into
-simulated state in this codebase's idiom (and a misuse that does leak is
-caught by the fingerprint battery).
+a function of the machine, not the seed.  No module in ``src/repro`` is
+exempt: host seconds are measured outside the package, by the ``bench/``
+ledger.  The one allowlisted reader is ``time.perf_counter`` used for
+duration measurement, because it never leaks into simulated state in this
+codebase's idiom (and a misuse that does leak is caught by the fingerprint
+battery).
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from typing import Iterator
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Checker, register
-
-#: Packages exempt from the rule (wall-clock measurement is their purpose).
-EXEMPT_MODULES = ("repro.perf",)
 
 #: ``module.attribute`` reads that are findings.
 _BANNED_ATTRS = {
@@ -55,8 +52,6 @@ class WallClockChecker(Checker):
     scope = "module"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.in_module(*EXEMPT_MODULES):
-            return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 key = (node.value.id, node.attr)
@@ -76,5 +71,5 @@ class WallClockChecker(Checker):
                             ctx,
                             node,
                             f"import of {root}.{alias.name}: wall-clock reads are "
-                            "banned outside repro.perf",
+                            "banned in simulation code",
                         )

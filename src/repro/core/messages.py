@@ -33,45 +33,6 @@ from repro.crypto.signatures import Signature, SignatureScheme
 #: Fixed per-message header bytes (type, view, round, sender).
 MESSAGE_HEADER_BYTES = 16
 
-#: Flyweight switch: when ``False`` the per-instance digest / wire-size
-#: memos below recompute on every access (the ``repro.perf`` legacy mode
-#: uses this to measure the seed's per-hop serialization cost).
-_FLYWEIGHT_ENABLED = True
-
-
-def set_flyweight_enabled(enabled: bool) -> None:
-    """Toggle per-message memoization (perf harness / tests only)."""
-    global _FLYWEIGHT_ENABLED
-    _FLYWEIGHT_ENABLED = enabled
-
-
-def flyweight_enabled() -> bool:
-    """Whether per-message memoization is currently on."""
-    return _FLYWEIGHT_ENABLED
-
-
-class _frozen_memo:
-    """A ``cached_property`` for frozen messages that honours the flyweight switch.
-
-    Safe only on immutable (frozen dataclass) owners: the memoized value is
-    a pure function of construction-time fields.
-    """
-
-    def __init__(self, func):
-        self._func = func
-        self._slot = f"_memo_{func.__name__}"
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        if not _FLYWEIGHT_ENABLED:
-            return self._func(obj)
-        d = obj.__dict__
-        if self._slot not in d:
-            d[self._slot] = self._func(obj)  # frozen dataclasses allow direct __dict__ writes
-        return d[self._slot]
-
 
 class MessageType(str, Enum):
     """All message types used by EESMR and the baseline protocols."""
@@ -172,12 +133,12 @@ class PayloadRecord:
     wire size and verification verdict may be computed once per message.
     """
 
-    @_frozen_memo
+    @cached_property
     def wire_size_bytes(self) -> int:
         """Bytes on the wire: each field plus an 8-byte field header."""
         return sum(payload_wire_size(getattr(self, f.name)) + 8 for f in fields(self))
 
-    @_frozen_memo
+    @cached_property
     def digest(self) -> str:
         """Structural digest: H(record type, child digests in field order).
 
@@ -288,27 +249,25 @@ class ProtocolMessage:
     @property
     def data_digest(self) -> str:
         """Digest of the payload used for signing and vote matching."""
-        if _FLYWEIGHT_ENABLED:
-            cached = self.__dict__.get("_memo_data_digest")
-            if cached is not None:
-                return cached
+        cached = self.__dict__.get("_memo_data_digest")
+        if cached is not None:
+            return cached
         digest = message_data_digest(self.data)
-        if _FLYWEIGHT_ENABLED and self._data_immutable:
+        if self._data_immutable:
             self.__dict__["_memo_data_digest"] = digest
         return digest
 
     @property
     def wire_size_bytes(self) -> int:
         """Bytes on the wire: header + payload + signatures."""
-        if _FLYWEIGHT_ENABLED:
-            cached = self.__dict__.get("_memo_wire_size")
-            if cached is not None:
-                return cached
+        cached = self.__dict__.get("_memo_wire_size")
+        if cached is not None:
+            return cached
         size = MESSAGE_HEADER_BYTES + payload_wire_size(self.data)
         for signature in (self.view_sig, self.data_sig):
             if signature is not None:
                 size += signature.size_bytes
-        if _FLYWEIGHT_ENABLED and self._data_immutable:
+        if self._data_immutable:
             self.__dict__["_memo_wire_size"] = size
         return size
 
@@ -348,7 +307,7 @@ def make_message(
     The payload digest is computed once here, signed, and seeded into the
     message's memos together with the wire size, so the O(n·d) hops of a
     flood and the n verifications all reuse one computation.  (Nothing is
-    seeded when the flyweight is off or the payload is mutable.)
+    seeded when the payload is mutable.)
     """
     digest = message_data_digest(data)
     message = ProtocolMessage(
@@ -360,7 +319,7 @@ def make_message(
         view_sig=scheme.sign(sender, view_signing_input(msg_type, view)),
         data_sig=scheme.sign(sender, data_signing_input(digest, view)),
     )
-    if _FLYWEIGHT_ENABLED and message._data_immutable:
+    if message._data_immutable:
         message.__dict__["_memo_data_digest"] = digest
         message.wire_size_bytes  # noqa: B018  # property read warms the memo
     return message
@@ -380,11 +339,10 @@ def verify_message(scheme: SignatureScheme, verifier: NodeId, message: ProtocolM
         return False
     if message.view_sig.signer != message.sender or message.data_sig.signer != message.sender:
         return False
-    if _FLYWEIGHT_ENABLED:
-        memo = message.__dict__.get("_verified_by")
-        if memo is not None and memo[0] is scheme:
-            scheme.note_verify(verifier, 2)
-            return memo[1]
+    memo = message.__dict__.get("_verified_by")
+    if memo is not None and memo[0] is scheme:
+        scheme.note_verify(verifier, 2)
+        return memo[1]
     view_ok = scheme.verify(
         verifier, view_signing_input(message.msg_type, message.view), message.view_sig
     )
@@ -392,7 +350,7 @@ def verify_message(scheme: SignatureScheme, verifier: NodeId, message: ProtocolM
         verifier, data_signing_input(message.data_digest, message.view), message.data_sig
     )
     result = view_ok and data_ok
-    if _FLYWEIGHT_ENABLED and message._data_immutable:
+    if message._data_immutable:
         message.__dict__["_verified_by"] = (scheme, result)
     return result
 
@@ -408,14 +366,14 @@ class QuorumCertificate:
     signatures: Tuple[Signature, ...] = field(default_factory=tuple)
     block: Optional[Block] = None
 
-    @_frozen_memo
+    @cached_property
     def wire_size_bytes(self) -> int:
         """Bytes of the certificate: digest + all contained signatures."""
         signature_bytes = sum(sig.size_bytes for sig in self.signatures)
         block_bytes = self.block.wire_size_bytes if self.block is not None else 0
         return 32 + signature_bytes + block_bytes
 
-    @_frozen_memo
+    @cached_property
     def content_digest(self) -> str:
         """Structural digest of the whole certificate.
 
@@ -527,11 +485,10 @@ def _verify_certificate(
     if len(qc.signers) != len(qc.signatures):
         return False
     slot = "_view_valid_by" if over_view else "_data_valid_by"
-    if _FLYWEIGHT_ENABLED:
-        memo = qc.__dict__.get(slot)
-        if memo is not None and memo[0] is scheme:
-            scheme.note_verify(verifier, len(qc.signatures))
-            return memo[1] >= threshold
+    memo = qc.__dict__.get(slot)
+    if memo is not None and memo[0] is scheme:
+        scheme.note_verify(verifier, len(qc.signatures))
+        return memo[1] >= threshold
     if over_view:
         signed = view_signing_input(qc.cert_type, qc.view)
     else:
@@ -544,8 +501,7 @@ def _verify_certificate(
             return False
         if scheme.verify(verifier, signed, signature):
             valid += 1
-    if _FLYWEIGHT_ENABLED:
-        qc.__dict__[slot] = (scheme, valid)
+    qc.__dict__[slot] = (scheme, valid)
     return valid >= threshold
 
 

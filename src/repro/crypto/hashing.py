@@ -134,13 +134,9 @@ class CanonicalCache:
       a payload mutated after signing must re-serialize and fail
       verification.  Each such serialization is counted in
       :attr:`uncached`; protocol payloads never take this path.
-
-    Set :attr:`enabled` to ``False`` to force recomputation everywhere (the
-    ``repro.perf`` legacy mode uses this to measure the uncached baseline).
     """
 
     def __init__(self, max_value_entries: int = 8192) -> None:
-        self.enabled = True
         self.max_value_entries = max_value_entries
         # id(obj) -> (weakref, canonical bytes, hex digest | None)
         self._by_id: Dict[int, Tuple[Any, bytes, Optional[str]]] = {}
@@ -177,8 +173,6 @@ class CanonicalCache:
     # -------------------------------------------------------------- queries
     def bytes_for(self, payload: Any) -> bytes:
         """Canonical bytes of ``payload``, cached when provably safe."""
-        if not self.enabled:
-            return _serialize_canonical(payload)
         if isinstance(payload, bytes):
             return payload
         if isinstance(payload, str):
@@ -211,8 +205,6 @@ class CanonicalCache:
 
     def digest_for(self, payload: Any) -> str:
         """SHA-256 hex digest of the canonical bytes, cached alongside them."""
-        if not self.enabled:
-            return hashlib.sha256(_serialize_canonical(payload)).hexdigest()
         entry = self._identity_entry(payload)
         if entry is not None and entry[2] is not None:
             self.hits += 1

@@ -70,10 +70,6 @@ class SignatureScheme:
     sign/verify energy.
     """
 
-    #: Class-wide switch for the sign/verify memoization below; the
-    #: ``repro.perf`` legacy mode flips it off to measure the uncached path.
-    cache_operations = True
-
     #: Bound on the memo tables; cleared wholesale when exceeded.
     max_cache_entries = 16384
 
@@ -96,7 +92,7 @@ class SignatureScheme:
         data = canonical_cache.bytes_for(payload)
         self.sign_counts[signer] += 1
         key = (signer, data)
-        signature = self._sign_memo.get(key) if self.cache_operations else None
+        signature = self._sign_memo.get(key)
         if signature is None:
             pair = self.keystore.key_pair(signer)
             signature = Signature(
@@ -105,10 +101,9 @@ class SignatureScheme:
                 tag=pair.sign_tag(self._domain_separated(data)),
                 payload_digest=hashlib.sha256(data).hexdigest()[:16],
             )
-            if self.cache_operations:
-                if len(self._sign_memo) >= self.max_cache_entries:
-                    self._sign_memo.clear()
-                self._sign_memo[key] = signature
+            if len(self._sign_memo) >= self.max_cache_entries:
+                self._sign_memo.clear()
+            self._sign_memo[key] = signature
         return signature
 
     def note_verify(self, verifier: int, operations: int = 1) -> None:
@@ -127,10 +122,6 @@ class SignatureScheme:
         if signature.scheme != self.spec.name:
             return False
         data = canonical_cache.bytes_for(payload)
-        if not self.cache_operations:
-            return self.keystore.verify_tag(
-                signature.signer, self._domain_separated(data), signature.tag
-            )
         key = (signature.signer, signature.tag, data)
         cached = self._verify_memo.get(key)
         if cached is not None:

@@ -75,10 +75,6 @@ class HyperEdge:
 class Hypergraph:
     """A directed communication hypergraph (Definition A.1)."""
 
-    #: Class-wide switch for the adjacency index (perf legacy mode sets it
-    #: to ``False`` to measure the seed's linear edge scans).
-    cache_topology = True
-
     nodes: List[int]
     edges: List[HyperEdge] = field(default_factory=list)
 
@@ -125,13 +121,11 @@ class Hypergraph:
 
         Backed by a lazily built sender index: flooding queries the same
         adjacency once per relay per flood, so a linear scan of ``edges``
-        here would make every broadcast O(n·|E|).  The cached path returns
-        an immutable tuple — mutating the result was never supported, and
-        handing out the index's internal lists would let a caller corrupt
-        the adjacency silently.
+        here would make every broadcast O(n·|E|).  The result is an
+        immutable tuple — mutating it was never supported, and handing out
+        the index's internal lists would let a caller corrupt the adjacency
+        silently.
         """
-        if not self.cache_topology:
-            return [edge for edge in self.edges if edge.sender == node]
         index = self.__dict__.get("_out_index")
         if index is None:
             grouped: Dict[int, List[HyperEdge]] = {}

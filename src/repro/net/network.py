@@ -73,8 +73,7 @@ class DisseminationPlan:
     radio-cost memo and meter cache.  Plans are validated against the
     network's state epoch (and the hypergraph's topology version) at every
     relay, so the rare fault-window transitions that mutate policy or
-    partition state invalidate them exactly where the uncompiled path
-    would have observed the new state — traces stay byte-identical.
+    partition state are observed by the very next hop.
     """
 
     __slots__ = ("state_epoch", "topology_version", "size", "nodes")
@@ -125,20 +124,6 @@ class NetworkStats:
 class SimulatedNetwork:
     """Flooding network over a hypergraph with energy accounting.
 
-    Floods execute through compiled :class:`DisseminationPlan` objects by
-    default (``use_compiled_plans``): the per-hop relay path reads flat
-    precompiled records instead of re-querying the topology index, relay
-    policies and partition set, and plans are invalidated by the (rare)
-    fault-window transitions that mutate that state — behaviour and traces
-    are byte-identical to the uncompiled path.
-
-    Flood bookkeeping is garbage collected: the per-flood dedup sets
-    (``_relayed`` / ``_delivered`` / ``_single_hop``) are retired as soon as
-    a flood has no receptions left in flight, so long runs hold state for
-    the handful of floods currently propagating instead of every flood ever
-    broadcast.  Set :attr:`gc_floods` to ``False`` to retain everything
-    (tests and the perf harness's legacy mode use this).
-
     Known limitations, accepted deliberately:
 
     * if in-flight reception events are discarded externally (via
@@ -151,17 +136,6 @@ class SimulatedNetwork:
       network events only works on traced runs.  Traced runs (what the
       testkit fingerprints) see exactly the seed's labels.
     """
-
-    #: Class-wide switches; the perf legacy mode flips them off to measure
-    #: the seed's per-hop costs.
-    gc_floods = True
-    use_edge_caches = True
-    #: Execute floods through compiled :class:`DisseminationPlan` objects
-    #: instead of re-querying topology/policy/partition state per hop.
-    use_compiled_plans = True
-    #: When ``True``, trace labels and energy details are built eagerly even
-    #: if nothing consumes them (seed behaviour; legacy mode only).
-    eager_annotations = False
 
     def __init__(
         self,
@@ -196,8 +170,6 @@ class SimulatedNetwork:
         self._flood_counter = itertools.count()
         # flood id -> set of node ids that have already relayed it
         self._relayed: Dict[int, set[int]] = {}
-        # flood ids that must not be relayed beyond the first hop
-        self._single_hop: set[int] = set()
         # flood id -> set of node ids that have already had it delivered
         self._delivered: Dict[int, set[int]] = {}
         # flood id -> receptions scheduled but not yet arrived; a flood's
@@ -463,12 +435,8 @@ class SimulatedNetwork:
         self.stats.broadcasts += 1
         # Local delivery to the origin (no radio energy).
         self._deliver(flood_id, origin, origin, message, local=True)
-        if self.use_compiled_plans:
-            size = default_wire_size(message)
-            self._plan_relay(self._plan_for(size), flood_id, origin, origin, message)
-        else:
-            size = default_wire_size(message) if self.use_edge_caches else None
-            self._relay_from(flood_id, origin, origin, message, size)
+        plan = self._plan_for(default_wire_size(message))
+        self._plan_relay(plan, flood_id, origin, origin, message)
         self._maybe_retire_flood(flood_id)
         return flood_id
 
@@ -523,13 +491,14 @@ class SimulatedNetwork:
     def _plan_relay(
         self, plan: DisseminationPlan, flood_id: int, node: int, origin: int, message: Any
     ) -> None:
-        """Relay one flood hop through a compiled plan.
+        """Transmit ``message`` on all of ``node``'s outgoing hyper-edges.
 
-        Mirrors :meth:`_relay_from` exactly — same dedup bookkeeping, same
-        charge/latency/schedule order — but against precompiled state.  The
-        plan is revalidated here (one epoch compare per hop) so fault
-        transitions that fired since compilation are observed at the same
-        point the uncompiled path would re-read the mutated dicts.
+        Every node relays a flood at most once.  The plan is revalidated
+        here (one epoch compare per hop), so fault transitions that fired
+        since compilation are observed by this hop.  A Byzantine (or
+        misconfigured) node may silently drop relays; the hypergraph fault
+        bound guarantees correct nodes still receive the flood via other
+        paths.
         """
         if (
             plan.state_epoch != self._state_epoch
@@ -551,7 +520,7 @@ class SimulatedNetwork:
         relayed.add(node)
         size = plan.size
         sim_now = self.sim.now
-        tracing = meter.trace_enabled or self.eager_annotations
+        tracing = meter.trace_enabled
         stats = self.stats
         for cost, receivers, detail in edges:
             meter.charge_transmit(
@@ -565,50 +534,20 @@ class SimulatedNetwork:
                 )
 
     def _maybe_retire_flood(self, flood_id: int) -> None:
-        """Drop a flood's dedup state once no receptions remain in flight."""
-        if not self.gc_floods:
-            return
+        """Drop a flood's dedup state once no receptions remain in flight.
+
+        Long runs therefore hold state for the handful of floods currently
+        propagating instead of every flood ever broadcast.
+        """
         if self._in_flight.get(flood_id, 0) == 0:
             self._in_flight.pop(flood_id, None)
             self._relayed.pop(flood_id, None)
             self._delivered.pop(flood_id, None)
-            self._single_hop.discard(flood_id)
 
     @property
     def live_floods(self) -> int:
         """Number of floods whose dedup state is still held (GC metric)."""
         return len(self._delivered)
-
-    def _relay_from(
-        self, flood_id: int, node: int, origin: int, message: Any, size: Optional[int] = None
-    ) -> None:
-        """Transmit ``message`` on all of ``node``'s outgoing hyper-edges.
-
-        ``size`` is threaded down from the broadcast so a flood sizes its
-        message once; when ``None`` (legacy mode, external callers) it is
-        recomputed here, once per relaying node, as the seed did.
-        """
-        if node in self._partition:
-            return
-        relayed = self._relayed[flood_id]
-        if node in relayed:
-            return
-        if node != origin and flood_id in self._single_hop:
-            # One-hop multicast: receivers do not forward.
-            relayed.add(node)
-            return
-        policy = self.relay_policies.get(node)
-        if node != origin and policy is not None and not policy(origin, message):
-            # Byzantine (or misconfigured) nodes may silently drop relays;
-            # the hypergraph fault bound guarantees correct nodes still
-            # receive the flood via other paths.
-            relayed.add(node)
-            return
-        relayed.add(node)
-        if size is None:
-            size = default_wire_size(message)
-        for edge in self.hypergraph.out_edges(node):
-            self._transmit_edge(flood_id, edge, origin, message, size)
 
     def _meter(self, pid: int):
         meter = self._meter_cache.get(pid)
@@ -628,28 +567,19 @@ class SimulatedNetwork:
     def _transmit_edge(
         self, flood_id: int, edge: HyperEdge, origin: int, message: Any, size: int
     ) -> None:
+        """One-hop k-cast: the receptions carry no plan, so nobody forwards."""
         k = edge.degree
-        if self.use_edge_caches:
-            cost = self._kcast_cost(size, k)
-            receivers = edge.receivers_sorted
-        else:
-            cost = self.kcast_radio.transmission_cost(size, k)
-            receivers = sorted(edge.receivers)
+        cost = self._kcast_cost(size, k)
         sender_meter = self._meter(edge.sender)
-        detail = (
-            f"kcast k={k} {size}B"
-            if sender_meter.trace_enabled or self.eager_annotations
-            else ""
-        )
+        detail = f"kcast k={k} {size}B" if sender_meter.trace_enabled else ""
         sender_meter.charge_transmit(cost.sender_energy_j, self.sim.now, detail=detail)
         self.stats.record_transmission(edge.sender, size)
         latency = self._hop_latency()
-        relay_size = size if self.use_edge_caches else None
-        for receiver in receivers:
+        for receiver in edge.receivers_sorted:
             if receiver in self._partition:
                 continue
             self._schedule_reception(
-                flood_id, edge.sender, receiver, origin, message, cost, latency, relay_size
+                flood_id, edge.sender, receiver, origin, message, cost, latency, size
             )
 
     def _schedule_reception(
@@ -661,7 +591,7 @@ class SimulatedNetwork:
         message: Any,
         cost,
         latency: float,
-        size: Optional[int] = None,
+        size: int,
         plan: Optional[DisseminationPlan] = None,
     ) -> None:
         imp = self.impairment
@@ -683,7 +613,7 @@ class SimulatedNetwork:
         message: Any,
         cost,
         latency: float,
-        size: Optional[int] = None,
+        size: int,
         plan: Optional[DisseminationPlan] = None,
     ) -> None:
         def arrive() -> None:
@@ -696,27 +626,19 @@ class SimulatedNetwork:
                 already_delivered = receiver in delivered
             if self.charge_duplicate_receptions or not already_delivered:
                 meter = self._meter(receiver)
-                detail = (
-                    f"kcast from {hop_sender}"
-                    if meter.trace_enabled or self.eager_annotations
-                    else ""
-                )
+                detail = f"kcast from {hop_sender}" if meter.trace_enabled else ""
                 meter.charge_receive(cost.per_receiver_energy_j, self.sim.now, detail=detail)
             if not already_delivered:
                 self._deliver(flood_id, origin, receiver, message)
-                if plan is not None:
+                if plan is not None:  # one-hop multicasts carry no plan
                     self._plan_relay(plan, flood_id, receiver, origin, message)
-                else:
-                    self._relay_from(flood_id, receiver, origin, message, size)
-            if self.gc_floods:
-                remaining = self._in_flight.get(flood_id)
-                if remaining is not None:
-                    self._in_flight[flood_id] = remaining - 1
-                    self._maybe_retire_flood(flood_id)
+            remaining = self._in_flight.get(flood_id)
+            if remaining is not None:
+                self._in_flight[flood_id] = remaining - 1
+                self._maybe_retire_flood(flood_id)
 
-        if self.gc_floods:
-            self._in_flight[flood_id] = self._in_flight.get(flood_id, 0) + 1
-        if self.sim.trace_enabled or self.eager_annotations:
+        self._in_flight[flood_id] = self._in_flight.get(flood_id, 0) + 1
+        if self.sim.trace_enabled:
             label = f"net:flood{flood_id}->{receiver}"
         else:
             label = "net:flood"
@@ -732,7 +654,7 @@ class SimulatedNetwork:
         message: Any,
         cost,
         latency: float,
-        size: Optional[int],
+        size: int,
         plan: Optional[DisseminationPlan],
         imp: ImpairmentModel,
     ) -> None:
@@ -770,20 +692,19 @@ class SimulatedNetwork:
         origin: int,
         message: Any,
         cost,
-        size: Optional[int],
+        size: int,
         plan: Optional[DisseminationPlan],
         imp: ImpairmentModel,
     ) -> None:
         if self.reliability.max_retries <= 0:
             self._flood_giveup(flood_id, hop_sender, receiver, imp)
             return
-        if self.gc_floods:
-            # Chain token: hold the flood's dedup state alive while the
-            # retransmission chain is pending.  Released on give-up, on an
-            # implicit ACK (delivery via another edge), or once the
-            # recovered copy's real arrival has been scheduled (which
-            # takes its own in-flight reference).
-            self._in_flight[flood_id] = self._in_flight.get(flood_id, 0) + 1
+        # Chain token: hold the flood's dedup state alive while the
+        # retransmission chain is pending.  Released on give-up, on an
+        # implicit ACK (delivery via another edge), or once the recovered
+        # copy's real arrival has been scheduled (which takes its own
+        # in-flight reference).
+        self._in_flight[flood_id] = self._in_flight.get(flood_id, 0) + 1
         self._schedule_retransmit(
             flood_id, hop_sender, receiver, origin, message, cost, size, plan, imp, attempt=0
         )
@@ -796,14 +717,14 @@ class SimulatedNetwork:
         origin: int,
         message: Any,
         cost,
-        size: Optional[int],
+        size: int,
         plan: Optional[DisseminationPlan],
         imp: ImpairmentModel,
         attempt: int,
     ) -> None:
         policy = self.reliability
         delay = policy.retry_delay(attempt, imp.rng)
-        if self.sim.trace_enabled or self.eager_annotations:
+        if self.sim.trace_enabled:
             label = f"net:rtx{flood_id}->{receiver}"
         else:
             label = "net:rtx"
@@ -821,14 +742,12 @@ class SimulatedNetwork:
                 self._release_chain(flood_id)
                 return
             meter = self._meter(hop_sender)
-            tracing = meter.trace_enabled or self.eager_annotations
-            wire = size if size is not None else default_wire_size(message)
             meter.charge_transmit(
                 cost.sender_energy_j,
                 self.sim.now,
-                detail=f"retransmit->{receiver} {wire}B" if tracing else "",
+                detail=f"retransmit->{receiver} {size}B" if meter.trace_enabled else "",
             )
-            self.stats.record_transmission(hop_sender, wire)
+            self.stats.record_transmission(hop_sender, size)
             imp.note_retransmit(receiver)
             if self.retransmit_observer is not None:
                 self.retransmit_observer(
@@ -885,8 +804,7 @@ class SimulatedNetwork:
             )
 
     def _release_chain(self, flood_id: int) -> None:
-        if not self.gc_floods:
-            return
+        """Drop one in-flight reference on ``flood_id``; retire it at zero."""
         remaining = self._in_flight.get(flood_id)
         if remaining is not None:
             self._in_flight[flood_id] = remaining - 1
@@ -910,7 +828,7 @@ class SimulatedNetwork:
         cost = self._ack_cost()
         now = self.sim.now
         receiver_meter = self._meter(receiver)
-        tracing = receiver_meter.trace_enabled or self.eager_annotations
+        tracing = receiver_meter.trace_enabled
         receiver_meter.charge_transmit(
             cost.sender_energy_j, now, detail=f"ack->{hop_sender}" if tracing else ""
         )
@@ -947,11 +865,7 @@ class SimulatedNetwork:
         size = default_wire_size(message)
         cost = self.unicast_radio.transmission_cost(size)
         src_meter = self._meter(src)
-        detail = (
-            f"unicast->{dst} {size}B"
-            if src_meter.trace_enabled or self.eager_annotations
-            else ""
-        )
+        detail = f"unicast->{dst} {size}B" if src_meter.trace_enabled else ""
         src_meter.charge_transmit(cost.sender_energy_j, self.sim.now, detail=detail)
         self.stats.unicasts += 1
         self.stats.record_transmission(src, size)
@@ -977,18 +891,14 @@ class SimulatedNetwork:
     ) -> None:
         def arrive() -> None:
             meter = self._meter(dst)
-            detail = (
-                f"unicast from {src}"
-                if meter.trace_enabled or self.eager_annotations
-                else ""
-            )
+            detail = f"unicast from {src}" if meter.trace_enabled else ""
             meter.charge_receive(cost.receiver_energy_j, self.sim.now, detail=detail)
             process = self.processes.get(dst)
             if process is not None:
                 self.stats.deliveries += 1
                 process.deliver(src, message)
 
-        if self.sim.trace_enabled or self.eager_annotations:
+        if self.sim.trace_enabled:
             label = f"net:uni {src}->{dst}"
         else:
             label = "net:uni"
@@ -1011,7 +921,7 @@ class SimulatedNetwork:
     ) -> None:
         policy = self.reliability
         delay = policy.retry_delay(attempt, imp.rng)
-        if self.sim.trace_enabled or self.eager_annotations:
+        if self.sim.trace_enabled:
             label = f"net:rtx-uni {src}->{dst}"
         else:
             label = "net:rtx-uni"
@@ -1020,11 +930,10 @@ class SimulatedNetwork:
             if src in self._partition or dst in self._partition:
                 return
             meter = self._meter(src)
-            tracing = meter.trace_enabled or self.eager_annotations
             meter.charge_transmit(
                 cost.sender_energy_j,
                 self.sim.now,
-                detail=f"retransmit->{dst} {size}B" if tracing else "",
+                detail=f"retransmit->{dst} {size}B" if meter.trace_enabled else "",
             )
             self.stats.record_transmission(src, size)
             imp.note_retransmit(dst)
@@ -1062,9 +971,7 @@ class SimulatedNetwork:
         """One-hop k-cast (no flooding) — used by leader-to-neighbour patterns."""
         self._require_registered(origin)
         flood_id = next(self._flood_counter)
-        self._relayed[flood_id] = {origin}
         self._delivered[flood_id] = {origin}
-        self._single_hop.add(flood_id)
         self._in_flight[flood_id] = 0
         size = default_wire_size(message)
         for edge in self.hypergraph.out_edges(origin):

@@ -185,9 +185,9 @@ class CallbackObserver(SessionObserver):
 class PerfObserver(SessionObserver):
     """Live protocol/perf counters re-registered through the observer bus.
 
-    Replaces the ad-hoc "run it, then diff the stats objects" pattern of
-    the perf harness for in-flight visibility: event counts by label
-    prefix, commits and view changes per node, fault-window transitions.
+    In-flight visibility instead of "run it, then diff the stats objects":
+    event counts by label prefix, commits and view changes per node,
+    fault-window transitions.
     """
 
     def __init__(self, label_depth: int = 1) -> None:

@@ -7,7 +7,7 @@ seeded random-number helper so that every experiment in the paper can be
 replayed bit-for-bit.
 """
 
-from repro.sim.events import BucketedEventQueue, Event, EventQueue
+from repro.sim.events import BucketedEventQueue, Event
 from repro.sim.scheduler import Simulator
 from repro.sim.timers import Timer, TimerRegistry
 from repro.sim.process import Process
@@ -16,7 +16,6 @@ from repro.sim.rng import SeededRNG, derive_seed
 __all__ = [
     "BucketedEventQueue",
     "Event",
-    "EventQueue",
     "Simulator",
     "Timer",
     "TimerRegistry",

@@ -14,16 +14,11 @@ zero-argument callables; callables are only invoked when a trace consumer
 actually needs the text, so unlabeled or untraced events never pay for
 string formatting.
 
-Two queue implementations share that design:
-
-* :class:`EventQueue` — a single binary heap.  Every push/pop is
-  O(log m) in the total pending-event population m;
-* :class:`BucketedEventQueue` — a two-tier calendar structure (near-future
-  time buckets plus an overflow heap) that keeps pushes to future buckets
-  at O(1) list appends and pops at O(log b) in the *bucket* population b,
-  which at n≥100 event populations is far below m.  It yields the exact
-  same ``(time, priority, seq)`` total order, so traces are byte-identical
-  whichever queue backs the simulator.
+The queue itself, :class:`BucketedEventQueue`, is a two-tier calendar
+structure (near-future time buckets plus an overflow heap): pushes to
+future buckets are O(1) list appends and pops are O(log b) in the *bucket*
+population b, which at n≥100 event populations is far below the total
+pending population m that a single binary heap would sift.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ class Event:
         self.callback = callback
         self.label = label
         self.cancelled = cancelled
-        self._queue: Optional["EventQueue"] = None
+        self._queue: Optional["BucketedEventQueue"] = None
         self._in_heap = False
 
     def cancel(self) -> None:
@@ -99,98 +94,6 @@ class Event:
 HeapEntry = Tuple[float, int, int, Event]
 
 
-class EventQueue:
-    """A min-heap of :class:`Event` objects with deterministic ordering."""
-
-    def __init__(self) -> None:
-        self._heap: List[HeapEntry] = []
-        self._counter = itertools.count()
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = 0,
-        label: Label = "",
-    ) -> Event:
-        """Schedule ``callback`` at virtual ``time`` and return its handle."""
-        if time < 0:
-            raise ValueError(f"cannot schedule event at negative time {time}")
-        seq = next(self._counter)
-        event = Event(time, priority, seq, callback, label)
-        event._queue = self
-        event._in_heap = True
-        heapq.heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
-        return event
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next active event, or ``None`` if empty."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[3]
-            event._in_heap = False
-            if event.cancelled:
-                continue
-            self._live -= 1
-            return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the next active event without popping."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3].cancelled:
-                heapq.heappop(heap)[3]._in_heap = False
-                continue
-            return entry[0]
-        return None
-
-    def cancel(self, event: Event) -> None:
-        """Cancel an event previously returned by :meth:`push`."""
-        event.cancel()
-
-    def remove_where(self, predicate: Callable[[Event], bool]) -> int:
-        """Drop every pending event matching ``predicate``; returns the count.
-
-        Non-matching events keep their original heap entries (and therefore
-        their original ordering keys), so a selective drain cannot reorder
-        the survivors.
-        """
-        kept: List[HeapEntry] = []
-        removed = 0
-        for entry in self._heap:
-            event = entry[3]
-            if event.cancelled:
-                event._in_heap = False
-                continue
-            if predicate(event):
-                event.cancelled = True
-                event._in_heap = False
-                removed += 1
-            else:
-                kept.append(entry)
-        heapq.heapify(kept)
-        self._heap = kept
-        self._live = len(kept)
-        return removed
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        for entry in self._heap:
-            entry[3]._in_heap = False
-        self._heap.clear()
-        self._live = 0
-
-
 class BucketedEventQueue:
     """A two-tier event queue: near-future time buckets + an overflow heap.
 
@@ -209,12 +112,12 @@ class BucketedEventQueue:
     * events beyond ``horizon`` buckets ahead go to the **overflow heap**
       and migrate into buckets lazily when the dial advances.
 
-    Ordering contract: identical to :class:`EventQueue`.  Buckets partition
-    the timeline into disjoint half-open intervals, entries within a bucket
-    are heap-ordered by the same ``(time, priority, seq)`` tuples, and the
+    Ordering contract: pops come out in ``(time, priority, seq)`` order.
+    Buckets partition the timeline into disjoint half-open intervals,
+    entries within a bucket are heap-ordered by those tuples, and the
     overflow heap is only ever drained bucket-aligned — so the pop sequence
-    is the exact total order and traces stay byte-identical whichever
-    queue backs the simulator (pinned by the golden-fingerprint tests).
+    is the exact total order a single heap would give (the
+    golden-fingerprint tests were captured on one).
     """
 
     #: Bucket width in virtual-time units.  Hop delays and protocol Δs in
@@ -353,8 +256,7 @@ class BucketedEventQueue:
         """Drop every pending event matching ``predicate``; returns the count.
 
         Survivors keep their original ``(time, priority, seq)`` keys, so a
-        selective drain cannot reorder them (same contract as
-        :meth:`EventQueue.remove_where`).
+        selective drain cannot reorder them.
         """
         removed = 0
         kept: List[HeapEntry] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from repro.sim.events import BucketedEventQueue, Event, EventQueue
+from repro.sim.events import BucketedEventQueue, Event
 
 
 class SimulationError(RuntimeError):
@@ -28,15 +28,8 @@ class Simulator:
             by the integration tests to assert protocol phase ordering.
     """
 
-    #: Factory for the backing queue.  The default is the two-tier bucketed
-    #: calendar queue; :class:`~repro.sim.events.EventQueue` (single binary
-    #: heap) remains selectable and both are pinned byte-identical by the
-    #: golden-fingerprint tests.  The perf harness swaps in a legacy
-    #: implementation to measure the seed's event-loop overhead.
-    queue_factory = BucketedEventQueue
-
     def __init__(self, trace: bool = False) -> None:
-        self._queue = self.queue_factory()
+        self._queue = BucketedEventQueue()
         self._now = 0.0
         self._running = False
         self._executed = 0
@@ -98,17 +91,7 @@ class Simulator:
         return self._queue.push(self._now + delay, callback, priority, label)
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event.
-
-        Follows drain-reinsertion aliases: when a selective :meth:`drain`
-        had to rebuild the queue by re-pushing survivors (queues without
-        ``remove_where``), the caller's original handle forwards to its
-        replacement, so cancelling through a stale handle still works.
-        """
-        successor = getattr(event, "_drain_successor", None)
-        while successor is not None:
-            event = successor
-            successor = getattr(event, "_drain_successor", None)
+        """Cancel a previously scheduled event."""
         self._queue.cancel(event)
 
     # --------------------------------------------------------------- running
@@ -227,30 +210,4 @@ class Simulator:
             self._queue.clear()
             return removed
         wanted = set(labels)
-        if hasattr(self._queue, "remove_where"):
-            return self._queue.remove_where(lambda event: event.resolved_label() in wanted)
-        # Fallback for queue implementations without in-place removal
-        # (e.g. the perf harness's legacy queue): pop everything and
-        # re-insert survivors under their original ordering keys.  Each
-        # survivor's old handle forwards to its replacement so a later
-        # cancel() through the stale handle still stops the event —
-        # otherwise a cancelled-after-drain event would fire anyway and
-        # inflate ``executed_events``.
-        survivors: list[Event] = []
-        removed = 0
-        while True:
-            event = self._queue.pop()
-            if event is None:
-                break
-            label = event.label() if callable(event.label) else event.label
-            if label in wanted:
-                removed += 1
-                continue
-            survivors.append(event)
-        for event in sorted(survivors, key=lambda e: (e.time, e.priority, e.seq)):
-            replacement = self._queue.push(event.time, event.callback, event.priority, event.label)
-            try:
-                event._drain_successor = replacement
-            except AttributeError:  # handle types with __slots__
-                pass
-        return removed
+        return self._queue.remove_where(lambda event: event.resolved_label() in wanted)

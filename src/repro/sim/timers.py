@@ -126,7 +126,3 @@ class TimerRegistry:
     def running_keys(self) -> list[Hashable]:
         """Keys of all currently armed timers, in the order they were started."""
         return list(self._timers)
-
-    def get(self, key: Hashable) -> Optional[Timer]:
-        """Return the armed timer for ``key`` (``None`` once it fired or was cancelled)."""
-        return self._timers.get(key)

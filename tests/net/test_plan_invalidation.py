@@ -5,14 +5,14 @@ costs, relay verdicts, partition-filtered receivers) per (state epoch,
 wire size).  These tests pin the two properties the optimization rides
 on:
 
-* every mutation that the uncompiled path would observe — relay-policy
-  changes, deny/allow windows, partition isolate/heal, topology edge
-  mutation — invalidates the compiled plan;
-* runs driven through compiled plans are byte-identical to the
-  uncompiled path, including when the mutation fires mid-flood-window.
+* every mutation a per-hop re-read of the state would observe —
+  relay-policy changes, deny/allow windows, partition isolate/heal,
+  topology edge mutation — invalidates the compiled plan;
+* runs driven through compiled plans are byte-identical to the path that
+  re-queried that state on every hop, including when the mutation fires
+  mid-flood-window.  That path is gone; its traces are pinned as
+  fingerprints recorded while both existed and agreed.
 """
-
-from contextlib import contextmanager
 
 import pytest
 
@@ -25,16 +25,7 @@ from repro.sim.rng import SeededRNG
 from repro.sim.scheduler import Simulator
 from repro.testkit.faults import drop_window, partition
 from repro.testkit.trace import TraceRecorder
-
-
-@contextmanager
-def compiled_plans(enabled: bool):
-    saved = SimulatedNetwork.use_compiled_plans
-    SimulatedNetwork.use_compiled_plans = enabled
-    try:
-        yield
-    finally:
-        SimulatedNetwork.use_compiled_plans = saved
+from tests.testkit.test_golden_fingerprints import GOLDEN, GOLDEN_WIFI_N9
 
 
 def build_network(n: int = 6, k: int = 2, seed: int = 3) -> SimulatedNetwork:
@@ -152,33 +143,35 @@ def fingerprint(spec_kwargs):
 BASE = dict(protocol="eesmr", n=5, f=1, k=2, target_height=3, seed=17)
 
 
-@pytest.mark.parametrize(
-    "fault_factory",
-    [
-        lambda: None,
-        # Relay denial opening and lifting mid-run: each transition must
-        # invalidate the plan exactly where the uncompiled path re-reads
-        # the relay-policy dict.
+#: case -> (fault schedule factory, fingerprint).  The fingerprints were
+#: recorded at commit 701fc1f with the plan compiler switched off and on
+#: (``fingerprint({**BASE, "fault_schedule": factory()})`` per setting; the
+#: two agreed in every case).  The fault-free case is the seed's golden run.
+UNCOMPILED = {
+    "fault-free": (lambda: None, GOLDEN["eesmr"]),
+    # Relay denial opening and lifting mid-run: each transition must
+    # invalidate the plan exactly where a per-hop read of the relay-policy
+    # dict would see it.
+    "relay-drop-window": (
         lambda: drop_window(3, start=1.0, end=8.0),
-        # Partition cut + heal mid-run: receiver filtering must follow.
+        "216c9cecb0fd2a22238bdd45e1006cc3a67bba2a1fb0167722cc649e4b4e40fe",
+    ),
+    # Partition cut + heal mid-run: receiver filtering must follow.
+    "partition-heal": (
         lambda: partition(4, start=2.0, heal=10.0),
-    ],
-    ids=["fault-free", "relay-drop-window", "partition-heal"],
-)
-def test_compiled_plans_byte_identical_to_uncompiled_path(fault_factory):
-    with compiled_plans(False):
-        uncompiled = fingerprint({**BASE, "fault_schedule": fault_factory()})
-    with compiled_plans(True):
-        compiled = fingerprint({**BASE, "fault_schedule": fault_factory()})
-    assert compiled == uncompiled
+        "9491953c60f56e706201103a6670815b2b91cc28a19abd20ab2eeb939e703995",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNCOMPILED))
+def test_compiled_plans_byte_identical_to_uncompiled_path(case):
+    fault_factory, uncompiled = UNCOMPILED[case]
+    assert fingerprint({**BASE, "fault_schedule": fault_factory()}) == uncompiled
 
 
 def test_compiled_plans_byte_identical_on_wifi_and_larger_n():
     kwargs = dict(
         protocol="eesmr", n=9, f=2, k=2, target_height=4, seed=99, medium="wifi"
     )
-    with compiled_plans(False):
-        uncompiled = fingerprint(kwargs)
-    with compiled_plans(True):
-        compiled = fingerprint(kwargs)
-    assert compiled == uncompiled
+    assert fingerprint(kwargs) == GOLDEN_WIFI_N9

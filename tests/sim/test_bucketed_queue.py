@@ -1,19 +1,18 @@
-"""BucketedEventQueue: ordering equivalence, cancellation, tier migration.
+"""BucketedEventQueue: total order, cancellation, tier migration.
 
-The bucketed queue is the simulator's default; its contract is "exactly
-the ``(time, priority, seq)`` total order of :class:`EventQueue`, faster".
-Equivalence is checked structurally here and byte-for-byte at the trace
-level (both queues drive full protocol runs to identical fingerprints).
+The bucketed queue is the simulator's only queue; its contract is "pops
+come out in ``(time, priority, seq)`` order, seq being push order".  The
+oracle here is that contract itself — ``sorted()`` over the pushed keys —
+and, byte-for-byte at the trace level, the golden fingerprints in
+``tests/testkit/test_golden_fingerprints.py``, which were captured on a
+single binary heap.
 """
 
 import random
 
 import pytest
 
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
-from repro.sim.events import BucketedEventQueue, EventQueue
-from repro.sim.scheduler import Simulator
-from repro.testkit.trace import TraceRecorder
+from repro.sim.events import BucketedEventQueue
 
 
 def drain_order(queue):
@@ -33,45 +32,41 @@ def test_orders_identically_to_the_binary_heap():
     ]
     # Deliberate exact ties: the seq tie-break must decide.
     jobs += [(5.0, 0)] * 20
-    orders = []
-    for factory in (EventQueue, BucketedEventQueue):
-        queue = factory()
-        for time, priority in jobs:
-            queue.push(time, lambda: None, priority=priority)
-        orders.append(drain_order(queue))
-    assert orders[0] == orders[1]
-    assert orders[0] == sorted(orders[0])
+    queue = BucketedEventQueue()
+    pushed = []
+    for time, priority in jobs:
+        event = queue.push(time, lambda: None, priority=priority)
+        pushed.append((time, priority, event.seq))
+    assert [seq for _, _, seq in pushed] == list(range(len(jobs)))
+    assert drain_order(queue) == sorted(pushed)
 
 
 def test_interleaved_push_pop_matches_heap():
-    """Pushes landing in the *current* bucket while it drains stay ordered."""
+    """Pushes landing in the *current* bucket while it drains stay ordered.
+
+    Callbacks only schedule at or after their own time, so the whole pop
+    sequence must equal ``sorted()`` over every key ever pushed.
+    """
     rng = random.Random(23)
-    results = []
-    for factory in (EventQueue, BucketedEventQueue):
-        queue = factory()
-        fired = []
-        clock = [0.0]
+    queue = BucketedEventQueue()
+    pushed = []
+    popped = []
 
-        def make(tag, t):
-            def cb():
-                clock[0] = t
-                fired.append(tag)
-                if len(fired) < 400:
-                    delta = rng.choice((0.0, 0.1, 0.9, 3.7, 40.0))
-                    queue.push(t + delta, make(f"{tag}/{delta}", t + delta))
+    def push(t):
+        def cb():
+            if len(popped) < 400:
+                push(t + rng.choice((0.0, 0.1, 0.9, 3.7, 40.0)))
 
-            return cb
+        event = queue.push(t, cb)
+        pushed.append((event.time, event.priority, event.seq))
 
-        rng = random.Random(23)  # same stream for both factories
-        for i in range(10):
-            queue.push(float(i % 4), make(str(i), float(i % 4)))
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            event.callback()
-        results.append(fired)
-    assert results[0] == results[1]
+    for i in range(10):
+        push(float(i % 4))
+    for event in iter(queue.pop, None):
+        popped.append((event.time, event.priority, event.seq))
+        event.callback()
+    assert len(popped) > 400
+    assert popped == sorted(pushed)
 
 
 def test_far_future_events_cross_the_overflow_heap():
@@ -85,21 +80,20 @@ def test_far_future_events_cross_the_overflow_heap():
 
 
 def test_cancel_semantics_match_eventqueue():
-    for factory in (EventQueue, BucketedEventQueue):
-        queue = factory()
-        keep = queue.push(1.0, lambda: None)
-        drop = queue.push(2.0, lambda: None)
-        far = queue.push(10_000.0, lambda: None)
-        queue.cancel(drop)
-        queue.cancel(drop)  # double cancel: no len corruption
-        assert len(queue) == 2
-        popped = queue.pop()
-        assert popped is keep
-        popped.cancel()  # cancel after pop: no len corruption
-        assert len(queue) == 1
-        queue.cancel(far)
-        assert len(queue) == 0
-        assert queue.pop() is None
+    queue = BucketedEventQueue()
+    keep = queue.push(1.0, lambda: None)
+    drop = queue.push(2.0, lambda: None)
+    far = queue.push(10_000.0, lambda: None)
+    queue.cancel(drop)
+    queue.cancel(drop)  # double cancel: no len corruption
+    assert len(queue) == 2
+    popped = queue.pop()
+    assert popped is keep
+    popped.cancel()  # cancel after pop: no len corruption
+    assert len(queue) == 1
+    queue.cancel(far)
+    assert len(queue) == 0
+    assert queue.pop() is None
 
 
 def test_remove_where_preserves_survivor_order():
@@ -145,19 +139,3 @@ def test_negative_time_rejected():
 def test_invalid_width_rejected():
     with pytest.raises(ValueError):
         BucketedEventQueue(width=0.0)
-
-
-@pytest.mark.parametrize("protocol", ["eesmr", "optsync"])
-def test_full_runs_byte_identical_across_queue_implementations(protocol):
-    """The golden contract: the queue choice is invisible in the trace."""
-    fingerprints = []
-    saved = Simulator.queue_factory
-    try:
-        for factory in (EventQueue, BucketedEventQueue):
-            Simulator.queue_factory = factory
-            spec = DeploymentSpec(protocol=protocol, n=5, f=1, k=2, target_height=3, seed=17)
-            result = ProtocolRunner(recorder=TraceRecorder()).run(spec)
-            fingerprints.append(result.trace.fingerprint())
-    finally:
-        Simulator.queue_factory = saved
-    assert fingerprints[0] == fingerprints[1]

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.sim.events import EventQueue
+from repro.sim.events import BucketedEventQueue
 
 
 def test_push_and_pop_in_time_order():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     fired = []
     queue.push(3.0, lambda: fired.append("c"))
     queue.push(1.0, lambda: fired.append("a"))
@@ -17,7 +17,7 @@ def test_push_and_pop_in_time_order():
 
 
 def test_same_time_events_fifo_by_sequence():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     order = []
     for i in range(5):
         queue.push(1.0, lambda i=i: order.append(i))
@@ -27,7 +27,7 @@ def test_same_time_events_fifo_by_sequence():
 
 
 def test_priority_breaks_ties_before_sequence():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     order = []
     queue.push(1.0, lambda: order.append("low"), priority=5)
     queue.push(1.0, lambda: order.append("high"), priority=0)
@@ -37,7 +37,7 @@ def test_priority_breaks_ties_before_sequence():
 
 
 def test_cancel_skips_event():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     fired = []
     event = queue.push(1.0, lambda: fired.append("x"))
     queue.push(2.0, lambda: fired.append("y"))
@@ -48,7 +48,7 @@ def test_cancel_skips_event():
 
 
 def test_cancel_updates_length():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     event = queue.push(1.0, lambda: None)
     assert len(queue) == 1
     queue.cancel(event)
@@ -56,7 +56,7 @@ def test_cancel_updates_length():
 
 
 def test_double_cancel_does_not_corrupt_count():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     event = queue.push(1.0, lambda: None)
     queue.cancel(event)
     queue.cancel(event)
@@ -64,7 +64,7 @@ def test_double_cancel_does_not_corrupt_count():
 
 
 def test_peek_time_ignores_cancelled():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     first = queue.push(1.0, lambda: None)
     queue.push(2.0, lambda: None)
     queue.cancel(first)
@@ -72,17 +72,17 @@ def test_peek_time_ignores_cancelled():
 
 
 def test_negative_time_rejected():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     with pytest.raises(ValueError):
         queue.push(-1.0, lambda: None)
 
 
 def test_pop_empty_returns_none():
-    assert EventQueue().pop() is None
+    assert BucketedEventQueue().pop() is None
 
 
 def test_clear_empties_queue():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     queue.push(1.0, lambda: None)
     queue.push(2.0, lambda: None)
     queue.clear()
@@ -91,7 +91,7 @@ def test_clear_empties_queue():
 
 
 def test_event_active_flag():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     event = queue.push(1.0, lambda: None)
     assert event.active
     event.cancel()

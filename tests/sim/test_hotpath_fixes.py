@@ -1,12 +1,12 @@
 """Regression tests for the event-queue cancel/drain fixes and lazy labels."""
 
-from repro.sim.events import EventQueue
+from repro.sim.events import BucketedEventQueue
 from repro.sim.scheduler import Simulator
 
 
 # ------------------------------------------------------------ cancel fixes
 def test_cancel_after_pop_does_not_corrupt_live_count():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     event = queue.push(1.0, lambda: None)
     queue.push(2.0, lambda: None)
     popped = queue.pop()
@@ -18,7 +18,7 @@ def test_cancel_after_pop_does_not_corrupt_live_count():
 
 
 def test_double_cancel_via_event_then_queue():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     event = queue.push(1.0, lambda: None)
     event.cancel()
     queue.cancel(event)
@@ -27,7 +27,7 @@ def test_double_cancel_via_event_then_queue():
 
 
 def test_direct_event_cancel_updates_queue_length():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     event = queue.push(1.0, lambda: None)
     assert len(queue) == 1
     event.cancel()  # not via queue.cancel — still must keep len() honest
@@ -35,7 +35,7 @@ def test_direct_event_cancel_updates_queue_length():
 
 
 def test_cancel_after_clear_is_harmless():
-    queue = EventQueue()
+    queue = BucketedEventQueue()
     event = queue.push(1.0, lambda: None)
     queue.clear()
     event.cancel()

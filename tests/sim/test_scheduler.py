@@ -190,45 +190,3 @@ def test_executed_events_excludes_drained_events():
     sim.run_until_idle()
     assert sim.executed_events == 2
     assert [label for _, label in sim.trace_log] == ["keep", "keep"]
-
-
-def test_cancel_after_fallback_drain_still_stops_the_event():
-    """Selective drain on a queue without remove_where rebuilds the heap by
-    re-pushing survivors; a cancel through the *original* handle must still
-    stop the replacement — otherwise the cancelled event fires anyway and
-    inflates executed_events (the off-by-one this pins down)."""
-    from repro.perf.legacy import LegacyEventQueue
-
-    saved = Simulator.queue_factory
-    Simulator.queue_factory = LegacyEventQueue
-    try:
-        sim = Simulator()
-        fired = []
-        survivor = sim.schedule(2.0, lambda: fired.append("survivor"), label="keep")
-        sim.schedule(1.0, lambda: fired.append("drained"), label="drop")
-        assert sim.drain(labels=["drop"]) == 1
-        sim.cancel(survivor)
-        sim.run_until_idle()
-        assert fired == []
-        assert sim.executed_events == 0
-    finally:
-        Simulator.queue_factory = saved
-
-
-def test_fallback_drain_preserves_survivor_order():
-    from repro.perf.legacy import LegacyEventQueue
-
-    saved = Simulator.queue_factory
-    Simulator.queue_factory = LegacyEventQueue
-    try:
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append("a"), label="keep")
-        sim.schedule(1.0, lambda: fired.append("b"), label="keep")
-        sim.schedule(1.0, lambda: fired.append("x"), label="drop")
-        sim.schedule(1.0, lambda: fired.append("c"), label="keep")
-        assert sim.drain(labels=["drop"]) == 1
-        sim.run_until_idle()
-        assert fired == ["a", "b", "c"]
-    finally:
-        Simulator.queue_factory = saved

@@ -115,7 +115,7 @@ def test_registry_holds_armed_timers_only():
         registry.start(f"block-{height}", 1.0 + height, lambda: None)
     registry.cancel("block-7")
     assert len(registry) == 49
-    assert registry.get("block-7") is None
+    assert "block-7" not in registry
     sim.run_until_idle()
     # Every timer fired: nothing is left to scan, cancel or keep alive.
     assert len(registry) == 0

@@ -9,7 +9,9 @@ tested paths.
 """
 
 import json
+import warnings
 
+from repro.core.txpool import TxPoolOverflowWarning
 from repro.eval.runner import DeploymentSpec, ProtocolRunner
 from repro.session.metrics import (
     HAVE_PROMETHEUS,
@@ -88,6 +90,33 @@ def test_slo_verdict():
     assert generous.summary()["slo_met"] is True
     strict, _ = run_with_metrics(open_loop_spec(), slo_p99=1e-9)
     assert strict.summary()["slo_met"] is False
+
+
+def test_open_loop_load_has_a_saturation_knee():
+    """Low rate: SLO met, zero drops.  High rate: the pool overflows, SLO missed.
+
+    The ledger's ``workload.max_sustainable_rate`` row (``lossy-openloop-n7``)
+    is this verdict taken over three rates; everything is virtual time, so
+    it is host-independent.
+    """
+
+    def at_rate(rate):
+        spec = open_loop_spec(
+            workload=OpenLoopPoisson(rate=rate, clients=3),
+            target_height=40,
+            batch_size=8,
+            txpool_limit=32,
+        )
+        with warnings.catch_warnings():
+            # Drops above the knee are the measurement, not an accident.
+            warnings.simplefilter("ignore", TxPoolOverflowWarning)
+            metrics, _ = run_with_metrics(spec, slo_p99=40.0)
+        return metrics.summary()
+
+    low, high = at_rate(0.25), at_rate(2.0)
+    assert low["slo_met"] and low["dropped"] == 0
+    assert not high["slo_met"] and high["dropped"] > 0
+    assert high["offered"] > low["offered"]
 
 
 def test_preload_runs_fall_back_to_run_start_arrivals():
