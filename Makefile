@@ -20,6 +20,15 @@
 #   make ledger-compare PARENT=a.json CHANGE=b.json
 #                     apply BENCHMARK.json's bounds to two ledger files
 #                     (exits non-zero on a regression)
+#   make ledger-pairs PARENT=<checkout> CHANGE=<checkout> W=<workload> [N=10] [SEED0=7000]
+#                     the standing rule for a performance claim, automated:
+#                     N alternating parent/change pairs of the unmodified
+#                     `python3 -m bench --workload W --seed S --seconds 15
+#                     --trace 0`, a fresh seed per pair from SEED0 up;
+#                     prints every run, per-side median and quartiles,
+#                     pairs won, and whether the three modelled metrics
+#                     were bit-identical (tools/ledger_pairs.py; takes
+#                     2 x N x ~25 s)
 #   make test-corpus  replay the committed fuzz reproducers in
 #                     tests/corpus (also part of test-fast; named target
 #                     for the PR-blocking CI step)
@@ -43,7 +52,7 @@
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m pytest
 PYTHON := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test-fast test-matrix test-all test-corpus fuzz bench-gate ledger ledger-compare lint analyze import-time
+.PHONY: test-fast test-matrix test-all test-corpus fuzz bench-gate ledger ledger-compare ledger-pairs lint analyze import-time
 
 test-fast:
 	$(PYTEST) -x -q
@@ -81,3 +90,8 @@ ledger:
 
 ledger-compare:
 	python3 -m bench --compare $(PARENT) $(CHANGE)
+
+N ?= 10
+SEED0 ?= 7000
+ledger-pairs:
+	python3 tools/ledger_pairs.py --parent $(PARENT) --change $(CHANGE) --workload $(W) --pairs $(N) --seed $(SEED0)

@@ -1,12 +1,13 @@
 """slots-discipline: hot-path value classes must declare ``__slots__``.
 
 The PR 2 hot-path overhaul made :class:`repro.sim.events.Event` a
-``__slots__`` handle and PR 4's :class:`repro.net.network.DisseminationPlan`
-a flat record — at n≥100 populations these are the classes instantiated
-per event/per hop, and a silently re-grown ``__dict__`` (e.g. from a
-refactor that drops the declaration, or a subclass that forgets its own
-empty ``__slots__``) is a memory and cache-locality regression no test
-measures directly.
+``__slots__`` handle, PR 4's :class:`repro.net.network.DisseminationPlan`
+is a flat record, and :class:`repro.net.network.Flood` is the one record
+every reception event of a broadcast carries — at n≥100 populations these
+are the classes instantiated or touched per event/per hop, and a silently
+re-grown ``__dict__`` (e.g. from a refactor that drops the declaration, or
+a subclass that forgets its own empty ``__slots__``) is a memory and
+cache-locality regression no test measures directly.
 
 The rule: every class whose name is in :data:`HOT_CLASSES` — and every
 subclass of one, anywhere in the analyzed set — must declare
@@ -25,7 +26,7 @@ from repro.analysis.registry import Checker, register
 
 #: Hot-path class names held to the ``__slots__`` contract.  Extend this
 #: set when a new per-event/per-hop record class ships.
-HOT_CLASSES = frozenset({"Event", "DisseminationPlan"})
+HOT_CLASSES = frozenset({"Event", "DisseminationPlan", "Flood"})
 
 
 def _declares_slots(cls: ast.ClassDef) -> bool:
@@ -46,7 +47,7 @@ def _declares_slots(cls: ast.ClassDef) -> bool:
 class SlotsDisciplineChecker(Checker):
     name = "slots-discipline"
     description = (
-        "hot-path classes (Event, DisseminationPlan and their subclasses) "
+        "hot-path classes (Event, DisseminationPlan, Flood and their subclasses) "
         "must declare __slots__ — per-event records cannot afford a __dict__"
     )
     scope = "project"

@@ -51,5 +51,6 @@ class OptSyncReplica(SyncHotStuffReplica):
             self.commit_timers.start(
                 block_hash,
                 self._commit_delay(),
-                lambda b=block: self._commit_on_timer(b),
+                self._commit_on_timer,
+                block,
             )

@@ -182,7 +182,8 @@ class SyncHotStuffReplica(BaseReplica):
         self.commit_timers.start(
             block.block_hash,
             2 * self.config.delta,
-            lambda b=block: self._commit_on_timer(b),
+            self._commit_on_timer,
+            block,
         )
         if block.height >= self.config.target_height:
             self.blame_timer.cancel()
@@ -304,7 +305,7 @@ class SyncHotStuffReplica(BaseReplica):
         status = self.sign_message(MessageType.SHS_STATUS, CertifiedBlock(block, cert), view=view)
         self.broadcast(status)
         self.after(
-            2 * self.config.delta, lambda: self._start_new_view(view), label="shs:new-view"
+            2 * self.config.delta, self._start_new_view, label="shs:new-view", args=(view,)
         )
 
     def _on_status(self, message: ProtocolMessage) -> None:

@@ -128,7 +128,8 @@ class SteadyStateMixin:
         self.commit_timers.start(
             block.block_hash,
             4 * self.config.delta,
-            lambda b=block: self._commit_on_timer(b),
+            self._commit_on_timer,
+            block,
         )
         self.r_cur = message.round + 1
         if block.height >= self.config.target_height:

@@ -131,7 +131,7 @@ class ViewChangeMixin:
         self.in_view_change = True
         self.commit_timers.cancel_all()
         self.blame_timer.cancel()
-        self.after(self.config.delta, lambda: self._quit_view(view), label="eesmr:quit-view")
+        self.after(self.config.delta, self._quit_view, label="eesmr:quit-view", args=(view,))
 
     def _quit_on_proof(self, view: View) -> None:
         """Equivocation speedup: quit on a valid proof without a blame certificate.
@@ -147,7 +147,7 @@ class ViewChangeMixin:
         self.in_view_change = True
         self.commit_timers.cancel_all()
         self.blame_timer.cancel()
-        self.after(self.config.delta, lambda: self._quit_view(view), label="eesmr:quit-view")
+        self.after(self.config.delta, self._quit_view, label="eesmr:quit-view", args=(view,))
 
     # ------------------------------------------------------------- quit view
     def _quit_view(self, view: View) -> None:
@@ -158,8 +158,9 @@ class ViewChangeMixin:
         self.broadcast(commit_update)
         self.after(
             5 * self.config.delta,
-            lambda: self._finish_quit_view(view),
+            self._finish_quit_view,
             label="eesmr:finish-quit",
+            args=(view,),
         )
 
     def _on_commit_update(self, message: ProtocolMessage) -> None:
@@ -224,8 +225,9 @@ class ViewChangeMixin:
             self.broadcast(message)
         self.after(
             self.config.delta,
-            lambda: self._start_new_view(view),
+            self._start_new_view,
             label="eesmr:start-new-view",
+            args=(view,),
         )
 
     def _on_commit_qc(self, message: ProtocolMessage) -> None:
@@ -254,11 +256,11 @@ class ViewChangeMixin:
         if self.best_commit_qc is not None:
             status = self.sign_message(MessageType.COMMIT_QC, self.best_commit_qc, view=self.v_cur)
             self.send(new_leader, status)
-        self.blame_timer._callback = self._on_blame_timer
         self.blame_timer.start(8 * self.config.delta)
         if new_leader == self.pid:
             self.after(
                 4 * self.config.delta,
+                # Late-bound on purpose: v_cur may have moved on by the time this fires.
                 lambda: self._propose_new_view(self.v_cur),
                 label="eesmr:new-view-proposal",
             )

@@ -35,18 +35,23 @@ class CommittedLog:
         self.node_id = node_id
         self.store = store
         self._by_height: Dict[int, CommitRecord] = {}
+        # The same records by block hash, and the running maximum height:
+        # both maintained by commit(), the only writer, so membership,
+        # latency look-ups and ``highest_height`` never scan the log.
+        self._by_hash: Dict[str, CommitRecord] = {}
+        self._highest = 0
         self.commit_order: List[str] = []
 
     def __len__(self) -> int:
         return len(self._by_height)
 
     def __contains__(self, block_hash: str) -> bool:
-        return any(rec.block.block_hash == block_hash for rec in self._by_height.values())
+        return block_hash in self._by_hash
 
     @property
     def highest_height(self) -> int:
         """Height of the highest committed block (0 when only genesis)."""
-        return max(self._by_height, default=0)
+        return self._highest
 
     def block_at(self, height: int) -> Optional[Block]:
         """The committed block at ``height`` or ``None``."""
@@ -88,9 +93,13 @@ class CommittedLog:
             raise KeyError(f"chain of {block.short_hash()} has missing ancestors")
         newly_committed: List[Block] = []
         for ancestor in reversed(pending):
-            self._by_height[ancestor.height] = CommitRecord(ancestor, now, view)
+            record = CommitRecord(ancestor, now, view)
+            self._by_height[ancestor.height] = record
+            self._by_hash[ancestor.block_hash] = record
             self.commit_order.append(ancestor.block_hash)
             newly_committed.append(ancestor)
+            if ancestor.height > self._highest:
+                self._highest = ancestor.height
         return newly_committed
 
     def committed_blocks(self) -> List[Block]:
@@ -106,10 +115,8 @@ class CommittedLog:
 
     def commit_latency(self, block_hash: str, proposed_at: float) -> Optional[float]:
         """Latency between a proposal time and this node's commit of it."""
-        for record in self._by_height.values():
-            if record.block.block_hash == block_hash:
-                return record.committed_at - proposed_at
-        return None
+        record = self._by_hash.get(block_hash)
+        return record.committed_at - proposed_at if record is not None else None
 
 
 @dataclass

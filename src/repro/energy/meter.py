@@ -134,7 +134,9 @@ class EnergyMeter:
         """
         if joules < 0:
             raise ValueError(f"cannot charge negative energy: {joules}")
-        self.breakdown.add(category, joules)
+        # EnergyBreakdown.add, inlined: two charges per reception land here.
+        totals = self.breakdown.joules
+        totals[category] = totals.get(category, 0.0) + joules
         if self.trace_enabled:
             if callable(detail):
                 detail = detail()

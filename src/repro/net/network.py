@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.crypto.hashing import canonical_cache
 from repro.energy.ledger import ClusterEnergyLedger
+from repro.energy.meter import EnergyCategory
 from repro.net.hypergraph import HyperEdge, Hypergraph
 from repro.net.impairment import ImpairmentModel, ImpairmentSpec
 from repro.radio.ble import BleAdvertisementKCast
@@ -46,6 +47,9 @@ ACK_WIRE_BYTES = 8
 
 #: Relay policy signature: (origin, message) -> should this node forward it?
 RelayPolicy = Callable[[int, Any], bool]
+
+_TRANSMIT = EnergyCategory.TRANSMIT
+_RECEIVE = EnergyCategory.RECEIVE
 
 
 def _never_relay(_origin: int, _message: Any) -> bool:
@@ -87,6 +91,34 @@ class DisseminationPlan:
         self.nodes = nodes
 
 
+class Flood:
+    """The in-network state of one broadcast or one-hop multicast.
+
+    Every reception and retransmission event of the flood carries this
+    record in its ``args``, so the dedup sets live exactly as long as
+    something is still propagating: the last event to finish drops the
+    last reference.  ``in_flight`` counts those pending events plus one
+    reference held by the call that is still transmitting; the flood is
+    retired (:attr:`SimulatedNetwork.live_floods`) when it reaches zero.
+    """
+
+    __slots__ = ("flood_id", "origin", "message", "delivered", "relayed", "in_flight")
+
+    def __init__(self, flood_id: int, origin: int, message: Any) -> None:
+        self.flood_id = flood_id
+        self.origin = origin
+        self.message = message
+        #: Nodes the message has been delivered to / that have relayed it.
+        self.delivered: set[int] = set()
+        self.relayed: set[int] = set()
+        self.in_flight = 1
+
+
+def _chain_name(flood: Optional[Flood]) -> str:
+    """How retransmit-observer details name a delivery: its flood, or a unicast."""
+    return "unicast" if flood is None else f"flood {flood.flood_id}"
+
+
 def default_wire_size(message: Any) -> int:
     """Wire size of a message in bytes.
 
@@ -126,10 +158,12 @@ class SimulatedNetwork:
 
     Known limitations, accepted deliberately:
 
-    * if in-flight reception events are discarded externally (via
-      ``Simulator.drain``/``clear``), the affected floods' dedup state is
-      kept until the network is rebuilt — the in-flight counters never
-      reach zero.  No current caller drains network events mid-flood;
+    * a flood's dedup state lives in the :class:`Flood` record its pending
+      events carry.  If those events are discarded externally (via
+      ``Simulator.drain``/``clear``) the record dies with them, but the
+      flood is never retired: :attr:`live_floods` keeps counting it until
+      the network is rebuilt.  No current caller drains network events
+      mid-flood;
     * when the simulator is *not* tracing, reception/unicast events carry
       the constant labels ``"net:flood"``/``"net:uni"`` instead of the
       per-event strings, so label-selective ``Simulator.drain`` over
@@ -168,13 +202,8 @@ class SimulatedNetwork:
         self.relay_policies: Dict[int, RelayPolicy] = {}
         self.stats = NetworkStats()
         self._flood_counter = itertools.count()
-        # flood id -> set of node ids that have already relayed it
-        self._relayed: Dict[int, set[int]] = {}
-        # flood id -> set of node ids that have already had it delivered
-        self._delivered: Dict[int, set[int]] = {}
-        # flood id -> receptions scheduled but not yet arrived; a flood's
-        # dedup state is retired when this drops to zero.
-        self._in_flight: Dict[int, int] = {}
+        # Floods started and not yet retired (see :class:`Flood`).
+        self._live_floods = 0
         # pid -> isolation depth.  Overlapping partition windows each call
         # isolate()/reconnect(); the node rejoins only when every window
         # that cut it off has healed.  Membership tests treat the dict as
@@ -428,17 +457,25 @@ class SimulatedNetwork:
         the flood first reaches them.
         """
         self._require_registered(origin)
-        flood_id = next(self._flood_counter)
-        self._relayed[flood_id] = set()
-        self._delivered[flood_id] = set()
-        self._in_flight[flood_id] = 0
+        flood = Flood(next(self._flood_counter), origin, message)
+        self._live_floods += 1
         self.stats.broadcasts += 1
         # Local delivery to the origin (no radio energy).
-        self._deliver(flood_id, origin, origin, message, local=True)
-        plan = self._plan_for(default_wire_size(message))
-        self._plan_relay(plan, flood_id, origin, origin, message)
-        self._maybe_retire_flood(flood_id)
-        return flood_id
+        self._deliver(flood, origin)
+        self._plan_relay(self._plan_for(default_wire_size(message)), flood, origin)
+        self._release(flood)
+        return flood.flood_id
+
+    def multicast_neighbors(self, origin: int, message: Any) -> None:
+        """One-hop k-cast (no flooding) — used by leader-to-neighbour patterns."""
+        self._require_registered(origin)
+        flood = Flood(next(self._flood_counter), origin, message)
+        flood.delivered.add(origin)
+        self._live_floods += 1
+        size = default_wire_size(message)
+        for edge in self.hypergraph.out_edges(origin):
+            self._transmit_edge(flood, edge, size)
+        self._release(flood)
 
     # ------------------------------------------------------- compiled plans
     def _plan_for(self, size: int) -> DisseminationPlan:
@@ -488,10 +525,8 @@ class SimulatedNetwork:
             nodes[node] = (relays, policy, self._meter(node), tuple(edges))
         return DisseminationPlan(state_epoch, topology_version, size, nodes)
 
-    def _plan_relay(
-        self, plan: DisseminationPlan, flood_id: int, node: int, origin: int, message: Any
-    ) -> None:
-        """Transmit ``message`` on all of ``node``'s outgoing hyper-edges.
+    def _plan_relay(self, plan: DisseminationPlan, flood: Flood, node: int) -> None:
+        """Transmit the flood's message on all of ``node``'s outgoing hyper-edges.
 
         Every node relays a flood at most once.  The plan is revalidated
         here (one epoch compare per hop), so fault transitions that fired
@@ -508,46 +543,59 @@ class SimulatedNetwork:
         record = plan.nodes.get(node)
         if record is None:  # partitioned at plan-compile time
             return
-        relayed = self._relayed[flood_id]
+        relayed = flood.relayed
         if node in relayed:
             return
-        relays, policy, meter, edges = record
-        if node != origin and (
-            relays is False or (relays is None and not policy(origin, message))
-        ):
-            relayed.add(node)
-            return
         relayed.add(node)
+        relays, policy, meter, edges = record
+        origin = flood.origin
+        if node != origin and (
+            relays is False or (relays is None and not policy(origin, flood.message))
+        ):
+            return
         size = plan.size
-        sim_now = self.sim.now
+        sim = self.sim
+        now = sim.now
         tracing = meter.trace_enabled
         stats = self.stats
+        # The impairment gate is a pure read: one evaluation covers every
+        # reception this relay schedules.
+        imp = self.impairment
+        impaired = imp is not None and imp.engaged(now)
+        labelled = sim.trace_enabled
+        schedule = sim.schedule
+        arrive = self._arrive
         for cost, receivers, detail in edges:
-            meter.charge_transmit(
-                cost.sender_energy_j, sim_now, detail=detail if tracing else ""
-            )
+            meter.charge(_TRANSMIT, cost.sender_energy_j, now, detail if tracing else "")
             stats.record_transmission(node, size)
             latency = self._hop_latency()
             for receiver in receivers:
-                self._schedule_reception(
-                    flood_id, node, receiver, origin, message, cost, latency, size, plan
-                )
+                if impaired:
+                    self._impaired_reception(
+                        flood, node, receiver, flood.message, cost, latency, size, plan, imp
+                    )
+                    continue
+                # _schedule_arrival's flood branch, inline: the per-reception hot path.
+                flood.in_flight += 1
+                label = f"net:flood{flood.flood_id}->{receiver}" if labelled else "net:flood"
+                schedule(latency, arrive, 0, label, (flood, node, receiver, cost, plan))
 
-    def _maybe_retire_flood(self, flood_id: int) -> None:
-        """Drop a flood's dedup state once no receptions remain in flight.
+    def _release(self, flood: Optional[Flood]) -> None:
+        """Drop one in-flight reference on ``flood``; it is retired at zero.
 
         Long runs therefore hold state for the handful of floods currently
-        propagating instead of every flood ever broadcast.
+        propagating instead of every flood ever broadcast.  A unicast
+        (``None``) has no flood state to release.
         """
-        if self._in_flight.get(flood_id, 0) == 0:
-            self._in_flight.pop(flood_id, None)
-            self._relayed.pop(flood_id, None)
-            self._delivered.pop(flood_id, None)
+        if flood is not None:
+            flood.in_flight -= 1
+            if not flood.in_flight:
+                self._live_floods -= 1
 
     @property
     def live_floods(self) -> int:
-        """Number of floods whose dedup state is still held (GC metric)."""
-        return len(self._delivered)
+        """Number of floods started and not yet retired (GC metric)."""
+        return self._live_floods
 
     def _meter(self, pid: int):
         meter = self._meter_cache.get(pid)
@@ -564,93 +612,114 @@ class SimulatedNetwork:
                 self._kcast_costs[(size, k)] = cost
         return cost
 
-    def _transmit_edge(
-        self, flood_id: int, edge: HyperEdge, origin: int, message: Any, size: int
-    ) -> None:
+    def _transmit_edge(self, flood: Flood, edge: HyperEdge, size: int) -> None:
         """One-hop k-cast: the receptions carry no plan, so nobody forwards."""
         k = edge.degree
+        sender = edge.sender
         cost = self._kcast_cost(size, k)
-        sender_meter = self._meter(edge.sender)
+        now = self.sim.now
+        sender_meter = self._meter(sender)
         detail = f"kcast k={k} {size}B" if sender_meter.trace_enabled else ""
-        sender_meter.charge_transmit(cost.sender_energy_j, self.sim.now, detail=detail)
-        self.stats.record_transmission(edge.sender, size)
+        sender_meter.charge(_TRANSMIT, cost.sender_energy_j, now, detail)
+        self.stats.record_transmission(sender, size)
         latency = self._hop_latency()
         for receiver in edge.receivers_sorted:
-            if receiver in self._partition:
-                continue
-            self._schedule_reception(
-                flood_id, edge.sender, receiver, origin, message, cost, latency, size
-            )
+            if receiver not in self._partition:
+                self._schedule_reception(
+                    flood, sender, receiver, flood.message, cost, latency, size, None
+                )
 
+    # ------------------------------------------------------------ receptions
+    # One delivery pipeline serves floods and unicasts: ``flood is None``
+    # marks a unicast, whose message travels in the event's arguments.
     def _schedule_reception(
         self,
-        flood_id: int,
+        flood: Optional[Flood],
         hop_sender: int,
         receiver: int,
-        origin: int,
         message: Any,
         cost,
         latency: float,
         size: int,
-        plan: Optional[DisseminationPlan] = None,
+        plan: Optional[DisseminationPlan],
     ) -> None:
         imp = self.impairment
         if imp is not None and imp.engaged(self.sim.now):
             self._impaired_reception(
-                flood_id, hop_sender, receiver, origin, message, cost, latency, size, plan, imp
+                flood, hop_sender, receiver, message, cost, latency, size, plan, imp
             )
-            return
-        self._schedule_arrival(
-            flood_id, hop_sender, receiver, origin, message, cost, latency, size, plan
-        )
+        else:
+            self._schedule_arrival(flood, hop_sender, receiver, message, cost, latency, plan)
 
     def _schedule_arrival(
         self,
-        flood_id: int,
+        flood: Optional[Flood],
         hop_sender: int,
         receiver: int,
-        origin: int,
         message: Any,
         cost,
         latency: float,
-        size: int,
-        plan: Optional[DisseminationPlan] = None,
+        plan: Optional[DisseminationPlan],
     ) -> None:
-        def arrive() -> None:
-            delivered = self._delivered.get(flood_id)
-            if delivered is None:
-                # Defensive: the flood's state was dropped externally
-                # (e.g. a test resetting the network); treat as duplicate.
-                already_delivered = True
-            else:
-                already_delivered = receiver in delivered
-            if self.charge_duplicate_receptions or not already_delivered:
-                meter = self._meter(receiver)
-                detail = f"kcast from {hop_sender}" if meter.trace_enabled else ""
-                meter.charge_receive(cost.per_receiver_energy_j, self.sim.now, detail=detail)
-            if not already_delivered:
-                self._deliver(flood_id, origin, receiver, message)
-                if plan is not None:  # one-hop multicasts carry no plan
-                    self._plan_relay(plan, flood_id, receiver, origin, message)
-            remaining = self._in_flight.get(flood_id)
-            if remaining is not None:
-                self._in_flight[flood_id] = remaining - 1
-                self._maybe_retire_flood(flood_id)
+        labelled = self.sim.trace_enabled
+        if flood is None:
+            label = f"net:uni {hop_sender}->{receiver}" if labelled else "net:uni"
+            self.sim.schedule(
+                latency, self._arrive_unicast, 0, label, (hop_sender, receiver, message, cost)
+            )
+            return
+        flood.in_flight += 1
+        label = f"net:flood{flood.flood_id}->{receiver}" if labelled else "net:flood"
+        self.sim.schedule(
+            latency, self._arrive, 0, label, (flood, hop_sender, receiver, cost, plan)
+        )
 
-        self._in_flight[flood_id] = self._in_flight.get(flood_id, 0) + 1
-        if self.sim.trace_enabled:
-            label = f"net:flood{flood_id}->{receiver}"
-        else:
-            label = "net:flood"
-        self.sim.schedule(latency, arrive, label=label)
+    def _arrive(
+        self,
+        flood: Flood,
+        hop_sender: int,
+        receiver: int,
+        cost,
+        plan: Optional[DisseminationPlan],
+    ) -> None:
+        """A flood reception fires: charge the radio, deliver once, relay on."""
+        fresh = receiver not in flood.delivered
+        if fresh or self.charge_duplicate_receptions:
+            meter = self._meter(receiver)
+            detail = f"kcast from {hop_sender}" if meter.trace_enabled else ""
+            meter.charge(_RECEIVE, cost.per_receiver_energy_j, self.sim.now, detail)
+        if fresh:
+            self._deliver(flood, receiver)
+            if plan is not None:  # one-hop multicasts carry no plan
+                self._plan_relay(plan, flood, receiver)
+        # _release, inline.
+        flood.in_flight -= 1
+        if not flood.in_flight:
+            self._live_floods -= 1
+
+    def _deliver(self, flood: Flood, receiver: int) -> None:
+        flood.delivered.add(receiver)
+        process = self.processes.get(receiver)
+        if process is None:
+            return
+        self.stats.deliveries += 1
+        process.deliver(flood.origin, flood.message)
+
+    def _arrive_unicast(self, src: int, dst: int, message: Any, cost) -> None:
+        meter = self._meter(dst)
+        detail = f"unicast from {src}" if meter.trace_enabled else ""
+        meter.charge(_RECEIVE, cost.receiver_energy_j, self.sim.now, detail)
+        process = self.processes.get(dst)
+        if process is not None:
+            self.stats.deliveries += 1
+            process.deliver(src, message)
 
     # ------------------------------------------------- impaired delivery
     def _impaired_reception(
         self,
-        flood_id: int,
+        flood: Optional[Flood],
         hop_sender: int,
         receiver: int,
-        origin: int,
         message: Any,
         cost,
         latency: float,
@@ -669,146 +738,121 @@ class SimulatedNetwork:
         """
         dropped, duplicated, extra = imp.judge(receiver, cost, self.sim.now, self.hop_delay)
         if dropped:
-            self._begin_retransmit(
-                flood_id, hop_sender, receiver, origin, message, cost, size, plan, imp
-            )
+            self._begin_retransmit(flood, hop_sender, receiver, message, cost, size, plan)
             return
         if extra:
             latency += extra
-        self._schedule_arrival(
-            flood_id, hop_sender, receiver, origin, message, cost, latency, size, plan
-        )
+        self._schedule_arrival(flood, hop_sender, receiver, message, cost, latency, plan)
         if duplicated:
             dup_latency = latency + self.hop_delay * imp.rng.uniform(0.25, 0.75)
-            self._schedule_arrival(
-                flood_id, hop_sender, receiver, origin, message, cost, dup_latency, size, plan
-            )
+            self._schedule_arrival(flood, hop_sender, receiver, message, cost, dup_latency, plan)
 
     def _begin_retransmit(
         self,
-        flood_id: int,
+        flood: Optional[Flood],
         hop_sender: int,
         receiver: int,
-        origin: int,
         message: Any,
         cost,
         size: int,
         plan: Optional[DisseminationPlan],
-        imp: ImpairmentModel,
     ) -> None:
         if self.reliability.max_retries <= 0:
-            self._flood_giveup(flood_id, hop_sender, receiver, imp)
+            self._giveup(flood, hop_sender, receiver)
             return
-        # Chain token: hold the flood's dedup state alive while the
-        # retransmission chain is pending.  Released on give-up, on an
-        # implicit ACK (delivery via another edge), or once the recovered
-        # copy's real arrival has been scheduled (which takes its own
-        # in-flight reference).
-        self._in_flight[flood_id] = self._in_flight.get(flood_id, 0) + 1
-        self._schedule_retransmit(
-            flood_id, hop_sender, receiver, origin, message, cost, size, plan, imp, attempt=0
-        )
+        if flood is not None:
+            # Chain token: keep the flood live while the retransmission
+            # chain is pending.  Released on give-up, on an implicit ACK
+            # (delivery via another edge), or once the recovered copy's
+            # real arrival has been scheduled (which takes its own
+            # in-flight reference).
+            flood.in_flight += 1
+        self._schedule_retransmit(flood, hop_sender, receiver, message, cost, size, plan, 0)
 
     def _schedule_retransmit(
         self,
-        flood_id: int,
+        flood: Optional[Flood],
         hop_sender: int,
         receiver: int,
-        origin: int,
         message: Any,
         cost,
         size: int,
         plan: Optional[DisseminationPlan],
-        imp: ImpairmentModel,
         attempt: int,
     ) -> None:
+        # The policy in force when the attempt is scheduled judges it when
+        # it fires, so it travels with the event.
         policy = self.reliability
-        delay = policy.retry_delay(attempt, imp.rng)
-        if self.sim.trace_enabled:
-            label = f"net:rtx{flood_id}->{receiver}"
+        delay = policy.retry_delay(attempt, self.impairment.rng)
+        labelled = self.sim.trace_enabled
+        if flood is None:
+            label = f"net:rtx-uni {hop_sender}->{receiver}" if labelled else "net:rtx-uni"
         else:
-            label = "net:rtx"
+            label = f"net:rtx{flood.flood_id}->{receiver}" if labelled else "net:rtx"
+        self.sim.schedule(
+            delay,
+            self._resend,
+            label=label,
+            args=(flood, hop_sender, receiver, message, cost, size, plan, policy, attempt),
+        )
 
-        def resend() -> None:
-            delivered = self._delivered.get(flood_id)
-            if (
-                delivered is None
-                or receiver in delivered
-                or receiver in self._partition
-                or hop_sender in self._partition
-            ):
-                # Implicit ACK — the receiver got this flood via another
-                # edge in the meantime — or a partition cut the link.
-                self._release_chain(flood_id)
-                return
-            meter = self._meter(hop_sender)
-            meter.charge_transmit(
-                cost.sender_energy_j,
-                self.sim.now,
-                detail=f"retransmit->{receiver} {size}B" if meter.trace_enabled else "",
-            )
-            self.stats.record_transmission(hop_sender, size)
-            imp.note_retransmit(receiver)
-            if self.retransmit_observer is not None:
-                self.retransmit_observer(
-                    receiver,
-                    "retry",
-                    f"flood {flood_id} retry {attempt + 1} from {hop_sender}",
-                    self.sim.now,
-                )
-            if imp.rng.chance(imp.loss_probability(receiver, cost, self.sim.now)):
-                if attempt + 1 >= policy.max_retries:
-                    self._flood_giveup(flood_id, hop_sender, receiver, imp)
-                    self._release_chain(flood_id)
-                else:
-                    self._schedule_retransmit(
-                        flood_id,
-                        hop_sender,
-                        receiver,
-                        origin,
-                        message,
-                        cost,
-                        size,
-                        plan,
-                        imp,
-                        attempt + 1,
-                    )
-                return
-            # Recovered: the copy got through and the receiver ACKs it.
-            latency = (
-                self.hop_delay * imp.rng.uniform(0.5, 1.0) if self.jitter else self.hop_delay
-            )
-            self._charge_ack(hop_sender, receiver)
-            imp.note_recovered(receiver)
-            if self.retransmit_observer is not None:
-                self.retransmit_observer(
-                    receiver,
-                    "recovered",
-                    f"flood {flood_id} retry {attempt + 1} from {hop_sender}",
-                    self.sim.now,
-                )
-            self._schedule_arrival(
-                flood_id, hop_sender, receiver, origin, message, cost, latency, size, plan
-            )
-            self._release_chain(flood_id)
-
-        self.sim.schedule(delay, resend, label=label)
-
-    def _flood_giveup(
-        self, flood_id: int, hop_sender: int, receiver: int, imp: ImpairmentModel
+    def _resend(
+        self,
+        flood: Optional[Flood],
+        hop_sender: int,
+        receiver: int,
+        message: Any,
+        cost,
+        size: int,
+        plan: Optional[DisseminationPlan],
+        policy,
+        attempt: int,
     ) -> None:
-        imp.note_giveup(receiver)
+        """One retransmission attempt of a dropped hop delivery fires."""
+        if (
+            (flood is not None and receiver in flood.delivered)
+            or receiver in self._partition
+            or hop_sender in self._partition
+        ):
+            # Implicit ACK — the receiver got this flood via another
+            # edge in the meantime — or a partition cut the link.
+            self._release(flood)
+            return
+        imp = self.impairment
+        now = self.sim.now
+        meter = self._meter(hop_sender)
+        detail = f"retransmit->{receiver} {size}B" if meter.trace_enabled else ""
+        meter.charge(_TRANSMIT, cost.sender_energy_j, now, detail)
+        self.stats.record_transmission(hop_sender, size)
+        imp.note_retransmit(receiver)
+        observer = self.retransmit_observer
+        if observer is not None:
+            retry = f"{_chain_name(flood)} retry {attempt + 1} from {hop_sender}"
+            observer(receiver, "retry", retry, now)
+        if imp.rng.chance(imp.loss_probability(receiver, cost, now)):
+            if attempt + 1 >= policy.max_retries:
+                self._giveup(flood, hop_sender, receiver)
+                self._release(flood)
+            else:
+                self._schedule_retransmit(
+                    flood, hop_sender, receiver, message, cost, size, plan, attempt + 1
+                )
+            return
+        # Recovered: the copy got through and the receiver ACKs it.
+        latency = self.hop_delay * imp.rng.uniform(0.5, 1.0) if self.jitter else self.hop_delay
+        self._charge_ack(hop_sender, receiver)
+        imp.note_recovered(receiver)
+        if observer is not None:
+            observer(receiver, "recovered", retry, now)
+        self._schedule_arrival(flood, hop_sender, receiver, message, cost, latency, plan)
+        self._release(flood)
+
+    def _giveup(self, flood: Optional[Flood], hop_sender: int, receiver: int) -> None:
+        self.impairment.note_giveup(receiver)
         if self.retransmit_observer is not None:
             self.retransmit_observer(
-                receiver, "gave_up", f"flood {flood_id} from {hop_sender}", self.sim.now
+                receiver, "gave_up", f"{_chain_name(flood)} from {hop_sender}", self.sim.now
             )
-
-    def _release_chain(self, flood_id: int) -> None:
-        """Drop one in-flight reference on ``flood_id``; retire it at zero."""
-        remaining = self._in_flight.get(flood_id)
-        if remaining is not None:
-            self._in_flight[flood_id] = remaining - 1
-            self._maybe_retire_flood(flood_id)
 
     def _ack_cost(self):
         cost = self._ack_cost_memo
@@ -829,24 +873,13 @@ class SimulatedNetwork:
         now = self.sim.now
         receiver_meter = self._meter(receiver)
         tracing = receiver_meter.trace_enabled
-        receiver_meter.charge_transmit(
-            cost.sender_energy_j, now, detail=f"ack->{hop_sender}" if tracing else ""
+        receiver_meter.charge(
+            _TRANSMIT, cost.sender_energy_j, now, f"ack->{hop_sender}" if tracing else ""
         )
-        sender_meter = self._meter(hop_sender)
-        sender_meter.charge_receive(
-            cost.receiver_energy_j, now, detail=f"ack from {receiver}" if tracing else ""
+        self._meter(hop_sender).charge(
+            _RECEIVE, cost.receiver_energy_j, now, f"ack from {receiver}" if tracing else ""
         )
         self.stats.record_transmission(receiver, ACK_WIRE_BYTES)
-
-    def _deliver(
-        self, flood_id: int, origin: int, receiver: int, message: Any, local: bool = False
-    ) -> None:
-        self._delivered[flood_id].add(receiver)
-        process = self.processes.get(receiver)
-        if process is None:
-            return
-        self.stats.deliveries += 1
-        process.deliver(origin, message)
 
     # -------------------------------------------------------------- unicast
     def send(self, src: int, dst: int, message: Any) -> None:
@@ -866,118 +899,12 @@ class SimulatedNetwork:
         cost = self.unicast_radio.transmission_cost(size)
         src_meter = self._meter(src)
         detail = f"unicast->{dst} {size}B" if src_meter.trace_enabled else ""
-        src_meter.charge_transmit(cost.sender_energy_j, self.sim.now, detail=detail)
+        src_meter.charge(_TRANSMIT, cost.sender_energy_j, self.sim.now, detail)
         self.stats.unicasts += 1
         self.stats.record_transmission(src, size)
-        latency = self._hop_latency()
-
-        imp = self.impairment
-        if imp is not None and imp.engaged(self.sim.now):
-            dropped, duplicated, extra = imp.judge(dst, cost, self.sim.now, self.hop_delay)
-            if dropped:
-                self._begin_unicast_retransmit(src, dst, message, cost, size, imp)
-                return
-            if extra:
-                latency += extra
-            self._schedule_unicast_arrival(src, dst, message, cost, latency)
-            if duplicated:
-                dup_latency = latency + self.hop_delay * imp.rng.uniform(0.25, 0.75)
-                self._schedule_unicast_arrival(src, dst, message, cost, dup_latency)
-            return
-        self._schedule_unicast_arrival(src, dst, message, cost, latency)
-
-    def _schedule_unicast_arrival(
-        self, src: int, dst: int, message: Any, cost, latency: float
-    ) -> None:
-        def arrive() -> None:
-            meter = self._meter(dst)
-            detail = f"unicast from {src}" if meter.trace_enabled else ""
-            meter.charge_receive(cost.receiver_energy_j, self.sim.now, detail=detail)
-            process = self.processes.get(dst)
-            if process is not None:
-                self.stats.deliveries += 1
-                process.deliver(src, message)
-
-        if self.sim.trace_enabled:
-            label = f"net:uni {src}->{dst}"
-        else:
-            label = "net:uni"
-        self.sim.schedule(latency, arrive, label=label)
-
-    def _begin_unicast_retransmit(
-        self, src: int, dst: int, message: Any, cost, size: int, imp: ImpairmentModel
-    ) -> None:
-        if self.reliability.max_retries <= 0:
-            imp.note_giveup(dst)
-            if self.retransmit_observer is not None:
-                self.retransmit_observer(
-                    dst, "gave_up", f"unicast from {src}", self.sim.now
-                )
-            return
-        self._schedule_unicast_retransmit(src, dst, message, cost, size, imp, attempt=0)
-
-    def _schedule_unicast_retransmit(
-        self, src: int, dst: int, message: Any, cost, size: int, imp: ImpairmentModel, attempt: int
-    ) -> None:
-        policy = self.reliability
-        delay = policy.retry_delay(attempt, imp.rng)
-        if self.sim.trace_enabled:
-            label = f"net:rtx-uni {src}->{dst}"
-        else:
-            label = "net:rtx-uni"
-
-        def resend() -> None:
-            if src in self._partition or dst in self._partition:
-                return
-            meter = self._meter(src)
-            meter.charge_transmit(
-                cost.sender_energy_j,
-                self.sim.now,
-                detail=f"retransmit->{dst} {size}B" if meter.trace_enabled else "",
-            )
-            self.stats.record_transmission(src, size)
-            imp.note_retransmit(dst)
-            if self.retransmit_observer is not None:
-                self.retransmit_observer(
-                    dst, "retry", f"unicast retry {attempt + 1} from {src}", self.sim.now
-                )
-            if imp.rng.chance(imp.loss_probability(dst, cost, self.sim.now)):
-                if attempt + 1 >= policy.max_retries:
-                    imp.note_giveup(dst)
-                    if self.retransmit_observer is not None:
-                        self.retransmit_observer(
-                            dst, "gave_up", f"unicast from {src}", self.sim.now
-                        )
-                else:
-                    self._schedule_unicast_retransmit(
-                        src, dst, message, cost, size, imp, attempt + 1
-                    )
-                return
-            latency = (
-                self.hop_delay * imp.rng.uniform(0.5, 1.0) if self.jitter else self.hop_delay
-            )
-            self._charge_ack(src, dst)
-            imp.note_recovered(dst)
-            if self.retransmit_observer is not None:
-                self.retransmit_observer(
-                    dst, "recovered", f"unicast retry {attempt + 1} from {src}", self.sim.now
-                )
-            self._schedule_unicast_arrival(src, dst, message, cost, latency)
-
-        self.sim.schedule(delay, resend, label=label)
+        self._schedule_reception(None, src, dst, message, cost, self._hop_latency(), size, None)
 
     # ------------------------------------------------------------- helpers
-    def multicast_neighbors(self, origin: int, message: Any) -> None:
-        """One-hop k-cast (no flooding) — used by leader-to-neighbour patterns."""
-        self._require_registered(origin)
-        flood_id = next(self._flood_counter)
-        self._delivered[flood_id] = {origin}
-        self._in_flight[flood_id] = 0
-        size = default_wire_size(message)
-        for edge in self.hypergraph.out_edges(origin):
-            self._transmit_edge(flood_id, edge, origin, message, size)
-        self._maybe_retire_flood(flood_id)
-
     def _require_registered(self, pid: int) -> None:
         if pid not in self.processes:
             raise ValueError(f"process {pid} is not registered with the network")

@@ -38,30 +38,39 @@ class Event:
         time: Virtual time at which the event fires.
         priority: Lower values fire earlier among events at the same time.
         seq: Monotonically increasing tie-breaker assigned by the queue.
-        callback: Zero-argument callable invoked when the event fires.
+        callback: Callable invoked as ``callback(*args)`` when the event fires.
         label: Optional label used in traces (string or lazy thunk).
+        args: Positional arguments for ``callback``.  The event carries
+            them so per-event callbacks can be plain bound methods instead
+            of closures allocated per schedule.
         cancelled: Cancelled events stay in the heap but are skipped.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "label", "cancelled", "_queue", "_in_heap")
+    __slots__ = (
+        "time", "priority", "seq", "callback", "label", "args", "cancelled", "_queue", "_in_heap"
+    )
 
     def __init__(
         self,
         time: float,
         priority: int,
         seq: int,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
         label: Label = "",
-        cancelled: bool = False,
+        args: tuple = (),
+        queue: Optional["BucketedEventQueue"] = None,
     ) -> None:
         self.time = time
         self.priority = priority
         self.seq = seq
         self.callback = callback
         self.label = label
-        self.cancelled = cancelled
-        self._queue: Optional["BucketedEventQueue"] = None
-        self._in_heap = False
+        self.args = args
+        self.cancelled = False
+        #: The queue holding this event (``None`` for a free-standing one);
+        #: ``_in_heap`` is true from the push until the pop or removal.
+        self._queue = queue
+        self._in_heap = queue is not None
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when popped.
@@ -153,17 +162,16 @@ class BucketedEventQueue:
     def push(
         self,
         time: float,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
         priority: int = 0,
         label: Label = "",
+        args: tuple = (),
     ) -> Event:
-        """Schedule ``callback`` at virtual ``time`` and return its handle."""
+        """Schedule ``callback(*args)`` at virtual ``time``; returns its handle."""
         if time < 0:
             raise ValueError(f"cannot schedule event at negative time {time}")
         seq = next(self._counter)
-        event = Event(time, priority, seq, callback, label)
-        event._queue = self
-        event._in_heap = True
+        event = Event(time, priority, seq, callback, label, args, self)
         entry = (time, priority, seq, event)
         bucket_id = int(time / self._width)
         if bucket_id <= self._cur:

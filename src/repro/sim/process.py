@@ -64,14 +64,15 @@ class Process:
         """Create a keyed timer registry owned by this process."""
         return TimerRegistry(self.sim, prefix=f"{self.name}:{prefix}")
 
-    def after(self, delay: float, callback, label: str = "") -> None:
-        """Schedule a callback guarded by the crash flag."""
+    def after(self, delay: float, callback, label: str = "", args: tuple = ()) -> None:
+        """Schedule ``callback(*args)`` guarded by the crash flag."""
+        self.sim.schedule(
+            delay, self._run_unless_crashed, label=label or self._after_label, args=(callback, args)
+        )
 
-        def guarded() -> None:
-            if not self.crashed:
-                callback()
-
-        self.sim.schedule(delay, guarded, label=label or self._after_label)
+    def _run_unless_crashed(self, callback, args: tuple) -> None:
+        if not self.crashed:
+            callback(*args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} {self.name}>"

@@ -65,30 +65,36 @@ class Simulator:
     def schedule_at(
         self,
         time: float,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
         priority: int = 0,
         label: str = "",
+        args: tuple = (),
     ) -> Event:
-        """Schedule ``callback`` at an absolute virtual time."""
+        """Schedule ``callback(*args)`` at an absolute virtual time."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < now={self._now}"
             )
-        return self._queue.push(time, callback, priority=priority, label=label)
+        return self._queue.push(time, callback, priority, label, args)
 
     def schedule(
         self,
         delay: float,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
         priority: int = 0,
         label: str = "",
+        args: tuple = (),
     ) -> Event:
-        """Schedule ``callback`` after ``delay`` units of virtual time."""
+        """Schedule ``callback(*args)`` after ``delay`` units of virtual time.
+
+        Pass per-event state through ``args`` rather than closing over it:
+        the event is then the only object the schedule allocates.
+        """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         # Push directly rather than via schedule_at: this is the hottest
         # call in the simulator and delay >= 0 already implies time >= now.
-        return self._queue.push(self._now + delay, callback, priority, label)
+        return self._queue.push(self._now + delay, callback, priority, label, args)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event."""
@@ -112,7 +118,7 @@ class Simulator:
                 self.trace_log.append((self._now, label))
             if self.event_observer is not None:
                 self.event_observer(self._now, label)
-        event.callback()
+        event.callback(*event.args)
         return True
 
     def run(
@@ -135,10 +141,27 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         executed_here = 0
+        pop = self._queue.pop
         try:
-            # The unbounded loop (run_until_idle, the hot case) goes
-            # straight to the pop inside step() — no peek per event.
-            while self.step():
+            # The unbounded loop (run_until_idle, the hot case): one pop
+            # per event — no peek, no ``step()`` frame.
+            while True:
+                event = pop()
+                if event is None:
+                    break
+                if event.time < self._now:
+                    raise SimulationError("event queue returned an event from the past")
+                self._now = event.time
+                self._executed += 1
+                if self.trace_enabled or self.event_observer is not None:
+                    label = event.label
+                    if callable(label):
+                        label = label()
+                    if self.trace_enabled:
+                        self.trace_log.append((self._now, label))
+                    if self.event_observer is not None:
+                        self.event_observer(self._now, label)
+                event.callback(*event.args)
                 executed_here += 1
                 if max_events is not None and executed_here > max_events:
                     raise SimulationError(
@@ -150,10 +173,9 @@ class Simulator:
     def run_until(self, deadline: float, max_events: Optional[int] = None) -> int:
         """Run every event scheduled at or before ``deadline``; returns the count.
 
-        The time-bounded fast path: one peek/pop pair per event on locally
-        bound queue methods, with no per-event property reads or
-        ``step()``-call indirection.  The clock is advanced to ``deadline``
-        when the queue drains (or holds only later events), exactly like
+        The time-bounded twin of :meth:`run`'s loop: one peek/pop pair per
+        event on locally bound queue methods.  The clock is advanced to
+        ``deadline`` when the queue drains (or holds only later events), exactly like
         ``run(until=deadline)`` — which delegates here.
         """
         if self._running:
@@ -181,7 +203,7 @@ class Simulator:
                         self.trace_log.append((self._now, label))
                     if self.event_observer is not None:
                         self.event_observer(self._now, label)
-                event.callback()
+                event.callback(*event.args)
                 executed_here += 1
                 if max_events is not None and executed_here > max_events:
                     raise SimulationError(

@@ -9,7 +9,7 @@ Algorithm 2 manipulates its timers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
 
 from repro.sim.events import Event
 from repro.sim.scheduler import Simulator
@@ -80,15 +80,18 @@ class TimerRegistry:
 
     The registry mirrors the protocol pseudo-code operations "set
     T_commit(B)", "cancel all commit timers T_commit(.)" with an explicit,
-    testable object.  It holds armed timers only — an entry leaves when its
-    timer fires or is cancelled — so every operation costs O(armed), not
-    O(timers ever started): a replica starts one ``T_commit`` per block.
+    testable object.  An armed timer *is* its pending simulator event: the
+    registry maps each key to that event and the event carries the callback
+    and its arguments, so arming allocates nothing else.  An entry leaves
+    when its timer fires or is cancelled, so every operation costs
+    O(armed), not O(timers ever started): a replica starts one ``T_commit``
+    per block.
     """
 
     def __init__(self, sim: Simulator, prefix: str = "timer") -> None:
         self._sim = sim
         self._prefix = prefix
-        self._timers: Dict[Hashable, Timer] = {}
+        self._timers: Dict[Hashable, Event] = {}
 
     def __len__(self) -> int:
         return len(self._timers)
@@ -96,30 +99,35 @@ class TimerRegistry:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._timers
 
-    def start(self, key: Hashable, duration: float, callback: Callable[[], None]) -> Timer:
-        """Start (or restart) the timer associated with ``key``."""
+    def start(
+        self, key: Hashable, duration: float, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Start (or restart) the timer for ``key``; it calls ``callback(*args)``."""
+        if duration < 0:
+            raise ValueError(f"timer {self._prefix}:{key}: negative duration {duration}")
         self.cancel(key)
+        self._timers[key] = self._sim.schedule(
+            duration,
+            self._fire,
+            label=f"timer:{self._prefix}:{key}",
+            args=(key, callback, args),
+        )
 
-        def fire() -> None:
-            del self._timers[key]
-            callback()
-
-        timer = Timer(self._sim, f"{self._prefix}:{key}", fire)
-        self._timers[key] = timer
-        timer.start(duration)
-        return timer
+    def _fire(self, key: Hashable, callback: Callable[..., None], args: tuple) -> None:
+        del self._timers[key]
+        callback(*args)
 
     def cancel(self, key: Hashable) -> None:
         """Cancel the timer for ``key`` if it is armed."""
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
+        event = self._timers.pop(key, None)
+        if event is not None:
+            self._sim.cancel(event)
 
     def cancel_all(self) -> int:
         """Cancel every running timer; returns how many were cancelled."""
         cancelled = len(self._timers)
-        for timer in self._timers.values():
-            timer.cancel()
+        for event in self._timers.values():
+            self._sim.cancel(event)
         self._timers.clear()
         return cancelled
 

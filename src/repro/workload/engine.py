@@ -338,9 +338,7 @@ def _schedule_arrivals(builder, replica_stage, commands: Sequence[Command]) -> N
 
     for command in commands:
         builder.sim.schedule_at(
-            command.arrival_time,
-            lambda command=command: deliver(command),
-            label="workload:arrival",
+            command.arrival_time, deliver, label="workload:arrival", args=(command,)
         )
 
 

@@ -20,6 +20,14 @@ class DisseminationPlan:
         self.hops = hops
 
 
+class Flood:
+    __slots__ = ("flood_id", "delivered")
+
+    def __init__(self, flood_id):
+        self.flood_id = flood_id
+        self.delivered = set()
+
+
 class ColdRecord:  # not a hot-path class: a __dict__ is fine here
     def __init__(self, note):
         self.note = note

@@ -59,6 +59,15 @@ def test_every_shipped_rule_has_a_fixture_pair() -> None:
         assert (FIXTURES / f"clean_{slug}.py").is_file()
 
 
+def test_flood_record_is_a_hot_class(tmp_path: Path) -> None:
+    """The per-broadcast record every reception event carries is held to
+    the slots contract (the planted fixture's count predates it)."""
+    module = tmp_path / "network.py"
+    module.write_text("class Flood:\n    def __init__(self):\n        self.delivered = set()\n")
+    report = analyze([module], select=["slots-discipline"], root=tmp_path)
+    assert [f.message.split()[2] for f in report.findings] == ["Flood"]
+
+
 def test_findings_sort_and_render() -> None:
     report = _run(FIXTURES / "planted_ordering.py", "ordered-iteration")
     lines = [f.line for f in report.findings]

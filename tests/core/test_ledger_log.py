@@ -123,3 +123,62 @@ def test_safety_checker_prefix_with_lagging_node():
 def test_block_at_returns_none_when_missing():
     log = CommittedLog(0, BlockStore())
     assert log.block_at(5) is None
+
+
+# -------------------------------------------- indexes kept by commit()
+def assert_indexes_match_a_scan(log):
+    """``highest_height``, ``in`` and ``commit_latency`` read indexes that
+    ``commit()`` maintains; each must equal what scanning the log gives."""
+    records = list(log._by_height.values())
+    assert log.highest_height == max(log._by_height, default=0)
+    assert sorted(log._by_hash) == sorted(r.block.block_hash for r in records)
+    for record in records:
+        block_hash = record.block.block_hash
+        assert block_hash in log
+        assert log.commit_latency(block_hash, proposed_at=0.0) == record.committed_at
+    assert "missing" not in log
+    assert log.commit_latency("missing", proposed_at=0.0) is None
+
+
+def test_indexes_follow_in_order_commits():
+    store = BlockStore()
+    blocks = build_chain(store, 4)
+    log = CommittedLog(0, store)
+    assert_indexes_match_a_scan(log)  # empty: height 0, nothing contained
+    for now, block in enumerate(blocks, start=1):
+        log.commit(block, now=float(now), view=1)
+        assert log.highest_height == block.height
+        assert_indexes_match_a_scan(log)
+
+
+def test_indexes_follow_an_ancestor_batch_commit():
+    store = BlockStore()
+    blocks = build_chain(store, 6)
+    log = CommittedLog(0, store)
+    log.commit(blocks[1], now=2.0, view=1)
+    log.commit(blocks[5], now=9.0, view=2)  # commits heights 3..6 in one call
+    assert log.highest_height == 6
+    assert blocks[3].block_hash in log
+    assert log.commit_latency(blocks[3].block_hash, proposed_at=4.0) == pytest.approx(5.0)
+    assert_indexes_match_a_scan(log)
+    log.commit(blocks[2], now=11.0, view=2)  # already committed: nothing moves
+    assert log.highest_height == 6
+    assert_indexes_match_a_scan(log)
+
+
+def test_indexes_follow_a_sync_adopted_suffix():
+    """A node that was dark adopts the suffix it missed through catch-up
+    state transfer; its log's indexes cover the adopted blocks too."""
+    from repro.eval.runner import DeploymentSpec
+    from repro.session.builder import SessionBuilder
+    from repro.testkit import faults
+
+    spec = DeploymentSpec(
+        protocol="eesmr", n=5, f=1, k=2, target_height=5, block_interval=2.0, seed=12,
+        fault_schedule=faults.crash_recover(2, start=1.0, heal=7.5),
+    )
+    session = SessionBuilder(spec).build()
+    session.run_to_quiescence()
+    assert session.replicas[2].committed_height == spec.target_height
+    for replica in session.replicas.values():
+        assert_indexes_match_a_scan(replica.log)

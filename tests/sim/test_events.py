@@ -96,3 +96,25 @@ def test_event_active_flag():
     assert event.active
     event.cancel()
     assert not event.active
+
+
+def test_push_carries_args_and_defaults_to_empty():
+    queue = BucketedEventQueue()
+    bare = queue.push(1.0, lambda: None)
+    loaded = queue.push(2.0, lambda a, b: None, args=(1, "two"))
+    assert bare.args == ()
+    assert loaded.args == (1, "two")
+    assert queue.pop() is bare
+    assert queue.pop() is loaded
+
+
+def test_args_survive_remove_where_with_original_keys():
+    queue = BucketedEventQueue()
+    events = [queue.push(1.0 + i % 2, print, label=str(i), args=(i,)) for i in range(6)]
+    keys = {event.seq: (event.time, event.priority, event.seq) for event in events}
+    assert queue.remove_where(lambda event: event.args[0] in (1, 4)) == 2
+    survivors = []
+    while (event := queue.pop()) is not None:
+        survivors.append(event)
+    assert [event.args for event in survivors] == [(0,), (2,), (3,), (5,)]
+    assert all(keys[e.seq] == (e.time, e.priority, e.seq) for e in survivors)

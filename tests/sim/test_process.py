@@ -66,3 +66,15 @@ def test_make_timer_is_bound_to_process_name():
     timer.start(1.0)
     sim.run_until_idle()
     assert fired == [1]
+
+
+def test_after_passes_args_and_stays_guarded():
+    sim = Simulator()
+    proc = Recorder(sim, 1)
+    calls = []
+    proc.after(1.0, lambda view, tag: calls.append((view, tag)), args=(3, "quit"))
+    proc.after(2.0, calls.append, args=("dropped",))
+    sim.run(until=1.5)
+    proc.crash()
+    sim.run_until_idle()
+    assert calls == [(3, "quit")]

@@ -190,3 +190,46 @@ def test_executed_events_excludes_drained_events():
     sim.run_until_idle()
     assert sim.executed_events == 2
     assert [label for _, label in sim.trace_log] == ["keep", "keep"]
+
+
+# ------------------------------------------------ events carry their arguments
+def test_schedule_passes_args_to_the_callback():
+    sim = Simulator()
+    calls = []
+    sim.schedule(1.0, lambda a, b: calls.append((a, b)), args=("x", 2))
+    sim.schedule_at(2.0, lambda a: calls.append(a), args=("y",))
+    sim.schedule(3.0, lambda: calls.append("no-args"))  # default () unchanged
+    sim.run_until_idle()
+    assert calls == [("x", 2), "y", "no-args"]
+
+
+@pytest.mark.parametrize("drive", ["run", "run_until", "step"])
+def test_every_loop_passes_args(drive):
+    sim = Simulator()
+    calls = []
+    event = sim.schedule(1.0, calls.append, args=("payload",))
+    assert event.args == ("payload",)
+    if drive == "run":
+        sim.run()
+    elif drive == "run_until":
+        assert sim.run_until(5.0) == 1
+    else:
+        assert sim.step() is True
+    assert calls == ["payload"]
+
+
+def test_args_survive_a_selective_drain_with_original_keys():
+    sim = Simulator()
+    order = []
+    kept = [
+        sim.schedule(1.0, order.append, label="keep", args=("a",)),
+        sim.schedule(1.0, order.append, priority=-1, label="keep", args=("first",)),
+    ]
+    sim.schedule(1.0, order.append, label="kill", args=("victim",))
+    kept.append(sim.schedule(1.0, order.append, label="keep", args=("b",)))
+    keys = [(event.time, event.priority, event.seq) for event in kept]
+    assert sim.drain(labels=["kill"]) == 1
+    assert [(event.time, event.priority, event.seq) for event in kept] == keys
+    assert [event.args for event in kept] == [("a",), ("first",), ("b",)]
+    sim.run_until_idle()
+    assert order == ["first", "a", "b"]

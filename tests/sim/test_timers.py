@@ -137,3 +137,45 @@ def test_registry_callback_may_restart_its_own_key():
     sim.run_until_idle()
     assert fired == ["first", "second"]
     assert len(registry) == 0
+
+
+# ------------------------------------------- a registry timer carries arguments
+def test_registry_delivers_args_to_the_callback():
+    sim = Simulator()
+    fired = []
+    registry = TimerRegistry(sim, prefix="commit")
+    assert registry.start("a", 2.0, lambda x, y: fired.append((x, y)), "block", 7) is None
+    registry.start("b", 3.0, lambda: fired.append("bare"))
+    sim.run_until_idle()
+    assert fired == [("block", 7), "bare"]
+    assert len(registry) == 0
+
+
+def test_registry_restart_replaces_callback_and_args():
+    sim = Simulator()
+    fired = []
+    registry = TimerRegistry(sim, prefix="commit")
+    registry.start("a", 2.0, lambda x: fired.append(("old", x)), 1)
+    registry.start("a", 3.0, lambda x: fired.append(("new", x)), 2)
+    assert len(registry) == 1
+    sim.run_until_idle()
+    assert fired == [("new", 2)]
+    assert sim.now == 3.0
+
+
+def test_registry_negative_duration_rejected():
+    registry = TimerRegistry(Simulator(), prefix="commit")
+    with pytest.raises(ValueError):
+        registry.start("a", -1.0, lambda: None)
+    assert "a" not in registry
+
+
+def test_registry_timer_is_its_pending_event():
+    sim = Simulator(trace=True)
+    registry = TimerRegistry(sim, prefix="p0:t-commit")
+    registry.start("abc", 4.0, lambda: None)
+    event = registry._timers["abc"]
+    assert (event.time, event.label, event.active) == (4.0, "timer:p0:t-commit:abc", True)
+    registry.cancel("abc")
+    assert not event.active
+    assert sim.pending_events == 0

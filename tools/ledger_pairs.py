@@ -1,0 +1,113 @@
+"""Alternating parent/change pairs of one bench workload (``make ledger-pairs``).
+
+The standing rule for a performance claim (docs/performance.md, "How to
+measure a change"): at least ten pairs of the *unmodified* ``python3 -m
+bench --workload W --seed S --seconds 15 --trace 0``, one run in each of two
+checkouts, alternating which side runs first, a fresh seed per pair, every
+run reported.  This script does exactly that and prints, per end-to-end
+metric, each side's median and quartiles, the pairs the change won, and
+whether the three modelled metrics were bit-identical in every pair.
+
+It measures; it does not gate.  The exit status is non-zero only when a
+bench run itself failed (an operation failed, or the calibration kernel
+refused the host).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+MEASURED = ("host_cost", "setup_s", "peak_rss_mb")
+MODELLED = ("energy_per_block_mj", "virtual_s_per_block", "goodput_cmd_per_vs")
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One bench run inside ``tree``; returns its result object (last stdout line)."""
+    # bench/ imports whatever ``repro`` is importable, so an inherited
+    # PYTHONPATH would make both sides measure the same source tree.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    command = [
+        sys.executable, "-m", "bench", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stdout[-2000:] + done.stderr[-2000:])
+        raise SystemExit(f"bench failed in {tree} (seed {seed}, exit {done.returncode})")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+        **{name: entry["value"] for name, entry in result["metrics"].items()},
+    }
+
+
+def quartiles(values: list) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7000, help="seed of the first pair")
+    parser.add_argument("--seconds", type=int, default=15, help="BENCHMARK.json's run_seconds")
+    parser.add_argument("--out", type=Path, help="also write every run as JSON")
+    args = parser.parse_args()
+
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = []
+    for pair in range(args.pairs):
+        seed = args.seed + pair
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        row = {"seed": seed, "first": order[0]}
+        for side in order:
+            row[side] = run_bench(trees[side], args.workload, seed, args.seconds)
+        runs.append(row)
+        parent, change = row["parent"]["host_cost"], row["change"]["host_cost"]
+        print(
+            f"pair {pair + 1:2d}  seed {seed}  first={order[0]:6s}  host_cost "
+            f"parent {parent:.3f}  change {change:.3f}  ({(change / parent - 1) * 100:+.1f} %)",
+            flush=True,
+        )
+
+    print(f"\n{args.workload}: {len(runs)} alternating pairs, --seconds {args.seconds}")
+    for name in MEASURED:
+        parent = [row["parent"][name] for row in runs]
+        change = [row["change"][name] for row in runs]
+        p_q1, p_med, p_q3 = quartiles(parent)
+        c_q1, c_med, c_q3 = quartiles(change)
+        won = sum(c < p for p, c in zip(parent, change))
+        tied = sum(c == p for p, c in zip(parent, change))
+        apart = abs(c_med - p_med) > (p_q3 - p_q1)
+        print(
+            f"  {name:12s} parent {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}]  "
+            f"change {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]  "
+            f"median {(c_med / p_med - 1) * 100:+.1f} %  change lower in {won}/{len(runs)}"
+            f"{f' ({tied} tied)' if tied else ''}  "
+            f"medians {'further apart' if apart else 'NOT further apart'} than the parent's IQR"
+        )
+    for name in MODELLED:
+        differing = [row["seed"] for row in runs if row["parent"][name] != row["change"][name]]
+        verdict = f"DIFFERS at seeds {differing}" if differing else "bit-identical in every pair"
+        print(f"  {name:20s} {verdict}")
+    failed = {side: sum(row[side]["failed"] for row in runs) for side in trees}
+    print(f"  failed operations: parent {failed['parent']}, change {failed['change']}")
+    if args.out is not None:
+        args.out.write_text(json.dumps({"workload": args.workload, "runs": runs}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
