@@ -45,6 +45,10 @@
 #   make analyze      detlint: the determinism & registry-coherence
 #                     static analyzer over src/repro (AST-only, < 10s;
 #                     PR-blocking in CI — see docs/analysis.md)
+#   make loc          src/ line count — `wc -l` over src/repro/**/*.py, per
+#                     package and in total — the number the standing gate
+#                     asks every PR to quote as its net src/ delta
+#                     (printed, not gated, in CI's lint job)
 #
 # The default pytest run (pytest.ini addopts) equals test-fast; the matrix
 # sweeps are the opt-in CI job every scale/perf PR should also run.
@@ -52,7 +56,7 @@
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m pytest
 PYTHON := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test-fast test-matrix test-all test-corpus fuzz bench-gate ledger ledger-compare ledger-pairs lint analyze import-time
+.PHONY: test-fast test-matrix test-all test-corpus fuzz bench-gate ledger ledger-compare ledger-pairs lint analyze import-time loc
 
 test-fast:
 	$(PYTEST) -x -q
@@ -70,6 +74,13 @@ lint:
 
 analyze:
 	$(PYTHON) -m repro.analysis src/repro
+
+loc:
+	@for pkg in $$(find src/repro -mindepth 1 -maxdepth 1 -type d ! -name __pycache__ | sort); do \
+		printf '%7d %s\n' "$$(find $$pkg -name '*.py' | xargs cat | wc -l)" "$$pkg"; \
+	done; \
+	printf '%7d %s\n' "$$(cat src/repro/*.py | wc -l)" "src/repro/*.py"; \
+	printf '%7d %s\n' "$$(find src/repro -name '*.py' | xargs cat | wc -l)" "total"
 
 import-time:
 	$(PYTHON) -X importtime -c "import repro.cli" 2>&1 | sort -t'|' -k2,2n | tail -15

@@ -6,18 +6,17 @@ k-cast topology and (b) a unicast ring with the same connectivity, and
 compares the radio energy.
 """
 
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.eval.tables import format_table
 
 from benchmarks.conftest import run_once
 
 
 def _run_both():
-    runner = ProtocolRunner()
-    kcast = runner.run(
+    kcast = run_protocol(
         DeploymentSpec(protocol="eesmr", n=9, f=2, k=3, topology="ring-kcast", target_height=3, seed=72)
     )
-    unicast = runner.run(
+    unicast = run_protocol(
         DeploymentSpec(protocol="eesmr", n=9, f=2, k=3, topology="unicast-ring", target_height=3, seed=72)
     )
     return kcast, unicast

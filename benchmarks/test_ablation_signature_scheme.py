@@ -5,7 +5,7 @@ many-verifiers pattern of SMR; this ablation measures how the protocol's
 per-block energy shifts when the scheme is swapped.
 """
 
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.eval.tables import format_table
 
 from benchmarks.conftest import run_once
@@ -14,13 +14,12 @@ SCHEMES = ("rsa-1024", "ecdsa-secp256k1", "hmac-sha256")
 
 
 def _run_all():
-    runner = ProtocolRunner()
     results = {}
     for scheme in SCHEMES:
         spec = DeploymentSpec(
             protocol="eesmr", n=9, f=2, k=3, target_height=3, signature_scheme=scheme, seed=71
         )
-        results[scheme] = runner.run(spec)
+        results[scheme] = run_protocol(spec)
     return results
 
 

@@ -6,23 +6,20 @@ much that favour is worth by also running the textbook variant where every
 vote is flooded network-wide, which is the O(n^2 d) behaviour of Table 3.
 """
 
-import pytest
-
 from repro.core.baselines.sync_hotstuff import SyncHotStuffReplica
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.eval.tables import format_table
 
 from benchmarks.conftest import run_once
 
 
 def _run_both():
-    runner = ProtocolRunner()
     spec = DeploymentSpec(protocol="sync-hotstuff", n=9, f=2, k=3, target_height=3, seed=73)
-    partial = runner.run(spec)
+    partial = run_protocol(spec)
     original_mode = SyncHotStuffReplica.vote_forwarding
     SyncHotStuffReplica.vote_forwarding = "full"
     try:
-        full = runner.run(spec)
+        full = run_protocol(spec)
     finally:
         SyncHotStuffReplica.vote_forwarding = original_mode
     return partial, full

@@ -12,11 +12,11 @@ The package is organised by substrate:
   analytical energy framework (Section 4);
 * :mod:`repro.core` — the EESMR protocol and the baselines it is compared
   against (Sync HotStuff, OptSync, trusted control node);
-* :mod:`repro.eval` — experiment runner, workloads and the per-table /
-  per-figure experiment implementations;
-* :mod:`repro.session` — the one front door for experiments: staged
+* :mod:`repro.eval` — the deployment spec and run result, ``run_protocol``,
+  workloads and the per-table / per-figure experiment implementations;
+* :mod:`repro.session` — the one front door for running a spec: staged
   deployment construction, observer hooks, steppable run control and
-  adaptive adversaries.
+  adaptive adversaries (``run_protocol`` is sugar for it).
 
 Quickstart::
 
@@ -47,7 +47,7 @@ from repro.energy import (
     trusted_baseline_cost_model,
     view_change_ratio_bound,
 )
-from repro.eval import DeploymentSpec, ProtocolRunner, RunResult, run_protocol
+from repro.eval import DeploymentSpec, RunResult, run_protocol
 from repro.net import Hypergraph, HyperEdge, ring_kcast_topology
 from repro.radio import BleAdvertisementKCast, BleGattUnicast
 from repro.session import Session, SessionBuilder, SessionObserver
@@ -74,7 +74,6 @@ __all__ = [
     "trusted_baseline_cost_model",
     "view_change_ratio_bound",
     "DeploymentSpec",
-    "ProtocolRunner",
     "RunResult",
     "run_protocol",
     "Hypergraph",

@@ -15,7 +15,7 @@ atom/engine/field and forgets the registry side:
   ``Fault`` subclasses.
 * **workload engines** — every leaf subclass of ``WorkloadEngine`` must
   appear in ``WORKLOAD_KINDS`` *and* be constructed somewhere in
-  ``workload_from_dict``.
+  ``workload_from_dict`` (by name, or by dispatching through the registry).
 * **impairment schema** — ``ImpairmentSpec``'s dataclass fields, the
   ``_SPEC_KEYS`` allowlist that ``impairment_from_dict`` validates
   against, and the keys ``describe()`` can emit must all agree.
@@ -31,7 +31,6 @@ import ast
 from typing import Iterator, Set
 
 from repro.analysis.context import (
-    ModuleContext,
     ProjectIndex,
     dataclass_fields,
     has_decorator,
@@ -124,7 +123,10 @@ class RegistryCoherenceChecker(Checker):
         deserializer = index.function("workload_from_dict")
         handled: Set[str] = set()
         if deserializer is not None:
-            handled = names_in(deserializer[1]) & set(index.classes)
+            names = names_in(deserializer[1])
+            handled = names & set(index.classes)
+            if "WORKLOAD_KINDS" in names:  # dispatches through the registry
+                handled |= registered
         for name in sorted(leaves - registered):
             ctx, cls = index.classes[name]
             yield self.finding(

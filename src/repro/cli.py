@@ -240,21 +240,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             impairment=parse_impairment(args.impair) if args.impair else None,
         )
     engine = spec.workload
+    metrics = None
     if engine is not None and not engine.is_default():
-        # Non-default traffic: drive the session with SLO metrics attached.
-        from repro.eval.runner import ProtocolRunner
+        # Non-default traffic: run with SLO metrics attached.
         from repro.session.metrics import MetricsObserver
 
         metrics = MetricsObserver()
-        result = (
-            ProtocolRunner()
-            .session(spec, observers=(metrics,))
-            .run_to_quiescence()
-            .finish()
-        )
-    else:
-        metrics = None
-        result = run_protocol(spec)
+    result = run_protocol(spec, observers=(metrics,) if metrics is not None else ())
     print(f"protocol            : {spec.protocol}")
     print(f"n / f / k           : {spec.n} / {spec.f} / {spec.k}")
     print(f"committed blocks    : {result.committed_blocks}")
@@ -300,6 +292,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         DEFAULT_IMPAIRMENTS,
         DEFAULT_WORKLOADS,
         ScenarioMatrix,
+        schedule_feasibility,
     )
 
     matrix = ScenarioMatrix(
@@ -320,7 +313,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         specs = []
         for cell in matrix.cells():
             spec = matrix.build_spec(cell)
-            if matrix.cell_feasibility(cell, spec=spec) is None:
+            if schedule_feasibility(spec) is None:
                 specs.append(spec.to_dict())
         with open(args.dump_specs, "w") as handle:
             json.dump(specs, handle, indent=2, sort_keys=True)

@@ -22,7 +22,7 @@ from repro.core.messages import (
 from repro.core.txpool import TxPool
 from repro.core.ledger import CommittedLog, SafetyChecker, SafetyReport, SafetyViolation
 from repro.core.client import Client, CommandFactory, AckRouter, Acknowledgement
-from repro.core.config import ProtocolConfig, RunStats, round_robin_leader
+from repro.core.config import ProtocolConfig, RunStats
 from repro.core.replica_base import BaseReplica
 from repro.core.eesmr import EesmrReplica
 from repro.core.baselines import (
@@ -79,7 +79,6 @@ __all__ = [
     "Acknowledgement",
     "ProtocolConfig",
     "RunStats",
-    "round_robin_leader",
     "BaseReplica",
     "EesmrReplica",
     "SyncHotStuffReplica",

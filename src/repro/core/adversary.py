@@ -19,7 +19,6 @@ energy) — only the specific misbehaviour differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.blocks import make_block
 from repro.core.eesmr.replica import EesmrReplica
@@ -35,6 +34,12 @@ ALLOWED_BEHAVIOURS = ("crash", "silent_leader", "equivocate", "silent")
 @dataclass(frozen=True)
 class FaultPlan:
     """Which nodes are faulty and how they misbehave.
+
+    The whole-run, one-behaviour form; ``repro.testkit.faults.FaultSchedule``
+    composes timed per-node atoms and supersedes it when a spec sets both.
+    The plan stays beside the schedule because the two arm the trusted
+    baseline differently (a plan never fail-stops its leaves), so folding
+    one into the other would change behaviour, not just shape.
 
     Attributes:
         faulty: Node ids under adversary control.

@@ -32,7 +32,7 @@ from repro.core.messages import (
 from repro.core.replica_base import BaseReplica
 from repro.core.types import NodeId
 from repro.crypto.signatures import SignatureScheme
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import EnergyCategory, EnergyMeter
 from repro.net.network import SimulatedNetwork
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
@@ -157,8 +157,7 @@ class TrustedBaselineReplica(BaseReplica):
         # One verification of the trusted node's signature per block.
         if message.data_sig is None:
             return
-        if self.config.charge_crypto_energy:
-            self.meter.charge_verify(self.scheme.verify_energy_j, self.sim.now, "tb-order")
+        self.meter.charge(EnergyCategory.VERIFY, self.scheme.verify_energy_j)
         signed = data_signing_input(message.data_digest, message.view)
         if not self.scheme.verify(self.pid, signed, message.data_sig):
             return

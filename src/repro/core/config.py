@@ -2,33 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.types import FIRST_VIEW, NodeId, View
-
-
-@dataclass(frozen=True)
-class RoundRobinLeader:
-    """The default ``Leader(v)`` function: round-robin over the n nodes.
-
-    A callable value object rather than a closure so that configs (and
-    everything holding one — run results, scenario-cell outcomes) can
-    cross process boundaries: the parallel scenario matrix pickles cell
-    outcomes back from its worker processes.
-    """
-
-    n: int
-
-    def __call__(self, view: View) -> NodeId:
-        return (view - FIRST_VIEW) % self.n
-
-
-def round_robin_leader(n: int) -> Callable[[View], NodeId]:
-    """Build the default round-robin leader schedule."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return RoundRobinLeader(n)
 
 
 @dataclass
@@ -56,9 +33,6 @@ class ProtocolConfig:
             ``None`` (the default, and the seed behaviour) is unbounded;
             a bounded pool drops overflow arrivals with an explicit
             admission verdict (see :mod:`repro.core.txpool`).
-        leader_schedule: Maps view numbers to leader node ids.
-        charge_crypto_energy: Charge sign/verify/hash energy to meters.
-        charge_sleep_energy: Charge the idle baseline over elapsed time.
     """
 
     n: int
@@ -70,9 +44,6 @@ class ProtocolConfig:
     target_height: int = 5
     block_interval: float = 0.0
     txpool_limit: Optional[int] = None
-    leader_schedule: Optional[Callable[[View], NodeId]] = None
-    charge_crypto_energy: bool = True
-    charge_sleep_energy: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -89,8 +60,6 @@ class ProtocolConfig:
             raise ValueError("target_height must be at least 1")
         if self.txpool_limit is not None and self.txpool_limit < 1:
             raise ValueError("txpool_limit must be at least 1 (or None for unbounded)")
-        if self.leader_schedule is None:
-            self.leader_schedule = round_robin_leader(self.n)
 
     @property
     def quorum(self) -> int:
@@ -98,9 +67,8 @@ class ProtocolConfig:
         return self.f + 1
 
     def leader_of(self, view: View) -> NodeId:
-        """The leader of a given view."""
-        assert self.leader_schedule is not None
-        return self.leader_schedule(view)
+        """The leader of a given view: round-robin over the n nodes."""
+        return (view - FIRST_VIEW) % self.n
 
 
 @dataclass
@@ -115,4 +83,3 @@ class RunStats:
     view_changes_completed: int = 0
     votes_sent: int = 0
     certificates_formed: int = 0
-    extra: dict = field(default_factory=dict)

@@ -31,10 +31,14 @@ from repro.core.txpool import ADMITTED, TxPool
 from repro.core.types import Command, NodeId, Round, View
 from repro.crypto.hashing import HashFunction
 from repro.crypto.signatures import SignatureScheme
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import EnergyCategory, EnergyMeter
 from repro.net.network import SimulatedNetwork
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
+
+_SIGN = EnergyCategory.SIGN
+_VERIFY = EnergyCategory.VERIFY
+_HASH = EnergyCategory.HASH
 
 
 class BaseReplica(Process):
@@ -122,8 +126,7 @@ class BaseReplica(Process):
             data,
             round_number=round_number,
         )
-        if self.config.charge_crypto_energy:
-            self.meter.charge_sign(2 * self.scheme.sign_energy_j, self.sim.now, msg_type.value)
+        self.meter.charge(_SIGN, 2 * self.scheme.sign_energy_j)
         return message
 
     def verify_signed_message(self, message: ProtocolMessage) -> bool:
@@ -135,40 +138,22 @@ class BaseReplica(Process):
         """
         if message.sender == self.pid:
             return True
-        if self.config.charge_crypto_energy:
-            self.meter.charge_verify(
-                2 * self.scheme.verify_energy_j, self.sim.now, message.msg_type.value
-            )
+        self.meter.charge(_VERIFY, 2 * self.scheme.verify_energy_j)
         return verify_message(self.scheme, self.pid, message)
 
     def verify_quorum_certificate(self, qc: QuorumCertificate) -> bool:
         """Verify a QC (f+1 signatures) and charge per-signature verification energy."""
-        if self.config.charge_crypto_energy:
-            self.meter.charge_verify(
-                len(qc.signatures) * self.scheme.verify_energy_j,
-                self.sim.now,
-                f"qc:{qc.cert_type.value}",
-            )
+        self.meter.charge(_VERIFY, len(qc.signatures) * self.scheme.verify_energy_j)
         return verify_qc(self.scheme, self.pid, qc, self.config.quorum)
 
     def verify_view_quorum_certificate(self, qc: QuorumCertificate) -> bool:
         """Verify a view-signature QC (e.g. a blame certificate) with energy accounting."""
-        if self.config.charge_crypto_energy:
-            self.meter.charge_verify(
-                len(qc.signatures) * self.scheme.verify_energy_j,
-                self.sim.now,
-                f"viewqc:{qc.cert_type.value}",
-            )
+        self.meter.charge(_VERIFY, len(qc.signatures) * self.scheme.verify_energy_j)
         return verify_view_qc(self.scheme, self.pid, qc, self.config.quorum)
 
     def charge_block_hash(self, block: Block) -> None:
         """Charge the energy of hashing a block (chaining / digest checks)."""
-        if self.config.charge_crypto_energy:
-            self.meter.charge_hash(
-                self.hash_fn.energy_for_size(block.wire_size_bytes),
-                self.sim.now,
-                "block-hash",
-            )
+        self.meter.charge(_HASH, self.hash_fn.energy_for_size(block.wire_size_bytes))
 
     def broadcast(self, message: ProtocolMessage) -> None:
         """Flood a message to all nodes via the simulated network."""

@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterable, Optional, Union
-
-#: A charge annotation: the string itself, or a zero-argument thunk that
-#: builds it lazily.  Hot paths pass thunks (or skip the detail entirely)
-#: so untraced meters never pay for string formatting.
-Detail = Union[str, Callable[[], str]]
+from typing import Dict, Iterable, Optional
 
 
 class EnergyCategory(str, Enum):
@@ -66,118 +61,50 @@ class EnergyBreakdown:
             + self.get(EnergyCategory.HASH)
         )
 
-    def merged_with(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        """Return a new breakdown containing the sum of both."""
-        merged = EnergyBreakdown(dict(self.joules))
-        for category, amount in other.joules.items():
-            merged.add(category, amount)
-        return merged
-
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view keyed by category value (for reports/tables)."""
         return {category.value: amount for category, amount in sorted(self.joules.items(), key=lambda kv: kv[0].value)}
 
 
-@dataclass
-class EnergyEvent:
-    """A single charge recorded by a meter (kept only when tracing)."""
-
-    time: float
-    category: EnergyCategory
-    joules: float
-    detail: str
-
-
 class EnergyMeter:
-    """Energy meter attached to one simulated node.
+    """Energy meter attached to one simulated node: a counter per category.
+
+    Callers charge by category (``meter.charge(EnergyCategory.SIGN, j)``);
+    the meter keeps totals only, never a log of individual charges.
 
     Args:
         node_id: Owner of the meter.
         sleep_power_w: Baseline draw while idle; the paper measured 0.3 mW
             in sleep and ~1 mW while running SMR.  Sleep energy is charged
-            explicitly via :meth:`charge_sleep` by the experiment runner so
-            per-protocol numbers can include or exclude it, mirroring the
-            paper's subtraction of the sleep baseline.
-        trace: Keep a list of every individual charge (memory heavy; used
-            by unit tests and debugging only).
+            explicitly via :meth:`charge_sleep` when a session finishes
+            (``DeploymentSpec.charge_sleep``) so per-protocol numbers can
+            include or exclude it, mirroring the paper's subtraction of the
+            sleep baseline.
     """
 
-    def __init__(
-        self,
-        node_id: int,
-        sleep_power_w: float = 0.0003,
-        trace: bool = False,
-    ) -> None:
+    def __init__(self, node_id: int, sleep_power_w: float = 0.0003) -> None:
         self.node_id = node_id
         self.sleep_power_w = sleep_power_w
         self.breakdown = EnergyBreakdown()
-        self.trace_enabled = trace
-        self.events: list[EnergyEvent] = []
-        self._marks: Dict[str, float] = {}
 
     # -------------------------------------------------------------- charging
-    def charge(
-        self,
-        category: EnergyCategory,
-        joules: float,
-        time: float = 0.0,
-        detail: Detail = "",
-    ) -> None:
+    def charge(self, category: EnergyCategory, joules: float) -> None:
         """Charge ``joules`` to ``category``.
 
         Negative charges are rejected: refunds would let a buggy protocol
         hide energy, and nothing in the paper's model ever returns energy.
-
-        ``detail`` may be a lazy thunk; it is only evaluated when this
-        meter keeps a trace, so hot paths can annotate charges without
-        allocating strings on untraced runs.
         """
         if joules < 0:
             raise ValueError(f"cannot charge negative energy: {joules}")
         # EnergyBreakdown.add, inlined: two charges per reception land here.
         totals = self.breakdown.joules
         totals[category] = totals.get(category, 0.0) + joules
-        if self.trace_enabled:
-            if callable(detail):
-                detail = detail()
-            self.events.append(EnergyEvent(time, category, joules, detail))
 
-    def charge_transmit(self, joules: float, time: float = 0.0, detail: Detail = "") -> None:
-        """Charge radio transmission energy."""
-        self.charge(EnergyCategory.TRANSMIT, joules, time, detail)
-
-    def charge_receive(self, joules: float, time: float = 0.0, detail: Detail = "") -> None:
-        """Charge radio reception energy."""
-        self.charge(EnergyCategory.RECEIVE, joules, time, detail)
-
-    def charge_sign(self, joules: float, time: float = 0.0, detail: Detail = "") -> None:
-        """Charge a signing operation."""
-        self.charge(EnergyCategory.SIGN, joules, time, detail)
-
-    def charge_verify(self, joules: float, time: float = 0.0, detail: Detail = "") -> None:
-        """Charge a verification operation."""
-        self.charge(EnergyCategory.VERIFY, joules, time, detail)
-
-    def charge_hash(self, joules: float, time: float = 0.0, detail: Detail = "") -> None:
-        """Charge a hash computation."""
-        self.charge(EnergyCategory.HASH, joules, time, detail)
-
-    def charge_sleep(self, duration_s: float, time: float = 0.0) -> None:
+    def charge_sleep(self, duration_s: float) -> None:
         """Charge the idle baseline for ``duration_s`` seconds of virtual time."""
         if duration_s < 0:
             raise ValueError("duration cannot be negative")
-        self.charge(EnergyCategory.SLEEP, self.sleep_power_w * duration_s, time, "sleep")
-
-    # ----------------------------------------------------------------- marks
-    def mark(self, label: str) -> None:
-        """Remember the current total so a later interval can be measured."""
-        self._marks[label] = self.breakdown.total
-
-    def since_mark(self, label: str) -> float:
-        """Joules spent since :meth:`mark` was called with ``label``."""
-        if label not in self._marks:
-            raise KeyError(f"no mark named {label!r}")
-        return self.breakdown.total - self._marks[label]
+        self.charge(EnergyCategory.SLEEP, self.sleep_power_w * duration_s)
 
     # --------------------------------------------------------------- queries
     @property
@@ -197,8 +124,6 @@ class EnergyMeter:
     def reset(self) -> None:
         """Zero the meter (used between benchmark repetitions)."""
         self.breakdown = EnergyBreakdown()
-        self.events.clear()
-        self._marks.clear()
 
 
 def total_energy(meters: Iterable[EnergyMeter], exclude: Optional[set[int]] = None) -> float:

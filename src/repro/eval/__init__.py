@@ -1,12 +1,12 @@
-"""Experiment harness: runner, workloads and per-figure experiments.
+"""Experiment harness: deployment spec, workloads and per-figure experiments.
 
 :mod:`repro.eval.experiments` is a submodule, not an eager import: every
-run imports this package for the runner, and only the table/figure
-commands need the experiments.  ``from repro.eval import experiments``
+run imports this package for the spec and result types, and only the
+table/figure commands need the experiments.  ``from repro.eval import experiments``
 loads it on demand.
 """
 
-from repro.eval.runner import DeploymentSpec, ProtocolRunner, RunResult, run_protocol
+from repro.eval.runner import DeploymentSpec, RunResult, run_protocol
 from repro.eval.workloads import (
     generate_commands,
     commands_for_run,
@@ -18,7 +18,6 @@ from repro.eval.tables import format_table, format_series
 
 __all__ = [
     "DeploymentSpec",
-    "ProtocolRunner",
     "RunResult",
     "run_protocol",
     "generate_commands",

@@ -27,12 +27,12 @@ Section 5.7    :func:`headline_ratios`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.adversary import FaultPlan
 from repro.crypto.energy_costs import SIGNATURE_ENERGY_TABLE
 from repro.energy.feasibility import FeasibleRegion, feasible_region
-from repro.eval.runner import DeploymentSpec, ProtocolRunner, RunResult
+from repro.eval.runner import DeploymentSpec, RunResult, run_protocol
 from repro.radio.ble import BleAdvertisementKCast
 from repro.radio.gatt import BleGattUnicast
 from repro.radio.media import TABLE1_MEDIA_ENERGY_MJ
@@ -113,7 +113,6 @@ def table3_complexity(
     as the growth of the measured per-block counts between the two system
     sizes.
     """
-    runner = ProtocolRunner()
     rows: List[ComplexityRow] = []
     for protocol in ("eesmr", "sync-hotstuff", "optsync"):
         for n, f in system_sizes:
@@ -125,7 +124,7 @@ def table3_complexity(
                 target_height=blocks,
                 seed=seed,
             )
-            result = runner.run(spec)
+            result = run_protocol(spec)
             committed = max(1, result.committed_blocks)
             rows.append(
                 ComplexityRow(
@@ -277,7 +276,7 @@ def _steady_state_point(
         command_payload_bytes=payload,
         seed=seed,
     )
-    result = ProtocolRunner().run(spec)
+    result = run_protocol(spec)
     return SteadyStatePoint(
         n=n,
         k=k,
@@ -353,7 +352,7 @@ def _view_change_point(
         seed=seed,
         fault_plan=fault_plan,
     )
-    result = ProtocolRunner().run(spec)
+    result = run_protocol(spec)
     new_leader = result.config.leader_of(2)
     leader_mj = result.energy.per_node_joules.get(new_leader, 0.0) * 1000
     correct = [
@@ -425,7 +424,6 @@ def fig2f_total_energy_vs_n(
     seed: int = 24,
 ) -> List[TotalEnergyPoint]:
     """Total correct-node energy per SMR vs n for EESMR and Sync HotStuff (Fig. 2f)."""
-    runner = ProtocolRunner()
     points: List[TotalEnergyPoint] = []
     for protocol in ("eesmr", "sync-hotstuff"):
         for k in ks:
@@ -441,7 +439,7 @@ def fig2f_total_energy_vs_n(
                     target_height=blocks,
                     seed=seed,
                 )
-                result = runner.run(spec)
+                result = run_protocol(spec)
                 points.append(
                     TotalEnergyPoint(
                         protocol=protocol,
@@ -474,7 +472,6 @@ def fig3_eesmr_vs_sync_hotstuff(
     seed: int = 25,
 ) -> List[Fig3Point]:
     """Leader energy to tolerate f faults: EESMR vs Sync HotStuff, honest and VC (Fig. 3)."""
-    runner = ProtocolRunner()
     points: List[Fig3Point] = []
     for f in fs:
         k = f + 1
@@ -482,7 +479,7 @@ def fig3_eesmr_vs_sync_hotstuff(
             honest_spec = DeploymentSpec(
                 protocol=protocol, n=n, f=f, k=k, target_height=blocks, seed=seed
             )
-            honest = runner.run(honest_spec)
+            honest = run_protocol(honest_spec)
             points.append(
                 Fig3Point(
                     protocol=protocol,
@@ -506,7 +503,7 @@ def fig3_eesmr_vs_sync_hotstuff(
                 seed=seed,
                 fault_plan=fault_plan,
             )
-            vc = runner.run(vc_spec)
+            vc = run_protocol(vc_spec)
             new_leader = vc.config.leader_of(2)
             points.append(
                 Fig3Point(
@@ -543,14 +540,13 @@ def headline_ratios(
     EESMR when the leader is correct, and EESMR costing ~2x more than
     Sync HotStuff during a view change.
     """
-    runner = ProtocolRunner()
-    eesmr_honest = runner.run(
+    eesmr_honest = run_protocol(
         DeploymentSpec(protocol="eesmr", n=n, f=f, k=k, target_height=blocks, seed=seed)
     )
-    shs_honest = runner.run(
+    shs_honest = run_protocol(
         DeploymentSpec(protocol="sync-hotstuff", n=n, f=f, k=k, target_height=blocks, seed=seed)
     )
-    eesmr_vc = runner.run(
+    eesmr_vc = run_protocol(
         DeploymentSpec(
             protocol="eesmr",
             n=n,
@@ -561,7 +557,7 @@ def headline_ratios(
             fault_plan=FaultPlan(faulty=(0,), behaviour="silent_leader", trigger_round=3),
         )
     )
-    shs_vc = runner.run(
+    shs_vc = run_protocol(
         DeploymentSpec(
             protocol="sync-hotstuff",
             n=n,

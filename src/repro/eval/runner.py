@@ -1,14 +1,14 @@
-"""Experiment runner: build a deployment, run it, collect metrics.
+"""The deployment description, its result, and the one-call way to run it.
 
-The runner is the reproduction's equivalent of the paper's test-bed
-harness.  Since the session redesign it is a thin shim: given a
-:class:`DeploymentSpec` it builds a :class:`~repro.session.session.Session`
-through the staged :class:`~repro.session.builder.SessionBuilder`
-pipeline, drives it to quiescence, and returns the collected
-:class:`RunResult` — byte-identical to the original one-shot runner
-(pinned by the golden trace fingerprints).  Callers that need mid-run
-control (stepping, pause/inspect/resume, observers, adaptive faults) use
-the session API directly.
+:class:`DeploymentSpec` is the reproduction's equivalent of the paper's
+test-bed configuration: everything needed to reproduce one protocol run,
+serialisable through :meth:`~DeploymentSpec.to_dict`.  :class:`RunResult`
+holds the metrics a finished run collected.  Running a spec goes through
+one door — :class:`~repro.session.builder.SessionBuilder` /
+:meth:`Session.from_spec <repro.session.session.Session.from_spec>` —
+and :func:`run_protocol` is sugar for the common case: build, run to
+quiescence, collect.  Callers that need mid-run control (stepping,
+pause/inspect/resume, adaptive faults) keep the session instead.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.core.adversary import FaultPlan
 from repro.core.config import ProtocolConfig
 from repro.core.ledger import SafetyReport
 from repro.energy.ledger import EnergyReport
-from repro.net.hypergraph import Hypergraph
 from repro.net.network import NetworkStats
 
 #: Names accepted by DeploymentSpec.protocol.
@@ -79,6 +78,9 @@ class DeploymentSpec:
     #: :meth:`ImpairmentSpec.describe` / ``impairment_from_dict``.
     impairment: Optional[Any] = None
     seed: int = 0
+    #: Charge every correct node's idle baseline over the run's virtual time
+    #: when the session finishes (the paper subtracts it; off by default).
+    #: Schema-visible: corpus entries and spec fingerprints pin the field.
     charge_sleep: bool = False
     jitter: bool = True
 
@@ -216,7 +218,7 @@ class RunResult:
     verify_operations: int
     replica_snapshots: Dict[int, dict]
     #: Structured per-run trace (``repro.testkit.trace.RunTrace``) when the
-    #: runner was built with a recorder; ``None`` otherwise.
+    #: session was built with a recorder; ``None`` otherwise.
     trace: Optional[Any] = None
     #: Commands dropped by bounded txpools (overflow verdicts), summed over
     #: all replicas.  Zero for unbounded (seed-behaviour) pools.
@@ -271,57 +273,13 @@ class RunResult:
         return self.energy.mean_replica_joules * 1000.0 / blocks
 
 
-class ProtocolRunner:
-    """Builds and executes deployments described by :class:`DeploymentSpec`.
+def run_protocol(spec: DeploymentSpec, **builder_kwargs) -> RunResult:
+    """Run ``spec`` to quiescence and collect its metrics.
 
-    A thin shim over the session API: every run is
-    ``SessionBuilder(spec).build().run_to_quiescence().finish()``.
-
-    Args:
-        max_events: Safety valve against livelocked protocols.
-        recorder: Optional ``repro.testkit.trace.TraceRecorder``; when given,
-            the simulator's event trace is enabled and every run's
-            :class:`RunResult` carries a structured ``trace``.
+    ``builder_kwargs`` are :class:`~repro.session.builder.SessionBuilder`'s
+    (``max_events``, ``observers``, ``recorder``).
     """
+    # Imported here: the session layer imports this module's value types.
+    from repro.session.session import Session
 
-    def __init__(self, max_events: int = 2_000_000, recorder: Optional[Any] = None) -> None:
-        self.max_events = max_events
-        self.recorder = recorder
-
-    # --------------------------------------------------------------- radios
-    def build_radios(self, spec: DeploymentSpec):
-        """The (k-cast, unicast) radio pair for the spec's medium."""
-        from repro.session.builder import build_radios
-
-        return build_radios(spec)
-
-    # ------------------------------------------------------------ topology
-    def build_topology(self, spec: DeploymentSpec) -> Hypergraph:
-        """The hypergraph for a spec (ring k-cast by default, as in the paper)."""
-        from repro.session.builder import build_topology
-
-        return build_topology(spec)
-
-    def compute_delta(self, spec: DeploymentSpec, topology: Hypergraph) -> float:
-        """A Δ that upper-bounds flooded delivery plus a unicast response."""
-        from repro.session.builder import compute_delta
-
-        return compute_delta(spec, topology)
-
-    # --------------------------------------------------------------- running
-    def session(self, spec: DeploymentSpec, **builder_kwargs):
-        """An unstarted :class:`~repro.session.session.Session` for ``spec``."""
-        from repro.session.builder import SessionBuilder
-
-        builder_kwargs.setdefault("max_events", self.max_events)
-        builder_kwargs.setdefault("recorder", self.recorder)
-        return SessionBuilder(spec, **builder_kwargs).build()
-
-    def run(self, spec: DeploymentSpec) -> RunResult:
-        """Execute one deployment to quiescence and collect its metrics."""
-        return self.session(spec).run_to_quiescence().finish()
-
-
-def run_protocol(spec: DeploymentSpec) -> RunResult:
-    """Convenience one-shot runner (a thin shim over a session)."""
-    return ProtocolRunner().run(spec)
+    return Session.from_spec(spec, **builder_kwargs).run().finish()

@@ -26,12 +26,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.ledger import SafetyViolation
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
-from repro.testkit.invariants import DEFAULT_INVARIANTS, Evidence, InvariantReport
-from repro.testkit.trace import TraceRecorder
+from repro.eval.runner import DeploymentSpec
+from repro.testkit.invariants import InvariantReport, judge_reports
 
 #: Corpus entry schema version (bump on incompatible changes).
 CORPUS_FORMAT = 1
@@ -142,24 +140,17 @@ class Corpus:
 
 
 def replay_entry(
-    entry: CorpusEntry, *, invariants: Sequence = DEFAULT_INVARIANTS, max_events: int = 2_000_000
+    entry: CorpusEntry, *, max_events: int = 2_000_000
 ) -> Tuple[List[InvariantReport], List[InvariantReport]]:
     """Replay one corpus entry; returns (all reports, failing reports).
 
     The caller asserts the direction: for ``expect == "clean"`` the
     failing list must be empty; for ``expect == "violation"`` it must not
     (and should still contain the recorded (protocol, invariant) pairs).
+    A run that crashes replays as its one failing report, exactly as the
+    detector recorded it (:func:`~repro.testkit.invariants.judge_reports`).
     """
-    spec = entry.build_spec()
-    label = f"corpus:{entry.entry_id}"
-    runner = ProtocolRunner(max_events=max_events, recorder=TraceRecorder())
-    try:
-        result = runner.run(spec)
-    except SafetyViolation as violation:
-        # A replica refused a conflicting commit mid-run — the same early
-        # agreement failure the detector maps onto a violation report.
-        report = InvariantReport("agreement", False, f"[agreement @ {label}] {violation}")
-        return [report], [report]
-    evidence = Evidence(spec=spec, result=result, trace=result.trace, label=label)
-    reports = [invariant.run(evidence) for invariant in invariants]
+    reports = judge_reports(
+        entry.build_spec(), label=f"corpus:{entry.entry_id}", max_events=max_events
+    )
     return reports, [report for report in reports if not report.ok]

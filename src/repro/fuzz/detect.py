@@ -2,9 +2,9 @@
 
 The :class:`Detector` is the middle of the fuzzing loop: given a
 :class:`~repro.testkit.faults.FaultSchedule` it runs one session per
-protocol (the same :class:`~repro.session.builder.SessionBuilder` front
-door every other surface uses) and evaluates the full invariant battery
-against the evidence, folding the verdicts into a :class:`Detection`.
+protocol through :func:`repro.testkit.invariants.judge_reports` — the same
+run-and-check function the scenario matrix and the corpus replay use —
+and folds the failing reports into a :class:`Detection`.
 
 Two detector properties matter for fuzzing:
 
@@ -24,21 +24,14 @@ Two detector properties matter for fuzzing:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
-from repro.core.ledger import SafetyViolation
 from repro.eval.runner import DeploymentSpec
 from repro.fuzz.generator import FuzzConfig
 from repro.session.builder import SessionBuilder
-from repro.sim.scheduler import SimulationError
 from repro.testkit.faults import FaultSchedule, schedule_from_dict
-from repro.testkit.invariants import (
-    DEFAULT_INVARIANTS,
-    Evidence,
-    InvariantReport,
-)
+from repro.testkit.invariants import InvariantReport, judge_reports
 from repro.testkit.scenarios import schedule_feasibility
-from repro.testkit.trace import TraceRecorder
 
 
 @dataclass
@@ -108,7 +101,6 @@ class Detector:
             :class:`SessionBuilder` subclass that substitutes mutated
             replica classes or network behaviour — the fuzzer then has
             something real to find.
-        invariants: Invariant battery (defaults to the standard five).
         max_events: Per-run event budget; exceeding it is reported as a
             ``no-livelock`` violation instead of raising.
     """
@@ -117,13 +109,11 @@ class Detector:
         self,
         config: FuzzConfig,
         *,
-        builder_factory: Optional[Callable[..., SessionBuilder]] = None,
-        invariants: Optional[Sequence] = None,
+        builder_factory: Callable[..., SessionBuilder] = SessionBuilder,
         max_events: int = 2_000_000,
     ) -> None:
         self.config = config
-        self.builder_factory = builder_factory or SessionBuilder
-        self.invariants = tuple(invariants if invariants is not None else DEFAULT_INVARIANTS)
+        self.builder_factory = builder_factory
         self.max_events = max_events
         #: Protocol runs executed since construction (shrink-cost metric).
         self.runs = 0
@@ -151,35 +141,12 @@ class Detector:
 
     def _run_one(self, spec: DeploymentSpec, protocol: str) -> ProtocolVerdict:
         self.runs += 1
-        builder = self.builder_factory(
-            spec, max_events=self.max_events, recorder=TraceRecorder()
+        reports = judge_reports(
+            spec,
+            label=f"fuzz:{protocol}",
+            builder=self.builder_factory,
+            max_events=self.max_events,
         )
-        label = f"fuzz:{protocol}"
-        try:
-            result = builder.build().run_to_quiescence().finish()
-        except SafetyViolation as violation:
-            # A replica refused to commit over its own log mid-run: that IS
-            # an agreement failure, observed earlier than the post-run
-            # checker would see it.
-            return ProtocolVerdict(
-                protocol,
-                violations=[
-                    InvariantReport(
-                        "agreement", False, f"[agreement @ {label}] {violation}"
-                    )
-                ],
-            )
-        except SimulationError as error:
-            return ProtocolVerdict(
-                protocol,
-                violations=[
-                    InvariantReport(
-                        "no-livelock", False, f"[no-livelock @ {label}] {error}"
-                    )
-                ],
-            )
-        evidence = Evidence(spec=spec, result=result, trace=result.trace, label=label)
-        reports = [invariant.run(evidence) for invariant in self.invariants]
         return ProtocolVerdict(
             protocol, violations=[report for report in reports if not report.ok]
         )

@@ -76,17 +76,13 @@ class Fuzzer:
         self,
         config: Optional[FuzzConfig] = None,
         seed: int = 0,
-        *,
-        detector: Optional[Detector] = None,
-        generator: Optional[ScheduleGenerator] = None,
-        shrinker: Optional[Shrinker] = None,
         **detector_kwargs,
     ) -> None:
         self.config = config or FuzzConfig()
         self.seed = seed
-        self.generator = generator or ScheduleGenerator(self.config, seed)
-        self.detector = detector or Detector(self.config, **detector_kwargs)
-        self.shrinker = shrinker or Shrinker(self.detector)
+        self.generator = ScheduleGenerator(self.config, seed)
+        self.detector = Detector(self.config, **detector_kwargs)
+        self.shrinker = Shrinker(self.detector)
 
     def run(self, iterations: int) -> FuzzReport:
         """Fuzz for ``iterations`` schedules; shrink every failure found."""

@@ -65,13 +65,11 @@ class Shrinker:
         detector: Anything with ``detect(schedule) -> Detection``; the
             property tests substitute a stub, the fuzzer passes the real
             :class:`~repro.fuzz.detect.Detector`.
-        min_window: Stop narrowing a window once it is this short.
         max_evaluations: Hard bound on candidate detections per shrink.
     """
 
-    def __init__(self, detector, *, min_window: float = TIME_QUANTUM, max_evaluations: int = 200) -> None:
+    def __init__(self, detector, *, max_evaluations: int = 200) -> None:
         self.detector = detector
-        self.min_window = min_window
         self.max_evaluations = max_evaluations
 
     # ----------------------------------------------------------------- public
@@ -134,9 +132,9 @@ class Shrinker:
             return False
         start, end = window
         duration = end - start
-        if duration <= self.min_window + 1e-12:
+        if duration <= TIME_QUANTUM + 1e-12:
             return False
-        half = max(self.min_window, _snap(duration / 2.0))
+        half = max(TIME_QUANTUM, _snap(duration / 2.0))
         if half >= duration:
             return False
         # Keep the late half first (most faults bite after dissemination

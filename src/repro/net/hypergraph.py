@@ -159,16 +159,6 @@ class Hypergraph:
         return len(self.in_neighbors(node))
 
     @property
-    def min_d_out(self) -> int:
-        """Minimum out-degree over all nodes."""
-        return min((self.d_out(p) for p in self.nodes), default=0)
-
-    @property
-    def min_d_in(self) -> int:
-        """Minimum in-degree over all nodes."""
-        return min((self.d_in(p) for p in self.nodes), default=0)
-
-    @property
     def capital_d_out(self) -> int:
         """``D_out``: minimum number of outgoing hyper-edges over all nodes."""
         return min((len(self.out_edges(p)) for p in self.nodes), default=0)

@@ -17,7 +17,7 @@ It emulates the paper's CPS deployment:
 * deliveries respect bounded synchrony: with per-hop delay at most
   ``hop_delay`` the end-to-end delay after flooding is bounded by
   ``diameter * hop_delay``, and experiments choose the protocol Δ above
-  that bound (see :meth:`SimulatedNetwork.recommended_delta`);
+  that bound (see :func:`repro.session.builder.compute_delta`);
 * Byzantine nodes may silently refuse to relay (their relay policy is
   pluggable), which is exactly the partitioning threat the hypergraph fault
   bound (Appendix A) protects against.
@@ -69,8 +69,7 @@ class DisseminationPlan:
       inspect the message, so they cannot be folded into the plan);
     * the node's energy meter handle;
     * one record per outgoing hyper-edge: the radio cost object for this
-      plan's wire size, the partition-filtered sorted receiver tuple, and
-      the pre-rendered trace detail string.
+      plan's wire size and the partition-filtered sorted receiver tuple.
 
     Executing the plan touches O(1) precompiled state per hop instead of
     re-querying the topology index, relay-policy dict, partition set,
@@ -181,7 +180,6 @@ class SimulatedNetwork:
         unicast_radio: Optional[BleGattUnicast] = None,
         hop_delay: float = 1.0,
         jitter: bool = True,
-        charge_duplicate_receptions: bool = True,
     ) -> None:
         self.sim = sim
         self.hypergraph = hypergraph
@@ -196,7 +194,6 @@ class SimulatedNetwork:
         self.unicast_radio = unicast_radio or BleGattUnicast()
         self.hop_delay = hop_delay
         self.jitter = jitter
-        self.charge_duplicate_receptions = charge_duplicate_receptions
 
         self.processes: Dict[int, Process] = {}
         self.relay_policies: Dict[int, RelayPolicy] = {}
@@ -233,7 +230,7 @@ class SimulatedNetwork:
         # Unbalanced reconnect() calls (no isolation active).  Kept out of
         # ``NetworkStats`` deliberately: the trace recorder fingerprints
         # that dataclass field-for-field and golden traces predate this
-        # counter.  Exposed via :meth:`recovery_metrics`.
+        # counter.
         self.unbalanced_reconnects = 0
         self._warned_unbalanced_reconnect = False
         # Wire-level impairment (off by default: ``None`` keeps the delivery
@@ -331,11 +328,10 @@ class SimulatedNetwork:
         """Undo one :meth:`isolate`; the node rejoins at depth zero.
 
         Reconnecting a node that is not isolated leaves the partition
-        state untouched, but it is *counted* (``unbalanced_reconnects``,
-        surfaced via :meth:`recovery_metrics`) and warned about once per
-        network: a silent no-op is exactly how the pre-refcount
-        fault-composition bugs hid, and an unbalanced call almost always
-        means a fault schedule healed a window it never opened.
+        state untouched, but it is *counted* (``unbalanced_reconnects``)
+        and warned about once per network: a silent no-op is exactly how
+        the pre-refcount fault-composition bugs hid, and an unbalanced call
+        almost always means a fault schedule healed a window it never opened.
         """
         depth = self._partition.get(pid, 0)
         if depth == 0:
@@ -362,10 +358,6 @@ class SimulatedNetwork:
     def is_partitioned(self, pid: int) -> bool:
         """Whether ``pid`` is currently cut off by at least one open window."""
         return pid in self._partition
-
-    def recovery_metrics(self) -> Dict[str, int]:
-        """Net-layer counters surfaced to the recovery subsystem."""
-        return {"unbalanced_reconnects": self.unbalanced_reconnects}
 
     # ----------------------------------------------------------- impairment
     def configure_impairment(self, spec: Optional[ImpairmentSpec]) -> ImpairmentModel:
@@ -416,13 +408,6 @@ class SimulatedNetwork:
             self.fault_observer(pid, f"impair-{kind}", False, self.sim.now)
         self.invalidate_plans()
 
-    def impairment_metrics(self) -> Optional[Dict[str, int]]:
-        """Aggregate impairment/retransmission counters, or ``None`` when
-        the wire has never been impaired."""
-        if self.impairment is None:
-            return None
-        return self.impairment.stats_dict()
-
     def invalidate_plans(self) -> None:
         """Invalidate every compiled dissemination plan.
 
@@ -442,11 +427,6 @@ class SimulatedNetwork:
         if not self.jitter:
             return self.hop_delay
         return self.hop_delay * self.rng.uniform(0.5, 1.0)
-
-    def recommended_delta(self, safety_factor: float = 2.0) -> float:
-        """A Δ that upper-bounds flooding delivery time on this topology."""
-        diameter = self.hypergraph.diameter()
-        return max(1, diameter) * self.hop_delay * safety_factor
 
     # ------------------------------------------------------------ broadcast
     def broadcast(self, origin: int, message: Any) -> int:
@@ -516,12 +496,11 @@ class SimulatedNetwork:
                 relays = None  # message-dependent: consult at flood time
             edges = []
             for edge in self.hypergraph.out_edges(node):
-                k = edge.degree
-                cost = self._kcast_cost(size, k)
+                cost = self._kcast_cost(size, edge.degree)
                 receivers = tuple(
                     r for r in edge.receivers_sorted if r not in partition
                 )
-                edges.append((cost, receivers, f"kcast k={k} {size}B"))
+                edges.append((cost, receivers))
             nodes[node] = (relays, policy, self._meter(node), tuple(edges))
         return DisseminationPlan(state_epoch, topology_version, size, nodes)
 
@@ -555,18 +534,16 @@ class SimulatedNetwork:
             return
         size = plan.size
         sim = self.sim
-        now = sim.now
-        tracing = meter.trace_enabled
         stats = self.stats
         # The impairment gate is a pure read: one evaluation covers every
         # reception this relay schedules.
         imp = self.impairment
-        impaired = imp is not None and imp.engaged(now)
+        impaired = imp is not None and imp.engaged(sim.now)
         labelled = sim.trace_enabled
         schedule = sim.schedule
         arrive = self._arrive
-        for cost, receivers, detail in edges:
-            meter.charge(_TRANSMIT, cost.sender_energy_j, now, detail if tracing else "")
+        for cost, receivers in edges:
+            meter.charge(_TRANSMIT, cost.sender_energy_j)
             stats.record_transmission(node, size)
             latency = self._hop_latency()
             for receiver in receivers:
@@ -578,7 +555,7 @@ class SimulatedNetwork:
                 # _schedule_arrival's flood branch, inline: the per-reception hot path.
                 flood.in_flight += 1
                 label = f"net:flood{flood.flood_id}->{receiver}" if labelled else "net:flood"
-                schedule(latency, arrive, 0, label, (flood, node, receiver, cost, plan))
+                schedule(latency, arrive, 0, label, (flood, receiver, cost, plan))
 
     def _release(self, flood: Optional[Flood]) -> None:
         """Drop one in-flight reference on ``flood``; it is retired at zero.
@@ -614,13 +591,9 @@ class SimulatedNetwork:
 
     def _transmit_edge(self, flood: Flood, edge: HyperEdge, size: int) -> None:
         """One-hop k-cast: the receptions carry no plan, so nobody forwards."""
-        k = edge.degree
         sender = edge.sender
-        cost = self._kcast_cost(size, k)
-        now = self.sim.now
-        sender_meter = self._meter(sender)
-        detail = f"kcast k={k} {size}B" if sender_meter.trace_enabled else ""
-        sender_meter.charge(_TRANSMIT, cost.sender_energy_j, now, detail)
+        cost = self._kcast_cost(size, edge.degree)
+        self._meter(sender).charge(_TRANSMIT, cost.sender_energy_j)
         self.stats.record_transmission(sender, size)
         latency = self._hop_latency()
         for receiver in edge.receivers_sorted:
@@ -670,25 +643,18 @@ class SimulatedNetwork:
             return
         flood.in_flight += 1
         label = f"net:flood{flood.flood_id}->{receiver}" if labelled else "net:flood"
-        self.sim.schedule(
-            latency, self._arrive, 0, label, (flood, hop_sender, receiver, cost, plan)
-        )
+        self.sim.schedule(latency, self._arrive, 0, label, (flood, receiver, cost, plan))
 
     def _arrive(
-        self,
-        flood: Flood,
-        hop_sender: int,
-        receiver: int,
-        cost,
-        plan: Optional[DisseminationPlan],
+        self, flood: Flood, receiver: int, cost, plan: Optional[DisseminationPlan]
     ) -> None:
-        """A flood reception fires: charge the radio, deliver once, relay on."""
-        fresh = receiver not in flood.delivered
-        if fresh or self.charge_duplicate_receptions:
-            meter = self._meter(receiver)
-            detail = f"kcast from {hop_sender}" if meter.trace_enabled else ""
-            meter.charge(_RECEIVE, cost.per_receiver_energy_j, self.sim.now, detail)
-        if fresh:
+        """A flood reception fires: charge the radio, deliver once, relay on.
+
+        Duplicates are charged too: the radio does not know the payload is
+        old until it has received it.
+        """
+        self._meter(receiver).charge(_RECEIVE, cost.per_receiver_energy_j)
+        if receiver not in flood.delivered:
             self._deliver(flood, receiver)
             if plan is not None:  # one-hop multicasts carry no plan
                 self._plan_relay(plan, flood, receiver)
@@ -706,9 +672,7 @@ class SimulatedNetwork:
         process.deliver(flood.origin, flood.message)
 
     def _arrive_unicast(self, src: int, dst: int, message: Any, cost) -> None:
-        meter = self._meter(dst)
-        detail = f"unicast from {src}" if meter.trace_enabled else ""
-        meter.charge(_RECEIVE, cost.receiver_energy_j, self.sim.now, detail)
+        self._meter(dst).charge(_RECEIVE, cost.receiver_energy_j)
         process = self.processes.get(dst)
         if process is not None:
             self.stats.deliveries += 1
@@ -820,9 +784,7 @@ class SimulatedNetwork:
             return
         imp = self.impairment
         now = self.sim.now
-        meter = self._meter(hop_sender)
-        detail = f"retransmit->{receiver} {size}B" if meter.trace_enabled else ""
-        meter.charge(_TRANSMIT, cost.sender_energy_j, now, detail)
+        self._meter(hop_sender).charge(_TRANSMIT, cost.sender_energy_j)
         self.stats.record_transmission(hop_sender, size)
         imp.note_retransmit(receiver)
         observer = self.retransmit_observer
@@ -870,15 +832,8 @@ class SimulatedNetwork:
         a loss is suspected), so the baseline energy model is unchanged.
         """
         cost = self._ack_cost()
-        now = self.sim.now
-        receiver_meter = self._meter(receiver)
-        tracing = receiver_meter.trace_enabled
-        receiver_meter.charge(
-            _TRANSMIT, cost.sender_energy_j, now, f"ack->{hop_sender}" if tracing else ""
-        )
-        self._meter(hop_sender).charge(
-            _RECEIVE, cost.receiver_energy_j, now, f"ack from {receiver}" if tracing else ""
-        )
+        self._meter(receiver).charge(_TRANSMIT, cost.sender_energy_j)
+        self._meter(hop_sender).charge(_RECEIVE, cost.receiver_energy_j)
         self.stats.record_transmission(receiver, ACK_WIRE_BYTES)
 
     # -------------------------------------------------------------- unicast
@@ -897,9 +852,7 @@ class SimulatedNetwork:
             return
         size = default_wire_size(message)
         cost = self.unicast_radio.transmission_cost(size)
-        src_meter = self._meter(src)
-        detail = f"unicast->{dst} {size}B" if src_meter.trace_enabled else ""
-        src_meter.charge(_TRANSMIT, cost.sender_energy_j, self.sim.now, detail)
+        self._meter(src).charge(_TRANSMIT, cost.sender_energy_j)
         self.stats.unicasts += 1
         self.stats.record_transmission(src, size)
         self._schedule_reception(None, src, dst, message, cost, self._hop_latency(), size, None)
@@ -908,12 +861,3 @@ class SimulatedNetwork:
     def _require_registered(self, pid: int) -> None:
         if pid not in self.processes:
             raise ValueError(f"process {pid} is not registered with the network")
-
-    # -------------------------------------------------------------- queries
-    def transmissions_by(self, pid: int) -> int:
-        """Physical transmissions performed by ``pid``."""
-        return self.stats.per_node_transmissions.get(pid, 0)
-
-    def bytes_sent_by(self, pid: int) -> int:
-        """Physical bytes transmitted by ``pid``."""
-        return self.stats.per_node_bytes.get(pid, 0)

@@ -1,9 +1,10 @@
 """repro.session: the one front door for building and driving experiments.
 
-Every surface — the CLI, the scenario matrix, the perf benchmarks, the
-examples and ``run_protocol`` itself — builds deployments through the
-:class:`SessionBuilder` staged pipeline and drives them through a
-:class:`Session`:
+Every surface — the CLI, the scenario matrix, the fuzzer and corpus
+replay, the ``bench/`` ledger, the examples and ``run_protocol`` itself —
+builds deployments through the :class:`SessionBuilder` staged pipeline and
+drives them through a :class:`Session`; there is no other way to run a
+:class:`~repro.eval.runner.DeploymentSpec`:
 
 * **staged construction** — topology → medium/radios → crypto → replicas
   → workload → faults → observers, each stage an overridable method

@@ -184,10 +184,6 @@ class Session:
                 raise SimulationError(f"exceeded max_events={budget}; likely a livelock")
         return executed
 
-    def run_for(self, duration: float, **kwargs) -> int:
-        """Run for ``duration`` units of virtual time from now."""
-        return self.run_until(self.sim.now + duration, **kwargs)
-
     def run_to_quiescence(self) -> "Session":
         """Drive the run to completion, interleaving fault controllers.
 
@@ -282,7 +278,7 @@ class Session:
         if spec.charge_sleep:
             for pid, meter in ledger.meters.items():
                 if pid not in faulty:
-                    meter.charge_sleep(sim.now, sim.now)
+                    meter.charge_sleep(sim.now)
         leader = config.leader_of(1)
         energy = ledger.report(leader=leader, faulty=faulty)
         logs = {pid: replica.log for pid, replica in replicas.items()}

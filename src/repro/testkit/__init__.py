@@ -47,6 +47,8 @@ from repro.testkit.invariants import (
     QuorumCertificateInvariant,
     assert_all,
     check_all,
+    judge,
+    judge_reports,
 )
 from repro.testkit.scenarios import (
     ALL_FAULTS,
@@ -59,8 +61,6 @@ from repro.testkit.scenarios import (
     ScenarioCell,
     ScenarioMatrix,
     SkippedCell,
-    run_default_matrix,
-    run_full_matrix,
 )
 from repro.testkit.trace import QCRecord, RunTrace, TraceRecorder, spec_fingerprint
 
@@ -101,10 +101,10 @@ __all__ = [
     "crash_at",
     "drop_window",
     "equivocate_at",
+    "judge",
+    "judge_reports",
     "no_faults",
     "partition",
-    "run_default_matrix",
-    "run_full_matrix",
     "silent",
     "spec_fingerprint",
     "stall_at",

@@ -22,8 +22,8 @@ A :class:`FaultSchedule` is an immutable composition of fault atoms:
 ``(p, t0, t1)``        then reboots with committed state intact
 =====================  =====================================================
 
-The schedule plugs into :class:`repro.eval.runner.ProtocolRunner` through
-three hooks:
+The schedule plugs into :class:`repro.session.builder.SessionBuilder`
+through three hooks:
 
 * :meth:`FaultSchedule.replica_behaviour` — the Byzantine replica class to
   substitute for a node (EESMR runs real adversary subclasses);
@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Tuple
 
-from repro.core.adversary import FaultPlan
 from repro.core.types import Round
 
 #: How long after a heal/restart a recovering node stays liveness-exempt.
@@ -185,6 +184,8 @@ class StallAt(ByzantineFault):
 
     round: Round = 3
     #: When baseline protocols (which model this as fail-stop) crash the node.
+    #: Nothing sets it away from 1.0 today, but it is schema-visible:
+    #: :meth:`describe` writes it into corpus entries and spec fingerprints.
     baseline_failstop: float = 1.0
 
     def behaviour(self) -> Optional[Tuple[str, dict]]:
@@ -199,6 +200,7 @@ class EquivocateAt(ByzantineFault):
     """An equivocating leader: two conflicting proposals at ``round``."""
 
     round: Round = 3
+    #: As :attr:`StallAt.baseline_failstop` (schema-visible, so it stays).
     baseline_failstop: float = 1.0
 
     def behaviour(self) -> Optional[Tuple[str, dict]]:
@@ -217,6 +219,25 @@ class SilentFrom(ByzantineFault):
 
     def failstop_time(self) -> Optional[float]:
         return 0.0
+
+
+def _check_window(kind: str, start, end, end_name: str = "end") -> None:
+    """Validate the bounds every timed window atom shares.
+
+    Type checks matter because these atoms are rebuilt from JSON (corpus
+    entries, ``--spec`` files): a bool, a string or a negative start must
+    be a ``ValueError`` here, not a traceback when the session is built.
+    """
+    for name, value in (("start", start), (end_name, end)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{kind} {name} must be a number, got {value!r}")
+    if start < 0:
+        raise ValueError(f"start time cannot be negative, got {start}")
+    if end <= start:
+        raise ValueError(
+            f"degenerate {kind} window [{start}, {end}): "
+            f"{end_name} must be strictly after start"
+        )
 
 
 @dataclass(frozen=True)
@@ -240,11 +261,7 @@ class RelayDropWindow(Fault):
     liveness_exempt: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ValueError(
-                f"degenerate drop window [{self.start}, {self.end}): "
-                "end must be strictly after start"
-            )
+        _check_window("drop", self.start, self.end)
 
     def impairment(self) -> Optional[Tuple[float, float]]:
         return (self.start, self.end)
@@ -290,11 +307,7 @@ class PartitionWindow(Fault):
     byzantine: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
-        if self.heal <= self.start:
-            raise ValueError(
-                f"degenerate partition window [{self.start}, {self.heal}): "
-                "heal must be strictly after start"
-            )
+        _check_window("partition", self.start, self.heal, "heal")
 
     def impairment(self) -> Optional[Tuple[float, float]]:
         return (self.start, self.heal)
@@ -345,19 +358,7 @@ class CrashRecoverWindow(Fault):
     byzantine: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
-        # Type checks matter because these atoms are rebuilt from JSON
-        # (corpus entries, ``--spec`` files) — see LeaderFollowingCrash.
-        for name in ("start", "heal"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"crash-recover {name} must be a number, got {value!r}")
-        if self.start < 0:
-            raise ValueError(f"start time cannot be negative, got {self.start}")
-        if self.heal <= self.start:
-            raise ValueError(
-                f"degenerate crash-recover window [{self.start}, {self.heal}): "
-                "heal must be strictly after start"
-            )
+        _check_window("crash-recover", self.start, self.heal, "heal")
 
     def impairment(self) -> Optional[Tuple[float, float]]:
         return (self.start, self.heal)
@@ -419,22 +420,12 @@ class _ImpairmentWindow(Fault):
     value_field: ClassVar[str] = ""
 
     def __post_init__(self) -> None:
-        # Type checks matter because these atoms are rebuilt from JSON
-        # (corpus entries, ``--spec`` files) — see CrashRecoverWindow.
-        for name in ("start", "end", self.value_field):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(
-                    f"{type(self).__name__} {name} must be a number, got {value!r}"
-                )
-        if self.start < 0:
-            raise ValueError(f"start time cannot be negative, got {self.start}")
-        if self.end <= self.start:
-            raise ValueError(
-                f"degenerate impairment window [{self.start}, {self.end}): "
-                "end must be strictly after start"
-            )
+        _check_window("impairment", self.start, self.end)
         value = getattr(self, self.value_field)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(
+                f"{type(self).__name__} {self.value_field} must be a number, got {value!r}"
+            )
         if not 0.0 < value <= 1.0:
             raise ValueError(
                 f"{type(self).__name__} {self.value_field} must be in (0, 1], got {value}"
@@ -774,20 +765,6 @@ class FaultSchedule:
             fault.install(sim, network, replicas)
 
     # -------------------------------------------------------------- reporting
-    def to_fault_plan(self) -> FaultPlan:
-        """A best-effort legacy view (first Byzantine behaviour wins)."""
-        for fault in self.faults:
-            b = fault.behaviour()
-            if b is not None:
-                name, kwargs = b
-                return FaultPlan(
-                    faulty=self.byzantine_nodes(),
-                    behaviour=name,
-                    trigger_round=kwargs.get("trigger_round", 3),
-                    crash_time=kwargs.get("crash_time", 0.0),
-                )
-        return FaultPlan(faulty=self.byzantine_nodes())
-
     def describe(self) -> list:
         """Canonical JSON-friendly description for fingerprints and reports."""
         return [f.describe() for f in self.faults]

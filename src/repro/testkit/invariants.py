@@ -22,13 +22,24 @@ Invariants consume :class:`Evidence` — a bundle of the deployment spec,
 the collected :class:`~repro.eval.runner.RunResult` and the structured
 :class:`~repro.testkit.trace.RunTrace` — and raise
 :class:`InvariantViolation` with a cell-identifying message on failure.
+
+:func:`judge` is the one run-and-check function: the scenario matrix, the
+fuzz detector and the corpus replay all run a spec under a
+:class:`~repro.testkit.trace.TraceRecorder` and map the battery over its
+evidence through it (:func:`judge_reports` for the callers that must
+survive a run that crashes).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
+
+from repro.core.ledger import SafetyViolation
+from repro.session.builder import SessionBuilder
+from repro.sim.scheduler import SimulationError
+from repro.testkit.trace import TraceRecorder
 
 
 class InvariantViolation(AssertionError):
@@ -402,14 +413,53 @@ DEFAULT_INVARIANTS: tuple = (
 )
 
 
-def check_all(
-    evidence: Evidence, invariants: Optional[Sequence[Invariant]] = None
-) -> List[InvariantReport]:
-    """Check a battery of invariants, returning one report per invariant."""
-    return [inv.run(evidence) for inv in (invariants or DEFAULT_INVARIANTS)]
+def check_all(evidence: Evidence) -> List[InvariantReport]:
+    """Check the standard battery, returning one report per invariant."""
+    return [invariant.run(evidence) for invariant in DEFAULT_INVARIANTS]
 
 
-def assert_all(evidence: Evidence, invariants: Optional[Sequence[Invariant]] = None) -> None:
-    """Check a battery of invariants, raising on the first violation."""
-    for invariant in invariants or DEFAULT_INVARIANTS:
+def assert_all(evidence: Evidence) -> None:
+    """Check the standard battery, raising on the first violation."""
+    for invariant in DEFAULT_INVARIANTS:
         invariant.check(evidence)
+
+
+def judge(
+    spec,
+    *,
+    label: str,
+    builder: Callable[..., SessionBuilder] = SessionBuilder,
+    max_events: int = 2_000_000,
+    observers: Sequence = (),
+) -> Tuple[Any, Evidence, List[InvariantReport]]:
+    """Run ``spec`` to quiescence under a :class:`TraceRecorder` and check
+    the standard battery against its evidence: ``(result, evidence, reports)``.
+
+    ``builder`` is the session-builder class (or factory) to build with —
+    the seam the fuzzer's planted mutants substitute.  An exception raised
+    by the run itself propagates; see :func:`judge_reports`.
+    """
+    session = builder(
+        spec, max_events=max_events, observers=observers, recorder=TraceRecorder()
+    ).build()
+    result = session.run_to_quiescence().finish()
+    evidence = Evidence(spec=spec, result=result, trace=result.trace, label=label)
+    return result, evidence, check_all(evidence)
+
+
+def judge_reports(spec, *, label: str, **judge_kwargs) -> List[InvariantReport]:
+    """:func:`judge`'s reports, for callers that must not die on a finding.
+
+    A planted (or real) bug can crash the run itself.  A replica refusing
+    to commit over its own log mid-run (:class:`SafetyViolation`) *is* an
+    agreement failure, observed earlier than the post-run checker would
+    see it; a livelock tripping the event budget (:class:`SimulationError`)
+    is reported against a synthetic ``no-livelock`` invariant.  Either
+    way the run's one failing report is returned instead of raised.
+    """
+    try:
+        return judge(spec, label=label, **judge_kwargs)[2]
+    except SafetyViolation as violation:
+        return [InvariantReport("agreement", False, f"[agreement @ {label}] {violation}")]
+    except SimulationError as error:
+        return [InvariantReport("no-livelock", False, f"[no-livelock @ {label}] {error}")]

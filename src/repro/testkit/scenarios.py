@@ -11,11 +11,11 @@ that: it enumerates the cross-product of
 * medium ∈ {ble, wifi, 4g-lte},
 * topology ∈ {ring-kcast, fully-connected, star, random-kcast, ...},
 
-runs every *feasible* cell deterministically through the standard
-experiment runner with a :class:`~repro.testkit.trace.TraceRecorder`,
-checks the full invariant battery
-(:data:`~repro.testkit.invariants.DEFAULT_INVARIANTS`) on every cell,
-and adds two differential checks:
+runs every *feasible* cell deterministically through
+:func:`~repro.testkit.invariants.judge` (a session under a
+:class:`~repro.testkit.trace.TraceRecorder`, then the full invariant
+battery, :data:`~repro.testkit.invariants.DEFAULT_INVARIANTS`, over its
+evidence), and adds two differential checks:
 
 * within a cell, all correct replicas committed prefix-compatible command
   sequences (part of the agreement invariant);
@@ -42,18 +42,18 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.eval.runner import MEDIA, PROTOCOLS, DeploymentSpec, ProtocolRunner
+from repro.eval.runner import MEDIA, PROTOCOLS, DeploymentSpec
 from repro.net.impairment import ImpairmentSpec
+from repro.session.builder import build_topology
 from repro.session.metrics import MetricsObserver
 from repro.testkit import faults
 from repro.workload import OpenLoopPoisson, WorkloadEngine
 from repro.testkit.invariants import (
-    DEFAULT_INVARIANTS,
     Evidence,
     InvariantReport,
     InvariantViolation,
+    judge,
 )
-from repro.testkit.trace import TraceRecorder
 
 #: Named fault-schedule builders.  Each takes the deployment size ``n`` and
 #: returns a schedule (or ``None`` for the honest run).  Leader faults hit
@@ -404,7 +404,7 @@ def schedule_feasibility(spec: DeploymentSpec) -> Optional[str]:
             f"bound 2f < n (f={spec.f}, n={n})"
         )
     try:
-        topology = ProtocolRunner().build_topology(spec)
+        topology = build_topology(spec)
     except (ValueError, RuntimeError) as error:
         return f"topology {spec.topology} cannot be built: {error}"
     if schedule is None:
@@ -455,8 +455,6 @@ class ScenarioMatrix:
         target_height: int = 3,
         block_interval: float = 0.0,
         seed: int = 29,
-        invariants: Optional[Sequence] = None,
-        record_events: bool = True,
         max_events: int = 2_000_000,
     ) -> None:
         unknown = [name for name in fault_names if name not in FAULT_LIBRARY]
@@ -484,8 +482,6 @@ class ScenarioMatrix:
         #: virtual time and a mid-run strike actually interrupts it.
         self.block_interval = block_interval
         self.seed = seed
-        self.invariants = tuple(invariants if invariants is not None else DEFAULT_INVARIANTS)
-        self.record_events = record_events
         self.max_events = max_events
 
     # ------------------------------------------------------------ enumeration
@@ -531,22 +527,6 @@ class ScenarioMatrix:
             impairment=resolve_impairment(cell.impairment),
         )
 
-    # ------------------------------------------------------------ feasibility
-    def cell_feasibility(
-        self, cell: ScenarioCell, spec: Optional[DeploymentSpec] = None
-    ) -> Optional[str]:
-        """Why this cell cannot be run meaningfully, or ``None`` if it can.
-
-        Delegates to :func:`schedule_feasibility` (the module-level check
-        shared with ``repro.fuzz``); see there for the reason families.
-
-        ``spec`` may be passed to reuse an already-built deployment spec
-        (``run`` does, so each cell builds its schedule exactly once).
-        """
-        if spec is None:
-            spec = self.build_spec(cell)
-        return schedule_feasibility(spec)
-
     # ---------------------------------------------------------------- running
     def run_cell(
         self, cell: ScenarioCell, spec: Optional[DeploymentSpec] = None
@@ -554,19 +534,20 @@ class ScenarioMatrix:
         """Run one cell and check every invariant against its evidence."""
         if spec is None:
             spec = self.build_spec(cell)
-        runner = ProtocolRunner(
-            max_events=self.max_events, recorder=TraceRecorder(self.record_events)
-        )
         # Non-preload cells carry SLO metrics; preload cells stay exactly
         # the seed pipeline (no extra observer, no perturbed traces).
         metrics = MetricsObserver() if cell.workload != "preload" else None
-        observers = (metrics,) if metrics is not None else ()
-        result = runner.session(spec, observers=observers).run_to_quiescence().finish()
-        evidence = Evidence(spec=spec, result=result, trace=result.trace, label=cell.label())
-        outcome = CellOutcome(cell=cell, spec=spec, result=result, evidence=evidence)
+        result, evidence, reports = judge(
+            spec,
+            label=cell.label(),
+            max_events=self.max_events,
+            observers=(metrics,) if metrics is not None else (),
+        )
+        outcome = CellOutcome(
+            cell=cell, spec=spec, result=result, evidence=evidence, reports=reports
+        )
         if metrics is not None:
             outcome.metrics = metrics.summary()
-        outcome.reports = [invariant.run(evidence) for invariant in self.invariants]
         return outcome
 
     def run(self, parallel: Optional[int] = None) -> MatrixReport:
@@ -580,7 +561,8 @@ class ScenarioMatrix:
         Args:
             parallel: Number of worker processes.  ``None`` reads the
                 ``REPRO_MATRIX_PARALLEL`` environment variable (defaulting
-                to 1); values <= 1 run serially in-process.  Cells are
+                to 1; CI's matrix job sets it to 2, ``bench/`` passes
+                ``parallel=1``); values <= 1 run serially in-process.  Cells are
                 independent seeded runs, so sharding them over a
                 ``ProcessPoolExecutor`` cannot change any cell's result:
                 every worker rebuilds its cell's spec deterministically,
@@ -596,7 +578,7 @@ class ScenarioMatrix:
         runnable: List[Tuple[ScenarioCell, DeploymentSpec]] = []
         for cell in self.cells():
             spec = self.build_spec(cell)
-            reason = self.cell_feasibility(cell, spec=spec)
+            reason = schedule_feasibility(spec)
             if reason is not None:
                 report.skipped.append(SkippedCell(cell, reason))
                 continue
@@ -609,9 +591,12 @@ class ScenarioMatrix:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=min(parallel, len(runnable))) as pool:
+                # The matrix, cell and pre-built spec travel to the worker by
+                # pickle and the CellOutcome — evidence, trace, reports —
+                # travels back, so everything they hold must stay picklable
+                # (pinned by the parallel-matrix tests).
                 futures = [
-                    pool.submit(_run_cell_in_worker, self, cell, spec)
-                    for cell, spec in runnable
+                    pool.submit(self.run_cell, cell, spec) for cell, spec in runnable
                 ]
                 # Collect in submission order — deterministic regardless of
                 # which worker finishes first.
@@ -658,28 +643,3 @@ class ScenarioMatrix:
                         f"but {ref_outcome.cell.label()} committed {ref_sequence}"
                     )
         return failures
-
-
-def _run_cell_in_worker(
-    matrix: ScenarioMatrix, cell: ScenarioCell, spec: DeploymentSpec
-) -> CellOutcome:
-    """Run one cell inside a ``ProcessPoolExecutor`` worker.
-
-    Module-level (picklable by reference) on purpose.  The matrix, cell
-    and pre-built spec travel to the worker by pickle; the returned
-    :class:`CellOutcome` — evidence, trace, invariant reports — travels
-    back the same way, so everything it holds must stay picklable (pinned
-    by the parallel-matrix tests).
-    """
-    return matrix.run_cell(cell, spec=spec)
-
-
-def run_default_matrix(**overrides) -> MatrixReport:
-    """Run the canonical 36-cell matrix (4 protocols × 3 faults × 3 media)."""
-    return ScenarioMatrix(**overrides).run()
-
-
-def run_full_matrix(**overrides) -> MatrixReport:
-    """Run the extended sweep over every fault schedule in the library."""
-    overrides.setdefault("fault_names", ALL_FAULTS)
-    return ScenarioMatrix(**overrides).run()

@@ -157,16 +157,16 @@ class TraceRecorder(SessionObserver):
     """Captures a :class:`RunTrace` from a session-driven run.
 
     A :class:`~repro.session.observers.SessionObserver`: registered on a
-    session (or passed as ``recorder=`` to
-    :class:`repro.eval.runner.ProtocolRunner` or a ``SessionBuilder``), it
-    enables event tracing at session start and stores the harvested trace
-    on the :class:`~repro.eval.runner.RunResult` at session end — the same
+    session (or passed as ``recorder=`` to a ``SessionBuilder`` /
+    :func:`repro.eval.runner.run_protocol`), it enables event tracing at
+    session start and stores the harvested trace on the
+    :class:`~repro.eval.runner.RunResult` at session end — the same
     plumbing every other observer uses.
 
     Args:
         record_events: Keep the full simulator event trace.  Byte-identical
-            determinism checks need it; large matrix sweeps can switch it
-            off to save memory.
+            determinism checks need it; a caller that only wants the
+            structured summary can switch it off to save memory.
     """
 
     def __init__(self, record_events: bool = True) -> None:

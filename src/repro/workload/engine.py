@@ -21,6 +21,7 @@ models production load without n_clients live objects.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -352,24 +353,28 @@ WORKLOAD_KINDS = {
 
 
 def workload_from_dict(data: Dict[str, Any]) -> WorkloadEngine:
-    """Rebuild an engine from its :meth:`WorkloadEngine.describe` output."""
+    """Rebuild an engine from its :meth:`WorkloadEngine.describe` output.
+
+    Omitted keys take the engine dataclass's own defaults; an unknown kind
+    or key is an error, not a silently defaulted field.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"workload schema must be an object, got {type(data).__name__}")
-    kind = data.get("kind")
-    if kind == ClosedLoopPreload.kind:
-        return ClosedLoopPreload(surplus_blocks=data.get("surplus_blocks", 4))
-    if kind == OpenLoopPoisson.kind:
-        return OpenLoopPoisson(
-            rate=data.get("rate", 1.0),
-            duration=data.get("duration"),
-            clients=data.get("clients", 1),
-            payload_size_bytes=data.get("payload_size_bytes"),
+    rest = dict(data)
+    kind = rest.pop("kind", None)
+    cls = WORKLOAD_KINDS.get(kind)
+    if cls is None:
+        raise ValueError(
+            f"unknown workload kind {kind!r}; known: {sorted(WORKLOAD_KINDS)}"
         )
-    if kind == TraceReplay.kind:
-        return TraceReplay(entries=_normalise_trace_entries(data.get("entries", ())))
-    raise ValueError(
-        f"unknown workload kind {kind!r}; known: {sorted(WORKLOAD_KINDS)}"
-    )
+    # compare=False fields (a trace's source path) are provenance, not schema.
+    known = {f.name for f in dataclasses.fields(cls) if f.compare}
+    unknown = set(rest) - known
+    if unknown:
+        raise ValueError(
+            f"unknown {kind} workload keys {sorted(unknown)}; known: {sorted(known)}"
+        )
+    return cls(**rest)
 
 
 def parse_workload(text: str) -> WorkloadEngine:

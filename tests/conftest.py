@@ -9,7 +9,7 @@ from repro.core.config import ProtocolConfig
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import make_scheme
 from repro.energy.ledger import ClusterEnergyLedger
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec
 from repro.net.network import SimulatedNetwork
 from repro.net.topology import ring_kcast_topology
 from repro.sim.rng import SeededRNG
@@ -46,12 +46,6 @@ def scheme(keystore):
 def small_config() -> ProtocolConfig:
     """A small protocol configuration (n=5, f=1)."""
     return ProtocolConfig(n=5, f=1, delta=4.0, target_height=3)
-
-
-@pytest.fixture
-def runner() -> ProtocolRunner:
-    """A protocol runner with a generous event budget."""
-    return ProtocolRunner(max_events=1_000_000)
 
 
 def make_network(n: int = 5, k: int = 2, seed: int = 3):

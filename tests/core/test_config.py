@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.core.config import ProtocolConfig, round_robin_leader
+from repro.core.config import ProtocolConfig
 
 
 def test_round_robin_leader_cycles_from_view_one():
-    leader = round_robin_leader(4)
-    assert [leader(v) for v in range(1, 6)] == [0, 1, 2, 3, 0]
+    config = ProtocolConfig(n=4, f=1, delta=1.0)
+    assert [config.leader_of(v) for v in range(1, 6)] == [0, 1, 2, 3, 0]
 
 
 def test_round_robin_rejects_nonpositive_n():
     with pytest.raises(ValueError):
-        round_robin_leader(0)
+        ProtocolConfig(n=0, f=0, delta=1.0)
 
 
 def test_config_validation():
@@ -38,12 +38,6 @@ def test_default_leader_schedule_is_round_robin():
     assert config.leader_of(1) == 0
     assert config.leader_of(6) == 0
     assert config.leader_of(3) == 2
-
-
-def test_custom_leader_schedule():
-    config = ProtocolConfig(n=5, f=2, delta=1.0, leader_schedule=lambda v: 4)
-    assert config.leader_of(1) == 4
-    assert config.leader_of(99) == 4
 
 
 def test_maximum_fault_tolerance_accepted():

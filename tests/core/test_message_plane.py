@@ -29,7 +29,7 @@ from repro.core.messages import (
 )
 from repro.core.types import Command
 from repro.crypto.hashing import canonical_cache
-from repro.eval.runner import PROTOCOLS, ProtocolRunner
+from repro.eval.runner import PROTOCOLS, run_protocol
 from repro.testkit import faults
 from tests.conftest import faulty_spec, honest_spec
 
@@ -197,7 +197,7 @@ def test_new_view_wire_sizes_equal_the_dict_payloads(scheme, certs):
 # ------------------------------------------------------- once, not per receiver
 def run_counting(spec):
     canonical_cache.clear()
-    result = ProtocolRunner(max_events=2_000_000).run(spec)
+    result = run_protocol(spec, max_events=2_000_000)
     assert result.safety.consistent
     return canonical_cache.stats()
 

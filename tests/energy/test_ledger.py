@@ -8,11 +8,11 @@ from repro.energy.meter import EnergyCategory
 
 def make_ledger():
     ledger = ClusterEnergyLedger(range(4))
-    ledger.meter(0).charge_sign(0.4)
-    ledger.meter(0).charge_transmit(0.1)
-    ledger.meter(1).charge_receive(0.2)
-    ledger.meter(2).charge_receive(0.3)
-    ledger.meter(3).charge_verify(0.05)
+    ledger.meter(0).charge(EnergyCategory.SIGN, 0.4)
+    ledger.meter(0).charge(EnergyCategory.TRANSMIT, 0.1)
+    ledger.meter(1).charge(EnergyCategory.RECEIVE, 0.2)
+    ledger.meter(2).charge(EnergyCategory.RECEIVE, 0.3)
+    ledger.meter(3).charge(EnergyCategory.VERIFY, 0.05)
     return ledger
 
 

@@ -1,5 +1,7 @@
 """Unit tests for per-node energy metering."""
 
+import inspect
+
 import pytest
 
 from repro.energy.meter import EnergyBreakdown, EnergyCategory, EnergyMeter, total_energy
@@ -7,9 +9,9 @@ from repro.energy.meter import EnergyBreakdown, EnergyCategory, EnergyMeter, tot
 
 def test_charges_accumulate_per_category():
     meter = EnergyMeter(0)
-    meter.charge_transmit(0.5)
-    meter.charge_transmit(0.25)
-    meter.charge_verify(0.1)
+    meter.charge(EnergyCategory.TRANSMIT, 0.5)
+    meter.charge(EnergyCategory.TRANSMIT, 0.25)
+    meter.charge(EnergyCategory.VERIFY, 0.1)
     assert meter.breakdown.get(EnergyCategory.TRANSMIT) == pytest.approx(0.75)
     assert meter.breakdown.get(EnergyCategory.VERIFY) == pytest.approx(0.1)
     assert meter.total_joules == pytest.approx(0.85)
@@ -18,7 +20,20 @@ def test_charges_accumulate_per_category():
 
 def test_negative_charge_rejected():
     with pytest.raises(ValueError):
-        EnergyMeter(0).charge_transmit(-0.1)
+        EnergyMeter(0).charge(EnergyCategory.TRANSMIT, -0.1)
+
+
+def test_charge_takes_a_category_and_an_amount_only():
+    """The meter is a counter: no timestamp, no per-charge annotation."""
+    assert list(inspect.signature(EnergyMeter.charge).parameters) == [
+        "self",
+        "category",
+        "joules",
+    ]
+    meter = EnergyMeter(0)
+    with pytest.raises(ValueError, match="negative"):
+        meter.charge(EnergyCategory.SIGN, -1e-9)
+    assert meter.total_joules == 0.0
 
 
 def test_sleep_charge_uses_power_draw():
@@ -41,52 +56,24 @@ def test_breakdown_groups():
     assert breakdown.total == pytest.approx(3.8)
 
 
-def test_breakdown_merge_is_non_destructive():
-    a = EnergyBreakdown({EnergyCategory.SIGN: 1.0})
-    b = EnergyBreakdown({EnergyCategory.SIGN: 2.0, EnergyCategory.HASH: 0.5})
-    merged = a.merged_with(b)
-    assert merged.get(EnergyCategory.SIGN) == pytest.approx(3.0)
-    assert a.get(EnergyCategory.SIGN) == pytest.approx(1.0)
-
-
 def test_breakdown_as_dict_keys_are_strings():
     breakdown = EnergyBreakdown({EnergyCategory.SIGN: 1.0})
     assert breakdown.as_dict() == {"sign": 1.0}
 
 
-def test_marks_measure_intervals():
-    meter = EnergyMeter(0)
-    meter.charge_sign(0.4)
-    meter.mark("before-vc")
-    meter.charge_verify(0.02)
-    meter.charge_receive(0.1)
-    assert meter.since_mark("before-vc") == pytest.approx(0.12)
-    with pytest.raises(KeyError):
-        meter.since_mark("unknown")
-
-
-def test_trace_records_events():
-    meter = EnergyMeter(0, trace=True)
-    meter.charge_transmit(0.1, time=5.0, detail="kcast")
-    assert len(meter.events) == 1
-    assert meter.events[0].time == 5.0
-    assert meter.events[0].detail == "kcast"
-
-
 def test_reset_clears_everything():
-    meter = EnergyMeter(0, trace=True)
-    meter.charge_transmit(0.1)
-    meter.mark("m")
+    meter = EnergyMeter(0)
+    meter.charge(EnergyCategory.TRANSMIT, 0.1)
     meter.reset()
     assert meter.total_joules == 0.0
-    assert meter.events == []
+    assert meter.breakdown.joules == {}
 
 
 def test_snapshot_is_independent_copy():
     meter = EnergyMeter(0)
-    meter.charge_sign(0.4)
+    meter.charge(EnergyCategory.SIGN, 0.4)
     snap = meter.snapshot()
-    meter.charge_sign(0.4)
+    meter.charge(EnergyCategory.SIGN, 0.4)
     assert snap.total == pytest.approx(0.4)
     assert meter.total_joules == pytest.approx(0.8)
 
@@ -94,6 +81,6 @@ def test_snapshot_is_independent_copy():
 def test_total_energy_excludes_requested_nodes():
     meters = [EnergyMeter(i) for i in range(3)]
     for meter in meters:
-        meter.charge_sign(1.0)
+        meter.charge(EnergyCategory.SIGN, 1.0)
     assert total_energy(meters) == pytest.approx(3.0)
     assert total_energy(meters, exclude={1}) == pytest.approx(2.0)

@@ -1,13 +1,14 @@
 """Detector tests: verdict shape, skip paths, and failure keys."""
 
-from repro.fuzz import Detection, Detector, FuzzConfig, ProtocolVerdict
+from repro.fuzz import CorpusEntry, Detection, Detector, FuzzConfig, ProtocolVerdict, replay_entry
 from repro.testkit.faults import (
     CrashAt,
     FaultSchedule,
     SilentFrom,
     schedule_from_dict,
 )
-from repro.testkit.invariants import InvariantReport
+from repro.testkit.invariants import DEFAULT_INVARIANTS, InvariantReport
+from repro.testkit.scenarios import ScenarioCell, ScenarioMatrix
 
 
 def test_honest_run_is_clean_across_all_protocols():
@@ -85,3 +86,42 @@ def test_failure_key_collects_protocol_invariant_pairs():
     assert detection.failure_key() == frozenset(
         {("eesmr", "liveness"), ("optsync", "agreement"), ("optsync", "liveness")}
     )
+
+
+# ------------------------------------------------------------------ one judge
+def entry_for(spec) -> CorpusEntry:
+    return CorpusEntry(entry_id="probe", spec=spec.to_dict())
+
+
+def test_matrix_detector_and_replay_judge_a_clean_spec_alike():
+    """The three surfaces share one run-and-check function, so one spec
+    yields one verdict: the same report list, label-independent when clean."""
+    config = FuzzConfig(protocols=("eesmr",))
+    spec = config.spec_for(None, "eesmr")
+    cell = ScenarioCell("eesmr", "none", spec.medium)
+    matrix_reports = ScenarioMatrix().run_cell(cell, spec=spec).reports
+    replay_reports, replay_failing = replay_entry(entry_for(spec))
+    assert matrix_reports == replay_reports
+    assert [report.name for report in replay_reports] == [
+        invariant.name for invariant in DEFAULT_INVARIANTS
+    ]
+    assert all(report.ok for report in replay_reports) and not replay_failing
+    (verdict,) = Detector(config).detect(None).verdicts
+    assert verdict.violations == replay_failing
+
+
+def test_livelock_is_a_no_livelock_report_for_detector_and_replay_alike():
+    """A run that trips the event budget is a finding, not a traceback —
+    for the detector that records it *and* for the replay of what it
+    recorded."""
+    config = FuzzConfig(protocols=("eesmr",))
+    (verdict,) = Detector(config, max_events=40).detect(None).verdicts
+    reports, failing = replay_entry(entry_for(config.spec_for(None, "eesmr")), max_events=40)
+    assert reports == failing
+    assert [report.name for report in failing] == ["no-livelock"]
+    assert not failing[0].ok and "max_events=40" in failing[0].detail
+
+    def unlabelled(report):
+        return (report.name, report.ok, report.detail.split("] ", 1)[1])
+
+    assert [unlabelled(r) for r in verdict.violations] == [unlabelled(r) for r in failing]

@@ -9,9 +9,9 @@ caught here.
 
 import pytest
 
-from repro.eval.runner import ProtocolRunner
 from repro.fuzz import FuzzConfig, ScheduleGenerator
 from repro.fuzz.generator import TIME_QUANTUM
+from repro.session.builder import build_topology
 from repro.testkit.faults import FaultSchedule, LeaderFollowingCrash
 
 
@@ -51,11 +51,10 @@ def test_emitted_schedules_satisfy_lemma_a5_independently():
     under every concurrently impaired set."""
     config = FuzzConfig(kinds=("RelayDropWindow", "PartitionWindow", "SilentFrom", "LeaderFollowingCrash"))
     generator = ScheduleGenerator(config, seed=11)
-    runner = ProtocolRunner()
     for schedule in generator.schedules(20):
         worst = schedule.max_byzantine()
         assert 2 * worst < config.n
-        topology = runner.build_topology(config.spec_for(schedule, "eesmr"))
+        topology = build_topology(config.spec_for(schedule, "eesmr"))
         bound = topology.max_faults_necessary_condition()
         for impaired in schedule.concurrent_impairment_sets():
             assert topology.is_strongly_connected(exclude=impaired), impaired

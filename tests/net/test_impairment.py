@@ -8,8 +8,6 @@ dedicated child stream, so a disabled model leaves delivery byte-identical
 and an enabled one is a pure function of the seed.
 """
 
-import math
-
 import pytest
 
 from repro.energy.meter import EnergyCategory
@@ -286,10 +284,9 @@ def test_impairment_stream_is_deterministic_per_seed():
 
 def test_impairment_metrics_none_without_model():
     _, _, _, network, _ = build()
-    assert network.impairment_metrics() is None
+    assert network.impairment is None
     network.configure_impairment(ImpairmentSpec(loss=0.1))
-    metrics = network.impairment_metrics()
-    assert metrics is not None and metrics["attempts"] == 0
+    assert network.impairment.stats_dict()["attempts"] == 0
 
 
 def test_configure_impairment_mirrors_retry_budget():

@@ -17,7 +17,7 @@ on:
 import pytest
 
 from repro.energy.ledger import ClusterEnergyLedger
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.net.hypergraph import HyperEdge
 from repro.net.network import SimulatedNetwork
 from repro.net.topology import ring_kcast_topology
@@ -85,7 +85,7 @@ def test_partition_and_heal_each_invalidate():
     assert cut is not baseline
     assert 5 not in cut.nodes  # partitioned: neither relays nor receives
     for _relays, _policy, _meter, edges in cut.nodes.values():
-        for _cost, receivers, _detail in edges:
+        for _cost, receivers in edges:
             assert 5 not in receivers
     network.reconnect(5)
     healed = network._plan_for(64)
@@ -136,7 +136,7 @@ def test_dynamic_relay_policies_are_consulted_per_flood():
 # ----------------------------------------------------- trace byte-identity
 def fingerprint(spec_kwargs):
     spec = DeploymentSpec(**spec_kwargs)
-    result = ProtocolRunner(recorder=TraceRecorder()).run(spec)
+    result = run_protocol(spec, recorder=TraceRecorder())
     return result.trace.fingerprint()
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.net.impairment import ImpairmentModel, ImpairmentSpec
 from repro.sim.rng import SeededRNG
 from repro.testkit.scenarios import ScenarioMatrix
@@ -72,7 +72,7 @@ def run_traced(seed, impairment, protocol="eesmr"):
         seed=seed,
         impairment=impairment,
     )
-    return ProtocolRunner(recorder=TraceRecorder()).run(spec)
+    return run_protocol(spec, recorder=TraceRecorder())
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,8 @@ connectivity bound must also reach the target height (liveness).
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.adversary import FaultPlan
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 
-_RUNNER = ProtocolRunner()
 
 _COMMON_SETTINGS = dict(
     max_examples=12,
@@ -56,7 +55,7 @@ def faulty_leader_specs(draw):
 @given(honest_specs())
 @settings(**_COMMON_SETTINGS)
 def test_honest_runs_commit_target_and_stay_safe(spec):
-    result = _RUNNER.run(spec)
+    result = run_protocol(spec)
     assert result.safety.consistent
     assert result.min_committed_height == spec.target_height
     assert result.view_changes == 0
@@ -65,7 +64,7 @@ def test_honest_runs_commit_target_and_stay_safe(spec):
 @given(faulty_leader_specs())
 @settings(**_COMMON_SETTINGS)
 def test_faulty_leader_runs_stay_safe_and_recover(spec):
-    result = _RUNNER.run(spec)
+    result = run_protocol(spec)
     assert result.safety.consistent
     # Liveness: every correct node commits at least the workload target.
     # (After a view change the new leader may anchor one extra block.)

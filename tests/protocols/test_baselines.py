@@ -3,18 +3,18 @@
 import pytest
 
 from repro.core.adversary import FaultPlan
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from tests.conftest import honest_spec
 
 
 @pytest.fixture(scope="module")
 def shs_run():
-    return ProtocolRunner().run(honest_spec(protocol="sync-hotstuff", n=7, f=2, k=3, blocks=4, seed=41))
+    return run_protocol(honest_spec(protocol="sync-hotstuff", n=7, f=2, k=3, blocks=4, seed=41))
 
 
 @pytest.fixture(scope="module")
 def eesmr_run():
-    return ProtocolRunner().run(honest_spec(protocol="eesmr", n=7, f=2, k=3, blocks=4, seed=41))
+    return run_protocol(honest_spec(protocol="eesmr", n=7, f=2, k=3, blocks=4, seed=41))
 
 
 def test_sync_hotstuff_commits_and_is_safe(shs_run):
@@ -45,7 +45,6 @@ def test_eesmr_steady_state_cheaper_than_sync_hotstuff(shs_run, eesmr_run):
 
 
 def test_sync_hotstuff_crashed_leader_view_change_recovers():
-    runner = ProtocolRunner()
     spec = DeploymentSpec(
         protocol="sync-hotstuff",
         n=7,
@@ -55,7 +54,7 @@ def test_sync_hotstuff_crashed_leader_view_change_recovers():
         seed=42,
         fault_plan=FaultPlan(faulty=(0,), behaviour="crash", crash_time=0.0),
     )
-    result = runner.run(spec)
+    result = run_protocol(spec)
     assert result.min_committed_height == 3
     assert result.safety.consistent
     assert result.view_changes >= 1
@@ -63,8 +62,7 @@ def test_sync_hotstuff_crashed_leader_view_change_recovers():
 
 def test_sync_hotstuff_view_change_cheaper_than_eesmr_view_change():
     """The other half of the trade-off: EESMR pays more during a view change."""
-    runner = ProtocolRunner()
-    shs = runner.run(
+    shs = run_protocol(
         DeploymentSpec(
             protocol="sync-hotstuff",
             n=9,
@@ -75,7 +73,7 @@ def test_sync_hotstuff_view_change_cheaper_than_eesmr_view_change():
             fault_plan=FaultPlan(faulty=(0,), behaviour="crash", crash_time=0.0),
         )
     )
-    eesmr = runner.run(
+    eesmr = run_protocol(
         DeploymentSpec(
             protocol="eesmr",
             n=9,
@@ -90,9 +88,8 @@ def test_sync_hotstuff_view_change_cheaper_than_eesmr_view_change():
 
 
 def test_optsync_commits_and_costs_at_least_sync_hotstuff():
-    runner = ProtocolRunner()
-    opt = runner.run(honest_spec(protocol="optsync", n=8, f=1, k=3, blocks=3, seed=44))
-    shs = runner.run(honest_spec(protocol="sync-hotstuff", n=8, f=1, k=3, blocks=3, seed=44))
+    opt = run_protocol(honest_spec(protocol="optsync", n=8, f=1, k=3, blocks=3, seed=44))
+    shs = run_protocol(honest_spec(protocol="sync-hotstuff", n=8, f=1, k=3, blocks=3, seed=44))
     assert opt.min_committed_height == 3
     assert opt.safety.consistent
     assert opt.verify_operations >= shs.verify_operations
@@ -100,14 +97,14 @@ def test_optsync_commits_and_costs_at_least_sync_hotstuff():
 
 
 def test_trusted_baseline_commits_all_blocks():
-    result = ProtocolRunner().run(honest_spec(protocol="trusted-baseline", n=6, f=2, k=2, blocks=4, seed=45))
+    result = run_protocol(honest_spec(protocol="trusted-baseline", n=6, f=2, k=2, blocks=4, seed=45))
     assert result.min_committed_height == 4
     assert result.safety.consistent
 
 
 def test_trusted_baseline_energy_dominated_by_uplink_and_signing():
     """The baseline's cost per node is the expensive 4G round trip plus request signing."""
-    result = ProtocolRunner().run(honest_spec(protocol="trusted-baseline", n=6, f=2, k=2, blocks=4, seed=46))
+    result = run_protocol(honest_spec(protocol="trusted-baseline", n=6, f=2, k=2, blocks=4, seed=46))
     breakdown = result.energy.breakdown
     # The 4G round trips are a macroscopic share of the total energy (far
     # beyond what the same traffic would cost on BLE).
@@ -116,7 +113,7 @@ def test_trusted_baseline_energy_dominated_by_uplink_and_signing():
 
 
 def test_trusted_baseline_no_inter_replica_traffic():
-    result = ProtocolRunner().run(honest_spec(protocol="trusted-baseline", n=6, f=2, k=2, blocks=3, seed=47))
+    result = run_protocol(honest_spec(protocol="trusted-baseline", n=6, f=2, k=2, blocks=3, seed=47))
     # All traffic is unicasts to/from the control node; no floods at all.
     assert result.network.broadcasts == 0
     assert result.network.unicasts > 0
@@ -137,6 +134,6 @@ def test_trusted_baseline_commits_reordered_orders():
         medium="ble",
         impairment=ImpairmentSpec(reorder=1.0),
     )
-    result = ProtocolRunner().run(spec)
+    result = run_protocol(spec)
     assert result.min_committed_height == 4
     assert result.safety.consistent

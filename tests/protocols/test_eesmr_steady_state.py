@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.eval.runner import ProtocolRunner
+from repro.eval.runner import run_protocol
 from tests.conftest import honest_spec
 
 
 @pytest.fixture(scope="module")
 def honest_run():
-    return ProtocolRunner().run(honest_spec(n=7, f=2, k=3, blocks=4, seed=11))
+    return run_protocol(honest_spec(n=7, f=2, k=3, blocks=4, seed=11))
 
 
 def test_all_correct_nodes_commit_target_height(honest_run):
@@ -59,9 +59,8 @@ def test_leader_consumes_more_energy_than_replicas(honest_run):
 
 def test_energy_independent_of_n_for_fixed_k():
     """The paper's first observation: per-node steady-state energy depends on k, not n."""
-    runner = ProtocolRunner()
-    small = runner.run(honest_spec(n=6, f=1, k=2, blocks=3, seed=12))
-    large = runner.run(honest_spec(n=12, f=1, k=2, blocks=3, seed=12))
+    small = run_protocol(honest_spec(n=6, f=1, k=2, blocks=3, seed=12))
+    large = run_protocol(honest_spec(n=12, f=1, k=2, blocks=3, seed=12))
     assert large.replica_energy_per_block_mj == pytest.approx(
         small.replica_energy_per_block_mj, rel=0.15
     )
@@ -69,18 +68,16 @@ def test_energy_independent_of_n_for_fixed_k():
 
 def test_energy_grows_with_k():
     """Fig. 2c: per-node energy grows with the number of incoming k-cast edges."""
-    runner = ProtocolRunner()
-    narrow = runner.run(honest_spec(n=9, f=1, k=2, blocks=3, seed=13))
-    wide = runner.run(honest_spec(n=9, f=3, k=6, blocks=3, seed=13))
+    narrow = run_protocol(honest_spec(n=9, f=1, k=2, blocks=3, seed=13))
+    wide = run_protocol(honest_spec(n=9, f=3, k=6, blocks=3, seed=13))
     assert wide.replica_energy_per_block_mj > narrow.replica_energy_per_block_mj
     assert wide.leader_energy_per_block_mj > narrow.leader_energy_per_block_mj
 
 
 def test_energy_grows_with_block_size():
     """Fig. 2d: bigger payloads cost more energy per SMR."""
-    runner = ProtocolRunner()
-    small = runner.run(honest_spec(n=7, f=2, k=3, blocks=3, seed=14, command_payload_bytes=16))
-    big = runner.run(honest_spec(n=7, f=2, k=3, blocks=3, seed=14, command_payload_bytes=256))
+    small = run_protocol(honest_spec(n=7, f=2, k=3, blocks=3, seed=14, command_payload_bytes=16))
+    big = run_protocol(honest_spec(n=7, f=2, k=3, blocks=3, seed=14, command_payload_bytes=256))
     assert big.leader_energy_per_block_mj > small.leader_energy_per_block_mj
 
 
@@ -90,7 +87,6 @@ def test_commands_are_committed_in_proposal_order(honest_run):
 
 
 def test_block_interval_paces_proposals():
-    runner = ProtocolRunner()
-    paced = runner.run(honest_spec(n=5, f=1, k=2, blocks=3, seed=15, block_interval=10.0))
+    paced = run_protocol(honest_spec(n=5, f=1, k=2, blocks=3, seed=15, block_interval=10.0))
     assert paced.min_committed_height == 3
     assert paced.sim_time >= 2 * 10.0

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.core.adversary import FaultPlan
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from tests.conftest import faulty_spec, honest_spec
 
 
 @pytest.fixture(scope="module")
 def silent_leader_run():
-    return ProtocolRunner().run(faulty_spec("silent_leader", n=7, f=2, k=3, blocks=4, seed=31))
+    return run_protocol(faulty_spec("silent_leader", n=7, f=2, k=3, blocks=4, seed=31))
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def equivocating_leader_run():
         block_interval=6.0,
         fault_plan=FaultPlan(faulty=(0,), behaviour="equivocate", trigger_round=4),
     )
-    return ProtocolRunner().run(spec)
+    return run_protocol(spec)
 
 
 def test_silent_leader_triggers_exactly_one_view_change(silent_leader_run):
@@ -64,16 +64,14 @@ def test_blocks_before_equivocation_survive_the_view_change(equivocating_leader_
 
 def test_view_change_more_expensive_than_steady_state():
     """The paper's trade-off: the view change converts implicit votes to explicit ones."""
-    runner = ProtocolRunner()
-    honest = runner.run(honest_spec(n=7, f=2, k=3, blocks=4, seed=33))
-    faulty = runner.run(faulty_spec("silent_leader", n=7, f=2, k=3, blocks=4, seed=33))
+    honest = run_protocol(honest_spec(n=7, f=2, k=3, blocks=4, seed=33))
+    faulty = run_protocol(faulty_spec("silent_leader", n=7, f=2, k=3, blocks=4, seed=33))
     assert faulty.correct_energy_mj > honest.correct_energy_mj
     assert faulty.verify_operations > honest.verify_operations
     assert faulty.sign_operations > honest.sign_operations
 
 
 def test_crashed_non_leader_does_not_disturb_progress():
-    runner = ProtocolRunner()
     spec = DeploymentSpec(
         protocol="eesmr",
         n=7,
@@ -83,14 +81,13 @@ def test_crashed_non_leader_does_not_disturb_progress():
         seed=34,
         fault_plan=FaultPlan(faulty=(3,), behaviour="crash", crash_time=0.0),
     )
-    result = runner.run(spec)
+    result = run_protocol(spec)
     assert result.view_changes == 0
     assert result.min_committed_height == 4
     assert result.safety.consistent
 
 
 def test_silent_non_leader_replica_does_not_disturb_progress():
-    runner = ProtocolRunner()
     spec = DeploymentSpec(
         protocol="eesmr",
         n=7,
@@ -100,14 +97,13 @@ def test_silent_non_leader_replica_does_not_disturb_progress():
         seed=35,
         fault_plan=FaultPlan(faulty=(4,), behaviour="silent"),
     )
-    result = runner.run(spec)
+    result = run_protocol(spec)
     assert result.min_committed_height == 4
     assert result.safety.consistent
 
 
 def test_two_consecutive_faulty_leaders_are_survived():
     """If leaders of views 1 and 2 are both faulty, a third view change succeeds."""
-    runner = ProtocolRunner()
     spec = DeploymentSpec(
         protocol="eesmr",
         n=7,
@@ -117,7 +113,7 @@ def test_two_consecutive_faulty_leaders_are_survived():
         seed=36,
         fault_plan=FaultPlan(faulty=(0, 1), behaviour="crash", crash_time=0.0),
     )
-    result = runner.run(spec)
+    result = run_protocol(spec)
     assert result.min_committed_height == 3
     assert result.safety.consistent
     assert result.view_changes >= 2
@@ -125,7 +121,6 @@ def test_two_consecutive_faulty_leaders_are_survived():
 
 def test_maximum_fault_tolerance_f_less_than_k():
     """With f = k - 1 crashed nodes (the connectivity bound) progress still holds."""
-    runner = ProtocolRunner()
     spec = DeploymentSpec(
         protocol="eesmr",
         n=9,
@@ -135,6 +130,6 @@ def test_maximum_fault_tolerance_f_less_than_k():
         seed=37,
         fault_plan=FaultPlan(faulty=(1, 3, 5), behaviour="crash", crash_time=0.0),
     )
-    result = runner.run(spec)
+    result = run_protocol(spec)
     assert result.min_committed_height == 3
     assert result.safety.consistent

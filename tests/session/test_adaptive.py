@@ -10,7 +10,7 @@ battery and the scenario matrix all see the realised adversary.
 
 import pytest
 
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.session import LeaderFollowingController, Session
 from repro.testkit import faults
 from repro.testkit.faults import LeaderFollowingCrash, leader_following_crash
@@ -37,7 +37,7 @@ def adaptive_spec(budget: int = 1, protocol: str = "eesmr", **kwargs) -> Deploym
 
 def test_strikes_the_initial_leader_and_forces_a_view_change():
     spec = adaptive_spec(budget=1)
-    result = ProtocolRunner().run(spec)
+    result = run_protocol(spec)
     assert spec.byzantine_nodes == (0,)
     assert result.view_changes >= 1
     assert result.safety.consistent
@@ -46,7 +46,7 @@ def test_strikes_the_initial_leader_and_forces_a_view_change():
 
 def test_budget_two_follows_the_rotation_to_the_next_leader():
     spec = adaptive_spec(budget=2)
-    result = ProtocolRunner().run(spec)
+    result = run_protocol(spec)
     # The adversary retargeted: first the view-1 leader, then whichever
     # node the rotation installed next.
     assert spec.byzantine_nodes == (0, 1)
@@ -59,7 +59,7 @@ def test_budget_two_follows_the_rotation_to_the_next_leader():
 @pytest.mark.parametrize("protocol", ["sync-hotstuff", "optsync"])
 def test_adaptive_adversary_works_against_baselines(protocol):
     spec = adaptive_spec(budget=1, protocol=protocol, block_interval=0.0)
-    result = ProtocolRunner().run(spec)
+    result = run_protocol(spec)
     assert spec.byzantine_nodes == (0,)
     assert result.view_changes >= 1
     assert result.safety.consistent
@@ -67,8 +67,8 @@ def test_adaptive_adversary_works_against_baselines(protocol):
 
 
 def test_adaptive_runs_are_deterministic():
-    first = ProtocolRunner(recorder=TraceRecorder()).run(adaptive_spec(budget=2))
-    second = ProtocolRunner(recorder=TraceRecorder()).run(adaptive_spec(budget=2))
+    first = run_protocol(adaptive_spec(budget=2), recorder=TraceRecorder())
+    second = run_protocol(adaptive_spec(budget=2), recorder=TraceRecorder())
     assert first.trace.fingerprint() == second.trace.fingerprint()
 
 
@@ -78,7 +78,7 @@ def test_victims_recorded_on_schedule_accounting():
     assert schedule.byzantine_nodes() == ()
     assert schedule.max_byzantine() == 2
     assert schedule.dynamic_budget() == 2
-    ProtocolRunner().run(spec)
+    run_protocol(spec)
     assert schedule.byzantine_nodes() == (0, 1)
     assert schedule.liveness_exempt_nodes() == (0, 1)
     atom = schedule.faults[0]
@@ -95,13 +95,13 @@ def test_victims_recorded_on_schedule_accounting():
 
 def test_rerunning_the_same_schedule_does_not_accumulate_victims():
     spec = adaptive_spec(budget=1)
-    first = ProtocolRunner().run(spec)
+    first = run_protocol(spec)
     assert spec.byzantine_nodes == (0,)
     assert first.safety.consistent
     # Re-driving the *same* spec starts a fresh campaign: the controller
     # resets the atom's victims at session start, so a node honest in the
     # second run is never excluded from its safety/liveness accounting.
-    second = ProtocolRunner().run(spec)
+    second = run_protocol(spec)
     assert spec.byzantine_nodes == (0,)
     assert second.safety.consistent
     assert second.committed_heights == first.committed_heights

@@ -7,7 +7,7 @@ perturb the run (fingerprints are pinned with and without observers).
 
 import pytest
 
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.session import (
     CallbackObserver,
     EnergyTimelineObserver,
@@ -124,7 +124,7 @@ def test_event_hook_sees_every_traced_event():
 
 def test_observers_do_not_perturb_the_run():
     reference = (
-        ProtocolRunner(recorder=TraceRecorder()).run(spec_with()).trace.fingerprint()
+        run_protocol(spec_with(), recorder=TraceRecorder()).trace.fingerprint()
     )
     journal: list = []
     session = Session.from_spec(

@@ -9,7 +9,7 @@ path here.
 
 import pytest
 
-from repro.eval.runner import DeploymentSpec, ProtocolRunner, run_protocol
+from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.session import Session, SessionBuilder, TopologyStage
 from repro.session.builder import build_topology, compute_delta
 from repro.sim.scheduler import SimulationError
@@ -22,7 +22,7 @@ def small_spec(**kwargs) -> DeploymentSpec:
 
 
 def oneshot_fingerprint(spec: DeploymentSpec) -> str:
-    return ProtocolRunner(recorder=TraceRecorder()).run(spec).trace.fingerprint()
+    return run_protocol(spec, recorder=TraceRecorder()).trace.fingerprint()
 
 
 @pytest.mark.parametrize("protocol", ["eesmr", "sync-hotstuff", "optsync", "trusted-baseline"])

@@ -12,8 +12,8 @@ change is always the crash-style one.
 
 import pytest
 
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
-from repro.testkit.faults import FaultSchedule, crash_at, equivocate_at, silent, stall_at
+from repro.eval.runner import DeploymentSpec, run_protocol
+from repro.testkit.faults import crash_at, equivocate_at, silent, stall_at
 from repro.testkit.invariants import Evidence, assert_all
 from repro.testkit.trace import TraceRecorder
 
@@ -34,7 +34,7 @@ def run_behaviour(protocol: str, behaviour: str):
         protocol=protocol, n=5, f=1, k=2, target_height=3, seed=7,
         fault_schedule=builder(5),
     )
-    result = ProtocolRunner(recorder=TraceRecorder()).run(spec)
+    result = run_protocol(spec, recorder=TraceRecorder())
     return spec, result
 
 

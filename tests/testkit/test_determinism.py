@@ -7,14 +7,14 @@ safety report — it has introduced nondeterminism into the simulation.
 
 import pytest
 
-from repro.eval.runner import PROTOCOLS, DeploymentSpec, ProtocolRunner
+from repro.eval.runner import PROTOCOLS, DeploymentSpec, run_protocol
 from repro.testkit.faults import crash_at, equivocate_at
 from repro.testkit.trace import TraceRecorder
 
 
 def run_traced(**kwargs):
     spec = DeploymentSpec(n=5, f=1, k=2, target_height=3, **kwargs)
-    return ProtocolRunner(recorder=TraceRecorder()).run(spec)
+    return run_protocol(spec, recorder=TraceRecorder())
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

@@ -23,7 +23,7 @@ or model change, and say why in the PR.
 import pytest
 
 from repro.core.adversary import FaultPlan
-from repro.eval.runner import PROTOCOLS, DeploymentSpec, ProtocolRunner
+from repro.eval.runner import PROTOCOLS, DeploymentSpec, run_protocol
 from repro.net.impairment import ImpairmentSpec
 from repro.testkit.trace import TraceRecorder
 from repro.workload import OpenLoopPoisson
@@ -66,7 +66,7 @@ def open_loop_spec(protocol: str, impairment: ImpairmentSpec, target_height: int
 
 
 def fingerprint(spec: DeploymentSpec) -> str:
-    return ProtocolRunner(recorder=TraceRecorder()).run(spec).trace.fingerprint()
+    return run_protocol(spec, recorder=TraceRecorder()).trace.fingerprint()
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

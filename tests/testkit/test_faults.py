@@ -2,22 +2,23 @@
 
 import pytest
 
-from repro.core.adversary import FaultPlan
 from repro.testkit.faults import (
     CrashAt,
     CrashRecoverWindow,
-    EquivocateAt,
+    DuplicateWindow,
     FaultSchedule,
+    JitterWindow,
+    LossWindow,
     PartitionWindow,
     RelayDropWindow,
     SilentFrom,
-    StallAt,
     crash_at,
     crash_recover,
     drop_window,
     equivocate_at,
     no_faults,
     partition,
+    schedule_from_dict,
     silent,
     stall_at,
 )
@@ -89,12 +90,6 @@ def test_invalid_windows_rejected():
 def test_non_fault_member_rejected():
     with pytest.raises(TypeError):
         FaultSchedule(("crash",))
-
-
-def test_to_fault_plan_round_trip():
-    plan = equivocate_at(0, round_number=5).to_fault_plan()
-    assert plan == FaultPlan(faulty=(0,), behaviour="equivocate", trigger_round=5)
-    assert no_faults().to_fault_plan() == FaultPlan()
 
 
 def test_describe_is_deterministic_and_json_friendly():
@@ -323,3 +318,31 @@ def test_crash_recover_rejects_malformed_fields():
         CrashRecoverWindow(1, 0.0, "soon")
     with pytest.raises(ValueError, match="cannot be negative"):
         CrashRecoverWindow(1, -1.0, 5.0)
+
+
+WINDOWED_ATOMS = (
+    RelayDropWindow,
+    PartitionWindow,
+    CrashRecoverWindow,
+    LossWindow,
+    DuplicateWindow,
+    JitterWindow,
+)
+
+
+@pytest.mark.parametrize("atom", WINDOWED_ATOMS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize(
+    "start, end",
+    [(-1.0, 3.0), (True, 3.0), ("1.0", 3.0), (1.0, "soon"), (3.0, 3.0), (5.0, 2.0)],
+    ids=["negative-start", "bool-start", "str-start", "str-end", "end-eq-start", "end-lt-start"],
+)
+def test_every_windowed_atom_validates_its_bounds_alike(atom, start, end):
+    """One shared bounds check: what a corpus file or ``--spec`` can get
+    wrong is a ``ValueError`` at construction for all six windowed atoms,
+    never a ``SimulationError`` when the session is built."""
+    with pytest.raises(ValueError):
+        atom(4, start, end)
+    end_key = "heal" if atom in (PartitionWindow, CrashRecoverWindow) else "end"
+    entry = {"kind": atom.__name__, "node": 4, "start": start, end_key: end}
+    with pytest.raises(ValueError, match="fault entry 1: "):
+        schedule_from_dict([{"kind": "SilentFrom", "node": 0}, entry])

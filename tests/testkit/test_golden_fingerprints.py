@@ -14,7 +14,7 @@ change, not an optimization), update the constants and say why in the PR.
 
 import pytest
 
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.testkit.trace import TraceRecorder
 
 #: (spec kwargs) -> fingerprint captured before the hot-path overhaul.
@@ -30,7 +30,7 @@ GOLDEN_WIFI_N9 = "2e0dfed421d6cbfb067ae1eaf4cf134f5c0e66653495780e07d8eaebc088d5
 
 def run_fingerprint(**kwargs) -> str:
     spec = DeploymentSpec(n=5, f=1, k=2, target_height=3, **kwargs)
-    result = ProtocolRunner(recorder=TraceRecorder()).run(spec)
+    result = run_protocol(spec, recorder=TraceRecorder())
     return result.trace.fingerprint()
 
 
@@ -43,5 +43,5 @@ def test_larger_wifi_run_matches_golden_fingerprint():
     spec = DeploymentSpec(
         protocol="eesmr", n=9, f=2, k=2, target_height=4, seed=99, medium="wifi"
     )
-    result = ProtocolRunner(recorder=TraceRecorder()).run(spec)
+    result = run_protocol(spec, recorder=TraceRecorder())
     assert result.trace.fingerprint() == GOLDEN_WIFI_N9

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from repro.eval.runner import ProtocolRunner
+from repro.eval.runner import run_protocol
 from repro.testkit.invariants import (
     DEFAULT_INVARIANTS,
     AgreementInvariant,
@@ -26,7 +26,7 @@ from tests.conftest import honest_spec
 @pytest.fixture
 def evidence():
     spec = honest_spec()
-    result = ProtocolRunner(recorder=TraceRecorder()).run(spec)
+    result = run_protocol(spec, recorder=TraceRecorder())
     return Evidence(spec=spec, result=result, trace=result.trace, label="unit")
 
 
@@ -50,7 +50,7 @@ def test_honest_run_satisfies_every_invariant(evidence):
 def test_faulty_runs_satisfy_every_invariant():
     for schedule in (crash_at(0, time=0.0), silent(4)):
         spec = honest_spec(fault_schedule=schedule)
-        result = ProtocolRunner(recorder=TraceRecorder()).run(spec)
+        result = run_protocol(spec, recorder=TraceRecorder())
         assert_all(Evidence(spec=spec, result=result, trace=result.trace))
 
 
@@ -98,7 +98,7 @@ def test_liveness_respects_explicit_floor(evidence):
 
 def test_quorum_invariant_detects_underfull_certificate(evidence):
     spec = honest_spec(fault_schedule=crash_at(0, time=0.0))
-    result = ProtocolRunner(recorder=TraceRecorder()).run(spec)
+    result = run_protocol(spec, recorder=TraceRecorder())
     good = Evidence(spec=spec, result=result, trace=result.trace)
     QuorumCertificateInvariant().check(good)
     bad = doctored(good)

@@ -103,7 +103,7 @@ def test_broken_protocol_forks_and_is_caught():
 def test_honest_control_run_passes_the_same_invariant():
     """The same harness with the mutation removed stays clean — the checker
     fires because of the mutation, not because of the harness."""
-    from repro.eval.runner import ProtocolRunner
+    from repro.eval.runner import run_protocol
 
     spec = DeploymentSpec(
         protocol="eesmr",
@@ -114,6 +114,6 @@ def test_honest_control_run_passes_the_same_invariant():
         seed=3,
         fault_plan=FaultPlan(faulty=(0,), behaviour="equivocate", trigger_round=3),
     )
-    result = ProtocolRunner(recorder=TraceRecorder()).run(spec)
+    result = run_protocol(spec, recorder=TraceRecorder())
     assert result.safety.consistent
     AgreementInvariant().check(Evidence(spec=spec, result=result, trace=result.trace))

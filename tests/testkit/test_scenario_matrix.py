@@ -19,6 +19,7 @@ from repro.testkit.scenarios import (
     ScenarioCell,
     ScenarioMatrix,
     SkippedCell,
+    schedule_feasibility,
 )
 from repro.testkit.invariants import InvariantViolation
 
@@ -117,21 +118,21 @@ def test_infeasible_cell_skipped_with_lemma_a5_reason():
     """Adjacent crashes at 0 and n-1 exceed the k=2 ring's fault bound; the
     matrix must skip the cell with an explanatory reason, not fail it."""
     matrix = ScenarioMatrix()
-    reason = matrix.cell_feasibility(ScenarioCell("eesmr", "two-crashes", "ble"))
+    reason = schedule_feasibility(matrix.build_spec(ScenarioCell("eesmr", "two-crashes", "ble")))
     assert reason is not None and "Lemma A.5" in reason
     # The same schedule is feasible on a denser topology...
     dense = ScenarioMatrix(topologies=("fully-connected",))
-    assert dense.cell_feasibility(
-        ScenarioCell("eesmr", "two-crashes", "ble", "fully-connected")
+    assert schedule_feasibility(
+        dense.build_spec(ScenarioCell("eesmr", "two-crashes", "ble", "fully-connected"))
     ) is None
     # ...and for the trusted baseline, whose leaves only talk to the hub.
-    assert matrix.cell_feasibility(ScenarioCell("trusted-baseline", "two-crashes", "ble")) is None
+    assert schedule_feasibility(matrix.build_spec(ScenarioCell("trusted-baseline", "two-crashes", "ble"))) is None
 
 
 def test_quorum_bound_infeasibility_reason():
     """Two Byzantine nodes at n=4 break 2f < n: skip, don't fail."""
     matrix = ScenarioMatrix(n=4)
-    reason = matrix.cell_feasibility(ScenarioCell("eesmr", "crash-leader+silent-relay", "ble"))
+    reason = schedule_feasibility(matrix.build_spec(ScenarioCell("eesmr", "crash-leader+silent-relay", "ble")))
     assert reason is not None and "honest-majority" in reason
 
 
@@ -178,7 +179,7 @@ def test_star_and_random_kcast_cells_pass_all_invariants():
     for topology, fault in (("star", "crash-leader"), ("random-kcast", "none")):
         matrix = ScenarioMatrix(topologies=(topology,))
         cell = ScenarioCell("eesmr", fault, "ble", topology)
-        assert matrix.cell_feasibility(cell) is None
+        assert schedule_feasibility(matrix.build_spec(cell)) is None
         outcome = matrix.run_cell(cell)
         assert outcome.ok, f"{cell.label()}: {[r.detail for r in outcome.violations()]}"
 

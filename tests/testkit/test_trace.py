@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import run_protocol
 from repro.testkit.trace import TraceRecorder, spec_fingerprint
 from repro.testkit.faults import crash_at
 
@@ -12,12 +12,11 @@ from tests.conftest import honest_spec
 
 
 def record(spec, record_events=True):
-    runner = ProtocolRunner(recorder=TraceRecorder(record_events=record_events))
-    return runner.run(spec)
+    return run_protocol(spec, recorder=TraceRecorder(record_events=record_events))
 
 
-def test_runner_without_recorder_has_no_trace(runner):
-    result = runner.run(honest_spec())
+def test_runner_without_recorder_has_no_trace():
+    result = run_protocol(honest_spec())
     assert result.trace is None
 
 

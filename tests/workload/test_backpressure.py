@@ -19,7 +19,7 @@ from repro.core.txpool import (
     TxPoolOverflowWarning,
 )
 from repro.core.types import Command
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.testkit.trace import TraceRecorder
 from repro.workload import OpenLoopPoisson
 
@@ -118,10 +118,9 @@ def test_deployment_spec_validates_txpool_limit():
 # --------------------------------------------------------------- surfacing
 def test_overload_run_surfaces_drop_accounting():
     spec = overload_spec()
-    runner = ProtocolRunner(recorder=TraceRecorder())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TxPoolOverflowWarning)
-        result = runner.run(spec)
+        result = run_protocol(spec, recorder=TraceRecorder())
     assert result.commands_dropped > 0
     assert result.txpool_high_watermark == spec.txpool_limit
     # The structured trace carries per-replica drop counters...
@@ -135,8 +134,7 @@ def test_overload_run_surfaces_drop_accounting():
 def test_default_runs_keep_seed_trace_key_set():
     """Unbounded preload runs must not grow admission keys (golden traces)."""
     spec = DeploymentSpec(protocol="eesmr", n=5, f=1, k=2, target_height=3, seed=29)
-    runner = ProtocolRunner(recorder=TraceRecorder())
-    result = runner.run(spec)
+    result = run_protocol(spec, recorder=TraceRecorder())
     assert result.commands_dropped == 0
     for stats in result.trace.replica_stats.values():
         assert "commands_dropped" not in stats
@@ -150,6 +148,6 @@ def test_overload_run_stays_safe_and_live():
     spec = overload_spec(limit=2, rate=32.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TxPoolOverflowWarning)
-        result = ProtocolRunner(recorder=TraceRecorder()).run(spec)
+        result = run_protocol(spec, recorder=TraceRecorder())
     assert result.safety.consistent
     assert result.min_committed_height >= spec.target_height

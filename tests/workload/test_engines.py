@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.testkit.trace import TraceRecorder
 from repro.workload import (
     ClosedLoopPreload,
@@ -101,8 +101,7 @@ def test_open_loop_run_is_byte_deterministic():
     spec = open_loop_spec()
     fingerprints = []
     for _ in range(2):
-        runner = ProtocolRunner(recorder=TraceRecorder())
-        fingerprints.append(runner.run(spec).trace.fingerprint())
+        fingerprints.append(run_protocol(spec, recorder=TraceRecorder()).trace.fingerprint())
     assert fingerprints[0] == fingerprints[1]
 
 
@@ -123,8 +122,7 @@ def test_explicit_default_preload_fingerprints_like_none():
     explicit = DeploymentSpec(workload=ClosedLoopPreload(), **base)
     fps = []
     for spec in (plain, explicit):
-        runner = ProtocolRunner(recorder=TraceRecorder())
-        fps.append(runner.run(spec).trace.fingerprint())
+        fps.append(run_protocol(spec, recorder=TraceRecorder()).trace.fingerprint())
     assert fps[0] == fps[1]
 
 
@@ -174,8 +172,7 @@ def test_trace_replay_rejects_bad_entries():
 def test_trace_run_commits_only_trace_commands():
     engine = TraceReplay(entries=((0.1, "a", 0, None), (0.6, "b", 0, None)))
     spec = open_loop_spec(workload=engine)
-    runner = ProtocolRunner(recorder=TraceRecorder())
-    result = runner.run(spec)
+    result = run_protocol(spec, recorder=TraceRecorder())
     committed = {
         cid for cmds in result.trace.committed_commands.values() for cid in cmds
     }
@@ -202,6 +199,29 @@ def test_describe_roundtrips(engine):
 def test_workload_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown workload kind"):
         workload_from_dict({"kind": "chaos-monkey"})
+
+
+@pytest.mark.parametrize(
+    "data, culprit",
+    [
+        ({"kind": "open-loop", "rat": 5.0}, "rat"),  # a typo must not run at rate=1.0
+        ({"kind": "open-loop", "rate": 2.0, "bogus": 1}, "bogus"),
+        ({"kind": "closed-loop", "surplus": 2}, "surplus"),
+        ({"kind": "trace", "path": "/tmp/elsewhere.json"}, "path"),  # provenance, not schema
+    ],
+)
+def test_workload_from_dict_rejects_unknown_keys(data, culprit):
+    with pytest.raises(ValueError, match=f"unknown .* workload keys .*{culprit}"):
+        workload_from_dict(data)
+    with pytest.raises(ValueError, match=culprit):
+        DeploymentSpec.from_dict({"workload": data})
+
+
+def test_workload_from_dict_omitted_keys_take_the_engine_defaults():
+    assert workload_from_dict({"kind": "open-loop", "rate": 2.0}) == OpenLoopPoisson(rate=2.0)
+    assert workload_from_dict({"kind": "open-loop"}) == OpenLoopPoisson()
+    assert workload_from_dict({"kind": "closed-loop"}) == ClosedLoopPreload()
+    assert workload_from_dict({"kind": "trace"}) == TraceReplay()
 
 
 def test_spec_json_roundtrip_with_workload_and_limit():

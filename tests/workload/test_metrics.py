@@ -12,7 +12,7 @@ import json
 import warnings
 
 from repro.core.txpool import TxPoolOverflowWarning
-from repro.eval.runner import DeploymentSpec, ProtocolRunner
+from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.session.metrics import (
     HAVE_PROMETHEUS,
     MetricsObserver,
@@ -40,9 +40,7 @@ def open_loop_spec(**overrides):
 
 def run_with_metrics(spec, slo_p99=None):
     metrics = MetricsObserver(slo_p99=slo_p99)
-    result = (
-        ProtocolRunner().session(spec, observers=(metrics,)).run_to_quiescence().finish()
-    )
+    result = run_protocol(spec, observers=(metrics,))
     return metrics, result
 
 
