@@ -12,6 +12,8 @@ from repro.core.messages import (
     Round2Proposal,
     SyncRequest,
     SyncResponse,
+    ClientRequest,
+    EquivocationProof,
     make_message,
     verify_message,
     make_qc,
@@ -62,6 +64,8 @@ __all__ = [
     "Round2Proposal",
     "SyncRequest",
     "SyncResponse",
+    "ClientRequest",
+    "EquivocationProof",
     "make_message",
     "verify_message",
     "make_qc",

@@ -24,6 +24,7 @@ from repro.core.blocks import Block, make_block
 from repro.core.client import AckRouter
 from repro.core.config import ProtocolConfig
 from repro.core.messages import (
+    ClientRequest,
     MessageType,
     ProtocolMessage,
     data_signing_input,
@@ -75,9 +76,9 @@ class TrustedControlNode(Process):
             return
         if message.msg_type != MessageType.TB_REQUEST:
             return
-        commands = message.data
-        if isinstance(commands, (list, tuple)):
-            self.pending.extend(commands)
+        request = message.data
+        if isinstance(request, ClientRequest):
+            self.pending.extend(request.commands)
 
     def _order_round(self) -> None:
         if self.crashed:
@@ -133,7 +134,7 @@ class TrustedBaselineReplica(BaseReplica):
     def _upload_pending(self) -> None:
         """Send pending commands to the trusted node over the expensive medium."""
         commands = self.txpool.peek_batch(self.config.batch_size)
-        request = self.sign_message(MessageType.TB_REQUEST, tuple(commands), view=1)
+        request = self.sign_message(MessageType.TB_REQUEST, ClientRequest(tuple(commands)), view=1)
         self.send(self.control_node_id, request)
 
     def on_message(self, sender: int, message: Any) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.blocks import Block, make_block
-from repro.core.messages import MessageType, ProtocolMessage
+from repro.core.messages import EquivocationProof, MessageType, ProtocolMessage
 from repro.core.types import FIRST_STEADY_ROUND, Round, View
 
 
@@ -165,7 +165,7 @@ class SteadyStateMixin:
         self.stats.equivocations_detected += 1
         self.commit_timers.cancel_all()
         if view == self.v_cur and view not in self.blamed_views:
-            proof = (first, second)
+            proof = EquivocationProof(first, second)
             blame = self.sign_message(MessageType.BLAME, proof, view=view)
             self.blamed_views.add(view)
             self.blames.setdefault(view, {})[self.pid] = blame

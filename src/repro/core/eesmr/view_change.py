@@ -28,6 +28,7 @@ from typing import List, Optional
 
 from repro.core.blocks import Block, make_block
 from repro.core.messages import (
+    EquivocationProof,
     MessageType,
     NewViewProposal,
     ProtocolMessage,
@@ -72,22 +73,24 @@ class ViewChangeMixin:
         if not self.verify_signed_message(message):
             return
         proof = message.data
-        if self._is_equivocation_proof(proof):
-            first, second = proof
-            self._handle_equivocation(message.view, first, second)
+        if self._is_equivocation_proof(proof, message.view):
+            self._handle_equivocation(message.view, proof.first, proof.second)
         self.blames.setdefault(message.view, {})[message.sender] = message
         self._check_blame_quorum(message.view)
 
-    def _is_equivocation_proof(self, proof) -> bool:
-        """Validate a (proposal, proposal) equivocation proof, charging verification."""
-        if not (isinstance(proof, tuple) and len(proof) == 2):
+    def _is_equivocation_proof(self, proof, view: View) -> bool:
+        """Validate an equivocation proof against ``view``, charging verification.
+
+        The evidence must accuse the view of the blame that carries it: a
+        genuine proof from an earlier view replayed in a later blame says
+        nothing about the later view's leader.
+        """
+        if not isinstance(proof, EquivocationProof):
             return False
-        first, second = proof
-        if not (isinstance(first, ProtocolMessage) and isinstance(second, ProtocolMessage)):
-            return False
+        first, second = proof.first, proof.second
         if first.msg_type != MessageType.PROPOSE or second.msg_type != MessageType.PROPOSE:
             return False
-        if first.view != second.view or first.round != second.round:
+        if not (first.view == second.view == view) or first.round != second.round:
             return False
         if first.data_digest == second.data_digest:
             return False

@@ -13,9 +13,9 @@ signatures.
 What is signed is a property a message is *constructed with*: every
 composite protocol payload is a frozen :class:`PayloadRecord` whose digest
 is built from its children's digests, :func:`make_message` computes that
-digest once, signs it and seeds the message's memos, and because protocol
-payloads are immutable by type the n receivers of a flooded message reuse
-the digest, the wire size and the verification verdict.
+digest once and signs it, and because a message can only be constructed
+around one of the immutable :data:`PAYLOAD_TYPES` the n receivers of a
+flooded message reuse the digest, the wire size and the verification verdict.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from functools import cached_property
 from typing import Any, Optional, Tuple
 
 from repro.core.blocks import Block
-from repro.core.types import NodeId, Round, View
-from repro.crypto.hashing import is_deeply_immutable, sha256_hex, structural_digest
+from repro.core.types import Command, NodeId, Round, View
+from repro.crypto.hashing import sha256_hex, structural_digest
 from repro.crypto.signatures import Signature, SignatureScheme
 
 #: Fixed per-message header bytes (type, view, round, sender).
@@ -119,6 +119,10 @@ def _child_digest(value: Any) -> Any:
         return value.block_hash
     if isinstance(value, QuorumCertificate):
         return value.content_digest
+    if isinstance(value, Command):
+        return value.digest
+    if isinstance(value, ProtocolMessage):
+        return [value.msg_type.value, value.view, value.round, value.sender, value.data_digest]
     if isinstance(value, tuple):
         return [_child_digest(item) for item in value]
     return value
@@ -128,9 +132,10 @@ class PayloadRecord:
     """Base of the typed, immutable composite payloads.
 
     Every subclass is a frozen dataclass whose fields are checked at
-    construction to hold only blocks, certificates, primitives and tuples
-    of those, so a record cannot change after it is signed and its digest,
-    wire size and verification verdict may be computed once per message.
+    construction to hold only blocks, certificates, commands, signed
+    messages, primitives and tuples of those, so a record cannot change
+    after it is signed and its digest, wire size and verification verdict
+    may be computed once per message.
     """
 
     @cached_property
@@ -143,8 +148,9 @@ class PayloadRecord:
         """Structural digest: H(record type, child digests in field order).
 
         Blocks contribute ``block_hash``, certificates their
-        ``content_digest``; the record type is the domain tag, so two
-        records of different types never share a digest.
+        ``content_digest``, commands their ``digest``, a carried message its
+        type, view, round, sender and payload digest; the record type is the
+        domain tag, so two records of different types never share a digest.
         """
         return structural_digest(
             [type(self).__name__, *(_child_digest(getattr(self, f.name)) for f in fields(self))]
@@ -212,6 +218,22 @@ class SyncResponse(PayloadRecord):
 
 
 @dataclass(frozen=True)
+class ClientRequest(PayloadRecord):
+    """Trusted baseline: the pending commands a CPS node uploads (``TB_REQUEST``)."""
+
+    commands: Tuple[Command, ...]
+
+    def __post_init__(self) -> None:
+        _require_all(self.commands, Command, "commands")
+
+    @cached_property
+    def wire_size_bytes(self) -> int:
+        """The commands back to back, no field header: the golden fingerprints
+        price a request as its commands alone."""
+        return sum(command.wire_size_bytes for command in self.commands)
+
+
+@dataclass(frozen=True)
 class ProtocolMessage:
     """A signed protocol message.
 
@@ -220,7 +242,8 @@ class ProtocolMessage:
         view: The view the message belongs to (``m.view``).
         round: The round the message refers to (0 when not applicable).
         sender: Node id of the signer.
-        data: Arbitrary payload (block, block hash, QC, proof, ...).
+        data: The payload, one of :data:`PAYLOAD_TYPES` (block, block hash,
+            QC, payload record or nothing).
         view_sig: Signature over (type, view) — ``m.viewSig``.
         data_sig: Signature over (data digest, view) — ``m.dataSig``.
     """
@@ -233,42 +256,27 @@ class ProtocolMessage:
     view_sig: Optional[Signature] = None
     data_sig: Optional[Signature] = None
 
+    def __post_init__(self) -> None:
+        # The set is closed so that nothing a message carries can change
+        # after it is signed: its digest, wire size and verification
+        # verdict are then facts about the object, computed once.
+        if not isinstance(self.data, PAYLOAD_TYPES):
+            raise TypeError(
+                f"a message carries one of PAYLOAD_TYPES, got {type(self.data).__name__}"
+            )
+
     @cached_property
-    def _data_immutable(self) -> bool:
-        """Whether ``data`` can never change (stable per message).
-
-        The flyweight memos below are only sound for messages whose payload
-        is deeply immutable — a list payload mutated in place must see its
-        digest, wire size and verification verdict recomputed, exactly as
-        the seed recomputed them on every access.  Protocol payloads are
-        immutable by type; only arbitrary payloads are walked.
-        """
-        data = self.data
-        return isinstance(data, _IMMUTABLE_PAYLOAD_TYPES) or is_deeply_immutable(data)
-
-    @property
     def data_digest(self) -> str:
         """Digest of the payload used for signing and vote matching."""
-        cached = self.__dict__.get("_memo_data_digest")
-        if cached is not None:
-            return cached
-        digest = message_data_digest(self.data)
-        if self._data_immutable:
-            self.__dict__["_memo_data_digest"] = digest
-        return digest
+        return message_data_digest(self.data)
 
-    @property
+    @cached_property
     def wire_size_bytes(self) -> int:
         """Bytes on the wire: header + payload + signatures."""
-        cached = self.__dict__.get("_memo_wire_size")
-        if cached is not None:
-            return cached
         size = MESSAGE_HEADER_BYTES + payload_wire_size(self.data)
         for signature in (self.view_sig, self.data_sig):
             if signature is not None:
                 size += signature.size_bytes
-        if self._data_immutable:
-            self.__dict__["_memo_wire_size"] = size
         return size
 
     def matches(self, msg_type: MessageType, view: View) -> bool:
@@ -276,21 +284,30 @@ class ProtocolMessage:
         return self.msg_type == msg_type and self.view == view
 
 
+@dataclass(frozen=True)
+class EquivocationProof(PayloadRecord):
+    """Two conflicting signed proposals: the transferable evidence in an EESMR ``BLAME``."""
+
+    first: ProtocolMessage
+    second: ProtocolMessage
+
+    def __post_init__(self) -> None:
+        _require(self.first, ProtocolMessage, "first")
+        _require(self.second, ProtocolMessage, "second")
+
+    @cached_property
+    def wire_size_bytes(self) -> int:
+        """The two proposals back to back, no field headers: the golden
+        fingerprints price a proof as its evidence alone."""
+        return self.first.wire_size_bytes + self.second.wire_size_bytes
+
+
 def message_data_digest(data: Any) -> str:
-    """Canonical digest of a message payload."""
+    """Canonical digest of a message payload (one of :data:`PAYLOAD_TYPES`)."""
     if isinstance(data, Block):
         return data.block_hash
-    if isinstance(data, QuorumCertificate):
+    if isinstance(data, (QuorumCertificate, PayloadRecord)):
         return data.digest
-    if isinstance(data, PayloadRecord):
-        return data.digest
-    if isinstance(data, ProtocolMessage):
-        return sha256_hex((data.msg_type.value, data.view, data.round, data.data_digest))
-    if isinstance(data, (list, tuple)):
-        # A tuple (not a list) of digests, so the cache can key it by value;
-        # the item digests are recomputed on every call, so a mutated list
-        # payload still changes the result.
-        return sha256_hex(tuple(message_data_digest(item) for item in data))
     return sha256_hex(data)
 
 
@@ -305,9 +322,7 @@ def make_message(
     """Create and sign a protocol message (Algorithm 1's ``Msg`` function).
 
     The payload digest is computed once here, signed, and seeded into the
-    message's memos together with the wire size, so the O(n·d) hops of a
-    flood and the n verifications all reuse one computation.  (Nothing is
-    seeded when the payload is mutable.)
+    message, so the n verifications of a flood all reuse one computation.
     """
     digest = message_data_digest(data)
     message = ProtocolMessage(
@@ -319,9 +334,7 @@ def make_message(
         view_sig=scheme.sign(sender, view_signing_input(msg_type, view)),
         data_sig=scheme.sign(sender, data_signing_input(digest, view)),
     )
-    if message._data_immutable:
-        message.__dict__["_memo_data_digest"] = digest
-        message.wire_size_bytes  # noqa: B018  # property read warms the memo
+    message.__dict__["data_digest"] = digest
     return message
 
 
@@ -350,8 +363,7 @@ def verify_message(scheme: SignatureScheme, verifier: NodeId, message: ProtocolM
         verifier, data_signing_input(message.data_digest, message.view), message.data_sig
     )
     result = view_ok and data_ok
-    if message._data_immutable:
-        message.__dict__["_verified_by"] = (scheme, result)
+    message.__dict__["_verified_by"] = (scheme, result)
     return result
 
 
@@ -404,9 +416,10 @@ class QuorumCertificate:
         return len(self.signatures)
 
 
-#: Payload types that cannot change after construction, so a message
-#: carrying one may memoize without walking it.
-_IMMUTABLE_PAYLOAD_TYPES = (Block, QuorumCertificate, PayloadRecord, str, type(None))
+#: Everything a :class:`ProtocolMessage` may carry.  None of these types can
+#: change after construction, which is what makes the per-message digest,
+#: wire size and verification verdict sound to compute once.
+PAYLOAD_TYPES = (Block, QuorumCertificate, PayloadRecord, str, type(None))
 
 
 def make_qc(messages: list[ProtocolMessage], block: Optional[Block] = None) -> QuorumCertificate:

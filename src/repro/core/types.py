@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
+
+from repro.crypto.hashing import structural_digest
 
 #: Node identifier (index into the system N = {p_1, ..., p_n}).
 NodeId = int
@@ -57,6 +60,13 @@ class Command:
         """Bytes this command occupies inside a block."""
         # command id (bounded), client id, and the payload itself.
         return 8 + 4 + self.payload_size_bytes
+
+    @cached_property
+    def digest(self) -> str:
+        """Structural digest of the fields equality compares (no ``arrival_time``)."""
+        return structural_digest(
+            [self.command_id, self.client_id, self.payload_size_bytes, self.payload_digest]
+        )
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ parties) and MACs (cheaper, but equivocation hard to prove) is captured by
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -21,7 +20,7 @@ from repro.crypto.energy_costs import (
     SignatureEnergyCost,
     signature_cost,
 )
-from repro.crypto.hashing import canonical_cache
+from repro.crypto.hashing import canonical_bytes
 from repro.crypto.keys import KeyStore
 
 
@@ -33,15 +32,11 @@ class Signature:
         signer: Node id of the signer.
         scheme: Canonical scheme name (e.g. ``"rsa-1024"``).
         tag: Authentication tag binding payload and signer.
-        payload_digest: Hex digest of the signed payload (for debugging and
-            size accounting; verification recomputes the tag from the actual
-            payload, not from this digest).
     """
 
     signer: int
     scheme: str
     tag: str
-    payload_digest: str
 
     @property
     def size_bytes(self) -> int:
@@ -80,7 +75,7 @@ class SignatureScheme:
         self.verify_counts: Counter[int] = Counter()
         # (signer, payload bytes) -> finished Signature (a flyweight);
         # deterministic MACs make signing a pure function, so the same
-        # payload signed for n recipients costs one HMAC and one digest.
+        # payload signed for n recipients costs one HMAC.
         self._sign_memo: Dict[Tuple[int, bytes], Signature] = {}
         # (signer, tag, payload bytes) -> bool; once one replica has checked
         # a (payload, signature) pair, the other n-1 verifiers pay a lookup.
@@ -89,7 +84,7 @@ class SignatureScheme:
     # ------------------------------------------------------------ operations
     def sign(self, signer: int, payload: Any) -> Signature:
         """Sign ``payload`` with ``signer``'s secret key."""
-        data = canonical_cache.bytes_for(payload)
+        data = canonical_bytes(payload)
         self.sign_counts[signer] += 1
         key = (signer, data)
         signature = self._sign_memo.get(key)
@@ -99,7 +94,6 @@ class SignatureScheme:
                 signer=signer,
                 scheme=self.spec.name,
                 tag=pair.sign_tag(self._domain_separated(data)),
-                payload_digest=hashlib.sha256(data).hexdigest()[:16],
             )
             if len(self._sign_memo) >= self.max_cache_entries:
                 self._sign_memo.clear()
@@ -121,7 +115,7 @@ class SignatureScheme:
         self.verify_counts[verifier] += 1
         if signature.scheme != self.spec.name:
             return False
-        data = canonical_cache.bytes_for(payload)
+        data = canonical_bytes(payload)
         key = (signature.signer, signature.tag, data)
         cached = self._verify_memo.get(key)
         if cached is not None:

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional
 
-from repro.crypto.hashing import canonical_cache
+from repro.crypto.hashing import canonical_bytes
 from repro.energy.ledger import ClusterEnergyLedger
 from repro.energy.meter import EnergyCategory
 from repro.net.hypergraph import HyperEdge, Hypergraph
@@ -121,16 +121,14 @@ def _chain_name(flood: Optional[Flood]) -> str:
 def default_wire_size(message: Any) -> int:
     """Wire size of a message in bytes.
 
-    Messages that know their own size expose ``wire_size_bytes``; anything
-    else is serialized canonically and measured.  Both paths are flyweights:
-    protocol messages memoize their size per instance, and raw payloads go
-    through :data:`~repro.crypto.hashing.canonical_cache`, so a flood sizes
-    each message once instead of once per relay.
+    Messages that know their own size expose ``wire_size_bytes`` (protocol
+    messages compute it once per instance); anything else is serialized
+    canonically and measured.
     """
     size = getattr(message, "wire_size_bytes", None)
     if size is not None:
         return int(size)
-    return canonical_cache.wire_size_for(message)
+    return len(canonical_bytes(message))
 
 
 @dataclass

@@ -1,19 +1,25 @@
 """The digest-once message plane: typed payload records and structural digests.
 
 What is signed is a property a message is constructed with.  These tests
-pin the three things that makes safe: a record's digest binds every field
-(and its type), its wire size is byte-for-byte the dict payload's it
-replaced, and no protocol run ever falls back to the JSON/``repr``
-serialization — once per message, never once per receiver.
+pin the four things that makes safe: a record's digest binds every field
+(and its type), its wire size is byte-for-byte the dict or tuple payload's
+it replaced, a message cannot be constructed around anything outside the
+closed set ``PAYLOAD_TYPES``, and no protocol run ever falls back to the
+JSON/``repr`` serialization — once per message, never once per receiver.
 """
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import pytest
 
 from repro.core.blocks import GENESIS, make_block
+from repro.core.baselines import TrustedControlNode
 from repro.core.messages import (
+    PAYLOAD_TYPES,
     CertifiedBlock,
+    ClientRequest,
+    EquivocationProof,
     MessageType,
     NewViewProposal,
     PayloadRecord,
@@ -28,14 +34,23 @@ from repro.core.messages import (
     verify_message,
 )
 from repro.core.types import Command
-from repro.crypto.hashing import canonical_cache
 from repro.eval.runner import PROTOCOLS, run_protocol
+from repro.sim.process import Process
 from repro.testkit import faults
 from tests.conftest import faulty_spec, honest_spec
 
 BLOCK = make_block(GENESIS, 0, 1, 3, [Command("c0"), Command("c1")])
 CHILD = make_block(BLOCK, 0, 1, 4, [Command("c2")])
 OTHER = make_block(GENESIS, 1, 1, 3, [])
+COMMANDS = tuple(Command(f"c{i}", payload_size_bytes=16 + i) for i in range(8))
+
+
+def proposals(scheme, view=1):
+    """Two conflicting signed proposals by node 0 (plus a third, for swapping)."""
+    return [
+        make_message(scheme, 0, MessageType.PROPOSE, view, block, round_number=3)
+        for block in (BLOCK, OTHER, CHILD)
+    ]
 
 
 def certificate(scheme, block=BLOCK, view=1, signers=(0, 1, 2), msg_type=MessageType.CERTIFY):
@@ -72,6 +87,7 @@ def test_certificate_content_digest_binds_every_field(scheme):
 def record_variants(scheme):
     cert = certificate(scheme)
     other_cert = certificate(scheme, block=OTHER)
+    first, second, third = proposals(scheme)
     return [
         (
             CertifiedBlock(BLOCK, cert),
@@ -112,6 +128,26 @@ def record_variants(scheme):
                 SyncResponse((BLOCK, CHILD), cert, 6),
             ],
         ),
+        (
+            ClientRequest(COMMANDS[:2]),
+            [
+                ClientRequest((COMMANDS[0], COMMANDS[2])),
+                ClientRequest((COMMANDS[1], COMMANDS[0])),
+                ClientRequest(COMMANDS[:1]),
+                ClientRequest(()),
+                ClientRequest((COMMANDS[0], replace(COMMANDS[1], payload_digest="ff"))),
+            ],
+        ),
+        (
+            EquivocationProof(first, second),
+            [
+                EquivocationProof(first, third),
+                EquivocationProof(third, second),
+                EquivocationProof(second, first),
+                EquivocationProof(first, replace(second, sender=1)),
+                EquivocationProof(*proposals(scheme, view=2)[:2]),
+            ],
+        ),
     ]
 
 
@@ -129,9 +165,26 @@ def test_record_type_is_a_domain_tag(scheme):
         block: object
         cert: object = None
 
+    @dataclass(frozen=True)
+    class RequestTwin(PayloadRecord):
+        commands: tuple
+
     cert = certificate(scheme)
     assert Twin(BLOCK, cert).digest != CertifiedBlock(BLOCK, cert).digest
     assert Twin(BLOCK).wire_size_bytes == CertifiedBlock(BLOCK).wire_size_bytes
+    assert RequestTwin(COMMANDS).digest != ClientRequest(COMMANDS).digest
+
+
+def test_command_digest_ignores_arrival_time_like_equality_does():
+    command = COMMANDS[0]
+    assert replace(command, arrival_time=3.5).digest == command.digest
+    for changed in (
+        replace(command, command_id="other"),
+        replace(command, client_id=1),
+        replace(command, payload_size_bytes=17),
+        replace(command, payload_digest="ff"),
+    ):
+        assert changed.digest != command.digest
 
 
 def test_forged_certificate_tag_does_not_verify_against_the_genuine_signature(scheme):
@@ -164,6 +217,9 @@ def test_records_reject_fields_of_the_wrong_type(scheme):
         lambda: SyncRequest("3"),
         lambda: SyncResponse([BLOCK], None, 1),
         lambda: SyncResponse((BLOCK,), None, 1.5),
+        lambda: ClientRequest([COMMANDS[0]]),
+        lambda: ClientRequest((COMMANDS[0], "x")),
+        lambda: EquivocationProof(proposals(scheme)[0], None),
     ):
         with pytest.raises(TypeError):
             build()
@@ -194,12 +250,55 @@ def test_new_view_wire_sizes_equal_the_dict_payloads(scheme, certs):
     assert SyncRequest(4).wire_size_bytes == payload_wire_size({"height": 4})
 
 
+@pytest.mark.parametrize("count", (0, 1, 8))
+def test_client_request_wire_size_equals_the_tuple_it_replaced(count):
+    assert ClientRequest(COMMANDS[:count]).wire_size_bytes == payload_wire_size(COMMANDS[:count])
+
+
+def test_equivocation_proof_wire_size_equals_the_pair_it_replaced(scheme):
+    first, second, _ = proposals(scheme)
+    assert EquivocationProof(first, second).wire_size_bytes == payload_wire_size((first, second))
+
+
+# ------------------------------------------------------------- the closed set
+@pytest.mark.parametrize(
+    "payload",
+    ({"balance": 100}, [BLOCK], (BLOCK, OTHER), 1.5, b"raw", object()),
+    ids=lambda payload: type(payload).__name__,
+)
+def test_a_message_cannot_carry_a_payload_outside_the_closed_set(scheme, payload):
+    with pytest.raises(TypeError):
+        ProtocolMessage(MessageType.PROPOSE, 1, 3, 0, payload)
+    with pytest.raises(TypeError):
+        make_message(scheme, 0, MessageType.PROPOSE, 1, payload)
+
+
+def test_control_node_ignores_a_request_that_is_not_a_client_request(sim, scheme, small_config):
+    control = TrustedControlNode(sim, 9, small_config, scheme, network=None, round_interval=1.0)
+    for payload in (COMMANDS[0].command_id, BLOCK, SyncRequest(1), None):
+        control.on_message(1, make_message(scheme, 1, MessageType.TB_REQUEST, 1, payload))
+    assert control.pending == []
+    request = ClientRequest(COMMANDS[:2])
+    control.on_message(1, make_message(scheme, 1, MessageType.TB_REQUEST, 1, request))
+    assert control.pending == list(COMMANDS[:2])
+
+
 # ------------------------------------------------------- once, not per receiver
 def run_counting(spec):
-    canonical_cache.clear()
-    result = run_protocol(spec, max_events=2_000_000)
+    """Run ``spec``; count the delivered protocol messages by payload type."""
+    delivered = Counter()
+    real = Process.deliver
+
+    def deliver(self, sender, message):
+        if isinstance(message, ProtocolMessage):
+            delivered[type(message.data)] += 1
+        real(self, sender, message)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Process, "deliver", deliver)
+        result = run_protocol(spec, max_events=2_000_000)
     assert result.safety.consistent
-    return canonical_cache.stats()
+    return delivered
 
 
 @pytest.mark.parametrize("fault", (None, "crash", "equivocate", "partition-heal"))
@@ -218,7 +317,14 @@ def test_no_protocol_payload_takes_the_json_repr_path(protocol, fault):
         )
     else:
         spec = faulty_spec(fault, protocol, n=7, f=2)
-    assert run_counting(spec)["uncached"] == 0
+    delivered = run_counting(spec)
+    # Only a str or None payload is serialized at all, and a message cannot
+    # be constructed around anything outside the closed set.
+    assert delivered and all(issubclass(kind, PAYLOAD_TYPES) for kind in delivered), delivered
+    if protocol == "trusted-baseline":
+        assert delivered[ClientRequest] > 0
+    if (protocol, fault) == ("eesmr", "equivocate"):
+        assert delivered[EquivocationProof] > 0
 
 
 def test_serializations_per_run_do_not_grow_with_the_number_of_receivers(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from repro.core.client import AckRouter, Client
 from repro.core.config import ProtocolConfig
 from repro.core.eesmr.replica import EesmrReplica
-from repro.core.messages import MessageType, make_message, make_qc
+from repro.core.messages import EquivocationProof, MessageType, make_message, make_qc
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import make_scheme
 from repro.energy.ledger import ClusterEnergyLedger
@@ -111,6 +111,43 @@ def test_equivocating_proposals_cancel_commit_timers_and_blame():
     assert len(replica.commit_timers) == 0
     assert 1 in replica.blamed_views
     assert replica.in_view_change  # equivocation fast path quits the view
+
+
+def test_stale_equivocation_proof_does_not_depose_a_later_leader():
+    sim, scheme, _, replicas = build_cluster()
+    from repro.core.blocks import make_block
+    from repro.core.types import Command
+
+    # A genuine view-1 equivocation by node 0 ...
+    genesis = replicas[2].blocks.genesis
+    proof = EquivocationProof(
+        *(
+            make_message(
+                scheme,
+                0,
+                MessageType.PROPOSE,
+                1,
+                make_block(genesis, 0, 1, 3, [Command(name)]),
+                round_number=3,
+            )
+            for name in ("a", "b")
+        )
+    )
+    # ... replayed by Byzantine node 4 inside a blame for view 2 (honest
+    # leader: node 1) accuses nobody.
+    later = replicas[2]
+    later.v_cur = 2
+    later.on_message(4, make_message(scheme, 4, MessageType.BLAME, 2, proof))
+    assert 2 not in later.quit_views
+    assert not later.in_view_change
+    assert later.stats.equivocations_detected == 0
+    assert later.stats.blames_sent == 0
+    assert 4 in later.blames[2]  # validly signed: it still counts toward f+1
+    # The same proof inside a view-1 blame still quits view 1.
+    current = replicas[3]
+    current.on_message(4, make_message(scheme, 4, MessageType.BLAME, 1, proof))
+    assert 1 in current.quit_views
+    assert current.stats.equivocations_detected == 1
 
 
 def test_blame_quorum_requires_f_plus_one_distinct_signers():
