@@ -36,7 +36,9 @@
 #                     override; see docs/fuzzing.md)
 #   make lint         ruff over src/tests/examples (critical rules plus
 #                     bugbear and a curated modernisation subset — see
-#                     ruff.toml)
+#                     ruff.toml) where ruff is installed (CI); elsewhere
+#                     the stdlib unused-import audit tools/unused_imports.py,
+#                     so the step runs in an image without ruff too
 #   make import-time  the 15 largest cumulative entries of
 #                     `python -X importtime -c "import repro.cli"` — what
 #                     a cold `repro run` pays before it simulates anything
@@ -70,7 +72,12 @@ fuzz:
 	$(PYTHON) -m repro.cli fuzz --seed $(SEED) --iterations $(ITERATIONS)
 
 lint:
-	python -m ruff check src tests examples
+	@if python -c "import ruff" 2>/dev/null; then \
+		python -m ruff check src tests examples; \
+	else \
+		echo "ruff is not installed: running tools/unused_imports.py instead"; \
+		python tools/unused_imports.py src tests examples; \
+	fi
 
 analyze:
 	$(PYTHON) -m repro.analysis src/repro

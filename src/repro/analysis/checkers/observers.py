@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional
 
-from repro.analysis.context import ModuleContext, ProjectIndex
+from repro.analysis.context import ProjectIndex
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Checker, register
 

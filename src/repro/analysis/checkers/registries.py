@@ -1,6 +1,6 @@
 """registry-coherence: serializer registries match the class inventory.
 
-Three registries make ``DeploymentSpec.to_dict``/``from_dict`` a true
+Two registries make ``DeploymentSpec.to_dict``/``from_dict`` a true
 round trip; each is checked by cross-referencing the class ASTs against
 the serializer ASTs, so the rule fires at PR time when someone adds an
 atom/engine/field and forgets the registry side:
@@ -16,9 +16,6 @@ atom/engine/field and forgets the registry side:
 * **workload engines** — every leaf subclass of ``WorkloadEngine`` must
   appear in ``WORKLOAD_KINDS`` *and* be constructed somewhere in
   ``workload_from_dict`` (by name, or by dispatching through the registry).
-* **impairment schema** — ``ImpairmentSpec``'s dataclass fields, the
-  ``_SPEC_KEYS`` allowlist that ``impairment_from_dict`` validates
-  against, and the keys ``describe()`` can emit must all agree.
 
 Each sub-check anchors on names (``Fault`` + ``FAULT_KINDS`` and so on)
 and silently skips when its anchors are absent from the analyzed file
@@ -27,7 +24,6 @@ set, so scoped runs and self-test fixtures work without the real tree.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator, Set
 
 from repro.analysis.context import (
@@ -35,7 +31,6 @@ from repro.analysis.context import (
     dataclass_fields,
     has_decorator,
     names_in,
-    string_constants_in,
 )
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Checker, register
@@ -45,15 +40,14 @@ from repro.analysis.registry import Checker, register
 class RegistryCoherenceChecker(Checker):
     name = "registry-coherence"
     description = (
-        "FAULT_KINDS/WORKLOAD_KINDS/impairment schema must match the class "
-        "inventory — unregistered atoms break spec round-trips silently"
+        "FAULT_KINDS/WORKLOAD_KINDS must match the class inventory — "
+        "unregistered atoms break spec round-trips silently"
     )
     scope = "project"
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         yield from self._check_fault_registry(index)
         yield from self._check_workload_registry(index)
-        yield from self._check_impairment_schema(index)
 
     # ----------------------------------------------------------- fault atoms
     def _check_fault_registry(self, index: ProjectIndex) -> Iterator[Finding]:
@@ -149,47 +143,3 @@ class RegistryCoherenceChecker(Checker):
                 registry_node,
                 f"WORKLOAD_KINDS entry {name} is not a WorkloadEngine subclass",
             )
-
-    # ----------------------------------------------------- impairment schema
-    def _check_impairment_schema(self, index: ProjectIndex) -> Iterator[Finding]:
-        if "ImpairmentSpec" not in index.classes:
-            return
-        keys = index.assignment("_SPEC_KEYS")
-        if keys is None:
-            return
-        keys_ctx, keys_node = keys
-        allowed = string_constants_in(keys_node.value)
-        ctx, cls = index.classes["ImpairmentSpec"]
-        fields = {name for name, _ in dataclass_fields(cls)}
-        for name in sorted(fields - allowed):
-            yield self.finding(
-                keys_ctx,
-                keys_node,
-                f"ImpairmentSpec field {name!r} is missing from _SPEC_KEYS — "
-                "impairment_from_dict rejects it as an unknown key",
-            )
-        for name in sorted(allowed - fields):
-            yield self.finding(
-                keys_ctx,
-                keys_node,
-                f"_SPEC_KEYS entry {name!r} is not an ImpairmentSpec field — "
-                "ImpairmentSpec(**entry) raises on it",
-            )
-        describe = next(
-            (
-                node
-                for node in cls.body
-                if isinstance(node, ast.FunctionDef) and node.name == "describe"
-            ),
-            None,
-        )
-        if describe is not None:
-            emitted = string_constants_in(describe)
-            for name in sorted(fields - emitted):
-                yield self.finding(
-                    ctx,
-                    describe,
-                    f"ImpairmentSpec.describe never emits field {name!r} — "
-                    "a non-default value would silently drop out of the "
-                    "serialised spec",
-                )

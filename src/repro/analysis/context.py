@@ -279,12 +279,3 @@ class ProjectIndex:
 def names_in(node: ast.AST) -> Set[str]:
     """Every ``ast.Name`` identifier appearing under ``node``."""
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def string_constants_in(node: ast.AST) -> Set[str]:
-    """Every string literal appearing under ``node``."""
-    return {
-        n.value
-        for n in ast.walk(node)
-        if isinstance(n, ast.Constant) and isinstance(n.value, str)
-    }

@@ -22,7 +22,7 @@ view change).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.blocks import Block, make_block
 from repro.core.client import AckRouter

@@ -12,7 +12,7 @@ distinct replicas acknowledged the same log position for it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.types import Command

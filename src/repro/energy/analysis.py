@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.energy.model import CostParameters
 from repro.energy.protocol_costs import ProtocolCostModel

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.crypto.energy_costs import RSA_1024, SignatureEnergyCost
-from repro.energy.model import CostParameters, parameters_from_components
+from repro.energy.model import parameters_from_components
 from repro.energy.protocol_costs import (
     ProtocolCostModel,
     eesmr_cost_model,

@@ -16,7 +16,7 @@ protocol needs a shape the linear family cannot express.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable
 
 from repro.crypto.energy_costs import SignatureEnergyCost, signature_cost

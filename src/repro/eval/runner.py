@@ -80,7 +80,8 @@ class DeploymentSpec:
     seed: int = 0
     #: Charge every correct node's idle baseline over the run's virtual time
     #: when the session finishes (the paper subtracts it; off by default).
-    #: Schema-visible: corpus entries and spec fingerprints pin the field.
+    #: Schema-visible: :meth:`to_dict` writes it into corpus entries and
+    #: ``--spec`` files (``spec_fingerprint`` omits it).
     charge_sleep: bool = False
     jitter: bool = True
 

@@ -20,12 +20,15 @@ gap:
   with them on).
 
 The reliable-delivery sublayer that retransmits dropped protocol
-messages lives in :class:`repro.recovery.reliable.ReliabilityPolicy` and
-the network's retransmission chain (see ``docs/impairments.md``).
+messages is the network's retransmission chain paced by :data:`HOP_RETRY`
+(see ``docs/impairments.md``); :class:`RetryPolicy` is defined here, below
+both of its users, because ``repro.recovery`` imports ``repro.session``,
+which imports ``repro.net``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -37,16 +40,91 @@ from repro.sim.rng import SeededRNG
 #: Impairment kinds a per-node overlay (fault atom) may install.
 IMPAIRMENT_KINDS = ("loss", "duplicate", "jitter", "reorder")
 
-#: Default retransmission budget of the reliable-delivery sublayer; kept in
-#: sync with :class:`repro.recovery.reliable.ReliabilityPolicy.max_retries`.
-DEFAULT_MAX_RETRIES = 3
+
+def checked_number(label: str, value: Any, allow_inf: bool = False) -> float:
+    """The fault plane's one number check: ``value`` as a float.
+
+    Specs and fault atoms are rebuilt from JSON (corpus entries, ``--spec``
+    files), where ``true``, ``"1.0"`` and ``NaN`` all parse: a bool, a
+    non-number, a NaN or (unless ``allow_inf``) an infinity is a
+    ``ValueError`` naming the field here, not a traceback in the event
+    queue or a window that silently never opens.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{label} must be a number, got {value!r}")
+    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+        raise ValueError(f"{label} must be finite, got {value}")
+    return float(value)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Timeout, bounded retries and exponential backoff with seeded jitter.
+
+    The one retry state-machine shape of the reproduction, instantiated
+    twice: :data:`HOP_RETRY` paces the per-hop retransmission chain and
+    :data:`CATCH_UP_RETRY` the catch-up campaign of a recovering node.
+    """
+
+    #: Virtual time to wait for the acknowledgement (or a useful response)
+    #: before declaring one attempt lost.  Must exceed a round trip (2 hops
+    #: of at most ``hop_delay`` each).
+    timeout: float
+    #: Retries after the initial attempt before giving up.
+    max_retries: int
+    #: Backoff before retry ``i`` (0-based) is
+    #: ``base * factor**i * (1 + jitter_draw)``.
+    backoff_base: float = 0.5
+    backoff_factor: float = 2.0
+    #: Jitter draws uniformly from ``[0, jitter)`` — deterministic per
+    #: seed via the caller's :class:`~repro.sim.rng.SeededRNG`.
+    jitter: float = 0.25
+
+    def __post_init__(self) -> None:
+        if self.timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries cannot be negative, got {self.max_retries}")
+        if self.backoff_base < 0 or self.backoff_factor < 1.0:
+            raise ValueError(
+                f"backoff base/factor out of range: {self.backoff_base}/{self.backoff_factor}"
+            )
+        if not 0 <= self.jitter < 1:
+            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
+
+    def backoff(self, retry_index: int, rng: SeededRNG) -> float:
+        """The jittered delay before 0-based retry ``retry_index``."""
+        base = self.backoff_base * self.backoff_factor**retry_index
+        return base * (1.0 + rng.uniform(0.0, self.jitter))
+
+    def retry_delay(self, retry_index: int, rng: SeededRNG) -> float:
+        """Total delay before 0-based retry ``retry_index`` fires: the
+        timeout that detected the loss plus the jittered backoff."""
+        return self.timeout + self.backoff(retry_index, rng)
+
+
+#: Per-hop reliable delivery.  A *working* chain recovers a dropped copy
+#: within a couple of ACK timeouts, comfortably inside a
+#: :class:`~repro.testkit.faults.LossWindow`'s bounded allowance; one that
+#: gives up early (the planted retransmission-giveup mutant) leaves the
+#: receiver behind and the loss-budget invariant fails it.  Its
+#: ``max_retries`` is only the default of :attr:`ImpairmentSpec.max_retries`,
+#: the one place a run sets the budget.
+HOP_RETRY = RetryPolicy(timeout=2.0, max_retries=3)
+
+#: Catch-up state transfer, coupled to
+#: :data:`repro.testkit.faults.CATCH_UP_GRACE` (8 s): a *working* catch-up
+#: completes well inside the grace window (one or two request round
+#: trips), while a *broken* one burns through every retry — over 20 s of
+#: virtual time — so the run outlives the grace period, the node's
+#: liveness exemption lapses and the liveness invariant fails.  That
+#: coupling is what makes the planted drop-the-final-QC mutant detectable.
+CATCH_UP_RETRY = RetryPolicy(timeout=2.5, max_retries=4)
 
 
 def _probability(name: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"impairment {name} must be a number, got {value!r}")
-    value = float(value)
-    if not 0.0 <= value <= 1.0 or math.isnan(value):
+    value = checked_number(f"impairment {name}", value)
+    if not 0.0 <= value <= 1.0:
         raise ValueError(f"impairment {name} must be within [0, 1], got {value}")
     return value
 
@@ -79,22 +157,19 @@ class ImpairmentSpec:
     start: float = 0.0
     end: float = math.inf
     ble_calibrated: bool = False
-    max_retries: int = DEFAULT_MAX_RETRIES
+    #: The reliable sublayer's retransmission budget — the one knob of
+    #: :data:`HOP_RETRY` a run varies, read by the network through the model.
+    max_retries: int = HOP_RETRY.max_retries
 
     def __post_init__(self) -> None:
         for name in ("loss", "duplicate", "reorder"):
             object.__setattr__(self, name, _probability(name, getattr(self, name)))
-        jitter = self.jitter
-        if isinstance(jitter, bool) or not isinstance(jitter, (int, float)):
-            raise TypeError(f"impairment jitter must be a number, got {jitter!r}")
-        if jitter < 0 or math.isnan(jitter):
-            raise ValueError(f"impairment jitter must be non-negative, got {jitter}")
-        object.__setattr__(self, "jitter", float(jitter))
-        for name in ("start", "end"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"impairment {name} must be a number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        for name in ("jitter", "start", "end"):
+            # An open-ended window never closes: ``end`` alone may be ``+inf``.
+            value = checked_number(f"impairment {name}", getattr(self, name), name == "end")
+            object.__setattr__(self, name, value)
+        if self.jitter < 0:
+            raise ValueError(f"impairment jitter must be non-negative, got {self.jitter}")
         if self.start < 0:
             raise ValueError(f"impairment start cannot be negative, got {self.start}")
         if self.end <= self.start:
@@ -123,27 +198,14 @@ class ImpairmentSpec:
         return self.enabled() and self.start <= now < self.end
 
     def describe(self) -> Dict[str, Any]:
-        """Canonical dict form; defaults are omitted so the round-trip is a
-        fixed point and spec fingerprints stay minimal."""
-        entry: Dict[str, Any] = {}
-        for name in ("loss", "duplicate", "jitter", "reorder"):
-            value = getattr(self, name)
-            if value:
-                entry[name] = value
-        if self.ble_calibrated:
-            entry["ble_calibrated"] = True
-        if self.start:
-            entry["start"] = self.start
-        if self.end != math.inf:
-            entry["end"] = self.end
-        if self.max_retries != DEFAULT_MAX_RETRIES:
-            entry["max_retries"] = self.max_retries
-        return entry
-
-
-_SPEC_KEYS = frozenset(
-    ("loss", "duplicate", "jitter", "reorder", "start", "end", "ble_calibrated", "max_retries")
-)
+        """Canonical dict form: every field that differs from its dataclass
+        default, so the round-trip is a fixed point and spec fingerprints
+        stay minimal."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if getattr(self, f.name) != f.default
+        }
 
 
 def impairment_from_dict(entry: Optional[Dict[str, Any]]) -> Optional[ImpairmentSpec]:
@@ -152,7 +214,7 @@ def impairment_from_dict(entry: Optional[Dict[str, Any]]) -> Optional[Impairment
         return None
     if not isinstance(entry, dict):
         raise TypeError(f"impairment entry must be a dict, got {entry!r}")
-    unknown = set(entry) - _SPEC_KEYS
+    unknown = set(entry) - {f.name for f in dataclasses.fields(ImpairmentSpec)}
     if unknown:
         raise ValueError(f"unknown impairment keys: {sorted(unknown)}")
     return ImpairmentSpec(**entry)
@@ -258,19 +320,21 @@ class ImpairmentModel:
         self._overlays[kind].setdefault(pid, []).append(float(value))
         self._overlay_count += 1
 
-    def pop(self, pid: int, kind: str) -> None:
+    def pop(self, pid: int, kind: str) -> bool:
         """Remove the most recent overlay of ``kind`` on ``pid`` (window closing).
 
-        Unbalanced pops are a no-op, mirroring the network's refcounted
-        fault mutators: healing an already-healed window must not raise.
+        Unbalanced pops are a no-op (``False``), mirroring the network's
+        refcounted fault mutators: healing an already-healed window must
+        not raise.
         """
         stack = self._overlays.get(kind, {}).get(pid)
         if not stack:
-            return
+            return False
         stack.pop()
         if not stack:
             del self._overlays[kind][pid]
         self._overlay_count -= 1
+        return True
 
     def _composed(self, kind: str, pid: int, base: float) -> float:
         stack = self._overlays[kind].get(pid)
@@ -285,10 +349,6 @@ class ImpairmentModel:
     def engaged(self, now: float) -> bool:
         """Whether any impairment applies right now (cheap hot-path gate)."""
         return self._overlay_count > 0 or self.spec.active(now)
-
-    @property
-    def max_retries(self) -> int:
-        return self.spec.max_retries
 
     def loss_probability(self, receiver: int, cost: Any, now: float) -> float:
         """Composed drop probability for one hop delivery to ``receiver``."""

@@ -18,9 +18,10 @@ It emulates the paper's CPS deployment:
   ``hop_delay`` the end-to-end delay after flooding is bounded by
   ``diameter * hop_delay``, and experiments choose the protocol Δ above
   that bound (see :func:`repro.session.builder.compute_delta`);
-* Byzantine nodes may silently refuse to relay (their relay policy is
-  pluggable), which is exactly the partitioning threat the hypergraph fault
-  bound (Appendix A) protects against.
+* Byzantine nodes may silently refuse to relay (a relay denial nobody
+  lifts — see :meth:`SimulatedNetwork.deny_relay`), which is exactly the
+  partitioning threat the hypergraph fault bound (Appendix A) protects
+  against.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional
 
 from repro.crypto.hashing import canonical_bytes
 from repro.energy.ledger import ClusterEnergyLedger
 from repro.energy.meter import EnergyCategory
 from repro.net.hypergraph import HyperEdge, Hypergraph
-from repro.net.impairment import ImpairmentModel, ImpairmentSpec
+from repro.net.impairment import HOP_RETRY, ImpairmentModel, ImpairmentSpec
 from repro.radio.ble import BleAdvertisementKCast
 from repro.radio.gatt import BleGattUnicast
 from repro.sim.process import Process
@@ -45,37 +46,27 @@ from repro.sim.rng import SeededRNG
 #: Wire size of a reliable-delivery ACK (sequence number + flood id).
 ACK_WIRE_BYTES = 8
 
-#: Relay policy signature: (origin, message) -> should this node forward it?
-RelayPolicy = Callable[[int, Any], bool]
-
 _TRANSMIT = EnergyCategory.TRANSMIT
 _RECEIVE = EnergyCategory.RECEIVE
-
-
-def _never_relay(_origin: int, _message: Any) -> bool:
-    """The relay policy installed while a refcounted relay denial is active."""
-    return False
 
 
 class DisseminationPlan:
     """A compiled flood plan: the per-hop path as flat lookup structures.
 
-    Relaying a flood hop is a pure function of the (topology, relay-policy,
+    Relaying a flood hop is a pure function of the (topology, relay-denial,
     partition) state and the message's wire size — none of which change
     between fault-window transitions.  The plan precomputes, per node:
 
-    * whether the node relays at all (``True`` / ``False``), or ``None``
-      with the custom policy callable to consult per flood (policies may
-      inspect the message, so they cannot be folded into the plan);
+    * whether the node relays floods it did not originate;
     * the node's energy meter handle;
     * one record per outgoing hyper-edge: the radio cost object for this
       plan's wire size and the partition-filtered sorted receiver tuple.
 
     Executing the plan touches O(1) precompiled state per hop instead of
-    re-querying the topology index, relay-policy dict, partition set,
+    re-querying the topology index, relay-denial and partition tables,
     radio-cost memo and meter cache.  Plans are validated against the
     network's state epoch (and the hypergraph's topology version) at every
-    relay, so the rare fault-window transitions that mutate policy or
+    relay, so the rare fault-window transitions that mutate denial or
     partition state are observed by the very next hop.
     """
 
@@ -85,7 +76,7 @@ class DisseminationPlan:
         self.state_epoch = state_epoch
         self.topology_version = topology_version
         self.size = size
-        #: pid -> (relays, policy, meter, edge records); partitioned nodes
+        #: pid -> (relays, meter, edge records); partitioned nodes
         #: are absent (they neither relay nor receive).
         self.nodes = nodes
 
@@ -194,21 +185,18 @@ class SimulatedNetwork:
         self.jitter = jitter
 
         self.processes: Dict[int, Process] = {}
-        self.relay_policies: Dict[int, RelayPolicy] = {}
         self.stats = NetworkStats()
         self._flood_counter = itertools.count()
         # Floods started and not yet retired (see :class:`Flood`).
         self._live_floods = 0
-        # pid -> isolation depth.  Overlapping partition windows each call
-        # isolate()/reconnect(); the node rejoins only when every window
-        # that cut it off has healed.  Membership tests treat the dict as
-        # the set of currently-partitioned nodes.
+        # A node's condition is a depth in a table: pid -> how many open
+        # windows cut it off / deny its relaying (:meth:`_push` and
+        # :meth:`_pop` do the arithmetic).  Overlapping windows compose —
+        # the node rejoins, or relays again, only when the *last* one
+        # closes — and a Byzantine node is a relay denial nobody pops.
+        # Membership tests treat each dict as the set of affected nodes.
         self._partition: Dict[int, int] = {}
-        # pid -> relay-denial depth, and the base policy saved when the
-        # first denial was pushed.  Interleaved relay-drop windows share
-        # this state, so relaying resumes only when the *last* window lifts.
-        self._relay_denial_depth: Dict[int, int] = {}
-        self._relay_denial_saved: Dict[int, Optional[RelayPolicy]] = {}
+        self._relay_denied: Dict[int, int] = {}
         # (size, k) -> radio cost: transmission pricing is a pure function
         # of payload size and edge degree, recomputed once per shape.
         self._kcast_costs: Dict[tuple, Any] = {}
@@ -216,7 +204,7 @@ class SimulatedNetwork:
         # two-charges-per-reception hot path.
         self._meter_cache: Dict[int, Any] = {}
         # Compiled dissemination plans, keyed by wire size.  Bumping
-        # ``_state_epoch`` (any relay-policy or partition mutation)
+        # ``_state_epoch`` (any relay-denial or partition mutation)
         # invalidates every cached plan; the hypergraph's own
         # ``topology_version`` covers edge mutations.
         self._plans: Dict[int, DisseminationPlan] = {}
@@ -236,12 +224,6 @@ class SimulatedNetwork:
         # Created lazily by :meth:`configure_impairment` / the timed
         # impairment fault atoms via :meth:`impair_node`.
         self.impairment: Optional[ImpairmentModel] = None
-        #: Retry/backoff parameters of the reliable-delivery sublayer.
-        #: Imported lazily: ``repro.recovery``'s package init reaches the
-        #: session/eval layers, which import back into ``repro.net``.
-        from repro.recovery.reliable import ReliabilityPolicy
-
-        self.reliability = ReliabilityPolicy()
         # Optional (node, event, detail, time) callback fired on reliable
         # sublayer lifecycle transitions ("retry" / "recovered" /
         # "gave_up") — the session observer bus's ``on_retransmit``.
@@ -257,57 +239,50 @@ class SimulatedNetwork:
             raise ValueError(f"process {process.pid} is not a node of the topology")
         self.processes[process.pid] = process
 
-    def set_relay_policy(self, pid: int, policy: RelayPolicy) -> None:
-        """Override the relay behaviour of one node (used for Byzantine nodes).
-
-        While a refcounted relay denial (:meth:`deny_relay`) is active the
-        denial stays on top: the new policy becomes the base restored when
-        the last denial lifts.
-        """
-        if pid in self._relay_denial_depth:
-            self._relay_denial_saved[pid] = policy
-        else:
-            self.relay_policies[pid] = policy
+    # ------------------------------------------------------- node condition
+    def _push(self, table: Dict[int, int], pid: int, kind: str) -> None:
+        """Open one window of ``kind`` on ``pid``: depth + 1."""
+        depth = table.get(pid, 0)
+        table[pid] = depth + 1
+        if depth == 0 and self.fault_observer is not None:
+            self.fault_observer(pid, kind, True, self.sim.now)
         self.invalidate_plans()
+
+    def _pop(self, table: Dict[int, int], pid: int, kind: str) -> bool:
+        """Close one window of ``kind`` on ``pid``; ``False`` if none is open."""
+        depth = table.get(pid, 0)
+        if depth == 0:
+            return False
+        if depth == 1:
+            del table[pid]
+            if self.fault_observer is not None:
+                self.fault_observer(pid, kind, False, self.sim.now)
+        else:
+            table[pid] = depth - 1
+        self.invalidate_plans()
+        return True
 
     def deny_relay(self, pid: int) -> None:
         """Push one refcounted relay denial onto ``pid``.
 
-        The node's base policy (if any) is saved on the first push and
-        restored by the matching last :meth:`allow_relay`, so interleaved
-        drop windows compose: the node resumes relaying only when every
-        window has closed.
+        The node keeps originating its own floods but forwards nobody
+        else's until every denial has been lifted by its own
+        :meth:`allow_relay`, so interleaved drop windows compose.  A
+        Byzantine (or crashed) node is one denial that is never lifted.
         """
-        depth = self._relay_denial_depth.get(pid, 0)
-        if depth == 0:
-            self._relay_denial_saved[pid] = self.relay_policies.get(pid)
-            self.relay_policies[pid] = _never_relay
-            if self.fault_observer is not None:
-                self.fault_observer(pid, "relay-deny", True, self.sim.now)
-        self._relay_denial_depth[pid] = depth + 1
-        self.invalidate_plans()
+        self._push(self._relay_denied, pid, "relay-deny")
 
     def allow_relay(self, pid: int) -> None:
-        """Pop one relay denial; restores the base policy at depth zero.
+        """Pop one relay denial; the node relays again at depth zero.
 
         Unbalanced calls (no denial active) are a no-op, so healing an
-        already-healed window cannot clobber an unrelated policy.
+        already-healed window cannot pre-cancel a later denial.
         """
-        depth = self._relay_denial_depth.get(pid, 0)
-        if depth == 0:
-            return
-        if depth == 1:
-            del self._relay_denial_depth[pid]
-            previous = self._relay_denial_saved.pop(pid, None)
-            if previous is None:
-                self.relay_policies.pop(pid, None)
-            else:
-                self.relay_policies[pid] = previous
-            if self.fault_observer is not None:
-                self.fault_observer(pid, "relay-deny", False, self.sim.now)
-        else:
-            self._relay_denial_depth[pid] = depth - 1
-        self.invalidate_plans()
+        self._pop(self._relay_denied, pid, "relay-deny")
+
+    def relay_denied(self, pid: int) -> bool:
+        """Whether ``pid`` currently refuses to forward other nodes' floods."""
+        return pid in self._relay_denied
 
     def isolate(self, pid: int) -> None:
         """Disconnect a node (failure injection helper).
@@ -316,11 +291,7 @@ class SimulatedNetwork:
         :meth:`reconnect`, so overlapping partition windows on the same
         node cannot heal it early.
         """
-        depth = self._partition.get(pid, 0)
-        self._partition[pid] = depth + 1
-        if depth == 0 and self.fault_observer is not None:
-            self.fault_observer(pid, "partition", True, self.sim.now)
-        self.invalidate_plans()
+        self._push(self._partition, pid, "partition")
 
     def reconnect(self, pid: int) -> None:
         """Undo one :meth:`isolate`; the node rejoins at depth zero.
@@ -331,27 +302,19 @@ class SimulatedNetwork:
         the pre-refcount fault-composition bugs hid, and an unbalanced call
         almost always means a fault schedule healed a window it never opened.
         """
-        depth = self._partition.get(pid, 0)
-        if depth == 0:
-            self.unbalanced_reconnects += 1
-            if not self._warned_unbalanced_reconnect:
-                self._warned_unbalanced_reconnect = True
-                warnings.warn(
-                    f"reconnect({pid}) without a matching isolate(): the call "
-                    "is a no-op; check the fault schedule's window composition "
-                    "(further unbalanced reconnects on this network are "
-                    "counted but not warned about)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        if self._pop(self._partition, pid, "partition"):
             return
-        if depth == 1:
-            self._partition.pop(pid, None)
-            if self.fault_observer is not None:
-                self.fault_observer(pid, "partition", False, self.sim.now)
-        else:
-            self._partition[pid] = depth - 1
-        self.invalidate_plans()
+        self.unbalanced_reconnects += 1
+        if not self._warned_unbalanced_reconnect:
+            self._warned_unbalanced_reconnect = True
+            warnings.warn(
+                f"reconnect({pid}) without a matching isolate(): the call "
+                "is a no-op; check the fault schedule's window composition "
+                "(further unbalanced reconnects on this network are "
+                "counted but not warned about)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     def is_partitioned(self, pid: int) -> bool:
         """Whether ``pid`` is currently cut off by at least one open window."""
@@ -364,14 +327,12 @@ class SimulatedNetwork:
         The model's RNG is derived from the network stream with a pure
         ``child()`` call, so configuring (or never configuring) an
         impairment leaves the hop-jitter stream byte-identical.  The
-        spec's retransmission budget is mirrored onto
-        :attr:`reliability` so one knob governs the reliable sublayer.
+        spec's ``max_retries`` is the reliable sublayer's retransmission
+        budget, read through the model whenever an attempt is scheduled.
         """
         model = self._ensure_impairment()
         if spec is not None:
             model.spec = spec
-            if spec.max_retries != self.reliability.max_retries:
-                self.reliability = replace(self.reliability, max_retries=spec.max_retries)
         return model
 
     def _ensure_impairment(self) -> ImpairmentModel:
@@ -399,9 +360,8 @@ class SimulatedNetwork:
     def unimpair_node(self, pid: int, kind: str) -> None:
         """Pop the most recent ``kind`` overlay on ``pid`` (window closing)."""
         model = self.impairment
-        if model is None:
+        if model is None or not model.pop(pid, kind):
             return
-        model.pop(pid, kind)
         if self.fault_observer is not None:
             self.fault_observer(pid, f"impair-{kind}", False, self.sim.now)
         self.invalidate_plans()
@@ -409,7 +369,7 @@ class SimulatedNetwork:
     def invalidate_plans(self) -> None:
         """Invalidate every compiled dissemination plan.
 
-        Called automatically by the relay-policy and partition mutators;
+        Called automatically by the relay-denial and partition mutators;
         cheap (one integer bump), so fault windows pay nothing beyond the
         recompile their first post-transition flood hop triggers.
         """
@@ -481,17 +441,11 @@ class SimulatedNetwork:
         self, size: int, state_epoch: int, topology_version: int
     ) -> DisseminationPlan:
         partition = self._partition
+        denied = self._relay_denied
         nodes: Dict[int, tuple] = {}
         for node in self.hypergraph.nodes:
             if node in partition:
                 continue
-            policy = self.relay_policies.get(node)
-            if policy is None:
-                relays: Optional[bool] = True
-            elif policy is _never_relay:
-                relays = False
-            else:
-                relays = None  # message-dependent: consult at flood time
             edges = []
             for edge in self.hypergraph.out_edges(node):
                 cost = self._kcast_cost(size, edge.degree)
@@ -499,7 +453,7 @@ class SimulatedNetwork:
                     r for r in edge.receivers_sorted if r not in partition
                 )
                 edges.append((cost, receivers))
-            nodes[node] = (relays, policy, self._meter(node), tuple(edges))
+            nodes[node] = (node not in denied, self._meter(node), tuple(edges))
         return DisseminationPlan(state_epoch, topology_version, size, nodes)
 
     def _plan_relay(self, plan: DisseminationPlan, flood: Flood, node: int) -> None:
@@ -507,10 +461,10 @@ class SimulatedNetwork:
 
         Every node relays a flood at most once.  The plan is revalidated
         here (one epoch compare per hop), so fault transitions that fired
-        since compilation are observed by this hop.  A Byzantine (or
-        misconfigured) node may silently drop relays; the hypergraph fault
-        bound guarantees correct nodes still receive the flood via other
-        paths.
+        since compilation are observed by this hop.  A relay-denied node
+        (Byzantine, or inside a drop window) forwards only floods it
+        originated; the hypergraph fault bound guarantees correct nodes
+        still receive the flood via other paths.
         """
         if (
             plan.state_epoch != self._state_epoch
@@ -524,11 +478,8 @@ class SimulatedNetwork:
         if node in relayed:
             return
         relayed.add(node)
-        relays, policy, meter, edges = record
-        origin = flood.origin
-        if node != origin and (
-            relays is False or (relays is None and not policy(origin, flood.message))
-        ):
+        relays, meter, edges = record
+        if not relays and node != flood.origin:
             return
         size = plan.size
         sim = self.sim
@@ -719,7 +670,7 @@ class SimulatedNetwork:
         size: int,
         plan: Optional[DisseminationPlan],
     ) -> None:
-        if self.reliability.max_retries <= 0:
+        if self.impairment.spec.max_retries <= 0:
             self._giveup(flood, hop_sender, receiver)
             return
         if flood is not None:
@@ -742,10 +693,11 @@ class SimulatedNetwork:
         plan: Optional[DisseminationPlan],
         attempt: int,
     ) -> None:
-        # The policy in force when the attempt is scheduled judges it when
+        # The budget in force when the attempt is scheduled judges it when
         # it fires, so it travels with the event.
-        policy = self.reliability
-        delay = policy.retry_delay(attempt, self.impairment.rng)
+        imp = self.impairment
+        budget = imp.spec.max_retries
+        delay = HOP_RETRY.retry_delay(attempt, imp.rng)
         labelled = self.sim.trace_enabled
         if flood is None:
             label = f"net:rtx-uni {hop_sender}->{receiver}" if labelled else "net:rtx-uni"
@@ -755,7 +707,7 @@ class SimulatedNetwork:
             delay,
             self._resend,
             label=label,
-            args=(flood, hop_sender, receiver, message, cost, size, plan, policy, attempt),
+            args=(flood, hop_sender, receiver, message, cost, size, plan, budget, attempt),
         )
 
     def _resend(
@@ -767,7 +719,7 @@ class SimulatedNetwork:
         cost,
         size: int,
         plan: Optional[DisseminationPlan],
-        policy,
+        max_retries: int,
         attempt: int,
     ) -> None:
         """One retransmission attempt of a dropped hop delivery fires."""
@@ -790,7 +742,7 @@ class SimulatedNetwork:
             retry = f"{_chain_name(flood)} retry {attempt + 1} from {hop_sender}"
             observer(receiver, "retry", retry, now)
         if imp.rng.chance(imp.loss_probability(receiver, cost, now)):
-            if attempt + 1 >= policy.max_retries:
+            if attempt + 1 >= max_retries:
                 self._giveup(flood, hop_sender, receiver)
                 self._release(flood)
             else:

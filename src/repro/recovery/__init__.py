@@ -18,12 +18,8 @@ See ``docs/recovery.md`` for the protocol and parameters.
 
 from repro.recovery.controller import RecoveryController
 from repro.recovery.observer import RecoveryObserver
-from repro.recovery.policy import RecoveryPolicy
-from repro.recovery.reliable import ReliabilityPolicy
 
 __all__ = [
     "RecoveryController",
     "RecoveryObserver",
-    "RecoveryPolicy",
-    "ReliabilityPolicy",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.recovery.policy import RecoveryPolicy
+from repro.net.impairment import CATCH_UP_RETRY
 from repro.sim.rng import SeededRNG, derive_seed
 
 
@@ -30,18 +30,18 @@ class RecoveryController:
       overlapping window (that window's own controller owns recovery
       after the *last* heal) or dark from a composed crash fault;
     * while the node trails the highest committed height among live
-      peers, solicit a rotating peer with per-request timeout and
-      exponential seeded-jitter backoff, up to ``max_retries`` retries,
-      then give up (bounded);
+      peers, solicit a rotating peer with the per-request timeout and
+      exponential seeded-jitter backoff of
+      :data:`~repro.net.impairment.CATCH_UP_RETRY`, up to its
+      ``max_retries`` retries, then give up (bounded);
     * while the node is caught up but the run is still busy, keep
       watching quietly — a deficit appearing later (e.g. a flood it
       missed mid-sync) re-solicits with a fresh retry budget, which is
       the graceful re-solicit-after-quiescence degradation path.
     """
 
-    def __init__(self, fault, policy: Optional[RecoveryPolicy] = None) -> None:
+    def __init__(self, fault) -> None:
         self.fault = fault
-        self.policy = policy or RecoveryPolicy()
         self._phase = "waiting"  # waiting -> monitoring -> done
         self._wake = float(fault.heal)
         self._awaiting = False
@@ -112,7 +112,7 @@ class RecoveryController:
                 self._phase = "done"
                 return
             # The run is still busy; keep watching for a late deficit.
-            self._wake = session.now + self.policy.request_timeout
+            self._wake = session.now + CATCH_UP_RETRY.timeout
             return
         if self._awaiting:
             # The outstanding attempt did not close the gap in time.
@@ -122,7 +122,7 @@ class RecoveryController:
                 {"attempt": self._attempt, "height": replica.committed_height},
                 session.now,
             )
-            if self._attempt > self.policy.max_retries:
+            if self._attempt > CATCH_UP_RETRY.max_retries:
                 session.bus.recovery(
                     node,
                     "gave_up",
@@ -135,7 +135,7 @@ class RecoveryController:
                 )
                 self._phase = "done"
                 return
-            delay = self.policy.backoff(self._attempt - 1, self._rng)
+            delay = CATCH_UP_RETRY.backoff(self._attempt - 1, self._rng)
             session.bus.recovery(
                 node,
                 "sync_retry",
@@ -169,7 +169,7 @@ class RecoveryController:
             )
             replica.request_sync(peer)
         self._awaiting = True
-        self._wake = session.now + self.policy.request_timeout
+        self._wake = session.now + CATCH_UP_RETRY.timeout
 
     # -------------------------------------------------------------- helpers
     def _live_target(self, session) -> int:

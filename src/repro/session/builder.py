@@ -447,10 +447,11 @@ class SessionBuilder:
             # partitions, timed relay silence) with per-fault timing.
             schedule.install(self.sim, network, replicas)
         else:
+            # A Byzantine node never relays: one denial nobody lifts.
             for pid in spec.fault_plan.faulty:
-                network.set_relay_policy(pid, lambda _origin, _message: False)
+                network.deny_relay(pid)
         controllers: Tuple[Any, ...] = ()
-        if schedule is not None and hasattr(schedule, "controllers"):
+        if schedule is not None:
             controllers = tuple(schedule.controllers())
         if controllers and not self.trusted:
             # Budget-aware provisioning: an adaptive atom picks its victims

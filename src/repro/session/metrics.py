@@ -196,11 +196,7 @@ class MetricsObserver(SessionObserver):
         }
         # Delivery-layer counters appear only when the run had a lossy
         # medium attached, so existing summary key-set assertions survive.
-        imp = (
-            getattr(self._session.network, "impairment", None)
-            if self._session is not None
-            else None
-        )
+        imp = self._session.network.impairment if self._session is not None else None
         if imp is not None:
             out["delivery_ratio"] = imp.delivery_ratio()
             out["deliveries_dropped"] = imp.dropped

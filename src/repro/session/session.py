@@ -327,8 +327,7 @@ class Session:
                 (r.txpool.high_watermark for r in replicas.values()), default=0
             ),
             replica_snapshots={
-                pid: replica.describe() if hasattr(replica, "describe") else {}
-                for pid, replica in replicas.items()
+                pid: replica.describe() for pid, replica in replicas.items()
             },
         )
         self.bus.session_end(self, result)

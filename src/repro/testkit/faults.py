@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.core.types import Round
+from repro.net.impairment import checked_number
 
 #: How long after a heal/restart a recovering node stays liveness-exempt.
 #: Past ``heal + CATCH_UP_GRACE`` the node is held to the full liveness
@@ -49,8 +50,15 @@ from repro.core.types import Round
 CATCH_UP_GRACE = 8.0
 
 
-def _deny_relay(_origin: int, _message: object) -> bool:
-    return False
+def loss_allowance_end(end: float, loss: float) -> float:
+    """When the liveness allowance of a lossy window closing at ``end`` lapses.
+
+    One grace share for the retransmission tail (retry chains of drops
+    near the window's end run past it) plus a loss-proportional share for
+    protocol catch-up.  Bounded: never more than twice the recovery grace,
+    unlike the permanent Byzantine exemption.
+    """
+    return end + CATCH_UP_GRACE * (1.0 + min(1.0, loss))
 
 
 @dataclass(frozen=True)
@@ -122,9 +130,9 @@ class Fault:
     def narrowed(self, start: float, end: float) -> "Fault":
         """A copy with its impairment window shrunk to ``[start, end)``.
 
-        Only windowed atoms (:class:`RelayDropWindow`,
-        :class:`PartitionWindow`) support narrowing; it is the shrinker's
-        second reduction pass.  The new window must lie inside the old one.
+        Only the timed window atoms (:class:`_Window`) support narrowing;
+        it is the shrinker's second reduction pass.  The new window must
+        lie inside the old one.
         """
         raise TypeError(f"{type(self).__name__} has no window to narrow")
 
@@ -154,12 +162,13 @@ class ByzantineFault(Fault):
     """Base for adversary-controlled node faults.
 
     Matching the seed experiment runner's worst case, a Byzantine node
-    never relays floods — its relay policy is denied from t=0 regardless
-    of when its visible misbehaviour triggers.
+    never relays floods — its relaying is denied from t=0 regardless of
+    when its visible misbehaviour triggers, and nothing ever lifts the
+    denial: windows stacked on the node push and pop above it.
     """
 
     def install(self, sim, network, replicas) -> None:
-        network.set_relay_policy(self.node, _deny_relay)
+        network.deny_relay(self.node)
 
     def impairment(self) -> Optional[Tuple[float, float]]:
         return (0.0, math.inf)
@@ -170,6 +179,9 @@ class CrashAt(ByzantineFault):
     """Fail-stop: correct until ``time``, then dark (and never relaying)."""
 
     time: float = 0.0
+
+    def __post_init__(self) -> None:
+        checked_number("crash time", self.time)
 
     def behaviour(self) -> Optional[Tuple[str, dict]]:
         return "crash", {"crash_time": self.time}
@@ -221,27 +233,80 @@ class SilentFrom(ByzantineFault):
         return 0.0
 
 
-def _check_window(kind: str, start, end, end_name: str = "end") -> None:
-    """Validate the bounds every timed window atom shares.
+@dataclass(frozen=True)
+class _Window(Fault):
+    """Base of the timed window atoms: one node perturbed during ``[start, end)``.
 
-    Type checks matter because these atoms are rebuilt from JSON (corpus
-    entries, ``--spec`` files): a bool, a string or a negative start must
-    be a ``ValueError`` here, not a traceback when the session is built.
+    The base owns what every window shares: bounds validation, the
+    ``(start, end)`` view (:attr:`window` — the closing field is spelt
+    ``heal`` on the recovering pair), narrowing, the relay-outage interval
+    and the scheduling of the open/close event pair.  A window atom
+    declares only its defaulted fields (``start``, then ``end`` or
+    ``heal``, then any value), its :attr:`window_name` for error messages,
+    its two event :attr:`labels`, and what :meth:`open` and :meth:`close`
+    do to the network — always through the network's named entry points,
+    which is where the refcounting that lets windows overlap lives.
     """
-    for name, value in (("start", start), (end_name, end)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{kind} {name} must be a number, got {value!r}")
-    if start < 0:
-        raise ValueError(f"start time cannot be negative, got {start}")
-    if end <= start:
-        raise ValueError(
-            f"degenerate {kind} window [{start}, {end}): "
-            f"{end_name} must be strictly after start"
+
+    byzantine: ClassVar[bool] = False
+
+    #: How validation errors name this kind of window.
+    window_name: ClassVar[str] = ""
+    #: Name of the dataclass field that closes the window.
+    end_field: ClassVar[str] = "end"
+    #: Labels of the open and close events (``fault:<label>@<node>``).
+    labels: ClassVar[Tuple[str, str]] = ("", "")
+
+    def __post_init__(self) -> None:
+        # These atoms are rebuilt from JSON (corpus entries, ``--spec``
+        # files): a malformed bound must be a ``ValueError`` here, not a
+        # traceback when the session is built.
+        start, end = self.window
+        checked_number(f"{self.window_name} start", start)
+        checked_number(f"{self.window_name} {self.end_field}", end)
+        if start < 0:
+            raise ValueError(f"start time cannot be negative, got {start}")
+        if end <= start:
+            raise ValueError(
+                f"degenerate {self.window_name} window [{start}, {end}): "
+                f"{self.end_field} must be strictly after start"
+            )
+
+    @property
+    def window(self) -> Tuple[float, float]:
+        """The window's ``(start, end)`` bounds."""
+        return self.start, getattr(self, self.end_field)
+
+    def impairment(self) -> Optional[Tuple[float, float]]:
+        return self.window
+
+    def narrowed(self, start: float, end: float) -> "Fault":
+        lo, hi = self.window
+        if start < lo or end > hi:
+            raise ValueError(f"[{start}, {end}) is not inside the window [{lo}, {hi})")
+        return dataclasses.replace(self, **{"start": start, self.end_field: end})
+
+    def install(self, sim, network, replicas) -> None:
+        start, end = self.window
+        opened, closed = self.labels
+        sim.schedule_at(
+            start, self.open, label=f"fault:{opened}@{self.node}", args=(network, replicas)
         )
+        sim.schedule_at(
+            end, self.close, label=f"fault:{closed}@{self.node}", args=(network, replicas)
+        )
+
+    def open(self, network, replicas) -> None:
+        """The window opens (fires at ``start``)."""
+        raise NotImplementedError
+
+    def close(self, network, replicas) -> None:
+        """The window closes (fires at ``end``)."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class RelayDropWindow(Fault):
+class RelayDropWindow(_Window):
     """An otherwise-correct node that drops relays during ``[start, end)``.
 
     This is the "silent relay" threat of the hypergraph fault bound
@@ -255,150 +320,90 @@ class RelayDropWindow(Fault):
     start: float = 0.0
     end: float = 0.0
 
-    byzantine: ClassVar[bool] = False
-    #: The node keeps receiving and voting throughout the window — only
-    #: its forwarding is withheld — so it is still expected to be live.
     liveness_exempt: ClassVar[bool] = False
+    window_name: ClassVar[str] = "drop"
+    labels: ClassVar[Tuple[str, str]] = ("drop-on", "drop-off")
 
-    def __post_init__(self) -> None:
-        _check_window("drop", self.start, self.end)
+    def open(self, network, replicas) -> None:
+        network.deny_relay(self.node)
 
-    def impairment(self) -> Optional[Tuple[float, float]]:
-        return (self.start, self.end)
-
-    def narrowed(self, start: float, end: float) -> "RelayDropWindow":
-        if start < self.start or end > self.end:
-            raise ValueError(
-                f"[{start}, {end}) is not inside the window [{self.start}, {self.end})"
-            )
-        return dataclasses.replace(self, start=start, end=end)
-
-    def install(self, sim, network, replicas) -> None:
-        # The denial is refcounted *in the network*, shared across every
-        # composed fault touching this node: interleaved windows lift relay
-        # denial only when the last one closes, and a permanent policy from
-        # a composed Byzantine fault is restored rather than clobbered.
-        sim.schedule_at(
-            self.start,
-            lambda: network.deny_relay(self.node),
-            label=f"fault:drop-on@{self.node}",
-        )
-        sim.schedule_at(
-            self.end,
-            lambda: network.allow_relay(self.node),
-            label=f"fault:drop-off@{self.node}",
-        )
+    def close(self, network, replicas) -> None:
+        network.allow_relay(self.node)
 
 
 @dataclass(frozen=True)
-class PartitionWindow(Fault):
-    """A node cut off from the network during ``[start, heal)``.
+class _RecoveringWindow(_Window):
+    """Base of the windows a node must *catch up* from, ``[start, heal)``.
 
-    Exiting the window is no longer a permanent liveness pardon: a
+    Exiting the window is not a permanent liveness pardon: a
     :class:`~repro.recovery.controller.RecoveryController` wakes at
     ``heal`` and drives block/QC catch-up from live peers, and the
-    node's liveness exemption lapses at ``heal + CATCH_UP_GRACE``
-    (:meth:`exemption_end`).
+    node's liveness exemption lapses at ``heal + CATCH_UP_GRACE``.
     """
 
-    start: float = 0.0
-    heal: float = 0.0
-
-    byzantine: ClassVar[bool] = False
-
-    def __post_init__(self) -> None:
-        _check_window("partition", self.start, self.heal, "heal")
-
-    def impairment(self) -> Optional[Tuple[float, float]]:
-        return (self.start, self.heal)
+    end_field: ClassVar[str] = "heal"
 
     def exemption_end(self) -> float:
         return self.heal + CATCH_UP_GRACE
-
-    def narrowed(self, start: float, end: float) -> "PartitionWindow":
-        if start < self.start or end > self.heal:
-            raise ValueError(
-                f"[{start}, {end}) is not inside the window [{self.start}, {self.heal})"
-            )
-        return dataclasses.replace(self, start=start, heal=end)
 
     def controller(self):
         from repro.recovery.controller import RecoveryController
 
         return RecoveryController(self)
 
-    def install(self, sim, network, replicas) -> None:
-        sim.schedule_at(
-            self.start,
-            lambda: network.isolate(self.node),
-            label=f"fault:partition@{self.node}",
-        )
-        sim.schedule_at(
-            self.heal,
-            lambda: network.reconnect(self.node),
-            label=f"fault:heal@{self.node}",
-        )
+
+@dataclass(frozen=True)
+class PartitionWindow(_RecoveringWindow):
+    """A node cut off from the network during ``[start, heal)``, then
+    catching up (see :class:`_RecoveringWindow`)."""
+
+    start: float = 0.0
+    heal: float = 0.0
+
+    window_name: ClassVar[str] = "partition"
+    labels: ClassVar[Tuple[str, str]] = ("partition", "heal")
+
+    def open(self, network, replicas) -> None:
+        network.isolate(self.node)
+
+    def close(self, network, replicas) -> None:
+        network.reconnect(self.node)
 
 
 @dataclass(frozen=True)
-class CrashRecoverWindow(Fault):
+class CrashRecoverWindow(_RecoveringWindow):
     """A benign crash-recover cycle: node powered off during ``[start, heal)``.
 
     Unlike :class:`CrashAt` the node is *correct* — it merely loses power
     for a window (no relaying, no receiving, timers dead) and reboots at
     ``heal`` with its committed state intact.  On reboot it does not
     re-enter the proposal rotation machinery by itself; it relies on the
-    catch-up protocol (:mod:`repro.recovery`) to close the gap, and its
-    liveness exemption lapses at ``heal + CATCH_UP_GRACE``.
+    catch-up protocol (:mod:`repro.recovery`) to close the gap.
     """
 
     start: float = 0.0
     heal: float = 0.0
 
-    byzantine: ClassVar[bool] = False
+    window_name: ClassVar[str] = "crash-recover"
+    labels: ClassVar[Tuple[str, str]] = ("crash-off", "restart")
 
-    def __post_init__(self) -> None:
-        _check_window("crash-recover", self.start, self.heal, "heal")
-
-    def impairment(self) -> Optional[Tuple[float, float]]:
-        return (self.start, self.heal)
-
-    def exemption_end(self) -> float:
-        return self.heal + CATCH_UP_GRACE
-
-    def narrowed(self, start: float, end: float) -> "CrashRecoverWindow":
-        if start < self.start or end > self.heal:
-            raise ValueError(
-                f"[{start}, {end}) is not inside the window [{self.start}, {self.heal})"
-            )
-        return dataclasses.replace(self, start=start, heal=end)
-
-    def controller(self):
-        from repro.recovery.controller import RecoveryController
-
-        return RecoveryController(self)
-
-    def install(self, sim, network, replicas) -> None:
+    def open(self, network, replicas) -> None:
         replica = replicas.get(self.node)
+        if replica is not None:
+            replica.crash()
+        # A powered-off node neither relays nor pays receive energy;
+        # isolating it keeps the radio/energy accounting honest.
+        network.isolate(self.node)
 
-        def power_off() -> None:
-            if replica is not None:
-                replica.crash()
-            # A powered-off node neither relays nor pays receive energy;
-            # isolating it keeps the radio/energy accounting honest.
-            network.isolate(self.node)
-
-        def power_on() -> None:
-            network.reconnect(self.node)
-            if replica is not None:
-                replica.restart()
-
-        sim.schedule_at(self.start, power_off, label=f"fault:crash-off@{self.node}")
-        sim.schedule_at(self.heal, power_on, label=f"fault:restart@{self.node}")
+    def close(self, network, replicas) -> None:
+        network.reconnect(self.node)
+        replica = replicas.get(self.node)
+        if replica is not None:
+            replica.restart()
 
 
 @dataclass(frozen=True)
-class _ImpairmentWindow(Fault):
+class _ImpairmentWindow(_Window):
     """Base for timed wire-impairment windows on one node's deliveries.
 
     Installs a per-node overlay on the network's
@@ -411,8 +416,8 @@ class _ImpairmentWindow(Fault):
     start: float = 0.0
     end: float = 0.0
 
-    byzantine: ClassVar[bool] = False
     liveness_exempt: ClassVar[bool] = False
+    window_name: ClassVar[str] = "impairment"
 
     #: The overlay kind pushed onto the impairment model.
     impairment_kind: ClassVar[str] = ""
@@ -420,37 +425,26 @@ class _ImpairmentWindow(Fault):
     value_field: ClassVar[str] = ""
 
     def __post_init__(self) -> None:
-        _check_window("impairment", self.start, self.end)
+        super().__post_init__()
+        label = f"{type(self).__name__} {self.value_field}"
         value = getattr(self, self.value_field)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(
-                f"{type(self).__name__} {self.value_field} must be a number, got {value!r}"
-            )
+        checked_number(label, value)
         if not 0.0 < value <= 1.0:
-            raise ValueError(
-                f"{type(self).__name__} {self.value_field} must be in (0, 1], got {value}"
-            )
+            raise ValueError(f"{label} must be in (0, 1], got {value}")
 
-    def narrowed(self, start: float, end: float) -> "Fault":
-        if start < self.start or end > self.end:
-            raise ValueError(
-                f"[{start}, {end}) is not inside the window [{self.start}, {self.end})"
-            )
-        return dataclasses.replace(self, start=start, end=end)
+    @property
+    def labels(self) -> Tuple[str, str]:
+        return f"{self.impairment_kind}-on", f"{self.impairment_kind}-off"
 
-    def install(self, sim, network, replicas) -> None:
-        kind = self.impairment_kind
-        value = getattr(self, self.value_field)
-        sim.schedule_at(
-            self.start,
-            lambda: network.impair_node(self.node, kind, value),
-            label=f"fault:{kind}-on@{self.node}",
-        )
-        sim.schedule_at(
-            self.end,
-            lambda: network.unimpair_node(self.node, kind),
-            label=f"fault:{kind}-off@{self.node}",
-        )
+    def impairment(self) -> Optional[Tuple[float, float]]:
+        # A degraded wire still carries relays: no outage for Lemma A.5.
+        return None
+
+    def open(self, network, replicas) -> None:
+        network.impair_node(self.node, self.impairment_kind, getattr(self, self.value_field))
+
+    def close(self, network, replicas) -> None:
+        network.unimpair_node(self.node, self.impairment_kind)
 
 
 @dataclass(frozen=True)
@@ -479,16 +473,10 @@ class LossWindow(_ImpairmentWindow):
         # part in dissemination at all; sub-unity loss leaves probabilistic
         # connectivity that redundancy-backed retransmission recovers, so
         # it does not count against Lemma A.5 strong connectivity.
-        if self.loss >= 0.999:
-            return (self.start, self.end)
-        return None
+        return self.window if self.loss >= 0.999 else None
 
     def exemption_end(self) -> float:
-        # One grace share for the retransmission tail (retry chains of
-        # drops near the window's end run past it) plus a loss-proportional
-        # share for protocol catch-up.  Bounded: never more than twice the
-        # recovery grace, unlike the permanent Byzantine exemption.
-        return self.end + CATCH_UP_GRACE * (1.0 + min(1.0, self.loss))
+        return loss_allowance_end(self.end, self.loss)
 
 
 @dataclass(frozen=True)
@@ -562,9 +550,7 @@ class LeaderFollowingCrash(Fault):
         if isinstance(self.budget, bool) or not isinstance(self.budget, int):
             raise ValueError(f"adaptive budget must be an int, got {self.budget!r}")
         for name in ("start", "interval"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"adaptive {name} must be a number, got {value!r}")
+            checked_number(f"adaptive {name}", getattr(self, name))
         if self.budget < 1:
             raise ValueError(f"adaptive budget must be >= 1, got {self.budget}")
         if self.interval <= 0:

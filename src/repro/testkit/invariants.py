@@ -317,12 +317,12 @@ class LossBudgetLivenessInvariant(Invariant):
     name = "loss-budget-liveness"
 
     def check(self, evidence: Evidence) -> None:
-        from repro.testkit.faults import CATCH_UP_GRACE
+        from repro.testkit.faults import loss_allowance_end
 
         schedule = evidence.spec.fault_schedule
         atoms = schedule.faults if schedule is not None else ()
         loss_atoms = [f for f in atoms if getattr(f, "impairment_kind", "") == "loss"]
-        spec_impairment = getattr(evidence.spec, "impairment", None)
+        spec_impairment = evidence.spec.impairment
         spec_loss = spec_impairment is not None and (
             spec_impairment.loss > 0 or spec_impairment.ble_calibrated
         )
@@ -343,9 +343,7 @@ class LossBudgetLivenessInvariant(Invariant):
             if math.isinf(spec_impairment.end):
                 spec_allowance = 0.0
             else:
-                spec_allowance = spec_impairment.end + CATCH_UP_GRACE * (
-                    1.0 + min(1.0, spec_impairment.loss)
-                )
+                spec_allowance = loss_allowance_end(spec_impairment.end, spec_impairment.loss)
             for node in evidence.trace.committed_heights:
                 allowance[node] = max(allowance.get(node, 0.0), spec_allowance)
         # Nodes excused by *other* still-unexpired exempting faults (e.g. a

@@ -368,7 +368,7 @@ def schedule_feasibility(spec: DeploymentSpec) -> Optional[str]:
       bounded allowance absorbs them.
     """
     n = spec.n
-    impairment = getattr(spec, "impairment", None)
+    impairment = spec.impairment
     if impairment is not None and impairment.loss > 0 and math.isinf(impairment.end):
         retries = impairment.max_retries
         residual = impairment.loss ** (retries + 1)

@@ -134,22 +134,19 @@ def spec_fingerprint(spec) -> Dict[str, Any]:
     if spec.topology == "random-kcast":
         # Only parameterised topologies carry their extra knobs, so the
         # fingerprints of pre-existing specs stay byte-identical.
-        out["edges_per_node"] = getattr(spec, "edges_per_node", 1)
-        out["topology_seed"] = getattr(spec, "topology_seed", None)
+        out["edges_per_node"] = spec.edges_per_node
+        out["topology_seed"] = spec.topology_seed
     # Same conditional-key rule for the workload layer: a default
     # closed-loop preload and an unbounded pool are the seed behaviour and
     # stay invisible, so every pre-existing fingerprint survives.
-    workload = getattr(spec, "workload", None)
-    if workload is not None and not workload.is_default():
-        out["workload"] = workload.describe()
-    txpool_limit = getattr(spec, "txpool_limit", None)
-    if txpool_limit is not None:
-        out["txpool_limit"] = txpool_limit
+    if spec.workload is not None and not spec.workload.is_default():
+        out["workload"] = spec.workload.describe()
+    if spec.txpool_limit is not None:
+        out["txpool_limit"] = spec.txpool_limit
     # Wire impairments follow the same rule: absent (the seed medium) means
     # absent from the fingerprint, so unimpaired specs hash identically.
-    impairment = getattr(spec, "impairment", None)
-    if impairment is not None:
-        out["impairment"] = impairment.describe()
+    if spec.impairment is not None:
+        out["impairment"] = spec.impairment.describe()
     return out
 
 
@@ -203,6 +200,7 @@ class TraceRecorder(SessionObserver):
             trace.events = [[time, label] for time, label in sim.trace_log]
         trace.executed_events = sim.executed_events
         trace.sim_time = sim.now
+        imp = network.impairment
 
         for pid, replica in sorted(replicas.items()):
             log = replica.log
@@ -225,14 +223,13 @@ class TraceRecorder(SessionObserver):
             # Admission accounting appears only when something was actually
             # rejected, so seed-behaviour traces keep their exact key set
             # (and therefore their golden fingerprints).
-            pool = getattr(replica, "txpool", None)
-            if pool is not None and pool.dropped:
+            pool = replica.txpool
+            if pool.dropped:
                 trace.replica_stats[pid]["commands_dropped"] = pool.dropped
-            if pool is not None and pool.duplicates:
+            if pool.duplicates:
                 trace.replica_stats[pid]["commands_duplicate"] = pool.duplicates
             # Delivery accounting likewise appears only on nodes the lossy
             # medium actually touched — unimpaired runs keep their key set.
-            imp = getattr(network, "impairment", None)
             if imp is not None:
                 if imp.drops_by_node.get(pid):
                     trace.replica_stats[pid]["deliveries_dropped"] = imp.drops_by_node[pid]
@@ -265,7 +262,6 @@ class TraceRecorder(SessionObserver):
         }
         # The impairment block exists only when an impairment model was ever
         # attached, keeping unimpaired network sections byte-identical.
-        imp = getattr(network, "impairment", None)
         if imp is not None:
             trace.network["impairments"] = imp.stats_dict()
         trace.safety = {

@@ -415,7 +415,5 @@ def workload_command_ids(spec) -> Set[str]:
     check routes through here, so it holds for open-loop and trace runs
     exactly as it does for preloads.
     """
-    engine = getattr(spec, "workload", None)
-    if engine is None:
-        engine = ClosedLoopPreload()
+    engine = spec.workload if spec.workload is not None else ClosedLoopPreload()
     return engine.command_ids(spec)

@@ -52,15 +52,3 @@ def workload_from_dict(data):
     if data["kind"] == GoodEngine.kind:
         return GoodEngine()
     raise ValueError(data["kind"])
-
-
-@dataclass
-class ImpairmentSpec:
-    loss: float = 0.0
-    jitter: float = 0.0
-
-    def describe(self):
-        return {"loss": self.loss, "jitter": self.jitter}
-
-
-_SPEC_KEYS = frozenset(("loss", "jitter"))

@@ -1,6 +1,6 @@
 """Planted violations for registry-coherence (never imported).
 
-A self-contained mini copy of the repo's three registries, each broken
+A self-contained mini copy of the repo's two registries, each broken
 in one of the ways the rule is meant to catch at PR time.
 """
 
@@ -62,15 +62,3 @@ def workload_from_dict(data):
     if data["kind"] == GoodEngine.kind:
         return GoodEngine()
     raise ValueError(data["kind"])
-
-
-@dataclass
-class ImpairmentSpec:
-    loss: float = 0.0
-    extra: int = 0  # finding: missing from _SPEC_KEYS
-
-    def describe(self):
-        return {"loss": self.loss}  # finding: never emits 'extra'
-
-
-_SPEC_KEYS = frozenset(("loss", "ghost"))  # finding: 'ghost' is not a field

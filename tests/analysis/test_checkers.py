@@ -23,7 +23,7 @@ CASES = [
     ("wallclock", "no-wall-clock", 4),
     ("ordering", "ordered-iteration", 4),
     ("rng_discipline", "rng-stream-discipline", 3),
-    ("registries", "registry-coherence", 9),
+    ("registries", "registry-coherence", 6),
     ("observers", "observer-signature-drift", 5),
     ("slots", "slots-discipline", 3),
     ("floats", "no-float-accumulation-order", 3),

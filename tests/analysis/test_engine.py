@@ -8,7 +8,6 @@ meta-rules) without touching the shipped fixtures.
 from __future__ import annotations
 
 import json
-import textwrap
 from pathlib import Path
 
 import pytest

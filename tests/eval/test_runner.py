@@ -17,6 +17,47 @@ def test_spec_validation():
         DeploymentSpec(protocol="eesmr", n=5, k=5)
 
 
+@pytest.mark.parametrize(
+    "section, text, message",
+    [
+        (
+            "fault_schedule",
+            '[{"kind": "SilentFrom", "node": 0},'
+            ' {"kind": "PartitionWindow", "node": 2, "start": NaN, "heal": 5.0}]',
+            "fault entry 1: partition start must be finite",
+        ),
+        (
+            "fault_schedule",
+            '[{"kind": "LossWindow", "node": 2, "start": 1.0, "end": Infinity, "loss": 0.5}]',
+            "fault entry 0: impairment end must be finite",
+        ),
+        (
+            "fault_schedule",
+            '[{"kind": "CrashAt", "node": 2, "time": NaN}]',
+            "fault entry 0: crash time must be finite",
+        ),
+        (
+            "fault_schedule",
+            '[{"kind": "LeaderFollowingCrash", "interval": Infinity}]',
+            "fault entry 0: adaptive interval must be finite",
+        ),
+        ("impairment", '{"loss": 0.9, "start": NaN}', "impairment start must be finite"),
+        ("impairment", '{"loss": 0.9, "end": NaN}', "impairment end must be finite"),
+    ],
+    ids=["partition-nan", "loss-window-inf", "crash-nan", "adaptive-inf", "spec-start", "spec-end"],
+)
+def test_from_dict_rejects_the_non_finite_numbers_json_parses(section, text, message):
+    """``json.loads`` accepts ``NaN`` and ``Infinity``.  A spec carrying one
+    where a time goes is refused where it is rebuilt, naming the field (and
+    the schedule entry) — not when the event queue chokes on it, and not
+    never, as a window that is silently never active."""
+    import json
+
+    data = {**DeploymentSpec().to_dict(), section: json.loads(text)}
+    with pytest.raises(ValueError, match=message):
+        DeploymentSpec.from_dict(data)
+
+
 def test_build_topology_variants():
     ring = build_topology(DeploymentSpec(n=7, k=3, topology="ring-kcast"))
     assert ring.k == 3 and len(ring.nodes) == 7

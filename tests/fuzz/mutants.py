@@ -86,17 +86,16 @@ class LeakyRelayMutantBuilder(SessionBuilder):
 class RetransmissionGiveUpMutantBuilder(SessionBuilder):
     """Mutant D: the reliable sublayer never retries — drops are final.
 
-    Replacing the network's :class:`~repro.recovery.reliable.ReliabilityPolicy`
-    with a zero retry budget makes every impairment drop take the give-up
-    path immediately, exactly the failure mode a silently-exhausted retry
-    configuration would produce in deployment.
+    Zeroing the budget in the impairment model's spec — the one place
+    the reliable sublayer reads it from — makes every impairment drop take
+    the give-up path immediately, exactly the failure mode a
+    silently-exhausted retry configuration would produce in deployment.
     """
 
     def build_medium_stage(self) -> MediumStage:
         stage = super().build_medium_stage()
-        stage.network.reliability = dataclasses.replace(
-            stage.network.reliability, max_retries=0
-        )
+        model = stage.network.configure_impairment(None)
+        model.spec = dataclasses.replace(model.spec, max_retries=0)
         return stage
 
 

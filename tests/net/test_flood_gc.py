@@ -77,7 +77,7 @@ def test_gc_with_isolated_receiver_still_retires():
 
 def test_gc_with_non_relaying_byzantine_node_still_retires():
     sim, _, _, network, sinks = build()
-    network.set_relay_policy(1, lambda origin, message: False)
+    network.deny_relay(1)
     network.broadcast(0, "m")
     sim.run_until_idle()
     assert network.live_floods == 0

@@ -12,7 +12,7 @@ import pytest
 
 from repro.energy.meter import EnergyCategory
 from repro.net.impairment import (
-    DEFAULT_MAX_RETRIES,
+    HOP_RETRY,
     ImpairmentSpec,
     compose_loss,
     impairment_from_dict,
@@ -54,6 +54,30 @@ def test_spec_describe_roundtrip_is_fixed_point():
     # Defaults are omitted entirely: a minimal spec has a minimal form.
     assert ImpairmentSpec(loss=0.25).describe() == {"loss": 0.25}
     assert impairment_from_dict(None) is None
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True, "1.0"])
+@pytest.mark.parametrize("name", ["loss", "duplicate", "jitter", "reorder", "start"])
+def test_spec_rejects_non_finite_and_non_numeric_fields(name, bad):
+    with pytest.raises(ValueError, match=f"impairment {name} must be"):
+        ImpairmentSpec(**{name: bad})
+
+
+def test_spec_end_may_be_open_but_never_nan():
+    assert ImpairmentSpec(loss=0.5, end=float("inf")).active(1e12)
+    with pytest.raises(ValueError, match="impairment end must be finite"):
+        ImpairmentSpec(loss=0.5, end=float("nan"))
+    with pytest.raises(ValueError, match="window must end after it starts"):
+        ImpairmentSpec(loss=0.5, end=float("-inf"))
+
+
+def test_a_nan_window_from_json_is_rejected_not_inert():
+    """``json`` parses ``NaN``; ``start <= now < end`` is false for it at
+    every ``now``, so the parent accepted this spec and never applied it."""
+    import json
+
+    with pytest.raises(ValueError, match="impairment start must be finite"):
+        impairment_from_dict(json.loads('{"loss": 0.9, "start": NaN}'))
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -290,7 +314,16 @@ def test_impairment_metrics_none_without_model():
 
 
 def test_configure_impairment_mirrors_retry_budget():
-    _, _, _, network, _ = build()
-    assert network.reliability.max_retries == DEFAULT_MAX_RETRIES
-    network.configure_impairment(ImpairmentSpec(loss=0.1, max_retries=6))
-    assert network.reliability.max_retries == 6
+    """The spec's ``max_retries`` *is* the chain's budget: on a wire that
+    drops everything each chain sends exactly that many copies and gives
+    up — ``HOP_RETRY``'s three unless the spec says otherwise."""
+    for spec, budget in (
+        (ImpairmentSpec(loss=1.0), HOP_RETRY.max_retries),
+        (ImpairmentSpec(loss=1.0, max_retries=6), 6),
+    ):
+        sim, _, _, network, _ = impaired_build(spec)
+        network.broadcast(0, "m")
+        sim.run_until_idle()
+        imp = network.impairment
+        assert imp.giveups > 0
+        assert imp.retransmits == budget * imp.giveups

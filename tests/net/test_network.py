@@ -59,7 +59,7 @@ def test_non_relaying_byzantine_nodes_cannot_partition_below_fault_bound():
     # k=2 ring of 7 tolerates 1 non-relaying fault (f < k); the flood still
     # reaches everyone.
     sim, _, _, network, sinks = build(n=7, k=2)
-    network.set_relay_policy(1, lambda origin, message: False)
+    network.deny_relay(1)
     network.broadcast(0, "m")
     sim.run_until_idle()
     delivered = [pid for pid, sink in sinks.items() if sink.messages]
@@ -68,7 +68,7 @@ def test_non_relaying_byzantine_nodes_cannot_partition_below_fault_bound():
 
 def test_origin_relay_policy_does_not_block_own_broadcast():
     sim, _, _, network, sinks = build(n=5, k=2)
-    network.set_relay_policy(0, lambda origin, message: False)
+    network.deny_relay(0)
     network.broadcast(0, "m")
     sim.run_until_idle()
     assert all(sink.messages for sink in sinks.values())
@@ -135,40 +135,93 @@ def test_unbalanced_reconnects_counted_but_warned_once():
 
 
 def test_relay_denial_is_refcounted_and_restores_base_policy():
+    """The base is a permanent denial (a Byzantine node's, never popped):
+    two windows stacked on it pop back down to it, never through it."""
     sim, _, _, network, _ = build(n=5, k=2)
-    base = lambda origin, message: origin == 0
-    network.set_relay_policy(2, base)
+    network.deny_relay(2)  # the base
     network.deny_relay(2)
     network.deny_relay(2)
-    assert network.relay_policies[2](0, "m") is False
+    assert network.relay_denied(2)
     network.allow_relay(2)
-    assert network.relay_policies[2](0, "m") is False, "inner denial still active"
+    assert network.relay_denied(2), "inner denial still active"
     network.allow_relay(2)
-    assert network.relay_policies[2] is base
-    # With no base policy the entry is removed entirely.
+    assert network.relay_denied(2), "the base denial is restored, not clobbered"
+    # With no base denial the node relays again once its window closes.
     network.deny_relay(4)
     network.allow_relay(4)
-    assert 4 not in network.relay_policies
+    assert not network.relay_denied(4)
 
 
 def test_unbalanced_allow_relay_is_a_noop():
     sim, _, _, network, _ = build(n=5, k=2)
     network.allow_relay(2)
-    assert 2 not in network.relay_policies
+    assert not network.relay_denied(2)
     network.deny_relay(2)
-    assert network.relay_policies[2](0, "m") is False
+    assert network.relay_denied(2), "a stray allow must not pre-cancel a denial"
 
 
 def test_set_relay_policy_under_active_denial_updates_the_base():
-    """A policy installed while a denial window is open becomes the base
-    restored when the last window closes — the denial stays on top."""
+    """A permanent denial pushed while a window is open (an adaptive strike
+    landing mid-window) survives the window's close."""
+    sim, _, _, network, sinks = build(n=5, k=2)
+    network.deny_relay(2)  # the window opens
+    network.deny_relay(2)  # the strike: never popped
+    network.allow_relay(2)  # the window closes
+    assert network.relay_denied(2)
+    network.broadcast(0, "m")
+    sim.run_until_idle()
+    assert network.stats.per_node_transmissions[2] == 0, "a denied node forwards nothing"
+    assert all(sink.messages for sink in sinks.values())
+
+
+@pytest.mark.parametrize(
+    "kind, pop, active",
+    [
+        ("relay-deny", lambda net: net.allow_relay(3), lambda net: net.relay_denied(3)),
+        ("partition", lambda net: net.reconnect(3), lambda net: net.is_partitioned(3)),
+        ("impair-loss", lambda net: net.unimpair_node(3, "loss"), lambda net: False),
+    ],
+    ids=["allow_relay", "reconnect", "unimpair_node"],
+)
+def test_unbalanced_pops_change_nothing_and_report_nothing(kind, pop, active):
+    """Each kind keeps its own unbalanced-pop rule — ``reconnect`` counts and
+    warns once, the other two are silent — but none of them touches state,
+    fires the fault observer or invalidates a compiled plan."""
+    import warnings
+
     sim, _, _, network, _ = build(n=5, k=2)
-    network.deny_relay(2)
-    replacement = lambda origin, message: True
-    network.set_relay_policy(2, replacement)
-    assert network.relay_policies[2](0, "m") is False, "denial must stay on top"
-    network.allow_relay(2)
-    assert network.relay_policies[2] is replacement
+    network.configure_impairment(None)  # a model with no overlay to pop
+    seen = []
+    network.fault_observer = lambda *transition: seen.append(transition)
+    plan = network._plan_for(64)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pop(network)
+        pop(network)
+    assert not active(network)
+    assert seen == []
+    assert network._plan_for(64) is plan
+    counted = kind == "partition"
+    assert [str(w.message)[:12] for w in caught] == (["reconnect(3)"] if counted else [])
+    assert network.unbalanced_reconnects == (2 if counted else 0)
+
+
+def test_fault_observer_sees_only_the_outermost_edges():
+    sim, _, _, network, _ = build(n=5, k=2)
+    seen = []
+    network.fault_observer = lambda *transition: seen.append(transition)
+    pairs = ((network.deny_relay, network.allow_relay), (network.isolate, network.reconnect))
+    for push, pop in pairs:
+        push(1)
+        push(1)
+        pop(1)
+        pop(1)
+    assert seen == [
+        (1, "relay-deny", True, 0.0),
+        (1, "relay-deny", False, 0.0),
+        (1, "partition", True, 0.0),
+        (1, "partition", False, 0.0),
+    ]
 
 
 def test_unicast_delivers_and_charges_both_endpoints():

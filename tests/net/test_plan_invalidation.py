@@ -6,8 +6,8 @@ wire size).  These tests pin the two properties the optimization rides
 on:
 
 * every mutation a per-hop re-read of the state would observe —
-  relay-policy changes, deny/allow windows, partition isolate/heal,
-  topology edge mutation — invalidates the compiled plan;
+  deny/allow windows, partition isolate/heal, topology edge mutation —
+  invalidates the compiled plan;
 * runs driven through compiled plans are byte-identical to the path that
   re-queried that state on every hop, including when the mutation fires
   mid-flood-window.  That path is gone; its traces are pinned as
@@ -46,11 +46,10 @@ def test_plan_is_cached_per_size_within_an_epoch():
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda net: net.set_relay_policy(2, lambda o, m: False),
         lambda net: net.deny_relay(2),
         lambda net: net.isolate(2),
     ],
-    ids=["set_relay_policy", "deny_relay", "isolate"],
+    ids=["deny_relay", "isolate"],
 )
 def test_state_mutators_invalidate_the_plan(mutate):
     network = build_network()
@@ -67,12 +66,12 @@ def test_deny_and_allow_each_invalidate():
     network.deny_relay(4)
     denied = network._plan_for(64)
     assert denied is not baseline
-    relays, policy, _meter, _edges = denied.nodes[4]
+    relays, _meter, _edges = denied.nodes[4]
     assert relays is False
     network.allow_relay(4)
     healed = network._plan_for(64)
     assert healed is not denied
-    relays, policy, _meter, _edges = healed.nodes[4]
+    relays, _meter, _edges = healed.nodes[4]
     assert relays is True
 
 
@@ -84,7 +83,7 @@ def test_partition_and_heal_each_invalidate():
     cut = network._plan_for(64)
     assert cut is not baseline
     assert 5 not in cut.nodes  # partitioned: neither relays nor receives
-    for _relays, _policy, _meter, edges in cut.nodes.values():
+    for _relays, _meter, edges in cut.nodes.values():
         for _cost, receivers in edges:
             assert 5 not in receivers
     network.reconnect(5)
@@ -101,36 +100,7 @@ def test_topology_mutation_invalidates_via_topology_version():
     assert network.hypergraph.topology_version > version
     fresh = network._plan_for(64)
     assert fresh is not stale
-    assert len(fresh.nodes[0][3]) == len(stale.nodes[0][3]) + 1
-
-
-def test_dynamic_relay_policies_are_consulted_per_flood():
-    """Message-dependent policies cannot be folded into the plan."""
-    from repro.sim.process import Process
-
-    class Sink(Process):
-        def on_message(self, sender, message):
-            pass
-
-    network = build_network()
-    seen = []
-
-    def picky(origin, message):
-        seen.append(message)
-        return message != "drop-me"
-
-    network.set_relay_policy(3, picky)
-    plan = network._plan_for(64)
-    relays, policy, _meter, _edges = plan.nodes[3]
-    assert relays is None
-    assert policy is picky
-    for pid in network.hypergraph.nodes:
-        network.register(Sink(network.sim, pid))
-    network.broadcast(0, "fine")
-    network.sim.run_until_idle()
-    network.broadcast(0, "drop-me")
-    network.sim.run_until_idle()
-    assert seen == ["fine", "drop-me"]
+    assert len(fresh.nodes[0][2]) == len(stale.nodes[0][2]) + 1
 
 
 # ----------------------------------------------------- trace byte-identity
@@ -150,8 +120,8 @@ BASE = dict(protocol="eesmr", n=5, f=1, k=2, target_height=3, seed=17)
 UNCOMPILED = {
     "fault-free": (lambda: None, GOLDEN["eesmr"]),
     # Relay denial opening and lifting mid-run: each transition must
-    # invalidate the plan exactly where a per-hop read of the relay-policy
-    # dict would see it.
+    # invalidate the plan exactly where a per-hop read of the relay-denial
+    # table would see it.
     "relay-drop-window": (
         lambda: drop_window(3, start=1.0, end=8.0),
         "216c9cecb0fd2a22238bdd45e1006cc3a67bba2a1fb0167722cc649e4b4e40fe",

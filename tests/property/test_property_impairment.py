@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.runner import DeploymentSpec, run_protocol
-from repro.net.impairment import ImpairmentModel, ImpairmentSpec
+from repro.net.impairment import ImpairmentModel, ImpairmentSpec, impairment_from_dict
 from repro.sim.rng import SeededRNG
 from repro.testkit.scenarios import ScenarioMatrix
 from repro.testkit.trace import TraceRecorder
@@ -59,6 +59,34 @@ def test_overlay_push_pop_restores_the_clean_verdicts(seed, hops):
     verdicts = [model.judge(receiver, None, 0.0, 1.0) for receiver in hops]
     assert verdicts == [(False, False, 0.0)] * len(hops)
     assert model.dropped == model.duplicated == model.delayed == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=st.builds(
+        ImpairmentSpec,
+        loss=st.sampled_from([0.0, 0, 0.25, 1.0]),
+        duplicate=st.sampled_from([0.0, 0.5]),
+        jitter=st.sampled_from([0.0, 0, 1.5]),
+        reorder=st.sampled_from([0.0, 0.1]),
+        start=st.sampled_from([0.0, 0, 2.0]),
+        end=st.sampled_from([float("inf"), 9.0]),
+        ble_calibrated=st.booleans(),
+        max_retries=st.sampled_from([3, 0, 7]),
+    )
+)
+def test_describe_is_derived_from_the_dataclass(spec):
+    """``describe()`` is every field that differs from its default and
+    nothing else, so the round trip is exact and a default never leaks
+    into a spec fingerprint — for fields added later too."""
+    entry = spec.describe()
+    assert impairment_from_dict(entry) == spec
+    defaults = ImpairmentSpec()
+    assert all(value != getattr(defaults, key) for key, value in entry.items())
+    assert set(entry) == {
+        name for name in ImpairmentSpec.__dataclass_fields__
+        if getattr(spec, name) != getattr(defaults, name)
+    }
 
 
 # -------------------------------------------------------------- run level

@@ -145,7 +145,7 @@ def window_sets(draw):
 @settings(max_examples=30, deadline=None)
 def test_interleaved_drop_windows_always_converge(windows):
     """However drop windows interleave, denial holds exactly while at least
-    one window is open, and the node's policy state converges to empty."""
+    one window is open, and the node's denial depth converges to zero."""
     sim, topology, ledger, network = make_network()
     schedule = FaultSchedule(
         tuple(RelayDropWindow(2, start, end) for start, end in windows)
@@ -158,10 +158,9 @@ def test_interleaved_drop_windows_always_converge(windows):
     )
     if probe is not None:
         sim.run(until=probe)
-        assert network.relay_policies[2](0, "m") is False
+        assert network.relay_denied(2)
     sim.run(until=horizon)
-    assert 2 not in network.relay_policies
-    assert 2 not in network._relay_denial_depth
+    assert not network.relay_denied(2)
 
 
 @given(window_sets())
@@ -190,12 +189,10 @@ def test_windows_over_byzantine_denial_always_restore_it(windows):
     """Any interleaving of drop windows on a permanently-denying node must
     leave the permanent denial in place afterwards."""
     sim, topology, ledger, network = make_network()
-    deny = lambda origin, message: False
-    network.set_relay_policy(2, deny)
+    network.deny_relay(2)
     schedule = FaultSchedule(
         tuple(RelayDropWindow(2, start, end) for start, end in windows)
     )
     schedule.install(sim, network, {})
     sim.run(until=max(end for _, end in windows) + 1.0)
-    assert network.relay_policies[2] is deny
-    assert 2 not in network._relay_denial_depth
+    assert network._relay_denied[2] == 1

@@ -1,11 +1,9 @@
 """White-box tests for EESMR replica internals (buffering, locks, certificates)."""
 
-import pytest
-
 from repro.core.client import AckRouter, Client
 from repro.core.config import ProtocolConfig
 from repro.core.eesmr.replica import EesmrReplica
-from repro.core.messages import EquivocationProof, MessageType, make_message, make_qc
+from repro.core.messages import EquivocationProof, MessageType, make_message
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import make_scheme
 from repro.energy.ledger import ClusterEnergyLedger

@@ -12,7 +12,8 @@ grace window, over the normal medium, with the observer lifecycle intact.
 import pytest
 
 from repro.eval.runner import PROTOCOLS, DeploymentSpec
-from repro.recovery import RecoveryObserver, RecoveryPolicy
+from repro.net.impairment import CATCH_UP_RETRY
+from repro.recovery import RecoveryObserver
 from repro.session.builder import SessionBuilder
 from repro.testkit import faults
 from repro.testkit.faults import CATCH_UP_GRACE
@@ -141,7 +142,7 @@ def test_broken_catch_up_gives_up_and_forfeits_the_exemption():
     kinds = observer.kinds_for(2)
     assert kinds[-1] == "gave_up"
     retries = [e for e in observer.events_for(2) if e[2] == "sync_retry"]
-    assert len(retries) == RecoveryPolicy().max_retries
+    assert len(retries) == CATCH_UP_RETRY.max_retries
     # The give-up path is slower than the grace window by design: the
     # healed node is held to the target it never reached.
     assert session.now > 28.0 + CATCH_UP_GRACE

@@ -107,12 +107,11 @@ def test_drop_window_toggles_relay_policy():
     sim, topology, ledger, network = make_network()
     schedule = drop_window(2, start=1.0, end=3.0)
     schedule.install(sim, network, {})
-    assert 2 not in network.relay_policies
+    assert not network.relay_denied(2)
     sim.run(until=1.5)
-    assert 2 in network.relay_policies
-    assert network.relay_policies[2](0, "message") is False
+    assert network.relay_denied(2)
     sim.run(until=3.5)
-    assert 2 not in network.relay_policies
+    assert not network.relay_denied(2)
 
 
 def test_partition_window_isolates_and_heals():
@@ -126,23 +125,22 @@ def test_partition_window_isolates_and_heals():
 
 
 def test_byzantine_faults_never_relay():
-    """As in the seed runner's worst case, a Byzantine node's relay policy
+    """As in the seed runner's worst case, a Byzantine node's relaying
     is denied from t=0 even if its misbehaviour triggers later."""
     sim, topology, ledger, network = make_network()
     crash_at(0, time=2.0).add(SilentFrom(3)).install(sim, network, {})
-    assert network.relay_policies[0](1, "message") is False
-    assert network.relay_policies[3](1, "message") is False
+    assert network.relay_denied(0)
+    assert network.relay_denied(3)
 
 
 def test_drop_window_restores_a_composed_permanent_policy():
-    """A drop window on a node that already has a deny policy (from a
-    composed Byzantine fault) must not clobber it when the window closes."""
+    """A drop window on a node that is already permanently denied (by a
+    composed Byzantine fault) must not clobber that when the window closes."""
     sim, topology, ledger, network = make_network()
     schedule = FaultSchedule((CrashAt(2, time=0.0), RelayDropWindow(2, 1.0, 3.0)))
     schedule.install(sim, network, {})
     sim.run(until=5.0)
-    assert 2 in network.relay_policies
-    assert network.relay_policies[2](0, "message") is False
+    assert network.relay_denied(2)
 
 
 def test_overlapping_partition_windows_do_not_heal_early():
@@ -167,10 +165,9 @@ def test_interleaved_drop_windows_do_not_lift_denial_early():
     schedule = drop_window(2, start=1.0, end=5.0).add(RelayDropWindow(2, 2.0, 10.0))
     schedule.install(sim, network, {})
     sim.run(until=6.0)
-    assert 2 in network.relay_policies, "denial must persist until the last window closes"
-    assert network.relay_policies[2](0, "message") is False
+    assert network.relay_denied(2), "denial must persist until the last window closes"
     sim.run(until=10.5)
-    assert 2 not in network.relay_policies
+    assert not network.relay_denied(2)
 
 
 def test_zero_length_windows_are_rejected_at_construction():
@@ -197,10 +194,9 @@ def test_simultaneous_window_off_and_on_events():
     schedule = drop_window(2, start=1.0, end=5.0).add(RelayDropWindow(2, 5.0, 9.0))
     schedule.install(sim, network, {})
     sim.run(until=5.5)
-    assert 2 in network.relay_policies
-    assert network.relay_policies[2](0, "message") is False
+    assert network.relay_denied(2)
     sim.run(until=9.5)
-    assert 2 not in network.relay_policies
+    assert not network.relay_denied(2)
 
 
 def test_same_node_byzantine_plus_interleaved_windows():
@@ -211,10 +207,15 @@ def test_same_node_byzantine_plus_interleaved_windows():
         (CrashAt(2, time=0.0), RelayDropWindow(2, 1.0, 4.0), RelayDropWindow(2, 2.0, 6.0))
     )
     schedule.install(sim, network, {})
-    for until in (3.0, 5.0, 7.0):
+    seen = []
+    network.fault_observer = lambda *transition: seen.append(transition)
+    for until in (0.5, 1.5, 3.0, 5.0, 7.0):
         sim.run(until=until)
-        assert network.relay_policies[2](0, "message") is False
-    assert 2 not in network._relay_denial_depth
+        assert network.relay_denied(2)
+    # Back at the Byzantine base, and a relay that never came back was
+    # never reported as restored (nor as lost a second time).
+    assert network._relay_denied[2] == 1
+    assert seen == []
 
 
 def test_liveness_exempt_nodes_distinguish_fault_classes():
@@ -320,6 +321,8 @@ def test_crash_recover_rejects_malformed_fields():
         CrashRecoverWindow(1, -1.0, 5.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
 WINDOWED_ATOMS = (
     RelayDropWindow,
     PartitionWindow,
@@ -333,16 +336,79 @@ WINDOWED_ATOMS = (
 @pytest.mark.parametrize("atom", WINDOWED_ATOMS, ids=lambda cls: cls.__name__)
 @pytest.mark.parametrize(
     "start, end",
-    [(-1.0, 3.0), (True, 3.0), ("1.0", 3.0), (1.0, "soon"), (3.0, 3.0), (5.0, 2.0)],
-    ids=["negative-start", "bool-start", "str-start", "str-end", "end-eq-start", "end-lt-start"],
+    [
+        (-1.0, 3.0), (True, 3.0), ("1.0", 3.0), (1.0, "soon"), (3.0, 3.0), (5.0, 2.0),
+        (NAN, 3.0), (1.0, NAN), (INF, 3.0), (1.0, INF), (-INF, 3.0), (1.0, -INF),
+    ],
+    ids=[
+        "negative-start", "bool-start", "str-start", "str-end", "end-eq-start", "end-lt-start",
+        "nan-start", "nan-end", "inf-start", "inf-end", "neg-inf-start", "neg-inf-end",
+    ],
 )
 def test_every_windowed_atom_validates_its_bounds_alike(atom, start, end):
     """One shared bounds check: what a corpus file or ``--spec`` can get
     wrong is a ``ValueError`` at construction for all six windowed atoms,
-    never a ``SimulationError`` when the session is built."""
+    never a ``SimulationError`` (or, for the non-finite bounds ``json``
+    parses, an ``OverflowError``) when the session is built."""
     with pytest.raises(ValueError):
         atom(4, start, end)
     end_key = "heal" if atom in (PartitionWindow, CrashRecoverWindow) else "end"
     entry = {"kind": atom.__name__, "node": 4, "start": start, end_key: end}
     with pytest.raises(ValueError, match="fault entry 1: "):
         schedule_from_dict([{"kind": "SilentFrom", "node": 0}, entry])
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "inf", "neg-inf"])
+def test_non_finite_times_name_their_field_and_entry(bad):
+    """``json`` parses ``NaN`` and ``Infinity``: every time an atom hands to
+    the event queue is checked to be finite where the atom is built."""
+    from repro.testkit.faults import LeaderFollowingCrash
+
+    with pytest.raises(ValueError, match="crash time must be finite"):
+        CrashAt(2, bad)
+    with pytest.raises(ValueError, match="adaptive start must be finite"):
+        LeaderFollowingCrash(start=bad)
+    with pytest.raises(ValueError, match="adaptive interval must be finite"):
+        LeaderFollowingCrash(interval=bad)
+    with pytest.raises(ValueError, match="partition heal must be finite"):
+        PartitionWindow(2, 1.0, bad)
+    with pytest.raises(ValueError, match="LossWindow loss must be"):
+        LossWindow(2, 1.0, 5.0, bad)
+    with pytest.raises(ValueError, match="fault entry 1: crash time must be finite"):
+        schedule_from_dict(
+            [{"kind": "SilentFrom", "node": 0}, {"kind": "CrashAt", "node": 2, "time": bad}]
+        )
+
+
+def test_a_new_window_atom_declares_only_what_differs():
+    """The window base owns bounds, narrowing, the outage interval and the
+    open/close scheduling; an atom supplies fields, names and two effects."""
+    from dataclasses import dataclass
+    from typing import ClassVar, Tuple
+
+    from repro.testkit.faults import _Window
+
+    @dataclass(frozen=True)
+    class Probe(_Window):
+        start: float = 0.0
+        end: float = 0.0
+        window_name: ClassVar[str] = "probe"
+        labels: ClassVar[Tuple[str, str]] = ("probe-on", "probe-off")
+
+        def open(self, network, replicas):
+            network.append(("open", self.node))
+
+        def close(self, network, replicas):
+            network.append(("close", self.node))
+
+    with pytest.raises(ValueError, match="degenerate probe window"):
+        Probe(1, 2.0, 2.0)
+    atom = Probe(1, 1.0, 4.0)
+    assert atom.describe() == {"kind": "Probe", "node": 1, "start": 1.0, "end": 4.0}
+    assert atom.impairment() == (1.0, 4.0)
+    assert atom.narrowed(2.0, 3.0) == Probe(1, 2.0, 3.0)
+    sim, *_ = make_network()
+    calls = []
+    atom.install(sim, calls, {})
+    sim.run(until=5.0)
+    assert calls == [("open", 1), ("close", 1)]
