@@ -8,7 +8,7 @@ atom/engine/field and forgets the registry side:
 * **fault atoms** — every *leaf* subclass of ``Fault`` (public, i.e.
   not underscore-prefixed; intermediate bases like ``ByzantineFault``
   may stay unregistered) must appear in ``FAULT_KINDS``, must be a
-  ``@dataclass`` (``fault_from_dict`` rebuilds with ``cls(**fields)``),
+  ``@dataclass`` (``fault_from_dict`` rebuilds through ``from_fields``),
   and must not declare underscore-prefixed dataclass fields
   (:meth:`Fault.describe` skips them, so they would silently drop out
   of the round trip).  Names in ``FAULT_KINDS`` must resolve to actual

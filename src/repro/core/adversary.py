@@ -18,12 +18,14 @@ energy) — only the specific misbehaviour differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from dataclasses import dataclass, field
 
 from repro.core.blocks import make_block
 from repro.core.eesmr.replica import EesmrReplica
 from repro.core.messages import MessageType
 from repro.core.types import Round
+from repro.net.impairment import SpecError, check_fields, from_fields
 
 
 #: Behaviours a :class:`FaultPlan` may name (the keys of the class table
@@ -44,8 +46,8 @@ class FaultPlan:
     Attributes:
         faulty: Node ids under adversary control.
         behaviour: One of :data:`ALLOWED_BEHAVIOURS`; anything else raises
-            ``ValueError`` at construction so a typo cannot silently run an
-            honest deployment.
+            :class:`~repro.net.impairment.SpecError` at construction so a
+            typo cannot silently run an honest deployment.
         trigger_round: Steady-state round at which a leader misbehaviour is
             triggered (proposals before it are honest).
         crash_time: Virtual time at which ``"crash"`` nodes stop.
@@ -53,21 +55,34 @@ class FaultPlan:
 
     faulty: tuple[int, ...] = ()
     behaviour: str = "crash"
-    trigger_round: Round = 3
-    crash_time: float = 0.0
+    trigger_round: Round = field(default=3, metadata={"min": 1})
+    crash_time: float = field(default=0.0, metadata={"min": 0})
 
     def __post_init__(self) -> None:
         if self.behaviour not in ALLOWED_BEHAVIOURS:
-            raise ValueError(
+            raise SpecError(
                 f"unknown adversary behaviour {self.behaviour!r}; "
-                f"allowed: {ALLOWED_BEHAVIOURS}"
+                f"allowed: {ALLOWED_BEHAVIOURS}",
+                "behaviour",
             )
-        if self.crash_time < 0:
-            raise ValueError(f"crash_time cannot be negative: {self.crash_time}")
+        check_fields(self)
+        ids = self.faulty
+        if not isinstance(ids, (list, tuple)) or any(type(pid) is not int for pid in ids):
+            raise SpecError(f"expected a tuple of node ids, got {ids!r}", "faulty")
+        object.__setattr__(self, "faulty", tuple(ids))  # JSON has lists
 
     @property
     def f_actual(self) -> int:
         return len(self.faulty)
+
+    def describe(self) -> dict:
+        """Every field, JSON-friendly (round-trips through :func:`plan_from_dict`)."""
+        return {**dataclasses.asdict(self), "faulty": list(self.faulty)}
+
+
+def plan_from_dict(entry: dict) -> FaultPlan:
+    """Rebuild a :class:`FaultPlan`; omitted keys take the dataclass's defaults."""
+    return from_fields(FaultPlan, entry, "fault_plan")
 
 
 class SilentLeaderReplica(EesmrReplica):

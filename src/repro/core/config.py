@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.types import FIRST_VIEW, NodeId, View
+from repro.net.impairment import SpecError
 
 
 @dataclass
@@ -51,11 +52,11 @@ class ProtocolConfig:
         if self.f < 0:
             raise ValueError("f cannot be negative")
         if 2 * self.f >= self.n:
-            raise ValueError(
-                f"the synchronous model requires f < n/2 (got n={self.n}, f={self.f})"
+            raise SpecError(
+                f"the synchronous model requires f < n/2 (got n={self.n}, f={self.f})", "f"
             )
         if self.delta <= 0:
-            raise ValueError("delta must be positive")
+            raise SpecError(f"delta must be positive, got {self.delta}", "delta")
         if self.target_height < 1:
             raise ValueError("target_height must be at least 1")
         if self.txpool_limit is not None and self.txpool_limit < 1:

@@ -13,13 +13,16 @@ pause/inspect/resume, adaptive faults) keep the session instead.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.core.adversary import FaultPlan
+from repro.core.adversary import FaultPlan, plan_from_dict
 from repro.core.config import ProtocolConfig
 from repro.core.ledger import SafetyReport
+from repro.crypto import available_schemes
 from repro.energy.ledger import EnergyReport
+from repro.net.impairment import SpecError, check_fields, from_fields, impairment_from_dict
 from repro.net.network import NetworkStats
 
 #: Names accepted by DeploymentSpec.protocol.
@@ -34,49 +37,69 @@ MEDIA = ("ble", "wifi", "4g-lte")
 TOPOLOGIES = ("ring-kcast", "fully-connected", "unicast-ring", "star", "random-kcast")
 
 
+# Imported on first use: ``eval`` stays importable without these two layers.
+def _schedule_from_dict(data: Any) -> Any:
+    from repro.testkit.faults import schedule_from_dict
+
+    return schedule_from_dict(data)
+
+
+def _workload_from_dict(data: Any) -> Any:
+    from repro.workload import workload_from_dict
+
+    return workload_from_dict(data)
+
+
 @dataclass
 class DeploymentSpec:
-    """Everything needed to reproduce one protocol run."""
+    """Everything needed to reproduce one protocol run.
 
-    protocol: str = "eesmr"
-    n: int = 7
-    f: int = 1
-    k: int = 2
-    topology: str = "ring-kcast"
+    The field declarations are the whole schema: a field's type is its
+    annotation, its ``min`` / ``choices`` ride in ``metadata``, and a
+    section that is an object of its own names the function that rebuilds
+    it from its ``describe()`` (``load``).  Validation, :meth:`to_dict`,
+    :meth:`from_dict` and ``spec_fingerprint`` all walk these fields.
+    """
+
+    protocol: str = field(default="eesmr", metadata={"choices": PROTOCOLS})
+    n: int = field(default=7, metadata={"min": 2})
+    f: int = field(default=1, metadata={"min": 0})
+    k: int = field(default=2, metadata={"min": 1})
+    topology: str = field(default="ring-kcast", metadata={"choices": TOPOLOGIES})
     #: Outgoing k-casts per node for the ``random-kcast`` topology.
     edges_per_node: int = 1
     #: Seed for the ``random-kcast`` receiver sampling; defaults to a
     #: stream derived from ``seed`` so runs stay reproducible per spec.
     topology_seed: Optional[int] = None
-    medium: str = "ble"
-    hop_delay: float = 1.0
+    medium: str = field(default="ble", metadata={"choices": MEDIA})
+    hop_delay: float = field(default=1.0, metadata={"min": 0})
     delta: Optional[float] = None
-    signature_scheme: str = "rsa-1024"
-    batch_size: int = 1
-    command_payload_bytes: int = 16
-    target_height: int = 5
-    block_interval: float = 0.0
-    fault_plan: FaultPlan = field(default_factory=FaultPlan)
+    signature_scheme: str = field(
+        default="rsa-1024", metadata={"choices": tuple(available_schemes())}
+    )
+    batch_size: int = field(default=1, metadata={"min": 1})
+    command_payload_bytes: int = field(default=16, metadata={"min": 0})
+    target_height: int = field(default=5, metadata={"min": 1})
+    block_interval: float = field(default=0.0, metadata={"min": 0})
+    fault_plan: FaultPlan = field(default_factory=FaultPlan, metadata={"load": plan_from_dict})
     #: Optional testkit fault schedule (``repro.testkit.faults.FaultSchedule``),
     #: duck-typed here to keep ``eval`` importable without the testkit.  When
     #: set it supersedes ``fault_plan``: per-node behaviours come from
     #: :meth:`FaultSchedule.replica_behaviour` and network-level faults are
     #: armed via :meth:`FaultSchedule.install`.
-    fault_schedule: Optional[Any] = None
+    fault_schedule: Optional[Any] = field(default=None, metadata={"load": _schedule_from_dict})
     #: Optional workload engine (``repro.workload.WorkloadEngine``), duck-typed
     #: here so ``eval`` stays importable without the workload layer.  ``None``
     #: (the default) is the seed behaviour: the closed-loop preload that fills
-    #: every txpool before the run starts.  Engines serialise through
-    #: :meth:`WorkloadEngine.describe` / ``repro.workload.workload_from_dict``.
-    workload: Optional[Any] = None
+    #: every txpool before the run starts.
+    workload: Optional[Any] = field(default=None, metadata={"load": _workload_from_dict})
     #: Bound on each replica's pending-command pool (``None`` = unbounded,
     #: the seed behaviour).  Threaded into ``ProtocolConfig.txpool_limit``.
-    txpool_limit: Optional[int] = None
+    txpool_limit: Optional[int] = field(default=None, metadata={"min": 1})
     #: Optional wire impairment (``repro.net.impairment.ImpairmentSpec``),
     #: duck-typed to keep ``eval`` lean.  ``None`` (the default) is the seed
-    #: behaviour: a perfectly reliable medium.  Serialises through
-    #: :meth:`ImpairmentSpec.describe` / ``impairment_from_dict``.
-    impairment: Optional[Any] = None
+    #: behaviour: a perfectly reliable medium.
+    impairment: Optional[Any] = field(default=None, metadata={"load": impairment_from_dict})
     seed: int = 0
     #: Charge every correct node's idle baseline over the run's virtual time
     #: when the session finishes (the paper subtracts it; off by default).
@@ -86,22 +109,21 @@ class DeploymentSpec:
     jitter: bool = True
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}; known: {PROTOCOLS}")
-        if self.medium not in MEDIA:
-            raise ValueError(f"unknown medium {self.medium!r}; known: {MEDIA}")
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {self.topology!r}; known: {TOPOLOGIES}")
-        if self.k < 1 or self.k > self.n - 1:
-            raise ValueError(f"k must be in [1, n-1], got k={self.k}, n={self.n}")
+        check_fields(self)
+        # The cross-field rules.  ``f < n/2`` is not one of them: the matrix
+        # and the fuzzer build over-budget specs on purpose and skip them
+        # with a reason, so ``ProtocolConfig`` enforces it where a run is built.
+        if self.k > self.n - 1:
+            raise SpecError(f"must be in [1, n-1], got k={self.k}, n={self.n}", "k")
         if self.topology == "random-kcast" and self.edges_per_node < 1:
-            raise ValueError(
-                f"random-kcast needs edges_per_node >= 1, got {self.edges_per_node}"
-            )
-        if self.txpool_limit is not None and self.txpool_limit < 1:
-            raise ValueError(
-                f"txpool_limit must be >= 1 or None, got {self.txpool_limit}"
-            )
+            raise SpecError(f"random-kcast needs >= 1, got {self.edges_per_node}", "edges_per_node")
+        targets = [("fault_plan.faulty", self.fault_plan.faulty)]
+        for index, fault in enumerate(getattr(self.fault_schedule, "faults", ())):
+            targets.append((f"fault_schedule[{index}].node", fault.nodes()))
+        for path, ids in targets:
+            outside = [pid for pid in ids if not 0 <= pid < self.n]
+            if outside:
+                raise SpecError(f"node ids {outside} are outside range(n={self.n})", path)
 
     @property
     def byzantine_nodes(self) -> tuple[int, ...]:
@@ -119,85 +141,19 @@ class DeploymentSpec:
         """A JSON-safe description of this spec (round-trips via
         :meth:`from_dict`).  The one schema every surface serialises
         through: CLI ``--spec`` files, matrix cell dumps, benchmarks."""
-        out = {
-            "protocol": self.protocol,
-            "n": self.n,
-            "f": self.f,
-            "k": self.k,
-            "topology": self.topology,
-            "edges_per_node": self.edges_per_node,
-            "topology_seed": self.topology_seed,
-            "medium": self.medium,
-            "hop_delay": self.hop_delay,
-            "delta": self.delta,
-            "signature_scheme": self.signature_scheme,
-            "batch_size": self.batch_size,
-            "command_payload_bytes": self.command_payload_bytes,
-            "target_height": self.target_height,
-            "block_interval": self.block_interval,
-            "seed": self.seed,
-            "charge_sleep": self.charge_sleep,
-            "jitter": self.jitter,
-            "fault_plan": {
-                "faulty": list(self.fault_plan.faulty),
-                "behaviour": self.fault_plan.behaviour,
-                "trigger_round": self.fault_plan.trigger_round,
-                "crash_time": self.fault_plan.crash_time,
-            },
-            "fault_schedule": (
-                self.fault_schedule.describe() if self.fault_schedule is not None else None
-            ),
-            "workload": self.workload.describe() if self.workload is not None else None,
-            "txpool_limit": self.txpool_limit,
-            "impairment": (
-                self.impairment.describe() if self.impairment is not None else None
-            ),
-        }
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            sectioned = "load" in f.metadata and value is not None
+            out[f.name] = value.describe() if sectioned else value
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "DeploymentSpec":
-        """Rebuild a spec from :meth:`to_dict` output (e.g. parsed JSON)."""
-        data = dict(data)
-        plan_data = data.pop("fault_plan", None)
-        schedule_data = data.pop("fault_schedule", None)
-        workload_data = data.pop("workload", None)
-        impairment_data = data.pop("impairment", None)
-        unknown = set(data) - _SPEC_FIELDS
-        if unknown:
-            raise ValueError(f"unknown DeploymentSpec fields {sorted(unknown)}")
-        kwargs: Dict[str, Any] = dict(data)
-        if plan_data is not None:
-            # Omitted keys fall through to FaultPlan's own defaults — the
-            # dataclass stays the single source of truth for them.
-            plan_data = dict(plan_data)
-            kwargs["fault_plan"] = FaultPlan(
-                faulty=tuple(plan_data.pop("faulty", ())), **plan_data
-            )
-        if schedule_data is not None:
-            # Lazy import: ``eval`` stays importable without the testkit.
-            from repro.testkit.faults import schedule_from_dict
-
-            kwargs["fault_schedule"] = schedule_from_dict(schedule_data)
-        if workload_data is not None:
-            # Lazy import: ``eval`` stays importable without the workload layer.
-            from repro.workload import workload_from_dict
-
-            kwargs["workload"] = workload_from_dict(workload_data)
-        if impairment_data is not None:
-            from repro.net.impairment import impairment_from_dict
-
-            kwargs["impairment"] = impairment_from_dict(impairment_data)
-        return cls(**kwargs)
-
-
-#: Scalar DeploymentSpec field names accepted by :meth:`DeploymentSpec.from_dict`.
-_SPEC_FIELDS = {name for name in DeploymentSpec.__dataclass_fields__} - {
-    "fault_plan",
-    "fault_schedule",
-    "workload",
-    "impairment",
-}
+        """Rebuild a spec from :meth:`to_dict` output (e.g. parsed JSON): omitted
+        keys and ``null`` sections take the dataclass's defaults, a malformed
+        value is a :class:`~repro.net.impairment.SpecError` at its JSON path."""
+        return from_fields(cls, data, "DeploymentSpec")
 
 
 @dataclass

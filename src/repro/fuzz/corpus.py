@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.eval.runner import DeploymentSpec
+from repro.net.impairment import SpecError, read_json
 from repro.testkit.invariants import InvariantReport, judge_reports
 
 #: Corpus entry schema version (bump on incompatible changes).
@@ -60,13 +61,16 @@ class CorpusEntry:
 
     @classmethod
     def load(cls, path: Path) -> "CorpusEntry":
-        data = json.loads(Path(path).read_text())
+        data = read_json(path, dict)
         fmt = data.get("format")
         if fmt != CORPUS_FORMAT:
-            raise ValueError(f"{path}: unsupported corpus format {fmt!r}")
+            raise SpecError(f"unsupported corpus format {fmt!r}", str(path))
         expect = data.get("expect")
         if expect not in ("clean", "violation"):
-            raise ValueError(f"{path}: expect must be 'clean' or 'violation', got {expect!r}")
+            raise SpecError(f"expect must be 'clean' or 'violation', got {expect!r}", str(path))
+        missing = [key for key in ("id", "spec") if key not in data]
+        if missing:
+            raise SpecError(f"corpus entry lacks {missing}", str(path))
         return cls(
             entry_id=data["id"],
             spec=data["spec"],

@@ -29,7 +29,10 @@ which imports ``repro.net``.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import json
 import math
+import typing
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional
@@ -41,20 +44,136 @@ from repro.sim.rng import SeededRNG
 IMPAIRMENT_KINDS = ("loss", "duplicate", "jitter", "reorder")
 
 
-def checked_number(label: str, value: Any, allow_inf: bool = False) -> float:
+class SpecError(ValueError):
+    """A spec that cannot be run as written: the one error of every input
+    boundary (``DeploymentSpec.from_dict`` and the loaders beneath it, spec,
+    trace and corpus files, the CLI grammars, the spec dataclasses).
+
+    Its text is ``<path>: <what is wrong>``; ``path`` is the offending
+    value's JSON path from the loader that raised (``workload.rate``,
+    ``fault_schedule[2].end``, a file name), and each enclosing loader
+    prepends its own segment with :meth:`under`.
+    """
+
+    def __init__(self, message: str, path: str = "") -> None:
+        super().__init__(f"{path}: {message}" if path else message)
+        self.message, self.path = message, path
+
+    def under(self, parent: str) -> "SpecError":
+        """This error as the loader of ``parent`` reports it."""
+        joint = "." if self.path and not self.path.startswith("[") else ""
+        return SpecError(self.message, f"{parent}{joint}{self.path}")
+
+
+def checked_number(label: str, value: Any, allow_inf: bool = False, path: str = "") -> float:
     """The fault plane's one number check: ``value`` as a float.
 
     Specs and fault atoms are rebuilt from JSON (corpus entries, ``--spec``
     files), where ``true``, ``"1.0"`` and ``NaN`` all parse: a bool, a
     non-number, a NaN or (unless ``allow_inf``) an infinity is a
-    ``ValueError`` naming the field here, not a traceback in the event
-    queue or a window that silently never opens.
+    :class:`SpecError` at ``path`` naming the field here, not a traceback in
+    the event queue or a window that silently never opens.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{label} must be a number, got {value!r}")
+        raise SpecError(f"{label} must be a number, got {value!r}", path)
     if math.isnan(value) or (math.isinf(value) and not allow_inf):
-        raise ValueError(f"{label} must be finite, got {value}")
+        raise SpecError(f"{label} must be finite, got {value}", path)
     return float(value)
+
+
+@functools.lru_cache(maxsize=None)
+def _declared(cls: type) -> tuple:
+    """``(name, class, optional, min, choices)`` per class-annotated field of ``cls``."""
+    hints, rows = typing.get_type_hints(cls), []
+    for f in dataclasses.fields(cls):
+        options = typing.get_args(hints[f.name])
+        optional = type(None) in options
+        kind = next(o for o in options if o is not type(None)) if optional else hints[f.name]
+        if isinstance(kind, type) and kind is not Any:
+            rows.append((f.name, kind, optional, f.metadata.get("min"), f.metadata.get("choices")))
+    return tuple(rows)
+
+
+def check_fields(spec: Any) -> None:
+    """Hold each field of the dataclass instance ``spec`` to its declaration.
+
+    The type is the annotation (``bool`` is not an ``int``, a ``float`` is
+    any finite number, ``Optional`` admits ``None``); an inclusive lower
+    bound and the allowed values ride in ``field(metadata={"min": …,
+    "choices": …})``.  The first breach is a :class:`SpecError` at the
+    field's name.  A field annotated with anything but a class (``Any``, a
+    generic alias) is its owner's to check.
+    """
+    for name, kind, optional, minimum, choices in _declared(type(spec)):
+        value = getattr(spec, name)
+        if value is None and optional:
+            continue
+        if kind is float:
+            checked_number(name, value, path=name)
+        elif not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise SpecError(f"expected {kind.__name__}, got {value!r}", name)
+        if minimum is not None and value < minimum:
+            raise SpecError(f"must be >= {minimum}, got {value}", name)
+        if choices is not None and value not in choices:
+            raise SpecError(f"unknown {name} {value!r}; known: {tuple(choices)}", name)
+
+
+def from_fields(cls: type, entry: Any, what: str) -> Any:
+    """``cls(**entry)`` for a JSON object whose keys are fields of ``cls``.
+
+    The rebuild half of a derived ``describe()``: a non-object, a key that
+    is not a (compared) field and an absent field with no default are each
+    a :class:`SpecError`.  ``metadata={"load": f}`` marks a field holding a
+    section of its own, which ``f`` rebuilds (``null`` keeps the default).
+    """
+    if not isinstance(entry, dict):
+        raise SpecError(f"{what} must be a JSON object, got {entry!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.compare}
+    unknown = sorted(set(entry) - set(fields))
+    if unknown:
+        raise SpecError(f"unknown {what} keys {unknown}; known: {list(fields)}")
+    unset = (dataclasses.MISSING, dataclasses.MISSING)
+    required = [name for name, f in fields.items() if (f.default, f.default_factory) == unset]
+    missing = [name for name in required if name not in entry]
+    if missing:
+        raise SpecError(f"{what} lacks required keys {missing}")
+    kwargs = {}
+    for name, value in entry.items():
+        load = fields[name].metadata.get("load")
+        if load is None:
+            kwargs[name] = value
+        elif value is not None:
+            try:
+                kwargs[name] = load(value)
+            except SpecError as error:
+                raise error.under(name) from error
+    return cls(**kwargs)
+
+
+def from_kind(kinds: Dict[str, type], entry: Any, what: str) -> Any:
+    """:func:`from_fields` for the class ``entry["kind"]`` names in ``kinds``."""
+    if not isinstance(entry, dict):
+        raise SpecError(f"{what} must be a JSON object, got {entry!r}")
+    kind = entry.get("kind")
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SpecError(f"unknown {what} kind {kind!r}; known: {sorted(kinds)}", "kind")
+    rest = {key: value for key, value in entry.items() if key != "kind"}
+    return from_fields(cls, rest, f"{kind} {what}")
+
+
+def read_json(path: Any, top: type) -> Any:
+    """The JSON document in the file at ``path``, an instance of ``top``;
+    an unreadable or undecodable file, or another top-level type, is a
+    :class:`SpecError` naming the file."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise SpecError(f"cannot load: {error}", str(path)) from error
+    if not isinstance(data, top):
+        raise SpecError(f"expected a top-level {top.__name__}, got {data!r}", str(path))
+    return data
 
 
 @dataclass(frozen=True)
@@ -123,9 +242,9 @@ CATCH_UP_RETRY = RetryPolicy(timeout=2.5, max_retries=4)
 
 
 def _probability(name: str, value: Any) -> float:
-    value = checked_number(f"impairment {name}", value)
+    value = checked_number(f"impairment {name}", value, path=name)
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"impairment {name} must be within [0, 1], got {value}")
+        raise SpecError(f"impairment {name} must be within [0, 1], got {value}", name)
     return value
 
 
@@ -166,22 +285,22 @@ class ImpairmentSpec:
             object.__setattr__(self, name, _probability(name, getattr(self, name)))
         for name in ("jitter", "start", "end"):
             # An open-ended window never closes: ``end`` alone may be ``+inf``.
-            value = checked_number(f"impairment {name}", getattr(self, name), name == "end")
+            value = checked_number(f"impairment {name}", getattr(self, name), name == "end", name)
             object.__setattr__(self, name, value)
         if self.jitter < 0:
-            raise ValueError(f"impairment jitter must be non-negative, got {self.jitter}")
+            raise SpecError(f"impairment jitter must be non-negative, got {self.jitter}", "jitter")
         if self.start < 0:
-            raise ValueError(f"impairment start cannot be negative, got {self.start}")
+            raise SpecError(f"impairment start cannot be negative, got {self.start}", "start")
         if self.end <= self.start:
-            raise ValueError(
-                f"impairment window must end after it starts, got [{self.start}, {self.end})"
+            raise SpecError(
+                f"impairment window must end after it starts, got [{self.start}, {self.end})",
+                "end",
             )
         if not isinstance(self.ble_calibrated, bool):
-            raise TypeError(f"ble_calibrated must be a bool, got {self.ble_calibrated!r}")
-        if isinstance(self.max_retries, bool) or not isinstance(self.max_retries, int):
-            raise TypeError(f"max_retries must be an int, got {self.max_retries!r}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries cannot be negative, got {self.max_retries}")
+            raise SpecError(f"expected bool, got {self.ble_calibrated!r}", "ble_calibrated")
+        retries = self.max_retries
+        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+            raise SpecError(f"max_retries must be an int >= 0, got {retries!r}", "max_retries")
 
     def enabled(self) -> bool:
         """Whether this spec impairs anything at all."""
@@ -210,14 +329,7 @@ class ImpairmentSpec:
 
 def impairment_from_dict(entry: Optional[Dict[str, Any]]) -> Optional[ImpairmentSpec]:
     """Rebuild an :class:`ImpairmentSpec` from :meth:`ImpairmentSpec.describe`."""
-    if entry is None:
-        return None
-    if not isinstance(entry, dict):
-        raise TypeError(f"impairment entry must be a dict, got {entry!r}")
-    unknown = set(entry) - {f.name for f in dataclasses.fields(ImpairmentSpec)}
-    if unknown:
-        raise ValueError(f"unknown impairment keys: {sorted(unknown)}")
-    return ImpairmentSpec(**entry)
+    return None if entry is None else from_fields(ImpairmentSpec, entry, "impairment")
 
 
 def parse_impairment(clauses: Iterable[str]) -> Optional[ImpairmentSpec]:
@@ -270,7 +382,7 @@ def parse_impairment(clauses: Iterable[str]) -> Optional[ImpairmentSpec]:
                     )
                 window = this_window
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad --impair clause {clause!r}: {exc}") from exc
+            raise SpecError(f"bad --impair clause {clause!r}: {exc}") from exc
     if not merged:
         return None
     if window is not None:

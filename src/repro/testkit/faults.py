@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.core.types import Round
-from repro.net.impairment import checked_number
+from repro.net.impairment import SpecError, check_fields, checked_number, from_kind
 
 #: How long after a heal/restart a recovering node stays liveness-exempt.
 #: Past ``heal + CATCH_UP_GRACE`` the node is held to the full liveness
@@ -77,6 +77,11 @@ class Fault:
     #: height; a relay-drop node still receives and votes, so it stays
     #: held to full liveness (it only withholds *forwarding*).
     liveness_exempt: ClassVar[bool] = True
+
+    def __post_init__(self) -> None:
+        # Atoms are rebuilt from JSON: what an atom's own checks do not name
+        # (``node`` above all) is held to its declaration; ``n`` is the spec's.
+        check_fields(self)
 
     def nodes(self) -> Tuple[int, ...]:
         """The node ids this fault touches.
@@ -181,7 +186,8 @@ class CrashAt(ByzantineFault):
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        checked_number("crash time", self.time)
+        checked_number("crash time", self.time, path="time")
+        super().__post_init__()
 
     def behaviour(self) -> Optional[Tuple[str, dict]]:
         return "crash", {"crash_time": self.time}
@@ -194,7 +200,7 @@ class CrashAt(ByzantineFault):
 class StallAt(ByzantineFault):
     """A stalling leader: proposes honestly before ``round``, never after."""
 
-    round: Round = 3
+    round: Round = field(default=3, metadata={"min": 1})
     #: When baseline protocols (which model this as fail-stop) crash the node.
     #: Nothing sets it away from 1.0 today, but it is schema-visible:
     #: :meth:`describe` writes it into corpus entries and spec fingerprints.
@@ -211,7 +217,7 @@ class StallAt(ByzantineFault):
 class EquivocateAt(ByzantineFault):
     """An equivocating leader: two conflicting proposals at ``round``."""
 
-    round: Round = 3
+    round: Round = field(default=3, metadata={"min": 1})
     #: As :attr:`StallAt.baseline_failstop` (schema-visible, so it stays).
     baseline_failstop: float = 1.0
 
@@ -258,19 +264,20 @@ class _Window(Fault):
     labels: ClassVar[Tuple[str, str]] = ("", "")
 
     def __post_init__(self) -> None:
-        # These atoms are rebuilt from JSON (corpus entries, ``--spec``
-        # files): a malformed bound must be a ``ValueError`` here, not a
-        # traceback when the session is built.
+        # A malformed bound must be a ``SpecError`` here, not a traceback
+        # when the session is built.
         start, end = self.window
-        checked_number(f"{self.window_name} start", start)
-        checked_number(f"{self.window_name} {self.end_field}", end)
+        checked_number(f"{self.window_name} start", start, path="start")
+        checked_number(f"{self.window_name} {self.end_field}", end, path=self.end_field)
         if start < 0:
-            raise ValueError(f"start time cannot be negative, got {start}")
+            raise SpecError(f"start time cannot be negative, got {start}", "start")
         if end <= start:
-            raise ValueError(
+            raise SpecError(
                 f"degenerate {self.window_name} window [{start}, {end}): "
-                f"{self.end_field} must be strictly after start"
+                f"{self.end_field} must be strictly after start",
+                self.end_field,
             )
+        super().__post_init__()
 
     @property
     def window(self) -> Tuple[float, float]:
@@ -425,12 +432,12 @@ class _ImpairmentWindow(_Window):
     value_field: ClassVar[str] = ""
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         label = f"{type(self).__name__} {self.value_field}"
         value = getattr(self, self.value_field)
-        checked_number(label, value)
+        checked_number(label, value, path=self.value_field)
         if not 0.0 < value <= 1.0:
-            raise ValueError(f"{label} must be in (0, 1], got {value}")
+            raise SpecError(f"{label} must be in (0, 1], got {value}", self.value_field)
+        super().__post_init__()
 
     @property
     def labels(self) -> Tuple[str, str]:
@@ -543,20 +550,19 @@ class LeaderFollowingCrash(Fault):
     liveness_exempt: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        # Type checks matter here because adaptive atoms are routinely
-        # rebuilt from JSON (corpus entries, ``--spec`` files): a budget of
-        # 1.5 or "2" would pass the range checks below yet silently break
-        # the controller's spent-budget accounting mid-run.
+        # A budget of 1.5 or "2" would pass the range checks below yet
+        # silently break the controller's spent-budget accounting mid-run.
         if isinstance(self.budget, bool) or not isinstance(self.budget, int):
-            raise ValueError(f"adaptive budget must be an int, got {self.budget!r}")
+            raise SpecError(f"adaptive budget must be an int, got {self.budget!r}", "budget")
         for name in ("start", "interval"):
-            checked_number(f"adaptive {name}", getattr(self, name))
+            checked_number(f"adaptive {name}", getattr(self, name), path=name)
         if self.budget < 1:
-            raise ValueError(f"adaptive budget must be >= 1, got {self.budget}")
+            raise SpecError(f"adaptive budget must be >= 1, got {self.budget}", "budget")
         if self.interval <= 0:
-            raise ValueError(f"check interval must be positive, got {self.interval}")
+            raise SpecError(f"check interval must be positive, got {self.interval}", "interval")
         if self.start < 0:
-            raise ValueError(f"start time cannot be negative, got {self.start}")
+            raise SpecError(f"start time cannot be negative, got {self.start}", "start")
+        super().__post_init__()
 
     def with_budget(self, budget: int) -> "LeaderFollowingCrash":
         """A copy provisioned for a smaller (or larger) victim budget."""
@@ -604,15 +610,16 @@ class FaultSchedule:
 
     def __post_init__(self) -> None:
         behaviours: Dict[int, str] = {}
-        for fault in self.faults:
+        for index, fault in enumerate(self.faults):
             if not isinstance(fault, Fault):
                 raise TypeError(f"not a Fault: {fault!r}")
             b = fault.behaviour()
             if b is not None:
                 if fault.node in behaviours:
-                    raise ValueError(
+                    raise SpecError(
                         f"node {fault.node} has two Byzantine behaviours "
-                        f"({behaviours[fault.node]} and {b[0]})"
+                        f"({behaviours[fault.node]} and {b[0]})",
+                        f"[{index}]",
                     )
                 behaviours[fault.node] = b[0]
 
@@ -845,27 +852,26 @@ FAULT_KINDS = {
 }
 
 
-def fault_from_dict(data: dict) -> Fault:
+def fault_from_dict(data: Any) -> Fault:
     """Rebuild one fault atom from its :meth:`Fault.describe` dict."""
-    data = dict(data)
-    kind = data.pop("kind", None)
-    cls = FAULT_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown fault kind {kind!r}; known: {sorted(FAULT_KINDS)}")
-    return cls(**data)
+    return from_kind(FAULT_KINDS, data, "fault")
 
 
-def schedule_from_dict(data: list) -> FaultSchedule:
+def schedule_from_dict(data: Any) -> FaultSchedule:
     """Rebuild a :class:`FaultSchedule` from :meth:`FaultSchedule.describe`.
 
     Malformed entries — unknown kinds, unexpected fields, values an atom's
     own validation rejects — are reported with the offending entry's index
-    so a bad corpus file or ``--spec`` schedule names the atom to fix.
+    (and ``[index].field`` path) so a bad corpus file or ``--spec`` schedule
+    names the atom to fix.
     """
+    if not isinstance(data, list):
+        raise SpecError(f"a fault schedule must be a JSON array, got {data!r}")
     atoms = []
     for index, entry in enumerate(data):
         try:
             atoms.append(fault_from_dict(entry))
-        except (TypeError, ValueError) as error:
-            raise ValueError(f"fault entry {index}: {error}") from error
+        except SpecError as error:
+            path = error.under(f"[{index}]").path
+            raise SpecError(f"fault entry {index}: {error.message}", path) from error
     return FaultSchedule(tuple(atoms))

@@ -43,11 +43,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.eval.runner import MEDIA, PROTOCOLS, DeploymentSpec
-from repro.net.impairment import ImpairmentSpec
+from repro.net.impairment import ImpairmentSpec, parse_impairment
 from repro.session.builder import build_topology
 from repro.session.metrics import MetricsObserver
 from repro.testkit import faults
-from repro.workload import OpenLoopPoisson, WorkloadEngine
+from repro.workload import OpenLoopPoisson, WorkloadEngine, parse_workload
 from repro.testkit.invariants import (
     Evidence,
     InvariantReport,
@@ -217,8 +217,6 @@ def resolve_impairment(name: str) -> Optional[ImpairmentSpec]:
     if name in IMPAIRMENT_LIBRARY:
         return IMPAIRMENT_LIBRARY[name]()
     if ":" in name or name == "ble":
-        from repro.net.impairment import parse_impairment
-
         return parse_impairment([name])
     raise ValueError(
         f"unknown impairment {name!r}; known: {sorted(IMPAIRMENT_LIBRARY)} "
@@ -236,8 +234,6 @@ def resolve_workload(name: str) -> Optional[WorkloadEngine]:
     if name in WORKLOAD_LIBRARY:
         return WORKLOAD_LIBRARY[name]()
     if name.startswith("open-loop:") or name.startswith("trace:"):
-        from repro.workload import parse_workload
-
         return parse_workload(name)
     raise ValueError(
         f"unknown workload {name!r}; known: {sorted(WORKLOAD_LIBRARY)} "
@@ -379,10 +375,6 @@ def schedule_feasibility(spec: DeploymentSpec) -> Optional[str]:
                 f"the retry budget cannot cover it"
             )
     schedule = spec.fault_schedule
-    if schedule is not None:
-        outside = [p for p in schedule.perturbed_nodes() if not 0 <= p < n]
-        if outside:
-            return f"fault targets nodes {outside} outside the deployment (n={n})"
     byzantine = schedule.byzantine_nodes() if schedule is not None else ()
     if spec.protocol == "trusted-baseline":
         # Leaves only talk to the trusted control node over the control

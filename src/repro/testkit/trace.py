@@ -17,6 +17,7 @@ performance PR) relies on.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -40,16 +41,8 @@ class QCRecord:
     valid: bool
 
     def to_dict(self) -> dict:
-        return {
-            "holder": self.holder,
-            "cert_type": self.cert_type,
-            "view": self.view,
-            "signers": list(self.signers),
-            "n_signatures": self.n_signatures,
-            "block_hash": self.block_hash,
-            "block_height": self.block_height,
-            "valid": self.valid,
-        }
+        # Per fingerprint, per certificate: a shallow copy, not ``asdict``'s deep one.
+        return dict(vars(self))
 
 
 @dataclass
@@ -74,22 +67,14 @@ class RunTrace:
     # --------------------------------------------------------- serialisation
     def to_dict(self) -> dict:
         """A plain-dict view with stringified keys (JSON-safe)."""
-        return {
-            "spec": self.spec,
-            "events": self.events,
-            "executed_events": self.executed_events,
-            "sim_time": self.sim_time,
-            "committed_commands": {str(k): v for k, v in self.committed_commands.items()},
-            "committed_chain": {str(k): v for k, v in self.committed_chain.items()},
-            "committed_heights": {str(k): v for k, v in self.committed_heights.items()},
-            "energy_per_node_j": {str(k): v for k, v in self.energy_per_node_j.items()},
-            "energy_breakdown_j": self.energy_breakdown_j,
-            "energy_total_j": self.energy_total_j,
-            "network": self.network,
-            "qcs": [qc.to_dict() for qc in self.qcs],
-            "replica_stats": {str(k): v for k, v in self.replica_stats.items()},
-            "safety": self.safety,
-        }
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                value = {str(k): v for k, v in value.items()}
+            out[f.name] = value
+        out["qcs"] = [qc.to_dict() for qc in self.qcs]
+        return out
 
     def canonical_json(self) -> str:
         """The canonical encoding: sorted keys, minimal separators."""
@@ -101,52 +86,22 @@ class RunTrace:
 
 
 def spec_fingerprint(spec) -> Dict[str, Any]:
-    """A canonical description of a :class:`DeploymentSpec` (faults included)."""
-    faults: Any
-    if spec.fault_schedule is not None:
-        faults = spec.fault_schedule.describe()
-    else:
-        plan = spec.fault_plan
-        faults = {
-            "faulty": list(plan.faulty),
-            "behaviour": plan.behaviour,
-            "trigger_round": plan.trigger_round,
-            "crash_time": plan.crash_time,
-        }
-    out = {
-        "protocol": spec.protocol,
-        "n": spec.n,
-        "f": spec.f,
-        "k": spec.k,
-        "topology": spec.topology,
-        "medium": spec.medium,
-        "hop_delay": spec.hop_delay,
-        "delta": spec.delta,
-        "signature_scheme": spec.signature_scheme,
-        "batch_size": spec.batch_size,
-        "command_payload_bytes": spec.command_payload_bytes,
-        "target_height": spec.target_height,
-        "block_interval": spec.block_interval,
-        "seed": spec.seed,
-        "jitter": spec.jitter,
-        "faults": faults,
-    }
-    if spec.topology == "random-kcast":
-        # Only parameterised topologies carry their extra knobs, so the
-        # fingerprints of pre-existing specs stay byte-identical.
-        out["edges_per_node"] = spec.edges_per_node
-        out["topology_seed"] = spec.topology_seed
-    # Same conditional-key rule for the workload layer: a default
-    # closed-loop preload and an unbounded pool are the seed behaviour and
-    # stay invisible, so every pre-existing fingerprint survives.
-    if spec.workload is not None and not spec.workload.is_default():
-        out["workload"] = spec.workload.describe()
-    if spec.txpool_limit is not None:
-        out["txpool_limit"] = spec.txpool_limit
-    # Wire impairments follow the same rule: absent (the seed medium) means
-    # absent from the fingerprint, so unimpaired specs hash identically.
-    if spec.impairment is not None:
-        out["impairment"] = spec.impairment.describe()
+    """A canonical description of a :class:`DeploymentSpec`: ``to_dict()``
+    under omit rules that keep the fingerprints of specs predating a field
+    byte-identical — a schedule supersedes the plan, and whatever is still
+    the seed behaviour stays invisible."""
+    out = spec.to_dict()
+    plan, schedule = out.pop("fault_plan"), out.pop("fault_schedule")
+    out["faults"] = plan if schedule is None else schedule
+    del out["charge_sleep"]
+    if spec.topology != "random-kcast":
+        # Only the parameterised topology carries its extra knobs.
+        del out["edges_per_node"], out["topology_seed"]
+    if spec.workload is None or spec.workload.is_default():
+        del out["workload"]
+    for key in ("txpool_limit", "impairment"):
+        if out[key] is None:
+            del out[key]
     return out
 
 
@@ -209,17 +164,7 @@ class TraceRecorder(SessionObserver):
                 [block.height, block.block_hash] for block in log.committed_blocks()
             ]
             trace.committed_heights[pid] = log.highest_height
-            stats = replica.stats
-            trace.replica_stats[pid] = {
-                "proposals_made": stats.proposals_made,
-                "proposals_received": stats.proposals_received,
-                "blocks_committed": stats.blocks_committed,
-                "blames_sent": stats.blames_sent,
-                "equivocations_detected": stats.equivocations_detected,
-                "view_changes_completed": stats.view_changes_completed,
-                "votes_sent": stats.votes_sent,
-                "certificates_formed": stats.certificates_formed,
-            }
+            trace.replica_stats[pid] = dict(vars(replica.stats))
             # Admission accounting appears only when something was actually
             # rejected, so seed-behaviour traces keep their exact key set
             # (and therefore their golden fingerprints).
@@ -264,12 +209,7 @@ class TraceRecorder(SessionObserver):
         # attached, keeping unimpaired network sections byte-identical.
         if imp is not None:
             trace.network["impairments"] = imp.stats_dict()
-        trace.safety = {
-            "consistent": safety.consistent,
-            "common_prefix_height": safety.common_prefix_height,
-            "max_height": safety.max_height,
-            "details": list(safety.details),
-        }
+        trace.safety = dict(vars(safety), details=list(safety.details))
         return trace
 
 

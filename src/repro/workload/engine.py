@@ -22,12 +22,12 @@ models production load without n_clients live objects.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.types import Command
 from repro.eval.workloads import commands_for_run, fill_txpools
+from repro.net.impairment import SpecError, check_fields, checked_number, from_kind, read_json
 from repro.sim.rng import SeededRNG, derive_seed
 
 #: Safety valve: the largest arrival stream any engine will generate.
@@ -56,12 +56,16 @@ class WorkloadEngine:
       (stage 5 of the builder pipeline); preloads fill pools directly,
       arrival-driven engines push ``workload:arrival`` simulator events;
     * :meth:`describe` — the JSON-safe ``workload`` schema section
-      (round-trips through :func:`workload_from_dict`);
+      (round-trips through :func:`workload_from_dict`), derived from the
+      engine dataclass's compared fields;
     * :meth:`is_default` — whether this engine is byte-identical to the
       seed behaviour (fingerprints omit default engines entirely).
     """
 
     kind = "engine"
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     def commands_for(self, spec) -> List[Command]:
         raise NotImplementedError
@@ -74,7 +78,8 @@ class WorkloadEngine:
         raise NotImplementedError
 
     def describe(self) -> Dict[str, Any]:
-        raise NotImplementedError
+        described = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.compare}
+        return {"kind": self.kind, **described}
 
     def is_default(self) -> bool:
         return False
@@ -93,7 +98,7 @@ class ClosedLoopPreload(WorkloadEngine):
 
     #: Extra blocks' worth of commands beyond the target height (covers
     #: view-change and abandoned-proposal consumption).
-    surplus_blocks: int = 4
+    surplus_blocks: int = field(default=4, metadata={"min": 0})
 
     kind = "closed-loop"
 
@@ -117,9 +122,6 @@ class ClosedLoopPreload(WorkloadEngine):
                 replica_stage.client.submitted[command.command_id] = command
         fill_txpools(replica_stage.replicas.values(), commands)
         return WorkloadPlan(commands=commands)
-
-    def describe(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "surplus_blocks": self.surplus_blocks}
 
     def is_default(self) -> bool:
         return self.surplus_blocks == 4
@@ -152,23 +154,18 @@ class OpenLoopPoisson(WorkloadEngine):
     #: Mean arrivals per unit of virtual time (Poisson process rate λ).
     rate: float = 1.0
     #: Arrival window length; ``None`` uses :func:`default_open_loop_duration`.
-    duration: Optional[float] = None
+    duration: Optional[float] = field(default=None, metadata={"min": 0})
     #: Simulated clients multiplexed over the id namespace.
-    clients: int = 1
+    clients: int = field(default=1, metadata={"min": 1})
     #: Payload size override; ``None`` uses ``spec.command_payload_bytes``.
-    payload_size_bytes: Optional[int] = None
+    payload_size_bytes: Optional[int] = field(default=None, metadata={"min": 0})
 
     kind = "open-loop"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.rate <= 0:
-            raise ValueError(f"open-loop rate must be positive, got {self.rate}")
-        if self.duration is not None and self.duration < 0:
-            raise ValueError("open-loop duration cannot be negative")
-        if self.clients < 1:
-            raise ValueError("open-loop needs at least one simulated client")
-        if self.payload_size_bytes is not None and self.payload_size_bytes < 0:
-            raise ValueError("payload size cannot be negative")
+            raise SpecError(f"open-loop rate must be positive, got {self.rate}", "rate")
 
     def commands_for(self, spec) -> List[Command]:
         rng = SeededRNG(
@@ -209,15 +206,6 @@ class OpenLoopPoisson(WorkloadEngine):
         _schedule_arrivals(builder, replica_stage, commands)
         return WorkloadPlan(commands=commands, arrivals=tuple(commands))
 
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "rate": self.rate,
-            "duration": self.duration,
-            "clients": self.clients,
-            "payload_size_bytes": self.payload_size_bytes,
-        }
-
 
 @dataclass
 class TraceReplay(WorkloadEngine):
@@ -239,19 +227,8 @@ class TraceReplay(WorkloadEngine):
     kind = "trace"
 
     def __post_init__(self) -> None:
-        if self.path is not None and not self.entries:
-            with open(self.path) as handle:
-                raw = json.load(handle)
-            self.entries = _normalise_trace_entries(raw)
-        else:
-            self.entries = _normalise_trace_entries(self.entries)
-        seen: Set[str] = set()
-        for time, command_id, _, _ in self.entries:
-            if time < 0:
-                raise ValueError(f"trace entry {command_id!r} has negative time {time}")
-            if command_id in seen:
-                raise ValueError(f"duplicate trace command id {command_id!r}")
-            seen.add(command_id)
+        raw = self.entries or (() if self.path is None else read_json(self.path, list))
+        self.entries = _normalise_trace_entries(raw)
 
     def commands_for(self, spec) -> List[Command]:
         commands: List[Command] = []
@@ -276,41 +253,49 @@ class TraceReplay(WorkloadEngine):
         return WorkloadPlan(commands=commands, arrivals=tuple(commands))
 
     def describe(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "entries": [
-                {
-                    "time": time,
-                    "command_id": command_id,
-                    "client_id": client_id,
-                    "payload_size_bytes": payload,
-                }
-                for time, command_id, client_id, payload in self.entries
-            ],
-        }
+        entries = [dict(zip(TRACE_KEYS, entry)) for entry in self.entries]
+        return {"kind": self.kind, "entries": entries}
 
     @classmethod
     def from_file(cls, path: str) -> "TraceReplay":
         return cls(path=path)
 
 
-def _normalise_trace_entries(raw: Sequence[Any]) -> Tuple[Tuple[float, str, int, Optional[int]], ...]:
-    """Accept dict or tuple entries; emit the canonical tuple form."""
+#: The keys of a trace entry, in the order of its normalised tuple form.
+TRACE_KEYS = ("time", "command_id", "client_id", "payload_size_bytes")
+
+
+def _normalise_trace_entries(raw: Any) -> Tuple[Tuple[float, str, int, Optional[int]], ...]:
+    """Accept dict or tuple entries; emit the checked, canonical tuple form."""
+    if not isinstance(raw, (list, tuple)):
+        raise SpecError(f"a trace must be a JSON array of entries, got {raw!r}", "entries")
     out: List[Tuple[float, str, int, Optional[int]]] = []
+    seen: Set[str] = set()
     for index, entry in enumerate(raw):
-        if isinstance(entry, dict):
-            time = entry.get("time")
-            command_id = entry.get("command_id", f"tr{index}")
-            client_id = entry.get("client_id", 0)
-            payload = entry.get("payload_size_bytes")
+        here = f"entries[{index}]"
+        if isinstance(entry, dict) and set(entry) <= set(TRACE_KEYS):
+            values = [entry.get(key) for key in TRACE_KEYS]
+        elif isinstance(entry, (list, tuple)):
+            values = list(entry) + [None] * len(TRACE_KEYS)
         else:
-            padded = tuple(entry) + (None,) * (4 - len(tuple(entry)))
-            time, command_id, client_id, payload = padded[:4]
-            command_id = command_id if command_id is not None else f"tr{index}"
-            client_id = client_id if client_id is not None else 0
-        if not isinstance(time, (int, float)) or isinstance(time, bool):
-            raise ValueError(f"trace entry {index} has no numeric 'time': {entry!r}")
-        out.append((float(time), str(command_id), int(client_id), payload))
+            raise SpecError(f"expected an object with keys among {TRACE_KEYS}, got {entry!r}", here)
+        time, command_id, client_id, payload = values[: len(TRACE_KEYS)]
+        command_id = f"tr{index}" if command_id is None else str(command_id)
+        client_id = 0 if client_id is None else client_id
+        time = checked_number(f"trace entry {index} 'time'", time, path=f"{here}.time")
+        if time < 0:
+            raise SpecError(f"trace entry {command_id!r} has negative time {time}", f"{here}.time")
+        if command_id in seen:
+            raise SpecError(f"duplicate trace command id {command_id!r}", f"{here}.command_id")
+        seen.add(command_id)
+        # A payload of ``None`` defers to the spec.
+        sized = 0 if payload is None else payload
+        for name, value in (("client_id", client_id), ("payload_size_bytes", sized)):
+            if type(value) is not int:
+                raise SpecError(
+                    f"trace entry {index} {name!r} must be an int, got {value!r}", f"{here}.{name}"
+                )
+        out.append((time, command_id, client_id, payload))
     return tuple(out)
 
 
@@ -358,23 +343,8 @@ def workload_from_dict(data: Dict[str, Any]) -> WorkloadEngine:
     Omitted keys take the engine dataclass's own defaults; an unknown kind
     or key is an error, not a silently defaulted field.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"workload schema must be an object, got {type(data).__name__}")
-    rest = dict(data)
-    kind = rest.pop("kind", None)
-    cls = WORKLOAD_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(
-            f"unknown workload kind {kind!r}; known: {sorted(WORKLOAD_KINDS)}"
-        )
     # compare=False fields (a trace's source path) are provenance, not schema.
-    known = {f.name for f in dataclasses.fields(cls) if f.compare}
-    unknown = set(rest) - known
-    if unknown:
-        raise ValueError(
-            f"unknown {kind} workload keys {sorted(unknown)}; known: {sorted(known)}"
-        )
-    return cls(**rest)
+    return from_kind(WORKLOAD_KINDS, data, "workload")
 
 
 def parse_workload(text: str) -> WorkloadEngine:
@@ -390,19 +360,19 @@ def parse_workload(text: str) -> WorkloadEngine:
     if head == "open-loop":
         parts = rest.split(":") if rest else []
         if not parts or not parts[0]:
-            raise ValueError("open-loop needs a rate: --workload open-loop:<rate>")
+            raise SpecError("open-loop needs a rate: --workload open-loop:<rate>")
         try:
             rate = float(parts[0])
             clients = int(parts[1]) if len(parts) > 1 else 1
             duration = float(parts[2]) if len(parts) > 2 else None
         except ValueError as error:
-            raise ValueError(f"bad open-loop workload {text!r}: {error}") from None
+            raise SpecError(f"bad open-loop workload {text!r}: {error}") from None
         return OpenLoopPoisson(rate=rate, clients=clients, duration=duration)
     if head == "trace":
         if not rest:
-            raise ValueError("trace needs a file: --workload trace:<file.json>")
+            raise SpecError("trace needs a file: --workload trace:<file.json>")
         return TraceReplay(path=rest)
-    raise ValueError(
+    raise SpecError(
         f"unknown workload {text!r}; expected closed-loop, "
         f"open-loop:<rate>[:<clients>[:<duration>]] or trace:<file>"
     )

@@ -7,6 +7,7 @@ schedules and the adaptive atoms — survives ``to_dict → json → from_dict``
 unchanged, and that validation rejects malformed input early.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.adversary import ALLOWED_BEHAVIOURS, FaultPlan
 from repro.eval.runner import MEDIA, PROTOCOLS, TOPOLOGIES, DeploymentSpec
-from repro.net.impairment import ImpairmentSpec
+from repro.net.impairment import ImpairmentSpec, SpecError
 from repro.testkit import faults
 from repro.workload import ClosedLoopPreload, OpenLoopPoisson, TraceReplay
 
@@ -135,10 +136,21 @@ workloads = st.one_of(
 )
 
 
+def _within(n, node):
+    """Fold a drawn node id into ``range(n)`` (an adaptive atom's -1 stays)."""
+    return node % n if node >= 0 else node
+
+
 @st.composite
 def specs(draw):
     n = draw(st.integers(3, 12))
     use_schedule = draw(st.booleans())
+    # A spec rejects fault targets outside ``range(n)``: fold the ids the
+    # shared strategies draw from 0..9 into the deployment.
+    plan = draw(fault_plans)
+    plan = dataclasses.replace(plan, faulty=tuple(sorted({_within(n, p) for p in plan.faulty})))
+    atoms = [dataclasses.replace(a, node=_within(n, a.node)) for a in draw(schedules).faults]
+    schedule = faults.FaultSchedule(tuple({a.node: a for a in atoms}.values()))
     return DeploymentSpec(
         protocol=draw(st.sampled_from(PROTOCOLS)),
         n=n,
@@ -150,13 +162,13 @@ def specs(draw):
         medium=draw(st.sampled_from(MEDIA)),
         hop_delay=draw(st.floats(0.1, 4)),
         delta=draw(st.one_of(st.none(), st.floats(1, 40))),
-        signature_scheme=draw(st.sampled_from(["rsa-1024", "rsa-2048", "ecdsa-p256"])),
+        signature_scheme=draw(st.sampled_from(["rsa-1024", "rsa-2048", "ecdsa-secp256r1"])),
         batch_size=draw(st.integers(1, 4)),
         command_payload_bytes=draw(st.integers(1, 512)),
         target_height=draw(st.integers(1, 8)),
         block_interval=draw(st.floats(0, 4)),
-        fault_plan=draw(fault_plans),
-        fault_schedule=draw(schedules) if use_schedule else None,
+        fault_plan=plan,
+        fault_schedule=schedule if use_schedule else None,
         seed=draw(st.integers(0, 2**31)),
         charge_sleep=draw(st.booleans()),
         jitter=draw(st.booleans()),
@@ -207,3 +219,46 @@ def test_spec_validates_edges_per_node_early():
         DeploymentSpec(topology="random-kcast", edges_per_node=0)
     # Only random-kcast constrains edges_per_node.
     DeploymentSpec(topology="ring-kcast", edges_per_node=0)
+
+
+# ------------------------------------------------------ one mutated leaf
+def _leaves(node, path=()):
+    """Every ``(path, container)`` slot of a JSON document holding a leaf."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), node
+
+
+#: What a hand-edited or machine-corrupted spec file can hold in a slot:
+#: the wrong type, the non-finite numbers ``json`` parses, a negative, an
+#: id outside any deployment, and a container where a scalar goes.
+MUTANTS = ("x", True, None, float("nan"), float("inf"), float("-inf"), -3, 1.5, 10**6, [], {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs(), st.data())
+def test_one_mutated_leaf_is_a_spec_error_or_a_round_tripping_spec(spec, data):
+    """The boundary's contract: whatever one leaf of a valid spec document
+    is changed to (or whichever unknown key is added beside it), rebuilding
+    raises ``SpecError`` or yields a spec that round-trips — never a
+    ``TypeError`` / ``KeyError`` / ``OverflowError``, and never a spec that
+    differs from its own description (a NaN that slipped through)."""
+    document = json.loads(json.dumps(spec.to_dict()))
+    path, container = data.draw(st.sampled_from(list(_leaves(document))))
+    if isinstance(container, dict) and data.draw(st.booleans()):
+        container["warp_factor"] = 9
+    else:
+        container[path[-1]] = data.draw(st.sampled_from(MUTANTS))
+    try:
+        rebuilt = DeploymentSpec.from_dict(document)
+    except SpecError:
+        return
+    assert DeploymentSpec.from_dict(rebuilt.to_dict()) == rebuilt

@@ -3,8 +3,6 @@
 import json
 import warnings
 
-import pytest
-
 from repro.cli import main
 from repro.core.txpool import TxPoolOverflowWarning
 
@@ -68,9 +66,9 @@ def test_run_workload_trace_file(tmp_path, capsys):
     assert "workload            : trace" in out
 
 
-def test_run_rejects_unknown_workload():
-    with pytest.raises(ValueError, match="unknown workload"):
-        main(["run", *BASE, "--workload", "drizzle"])
+def test_run_rejects_unknown_workload(capsys):
+    assert main(["run", *BASE, "--workload", "drizzle"]) == 2
+    assert capsys.readouterr().err.startswith("repro: unknown workload 'drizzle'")
 
 
 def test_matrix_workload_axis(capsys):
