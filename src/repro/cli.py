@@ -256,6 +256,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"safety              : {'OK' if result.safety.consistent else 'VIOLATED'}")
     print(f"view changes        : {result.view_changes}")
     print(f"energy per block    : {result.energy_per_block_mj:.1f} mJ (correct nodes)")
+    print(
+        f"energy per command  : {result.energy_per_distinct_command_mj:.1f} mJ "
+        f"({result.distinct_commands} distinct commands)"
+    )
     print(f"leader per block    : {result.leader_energy_per_block_mj:.1f} mJ")
     print(f"sign / verify ops   : {result.sign_operations} / {result.verify_operations}")
     if result.commands_dropped or result.commands_duplicate:

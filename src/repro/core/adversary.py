@@ -125,7 +125,7 @@ class EquivocatingLeaderReplica(EesmrReplica):
         """Broadcast two different blocks for the same (view, round)."""
         self._equivocated = True
         parent = self.leader_chain_tip
-        first = make_block(parent, self.pid, self.v_cur, round_number, self.next_batch())
+        first = make_block(parent, self.pid, self.v_cur, round_number, self.next_batch(parent))
         # The conflicting twin carries no commands so its hash necessarily differs.
         second = make_block(parent, self.pid, self.v_cur, round_number, [])
         for block in (first, second):

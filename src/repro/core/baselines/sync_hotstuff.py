@@ -107,7 +107,7 @@ class SyncHotStuffReplica(BaseReplica):
         if self.leader_chain_tip.height >= self.config.target_height:
             return
         parent = self.leader_chain_tip
-        block = make_block(parent, self.pid, self.v_cur, parent.height + 1, self.next_batch())
+        block = make_block(parent, self.pid, self.v_cur, parent.height + 1, self.next_batch(parent))
         self.store_block(block)
         payload = CertifiedBlock(block, self.certs.get(parent.block_hash))
         message = self.sign_message(

@@ -6,7 +6,8 @@ expensive medium (the paper's example: 4G, while the CPS nodes could talk
 to each other over WiFi or BLE).  Per consensus unit:
 
 * every CPS node uploads its pending commands to the trusted node;
-* the trusted node orders them into a block, signs it once, and sends the
+* the trusted node orders them into a block (one copy of each command:
+  every node uploads the same pool head), signs it once, and sends the
   signed block back to every CPS node;
 * each CPS node verifies the single signature and commits.
 
@@ -18,7 +19,7 @@ feasible-region analysis of Fig. 1 compares EESMR against.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.core.blocks import Block, make_block
 from repro.core.client import AckRouter
@@ -31,7 +32,7 @@ from repro.core.messages import (
     make_message,
 )
 from repro.core.replica_base import BaseReplica
-from repro.core.types import NodeId
+from repro.core.types import Command, NodeId
 from repro.crypto.signatures import SignatureScheme
 from repro.energy.meter import EnergyCategory, EnergyMeter
 from repro.net.network import SimulatedNetwork
@@ -61,9 +62,17 @@ class TrustedControlNode(Process):
         self.network = network
         self.round_interval = round_interval
         self.chain_tip: Block = None  # type: ignore[assignment]
-        self.pending: List = []
+        self.pending: List[Command] = []
         self.replica_ids: List[NodeId] = []
         self.blocks_ordered = 0
+        # Every command id a leaf has uploaded so far, ordered or pending:
+        # all n leaves upload the same pool head, and one copy is ordered.
+        self._uploaded: Set[str] = set()
+        # A leaf uploaded nothing since the last order: its pool is empty,
+        # so an empty block is what there is to order.
+        self._leaf_exhausted = False
+        # An order round found nothing to order and is waiting for an upload.
+        self._waiting = False
 
     def start(self) -> None:
         from repro.core.blocks import GENESIS
@@ -77,14 +86,31 @@ class TrustedControlNode(Process):
         if message.msg_type != MessageType.TB_REQUEST:
             return
         request = message.data
-        if isinstance(request, ClientRequest):
-            self.pending.extend(request.commands)
+        if not isinstance(request, ClientRequest):
+            return
+        if not request.commands:
+            self._leaf_exhausted = True
+        for command in request.commands:
+            if command.command_id not in self._uploaded:
+                self._uploaded.add(command.command_id)
+                self.pending.append(command)
+        if self._waiting:
+            self._order_round()
 
     def _order_round(self) -> None:
         if self.crashed:
             return
         if self.blocks_ordered >= self.config.target_height:
             return
+        # The order -> commit -> upload round trip can outlast the interval.
+        # Rather than order an empty block while the leaves still hold
+        # commands, wait: the next upload re-enters here, and orders if it
+        # brought a new command or came empty.
+        if not self.pending and not self._leaf_exhausted:
+            self._waiting = True
+            return
+        self._waiting = False
+        self._leaf_exhausted = False
         batch = self.pending[: self.config.batch_size]
         self.pending = self.pending[len(batch):]
         block = make_block(

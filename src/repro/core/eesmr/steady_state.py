@@ -68,7 +68,7 @@ class SteadyStateMixin:
             proposer=self.pid,
             view=self.v_cur,
             round_number=round_number,
-            commands=self.next_batch(),
+            commands=self.next_batch(self.leader_chain_tip),
         )
 
     # -------------------------------------------------------------- handling

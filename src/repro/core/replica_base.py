@@ -164,9 +164,21 @@ class BaseReplica(Process):
         self.network.send(self.pid, destination, message)
 
     # ---------------------------------------------------------------- blocks
-    def next_batch(self) -> List[Command]:
-        """The commands the leader would put in the next block."""
-        return self.txpool.peek_batch(self.config.batch_size)
+    def next_batch(self, parent: Block) -> List[Command]:
+        """The commands the leader puts in the block extending ``parent``.
+
+        The first ``batch_size`` pooled commands that no uncommitted
+        ancestor of ``parent`` already carries.  The in-flight set is read
+        off the chain being extended, so there is nothing to release: a
+        block a view change abandoned is not on the new leader's walk and
+        its commands are proposed again.
+        """
+        in_flight: Set[str] = set()
+        for block in self.blocks.iter_ancestors(parent):
+            if block.block_hash in self.log:
+                break
+            in_flight.update(block.batch.command_ids)
+        return self.txpool.peek_batch(self.config.batch_size, in_flight)
 
     def store_block(self, block: Block) -> None:
         """Record a block (and charge the hash-check energy once)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from collections import OrderedDict
-from typing import Iterable, List, Optional
+from typing import Collection, Iterable, List, Optional
 
 from repro.core.types import Command
 
@@ -93,20 +93,24 @@ class TxPool:
         """Add many commands; returns how many were actually added."""
         return sum(1 for command in commands if self.add(command))
 
-    def peek_batch(self, batch_size: int) -> List[Command]:
-        """The next ``batch_size`` commands in arrival order (without removal).
+    def peek_batch(self, batch_size: int, exclude: Collection[str] = ()) -> List[Command]:
+        """The first ``batch_size`` pending commands not in ``exclude``, in arrival order.
 
-        The leader proposes from the pool but does not remove commands until
-        they commit — a command proposed in a block that is later abandoned
-        by a view change must be re-proposable.
+        Nothing is removed: a command leaves the pool when a block carrying
+        it commits.  ``exclude`` is the ids the proposer's uncommitted
+        ancestors already carry (see :meth:`BaseReplica.next_batch`), so
+        pipelined blocks order distinct commands; because the caller derives
+        it from the chain it extends, a command in a block a view change
+        abandoned is not excluded on the new chain and is proposed again.
         """
         if batch_size < 0:
             raise ValueError("batch size cannot be negative")
         result = []
-        for command in self._pending.values():
+        for command_id, command in self._pending.items():
             if len(result) >= batch_size:
                 break
-            result.append(command)
+            if command_id not in exclude:
+                result.append(command)
         return result
 
     def remove(self, command_ids: Iterable[str]) -> int:

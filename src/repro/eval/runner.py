@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.adversary import FaultPlan, plan_from_dict
 from repro.core.config import ProtocolConfig
@@ -194,6 +194,10 @@ class RunResult:
     deliveries_retransmitted: int = 0
     #: Deliveries the reliable sublayer abandoned after exhausting retries.
     delivery_giveups: int = 0
+    #: The linearizable log behind ``committed_blocks``: the command ids in
+    #: the committed log of the correct node at ``min_committed_height``
+    #: (every other correct log extends it).
+    committed_command_ids: List[str] = field(default_factory=list)
 
     # ------------------------------------------------------------- derived
     @property
@@ -214,6 +218,21 @@ class RunResult:
         """Total correct-node energy per committed consensus unit (mJ)."""
         blocks = max(1, self.committed_blocks)
         return self.correct_energy_mj / blocks
+
+    @property
+    def distinct_commands(self) -> int:
+        """Distinct commands every correct node committed — the useful work."""
+        return len(set(self.committed_command_ids))
+
+    @property
+    def energy_per_distinct_command_mj(self) -> float:
+        """Total correct-node energy per distinct committed command (mJ).
+
+        Equals ``energy_per_block_mj / batch_size`` when every slot orders
+        new work; a block that repeats a command, or carries none, costs
+        its energy without adding to the denominator.
+        """
+        return self.correct_energy_mj / max(1, self.distinct_commands)
 
     @property
     def leader_energy_mj(self) -> float:

@@ -3,7 +3,7 @@
 The scenario matrix's :data:`~repro.testkit.scenarios.FAULT_LIBRARY` is
 hand-curated — every schedule in it was written by a person, so the
 scenario surface grows only as fast as we type.  This package turns the
-five invariants into a bug-finding flywheel instead:
+invariant battery into a bug-finding flywheel instead:
 
 * :class:`~repro.fuzz.generator.ScheduleGenerator` composes seeded random
   :class:`~repro.testkit.faults.FaultSchedule`\\ s from the existing fault

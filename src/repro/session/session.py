@@ -288,6 +288,7 @@ class Session:
         correct_heights = [
             height for pid, height in committed_heights.items() if pid not in byzantine
         ]
+        shortest = min(checker.correct_logs().values(), key=len, default=None)
         view_changes = max(
             (
                 replica.stats.view_changes_completed
@@ -329,6 +330,9 @@ class Session:
             replica_snapshots={
                 pid: replica.describe() for pid, replica in replicas.items()
             },
+            committed_command_ids=(
+                shortest.committed_command_ids() if shortest is not None else []
+            ),
         )
         self.bus.session_end(self, result)
         self._result = result

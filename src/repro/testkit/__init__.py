@@ -45,6 +45,7 @@ from repro.testkit.invariants import (
     LivenessInvariant,
     MonotoneVirtualTimeInvariant,
     QuorumCertificateInvariant,
+    UniqueCommitInvariant,
     assert_all,
     check_all,
     judge,
@@ -96,6 +97,7 @@ __all__ = [
     "SkippedCell",
     "StallAt",
     "TraceRecorder",
+    "UniqueCommitInvariant",
     "assert_all",
     "check_all",
     "crash_at",

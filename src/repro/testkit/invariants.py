@@ -1,7 +1,7 @@
 """Composable cross-protocol invariants checked against run evidence.
 
 Every scenario cell — a (protocol, fault schedule, medium, topology)
-combination — must satisfy the same five invariants, regardless of which
+combination — must satisfy the same invariants, regardless of which
 protocol produced the run:
 
 * **agreement** — no fork: any two correct nodes that committed a block at
@@ -10,6 +10,8 @@ protocol produced the run:
 * **liveness** — under synchrony every correct, unperturbed node reaches
   the workload's target height, and everything committed came from the
   workload;
+* **unique commit** — no correct node's committed log orders a command
+  id twice: a slot is worth its energy only if it orders new work;
 * **quorum certificates** — every certificate any node holds carries at
   least f+1 distinct valid signatures;
 * **monotone virtual time** — the simulator's event trace never goes
@@ -199,6 +201,20 @@ class LivenessInvariant(Invariant):
                     evidence,
                     f"node {pid} committed commands outside the workload: {unknown[:3]}",
                 )
+
+
+class UniqueCommitInvariant(Invariant):
+    """No command id appears twice in any correct node's committed log."""
+
+    name = "unique-commit"
+
+    def check(self, evidence: Evidence) -> None:
+        for pid in evidence.correct_nodes:
+            seen: set = set()
+            for cid in evidence.trace.committed_commands[pid]:
+                if cid in seen:
+                    self.fail(evidence, f"node {pid} committed command {cid!r} twice")
+                seen.add(cid)
 
 
 class QuorumCertificateInvariant(Invariant):
@@ -404,6 +420,7 @@ def _workload_command_ids(spec) -> set:
 DEFAULT_INVARIANTS: tuple = (
     AgreementInvariant(),
     LivenessInvariant(),
+    UniqueCommitInvariant(),
     QuorumCertificateInvariant(),
     MonotoneVirtualTimeInvariant(),
     EnergyConservationInvariant(),

@@ -38,6 +38,29 @@ def test_peek_batch_larger_than_pool():
     assert len(pool.peek_batch(10)) == 1
 
 
+def test_peek_batch_skips_excluded_ids_in_arrival_order():
+    pool = TxPool()
+    pool.add_all(commands("a", "b", "c", "d"))
+    batch = pool.peek_batch(2, exclude={"a", "c"})
+    assert [c.command_id for c in batch] == ["b", "d"]
+    assert len(pool) == 4
+
+
+def test_peek_batch_respects_batch_size_after_exclusion():
+    pool = TxPool()
+    pool.add_all(commands("a", "b", "c", "d"))
+    assert [c.command_id for c in pool.peek_batch(1, exclude={"a"})] == ["b"]
+    assert pool.peek_batch(3, exclude={"a", "b", "c", "d"}) == []
+    assert pool.peek_batch(0, exclude={"a"}) == []
+
+
+def test_peek_batch_with_empty_exclude_is_the_pool_head():
+    pool = TxPool()
+    pool.add_all(commands("a", "b", "c"))
+    assert pool.peek_batch(2, exclude=set()) == pool.peek_batch(2)
+    assert pool.peek_batch(2, exclude={"zzz"}) == pool.peek_batch(2)
+
+
 def test_peek_batch_negative_rejected():
     with pytest.raises(ValueError):
         TxPool().peek_batch(-1)

@@ -11,6 +11,7 @@ sorted-key JSON) if the corpus schema ever changes.  Entry files are
 what CI replays — see ``test_corpus_replay.py``.
 """
 
+import dataclasses
 from pathlib import Path
 
 from repro.fuzz import FuzzConfig, Corpus
@@ -22,9 +23,9 @@ ROOT = Path(__file__).resolve().parent
 CONFIG = FuzzConfig()
 
 
-def spec_dict(schedule_entries, protocol):
+def spec_dict(schedule_entries, protocol, **overrides):
     schedule = schedule_from_dict(schedule_entries) if schedule_entries else None
-    return CONFIG.spec_for(schedule, protocol).to_dict()
+    return dataclasses.replace(CONFIG.spec_for(schedule, protocol), **overrides).to_dict()
 
 
 #: A partitioned *leader*: fuzz seed 1 found that a 0.25 s partition of
@@ -58,6 +59,14 @@ ADJACENT_DROP_WINDOWS = [
 LOSSY_RECEIVER = [
     {"kind": "LossWindow", "node": 3, "start": 0.25, "end": 0.75, "loss": 0.5}
 ]
+
+#: ROADMAP item 1's reproducer, and it needs no fault at all: the
+#: standard deployment at seed 29.  Before the proposer derived its batch
+#: from the chain it extends, every pipelined block re-proposed its
+#: parent's command — OptSync committed ``c0-0, c0-0, c0-1`` (item 1(c),
+#: which also broke the fault-free same-log check) and EESMR with
+#: back-to-back proposals committed ``c0-0`` three times.
+FAULT_FREE = []
 
 
 def regenerate() -> None:
@@ -123,6 +132,30 @@ def regenerate() -> None:
         note="mutant D reproducer: a zeroed retry budget strands the lossy "
         "receiver past its loss-budget allowance, clean on main",
         slug="eesmr-lossy-receiver",
+    )
+    corpus.add(
+        spec_dict(FAULT_FREE, "optsync"),
+        expect="clean",
+        found={
+            "seed": 29,
+            "failures": [["optsync", "unique-commit"]],
+            "source": "ROADMAP item 1(c), seed scan by hand",
+        },
+        note="fault-free OptSync committed c0-0,c0-0,c0-1 while the proposer "
+        "read the pool head; clean since batches exclude uncommitted ancestors",
+        slug="optsync-duplicate-commit",
+    )
+    corpus.add(
+        spec_dict(FAULT_FREE, "eesmr", block_interval=0.0),
+        expect="clean",
+        found={
+            "seed": 29,
+            "failures": [["eesmr", "unique-commit"]],
+            "source": "ROADMAP item 1(a), seed scan by hand",
+        },
+        note="fault-free EESMR with back-to-back proposals committed c0-0 three "
+        "times; clean since batches exclude uncommitted ancestors",
+        slug="eesmr-duplicate-commit",
     )
     for entry in Corpus(ROOT).entries():
         print(f"{entry.path.name}: expect={entry.expect}")

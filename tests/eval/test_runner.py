@@ -433,6 +433,26 @@ def test_result_derived_metrics_consistent():
     assert set(result.committed_heights) == set(range(5))
 
 
+def test_energy_is_reported_per_distinct_command(capsys):
+    """Every slot orders new work, so a block of two commands costs half its
+    energy per command; an exhausted workload stops the denominator growing."""
+    result = run_protocol(honest_spec(n=5, f=1, k=2, blocks=3, seed=54, batch_size=2))
+    assert result.committed_command_ids == [f"c0-{i}" for i in range(6)]
+    assert result.distinct_commands == 6
+    assert result.energy_per_distinct_command_mj == pytest.approx(result.energy_per_block_mj / 2)
+    short = honest_spec(
+        protocol="trusted-baseline", n=5, f=1, k=2, blocks=3, seed=54,
+        workload=TraceReplay(entries=({"time": 0.0},)),
+    )
+    starved = run_protocol(short)
+    assert (starved.committed_blocks, starved.distinct_commands) == (3, 1)
+    assert starved.energy_per_distinct_command_mj == pytest.approx(starved.correct_energy_mj)
+    assert main(["run", "--protocol", "eesmr", "-n", "5", "-f", "1", "-k", "2", "--blocks", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "energy per block    : " in out
+    assert "energy per command  : " in out and "(3 distinct commands)" in out
+
+
 def test_jitter_disabled_gives_deterministic_hop_latency():
     result = run_protocol(honest_spec(n=5, f=1, k=2, blocks=2, seed=55, jitter=False))
     assert result.committed_blocks == 2

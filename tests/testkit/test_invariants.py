@@ -14,6 +14,7 @@ from repro.testkit.invariants import (
     LivenessInvariant,
     MonotoneVirtualTimeInvariant,
     QuorumCertificateInvariant,
+    UniqueCommitInvariant,
     assert_all,
     check_all,
 )
@@ -94,6 +95,23 @@ def test_liveness_respects_explicit_floor(evidence):
     relaxed = doctored(evidence)
     relaxed.trace.committed_heights[3] = 1
     LivenessInvariant(min_height=1).check(relaxed)
+
+
+def test_unique_commit_detects_a_command_ordered_twice(evidence):
+    bad = doctored(evidence)
+    log = bad.trace.committed_commands[2]
+    log.append(log[0])
+    with pytest.raises(InvariantViolation, match=f"node 2 committed command '{log[0]}' twice"):
+        UniqueCommitInvariant().check(bad)
+    assert [r.name for r in check_all(bad) if not r.ok] == ["unique-commit"]
+
+
+def test_unique_commit_ignores_byzantine_logs():
+    spec = honest_spec(fault_schedule=silent(4))
+    result = run_protocol(spec, recorder=TraceRecorder())
+    bad = doctored(Evidence(spec=spec, result=result, trace=result.trace))
+    bad.trace.committed_commands[4] = ["c0-0", "c0-0"]
+    UniqueCommitInvariant().check(bad)
 
 
 def test_quorum_invariant_detects_underfull_certificate(evidence):

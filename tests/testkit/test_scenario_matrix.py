@@ -21,7 +21,7 @@ from repro.testkit.scenarios import (
     SkippedCell,
     schedule_feasibility,
 )
-from repro.testkit.invariants import InvariantViolation
+from repro.testkit.invariants import DEFAULT_INVARIANTS, InvariantViolation
 
 
 def test_default_matrix_covers_at_least_36_cells():
@@ -81,7 +81,7 @@ def test_representative_cells_pass_all_invariants():
     ):
         outcome = matrix.run_cell(cell)
         assert outcome.ok, f"{cell.label()}: {[r.detail for r in outcome.violations()]}"
-        assert len(outcome.reports) == 6
+        assert len(outcome.reports) == len(DEFAULT_INVARIANTS)
 
 
 def test_cells_are_deterministic_per_seed():

@@ -115,6 +115,11 @@ def test_open_loop_load_has_a_saturation_knee():
     assert low["slo_met"] and low["dropped"] == 0
     assert not high["slo_met"] and high["dropped"] > 0
     assert high["offered"] > low["offered"]
+    # The bounded pool shapes the knee, not the proposer: pipelined blocks
+    # carry distinct commands, so 1.25 is still below it (a proposer that
+    # repeats its parent's batch drops 32 commands here).
+    near = at_rate(1.25)
+    assert near["slo_met"] and near["dropped"] == 0
 
 
 def test_preload_runs_fall_back_to_run_start_arrivals():

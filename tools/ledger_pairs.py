@@ -6,7 +6,9 @@ bench --workload W --seed S --seconds 15 --trace 0``, one run in each of two
 checkouts, alternating which side runs first, a fresh seed per pair, every
 run reported.  This script does exactly that and prints, per end-to-end
 metric, each side's median and quartiles, the pairs the change won, and
-whether the three modelled metrics were bit-identical in every pair.
+whether the three modelled metrics were bit-identical in every pair; where
+one was not, each pair's parent -> change value and whether it moved in
+the metric's better direction, so a modelled gain gets its rows here too.
 
 It measures; it does not gate.  The exit status is non-zero only when a
 bench run itself failed (an operation failed, or the calibration kernel
@@ -55,6 +57,26 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
+def spread(runs: list, name: str, better: str) -> str:
+    """Both sides' median and quartiles, the pairs the change won, and the claim rule."""
+    parent = [row["parent"][name] for row in runs]
+    change = [row["change"][name] for row in runs]
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
+    sign = 1 if better == "higher" else -1
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    tied = sum(c == p for p, c in zip(parent, change))
+    apart = abs(c_med - p_med) > (p_q3 - p_q1)
+    return (
+        f"parent {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}]  "
+        f"change {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]  "
+        f"median {(c_med / p_med - 1) * 100:+.1f} %  "
+        f"change {better} in {won}/{len(runs)}"
+        f"{f' ({tied} tied)' if tied else ''}  "
+        f"medians {'further apart' if apart else 'NOT further apart'} than the parent's IQR"
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -82,26 +104,33 @@ def main() -> int:
             flush=True,
         )
 
+    # Which way is better comes from the change's own benchmark declaration.
+    declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {metric["name"]: metric["better"] for metric in declared}
+
     print(f"\n{args.workload}: {len(runs)} alternating pairs, --seconds {args.seconds}")
     for name in MEASURED:
-        parent = [row["parent"][name] for row in runs]
-        change = [row["change"][name] for row in runs]
-        p_q1, p_med, p_q3 = quartiles(parent)
-        c_q1, c_med, c_q3 = quartiles(change)
-        won = sum(c < p for p, c in zip(parent, change))
-        tied = sum(c == p for p, c in zip(parent, change))
-        apart = abs(c_med - p_med) > (p_q3 - p_q1)
-        print(
-            f"  {name:12s} parent {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}]  "
-            f"change {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]  "
-            f"median {(c_med / p_med - 1) * 100:+.1f} %  change lower in {won}/{len(runs)}"
-            f"{f' ({tied} tied)' if tied else ''}  "
-            f"medians {'further apart' if apart else 'NOT further apart'} than the parent's IQR"
-        )
+        print(f"  {name:12s} {spread(runs, name, better[name])}")
     for name in MODELLED:
-        differing = [row["seed"] for row in runs if row["parent"][name] != row["change"][name]]
-        verdict = f"DIFFERS at seeds {differing}" if differing else "bit-identical in every pair"
-        print(f"  {name:20s} {verdict}")
+        differing = [row for row in runs if row["parent"][name] != row["change"][name]]
+        if not differing:
+            print(f"  {name:20s} bit-identical in every pair")
+            continue
+        # A modelled metric is deterministic per seed: one row per pair is
+        # the whole evidence, so print it, with the direction it moved in.
+        print(
+            f"  {name:20s} DIFFERS in {len(differing)}/{len(runs)} pairs "
+            f"({better[name]} is better)"
+        )
+        for row in differing:
+            parent, change = row["parent"][name], row["change"][name]
+            moved = "higher" if change > parent else "lower"
+            print(
+                f"      seed {row['seed']}  {parent:.8g} -> {change:.8g}  "
+                f"({(change / parent - 1) * 100:+.2f} %)  "
+                f"{'better' if moved == better[name] else 'WORSE'}"
+            )
+        print(f"      {spread(runs, name, better[name])}")
     failed = {side: sum(row[side]["failed"] for row in runs) for side in trees}
     print(f"  failed operations: parent {failed['parent']}, change {failed['change']}")
     if args.out is not None:
