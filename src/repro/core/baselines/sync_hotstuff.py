@@ -22,28 +22,21 @@ view change).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.core.blocks import Block, make_block
-from repro.core.client import AckRouter
-from repro.core.config import ProtocolConfig
 from repro.core.messages import (
     CertifiedBlock,
     MessageType,
     ProtocolMessage,
     QuorumCertificate,
     make_qc,
-    make_view_qc,
 )
-from repro.core.replica_base import BaseReplica
+from repro.core.replica_base import LeaderReplica
 from repro.core.types import NodeId, View
-from repro.crypto.signatures import SignatureScheme
-from repro.energy.meter import EnergyMeter
-from repro.net.network import SimulatedNetwork
-from repro.sim.scheduler import Simulator
 
 
-class SyncHotStuffReplica(BaseReplica):
+class SyncHotStuffReplica(LeaderReplica):
     """A (simplified) Sync HotStuff node."""
 
     #: Human-readable protocol name used by the experiment harness.
@@ -63,30 +56,18 @@ class SyncHotStuffReplica(BaseReplica):
     #: O(n^2 d) behaviour) and is used by the ablation benchmark.
     vote_forwarding = "partial"
 
-    def __init__(
-        self,
-        sim: Simulator,
-        pid: NodeId,
-        config: ProtocolConfig,
-        scheme: SignatureScheme,
-        network: SimulatedNetwork,
-        meter: EnergyMeter,
-        ack_router: Optional[AckRouter] = None,
-    ) -> None:
-        super().__init__(sim, pid, config, scheme, network, meter, ack_router)
-        self.leader_chain_tip: Block = self.blocks.genesis
+    _HANDLERS = {
+        **LeaderReplica._HANDLERS,
+        MessageType.SHS_PROPOSE: "_on_propose",
+        MessageType.SHS_VOTE: "_on_vote",
+        MessageType.SHS_STATUS: "_on_status",
+    }
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self.certs: Dict[str, QuorumCertificate] = {}
         self.votes: Dict[str, Dict[NodeId, ProtocolMessage]] = {}
         self.voted_blocks: set[str] = set()
-        self.proposals_seen: Dict[Tuple[View, int], Dict[str, ProtocolMessage]] = {}
-        self.commit_timers = self.make_timer_registry("t-commit")
-        self.blame_timer = self.make_timer("t-blame", self._on_blame_timer)
-
-        self.in_view_change = False
-        self.blames: Dict[View, Dict[NodeId, ProtocolMessage]] = {}
-        self.blamed_views: set[View] = set()
-        self.quit_views: set[View] = set()
-        self.equivocation_handled: set[View] = set()
 
     # ----------------------------------------------------------- parameters
     @property
@@ -117,26 +98,6 @@ class SyncHotStuffReplica(BaseReplica):
         self.stats.proposals_made += 1
         self.leader_chain_tip = block
 
-    # --------------------------------------------------------------- dispatch
-    #: Handler *names*, resolved on the instance so subclass overrides
-    #: (OptSync's ``_on_vote``, test mutants) are honoured.
-    _HANDLERS = {
-        MessageType.SHS_PROPOSE: "_on_propose",
-        MessageType.SHS_VOTE: "_on_vote",
-        MessageType.BLAME: "_on_blame",
-        MessageType.BLAME_QC: "_on_blame_qc",
-        MessageType.SHS_STATUS: "_on_status",
-        MessageType.SYNC_REQUEST: "_on_sync_request",
-        MessageType.SYNC_RESPONSE: "_on_sync_response",
-    }
-
-    def on_message(self, sender: int, message: Any) -> None:
-        if not isinstance(message, ProtocolMessage):
-            return
-        handler = self._HANDLERS.get(message.msg_type)
-        if handler is not None:
-            getattr(self, handler)(message)
-
     # ------------------------------------------------------------- proposals
     def _on_propose(self, message: ProtocolMessage) -> None:
         if message.view != self.v_cur or self.in_view_change:
@@ -149,7 +110,7 @@ class SyncHotStuffReplica(BaseReplica):
         if not isinstance(payload, CertifiedBlock):
             return
         block, cert = payload.block, payload.cert
-        self._record_proposal(message, block)
+        self._record_proposal(message, block.height, block.block_hash)
         if self.v_cur in self.equivocation_handled:
             return
         cert_ok = False
@@ -204,18 +165,6 @@ class SyncHotStuffReplica(BaseReplica):
         # The sender counts its own vote locally.
         self.deliver(self.pid, vote)
 
-    def _record_proposal(self, message: ProtocolMessage, block: Block) -> None:
-        key = (message.view, block.height)
-        per_height = self.proposals_seen.setdefault(key, {})
-        per_height[block.block_hash] = message
-        if len(per_height) >= 2:
-            self._handle_equivocation(message.view)
-
-    def _commit_on_timer(self, block: Block) -> None:
-        if self.crashed:
-            return
-        self.commit_chain(block)
-
     # ----------------------------------------------------------------- votes
     def _on_vote(self, message: ProtocolMessage) -> None:
         if message.view != self.v_cur:
@@ -240,67 +189,23 @@ class SyncHotStuffReplica(BaseReplica):
             self.after(self.config.block_interval, self._propose_next, label="shs:propose")
 
     # ----------------------------------------------------------- view change
-    def _handle_equivocation(self, view: View) -> None:
+    # The blame phase is LeaderReplica's.  Its T_blame expiry needs no
+    # ``in_view_change`` guard here: ``_leave_view`` cancels the timer as it
+    # sets the flag, only ``_start_new_view`` re-arms it, after clearing the
+    # flag, and ``_on_propose`` returns before its own re-arm while the flag
+    # is set — so T_blame never fires in the middle of a view change.
+
+    def _handle_equivocation(self, view: View, *_twins: ProtocolMessage) -> None:
         if view in self.equivocation_handled:
             return
         self.equivocation_handled.add(view)
         self.stats.equivocations_detected += 1
         self.commit_timers.cancel_all()
-        self._send_blame(view)
-
-    def _on_blame_timer(self) -> None:
-        if self.crashed or self.in_view_change:
-            return
-        self._send_blame(self.v_cur)
-
-    def _send_blame(self, view: View) -> None:
-        if view != self.v_cur or view in self.blamed_views:
-            return
-        blame = self.sign_message(MessageType.BLAME, None, view=view)
-        self.blamed_views.add(view)
-        self.blames.setdefault(view, {})[self.pid] = blame
-        self.stats.blames_sent += 1
-        self.broadcast(blame)
-        self._check_blame_quorum(view)
-
-    def _on_blame(self, message: ProtocolMessage) -> None:
-        if message.view != self.v_cur:
-            return
-        if not self.verify_signed_message(message):
-            return
-        self.blames.setdefault(message.view, {})[message.sender] = message
-        self._check_blame_quorum(message.view)
-
-    def _check_blame_quorum(self, view: View) -> None:
-        blames = self.blames.get(view, {})
-        if len(blames) < self.config.quorum:
-            return
-        if view != self.v_cur or view in self.quit_views:
-            return
-        blame_qc = make_view_qc(list(blames.values())[: self.config.quorum])
-        message = self.sign_message(MessageType.BLAME_QC, blame_qc, view=view)
-        self.broadcast(message)
-        self._quit_view(view)
-
-    def _on_blame_qc(self, message: ProtocolMessage) -> None:
-        if message.view != self.v_cur:
-            return
-        if not self.verify_signed_message(message):
-            return
-        qc = message.data
-        if not isinstance(qc, QuorumCertificate) or qc.cert_type != MessageType.BLAME:
-            return
-        if not self.verify_view_quorum_certificate(qc):
-            return
-        self._quit_view(message.view)
+        if self._blame(view):
+            self._check_blame_quorum(view)
 
     def _quit_view(self, view: View) -> None:
-        if view != self.v_cur or view in self.quit_views:
-            return
-        self.quit_views.add(view)
-        self.in_view_change = True
-        self.commit_timers.cancel_all()
-        self.blame_timer.cancel()
+        """Report the highest certified block, then wait 2Δ for everyone else's."""
         block, cert = self._highest_certified()
         status = self.sign_message(MessageType.SHS_STATUS, CertifiedBlock(block, cert), view=view)
         self.broadcast(status)
@@ -368,13 +273,4 @@ class SyncHotStuffReplica(BaseReplica):
 
     # ---------------------------------------------------------------- status
     def describe(self) -> Dict[str, Any]:
-        """A snapshot of the replica's protocol state."""
-        return {
-            "pid": self.pid,
-            "view": self.v_cur,
-            "locked_height": self.b_lock.height,
-            "committed_height": self.committed_height,
-            "certificates": len(self.certs),
-            "blocks_committed": self.stats.blocks_committed,
-            "view_changes": self.stats.view_changes_completed,
-        }
+        return {**super().describe(), "certificates": len(self.certs)}

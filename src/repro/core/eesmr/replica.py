@@ -1,59 +1,48 @@
-"""The EESMR replica: state, dispatch and lifecycle.
+"""The EESMR replica: protocol-specific state, dispatch table and lifecycle.
 
-This class glues together the steady-state and view-change mixins with the
-shared :class:`repro.core.replica_base.BaseReplica` machinery.  One
-instance of it is one node p_i of the system; it reacts to message
-deliveries from the simulated network and to its own timers.
+This class puts the steady-state and view-change mixins on top of
+:class:`repro.core.replica_base.LeaderReplica`, which owns the shared
+state, the message dispatch and the blame phase.  One instance of it is one
+node p_i of the system; it reacts to message deliveries from the simulated
+network and to its own timers.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.core.blocks import Block
-from repro.core.config import ProtocolConfig
-from repro.core.client import AckRouter
 from repro.core.eesmr.steady_state import SteadyStateMixin
 from repro.core.eesmr.view_change import ViewChangeMixin
 from repro.core.messages import MessageType, ProtocolMessage, QuorumCertificate
-from repro.core.replica_base import BaseReplica
+from repro.core.replica_base import LeaderReplica
 from repro.core.types import NodeId, Round, View
-from repro.crypto.signatures import SignatureScheme
-from repro.energy.meter import EnergyMeter
-from repro.net.network import SimulatedNetwork
-from repro.sim.scheduler import Simulator
 
 
-class EesmrReplica(SteadyStateMixin, ViewChangeMixin, BaseReplica):
+class EesmrReplica(SteadyStateMixin, ViewChangeMixin, LeaderReplica):
     """A correct EESMR node (Algorithm 2)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        pid: NodeId,
-        config: ProtocolConfig,
-        scheme: SignatureScheme,
-        network: SimulatedNetwork,
-        meter: EnergyMeter,
-        ack_router: Optional[AckRouter] = None,
-    ) -> None:
-        super().__init__(sim, pid, config, scheme, network, meter, ack_router)
+    #: Catch-up state transfer rides the shared handlers: EESMR has no
+    #: steady-state certificates (commits are quiet-period timeouts), so
+    #: recovering nodes adopt on f+1 matching peer responses instead.
+    _HANDLERS = {
+        **LeaderReplica._HANDLERS,
+        MessageType.PROPOSE: "_on_propose",
+        MessageType.COMMIT_UPDATE: "_on_commit_update",
+        MessageType.CERTIFY: "_on_certify",
+        MessageType.COMMIT_QC: "_on_commit_qc",
+        MessageType.NEW_VIEW_PROPOSAL: "_on_new_view_proposal",
+        MessageType.VOTE: "_on_vote",
+    }
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
 
         # Steady-state bookkeeping.
-        self.leader_chain_tip: Block = self.blocks.genesis
         self.next_propose_round: Round = 3
         self.force_steady_proposal = False
-        self.proposals_seen: Dict[Tuple[View, Round], Dict[str, ProtocolMessage]] = {}
         self.buffered_proposals: Dict[View, Dict[Round, ProtocolMessage]] = {}
-        self.commit_timers = self.make_timer_registry("t-commit")
-        self.blame_timer = self.make_timer("t-blame", self._on_blame_timer)
 
         # View-change bookkeeping.
-        self.in_view_change = False
-        self.blames: Dict[View, Dict[NodeId, ProtocolMessage]] = {}
-        self.blamed_views: set[View] = set()
-        self.quit_views: set[View] = set()
-        self.equivocation_handled: set[View] = set()
         self.certify_votes: Dict[View, Dict[NodeId, ProtocolMessage]] = {}
         self.own_commit_qc: Dict[View, QuorumCertificate] = {}
         self.best_commit_qc: Optional[QuorumCertificate] = None
@@ -70,16 +59,7 @@ class EesmrReplica(SteadyStateMixin, ViewChangeMixin, BaseReplica):
         if self.is_leader(self.v_cur):
             self._schedule_propose(0.0)
 
-    # --------------------------------------------------------------- dispatch
-    def on_message(self, sender: int, message: Any) -> None:
-        """Route a delivered protocol message to its handler."""
-        if not isinstance(message, ProtocolMessage):
-            return
-        handler = self._HANDLERS.get(message.msg_type)
-        if handler is None:
-            return
-        handler(self, message)
-
+    # ------------------------------------------------------- future messages
     def _buffer_future(self, message: ProtocolMessage) -> None:
         """Hold a message addressed to a later view until we get there."""
         self._future_messages.append(message)
@@ -93,32 +73,4 @@ class EesmrReplica(SteadyStateMixin, ViewChangeMixin, BaseReplica):
 
     # ---------------------------------------------------------------- status
     def describe(self) -> Dict[str, Any]:
-        """A snapshot of the replica's protocol state (used in tests and examples)."""
-        return {
-            "pid": self.pid,
-            "view": self.v_cur,
-            "round": self.r_cur,
-            "locked": self.b_lock.short_hash(),
-            "locked_height": self.b_lock.height,
-            "committed_height": self.committed_height,
-            "in_view_change": self.in_view_change,
-            "blocks_committed": self.stats.blocks_committed,
-            "view_changes": self.stats.view_changes_completed,
-        }
-
-
-EesmrReplica._HANDLERS = {
-    MessageType.PROPOSE: EesmrReplica._on_propose,
-    MessageType.BLAME: EesmrReplica._on_blame,
-    MessageType.BLAME_QC: EesmrReplica._on_blame_qc,
-    MessageType.COMMIT_UPDATE: EesmrReplica._on_commit_update,
-    MessageType.CERTIFY: EesmrReplica._on_certify,
-    MessageType.COMMIT_QC: EesmrReplica._on_commit_qc,
-    MessageType.NEW_VIEW_PROPOSAL: EesmrReplica._on_new_view_proposal,
-    MessageType.VOTE: EesmrReplica._on_vote,
-    # Catch-up state transfer (shared BaseReplica handlers): EESMR has no
-    # steady-state certificates (commits are quiet-period timeouts), so
-    # recovering nodes adopt on f+1 matching peer responses instead.
-    MessageType.SYNC_REQUEST: EesmrReplica._on_sync_request,
-    MessageType.SYNC_RESPONSE: EesmrReplica._on_sync_response,
-}
+        return {**super().describe(), "round": self.r_cur, "locked": self.b_lock.short_hash()}

@@ -19,8 +19,6 @@ certificate-based protocols.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.core.blocks import Block, make_block
 from repro.core.messages import EquivocationProof, MessageType, ProtocolMessage
 from repro.core.types import FIRST_STEADY_ROUND, Round, View
@@ -88,7 +86,7 @@ class SteadyStateMixin:
             return
         if message.round < FIRST_STEADY_ROUND:
             return
-        self._record_proposal(message)
+        self._record_proposal(message, message.round, message.data_digest)
         if self.in_view_change or self.r_cur < FIRST_STEADY_ROUND:
             # We are still completing the view change; keep the proposal so
             # it can be processed the moment we enter the steady state.
@@ -99,15 +97,6 @@ class SteadyStateMixin:
             return
         if message.round == self.r_cur:
             self._process_steady_proposal(message)
-
-    def _record_proposal(self, message: ProtocolMessage) -> None:
-        """Track proposals per (view, round) and detect equivocation."""
-        key = (message.view, message.round)
-        per_round: Dict[str, ProtocolMessage] = self.proposals_seen.setdefault(key, {})
-        per_round[message.data_digest] = message
-        if len(per_round) >= 2:
-            conflicting = list(per_round.values())[:2]
-            self._handle_equivocation(message.view, conflicting[0], conflicting[1])
 
     def _process_steady_proposal(self, message: ProtocolMessage) -> None:
         """Vote in the head: lock, start the 4Δ commit timer, advance the round."""
@@ -147,13 +136,6 @@ class SteadyStateMixin:
             message = per_view.pop(self.r_cur)
             self._process_steady_proposal(message)
 
-    # --------------------------------------------------------------- commit
-    def _commit_on_timer(self, block: Block) -> None:
-        """Commit rule: the 4Δ quiet period elapsed without equivocation."""
-        if self.crashed:
-            return
-        self.commit_chain(block)
-
     # --------------------------------------------------------- equivocation
     def _handle_equivocation(
         self, view: View, first: ProtocolMessage, second: ProtocolMessage
@@ -164,14 +146,9 @@ class SteadyStateMixin:
         self.equivocation_handled.add(view)
         self.stats.equivocations_detected += 1
         self.commit_timers.cancel_all()
-        if view == self.v_cur and view not in self.blamed_views:
-            proof = EquivocationProof(first, second)
-            blame = self.sign_message(MessageType.BLAME, proof, view=view)
-            self.blamed_views.add(view)
-            self.blames.setdefault(view, {})[self.pid] = blame
-            self.stats.blames_sent += 1
-            self.broadcast(blame)
-        # Equivocation-scenario speedup (Section 3.5): the proof itself
-        # justifies quitting the view, so no f+1 blame certificate is built.
-        if view == self.v_cur and view not in self.quit_views:
-            self._quit_on_proof(view)
+        # Equivocation-scenario speedup (Section 3.5): the two conflicting
+        # signed proposals are transferable evidence, so every correct node
+        # that sees them quits the view directly — no f+1 blame certificate
+        # is built or verified.
+        self._blame(view, EquivocationProof(first, second))
+        self._leave_view(view)

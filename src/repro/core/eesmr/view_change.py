@@ -35,7 +35,6 @@ from repro.core.messages import (
     QuorumCertificate,
     Round2Proposal,
     make_qc,
-    make_view_qc,
 )
 from repro.core.types import View
 
@@ -44,39 +43,17 @@ class ViewChangeMixin:
     """View-change behaviour of an EESMR replica."""
 
     # ----------------------------------------------------------------- blame
-    def _on_blame_timer(self) -> None:
-        """T_blame expired: the leader made no progress — blame it.
+    # The blame phase itself (T_blame expiry, f+1 blames -> blame
+    # certificate -> leave the view) is LeaderReplica's.  T_blame is also
+    # armed during rounds 1 and 2 of a new view (with the longer 8Δ / 6Δ
+    # budgets), so a new leader that stalls is blamed and yet another view
+    # change begins — the liveness argument of Lemma B.3 depends on this.
 
-        The timer is also armed during rounds 1 and 2 of a new view (with
-        the longer 8Δ / 6Δ budgets), so a new leader that stalls is blamed
-        and yet another view change begins — the liveness argument of
-        Lemma B.3 depends on this.
-        """
-        if self.crashed:
-            return
-        view = self.v_cur
-        if view in self.blamed_views:
-            return
-        blame = self.sign_message(MessageType.BLAME, None, view=view)
-        self.blamed_views.add(view)
-        self.blames.setdefault(view, {})[self.pid] = blame
-        self.stats.blames_sent += 1
-        self.broadcast(blame)
-        self._check_blame_quorum(view)
-
-    def _on_blame(self, message: ProtocolMessage) -> None:
-        """Record another node's blame; validate an equivocation proof if present."""
-        if message.view != self.v_cur:
-            if message.view > self.v_cur:
-                self._buffer_future(message)
-            return
-        if not self.verify_signed_message(message):
-            return
+    def _on_blame_evidence(self, message: ProtocolMessage) -> None:
+        """A blame may carry an equivocation proof: a valid one is handled as our own."""
         proof = message.data
         if self._is_equivocation_proof(proof, message.view):
             self._handle_equivocation(message.view, proof.first, proof.second)
-        self.blames.setdefault(message.view, {})[message.sender] = message
-        self._check_blame_quorum(message.view)
 
     def _is_equivocation_proof(self, proof, view: View) -> bool:
         """Validate an equivocation proof against ``view``, charging verification.
@@ -99,61 +76,14 @@ class ViewChangeMixin:
             return False
         return self.verify_signed_message(first) and self.verify_signed_message(second)
 
-    def _check_blame_quorum(self, view: View) -> None:
-        """f+1 blames for the current view: form and broadcast the blame certificate."""
-        blames = self.blames.get(view, {})
-        if len(blames) < self.config.quorum:
-            return
-        if view != self.v_cur or view in self.quit_views:
-            return
-        blame_qc = make_view_qc(list(blames.values())[: self.config.quorum])
-        message = self.sign_message(MessageType.BLAME_QC, blame_qc, view=view)
-        self.broadcast(message)
-        self._handle_blame_qc(view, blame_qc)
-
-    def _on_blame_qc(self, message: ProtocolMessage) -> None:
-        """A blame certificate from another node: verify and quit the view."""
-        if message.view != self.v_cur:
-            if message.view > self.v_cur:
-                self._buffer_future(message)
-            return
-        if not self.verify_signed_message(message):
-            return
-        qc = message.data
-        if not isinstance(qc, QuorumCertificate) or qc.cert_type != MessageType.BLAME:
-            return
-        if not self.verify_view_quorum_certificate(qc):
-            return
-        self._handle_blame_qc(message.view, qc)
-
-    def _handle_blame_qc(self, view: View, blame_qc: QuorumCertificate) -> None:
-        """Quit the view after Δ (lines 231-234)."""
-        if view != self.v_cur or view in self.quit_views:
-            return
-        self.quit_views.add(view)
-        self.in_view_change = True
-        self.commit_timers.cancel_all()
-        self.blame_timer.cancel()
-        self.after(self.config.delta, self._quit_view, label="eesmr:quit-view", args=(view,))
-
-    def _quit_on_proof(self, view: View) -> None:
-        """Equivocation speedup: quit on a valid proof without a blame certificate.
-
-        Section 3.5 ("Equivocation scenario speedups"): since the two
-        conflicting signed proposals are themselves transferable evidence,
-        every correct node that sees them can quit the view directly, saving
-        the blame-certificate construction and its verification.
-        """
-        if view != self.v_cur or view in self.quit_views:
-            return
-        self.quit_views.add(view)
-        self.in_view_change = True
-        self.commit_timers.cancel_all()
-        self.blame_timer.cancel()
-        self.after(self.config.delta, self._quit_view, label="eesmr:quit-view", args=(view,))
-
     # ------------------------------------------------------------- quit view
     def _quit_view(self, view: View) -> None:
+        """Wait Δ so every correct node has quit the view too (lines 231-234)."""
+        self.after(
+            self.config.delta, self._send_commit_update, label="eesmr:quit-view", args=(view,)
+        )
+
+    def _send_commit_update(self, view: View) -> None:
         """Broadcast B_com and start collecting explicit certificates (lines 235-241)."""
         if self.v_cur != view:
             return

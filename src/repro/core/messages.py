@@ -51,7 +51,6 @@ class MessageType(str, Enum):
     SHS_PROPOSE = "shs_propose"
     SHS_VOTE = "shs_vote"
     SHS_STATUS = "shs_status"
-    SHS_NEW_VIEW = "shs_new_view"
     # Trusted baseline.
     TB_REQUEST = "tb_request"
     TB_ORDER = "tb_order"

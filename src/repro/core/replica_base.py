@@ -4,8 +4,10 @@
 the simulated network (for broadcast/unicast), the energy meter (for
 radio, signing, verification and hashing charges), the key store and
 signature scheme (for authentication), the block store, the committed log
-and the transaction pool.  Protocol implementations (EESMR, Sync HotStuff,
-OptSync, the trusted baseline) subclass it and implement message handling.
+and the transaction pool.  :class:`LeaderReplica` adds what the
+leader-based protocols (EESMR, Sync HotStuff, OptSync) share: message
+dispatch, commit-by-timer and the blame -> certificate -> quit-view
+phase.  The trusted baseline subclasses :class:`BaseReplica` directly.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ from repro.core.client import AckRouter
 from repro.core.config import ProtocolConfig, RunStats
 from repro.core.ledger import CommittedLog
 from repro.core.messages import (
+    EquivocationProof,
     MessageType,
     ProtocolMessage,
     QuorumCertificate,
     SyncRequest,
     SyncResponse,
     make_message,
+    make_view_qc,
     verify_message,
     verify_qc,
     verify_view_qc,
@@ -328,3 +332,149 @@ class BaseReplica(Process):
     def committed_height(self) -> int:
         """Height of the highest committed block."""
         return self.log.highest_height
+
+
+class LeaderReplica(BaseReplica):
+    """The skeleton of a leader-based synchronous protocol.
+
+    EESMR and Sync HotStuff / OptSync share the first phase of the view
+    change: blame a silent or equivocating leader, turn f+1 blames into a
+    blame certificate, quit the view.  It is written here once; three hooks
+    carry what differs: :meth:`_buffer_future`, :meth:`_on_blame_evidence`
+    and :meth:`_quit_view`.
+    """
+
+    #: ``MessageType`` -> handler *name*, resolved on the instance so that
+    #: overrides (OptSync's ``_on_vote``, adversaries, test mutants) are
+    #: honoured.  Subclasses extend this table with their own types.
+    _HANDLERS: Dict[MessageType, str] = {
+        MessageType.BLAME: "_on_blame",
+        MessageType.BLAME_QC: "_on_blame_qc",
+        MessageType.SYNC_REQUEST: "_on_sync_request",
+        MessageType.SYNC_RESPONSE: "_on_sync_response",
+    }
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.leader_chain_tip: Block = self.blocks.genesis
+        self.proposals_seen: Dict[Tuple[View, Round], Dict[str, ProtocolMessage]] = {}
+        self.commit_timers = self.make_timer_registry("t-commit")
+        self.blame_timer = self.make_timer("t-blame", self._on_blame_timer)
+        self.in_view_change = False
+        self.blames: Dict[View, Dict[NodeId, ProtocolMessage]] = {}
+        self.blamed_views: Set[View] = set()
+        self.quit_views: Set[View] = set()
+        self.equivocation_handled: Set[View] = set()
+
+    # -------------------------------------------------------------- dispatch
+    def on_message(self, sender: int, message: Any) -> None:
+        """Route a delivered protocol message to its handler; drop unknown types."""
+        if not isinstance(message, ProtocolMessage):
+            return
+        handler = self._HANDLERS.get(message.msg_type)
+        if handler is not None:
+            getattr(self, handler)(message)
+
+    def _buffer_future(self, message: ProtocolMessage) -> None:
+        """Hook: a blame-phase message for a later view arrived (default: drop it)."""
+
+    # ------------------------------------------------------ proposals, commit
+    def _record_proposal(self, message: ProtocolMessage, slot: int, digest: str) -> None:
+        """Track the leader's proposals per (view, slot); two distinct ones equivocate."""
+        seen = self.proposals_seen.setdefault((message.view, slot), {})
+        seen[digest] = message
+        if len(seen) >= 2:
+            first, second = list(seen.values())[:2]
+            self._handle_equivocation(message.view, first, second)
+
+    def _commit_on_timer(self, block: Block) -> None:
+        """Commit rule: ``T_commit(block)`` elapsed without an equivocation."""
+        if self.crashed:
+            return
+        self.commit_chain(block)
+
+    # ----------------------------------------------------------------- blame
+    def _on_blame_timer(self) -> None:
+        """T_blame expired: the leader made no progress — blame it."""
+        view = self.v_cur
+        if not self.crashed and self._blame(view):
+            self._check_blame_quorum(view)
+
+    def _blame(self, view: View, proof: Optional[EquivocationProof] = None) -> bool:
+        """Sign and flood this node's one ``BLAME`` for ``view``; whether it was sent."""
+        if view != self.v_cur or view in self.blamed_views:
+            return False
+        blame = self.sign_message(MessageType.BLAME, proof, view=view)
+        self.blamed_views.add(view)
+        self.blames.setdefault(view, {})[self.pid] = blame
+        self.stats.blames_sent += 1
+        self.broadcast(blame)
+        return True
+
+    def _on_blame(self, message: ProtocolMessage) -> None:
+        """Record another node's blame for the current view."""
+        if message.view != self.v_cur:
+            if message.view > self.v_cur:
+                self._buffer_future(message)
+            return
+        if not self.verify_signed_message(message):
+            return
+        self._on_blame_evidence(message)
+        self.blames.setdefault(message.view, {})[message.sender] = message
+        self._check_blame_quorum(message.view)
+
+    def _on_blame_evidence(self, message: ProtocolMessage) -> None:
+        """Hook: act on evidence a verified ``BLAME`` carries (default: it carries none)."""
+
+    def _check_blame_quorum(self, view: View) -> None:
+        """f+1 blames for the current view: flood the blame certificate and quit."""
+        blames = self.blames.get(view, {})
+        if len(blames) < self.config.quorum:
+            return
+        if view != self.v_cur or view in self.quit_views:
+            return
+        blame_qc = make_view_qc(list(blames.values())[: self.config.quorum])
+        self.broadcast(self.sign_message(MessageType.BLAME_QC, blame_qc, view=view))
+        self._leave_view(view)
+
+    def _on_blame_qc(self, message: ProtocolMessage) -> None:
+        """A blame certificate from another node: verify it and quit the view."""
+        if message.view != self.v_cur:
+            if message.view > self.v_cur:
+                self._buffer_future(message)
+            return
+        if not self.verify_signed_message(message):
+            return
+        qc = message.data
+        if not isinstance(qc, QuorumCertificate) or qc.cert_type != MessageType.BLAME:
+            return
+        if not self.verify_view_quorum_certificate(qc):
+            return
+        self._leave_view(message.view)
+
+    def _leave_view(self, view: View) -> None:
+        """Stop the current view's steady state (once), then run :meth:`_quit_view`."""
+        if view != self.v_cur or view in self.quit_views:
+            return
+        self.quit_views.add(view)
+        self.in_view_change = True
+        self.commit_timers.cancel_all()
+        self.blame_timer.cancel()
+        self._quit_view(view)
+
+    def _quit_view(self, view: View) -> None:  # pragma: no cover - abstract
+        """Hook: the protocol's own path from a quit view to the next one."""
+        raise NotImplementedError
+
+    # ---------------------------------------------------------------- status
+    def describe(self) -> Dict[str, Any]:
+        """A snapshot of the replica's protocol state (used in tests and examples)."""
+        return {
+            "pid": self.pid,
+            "view": self.v_cur,
+            "locked_height": self.b_lock.height,
+            "committed_height": self.committed_height,
+            "in_view_change": self.in_view_change,
+            "blocks_committed": self.stats.blocks_committed,
+            "view_changes": self.stats.view_changes_completed,
+        }

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 from repro.eval.runner import PROTOCOLS, DeploymentSpec
+from repro.net.impairment import SpecError
 from repro.sim.rng import SeededRNG, derive_seed
 from repro.testkit import faults
 from repro.testkit.scenarios import schedule_feasibility
@@ -97,13 +98,13 @@ class FuzzConfig:
     def __post_init__(self) -> None:
         unknown = [kind for kind in self.kinds if kind not in faults.FAULT_KINDS]
         if unknown:
-            raise ValueError(
-                f"unknown fault kinds {unknown}; known: {sorted(faults.FAULT_KINDS)}"
+            raise SpecError(
+                f"unknown fault kinds {unknown}; known: {sorted(faults.FAULT_KINDS)}", "kinds"
             )
         if self.max_atoms < 1:
-            raise ValueError(f"max_atoms must be >= 1, got {self.max_atoms}")
+            raise SpecError(f"must be >= 1, got {self.max_atoms}", "max_atoms")
         if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+            raise SpecError(f"must be positive, got {self.horizon}", "horizon")
 
     # -------------------------------------------------------------- specs
     def spec_for(self, schedule: Optional[faults.FaultSchedule], protocol: str) -> DeploymentSpec:

@@ -15,12 +15,10 @@ from repro.radio.media import (
     MediaEnergyRow,
     TABLE1_MEDIA_ENERGY_MJ,
     MediumEnergyModel,
-    LinearMediumModel,
     TabulatedMediumModel,
     wifi_medium,
     lte_medium,
     ble_link_medium,
-    ble_multicast_link_medium,
     make_medium,
 )
 from repro.radio.reliability import (
@@ -36,19 +34,15 @@ from repro.radio.ble import (
     fragments_for_payload,
 )
 from repro.radio.gatt import BleGattUnicast, UnicastTransmissionCost
-from repro.radio.wifi import WiFiMedium
-from repro.radio.lte import LteMedium
 
 __all__ = [
     "MediaEnergyRow",
     "TABLE1_MEDIA_ENERGY_MJ",
     "MediumEnergyModel",
-    "LinearMediumModel",
     "TabulatedMediumModel",
     "wifi_medium",
     "lte_medium",
     "ble_link_medium",
-    "ble_multicast_link_medium",
     "make_medium",
     "AdvertisementLossModel",
     "ReliabilityPoint",
@@ -60,6 +54,4 @@ __all__ = [
     "fragments_for_payload",
     "BleGattUnicast",
     "UnicastTransmissionCost",
-    "WiFiMedium",
-    "LteMedium",
 ]

@@ -52,36 +52,6 @@ class MediumEnergyModel:
         """Energy (J) to receive a message of ``size_bytes``."""
         raise NotImplementedError
 
-    def roundtrip_energy_j(self, size_bytes: int) -> float:
-        """Convenience: energy to send and receive the same payload."""
-        return self.send_energy_j(size_bytes) + self.recv_energy_j(size_bytes)
-
-
-class LinearMediumModel(MediumEnergyModel):
-    """A medium priced as ``base + per_byte * size`` for send and receive."""
-
-    def __init__(
-        self,
-        name: str,
-        send_base_j: float,
-        send_per_byte_j: float,
-        recv_base_j: float,
-        recv_per_byte_j: float,
-    ) -> None:
-        self.name = name
-        self.send_base_j = send_base_j
-        self.send_per_byte_j = send_per_byte_j
-        self.recv_base_j = recv_base_j
-        self.recv_per_byte_j = recv_per_byte_j
-
-    def send_energy_j(self, size_bytes: int) -> float:
-        _check_size(size_bytes)
-        return self.send_base_j + self.send_per_byte_j * size_bytes
-
-    def recv_energy_j(self, size_bytes: int) -> float:
-        _check_size(size_bytes)
-        return self.recv_base_j + self.recv_per_byte_j * size_bytes
-
 
 class TabulatedMediumModel(MediumEnergyModel):
     """A medium priced by interpolating a (size -> mJ) table.
@@ -168,13 +138,8 @@ def ble_link_medium() -> TabulatedMediumModel:
     )
 
 
-def ble_multicast_link_medium() -> TabulatedMediumModel:
-    """Raw BLE advertisement (multicast) link-layer energy model from Table 1."""
-    return TabulatedMediumModel(
-        "ble-multicast-link",
-        _column(TABLE1_MEDIA_ENERGY_MJ, "ble_multicast_mj"),
-        _column(TABLE1_MEDIA_ENERGY_MJ, "ble_recv_mj"),
-    )
+#: Duration (s) the adapters below charge for one transfer over a Table 1 medium.
+LINK_TIME_S = 0.1
 
 
 class MediumUnicastAdapter:
@@ -185,13 +150,12 @@ class MediumUnicastAdapter:
     medium (e.g. 4G LTE for the trusted-baseline protocol) play that role.
     """
 
-    def __init__(self, medium: MediumEnergyModel, link_time_s: float = 0.1) -> None:
+    def __init__(self, medium: MediumEnergyModel) -> None:
         from repro.radio.gatt import UnicastTransmissionCost
 
         self._cost_type = UnicastTransmissionCost
         self.medium = medium
         self.name = f"{medium.name}-unicast"
-        self.link_time_s = link_time_s
 
     def transmission_cost(self, payload_bytes: int):
         """Energy and time of one unicast transfer over the wrapped medium."""
@@ -199,14 +163,8 @@ class MediumUnicastAdapter:
             payload_bytes=payload_bytes,
             sender_energy_j=self.medium.send_energy_j(payload_bytes),
             receiver_energy_j=self.medium.recv_energy_j(payload_bytes),
-            duration_s=self.link_time_s,
+            duration_s=LINK_TIME_S,
         )
-
-    def send_energy_j(self, size_bytes: int) -> float:
-        return self.medium.send_energy_j(size_bytes)
-
-    def recv_energy_j(self, size_bytes: int) -> float:
-        return self.medium.recv_energy_j(size_bytes)
 
 
 class MediumKCastAdapter:
@@ -220,13 +178,12 @@ class MediumKCastAdapter:
     advertisement k-cast of the paper's test bed.
     """
 
-    def __init__(self, medium: MediumEnergyModel, link_time_s: float = 0.1) -> None:
+    def __init__(self, medium: MediumEnergyModel) -> None:
         from repro.radio.ble import KCastTransmissionCost
 
         self._cost_type = KCastTransmissionCost
         self.medium = medium
         self.name = f"{medium.name}-kcast"
-        self.link_time_s = link_time_s
 
     def transmission_cost(self, payload_bytes: int, k: int):
         """Energy and time of one k-cast transfer over the wrapped medium."""
@@ -240,14 +197,8 @@ class MediumKCastAdapter:
             reliability=1.0,
             sender_energy_j=self.medium.send_energy_j(payload_bytes),
             per_receiver_energy_j=self.medium.recv_energy_j(payload_bytes),
-            duration_s=self.link_time_s,
+            duration_s=LINK_TIME_S,
         )
-
-    def send_energy_j(self, size_bytes: int, k: int = 1) -> float:
-        return self.medium.send_energy_j(size_bytes)
-
-    def recv_energy_j(self, size_bytes: int, k: int = 1) -> float:
-        return self.medium.recv_energy_j(size_bytes)
 
 
 #: Registry used by configuration code ("give me the medium called X").
@@ -255,7 +206,6 @@ MEDIUM_FACTORIES = {
     "wifi": wifi_medium,
     "4g-lte": lte_medium,
     "ble-link": ble_link_medium,
-    "ble-multicast-link": ble_multicast_link_medium,
 }
 
 

@@ -190,8 +190,7 @@ class PerfObserver(SessionObserver):
     fault-window transitions.
     """
 
-    def __init__(self, label_depth: int = 1) -> None:
-        self.label_depth = label_depth
+    def __init__(self) -> None:
         self.events = 0
         self.events_by_prefix: dict = {}
         self.commits_by_node: dict = {}
@@ -200,7 +199,7 @@ class PerfObserver(SessionObserver):
 
     def on_event(self, time: float, label: str) -> None:
         self.events += 1
-        prefix = ":".join(label.split(":")[: self.label_depth]) if label else ""
+        prefix = label.split(":", 1)[0]
         self.events_by_prefix[prefix] = self.events_by_prefix.get(prefix, 0) + 1
 
     def on_block_commit(self, pid: int, block, view: int, time: float) -> None:

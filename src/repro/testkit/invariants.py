@@ -242,12 +242,10 @@ class QuorumCertificateInvariant(Invariant):
 class MonotoneVirtualTimeInvariant(Invariant):
     """The discrete-event trace is causally ordered.
 
-    Full evidence needs ``TraceRecorder(record_events=True)`` (the
-    default).  With event recording off the trace has no event log to
-    audit, so this invariant only checks the quiescence time — the
-    property itself is still enforced at runtime, because the scheduler
-    raises :class:`~repro.sim.scheduler.SimulationError` the moment an
-    event would execute in the past.
+    An audit of the recorded event log after the fact; the property is
+    also enforced at runtime, because the scheduler raises
+    :class:`~repro.sim.scheduler.SimulationError` the moment an event
+    would execute in the past.
     """
 
     name = "monotone-time"

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.eval.runner import MEDIA, PROTOCOLS, DeploymentSpec
-from repro.net.impairment import ImpairmentSpec, parse_impairment
+from repro.net.impairment import ImpairmentSpec, SpecError, parse_impairment
 from repro.session.builder import build_topology
 from repro.session.metrics import MetricsObserver
 from repro.testkit import faults
@@ -218,9 +218,10 @@ def resolve_impairment(name: str) -> Optional[ImpairmentSpec]:
         return IMPAIRMENT_LIBRARY[name]()
     if ":" in name or name == "ble":
         return parse_impairment([name])
-    raise ValueError(
+    raise SpecError(
         f"unknown impairment {name!r}; known: {sorted(IMPAIRMENT_LIBRARY)} "
-        f"plus loss:<p> / duplicate:<p> / jitter:<s> / reorder:<p> / ble"
+        f"plus loss:<p> / duplicate:<p> / jitter:<s> / reorder:<p> / ble",
+        "impairments",
     )
 
 
@@ -235,9 +236,10 @@ def resolve_workload(name: str) -> Optional[WorkloadEngine]:
         return WORKLOAD_LIBRARY[name]()
     if name.startswith("open-loop:") or name.startswith("trace:"):
         return parse_workload(name)
-    raise ValueError(
+    raise SpecError(
         f"unknown workload {name!r}; known: {sorted(WORKLOAD_LIBRARY)} "
-        f"plus open-loop:<rate> / trace:<file>"
+        f"plus open-loop:<rate> / trace:<file>",
+        "workloads",
     )
 
 
@@ -451,11 +453,13 @@ class ScenarioMatrix:
     ) -> None:
         unknown = [name for name in fault_names if name not in FAULT_LIBRARY]
         if unknown:
-            raise ValueError(f"unknown fault schedules {unknown}; known: {sorted(FAULT_LIBRARY)}")
+            raise SpecError(
+                f"unknown fault schedules {unknown}; known: {sorted(FAULT_LIBRARY)}", "faults"
+            )
         for name in workloads:
-            resolve_workload(name)  # raises ValueError on unknown names
+            resolve_workload(name)  # raises SpecError on unknown names
         for name in impairments:
-            resolve_impairment(name)  # raises ValueError on unknown names
+            resolve_impairment(name)  # raises SpecError on unknown names
         self.protocols = tuple(protocols)
         self.fault_names = tuple(fault_names)
         self.media = tuple(media)

@@ -113,21 +113,13 @@ class TraceRecorder(SessionObserver):
     :func:`repro.eval.runner.run_protocol`), it enables event tracing at
     session start and stores the harvested trace on the
     :class:`~repro.eval.runner.RunResult` at session end — the same
-    plumbing every other observer uses.
-
-    Args:
-        record_events: Keep the full simulator event trace.  Byte-identical
-            determinism checks need it; a caller that only wants the
-            structured summary can switch it off to save memory.
+    plumbing every other observer uses.  The trace always keeps the full
+    simulator event log: byte-identical determinism checks need it.
     """
-
-    def __init__(self, record_events: bool = True) -> None:
-        self.record_events = record_events
-        self._sim = None
 
     # -------------------------------------------------------- observer hooks
     def on_session_start(self, session) -> None:
-        self.attach(session.sim)
+        session.sim.trace_enabled = True
 
     def on_session_end(self, session, result) -> None:
         result.trace = self.capture(
@@ -142,17 +134,10 @@ class TraceRecorder(SessionObserver):
         )
 
     # ------------------------------------------------------------ low level
-    def attach(self, sim) -> None:
-        """Enable event tracing on the simulator about to run."""
-        self._sim = sim
-        if self.record_events:
-            sim.trace_enabled = True
-
     def capture(self, spec, config, sim, ledger, network, scheme, replicas, safety) -> RunTrace:
         """Harvest the structured trace from a finished deployment."""
         trace = RunTrace(spec=spec_fingerprint(spec))
-        if self.record_events:
-            trace.events = [[time, label] for time, label in sim.trace_log]
+        trace.events = [[time, label] for time, label in sim.trace_log]
         trace.executed_events = sim.executed_events
         trace.sim_time = sim.now
         imp = network.impairment

@@ -68,6 +68,18 @@ LOSSY_RECEIVER = [
 #: back-to-back proposals committed ``c0-0`` three times.
 FAULT_FREE = []
 
+#: ROADMAP item 1(b), live: a power cycle of node 4 at run seed 14.  With
+#: OptSync's 3n/4+1 = 4 quorum and partial vote forwarding a non-leader
+#: hears its two neighbours' votes plus its own — 3 < 4 — and learns the
+#: certificate over block h from proposal h+1; after ``target_height``
+#: there is no such proposal, so only the view's leader ever certifies the
+#: last block and only it can serve a height-3 suffix the recovering node
+#: may adopt.  The recovery controller's five attempts rotate over four
+#: peers and at this seed reach node 0 while the target was still 2, then
+#: give up one block short.  Sync HotStuff's n/2+1 = 3 is within a
+#: non-leader's reach, so other peers serve the certified tip: the control.
+CRASH_RECOVER = [{"kind": "CrashRecoverWindow", "node": 4, "start": 1.0, "heal": 6.0}]
+
 
 def regenerate() -> None:
     corpus = Corpus(ROOT)
@@ -156,6 +168,28 @@ def regenerate() -> None:
         note="fault-free EESMR with back-to-back proposals committed c0-0 three "
         "times; clean since batches exclude uncommitted ancestors",
         slug="eesmr-duplicate-commit",
+    )
+    corpus.add(
+        spec_dict(CRASH_RECOVER, "optsync", seed=14),
+        expect="violation",
+        found={
+            "seed": 14,
+            "failures": [["optsync", "liveness"]],
+            "source": "ROADMAP item 1(b), run-seed scan 0-59 by hand "
+            "(also stalls at 32, 39, 51, 58)",
+        },
+        note="only the leader certifies the last block under OptSync's 3n/4+1 "
+        "quorum, and the recovering node's retry budget runs out before it "
+        "asks the leader again; stalls one block short",
+        slug="optsync-crash-recover-stall",
+    )
+    corpus.add(
+        spec_dict(CRASH_RECOVER, "sync-hotstuff", seed=14),
+        expect="clean",
+        found={"seed": 14, "source": "ROADMAP item 1(b) (differential control)"},
+        note="the same power cycle under Sync HotStuff: non-leaders reach the "
+        "n/2+1 quorum, so any of several peers serves the certified tip",
+        slug="shs-crash-recover",
     )
     for entry in Corpus(ROOT).entries():
         print(f"{entry.path.name}: expect={entry.expect}")

@@ -258,6 +258,24 @@ def test_repro_run_turns_a_spec_error_into_one_stderr_line(argv, start, capsys, 
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, axis",
+    [
+        (["matrix", "--faults", "bogus"], "faults"),
+        (["matrix", "--workloads", "bogus"], "workloads"),
+        (["matrix", "--impairments", "bogus"], "impairments"),
+        (["fuzz", "--kinds", "Bogus", "--iterations", "1"], "kinds"),
+    ],
+    ids=["faults", "workloads", "impairments", "kinds"],
+)
+def test_repro_turns_an_unknown_axis_name_into_one_stderr_line(argv, axis, capsys, nothing_scheduled):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro: {axis}: unknown ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 # ------------------------------------------------------------- one list
 #: ``json.dumps(spec_fingerprint(spec), sort_keys=True)`` recorded at the
 #: commit before the fingerprint was derived from ``to_dict``: one spec per

@@ -1,9 +1,17 @@
-"""White-box tests for EESMR replica internals (buffering, locks, certificates)."""
+"""White-box tests for EESMR replica internals (buffering, locks, certificates).
 
+The blame phase and the message dispatch live in ``LeaderReplica``; their
+tests run over every class that inherits them (``LEADER_CLASSES``).
+"""
+
+import pytest
+
+from repro.core.baselines.optsync import OptSyncReplica
+from repro.core.baselines.sync_hotstuff import SyncHotStuffReplica
 from repro.core.client import AckRouter, Client
 from repro.core.config import ProtocolConfig
 from repro.core.eesmr.replica import EesmrReplica
-from repro.core.messages import EquivocationProof, MessageType, make_message
+from repro.core.messages import EquivocationProof, MessageType, make_message, make_view_qc
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import make_scheme
 from repro.energy.ledger import ClusterEnergyLedger
@@ -13,8 +21,14 @@ from repro.sim.rng import SeededRNG
 from repro.sim.scheduler import Simulator
 
 
-def build_cluster(n=5, f=1, k=2, target=3, delta=8.0, seed=9):
-    """A hand-wired EESMR cluster (no runner) for white-box manipulation."""
+LEADER_CLASSES = [EesmrReplica, SyncHotStuffReplica, OptSyncReplica]
+every_leader_class = pytest.mark.parametrize(
+    "replica_class", LEADER_CLASSES, ids=["eesmr", "sync-hotstuff", "optsync"]
+)
+
+
+def build_cluster(n=5, f=1, k=2, target=3, delta=8.0, seed=9, replica_class=EesmrReplica):
+    """A hand-wired cluster (no runner) for white-box manipulation."""
     sim = Simulator()
     topology = ring_kcast_topology(n, k)
     ledger = ClusterEnergyLedger(topology.nodes)
@@ -27,7 +41,7 @@ def build_cluster(n=5, f=1, k=2, target=3, delta=8.0, seed=9):
     router = AckRouter([client])
     replicas = {}
     for pid in range(n):
-        replica = EesmrReplica(sim, pid, config, scheme, network, ledger.meter(pid), router)
+        replica = replica_class(sim, pid, config, scheme, network, ledger.meter(pid), router)
         replicas[pid] = replica
         network.register(replica)
     return sim, scheme, config, replicas
@@ -148,30 +162,123 @@ def test_stale_equivocation_proof_does_not_depose_a_later_leader():
     assert current.stats.equivocations_detected == 1
 
 
-def test_blame_quorum_requires_f_plus_one_distinct_signers():
-    sim, scheme, config, replicas = build_cluster()
+def blame(scheme, sender, view=1):
+    return make_message(scheme, sender, MessageType.BLAME, view, None)
+
+
+def blame_certificate(scheme, signers, view=1):
+    """A BLAME_QC carrier, signed by the first signer, over the signers' blames."""
+    qc = make_view_qc([blame(scheme, signer, view) for signer in signers])
+    return make_message(scheme, signers[0], MessageType.BLAME_QC, view, qc)
+
+
+@every_leader_class
+def test_blame_quorum_requires_f_plus_one_distinct_signers(replica_class):
+    sim, scheme, config, replicas = build_cluster(replica_class=replica_class)
     replica = replicas[3]
-    blame_1 = make_message(scheme, 1, MessageType.BLAME, 1, None)
-    replica.on_message(1, blame_1)
+    replica.on_message(1, blame(scheme, 1))
+    replica.on_message(1, blame(scheme, 1))  # the same signer twice is one blame
     assert 1 not in replica.quit_views
-    blame_2 = make_message(scheme, 2, MessageType.BLAME, 1, None)
-    replica.on_message(2, blame_2)
+    replica.on_message(2, blame(scheme, 2))
     # f + 1 = 2 distinct blames -> the replica quits the view.
     assert 1 in replica.quit_views
     assert replica.in_view_change
 
 
-def test_forged_blame_certificate_is_rejected():
-    sim, scheme, config, replicas = build_cluster()
+@every_leader_class
+def test_forged_blame_certificate_is_rejected(replica_class):
+    sim, scheme, config, replicas = build_cluster(replica_class=replica_class)
     replica = replicas[3]
     # A "certificate" built from a single blame does not meet the quorum.
-    lone_blame = make_message(scheme, 1, MessageType.BLAME, 1, None)
-    from repro.core.messages import make_view_qc
-
-    weak_qc = make_view_qc([lone_blame])
-    carrier = make_message(scheme, 1, MessageType.BLAME_QC, 1, weak_qc)
-    replica.on_message(1, carrier)
+    replica.on_message(1, blame_certificate(scheme, [1]))
     assert 1 not in replica.quit_views
+    replica.on_message(1, blame_certificate(scheme, [1, 2]))
+    assert 1 in replica.quit_views
+
+
+@every_leader_class
+def test_past_view_blames_and_certificates_are_ignored(replica_class):
+    sim, scheme, config, replicas = build_cluster(replica_class=replica_class)
+    replica = replicas[3]
+    replica.v_cur = 2
+    for message in (blame(scheme, 1), blame(scheme, 2), blame_certificate(scheme, [1, 2])):
+        replica.on_message(message.sender, message)
+    assert replica.blames == {} and replica.quit_views == set()
+    assert not replica.in_view_change
+
+
+@every_leader_class
+def test_future_view_blames_are_held_by_eesmr_only(replica_class):
+    sim, scheme, config, replicas = build_cluster(replica_class=replica_class)
+    replica = replicas[3]
+    for message in (blame(scheme, 0, 2), blame_certificate(scheme, [0, 2], 2)):
+        replica.on_message(message.sender, message)
+    assert replica.blames == {} and replica.quit_views == set()
+    replica.v_cur = 2
+    if replica_class is EesmrReplica:
+        replica._replay_buffered_future()
+    # EESMR held both and the replayed certificate quits view 2; Sync HotStuff
+    # and OptSync dropped them on arrival, so there is nothing to replay.
+    assert (2 in replica.quit_views) == (replica_class is EesmrReplica)
+    assert (0 in replica.blames.get(2, {})) == (replica_class is EesmrReplica)
+
+
+@every_leader_class
+def test_leave_view_runs_once_and_cancels_every_timer(replica_class):
+    sim, scheme, config, replicas = build_cluster(replica_class=replica_class)
+    replica = replicas[3]
+    quits = []
+    replica._quit_view = quits.append  # type: ignore[assignment]
+    replica.blame_timer.start(4 * config.delta)
+    for key in ("a", "b"):
+        replica.commit_timers.start(key, 4 * config.delta, replica._commit_on_timer, None)
+    replica._leave_view(2)  # not the current view: nothing happens
+    assert len(replica.commit_timers) == 2 and quits == []
+    replica._leave_view(1)
+    replica._leave_view(1)
+    assert quits == [1]
+    assert len(replica.commit_timers) == 0 and not replica.blame_timer.running
+    assert replica.in_view_change and replica.quit_views == {1}
+
+
+@every_leader_class
+def test_f_plus_one_blames_flood_one_certificate(replica_class):
+    sim, scheme, config, replicas = build_cluster(replica_class=replica_class)
+    replica = replicas[3]
+    flooded = []
+    replica.broadcast = flooded.append  # type: ignore[assignment]
+    for sender in (0, 1, 2, 4):
+        replica.on_message(sender, blame(scheme, sender))
+    certificates = [m for m in flooded if m.msg_type == MessageType.BLAME_QC]
+    assert len(certificates) == 1
+    assert len(certificates[0].data.signatures) == config.quorum
+    assert replica.stats.blames_sent == 0  # others' blames never make us sign one
+
+
+@every_leader_class
+def test_dispatch_resolves_every_handler_on_the_instance(replica_class):
+    sim, scheme, config, replicas = build_cluster(replica_class=replica_class)
+    replica = replicas[3]
+    assert {MessageType.BLAME, MessageType.BLAME_QC} <= set(replica_class._HANDLERS)
+    for name in replica_class._HANDLERS.values():
+        assert callable(getattr(replica, name)), name
+    # A type the protocol has no handler for, and a non-message, are dropped.
+    replica.on_message(0, make_message(scheme, 0, MessageType.TB_ORDER, 1, None))
+    replica.on_message(0, "not a protocol message")
+    assert replica.blames == {} and replica.b_lock.is_genesis
+
+
+def test_dispatch_honours_a_subclass_override_of_an_eesmr_handler():
+    seen = []
+
+    class Eavesdropper(EesmrReplica):
+        def _on_propose(self, message):
+            seen.append(message)
+
+    sim, scheme, config, replicas = build_cluster(replica_class=Eavesdropper)
+    proposal = make_message(scheme, 0, MessageType.PROPOSE, 1, None, round_number=3)
+    replicas[2].on_message(0, proposal)
+    assert seen == [proposal] and replicas[2].b_lock.is_genesis
 
 
 def test_commit_update_votes_only_for_non_conflicting_blocks():

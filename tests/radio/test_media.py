@@ -4,7 +4,6 @@ import pytest
 
 from repro.radio.media import (
     TABLE1_MEDIA_ENERGY_MJ,
-    LinearMediumModel,
     MediumUnicastAdapter,
     ble_link_medium,
     lte_medium,
@@ -57,13 +56,6 @@ def test_media_ordering_ble_cheapest_lte_most_expensive():
 def test_negative_size_rejected():
     with pytest.raises(ValueError):
         wifi_medium().send_energy_j(-1)
-
-
-def test_linear_medium_model():
-    model = LinearMediumModel("toy", 0.001, 0.00001, 0.0005, 0.000005)
-    assert model.send_energy_j(100) == pytest.approx(0.002)
-    assert model.recv_energy_j(100) == pytest.approx(0.001)
-    assert model.roundtrip_energy_j(100) == pytest.approx(0.003)
 
 
 def test_make_medium_registry():

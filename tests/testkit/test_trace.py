@@ -11,8 +11,8 @@ from repro.testkit.faults import crash_at
 from tests.conftest import honest_spec
 
 
-def record(spec, record_events=True):
-    return run_protocol(spec, recorder=TraceRecorder(record_events=record_events))
+def record(spec):
+    return run_protocol(spec, recorder=TraceRecorder())
 
 
 def test_runner_without_recorder_has_no_trace():
@@ -43,12 +43,6 @@ def test_trace_records_simulator_events():
     times = [time for time, _ in trace.events]
     assert times == sorted(times)
     assert any("net:" in label for _, label in trace.events)
-
-
-def test_record_events_false_skips_event_log():
-    result = record(honest_spec(), record_events=False)
-    assert result.trace.events == []
-    assert result.trace.executed_events > 0
 
 
 def test_trace_harvests_view_change_certificates():
