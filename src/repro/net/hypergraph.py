@@ -73,7 +73,11 @@ class HyperEdge:
 
 @dataclass
 class Hypergraph:
-    """A directed communication hypergraph (Definition A.1)."""
+    """A directed communication hypergraph (Definition A.1).
+
+    The topology is fixed once built: the sender index, and the network's
+    dissemination plans compiled from it, assume ``edges`` never changes.
+    """
 
     nodes: List[int]
     edges: List[HyperEdge] = field(default_factory=list)
@@ -83,37 +87,11 @@ class Hypergraph:
         if len(node_set) != len(self.nodes):
             raise ValueError("duplicate node ids")
         for edge in self.edges:
-            self._validate_edge(edge, node_set)
-
-    @staticmethod
-    def _validate_edge(edge: HyperEdge, node_set: Set[int]) -> None:
-        if edge.sender not in node_set:
-            raise ValueError(f"edge sender {edge.sender} is not a node")
-        missing = edge.receivers - node_set
-        if missing:
-            raise ValueError(f"edge receivers {sorted(missing)} are not nodes")
-
-    # -------------------------------------------------------------- mutation
-    def add_edge(self, edge: HyperEdge) -> None:
-        """Add a hyper-edge after validating its endpoints."""
-        self._validate_edge(edge, set(self.nodes))
-        self.edges.append(edge)
-        self.invalidate_topology_cache()
-
-    def invalidate_topology_cache(self) -> None:
-        """Drop the adjacency index (call after mutating ``edges`` directly).
-
-        Also bumps :attr:`topology_version`, which consumers holding
-        structures compiled from the adjacency (the network's dissemination
-        plans) compare to detect mutation.
-        """
-        self.__dict__.pop("_out_index", None)
-        self.__dict__["_topology_version"] = self.topology_version + 1
-
-    @property
-    def topology_version(self) -> int:
-        """Monotonic counter bumped on every edge mutation."""
-        return self.__dict__.get("_topology_version", 0)
+            if edge.sender not in node_set:
+                raise ValueError(f"edge sender {edge.sender} is not a node")
+            missing = edge.receivers - node_set
+            if missing:
+                raise ValueError(f"edge receivers {sorted(missing)} are not nodes")
 
     # ------------------------------------------------------------- topology
     def out_edges(self, node: int) -> Sequence[HyperEdge]:

@@ -35,7 +35,7 @@ from typing import Any, Dict, Optional
 from repro.crypto.hashing import canonical_bytes
 from repro.energy.ledger import ClusterEnergyLedger
 from repro.energy.meter import EnergyCategory
-from repro.net.hypergraph import HyperEdge, Hypergraph
+from repro.net.hypergraph import Hypergraph
 from repro.net.impairment import HOP_RETRY, ImpairmentModel, ImpairmentSpec
 from repro.radio.ble import BleAdvertisementKCast
 from repro.radio.gatt import BleGattUnicast
@@ -53,28 +53,28 @@ _RECEIVE = EnergyCategory.RECEIVE
 class DisseminationPlan:
     """A compiled flood plan: the per-hop path as flat lookup structures.
 
-    Relaying a flood hop is a pure function of the (topology, relay-denial,
+    Relaying a flood hop is a pure function of the (relay-denial,
     partition) state and the message's wire size — none of which change
     between fault-window transitions.  The plan precomputes, per node:
 
     * whether the node relays floods it did not originate;
     * the node's energy meter handle;
     * one record per outgoing hyper-edge: the radio cost object for this
-      plan's wire size and the partition-filtered sorted receiver tuple.
+      plan's wire size, the partition-filtered sorted receiver tuple and
+      those receivers' meters.
 
     Executing the plan touches O(1) precompiled state per hop instead of
     re-querying the topology index, relay-denial and partition tables,
     radio-cost memo and meter cache.  Plans are validated against the
-    network's state epoch (and the hypergraph's topology version) at every
-    relay, so the rare fault-window transitions that mutate denial or
-    partition state are observed by the very next hop.
+    network's state epoch at every relay, so the rare fault-window
+    transitions that mutate denial or partition state are observed by the
+    very next hop.
     """
 
-    __slots__ = ("state_epoch", "topology_version", "size", "nodes")
+    __slots__ = ("state_epoch", "size", "nodes")
 
-    def __init__(self, state_epoch: int, topology_version: int, size: int, nodes: dict) -> None:
+    def __init__(self, state_epoch: int, size: int, nodes: dict) -> None:
         self.state_epoch = state_epoch
-        self.topology_version = topology_version
         self.size = size
         #: pid -> (relays, meter, edge records); partitioned nodes
         #: are absent (they neither relay nor receive).
@@ -144,19 +144,11 @@ class NetworkStats:
 class SimulatedNetwork:
     """Flooding network over a hypergraph with energy accounting.
 
-    Known limitations, accepted deliberately:
-
-    * a flood's dedup state lives in the :class:`Flood` record its pending
-      events carry.  If those events are discarded externally (via
-      ``Simulator.drain``/``clear``) the record dies with them, but the
-      flood is never retired: :attr:`live_floods` keeps counting it until
-      the network is rebuilt.  No current caller drains network events
-      mid-flood;
-    * when the simulator is *not* tracing, reception/unicast events carry
-      the constant labels ``"net:flood"``/``"net:uni"`` instead of the
-      per-event strings, so label-selective ``Simulator.drain`` over
-      network events only works on traced runs.  Traced runs (what the
-      testkit fingerprints) see exactly the seed's labels.
+    A k-cast is one transmission that its receivers hear at the same
+    instant, so an unimpaired transmission is one simulator event
+    (:meth:`_arrive_edge`) that handles its receivers in sorted order.  Its
+    traced label lists them: ``net:flood{id}->{r1},{r2}``.  Untraced runs
+    use the constant labels ``"net:flood"`` / ``"net:uni"``.
     """
 
     def __init__(
@@ -197,16 +189,16 @@ class SimulatedNetwork:
         # Membership tests treat each dict as the set of affected nodes.
         self._partition: Dict[int, int] = {}
         self._relay_denied: Dict[int, int] = {}
-        # (size, k) -> radio cost: transmission pricing is a pure function
-        # of payload size and edge degree, recomputed once per shape.
+        # (size, k) -> k-cast cost and size -> unicast cost: pricing is a
+        # pure function of the shape, computed once per shape.
         self._kcast_costs: Dict[tuple, Any] = {}
-        # pid -> meter: skips the ledger's lazy-create indirection on the
-        # two-charges-per-reception hot path.
+        self._unicast_costs: Dict[int, Any] = {}
+        # pid -> meter: skips the ledger's lazy-create indirection when
+        # plans are compiled and on the unicast / impaired paths.
         self._meter_cache: Dict[int, Any] = {}
         # Compiled dissemination plans, keyed by wire size.  Bumping
         # ``_state_epoch`` (any relay-denial or partition mutation)
-        # invalidates every cached plan; the hypergraph's own
-        # ``topology_version`` covers edge mutations.
+        # invalidates every cached plan.
         self._plans: Dict[int, DisseminationPlan] = {}
         self._state_epoch = 0
         # Optional (node, kind, active, time) callback fired on *effective*
@@ -228,7 +220,6 @@ class SimulatedNetwork:
         # sublayer lifecycle transitions ("retry" / "recovered" /
         # "gave_up") — the session observer bus's ``on_retransmit``.
         self.retransmit_observer = None
-        self._ack_cost_memo = None
 
     # ---------------------------------------------------------- registration
     def register(self, process: Process) -> None:
@@ -411,50 +402,47 @@ class SimulatedNetwork:
         flood.delivered.add(origin)
         self._live_floods += 1
         size = default_wire_size(message)
-        for edge in self.hypergraph.out_edges(origin):
-            self._transmit_edge(flood, edge, size)
+        # The compiled plan holds the origin's edge records; a partitioned
+        # origin is absent from it but still reaches unpartitioned receivers.
+        record = self._plan_for(size).nodes.get(origin)
+        edges = self._edge_records(origin, size) if record is None else record[2]
+        # The receptions carry no plan, so nobody forwards.
+        self._transmit(flood, origin, self._meter(origin), edges, size, None)
         self._release(flood)
 
     # ------------------------------------------------------- compiled plans
     def _plan_for(self, size: int) -> DisseminationPlan:
         """The current compiled plan for ``size``-byte floods.
 
-        Stale cached plans (state epoch or topology version moved) are
-        discarded wholesale; compilation is O(nodes + edges) and happens
-        once per (fault-window epoch, wire size).
+        Stale cached plans (the state epoch moved) are discarded wholesale;
+        compilation is O(nodes + edges) and happens once per (fault-window
+        epoch, wire size).
         """
-        state_epoch = self._state_epoch
-        topology_version = self.hypergraph.topology_version
         plan = self._plans.get(size)
-        if (
-            plan is not None
-            and plan.state_epoch == state_epoch
-            and plan.topology_version == topology_version
-        ):
+        if plan is not None and plan.state_epoch == self._state_epoch:
             return plan
-        plan = self._compile_plan(size, state_epoch, topology_version)
+        denied = self._relay_denied
+        nodes = {
+            node: (node not in denied, self._meter(node), self._edge_records(node, size))
+            for node in self.hypergraph.nodes
+            if node not in self._partition
+        }
+        plan = DisseminationPlan(self._state_epoch, size, nodes)
         if size in self._plans or len(self._plans) < 1024:
             self._plans[size] = plan
         return plan
 
-    def _compile_plan(
-        self, size: int, state_epoch: int, topology_version: int
-    ) -> DisseminationPlan:
+    def _edge_records(self, node: int, size: int) -> tuple:
+        """``node``'s out-edges priced for ``size`` bytes, one
+        ``(cost, receivers, receiver meters)`` record each; partitioned
+        receivers are left out."""
         partition = self._partition
-        denied = self._relay_denied
-        nodes: Dict[int, tuple] = {}
-        for node in self.hypergraph.nodes:
-            if node in partition:
-                continue
-            edges = []
-            for edge in self.hypergraph.out_edges(node):
-                cost = self._kcast_cost(size, edge.degree)
-                receivers = tuple(
-                    r for r in edge.receivers_sorted if r not in partition
-                )
-                edges.append((cost, receivers))
-            nodes[node] = (node not in denied, self._meter(node), tuple(edges))
-        return DisseminationPlan(state_epoch, topology_version, size, nodes)
+        records = []
+        for edge in self.hypergraph.out_edges(node):
+            receivers = tuple(r for r in edge.receivers_sorted if r not in partition)
+            meters = tuple(self._meter(r) for r in receivers)
+            records.append((self._kcast_cost(size, edge.degree), receivers, meters))
+        return tuple(records)
 
     def _plan_relay(self, plan: DisseminationPlan, flood: Flood, node: int) -> None:
         """Transmit the flood's message on all of ``node``'s outgoing hyper-edges.
@@ -466,10 +454,7 @@ class SimulatedNetwork:
         originated; the hypergraph fault bound guarantees correct nodes
         still receive the flood via other paths.
         """
-        if (
-            plan.state_epoch != self._state_epoch
-            or plan.topology_version != self.hypergraph.topology_version
-        ):
+        if plan.state_epoch != self._state_epoch:
             plan = self._plan_for(plan.size)
         record = plan.nodes.get(node)
         if record is None:  # partitioned at plan-compile time
@@ -481,30 +466,45 @@ class SimulatedNetwork:
         relays, meter, edges = record
         if not relays and node != flood.origin:
             return
-        size = plan.size
+        self._transmit(flood, node, meter, edges, plan.size, plan)
+
+    def _transmit(
+        self,
+        flood: Flood,
+        sender: int,
+        meter,
+        edges: tuple,
+        size: int,
+        plan: Optional[DisseminationPlan],
+    ) -> None:
+        """k-cast the flood's message once per ``(cost, receivers, meters)`` record.
+
+        An unimpaired transmission is one event for all its receivers.  On
+        an impaired wire each receiver gets its own verdict and latency, so
+        its own event.  The impairment gate is a pure read: one evaluation
+        covers every transmission of the call.
+        """
         sim = self.sim
         stats = self.stats
-        # The impairment gate is a pure read: one evaluation covers every
-        # reception this relay schedules.
         imp = self.impairment
         impaired = imp is not None and imp.engaged(sim.now)
-        labelled = sim.trace_enabled
-        schedule = sim.schedule
-        arrive = self._arrive
-        for cost, receivers in edges:
+        for cost, receivers, meters in edges:
             meter.charge(_TRANSMIT, cost.sender_energy_j)
-            stats.record_transmission(node, size)
+            stats.record_transmission(sender, size)
             latency = self._hop_latency()
-            for receiver in receivers:
-                if impaired:
+            if impaired:
+                for receiver in receivers:
                     self._impaired_reception(
-                        flood, node, receiver, flood.message, cost, latency, size, plan, imp
+                        flood, sender, receiver, flood.message, cost, latency, size, plan, imp
                     )
-                    continue
-                # _schedule_arrival's flood branch, inline: the per-reception hot path.
+            elif receivers:
                 flood.in_flight += 1
-                label = f"net:flood{flood.flood_id}->{receiver}" if labelled else "net:flood"
-                schedule(latency, arrive, 0, label, (flood, receiver, cost, plan))
+                if sim.trace_enabled:
+                    label = f"net:flood{flood.flood_id}->{','.join(map(str, receivers))}"
+                else:
+                    label = "net:flood"
+                args = (flood, receivers, meters, cost, plan)
+                sim.schedule(latency, self._arrive_edge, label, args)
 
     def _release(self, flood: Optional[Flood]) -> None:
         """Drop one in-flight reference on ``flood``; it is retired at zero.
@@ -538,41 +538,17 @@ class SimulatedNetwork:
                 self._kcast_costs[(size, k)] = cost
         return cost
 
-    def _transmit_edge(self, flood: Flood, edge: HyperEdge, size: int) -> None:
-        """One-hop k-cast: the receptions carry no plan, so nobody forwards."""
-        sender = edge.sender
-        cost = self._kcast_cost(size, edge.degree)
-        self._meter(sender).charge(_TRANSMIT, cost.sender_energy_j)
-        self.stats.record_transmission(sender, size)
-        latency = self._hop_latency()
-        for receiver in edge.receivers_sorted:
-            if receiver not in self._partition:
-                self._schedule_reception(
-                    flood, sender, receiver, flood.message, cost, latency, size, None
-                )
+    def _unicast_cost(self, size: int):
+        cost = self._unicast_costs.get(size)
+        if cost is None:
+            cost = self.unicast_radio.transmission_cost(size)
+            if len(self._unicast_costs) < 4096:
+                self._unicast_costs[size] = cost
+        return cost
 
     # ------------------------------------------------------------ receptions
     # One delivery pipeline serves floods and unicasts: ``flood is None``
     # marks a unicast, whose message travels in the event's arguments.
-    def _schedule_reception(
-        self,
-        flood: Optional[Flood],
-        hop_sender: int,
-        receiver: int,
-        message: Any,
-        cost,
-        latency: float,
-        size: int,
-        plan: Optional[DisseminationPlan],
-    ) -> None:
-        imp = self.impairment
-        if imp is not None and imp.engaged(self.sim.now):
-            self._impaired_reception(
-                flood, hop_sender, receiver, message, cost, latency, size, plan, imp
-            )
-        else:
-            self._schedule_arrival(flood, hop_sender, receiver, message, cost, latency, plan)
-
     def _schedule_arrival(
         self,
         flood: Optional[Flood],
@@ -583,30 +559,40 @@ class SimulatedNetwork:
         latency: float,
         plan: Optional[DisseminationPlan],
     ) -> None:
+        """Schedule one receiver's copy: a unicast, or a flood edge of one receiver."""
         labelled = self.sim.trace_enabled
         if flood is None:
             label = f"net:uni {hop_sender}->{receiver}" if labelled else "net:uni"
-            self.sim.schedule(
-                latency, self._arrive_unicast, 0, label, (hop_sender, receiver, message, cost)
-            )
+            args = (hop_sender, receiver, message, cost)
+            self.sim.schedule(latency, self._arrive_unicast, label, args)
             return
         flood.in_flight += 1
         label = f"net:flood{flood.flood_id}->{receiver}" if labelled else "net:flood"
-        self.sim.schedule(latency, self._arrive, 0, label, (flood, receiver, cost, plan))
+        args = (flood, (receiver,), (self._meter(receiver),), cost, plan)
+        self.sim.schedule(latency, self._arrive_edge, label, args)
 
-    def _arrive(
-        self, flood: Flood, receiver: int, cost, plan: Optional[DisseminationPlan]
+    def _arrive_edge(
+        self,
+        flood: Flood,
+        receivers: tuple,
+        meters: tuple,
+        cost,
+        plan: Optional[DisseminationPlan],
     ) -> None:
-        """A flood reception fires: charge the radio, deliver once, relay on.
+        """A transmission is heard: per receiver, in sorted order, charge
+        the radio, deliver once, relay on.
 
         Duplicates are charged too: the radio does not know the payload is
         old until it has received it.
         """
-        self._meter(receiver).charge(_RECEIVE, cost.per_receiver_energy_j)
-        if receiver not in flood.delivered:
-            self._deliver(flood, receiver)
-            if plan is not None:  # one-hop multicasts carry no plan
-                self._plan_relay(plan, flood, receiver)
+        energy = cost.per_receiver_energy_j
+        delivered = flood.delivered
+        for receiver, meter in zip(receivers, meters):
+            meter.charge(_RECEIVE, energy)
+            if receiver not in delivered:
+                self._deliver(flood, receiver)
+                if plan is not None:  # one-hop multicasts carry no plan
+                    self._plan_relay(plan, flood, receiver)
         # _release, inline.
         flood.in_flight -= 1
         if not flood.in_flight:
@@ -766,13 +752,6 @@ class SimulatedNetwork:
                 receiver, "gave_up", f"{_chain_name(flood)} from {hop_sender}", self.sim.now
             )
 
-    def _ack_cost(self):
-        cost = self._ack_cost_memo
-        if cost is None:
-            cost = self.unicast_radio.transmission_cost(ACK_WIRE_BYTES)
-            self._ack_cost_memo = cost
-        return cost
-
     def _charge_ack(self, hop_sender: int, receiver: int) -> None:
         """Charge the per-message ACK of a recovered reliable delivery.
 
@@ -781,7 +760,7 @@ class SimulatedNetwork:
         sublayer is lazy: it only engages explicit acknowledgements once
         a loss is suspected), so the baseline energy model is unchanged.
         """
-        cost = self._ack_cost()
+        cost = self._unicast_cost(ACK_WIRE_BYTES)
         self._meter(receiver).charge(_TRANSMIT, cost.sender_energy_j)
         self._meter(hop_sender).charge(_RECEIVE, cost.receiver_energy_j)
         self.stats.record_transmission(receiver, ACK_WIRE_BYTES)
@@ -801,11 +780,16 @@ class SimulatedNetwork:
         if src in self._partition or dst in self._partition:
             return
         size = default_wire_size(message)
-        cost = self.unicast_radio.transmission_cost(size)
+        cost = self._unicast_cost(size)
         self._meter(src).charge(_TRANSMIT, cost.sender_energy_j)
         self.stats.unicasts += 1
         self.stats.record_transmission(src, size)
-        self._schedule_reception(None, src, dst, message, cost, self._hop_latency(), size, None)
+        latency = self._hop_latency()
+        imp = self.impairment
+        if imp is not None and imp.engaged(self.sim.now):
+            self._impaired_reception(None, src, dst, message, cost, latency, size, None, imp)
+        else:
+            self._schedule_arrival(None, src, dst, message, cost, latency, None)
 
     # ------------------------------------------------------------- helpers
     def _require_registered(self, pid: int) -> None:

@@ -1,13 +1,13 @@
 """Event primitives for the discrete-event simulator.
 
-Events are ordered by (time, priority, sequence number).  The sequence
-number guarantees a deterministic total order even when two events are
-scheduled for the same instant, which matters because the protocols under
-test are sensitive to message interleavings and the experiments must be
-reproducible run-to-run.
+Events are ordered by (time, sequence number).  The sequence number
+guarantees a deterministic total order even when two events are scheduled
+for the same instant — they fire in the order they were scheduled — which
+matters because the protocols under test are sensitive to message
+interleavings and the experiments must be reproducible run-to-run.
 
-Hot-path design: the heap holds plain ``(time, priority, seq, event)``
-tuples, so every sift compares native tuples instead of invoking dataclass
+Hot-path design: the heap holds plain ``(time, seq, event)`` tuples, so
+every sift compares native tuples instead of invoking dataclass
 rich-comparison methods, and :class:`Event` is a ``__slots__`` handle that
 carries no per-instance ``__dict__``.  Labels may be either strings or
 zero-argument callables; callables are only invoked when a trace consumer
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 #: A trace label: either the string itself or a thunk producing it lazily.
 Label = Union[str, Callable[[], str]]
@@ -36,7 +36,6 @@ class Event:
 
     Attributes:
         time: Virtual time at which the event fires.
-        priority: Lower values fire earlier among events at the same time.
         seq: Monotonically increasing tie-breaker assigned by the queue.
         callback: Callable invoked as ``callback(*args)`` when the event fires.
         label: Optional label used in traces (string or lazy thunk).
@@ -47,13 +46,12 @@ class Event:
     """
 
     __slots__ = (
-        "time", "priority", "seq", "callback", "label", "args", "cancelled", "_queue", "_in_heap"
+        "time", "seq", "callback", "label", "args", "cancelled", "_queue", "_in_heap"
     )
 
     def __init__(
         self,
         time: float,
-        priority: int,
         seq: int,
         callback: Callable[..., None],
         label: Label = "",
@@ -61,14 +59,13 @@ class Event:
         queue: Optional["BucketedEventQueue"] = None,
     ) -> None:
         self.time = time
-        self.priority = priority
         self.seq = seq
         self.callback = callback
         self.label = label
         self.args = args
         self.cancelled = False
         #: The queue holding this event (``None`` for a free-standing one);
-        #: ``_in_heap`` is true from the push until the pop or removal.
+        #: ``_in_heap`` is true from the push until the pop.
         self._queue = queue
         self._in_heap = queue is not None
 
@@ -89,18 +86,13 @@ class Event:
         """Whether the event will still fire."""
         return not self.cancelled
 
-    def resolved_label(self) -> str:
-        """The trace label text (invokes lazy label thunks)."""
-        label = self.label
-        return label() if callable(label) else label
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "cancelled" if self.cancelled else "active"
-        return f"<Event t={self.time} prio={self.priority} seq={self.seq} {state}>"
+        return f"<Event t={self.time} seq={self.seq} {state}>"
 
 
 #: Heap entry: comparison never reaches the Event because seq is unique.
-HeapEntry = Tuple[float, int, int, Event]
+HeapEntry = Tuple[float, int, Event]
 
 
 class BucketedEventQueue:
@@ -121,7 +113,7 @@ class BucketedEventQueue:
     * events beyond ``horizon`` buckets ahead go to the **overflow heap**
       and migrate into buckets lazily when the dial advances.
 
-    Ordering contract: pops come out in ``(time, priority, seq)`` order.
+    Ordering contract: pops come out in ``(time, seq)`` order.
     Buckets partition the timeline into disjoint half-open intervals,
     entries within a bucket are heap-ordered by those tuples, and the
     overflow heap is only ever drained bucket-aligned — so the pop sequence
@@ -163,7 +155,6 @@ class BucketedEventQueue:
         self,
         time: float,
         callback: Callable[..., None],
-        priority: int = 0,
         label: Label = "",
         args: tuple = (),
     ) -> Event:
@@ -171,8 +162,8 @@ class BucketedEventQueue:
         if time < 0:
             raise ValueError(f"cannot schedule event at negative time {time}")
         seq = next(self._counter)
-        event = Event(time, priority, seq, callback, label, args, self)
-        entry = (time, priority, seq, event)
+        event = Event(time, seq, callback, label, args, self)
+        entry = (time, seq, event)
         bucket_id = int(time / self._width)
         if bucket_id <= self._cur:
             heapq.heappush(self._near, entry)
@@ -227,7 +218,7 @@ class BucketedEventQueue:
         near = self._near
         while True:
             while near:
-                event = heapq.heappop(near)[3]
+                event = heapq.heappop(near)[2]
                 event._in_heap = False
                 if event.cancelled:
                     continue
@@ -243,8 +234,8 @@ class BucketedEventQueue:
             near = self._near
             while near:
                 entry = near[0]
-                if entry[3].cancelled:
-                    heapq.heappop(near)[3]._in_heap = False
+                if entry[2].cancelled:
+                    heapq.heappop(near)[2]._in_heap = False
                     continue
                 return entry[0]
             if not self._advance():
@@ -253,60 +244,3 @@ class BucketedEventQueue:
     def cancel(self, event: Event) -> None:
         """Cancel an event previously returned by :meth:`push`."""
         event.cancel()
-
-    def _all_entries(self) -> Iterable[HeapEntry]:
-        yield from self._near
-        for bucket in self._buckets.values():
-            yield from bucket
-        yield from self._far
-
-    def remove_where(self, predicate: Callable[[Event], bool]) -> int:
-        """Drop every pending event matching ``predicate``; returns the count.
-
-        Survivors keep their original ``(time, priority, seq)`` keys, so a
-        selective drain cannot reorder them.
-        """
-        removed = 0
-        kept: List[HeapEntry] = []
-        for entry in self._all_entries():
-            event = entry[3]
-            if event.cancelled:
-                event._in_heap = False
-                continue
-            if predicate(event):
-                event.cancelled = True
-                event._in_heap = False
-                removed += 1
-            else:
-                kept.append(entry)
-        # Rebuild from scratch: survivor counts after a drain are small and
-        # the rebuild keeps every structural invariant trivially true.
-        self._near = []
-        self._buckets = {}
-        self._bucket_ids = []
-        self._far = []
-        for entry in kept:
-            bucket_id = int(entry[0] / self._width)
-            if bucket_id <= self._cur:
-                heapq.heappush(self._near, entry)
-            elif bucket_id < self._far_bound:
-                bucket = self._buckets.get(bucket_id)
-                if bucket is None:
-                    self._buckets[bucket_id] = [entry]
-                    heapq.heappush(self._bucket_ids, bucket_id)
-                else:
-                    bucket.append(entry)
-            else:
-                heapq.heappush(self._far, entry)
-        self._live = len(kept)
-        return removed
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        for entry in self._all_entries():
-            entry[3]._in_heap = False
-        self._near = []
-        self._buckets = {}
-        self._bucket_ids = []
-        self._far = []
-        self._live = 0

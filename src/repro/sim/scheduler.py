@@ -10,7 +10,7 @@ deterministic for a given seed and topology.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.sim.events import BucketedEventQueue, Event
 
@@ -66,7 +66,6 @@ class Simulator:
         self,
         time: float,
         callback: Callable[..., None],
-        priority: int = 0,
         label: str = "",
         args: tuple = (),
     ) -> Event:
@@ -75,13 +74,12 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < now={self._now}"
             )
-        return self._queue.push(time, callback, priority, label, args)
+        return self._queue.push(time, callback, label, args)
 
     def schedule(
         self,
         delay: float,
         callback: Callable[..., None],
-        priority: int = 0,
         label: str = "",
         args: tuple = (),
     ) -> Event:
@@ -94,7 +92,7 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         # Push directly rather than via schedule_at: this is the hottest
         # call in the simulator and delay >= 0 already implies time >= now.
-        return self._queue.push(self._now + delay, callback, priority, label, args)
+        return self._queue.push(self._now + delay, callback, label, args)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event."""
@@ -218,18 +216,3 @@ class Simulator:
     def run_until_idle(self, max_events: int = 1_000_000) -> None:
         """Run until no events remain (bounded by ``max_events``)."""
         self.run(until=None, max_events=max_events)
-
-    def drain(self, labels: Optional[Iterable[str]] = None) -> int:
-        """Cancel all pending events (optionally only those whose label matches).
-
-        Survivors of a selective drain keep their original ``(time,
-        priority, seq)`` ordering keys, so same-time/same-priority events
-        still replay in first-scheduled order — a drain must never be a
-        source of nondeterminism.  Returns the number of cancelled events.
-        """
-        if labels is None:
-            removed = len(self._queue)
-            self._queue.clear()
-            return removed
-        wanted = set(labels)
-        return self._queue.remove_where(lambda event: event.resolved_label() in wanted)

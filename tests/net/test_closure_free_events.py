@@ -16,8 +16,18 @@ from repro.net.impairment import ImpairmentSpec
 from repro.session.builder import SessionBuilder
 
 
-def pending_events(sim):
-    return [entry[3] for entry in sim._queue._all_entries() if not entry[3].cancelled]
+def record_scheduled(sim):
+    """Every event scheduled on ``sim`` from now on, through its public entry points."""
+    events = []
+    for name in ("schedule", "schedule_at"):
+
+        def recording(*args, _schedule=getattr(sim, name), **kwargs):
+            event = _schedule(*args, **kwargs)
+            events.append(event)
+            return event
+
+        setattr(sim, name, recording)
+    return events
 
 
 @pytest.mark.parametrize(
@@ -33,10 +43,11 @@ def test_pending_net_and_timer_events_are_closure_free(impairment, expected_kind
         protocol="eesmr", n=7, f=2, k=2, target_height=6, seed=5, impairment=impairment
     )
     session = SessionBuilder(spec).build()
+    scheduled = record_scheduled(session.sim)
     session.run_until(2.2)  # mid-flood: receptions, chains and commit timers pending
     seen = set()
-    for event in pending_events(session.sim):
-        label = event.resolved_label()
+    for event in scheduled:
+        label = event.label() if callable(event.label) else event.label
         if not label.startswith(("net:", "timer:")):
             continue
         seen.update(kind for kind in expected_kinds if label.startswith(kind))

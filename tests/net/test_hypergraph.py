@@ -120,14 +120,6 @@ def test_independent_edges_accepts_ring():
     assert ring_kcast_topology(7, 3).has_independent_edges()
 
 
-def test_add_edge_validates():
-    graph = ring_kcast_topology(4, 1)
-    with pytest.raises(ValueError):
-        graph.add_edge(HyperEdge.make(0, [9]))
-    graph.add_edge(HyperEdge.make(0, [2]))
-    assert graph.d_out(0) == 2
-
-
 def test_diameter_requires_strong_connectivity():
     nodes = [0, 1, 2]
     edges = [HyperEdge.make(0, [1]), HyperEdge.make(1, [2])]

@@ -1,7 +1,7 @@
 """BucketedEventQueue: total order, cancellation, tier migration.
 
 The bucketed queue is the simulator's only queue; its contract is "pops
-come out in ``(time, priority, seq)`` order, seq being push order".  The
+come out in ``(time, seq)`` order, seq being push order".  The
 oracle here is that contract itself — ``sorted()`` over the pushed keys —
 and, byte-for-byte at the trace level, the golden fingerprints in
 ``tests/testkit/test_golden_fingerprints.py``, which were captured on a
@@ -21,23 +21,20 @@ def drain_order(queue):
         event = queue.pop()
         if event is None:
             return order
-        order.append((event.time, event.priority, event.seq))
+        order.append((event.time, event.seq))
 
 
 def test_orders_identically_to_the_binary_heap():
     rng = random.Random(7)
-    jobs = [
-        (round(rng.uniform(0.0, 50.0), 2), rng.choice((-1, 0, 0, 0, 2)))
-        for _ in range(500)
-    ]
+    times = [round(rng.uniform(0.0, 50.0), 2) for _ in range(500)]
     # Deliberate exact ties: the seq tie-break must decide.
-    jobs += [(5.0, 0)] * 20
+    times += [5.0] * 20
     queue = BucketedEventQueue()
     pushed = []
-    for time, priority in jobs:
-        event = queue.push(time, lambda: None, priority=priority)
-        pushed.append((time, priority, event.seq))
-    assert [seq for _, _, seq in pushed] == list(range(len(jobs)))
+    for time in times:
+        event = queue.push(time, lambda: None)
+        pushed.append((time, event.seq))
+    assert [seq for _, seq in pushed] == list(range(len(times)))
     assert drain_order(queue) == sorted(pushed)
 
 
@@ -58,12 +55,12 @@ def test_interleaved_push_pop_matches_heap():
                 push(t + rng.choice((0.0, 0.1, 0.9, 3.7, 40.0)))
 
         event = queue.push(t, cb)
-        pushed.append((event.time, event.priority, event.seq))
+        pushed.append((event.time, event.seq))
 
     for i in range(10):
         push(float(i % 4))
     for event in iter(queue.pop, None):
-        popped.append((event.time, event.priority, event.seq))
+        popped.append((event.time, event.seq))
         event.callback()
     assert len(popped) > 400
     assert popped == sorted(pushed)
@@ -96,19 +93,6 @@ def test_cancel_semantics_match_eventqueue():
     assert queue.pop() is None
 
 
-def test_remove_where_preserves_survivor_order():
-    queue = BucketedEventQueue()
-    labels = ["a", "b", "a", "c", "b", "a"]
-    for i, label in enumerate(labels):
-        queue.push(float(i % 2), lambda: None, label=label)
-    queue.push(9_999.0, lambda: None, label="a")  # overflow-tier entry
-    removed = queue.remove_where(lambda event: event.resolved_label() == "a")
-    assert removed == 4
-    assert len(queue) == 3
-    drained = [(event.time, event.resolved_label()) for event in iter(queue.pop, None)]
-    assert drained == [(0.0, "b"), (1.0, "b"), (1.0, "c")]
-
-
 def test_peek_time_skips_cancelled_and_advances_tiers():
     queue = BucketedEventQueue()
     first = queue.push(3.0, lambda: None)
@@ -118,17 +102,6 @@ def test_peek_time_skips_cancelled_and_advances_tiers():
     assert queue.peek_time() == 7_000.0
     assert queue.pop().time == 7_000.0
     assert queue.peek_time() is None
-
-
-def test_clear_resets_every_tier():
-    queue = BucketedEventQueue()
-    handles = [queue.push(t, lambda: None) for t in (0.1, 5.0, 9_999.0)]
-    queue.clear()
-    assert len(queue) == 0
-    assert queue.pop() is None
-    for handle in handles:
-        handle.cancel()  # must not corrupt the emptied queue
-    assert len(queue) == 0
 
 
 def test_negative_time_rejected():

@@ -180,18 +180,6 @@ def test_run_with_until_delegates_to_fast_path():
         assert sim.now == 5.0
 
 
-# -------------------------------------- drain bookkeeping and executed count
-def test_executed_events_excludes_drained_events():
-    sim = Simulator(trace=True)
-    sim.schedule(1.0, lambda: None, label="keep")
-    sim.schedule(2.0, lambda: None, label="drop")
-    sim.schedule(3.0, lambda: None, label="keep")
-    assert sim.drain(labels=["drop"]) == 1
-    sim.run_until_idle()
-    assert sim.executed_events == 2
-    assert [label for _, label in sim.trace_log] == ["keep", "keep"]
-
-
 # ------------------------------------------------ events carry their arguments
 def test_schedule_passes_args_to_the_callback():
     sim = Simulator()
@@ -216,20 +204,3 @@ def test_every_loop_passes_args(drive):
     else:
         assert sim.step() is True
     assert calls == ["payload"]
-
-
-def test_args_survive_a_selective_drain_with_original_keys():
-    sim = Simulator()
-    order = []
-    kept = [
-        sim.schedule(1.0, order.append, label="keep", args=("a",)),
-        sim.schedule(1.0, order.append, priority=-1, label="keep", args=("first",)),
-    ]
-    sim.schedule(1.0, order.append, label="kill", args=("victim",))
-    kept.append(sim.schedule(1.0, order.append, label="keep", args=("b",)))
-    keys = [(event.time, event.priority, event.seq) for event in kept]
-    assert sim.drain(labels=["kill"]) == 1
-    assert [(event.time, event.priority, event.seq) for event in kept] == keys
-    assert [event.args for event in kept] == [("a",), ("first",), ("b",)]
-    sim.run_until_idle()
-    assert order == ["first", "a", "b"]

@@ -33,7 +33,7 @@ on the open-loop cases their blocks carry fewer bytes, so energy and
 network counters fell; the trusted-baseline cases follow the control
 node's new pacing.
 
-An event-plane change that keeps every ``(time, priority, seq, label)``
+An event-plane change that keeps every ``(time, seq, label)``
 keeps these byte-for-byte; update them only for an intentional protocol
 or model change, and say why in the PR.
 """
@@ -150,14 +150,17 @@ def test_giveup_and_implicit_ack_trace_matches_parent(protocol):
     assert fingerprint(open_loop_spec(protocol, GIVEUP, 12)) == PINS[f"giveup/{protocol}"]
 
 
-@pytest.mark.parametrize("protocol", REPLICATED)
-@pytest.mark.parametrize("behaviour", LEADER_FAULTS)
-def test_faulty_leader_trace_matches_parent(behaviour, protocol):
-    spec = DeploymentSpec(
+def faulty_leader_spec(behaviour: str, protocol: str) -> DeploymentSpec:
+    return DeploymentSpec(
         protocol=protocol, n=7, f=2, k=2, target_height=8, seed=17,
         fault_plan=FaultPlan(faulty=(0,), behaviour=behaviour),
     )
-    assert fingerprint(spec) == PINS[f"{behaviour}/{protocol}"]
+
+
+@pytest.mark.parametrize("protocol", REPLICATED)
+@pytest.mark.parametrize("behaviour", LEADER_FAULTS)
+def test_faulty_leader_trace_matches_parent(behaviour, protocol):
+    assert fingerprint(faulty_leader_spec(behaviour, protocol)) == PINS[f"{behaviour}/{protocol}"]
 
 
 def stacked_spec(protocol: str, impairment: ImpairmentSpec | None = None) -> DeploymentSpec:

@@ -36,20 +36,21 @@ GOLDEN = {
 GOLDEN_WIFI_N9 = "43c14c5c7956a2fc1a92034295a69ef03bfcadbe816aa2b6af2d1f50f1a3047a"
 
 
-def run_fingerprint(**kwargs) -> str:
-    spec = DeploymentSpec(n=5, f=1, k=2, target_height=3, **kwargs)
-    result = run_protocol(spec, recorder=TraceRecorder())
-    return result.trace.fingerprint()
+def golden_spec(protocol: str) -> DeploymentSpec:
+    return DeploymentSpec(protocol=protocol, n=5, f=1, k=2, target_height=3, seed=17)
+
+
+WIFI_N9 = DeploymentSpec(protocol="eesmr", n=9, f=2, k=2, target_height=4, seed=99, medium="wifi")
+
+
+def run_fingerprint(spec: DeploymentSpec) -> str:
+    return run_protocol(spec, recorder=TraceRecorder()).trace.fingerprint()
 
 
 @pytest.mark.parametrize("protocol", sorted(GOLDEN))
 def test_traces_byte_identical_to_pre_optimization_runs(protocol):
-    assert run_fingerprint(protocol=protocol, seed=17) == GOLDEN[protocol]
+    assert run_fingerprint(golden_spec(protocol)) == GOLDEN[protocol]
 
 
 def test_larger_wifi_run_matches_golden_fingerprint():
-    spec = DeploymentSpec(
-        protocol="eesmr", n=9, f=2, k=2, target_height=4, seed=99, medium="wifi"
-    )
-    result = run_protocol(spec, recorder=TraceRecorder())
-    assert result.trace.fingerprint() == GOLDEN_WIFI_N9
+    assert run_fingerprint(WIFI_N9) == GOLDEN_WIFI_N9

@@ -9,6 +9,12 @@ metric, each side's median and quartiles, the pairs the change won, and
 whether the three modelled metrics were bit-identical in every pair; where
 one was not, each pair's parent -> change value and whether it moved in
 the metric's better direction, so a modelled gain gets its rows here too.
+Last, one ``--trace 1`` run per side at the first pair's seed gives the
+exact per-layer counts (``sim.events``, ``net.tx``, ...) that differ.
+
+Before the first pair it compiles both trees' bytecode: with
+``PYTHONDONTWRITEBYTECODE`` set, a fresh clone would otherwise compile its
+sources in every ``setup_s`` child and read slower than identical code.
 
 It measures; it does not gate.  The exit status is non-zero only when a
 bench run itself failed (an operation failed, or the calibration kernel
@@ -18,6 +24,7 @@ refused the host).
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import statistics
@@ -27,16 +34,18 @@ from pathlib import Path
 
 MEASURED = ("host_cost", "setup_s", "peak_rss_mb")
 MODELLED = ("energy_per_block_mj", "virtual_s_per_block", "goodput_cmd_per_vs")
+#: Per-layer rows that are timings, not counts (``bench.metrics.is_exact``).
+TIMED = ("bench.rounds", "bench.round_wall_s", "bench.cal_kernel_s", "bench.trace_overhead")
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One bench run inside ``tree``; returns its result object (last stdout line)."""
     # bench/ imports whatever ``repro`` is importable, so an inherited
     # PYTHONPATH would make both sides measure the same source tree.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     command = [
         sys.executable, "-m", "bench", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
@@ -89,6 +98,9 @@ def main() -> int:
     args = parser.parse_args()
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        for package in ("src", "bench"):
+            compileall.compile_dir(tree / package, quiet=1)
     runs = []
     for pair in range(args.pairs):
         seed = args.seed + pair
@@ -133,6 +145,21 @@ def main() -> int:
         print(f"      {spread(runs, name, better[name])}")
     failed = {side: sum(row[side]["failed"] for row in runs) for side in trees}
     print(f"  failed operations: parent {failed['parent']}, change {failed['change']}")
+
+    counts = {
+        side: run_bench(tree, args.workload, args.seed, 0, trace=1) for side, tree in trees.items()
+    }
+    exact = [
+        name for name in counts["change"]
+        if name not in ("failed", "attempted", *TIMED) and not name.endswith("_share")
+    ]
+    moved = [name for name in exact if counts["parent"][name] != counts["change"][name]]
+    print(f"\nexact per-layer counts, --trace 1 at seed {args.seed}: "
+          f"{len(exact) - len(moved)} of {len(exact)} identical")
+    for name in moved:
+        parent, change = counts["parent"][name], counts["change"][name]
+        print(f"  {name:28s} {parent!r} -> {change!r}"
+              f"{f'  ({(change / parent - 1) * 100:+.1f} %)' if parent else ''}")
     if args.out is not None:
         args.out.write_text(json.dumps({"workload": args.workload, "runs": runs}, indent=1))
     return 0
