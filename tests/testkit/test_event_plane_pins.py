@@ -33,6 +33,14 @@ on the open-loop cases their blocks carry fewer bytes, so energy and
 network counters fell; the trusted-baseline cases follow the control
 node's new pacing.
 
+The 12 faulty-leader and clean-wire ``stacked`` pins of the replicated
+protocols were re-pinned once more, with the golden fingerprints and for
+the reason given there: a k-cast's receivers now share one event.
+``tests/testkit/test_per_receiver_expansion.py`` asserts that each of these
+traces, split back per receiver, hashes to its previous value.  The other
+13 kept theirs: on an impaired wire every receiver keeps its own event, and
+the trusted baseline sends no k-casts.
+
 An event-plane change that keeps every ``(time, seq, label)``
 keeps these byte-for-byte; update them only for an intentional protocol
 or model change, and say why in the PR.
@@ -73,18 +81,18 @@ PINS = {
     "giveup/sync-hotstuff": "3d5870f79995d2ba07612224f904e77f7984b3f8364dcace6afd0ce0c7c39ccc",
     "giveup/optsync": "90399e815f8cabc8cef9415c56fec5c630b9d37a7f288170d03c7e52f66296d6",
     "giveup/trusted-baseline": "d5e9a2454b16f22b9c56bdb4541177e270ef27a84d4e507727285e8cee7b3a89",
-    "silent_leader/eesmr": "8280f1e7baaf6d098ad60ca29f75811741429c0c98fd9a892ac9f83e502f8c75",
-    "equivocate/eesmr": "036c083ba39d922580db3e21cd2da480d6e0bc684414c395dd22371842ca834b",
-    "crash/eesmr": "31150c38cfb8bbd32672b2ae090e33a726f1e8cad2730658be12ea8966011478",
-    "silent_leader/sync-hotstuff": "c95f707ac51c8211fa5a5b7d0364625297609d29f54cb80120e714558b5b1ff4",
-    "equivocate/sync-hotstuff": "e1c0cf085da26e332154441fb15c975a3656e5d154033ed71caffd019cb22801",
-    "crash/sync-hotstuff": "ef8cbfa287ced4b81cd33a31f8461d405bfaccf44ca825064ea22d2c00612ffe",
-    "silent_leader/optsync": "3b73347bb04cdf25fb6c87cc31cd37428ebb3a4bda9d6f5fa5cdcb706d2a4e82",
-    "equivocate/optsync": "b2b21815885faab6fe6732fbd12fa4b2c646cc42642220f819835d8a789d3cb9",
-    "crash/optsync": "8b79952427f2e93418f15e32492a1beadfa08df8ee7fde4c28d36430a17caf11",
-    "stacked/eesmr": "5ade78a67b4a8814c1825aea5219a1d207a09d6278a45f49713cefab268c335e",
-    "stacked/sync-hotstuff": "ed84237ed1e4db104abeabea2a0a3ab448204d99511ad2af6202556966011e4c",
-    "stacked/optsync": "3dd56c4811b4214d4bfaa4b7b3690c9b83d4e33f003d50159c52f7785503934e",
+    "silent_leader/eesmr": "79dc4b3576af9b0e23593b1c2777a7ac8c520d19cd6a3c14a2fe624b13093e0b",
+    "equivocate/eesmr": "302a265f6956a1e2ce5d79a2915e62103814305a93406afe785c0a0e7a7e142f",
+    "crash/eesmr": "03d55135c4ce77eff38e57e2987d66f8f5fc2a16d6bb540b250658f34661337d",
+    "silent_leader/sync-hotstuff": "1d781516350734cd93d57ebb6bab183513ea342ea32d16400f51b2afee19432b",
+    "equivocate/sync-hotstuff": "ccb933926eb85b08ef598fa1b85fa87256d25478f2a44d303ff5aa36a3ac5dbc",
+    "crash/sync-hotstuff": "b79663c18cc6e61a2195e7d7a4e265fe3529f13611643ad74d4b9a18a53072bf",
+    "silent_leader/optsync": "d9e70b9c846838ec8dbe82f4d05fd0041a426f00b74c50b769798758d4ea50ec",
+    "equivocate/optsync": "f6603c82c8af07dbda5f8f02174af57e34f6bce479490050665e1e6078191d14",
+    "crash/optsync": "92b65f4c5f5e26b7b72a91ca3b798aea4d1935f34de7d2dd2fd68e3613fa26fc",
+    "stacked/eesmr": "c0d755d15793e75a1d24162f0668b5f8f764683378a95e9970ab40e2bef2f8fc",
+    "stacked/sync-hotstuff": "b62de9e881c670772fdbfbd49d34caf436f76cb1fa95c1002fe446a19a0c0c73",
+    "stacked/optsync": "734d87ad304736f7f340d9bbf45f1077f7804bd4568717e13f73b68588473003",
     "stacked/trusted-baseline": "6b448eecdd64781ed9fda05728d3f207df759403a02561044b5d7e56049c35df",
     "stacked-lossy/eesmr": "4bcc435512a85155af9f7730466fa420f6c6acf3c6ed23518c3819a0d6366300",
     "stacked-lossy/sync-hotstuff": "7092f4a8e15889426e8d70570176c21808d0433397efe83e3ba414d8c106fd2d",

@@ -18,6 +18,14 @@ of first appearance, the event schedules, energy, network counters and
 replica statistics of the three replicated protocols were byte-identical
 before and after; the trusted baseline's schedule moved with its control
 node's upload-paced ordering.
+
+Re-pinned a second time when the receivers of one k-cast transmission
+began sharing one simulator event (``net:flood7->2,3`` where there were
+``net:flood7->2`` and ``net:flood7->3`` at the same time and consecutive
+sequence numbers).  Only the event list and ``executed_events`` changed:
+split back per receiver, each trace hashes to its previous value, which
+``tests/testkit/test_per_receiver_expansion.py`` asserts.  The trusted
+baseline sends no k-casts and kept its fingerprint.
 """
 
 import pytest
@@ -27,13 +35,13 @@ from repro.testkit.trace import TraceRecorder
 
 #: (spec kwargs) -> fingerprint captured before the hot-path overhaul.
 GOLDEN = {
-    "eesmr": "72d19228588db71b0ad1945c483277a9483ddaef052ac7f05e5531f7fff7e95a",
-    "sync-hotstuff": "de3063f61010a05b8a6c4f5b3937a4bc78f6aba98c3536b117f714f21f6fc0a3",
-    "optsync": "6be1584db7805fd72c2cf74f5d35f0dc5a6fd10ec8f8242ae3416e8663c4d72f",
+    "eesmr": "3e3a94439d915f34bbff4efb96884d9ac0ec40144af65ba2b6efa13f19a08c27",
+    "sync-hotstuff": "4218851e95317a9bcd7b4b19a7dae1a366192ba193f2d9091cb167b77ecfa915",
+    "optsync": "fb2ec8c760c3eb390b41d3ba232dbeb83c805f096a69afa6e3284a2a76991959",
     "trusted-baseline": "1649688ceca18c07a6a78a08e5ffa2dafb1345cd12c2e228ac4dc5cc17c02ea8",
 }
 
-GOLDEN_WIFI_N9 = "43c14c5c7956a2fc1a92034295a69ef03bfcadbe816aa2b6af2d1f50f1a3047a"
+GOLDEN_WIFI_N9 = "34ba7609c8e5b9fb0ba9aeef2630fb6b85f548950e80d69f0abdf5b7f529548d"
 
 
 def golden_spec(protocol: str) -> DeploymentSpec:
