@@ -47,6 +47,14 @@
 #   make analyze      detlint: the determinism & registry-coherence
 #                     static analyzer over src/repro (AST-only, < 10s;
 #                     PR-blocking in CI — see docs/analysis.md)
+#   make reach        the reachability audit (tools/reach.py): traces the
+#                     entry points (benchmarks/, examples/, python3 -m bench,
+#                     every repro subcommand over its registries) and the
+#                     tests, then lists the src/repro functions nothing
+#                     reaches, those only tests reach, and the package
+#                     __all__ names nothing outside the package reads; exits
+#                     1 on an entry tools/reach_allow.txt does not accept or
+#                     on an allowlist line that matches nothing (~1 min)
 #   make loc          src/ line count — `wc -l` over src/repro/**/*.py, per
 #                     package and in total — the number the standing gate
 #                     asks every PR to quote as its net src/ delta
@@ -58,7 +66,7 @@
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m pytest
 PYTHON := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test-fast test-matrix test-all test-corpus fuzz bench-gate ledger ledger-compare ledger-pairs lint analyze import-time loc
+.PHONY: test-fast test-matrix test-all test-corpus fuzz bench-gate ledger ledger-compare ledger-pairs lint analyze reach import-time loc
 
 test-fast:
 	$(PYTEST) -x -q
@@ -81,6 +89,9 @@ lint:
 
 analyze:
 	$(PYTHON) -m repro.analysis src/repro
+
+reach:
+	python tools/reach.py
 
 loc:
 	@for pkg in $$(find src/repro -mindepth 1 -maxdepth 1 -type d ! -name __pycache__ | sort); do \

@@ -26,64 +26,32 @@ Quickstart::
     print(result.committed_blocks, result.energy_per_block_mj)
 """
 
-from repro.core import (
-    Block,
-    Command,
-    EesmrReplica,
-    FaultPlan,
-    OptSyncReplica,
-    ProtocolConfig,
-    SafetyChecker,
-    SyncHotStuffReplica,
-    TrustedBaselineReplica,
-)
+from repro.core import FaultPlan, SyncHotStuffReplica
 from repro.energy import (
-    EnergyMeter,
     compare_protocols,
     eesmr_cost_model,
     energy_fault_bound,
     feasible_region,
     sync_hotstuff_cost_model,
     trusted_baseline_cost_model,
-    view_change_ratio_bound,
 )
 from repro.eval import DeploymentSpec, RunResult, run_protocol
-from repro.net import Hypergraph, HyperEdge, ring_kcast_topology
-from repro.radio import BleAdvertisementKCast, BleGattUnicast
-from repro.session import Session, SessionBuilder, SessionObserver
-from repro.sim import Simulator
+from repro.session import Session, SessionBuilder
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "Block",
-    "Command",
-    "EesmrReplica",
     "FaultPlan",
-    "OptSyncReplica",
-    "ProtocolConfig",
-    "SafetyChecker",
     "SyncHotStuffReplica",
-    "TrustedBaselineReplica",
-    "EnergyMeter",
     "compare_protocols",
     "eesmr_cost_model",
     "energy_fault_bound",
     "feasible_region",
     "sync_hotstuff_cost_model",
     "trusted_baseline_cost_model",
-    "view_change_ratio_bound",
     "DeploymentSpec",
     "RunResult",
     "run_protocol",
-    "Hypergraph",
-    "HyperEdge",
-    "ring_kcast_topology",
     "Session",
     "SessionBuilder",
-    "SessionObserver",
-    "BleAdvertisementKCast",
-    "BleGattUnicast",
-    "Simulator",
-    "__version__",
 ]

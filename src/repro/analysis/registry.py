@@ -75,9 +75,6 @@ class CheckerRegistry:
     def names(self) -> List[str]:
         return sorted(self._checkers)
 
-    def get(self, name: str) -> Type[Checker]:
-        return self._checkers[name]
-
     def describe(self) -> List[Dict[str, str]]:
         return [
             {

@@ -71,10 +71,6 @@ class FaultPlan:
             raise SpecError(f"expected a tuple of node ids, got {ids!r}", "faulty")
         object.__setattr__(self, "faulty", tuple(ids))  # JSON has lists
 
-    @property
-    def f_actual(self) -> int:
-        return len(self.faulty)
-
     def describe(self) -> dict:
         """Every field, JSON-friendly (round-trips through :func:`plan_from_dict`)."""
         return {**dataclasses.asdict(self), "faulty": list(self.faulty)}

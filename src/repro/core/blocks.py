@@ -96,12 +96,12 @@ class BlockStore:
     """A node's local store of every block it has seen.
 
     The store provides the ancestry queries the protocol needs: does block
-    ``b`` extend block ``a``, what is the chain from genesis to ``b``, and
-    do two blocks conflict (neither extends the other).  Chain
-    synchronization — requesting missing parents from the sender — is
-    modelled implicitly: since proposals are flooded to all nodes, every
-    correct node stores every proposed block, and the protocol timers
-    already include the paper's chain-synchronization allowance.
+    ``b`` extend block ``a``, and do two blocks conflict (neither extends
+    the other).  Chain synchronization — requesting missing parents from
+    the sender — is modelled implicitly: since proposals are flooded to
+    all nodes, every correct node stores every proposed block, and the
+    protocol timers already include the paper's chain-synchronization
+    allowance.
     """
 
     def __init__(self, genesis: Optional[Block] = None) -> None:
@@ -112,22 +112,8 @@ class BlockStore:
         # O(1) instead of a fresh walk to genesis every time.
         self._rooted: set[str] = {self.genesis.block_hash}
 
-    def __contains__(self, block_hash: str) -> bool:
-        return block_hash in self._blocks
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def add(self, block: Block) -> None:
-        """Store a block (idempotent)."""
-        self._blocks[block.block_hash] = block
-
     def add_if_absent(self, block: Block) -> bool:
-        """Store a block unless present; returns whether it was new.
-
-        One hash fetch instead of the contains-then-add double lookup on
-        the proposal hot path.
-        """
+        """Store a block unless present; returns whether it was new."""
         block_hash = block.block_hash
         if block_hash in self._blocks:
             return False
@@ -165,13 +151,6 @@ class BlockStore:
                 return
             current = self._blocks.get(current.parent_hash)
 
-    def chain(self, block: Block) -> List[Block]:
-        """The chain from genesis to ``block`` (inclusive, genesis first)."""
-        ancestors = list(self.iter_ancestors(block))
-        if not ancestors or not ancestors[-1].is_genesis:
-            raise KeyError(f"chain of {block.short_hash()} has missing ancestors")
-        return list(reversed(ancestors))
-
     def extends(self, descendant: Block, ancestor: Block) -> bool:
         """Whether ``descendant`` extends (or equals) ``ancestor``."""
         if descendant.height < ancestor.height:
@@ -187,11 +166,3 @@ class BlockStore:
     def conflicts(self, block_a: Block, block_b: Block) -> bool:
         """Two blocks conflict when neither extends the other."""
         return not self.extends(block_a, block_b) and not self.extends(block_b, block_a)
-
-    def highest_common_ancestor(self, block_a: Block, block_b: Block) -> Block:
-        """The deepest block on both chains (genesis in the worst case)."""
-        ancestors_a = {b.block_hash for b in self.iter_ancestors(block_a)}
-        for candidate in self.iter_ancestors(block_b):
-            if candidate.block_hash in ancestors_a:
-                return candidate
-        return self.genesis

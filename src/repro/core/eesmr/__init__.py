@@ -1,7 +1,5 @@
 """The EESMR protocol (the paper's primary contribution)."""
 
 from repro.core.eesmr.replica import EesmrReplica
-from repro.core.eesmr.steady_state import SteadyStateMixin
-from repro.core.eesmr.view_change import ViewChangeMixin
 
-__all__ = ["EesmrReplica", "SteadyStateMixin", "ViewChangeMixin"]
+__all__ = ["EesmrReplica"]

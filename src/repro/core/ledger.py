@@ -168,15 +168,3 @@ class SafetyChecker:
             max_height=max_height,
             details=details,
         )
-
-    def assert_safe(self) -> SafetyReport:
-        """Raise :class:`SafetyViolation` when any height disagrees."""
-        report = self.check()
-        if not report.consistent:
-            raise SafetyViolation("; ".join(report.details))
-        return report
-
-    def min_committed_height(self) -> int:
-        """The smallest highest-committed-height over correct nodes (liveness floor)."""
-        correct = self.correct_logs()
-        return min((log.highest_height for log in correct.values()), default=0)

@@ -409,11 +409,6 @@ class QuorumCertificate:
         """The ``MatchingQC`` helper of Algorithm 1."""
         return self.cert_type == cert_type and self.view == view
 
-    @property
-    def size(self) -> int:
-        """Number of signatures aggregated."""
-        return len(self.signatures)
-
 
 #: Everything a :class:`ProtocolMessage` may carry.  None of these types can
 #: change after construction, which is what makes the per-message digest,

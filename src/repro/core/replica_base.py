@@ -315,8 +315,8 @@ class BaseReplica(Process):
         """Inject client commands through pool admission (no radio energy).
 
         Returns how many commands were admitted; duplicates and overflow
-        drops are counted on the pool (see
-        :meth:`repro.core.txpool.TxPool.admission_stats`).
+        drops are counted on the pool (``TxPool.duplicates`` /
+        ``TxPool.dropped``).
         """
         admitted = 0
         for command in commands:

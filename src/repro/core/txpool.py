@@ -53,9 +53,6 @@ class TxPool:
     def __len__(self) -> int:
         return len(self._pending)
 
-    def __contains__(self, command_id: str) -> bool:
-        return command_id in self._pending
-
     def admit(self, command: Command) -> str:
         """Admit a command, returning the admission verdict.
 
@@ -85,14 +82,6 @@ class TxPool:
             self.high_watermark = len(self._pending)
         return ADMITTED
 
-    def add(self, command: Command) -> bool:
-        """Add a command; returns ``False`` when it was a duplicate or dropped."""
-        return self.admit(command) == ADMITTED
-
-    def add_all(self, commands: Iterable[Command]) -> int:
-        """Add many commands; returns how many were actually added."""
-        return sum(1 for command in commands if self.add(command))
-
     def peek_batch(self, batch_size: int, exclude: Collection[str] = ()) -> List[Command]:
         """The first ``batch_size`` pending commands not in ``exclude``, in arrival order.
 
@@ -121,22 +110,3 @@ class TxPool:
                 del self._pending[command_id]
                 removed += 1
         return removed
-
-    def pending_ids(self) -> List[str]:
-        """Ids of all pending commands (arrival order)."""
-        return list(self._pending)
-
-    def admission_stats(self) -> dict:
-        """Per-verdict counters plus occupancy (JSON-safe, stable keys)."""
-        return {
-            "admitted": self.admitted,
-            "duplicates": self.duplicates,
-            "dropped": self.dropped,
-            "pending": len(self._pending),
-            "high_watermark": self.high_watermark,
-            "max_size": self.max_size,
-        }
-
-    def clear(self) -> None:
-        """Drop every pending command."""
-        self._pending.clear()

@@ -75,9 +75,6 @@ class Batch:
 
     commands: Tuple[Command, ...] = field(default_factory=tuple)
 
-    def __len__(self) -> int:
-        return len(self.commands)
-
     @property
     def wire_size_bytes(self) -> int:
         """Total bytes of all commands in the batch."""

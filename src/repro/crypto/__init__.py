@@ -13,11 +13,10 @@ The reproduction needs cryptography for two things:
 """
 
 from repro.crypto.hashing import HashFunction, sha256_hex
-from repro.crypto.keys import KeyPair, KeyStore
+from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import (
     Signature,
     SignatureScheme,
-    SchemeSpec,
     make_scheme,
     available_schemes,
 )
@@ -25,29 +24,19 @@ from repro.crypto.energy_costs import (
     SIGNATURE_ENERGY_TABLE,
     SignatureEnergyCost,
     signature_cost,
-    HMAC_COST,
     RSA_1024,
-    RSA_2048,
-    ECDSA_SECP256K1,
-    ECDSA_SECP256R1,
 )
 
 __all__ = [
     "HashFunction",
     "sha256_hex",
-    "KeyPair",
     "KeyStore",
     "Signature",
     "SignatureScheme",
-    "SchemeSpec",
     "make_scheme",
     "available_schemes",
     "SIGNATURE_ENERGY_TABLE",
     "SignatureEnergyCost",
     "signature_cost",
-    "HMAC_COST",
     "RSA_1024",
-    "RSA_2048",
-    "ECDSA_SECP256K1",
-    "ECDSA_SECP256R1",
 ]

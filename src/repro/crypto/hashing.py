@@ -1,17 +1,15 @@
 """Hashing utilities with energy-aware cost reporting.
 
 The paper instantiates its MAC and hash primitives with SHA-256 and reports
-that "the cost of hashing increased linearly with message size".  The
-:class:`HashFunction` wrapper exposes both the digest and the energy that a
-CPS node would spend computing it, so the energy meter can charge hashing
-where protocols hash blocks (hash-chaining, voting on H(prop)).
+that "the cost of hashing increased linearly with message size".
+:class:`HashFunction` prices that cost, so the energy meter can charge
+hashing where protocols hash blocks (hash-chaining, voting on H(prop)).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from typing import Any, Dict
 
 #: Baseline energy (Joules) for hashing an empty message on the CPS board.
@@ -74,17 +72,8 @@ class _RetiredCanonicalCache:
 canonical_cache = _RetiredCanonicalCache()
 
 
-@dataclass(frozen=True)
-class HashResult:
-    """A digest together with the energy spent producing it."""
-
-    digest: str
-    input_size_bytes: int
-    energy_joules: float
-
-
 class HashFunction:
-    """SHA-256 with per-invocation energy accounting."""
+    """The energy price of a SHA-256 invocation."""
 
     name = "sha256"
 
@@ -95,22 +84,9 @@ class HashFunction:
     ) -> None:
         self.base_energy_j = base_energy_j
         self.per_byte_energy_j = per_byte_energy_j
-        self.invocations = 0
-        self.total_bytes = 0
 
     def energy_for_size(self, size_bytes: int) -> float:
         """Energy (J) to hash a message of ``size_bytes`` bytes."""
         if size_bytes < 0:
             raise ValueError("message size cannot be negative")
         return self.base_energy_j + self.per_byte_energy_j * size_bytes
-
-    def digest(self, payload: Any) -> HashResult:
-        """Hash ``payload`` and report both digest and energy."""
-        data = canonical_bytes(payload)
-        self.invocations += 1
-        self.total_bytes += len(data)
-        return HashResult(
-            digest=hashlib.sha256(data).hexdigest(),
-            input_size_bytes=len(data),
-            energy_joules=self.energy_for_size(len(data)),
-        )

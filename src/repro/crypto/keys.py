@@ -72,10 +72,6 @@ class KeyStore:
             raise KeyError(f"no key pair generated for node {node_id}")
         return self._pairs[node_id]
 
-    def public_key(self, node_id: int) -> bytes:
-        """The public key of ``node_id`` (available to everyone)."""
-        return self.key_pair(node_id).public_key
-
     def known_nodes(self) -> list[int]:
         """Node ids with registered key material."""
         return sorted(self._pairs)

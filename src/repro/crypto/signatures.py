@@ -52,10 +52,6 @@ class SchemeSpec:
     cost: SignatureEnergyCost
     transferable: bool
 
-    @property
-    def signature_size_bytes(self) -> int:
-        return self.cost.signature_size_bytes
-
 
 class SignatureScheme:
     """Signing/verification service bound to one scheme and one key store.

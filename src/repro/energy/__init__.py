@@ -14,41 +14,28 @@
   Figure 1.
 """
 
-from repro.energy.meter import EnergyCategory, EnergyMeter, EnergyBreakdown
+from repro.energy.meter import EnergyCategory, EnergyMeter
 from repro.energy.ledger import ClusterEnergyLedger
-from repro.energy.model import CostParameters, CostFunction, LinearCostModel
 from repro.energy.protocol_costs import (
-    ProtocolCostModel,
     eesmr_cost_model,
     sync_hotstuff_cost_model,
-    optsync_cost_model,
     trusted_baseline_cost_model,
 )
 from repro.energy.analysis import (
-    view_change_ratio_bound,
     energy_fault_bound,
     compare_protocols,
-    ProtocolComparison,
 )
 from repro.energy.feasibility import FeasibleRegion, feasible_region
 
 __all__ = [
     "EnergyCategory",
     "EnergyMeter",
-    "EnergyBreakdown",
     "ClusterEnergyLedger",
-    "CostParameters",
-    "CostFunction",
-    "LinearCostModel",
-    "ProtocolCostModel",
     "eesmr_cost_model",
     "sync_hotstuff_cost_model",
-    "optsync_cost_model",
     "trusted_baseline_cost_model",
-    "view_change_ratio_bound",
     "energy_fault_bound",
     "compare_protocols",
-    "ProtocolComparison",
     "FeasibleRegion",
     "feasible_region",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
-from repro.energy.meter import EnergyBreakdown, EnergyCategory, EnergyMeter
+from repro.energy.meter import EnergyBreakdown, EnergyMeter
 
 
 @dataclass
@@ -24,14 +24,6 @@ class EnergyReport:
     leader_joules: float
     mean_replica_joules: float
     breakdown: EnergyBreakdown
-
-    @property
-    def total_millijoules(self) -> float:
-        return self.total_joules * 1000.0
-
-    @property
-    def correct_total_millijoules(self) -> float:
-        return self.correct_total_joules * 1000.0
 
 
 class ClusterEnergyLedger:
@@ -74,17 +66,6 @@ class ClusterEnergyLedger:
                 combined.add(category, amount)
         return combined
 
-    def category_joules(
-        self, category: EnergyCategory, exclude: Optional[Iterable[int]] = None
-    ) -> float:
-        """Total Joules for one category across nodes."""
-        skip = set(exclude or ())
-        return sum(
-            m.breakdown.get(category)
-            for nid, m in self.meters.items()
-            if nid not in skip
-        )
-
     def report(
         self,
         leader: int,
@@ -113,8 +94,3 @@ class ClusterEnergyLedger:
             mean_replica_joules=mean_replica,
             breakdown=self.combined_breakdown(exclude=faulty_set),
         )
-
-    def reset(self) -> None:
-        """Zero every meter."""
-        for meter in self.meters.values():
-            meter.reset()

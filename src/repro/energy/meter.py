@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 
 class EnergyCategory(str, Enum):
@@ -46,11 +46,6 @@ class EnergyBreakdown:
     def total(self) -> float:
         """Total Joules across all categories."""
         return sum(self.joules.values())
-
-    @property
-    def communication(self) -> float:
-        """Joules spent on the radio (transmit + receive)."""
-        return self.get(EnergyCategory.TRANSMIT) + self.get(EnergyCategory.RECEIVE)
 
     @property
     def cryptography(self) -> float:
@@ -111,28 +106,3 @@ class EnergyMeter:
     def total_joules(self) -> float:
         """Total energy charged to this node."""
         return self.breakdown.total
-
-    @property
-    def total_millijoules(self) -> float:
-        """Total energy in mJ (the unit most figures in the paper use)."""
-        return self.breakdown.total * 1000.0
-
-    def snapshot(self) -> EnergyBreakdown:
-        """An independent copy of the current breakdown."""
-        return EnergyBreakdown(dict(self.breakdown.joules))
-
-    def reset(self) -> None:
-        """Zero the meter (used between benchmark repetitions)."""
-        self.breakdown = EnergyBreakdown()
-
-
-def total_energy(meters: Iterable[EnergyMeter], exclude: Optional[set[int]] = None) -> float:
-    """Sum of total Joules over a collection of meters.
-
-    Args:
-        exclude: Node ids to skip — the paper's figures report the energy of
-            *correct* nodes only, so experiment code passes the Byzantine
-            node ids here.
-    """
-    skip = exclude or set()
-    return sum(m.total_joules for m in meters if m.node_id not in skip)

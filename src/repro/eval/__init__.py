@@ -8,24 +8,21 @@ loads it on demand.
 
 from repro.eval.runner import DeploymentSpec, RunResult, run_protocol
 from repro.eval.workloads import (
-    generate_commands,
     commands_for_run,
     fill_txpools,
     client_for_run,
     SensorReadingWorkload,
 )
-from repro.eval.tables import format_table, format_series
+from repro.eval.tables import format_table
 
 __all__ = [
     "DeploymentSpec",
     "RunResult",
     "run_protocol",
-    "generate_commands",
     "commands_for_run",
     "fill_txpools",
     "client_for_run",
     "SensorReadingWorkload",
     "experiments",
     "format_table",
-    "format_series",
 ]

@@ -206,10 +206,6 @@ class RunResult:
         return self.min_committed_height
 
     @property
-    def correct_energy_j(self) -> float:
-        return self.energy.correct_total_joules
-
-    @property
     def correct_energy_mj(self) -> float:
         return self.energy.correct_total_joules * 1000.0
 

@@ -26,26 +26,14 @@ same schedules, the same verdicts and the same shrunk reproducers, byte
 for byte (pinned by the reproducibility tests).
 """
 
-from repro.fuzz.corpus import Corpus, CorpusEntry, canonical_json, replay_entry
-from repro.fuzz.detect import Detection, Detector, ProtocolVerdict
-from repro.fuzz.fuzzer import Finding, FuzzReport, Fuzzer
-from repro.fuzz.generator import DEFAULT_KINDS, FuzzConfig, ScheduleGenerator
-from repro.fuzz.shrink import Shrinker, ShrinkResult
+from repro.fuzz.corpus import canonical_json
+from repro.fuzz.fuzzer import Finding, Fuzzer
+from repro.fuzz.generator import DEFAULT_KINDS, FuzzConfig
 
 __all__ = [
-    "Corpus",
-    "CorpusEntry",
     "canonical_json",
-    "replay_entry",
-    "Detection",
-    "Detector",
-    "ProtocolVerdict",
     "Finding",
-    "FuzzReport",
     "Fuzzer",
     "DEFAULT_KINDS",
     "FuzzConfig",
-    "ScheduleGenerator",
-    "Shrinker",
-    "ShrinkResult",
 ]

@@ -26,7 +26,7 @@ same schedule sequence byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.eval.runner import PROTOCOLS, DeploymentSpec
 from repro.net.impairment import SpecError
@@ -175,11 +175,6 @@ class ScheduleGenerator:
             f"loosen the config (n={self.config.n}, topology={self.config.topology}, "
             f"kinds={self.config.kinds})"
         )
-
-    def schedules(self, iterations: int) -> Iterator[faults.FaultSchedule]:
-        """A deterministic stream of ``iterations`` feasible schedules."""
-        for _ in range(iterations):
-            yield self.generate()
 
     # ---------------------------------------------------------------- atoms
     def _sample_atom(self) -> faults.Fault:

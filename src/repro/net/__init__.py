@@ -1,6 +1,6 @@
 """Network substrate: hypergraph model, topologies and the simulated transport."""
 
-from repro.net.hypergraph import HyperEdge, Hypergraph
+from repro.net.hypergraph import Hypergraph
 from repro.net.topology import (
     ring_kcast_topology,
     fully_connected_topology,
@@ -9,31 +9,24 @@ from repro.net.topology import (
     random_kcast_topology,
 )
 from repro.net.network import (
-    DisseminationPlan,
     SimulatedNetwork,
     NetworkStats,
-    default_wire_size,
 )
 from repro.net.impairment import (
-    ImpairmentModel,
     ImpairmentSpec,
     impairment_from_dict,
     parse_impairment,
 )
 
 __all__ = [
-    "HyperEdge",
     "Hypergraph",
     "ring_kcast_topology",
     "fully_connected_topology",
     "unicast_ring_topology",
     "star_topology",
     "random_kcast_topology",
-    "DisseminationPlan",
     "SimulatedNetwork",
     "NetworkStats",
-    "default_wire_size",
-    "ImpairmentModel",
     "ImpairmentSpec",
     "impairment_from_dict",
     "parse_impairment",

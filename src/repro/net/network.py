@@ -104,11 +104,6 @@ class Flood:
         self.in_flight = 1
 
 
-def _chain_name(flood: Optional[Flood]) -> str:
-    """How retransmit-observer details name a delivery: its flood, or a unicast."""
-    return "unicast" if flood is None else f"flood {flood.flood_id}"
-
-
 def default_wire_size(message: Any) -> int:
     """Wire size of a message in bytes.
 
@@ -216,10 +211,6 @@ class SimulatedNetwork:
         # Created lazily by :meth:`configure_impairment` / the timed
         # impairment fault atoms via :meth:`impair_node`.
         self.impairment: Optional[ImpairmentModel] = None
-        # Optional (node, event, detail, time) callback fired on reliable
-        # sublayer lifecycle transitions ("retry" / "recovered" /
-        # "gave_up") — the session observer bus's ``on_retransmit``.
-        self.retransmit_observer = None
 
     # ---------------------------------------------------------- registration
     def register(self, process: Process) -> None:
@@ -657,7 +648,7 @@ class SimulatedNetwork:
         plan: Optional[DisseminationPlan],
     ) -> None:
         if self.impairment.spec.max_retries <= 0:
-            self._giveup(flood, hop_sender, receiver)
+            self.impairment.note_giveup(receiver)
             return
         if flood is not None:
             # Chain token: keep the flood live while the retransmission
@@ -719,17 +710,12 @@ class SimulatedNetwork:
             self._release(flood)
             return
         imp = self.impairment
-        now = self.sim.now
         self._meter(hop_sender).charge(_TRANSMIT, cost.sender_energy_j)
         self.stats.record_transmission(hop_sender, size)
         imp.note_retransmit(receiver)
-        observer = self.retransmit_observer
-        if observer is not None:
-            retry = f"{_chain_name(flood)} retry {attempt + 1} from {hop_sender}"
-            observer(receiver, "retry", retry, now)
-        if imp.rng.chance(imp.loss_probability(receiver, cost, now)):
+        if imp.rng.chance(imp.loss_probability(receiver, cost, self.sim.now)):
             if attempt + 1 >= max_retries:
-                self._giveup(flood, hop_sender, receiver)
+                imp.note_giveup(receiver)
                 self._release(flood)
             else:
                 self._schedule_retransmit(
@@ -740,17 +726,8 @@ class SimulatedNetwork:
         latency = self.hop_delay * imp.rng.uniform(0.5, 1.0) if self.jitter else self.hop_delay
         self._charge_ack(hop_sender, receiver)
         imp.note_recovered(receiver)
-        if observer is not None:
-            observer(receiver, "recovered", retry, now)
         self._schedule_arrival(flood, hop_sender, receiver, message, cost, latency, plan)
         self._release(flood)
-
-    def _giveup(self, flood: Optional[Flood], hop_sender: int, receiver: int) -> None:
-        self.impairment.note_giveup(receiver)
-        if self.retransmit_observer is not None:
-            self.retransmit_observer(
-                receiver, "gave_up", f"{_chain_name(flood)} from {hop_sender}", self.sim.now
-            )
 
     def _charge_ack(self, hop_sender: int, receiver: int) -> None:
         """Charge the per-message ACK of a recovered reliable delivery.

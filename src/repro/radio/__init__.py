@@ -12,46 +12,27 @@ This package reproduces the measurement layer of the paper's CPS test bed:
 """
 
 from repro.radio.media import (
-    MediaEnergyRow,
     TABLE1_MEDIA_ENERGY_MJ,
     MediumEnergyModel,
-    TabulatedMediumModel,
     wifi_medium,
     lte_medium,
-    ble_link_medium,
     make_medium,
 )
 from repro.radio.reliability import (
     AdvertisementLossModel,
     ReliabilityPoint,
-    DEFAULT_ADVERTISEMENT_LOSS,
-    FOUR_NINES,
 )
-from repro.radio.ble import (
-    BleAdvertisementKCast,
-    KCastTransmissionCost,
-    BLE_ADVERTISEMENT_PAYLOAD_BYTES,
-    fragments_for_payload,
-)
-from repro.radio.gatt import BleGattUnicast, UnicastTransmissionCost
+from repro.radio.ble import BleAdvertisementKCast
+from repro.radio.gatt import BleGattUnicast
 
 __all__ = [
-    "MediaEnergyRow",
     "TABLE1_MEDIA_ENERGY_MJ",
     "MediumEnergyModel",
-    "TabulatedMediumModel",
     "wifi_medium",
     "lte_medium",
-    "ble_link_medium",
     "make_medium",
     "AdvertisementLossModel",
     "ReliabilityPoint",
-    "DEFAULT_ADVERTISEMENT_LOSS",
-    "FOUR_NINES",
     "BleAdvertisementKCast",
-    "KCastTransmissionCost",
-    "BLE_ADVERTISEMENT_PAYLOAD_BYTES",
-    "fragments_for_payload",
     "BleGattUnicast",
-    "UnicastTransmissionCost",
 ]

@@ -17,9 +17,7 @@ See ``docs/recovery.md`` for the protocol and parameters.
 """
 
 from repro.recovery.controller import RecoveryController
-from repro.recovery.observer import RecoveryObserver
 
 __all__ = [
     "RecoveryController",
-    "RecoveryObserver",
 ]

@@ -9,8 +9,8 @@ drives them through a :class:`Session`; there is no other way to run a
 * **staged construction** — topology → medium/radios → crypto → replicas
   → workload → faults → observers, each stage an overridable method
   returning a typed artifact (:mod:`repro.session.builder`);
-* **observer protocol** — ``on_event`` / ``on_block_commit`` /
-  ``on_view_change`` / ``on_fault_window`` hooks with a fan-out bus
+* **observer protocol** — ``on_block_commit`` / ``on_view_change`` /
+  ``on_fault_window`` / ``on_recovery`` hooks with a fan-out bus
   (:mod:`repro.session.observers`);
 * **steppable run control** — ``step`` / ``run_until(pred|deadline)`` /
   pause-inspect-resume over live replica and network state, plus
@@ -31,42 +31,21 @@ Quickstart::
 """
 
 from repro.session.adaptive import LeaderFollowingController
-from repro.session.builder import (
-    CryptoStage,
-    FaultStage,
-    MediumStage,
-    ObserverStage,
-    ReplicaStage,
-    SessionBuilder,
-    TopologyStage,
-    WorkloadStage,
-)
+from repro.session.builder import SessionBuilder
 from repro.session.metrics import MetricsObserver
 from repro.session.observers import (
     CallbackObserver,
     EnergyTimelineObserver,
-    ObserverBus,
-    PerfObserver,
     SessionObserver,
 )
-from repro.session.session import Session, SessionController
+from repro.session.session import Session
 
 __all__ = [
     "Session",
     "SessionBuilder",
-    "SessionController",
     "SessionObserver",
-    "ObserverBus",
     "CallbackObserver",
-    "PerfObserver",
     "MetricsObserver",
     "EnergyTimelineObserver",
     "LeaderFollowingController",
-    "TopologyStage",
-    "MediumStage",
-    "CryptoStage",
-    "ReplicaStage",
-    "WorkloadStage",
-    "FaultStage",
-    "ObserverStage",
 ]

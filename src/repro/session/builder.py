@@ -472,21 +472,16 @@ class SessionBuilder:
 
     # ------------------------------------------------------------ stage 7
     def build_observer_stage(self) -> ObserverStage:
-        """Wire the observer bus into the simulator, network and replicas.
+        """Wire the observer bus into the network and replicas.
 
         Dispatch is only installed where some observer listens, so a
         session without observers runs the exact seed code paths.
         """
         bus = ObserverBus(self.observers)
-        sim = self.sim
         network = self._need("medium_stage").network
         replica_stage = self._need("replica_stage")
-        if bus.overrides("on_event"):
-            sim.event_observer = bus.event
         if bus.overrides("on_fault_window"):
             network.fault_observer = bus.fault_window
-        if bus.overrides("on_retransmit"):
-            network.retransmit_observer = bus.retransmit
         if bus.overrides("on_block_commit") or bus.overrides("on_view_change"):
             for replica in replica_stage.replicas.values():
                 replica.hooks = bus

@@ -15,13 +15,6 @@ Numbers are pure functions of the deterministic run, so a serial sweep
 and a ``parallel=N`` matrix shard report identical summaries — the
 summary dict is plain data (JSON- and pickle-safe) and travels back from
 worker processes unchanged.
-
-The Prometheus surface follows the no-op-fallback middleware pattern:
-:func:`MetricsObserver.prometheus_text` hand-renders the text exposition
-format with zero dependencies, and :meth:`MetricsObserver.export`
-populates a ``prometheus_client`` registry *only when that optional
-dependency is installed* — otherwise it is a no-op returning ``None``,
-and nothing else degrades.
 """
 
 from __future__ import annotations
@@ -30,15 +23,6 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.session.observers import SessionObserver
-
-try:  # Optional dependency: metrics must work (as text) without it.
-    from prometheus_client import CollectorRegistry, Gauge  # type: ignore
-
-    HAVE_PROMETHEUS = True
-except ImportError:  # pragma: no cover - exercised when the dep is absent
-    CollectorRegistry = None  # type: ignore[assignment]
-    Gauge = None  # type: ignore[assignment]
-    HAVE_PROMETHEUS = False
 
 #: Quantiles reported per window, with their summary-dict key suffixes.
 QUANTILES = ((0.50, "p50"), (0.95, "p95"), (0.99, "p99"))
@@ -207,118 +191,3 @@ class MetricsObserver(SessionObserver):
             out["slo_p99"] = self.slo_p99
             out["slo_met"] = p99 is not None and p99 <= self.slo_p99 and out["dropped"] == 0
         return out
-
-    # ------------------------------------------------------------ exporters
-    def prometheus_text(self, namespace: str = "repro") -> str:
-        """Render the summary in the Prometheus text exposition format.
-
-        Hand-rolled (no dependency): gauge samples labelled by window, so
-        the output is scrape-ready the moment something serves it.
-        """
-        summary = self.summary()
-        lines: List[str] = []
-
-        def emit(metric: str, help_text: str, samples: List[Tuple[str, float]]) -> None:
-            lines.append(f"# HELP {namespace}_{metric} {help_text}")
-            lines.append(f"# TYPE {namespace}_{metric} gauge")
-            for labels, value in samples:
-                lines.append(f"{namespace}_{metric}{labels} {_format_value(value)}")
-
-        window_rows = [("overall", summary["overall"])] + [
-            (f"w{i}:{window['faults']}", window)
-            for i, window in enumerate(summary["windows"])
-        ]
-        for _, key in QUANTILES:
-            emit(
-                f"commit_latency_{key}",
-                f"{key} commit latency (virtual time) per fault window",
-                [
-                    (f'{{window="{name}"}}', stats[f"latency_{key}"])
-                    for name, stats in window_rows
-                    if stats[f"latency_{key}"] is not None
-                ],
-            )
-        emit(
-            "goodput_commands_per_time",
-            "first-commits per unit of virtual time per fault window",
-            [(f'{{window="{name}"}}', stats["goodput"]) for name, stats in window_rows],
-        )
-        emit(
-            "queue_depth_mean",
-            "mean total pending commands across replica pools per fault window",
-            [
-                (f'{{window="{name}"}}', stats["queue_depth_mean"])
-                for name, stats in window_rows
-            ],
-        )
-        emit(
-            "commands_offered_total",
-            "commands the workload offered",
-            [("", float(summary["offered"]))],
-        )
-        emit(
-            "commands_committed_total",
-            "commands first-committed on some replica",
-            [("", float(summary["committed_commands"]))],
-        )
-        emit(
-            "commands_dropped_total",
-            "commands dropped by bounded txpools (overflow)",
-            [("", float(summary["dropped"]))],
-        )
-        return "\n".join(lines) + "\n"
-
-    def export(self, registry: Optional[Any] = None) -> Optional[Any]:
-        """Populate a ``prometheus_client`` registry, if the dep exists.
-
-        Returns the registry, or ``None`` (the documented no-op fallback)
-        when ``prometheus_client`` is not installed — callers can always
-        fall back to :meth:`prometheus_text`, which needs nothing.
-        """
-        if not HAVE_PROMETHEUS:
-            return None
-        summary = self.summary()
-        registry = registry if registry is not None else CollectorRegistry()
-        latency = Gauge(
-            "repro_commit_latency",
-            "commit latency quantiles per fault window (virtual time)",
-            ["window", "quantile"],
-            registry=registry,
-        )
-        goodput = Gauge(
-            "repro_goodput_commands_per_time",
-            "first-commits per unit of virtual time per fault window",
-            ["window"],
-            registry=registry,
-        )
-        depth = Gauge(
-            "repro_queue_depth_mean",
-            "mean total pending commands across replica pools",
-            ["window"],
-            registry=registry,
-        )
-        dropped = Gauge(
-            "repro_commands_dropped_total",
-            "commands dropped by bounded txpools",
-            registry=registry,
-        )
-        rows = [("overall", summary["overall"])] + [
-            (f"w{i}:{window['faults']}", window)
-            for i, window in enumerate(summary["windows"])
-        ]
-        for name, stats in rows:
-            for _, key in QUANTILES:
-                value = stats[f"latency_{key}"]
-                if value is not None:
-                    latency.labels(window=name, quantile=key).set(value)
-            goodput.labels(window=name).set(stats["goodput"])
-            depth.labels(window=name).set(stats["queue_depth_mean"])
-        dropped.set(summary["dropped"])
-        return registry
-
-
-def _format_value(value: float) -> str:
-    """Deterministic sample formatting (Prometheus accepts float repr)."""
-    if value == int(value):
-        return str(int(value))
-    return repr(float(value))

@@ -86,10 +86,6 @@ class Event:
         """Whether the event will still fire."""
         return not self.cancelled
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "cancelled" if self.cancelled else "active"
-        return f"<Event t={self.time} seq={self.seq} {state}>"
-
 
 #: Heap entry: comparison never reaches the Event because seq is unique.
 HeapEntry = Tuple[float, int, Event]
@@ -147,9 +143,6 @@ class BucketedEventQueue:
 
     def __len__(self) -> int:
         return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
 
     def push(
         self,

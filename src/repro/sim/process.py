@@ -23,7 +23,6 @@ class Process:
         self.pid = pid
         self.name = name if name is not None else f"p{pid}"
         self.crashed = False
-        self._delivered = 0
         self._after_label = f"{self.name}:after"
 
     # ------------------------------------------------------------- lifecycle
@@ -43,17 +42,11 @@ class Process:
         """Entry point used by the network layer to hand over a message."""
         if self.crashed:
             return
-        self._delivered += 1
         self.on_message(sender, message)
 
     def on_message(self, sender: int, message: Any) -> None:
         """Handle a delivered message; subclasses override."""
         raise NotImplementedError
-
-    @property
-    def delivered_count(self) -> int:
-        """Number of messages delivered to this process so far."""
-        return self._delivered
 
     # ---------------------------------------------------------------- timers
     def make_timer(self, name: str, callback) -> Timer:
@@ -73,6 +66,3 @@ class Process:
     def _run_unless_crashed(self, callback, args: tuple) -> None:
         if not self.crashed:
             callback(*args)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"<{type(self).__name__} {self.name}>"

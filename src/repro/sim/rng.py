@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -46,10 +46,6 @@ class SeededRNG:
         """Uniform integer in ``[low, high]`` inclusive."""
         return self._rng.randint(low, high)
 
-    def random(self) -> float:
-        """Uniform float in ``[0, 1)``."""
-        return self._rng.random()
-
     def chance(self, probability: float) -> bool:
         """Return ``True`` with the given probability."""
         if probability <= 0.0:
@@ -79,17 +75,3 @@ class SeededRNG:
     def exponential(self, mean: float) -> float:
         """Exponentially distributed float with the given mean."""
         return self._rng.expovariate(1.0 / mean) if mean > 0 else 0.0
-
-    def pick_weighted(self, items: Iterable[tuple[T, float]]) -> T:
-        """Pick an item with probability proportional to its weight."""
-        materialized = list(items)
-        total = sum(weight for _, weight in materialized)
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        target = self._rng.uniform(0, total)
-        cumulative = 0.0
-        for item, weight in materialized:
-            cumulative += weight
-            if target <= cumulative:
-                return item
-        return materialized[-1][0]

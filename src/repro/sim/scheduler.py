@@ -35,11 +35,6 @@ class Simulator:
         self._executed = 0
         self.trace_enabled = trace
         self.trace_log: list[tuple[float, str]] = []
-        #: Optional ``(time, label)`` callback fired for every executed
-        #: event — the session observer bus's ``on_event`` dispatch.  Left
-        #: ``None`` (zero cost beyond one comparison) unless an observer
-        #: actually listens.
-        self.event_observer: Optional[Callable[[float, str], None]] = None
 
     # ------------------------------------------------------------------ time
     @property
@@ -108,14 +103,11 @@ class Simulator:
             raise SimulationError("event queue returned an event from the past")
         self._now = event.time
         self._executed += 1
-        if self.trace_enabled or self.event_observer is not None:
+        if self.trace_enabled:
             label = event.label
             if callable(label):
                 label = label()
-            if self.trace_enabled:
-                self.trace_log.append((self._now, label))
-            if self.event_observer is not None:
-                self.event_observer(self._now, label)
+            self.trace_log.append((self._now, label))
         event.callback(*event.args)
         return True
 
@@ -151,14 +143,11 @@ class Simulator:
                     raise SimulationError("event queue returned an event from the past")
                 self._now = event.time
                 self._executed += 1
-                if self.trace_enabled or self.event_observer is not None:
+                if self.trace_enabled:
                     label = event.label
                     if callable(label):
                         label = label()
-                    if self.trace_enabled:
-                        self.trace_log.append((self._now, label))
-                    if self.event_observer is not None:
-                        self.event_observer(self._now, label)
+                    self.trace_log.append((self._now, label))
                 event.callback(*event.args)
                 executed_here += 1
                 if max_events is not None and executed_here > max_events:
@@ -193,14 +182,11 @@ class Simulator:
                     raise SimulationError("event queue returned an event from the past")
                 self._now = event.time
                 self._executed += 1
-                if self.trace_enabled or self.event_observer is not None:
+                if self.trace_enabled:
                     label = event.label
                     if callable(label):
                         label = label()
-                    if self.trace_enabled:
-                        self.trace_log.append((self._now, label))
-                    if self.event_observer is not None:
-                        self.event_observer(self._now, label)
+                    self.trace_log.append((self._now, label))
                 event.callback(*event.args)
                 executed_here += 1
                 if max_events is not None and executed_here > max_events:

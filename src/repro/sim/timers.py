@@ -3,7 +3,7 @@
 EESMR and the baseline protocols are timer-heavy: ``T_blame`` (progress
 timer), ``T_commit(block)`` (the 4Δ quiet period), the 5Δ/8Δ/6Δ waits of the
 view change.  This module gives protocol code a small, explicit API —
-start / reset / cancel / cancel-all — that mirrors how the pseudo-code in
+start / restart / cancel / cancel-all — that mirrors how the pseudo-code in
 Algorithm 2 manipulates its timers.
 """
 
@@ -29,8 +29,6 @@ class Timer:
         self._callback = callback
         self._label = f"timer:{name}"
         self._event: Optional[Event] = None
-        self.started_at: Optional[float] = None
-        self.deadline: Optional[float] = None
         self.fired = False
 
     @property
@@ -48,26 +46,13 @@ class Timer:
                 self._sim.cancel(event)
             self._event = None
         self.fired = False
-        now = self._sim.now
-        self.started_at = now
-        self.deadline = now + duration
         self._event = self._sim.schedule(duration, self._fire, label=self._label)
-
-    def reset(self, duration: float) -> None:
-        """Alias of :meth:`start`; mirrors the pseudo-code's "reset" wording."""
-        self.start(duration)
 
     def cancel(self) -> None:
         """Disarm the timer if it is running."""
         if self._event is not None and self._event.active:
             self._sim.cancel(self._event)
         self._event = None
-
-    def remaining(self) -> float:
-        """Time left until the timer fires (0 if not running)."""
-        if not self.running or self.deadline is None:
-            return 0.0
-        return max(0.0, self.deadline - self._sim.now)
 
     def _fire(self) -> None:
         self._event = None

@@ -26,88 +26,31 @@ from repro.testkit.faults import (
     RelayDropWindow,
     SilentFrom,
     StallAt,
-    crash_at,
-    drop_window,
-    equivocate_at,
-    no_faults,
     partition,
-    silent,
-    stall_at,
 )
 from repro.testkit.invariants import (
-    DEFAULT_INVARIANTS,
-    AgreementInvariant,
-    EnergyConservationInvariant,
-    Evidence,
-    Invariant,
     InvariantReport,
-    InvariantViolation,
-    LivenessInvariant,
-    MonotoneVirtualTimeInvariant,
-    QuorumCertificateInvariant,
-    UniqueCommitInvariant,
-    assert_all,
-    check_all,
     judge,
     judge_reports,
 )
 from repro.testkit.scenarios import (
-    ALL_FAULTS,
-    COMPOSED_FAULTS,
     DEFAULT_FAULTS,
-    FAULT_LIBRARY,
-    MATRIX_TOPOLOGIES,
-    CellOutcome,
-    MatrixReport,
-    ScenarioCell,
     ScenarioMatrix,
-    SkippedCell,
 )
-from repro.testkit.trace import QCRecord, RunTrace, TraceRecorder, spec_fingerprint
 
 __all__ = [
-    "ALL_FAULTS",
-    "COMPOSED_FAULTS",
     "DEFAULT_FAULTS",
-    "DEFAULT_INVARIANTS",
-    "FAULT_LIBRARY",
-    "MATRIX_TOPOLOGIES",
-    "AgreementInvariant",
-    "CellOutcome",
     "CrashAt",
-    "EnergyConservationInvariant",
     "EquivocateAt",
-    "Evidence",
     "Fault",
     "FaultSchedule",
-    "Invariant",
     "InvariantReport",
-    "InvariantViolation",
-    "LivenessInvariant",
-    "MatrixReport",
-    "MonotoneVirtualTimeInvariant",
     "PartitionWindow",
-    "QCRecord",
-    "QuorumCertificateInvariant",
     "RelayDropWindow",
-    "RunTrace",
-    "ScenarioCell",
     "ScenarioMatrix",
     "SilentFrom",
-    "SkippedCell",
     "StallAt",
-    "TraceRecorder",
-    "UniqueCommitInvariant",
-    "assert_all",
-    "check_all",
-    "crash_at",
-    "drop_window",
-    "equivocate_at",
     "judge",
     "judge_reports",
-    "no_faults",
     "partition",
-    "silent",
-    "spec_fingerprint",
-    "stall_at",
 ]

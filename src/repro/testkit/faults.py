@@ -628,9 +628,6 @@ class FaultSchedule:
         """A new schedule with additional faults."""
         return FaultSchedule(self.faults + tuple(faults))
 
-    def __len__(self) -> int:
-        return len(self.faults)
-
     # ---------------------------------------------------------------- surgery
     # The fuzzer's shrinker reduces failing schedules by removing atoms,
     # narrowing windows and lowering adaptive budgets; each operation
@@ -762,17 +759,8 @@ class FaultSchedule:
         """Canonical JSON-friendly description for fingerprints and reports."""
         return [f.describe() for f in self.faults]
 
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(f) for f in self.faults)
-        return f"FaultSchedule(({inner}))"
-
 
 # --------------------------------------------------------------- constructors
-def no_faults() -> FaultSchedule:
-    """The empty schedule (honest run)."""
-    return FaultSchedule()
-
-
 def crash_at(node: int, time: float = 0.0) -> FaultSchedule:
     """Fail-stop one node at a virtual time."""
     return FaultSchedule((CrashAt(node, time),))

@@ -431,12 +431,6 @@ def check_all(evidence: Evidence) -> List[InvariantReport]:
     return [invariant.run(evidence) for invariant in DEFAULT_INVARIANTS]
 
 
-def assert_all(evidence: Evidence) -> None:
-    """Check the standard battery, raising on the first violation."""
-    for invariant in DEFAULT_INVARIANTS:
-        invariant.check(evidence)
-
-
 def judge(
     spec,
     *,

@@ -328,9 +328,6 @@ class MatrixReport:
         out.extend(self.differential_failures)
         return out
 
-    def skip_reasons(self) -> List[str]:
-        return [skip.label() for skip in self.skipped]
-
     def assert_clean(self) -> None:
         if not self.ok:
             raise InvariantViolation(

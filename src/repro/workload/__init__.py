@@ -23,10 +23,7 @@ simulator), and install themselves into a
 from repro.workload.engine import (
     ClosedLoopPreload,
     OpenLoopPoisson,
-    TraceReplay,
     WorkloadEngine,
-    WorkloadPlan,
-    default_open_loop_duration,
     parse_workload,
     workload_command_ids,
     workload_from_dict,
@@ -35,10 +32,7 @@ from repro.workload.engine import (
 __all__ = [
     "ClosedLoopPreload",
     "OpenLoopPoisson",
-    "TraceReplay",
     "WorkloadEngine",
-    "WorkloadPlan",
-    "default_open_loop_duration",
     "parse_workload",
     "workload_command_ids",
     "workload_from_dict",

@@ -256,10 +256,6 @@ class TraceReplay(WorkloadEngine):
         entries = [dict(zip(TRACE_KEYS, entry)) for entry in self.entries]
         return {"kind": self.kind, "entries": entries}
 
-    @classmethod
-    def from_file(cls, path: str) -> "TraceReplay":
-        return cls(path=path)
-
 
 #: The keys of a trace entry, in the order of its normalised tuple form.
 TRACE_KEYS = ("time", "command_id", "client_id", "payload_size_bytes")

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze, default_registry
+from repro.analysis.engine import Analyzer
+from repro.analysis.registry import default_registry
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -31,7 +32,7 @@ CASES = [
 
 
 def _run(path: Path, rule: str):
-    return analyze([path], select=[rule], root=FIXTURES)
+    return Analyzer(root=FIXTURES).run([path], select=[rule])
 
 
 @pytest.mark.parametrize("slug,rule,expected", CASES, ids=[c[1] for c in CASES])
@@ -64,7 +65,7 @@ def test_flood_record_is_a_hot_class(tmp_path: Path) -> None:
     the slots contract (the planted fixture's count predates it)."""
     module = tmp_path / "network.py"
     module.write_text("class Flood:\n    def __init__(self):\n        self.delivered = set()\n")
-    report = analyze([module], select=["slots-discipline"], root=tmp_path)
+    report = Analyzer(root=tmp_path).run([module], select=["slots-discipline"])
     assert [f.message.split()[2] for f in report.findings] == ["Flood"]
 
 

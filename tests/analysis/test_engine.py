@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.analysis import Analyzer, analyze, main
+from repro.analysis import main
+from repro.analysis.engine import Analyzer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -37,7 +38,7 @@ def _write(tmp_path: Path, name: str, source: str) -> Path:
 # ------------------------------------------------------------------ engine API
 def test_findings_surface_and_exit_via_report(tmp_path: Path) -> None:
     path = _write(tmp_path, "mod.py", VIOLATION)
-    report = analyze([path], root=tmp_path)
+    report = Analyzer(root=tmp_path).run([path])
     assert not report.ok
     (finding,) = report.findings
     assert finding.rule == "rng-stream-discipline"
@@ -46,7 +47,7 @@ def test_findings_surface_and_exit_via_report(tmp_path: Path) -> None:
 
 def test_inline_suppression_silences_and_is_counted(tmp_path: Path) -> None:
     path = _write(tmp_path, "mod.py", SUPPRESSED)
-    report = analyze([path], root=tmp_path)
+    report = Analyzer(root=tmp_path).run([path])
     assert report.ok, report.render_human()
     assert report.suppressed == 1
 
@@ -57,27 +58,26 @@ def test_unused_suppression_is_reported_on_full_runs(tmp_path: Path) -> None:
         "mod.py",
         "X = 1  # detlint: ok no-wall-clock — nothing here reads the clock\n",
     )
-    report = analyze([path], root=tmp_path)
+    report = Analyzer(root=tmp_path).run([path])
     (finding,) = report.findings
     assert finding.rule == "unused-suppression"
     # A scoped --select run cannot audit use, so it must stay quiet.
-    scoped = analyze([path], select=["no-wall-clock"], root=tmp_path)
+    scoped = Analyzer(root=tmp_path).run([path], select=["no-wall-clock"])
     assert scoped.ok
 
 
 def test_malformed_suppression_is_reported(tmp_path: Path) -> None:
     path = _write(tmp_path, "mod.py", "X = 1  # detlint: ok no-wall-clock\n")
-    report = analyze([path], root=tmp_path)
+    report = Analyzer(root=tmp_path).run([path])
     (finding,) = report.findings
     assert finding.rule == "bad-suppression"
 
 
 def test_ignore_skips_rules_and_meta_rules(tmp_path: Path) -> None:
     _write(tmp_path, "mod.py", VIOLATION + "Y = 2  # detlint: ok nope\n")
-    report = analyze(
+    report = Analyzer(root=tmp_path).run(
         [tmp_path],
         ignore=["rng-stream-discipline", "bad-suppression", "unused-suppression"],
-        root=tmp_path,
     )
     assert report.ok, report.render_human()
 
@@ -85,7 +85,7 @@ def test_ignore_skips_rules_and_meta_rules(tmp_path: Path) -> None:
 def test_unknown_rule_raises_key_error(tmp_path: Path) -> None:
     _write(tmp_path, "mod.py", VIOLATION)
     with pytest.raises(KeyError):
-        analyze([tmp_path], select=["no-such-rule"], root=tmp_path)
+        Analyzer(root=tmp_path).run([tmp_path], select=["no-such-rule"])
 
 
 def test_pycache_directories_are_skipped(tmp_path: Path) -> None:
@@ -168,6 +168,6 @@ def test_shipped_rng_fallback_suppressions_still_fire_when_removed(tmp_path: Pat
             if "# detlint: ok rng-stream-discipline" not in line
         )
         path = _write(tmp_path, Path(relpath).name, stripped)
-        report = analyze([path], select=["rng-stream-discipline"], root=tmp_path)
+        report = Analyzer(root=tmp_path).run([path], select=["rng-stream-discipline"])
         assert not report.ok, f"{relpath}: suppression no longer covers a finding"
         assert {f.rule for f in report.findings} == {"rng-stream-discipline"}

@@ -11,7 +11,8 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from repro.analysis import Analyzer, default_registry
+from repro.analysis.engine import Analyzer
+from repro.analysis.registry import default_registry
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"

@@ -13,7 +13,7 @@ def chain_of(length, store=None, proposer=0, view=1):
     blocks = []
     for i in range(length):
         block = make_block(parent, proposer, view, i + 3, [Command(f"c{i}")])
-        store.add(block)
+        store.add_if_absent(block)
         blocks.append(block)
         parent = block
     return store, blocks
@@ -62,7 +62,7 @@ def test_wire_size_grows_with_commands():
 def test_store_chain_and_ancestry():
     store, blocks = chain_of(4)
     assert store.has_ancestry(blocks[-1])
-    chain = store.chain(blocks[-1])
+    chain = list(store.iter_ancestors(blocks[-1]))[::-1]
     assert chain[0].is_genesis
     assert [b.height for b in chain] == [0, 1, 2, 3, 4]
 
@@ -70,10 +70,9 @@ def test_store_chain_and_ancestry():
 def test_store_missing_parent_breaks_ancestry():
     store = BlockStore()
     orphan = Block(parent_hash="f" * 64, height=5, view=1, round=7, proposer=0)
-    store.add(orphan)
+    store.add_if_absent(orphan)
     assert not store.has_ancestry(orphan)
-    with pytest.raises(KeyError):
-        store.chain(orphan)
+    assert [b.block_hash for b in store.iter_ancestors(orphan)] == [orphan.block_hash]
 
 
 def test_extends_along_chain():
@@ -87,26 +86,18 @@ def test_extends_along_chain():
 def test_conflicts_between_forks():
     store, blocks = chain_of(2)
     fork = make_block(blocks[0], 9, 2, 4, [Command("fork")])
-    store.add(fork)
+    store.add_if_absent(fork)
     assert store.conflicts(fork, blocks[1])
     assert not store.conflicts(fork, blocks[0])
     assert not store.conflicts(blocks[1], blocks[1])
 
 
-def test_highest_common_ancestor():
-    store, blocks = chain_of(3)
-    fork = make_block(blocks[0], 9, 2, 4, [Command("fork")])
-    store.add(fork)
-    assert store.highest_common_ancestor(fork, blocks[2]).block_hash == blocks[0].block_hash
-    assert store.highest_common_ancestor(blocks[2], blocks[1]).block_hash == blocks[1].block_hash
-
-
 def test_store_contains_and_get():
     store, blocks = chain_of(1)
-    assert blocks[0].block_hash in store
+    assert store.add_if_absent(blocks[0]) is False  # already stored
     assert store.get(blocks[0].block_hash) is blocks[0]
+    assert store.get(store.genesis.block_hash) is store.genesis
     assert store.get("missing") is None
-    assert len(store) == 2  # genesis + one block
 
 
 def test_iter_ancestors_stops_at_genesis():

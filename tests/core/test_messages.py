@@ -90,7 +90,7 @@ def test_data_digest_stable_for_blocks(scheme):
 def test_make_qc_from_matching_messages(scheme):
     votes = [signed(scheme, i, data="h") for i in range(3)]
     qc = make_qc(votes)
-    assert qc.size == 3
+    assert len(qc.signatures) == 3
     assert qc.signers == (0, 1, 2)
     assert verify_qc(scheme, 9, qc, threshold=3)
 
@@ -98,7 +98,7 @@ def test_make_qc_from_matching_messages(scheme):
 def test_make_qc_deduplicates_signers(scheme):
     votes = [signed(scheme, 0, data="h"), signed(scheme, 0, data="h"), signed(scheme, 1, data="h")]
     qc = make_qc(votes)
-    assert qc.size == 2
+    assert len(qc.signatures) == 2
 
 
 def test_make_qc_rejects_mixed_types_or_digests(scheme):

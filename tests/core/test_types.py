@@ -17,13 +17,13 @@ def test_command_rejects_negative_payload():
 
 def test_batch_size_and_ids():
     batch = Batch((Command("a", payload_size_bytes=10), Command("b", payload_size_bytes=20)))
-    assert len(batch) == 2
+    assert len(batch.commands) == 2
     assert batch.command_ids == ("a", "b")
     assert batch.wire_size_bytes == (10 + 12) + (20 + 12)
 
 
 def test_empty_batch():
     batch = Batch()
-    assert len(batch) == 0
+    assert len(batch.commands) == 0
     assert batch.wire_size_bytes == 0
     assert batch.command_ids == ()

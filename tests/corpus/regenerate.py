@@ -14,7 +14,8 @@ what CI replays — see ``test_corpus_replay.py``.
 import dataclasses
 from pathlib import Path
 
-from repro.fuzz import FuzzConfig, Corpus
+from repro.fuzz import FuzzConfig
+from repro.fuzz.corpus import Corpus
 from repro.testkit.faults import schedule_from_dict
 
 ROOT = Path(__file__).resolve().parent

@@ -20,8 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz import Corpus
-from repro.fuzz.corpus import replay_entry
+from repro.fuzz.corpus import Corpus, replay_entry
 
 ENTRIES = Corpus(Path(__file__).resolve().parent).entries()
 

@@ -32,22 +32,6 @@ def test_hash_energy_rejects_negative_size():
         HashFunction().energy_for_size(-1)
 
 
-def test_digest_reports_size_and_energy():
-    fn = HashFunction()
-    result = fn.digest(b"x" * 64)
-    assert result.input_size_bytes == 64
-    assert result.energy_joules == pytest.approx(fn.energy_for_size(64))
-    assert len(result.digest) == 64  # hex sha256
-
-
-def test_digest_counters():
-    fn = HashFunction()
-    fn.digest(b"a")
-    fn.digest(b"bc")
-    assert fn.invocations == 2
-    assert fn.total_bytes == 3
-
-
 def test_hash_cost_well_below_signature_cost():
     """The paper's ordering: hashing is far cheaper than signing."""
     fn = HashFunction()

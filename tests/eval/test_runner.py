@@ -14,7 +14,7 @@ from repro.session import Session, SessionBuilder
 from repro.session.builder import build_topology, compute_delta
 from repro.sim.events import BucketedEventQueue
 from repro.testkit.trace import TraceRecorder, spec_fingerprint
-from repro.workload import TraceReplay
+from repro.workload.engine import TraceReplay
 from tests.conftest import honest_spec
 from tests.testkit.test_golden_fingerprints import GOLDEN
 
@@ -445,7 +445,7 @@ def test_charge_sleep_adds_energy():
 
 def test_result_derived_metrics_consistent():
     result = run_protocol(honest_spec(n=5, f=1, k=2, blocks=2, seed=54))
-    assert result.correct_energy_mj == pytest.approx(result.correct_energy_j * 1000)
+    assert result.correct_energy_mj == pytest.approx(result.energy.correct_total_joules * 1000)
     assert result.energy_per_block_mj == pytest.approx(result.correct_energy_mj / 2)
     assert result.leader_energy_mj > 0
     assert set(result.committed_heights) == set(range(5))

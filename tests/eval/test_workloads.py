@@ -9,7 +9,7 @@ from repro.eval.workloads import (
     fill_txpools,
     generate_commands,
 )
-from repro.core.txpool import TxPool
+from repro.core.txpool import ADMITTED, TxPool
 
 
 class PoolHolder:
@@ -17,7 +17,7 @@ class PoolHolder:
         self.txpool = TxPool()
 
     def submit_commands(self, commands):
-        return self.txpool.add_all(commands)
+        return [self.txpool.admit(c) for c in commands].count(ADMITTED)
 
 
 def test_generate_commands_deterministic():

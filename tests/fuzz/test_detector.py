@@ -1,6 +1,8 @@
 """Detector tests: verdict shape, skip paths, and failure keys."""
 
-from repro.fuzz import CorpusEntry, Detection, Detector, FuzzConfig, ProtocolVerdict, replay_entry
+from repro.fuzz import FuzzConfig
+from repro.fuzz.corpus import CorpusEntry, replay_entry
+from repro.fuzz.detect import Detection, Detector, ProtocolVerdict
 from repro.testkit.faults import (
     CrashAt,
     FaultSchedule,

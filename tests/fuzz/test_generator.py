@@ -9,14 +9,18 @@ caught here.
 
 import pytest
 
-from repro.fuzz import FuzzConfig, ScheduleGenerator
-from repro.fuzz.generator import TIME_QUANTUM
+from repro.fuzz import FuzzConfig
+from repro.fuzz.generator import TIME_QUANTUM, ScheduleGenerator
 from repro.session.builder import build_topology
 from repro.testkit.faults import FaultSchedule, LeaderFollowingCrash
 
 
+def draw(generator, iterations):
+    return [generator.generate() for _ in range(iterations)]
+
+
 def describe_all(generator, iterations):
-    return [schedule.describe() for schedule in generator.schedules(iterations)]
+    return [schedule.describe() for schedule in draw(generator, iterations)]
 
 
 # ------------------------------------------------------------------ determinism
@@ -35,7 +39,7 @@ def test_different_seeds_diverge():
 
 
 def test_times_land_on_the_quantum_grid():
-    for schedule in ScheduleGenerator(FuzzConfig(), seed=3).schedules(15):
+    for schedule in draw(ScheduleGenerator(FuzzConfig(), seed=3), 15):
         for atom in schedule.describe():
             for key in ("time", "start", "end", "heal", "interval"):
                 if key in atom:
@@ -51,7 +55,7 @@ def test_emitted_schedules_satisfy_lemma_a5_independently():
     under every concurrently impaired set."""
     config = FuzzConfig(kinds=("RelayDropWindow", "PartitionWindow", "SilentFrom", "LeaderFollowingCrash"))
     generator = ScheduleGenerator(config, seed=11)
-    for schedule in generator.schedules(20):
+    for schedule in draw(generator, 20):
         worst = schedule.max_byzantine()
         assert 2 * worst < config.n
         topology = build_topology(config.spec_for(schedule, "eesmr"))
@@ -72,7 +76,7 @@ def test_adaptive_budgets_are_charged_against_the_quorum_bound():
     atoms — the budget accounting half of the Lemma A.5 gate."""
     config = FuzzConfig(n=4, kinds=("LeaderFollowingCrash",), max_adaptive_budget=2)
     generator = ScheduleGenerator(config, seed=5)
-    schedules = list(generator.schedules(15))
+    schedules = draw(generator, 15)
     for schedule in schedules:
         for atom in schedule.faults:
             assert isinstance(atom, LeaderFollowingCrash)
@@ -129,7 +133,7 @@ def test_generated_windows_are_never_degenerate(kind):
     least one quantum, so construction-time validation never fires on a
     generated schedule."""
     generator = ScheduleGenerator(FuzzConfig(kinds=(kind,)), seed=4)
-    atoms = [atom for s in generator.schedules(25) for atom in s.describe()]
+    atoms = [atom for s in draw(generator, 25) for atom in s.describe()]
     assert atoms, "the kinds-restricted generator must emit something"
     for atom in atoms:
         assert atom["kind"] == kind
@@ -145,7 +149,7 @@ def test_default_kinds_include_crash_recover_windows():
     assert "CrashRecoverWindow" in DEFAULT_KINDS
     kinds = {
         atom["kind"]
-        for s in ScheduleGenerator(FuzzConfig(), seed=2).schedules(60)
+        for s in draw(ScheduleGenerator(FuzzConfig(), seed=2), 60)
         for atom in s.describe()
     }
     assert "CrashRecoverWindow" in kinds

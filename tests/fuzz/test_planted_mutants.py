@@ -24,6 +24,8 @@ from mutants import (
 )
 
 from repro.fuzz import FuzzConfig, Fuzzer
+from repro.fuzz.corpus import CorpusEntry, replay_entry
+from repro.testkit.invariants import judge_reports
 
 #: Budget the ISSUE-style acceptance is phrased in: the fuzzer must find
 #: each planted bug within this many generated schedules.
@@ -116,6 +118,35 @@ def test_retransmission_giveup_mutant_is_found_and_shrunk():
     assert len(atoms) <= 3
     assert {atom["kind"] for atom in atoms} == {"LossWindow"}
     assert ("eesmr", "loss-budget-liveness") in shrunk.failure_key
+
+
+def test_saved_reproducers_load_replay_and_save_stably(tmp_path):
+    """``repro fuzz --out``'s path: save_findings → Corpus.add → one file per
+    finding.  Each file loads back and still fails, with the pairs it
+    recorded, under the build that found it; ``replay_entry`` runs the
+    stock build, where a planted mutant's reproducer is clean.  Entries are
+    content-addressed, so saving again rewrites the same files."""
+    fuzzer = Fuzzer(
+        COMMIT_RULE_CONFIG, seed=COMMIT_RULE_SEED, builder_factory=CommitRuleMutantBuilder
+    )
+    report = fuzzer.run(SEED_BUDGET)
+    written = fuzzer.save_findings(report, tmp_path)
+    assert written and len(written) == len(report.findings)
+    contents = {path.name: path.read_text() for path in written}
+    for path in written:
+        entry = CorpusEntry.load(path)
+        assert entry.expect == "violation"
+        recorded = {tuple(pair) for pair in entry.found["failures"]}
+        protocol = entry.spec["protocol"]
+        reports = judge_reports(
+            entry.build_spec(), label=entry.entry_id, builder=CommitRuleMutantBuilder
+        )
+        assert {(protocol, r.name) for r in reports if not r.ok} == recorded
+        _, failing = replay_entry(entry)
+        assert failing == []
+    again = fuzzer.save_findings(report, tmp_path)
+    assert [path.name for path in again] == [path.name for path in written]
+    assert {path.name: path.read_text() for path in tmp_path.iterdir()} == contents
 
 
 def test_honest_controls_are_clean():

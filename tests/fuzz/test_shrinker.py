@@ -9,8 +9,9 @@ detector.
 
 import pytest
 
-from repro.fuzz import Detection, ProtocolVerdict, Shrinker
+from repro.fuzz.detect import Detection, ProtocolVerdict
 from repro.fuzz.generator import TIME_QUANTUM
+from repro.fuzz.shrink import Shrinker
 from repro.testkit.faults import (
     CrashAt,
     CrashRecoverWindow,

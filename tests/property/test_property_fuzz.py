@@ -20,7 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.runner import DeploymentSpec
-from repro.fuzz import Detection, FuzzConfig, ProtocolVerdict, ScheduleGenerator, Shrinker
+from repro.fuzz import FuzzConfig
+from repro.fuzz.detect import Detection, ProtocolVerdict
+from repro.fuzz.generator import ScheduleGenerator
+from repro.fuzz.shrink import Shrinker
 from repro.testkit.faults import LeaderFollowingCrash
 from repro.testkit.invariants import InvariantReport
 

@@ -18,7 +18,8 @@ from repro.core.adversary import ALLOWED_BEHAVIOURS, FaultPlan
 from repro.eval.runner import MEDIA, PROTOCOLS, TOPOLOGIES, DeploymentSpec
 from repro.net.impairment import ImpairmentSpec, SpecError
 from repro.testkit import faults
-from repro.workload import ClosedLoopPreload, OpenLoopPoisson, TraceReplay
+from repro.workload import ClosedLoopPreload, OpenLoopPoisson
+from repro.workload.engine import TraceReplay
 
 
 # ------------------------------------------------------------- strategies

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.eval.runner import DeploymentSpec
-from repro.workload import OpenLoopPoisson, default_open_loop_duration
+from repro.workload import OpenLoopPoisson
+from repro.workload.engine import default_open_loop_duration
 
 
 def open_loop_spec(rate, clients, seed):

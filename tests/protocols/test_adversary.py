@@ -19,7 +19,6 @@ from repro.core.eesmr.replica import EesmrReplica
 def test_fault_plan_defaults():
     plan = FaultPlan()
     assert plan.faulty == ()
-    assert plan.f_actual == 0
 
 
 def test_replica_class_for_honest_node():

@@ -12,7 +12,8 @@ import pytest
 from repro.core.adversary import FaultPlan
 from repro.eval.runner import PROTOCOLS, DeploymentSpec
 from repro.session import Session
-from repro.workload import ClosedLoopPreload, TraceReplay
+from repro.workload import ClosedLoopPreload
+from repro.workload.engine import TraceReplay
 
 TARGET_HEIGHT = 6
 BATCH_SIZE = 2

@@ -4,6 +4,8 @@ The blame phase and the message dispatch live in ``LeaderReplica``; their
 tests run over every class that inherits them (``LEADER_CLASSES``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.baselines.optsync import OptSyncReplica
@@ -123,6 +125,45 @@ def test_equivocating_proposals_cancel_commit_timers_and_blame():
     assert len(replica.commit_timers) == 0
     assert 1 in replica.blamed_views
     assert replica.in_view_change  # equivocation fast path quits the view
+
+
+@pytest.mark.parametrize(
+    "replica_class", [SyncHotStuffReplica, OptSyncReplica], ids=["sync-hotstuff", "optsync"]
+)
+def test_conflicting_signed_proposals_stop_commits_and_blame_once(replica_class):
+    """No fault atom makes a Sync HotStuff / OptSync leader equivocate (every
+    Byzantine class is an EESMR replica), so the safety path is driven by
+    hand: two signed SHS_PROPOSEs for one (view, height) from the leader."""
+    from repro.core.blocks import make_block
+    from repro.core.messages import CertifiedBlock
+    from repro.core.types import Command
+
+    sim, scheme, _, replicas = build_cluster(replica_class=replica_class)
+    replica = replicas[2]
+    flooded = []
+    replica.broadcast = flooded.append  # type: ignore[assignment]
+    genesis = replica.blocks.genesis
+    proposals = [
+        make_message(
+            scheme,
+            0,
+            MessageType.SHS_PROPOSE,
+            1,
+            CertifiedBlock(make_block(genesis, 0, 1, 1, [Command(name)]), None),
+            round_number=1,
+        )
+        for name in ("a", "b", "c")
+    ]
+    replica.on_message(0, proposals[0])
+    assert len(replica.commit_timers) == 1 and replica.stats.votes_sent == 1
+    replica.on_message(0, proposals[1])
+    assert replica.stats.equivocations_detected == 1
+    assert len(replica.commit_timers) == 0
+    assert [m.msg_type for m in flooded] == [MessageType.BLAME]
+    before = (dataclasses.replace(replica.stats), replica.b_lock.block_hash, list(flooded))
+    replica.on_message(0, proposals[2])
+    assert (replica.stats, replica.b_lock.block_hash, flooded) == before
+    assert len(replica.commit_timers) == 0
 
 
 def test_stale_equivocation_proof_does_not_depose_a_later_leader():

@@ -13,12 +13,27 @@ import pytest
 
 from repro.eval.runner import PROTOCOLS, DeploymentSpec
 from repro.net.impairment import CATCH_UP_RETRY
-from repro.recovery import RecoveryObserver
 from repro.session.builder import SessionBuilder
+from repro.session.observers import CallbackObserver
 from repro.testkit import faults
 from repro.testkit.faults import CATCH_UP_GRACE
 
 pytestmark = pytest.mark.recovery
+
+
+def recording(events: list) -> CallbackObserver:
+    """Append every ``on_recovery`` dispatch to ``events`` as (time, node, event, detail)."""
+    return CallbackObserver(
+        on_recovery=lambda node, event, detail, time: events.append((time, node, event, detail))
+    )
+
+
+def kinds_for(events, node):
+    return [event for _, pid, event, _ in events if pid == node]
+
+
+def nodes_with(events, kind):
+    return {pid for _, pid, event, _ in events if event == kind}
 
 
 def run_with_recovery(schedule, protocol, seed=11, target_height=5, n=5):
@@ -32,33 +47,33 @@ def run_with_recovery(schedule, protocol, seed=11, target_height=5, n=5):
         seed=seed,
         fault_schedule=schedule,
     )
-    observer = RecoveryObserver()
-    session = SessionBuilder(spec, observers=[observer]).build()
+    events: list = []
+    session = SessionBuilder(spec, observers=[recording(events)]).build()
     session.run_to_quiescence()
-    return spec, session, observer
+    return spec, session, events
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_partitioned_node_catches_up_to_full_target(protocol):
     schedule = faults.partition(3, start=1.0, heal=7.0)
-    spec, session, observer = run_with_recovery(schedule, protocol)
+    spec, session, events = run_with_recovery(schedule, protocol)
     heights = {pid: r.committed_height for pid, r in session.replicas.items()}
     assert heights[3] == spec.target_height, heights
-    kinds = observer.kinds_for(3)
+    kinds = kinds_for(events, 3)
     assert kinds[0] == "sync_started"
     assert "sync_request" in kinds
-    assert observer.caught_up_nodes() == (3,)
-    assert observer.gave_up_nodes() == ()
+    assert nodes_with(events, "caught_up") == {3}
+    assert nodes_with(events, "gave_up") == set()
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_crash_recovered_node_catches_up_to_full_target(protocol):
     schedule = faults.crash_recover(2, start=1.0, heal=7.5)
-    spec, session, observer = run_with_recovery(schedule, protocol, seed=12)
+    spec, session, events = run_with_recovery(schedule, protocol, seed=12)
     heights = {pid: r.committed_height for pid, r in session.replicas.items()}
     assert heights[2] == spec.target_height, heights
-    assert observer.caught_up_nodes() == (2,)
-    assert observer.gave_up_nodes() == ()
+    assert nodes_with(events, "caught_up") == {2}
+    assert nodes_with(events, "gave_up") == set()
 
 
 @pytest.mark.parametrize("protocol", ("eesmr", "sync-hotstuff"))
@@ -68,10 +83,10 @@ def test_catch_up_after_quiescence_lands_inside_the_grace_window(protocol):
     target), a working sync closes the gap before the exemption lapses."""
     heal = 28.0  # both protocols quiesce before t=26 at this operating point
     schedule = faults.partition(3, start=1.0, heal=heal)
-    spec, session, observer = run_with_recovery(schedule, protocol)
+    spec, session, events = run_with_recovery(schedule, protocol)
     assert session.replicas[3].committed_height == spec.target_height
-    caught = [e for e in observer.events_for(3) if e[2] == "caught_up"]
-    assert caught, observer.events
+    caught = [e for e in events if e[1] == 3 and e[2] == "caught_up"]
+    assert caught, events
     assert caught[0][0] <= heal + CATCH_UP_GRACE
     # With the run outliving the grace window, the healed node is no
     # longer liveness-exempt — the invariant genuinely checked it.
@@ -85,12 +100,12 @@ def test_recovery_event_stream_is_deterministic_per_seed():
     schedule = faults.partition(3, start=1.0, heal=7.0)
     runs = []
     for _ in range(2):
-        _, _, observer = run_with_recovery(schedule, "eesmr")
-        runs.append(observer.events)
+        _, _, events = run_with_recovery(schedule, "eesmr")
+        runs.append(events)
     assert runs[0] == runs[1]
     # A different seed perturbs at least the jittered delays.
     _, _, other = run_with_recovery(schedule, "eesmr", seed=13)
-    assert other.events  # still recovers; exact stream may legitimately differ
+    assert other  # still recovers; exact stream may legitimately differ
 
 
 def test_overlapping_partitions_defer_sync_to_the_last_heal():
@@ -100,12 +115,12 @@ def test_overlapping_partitions_defer_sync_to_the_last_heal():
     schedule = faults.partition(4, start=1.0, heal=6.0).add(
         faults.PartitionWindow(4, 3.0, 9.0)
     )
-    spec, session, observer = run_with_recovery(schedule, "eesmr")
-    requests = [e for e in observer.events_for(4) if e[2] in ("sync_started", "sync_request")]
+    spec, session, events = run_with_recovery(schedule, "eesmr")
+    requests = [e for e in events if e[1] == 4 and e[2] in ("sync_started", "sync_request")]
     assert requests, "the surviving controller must still run catch-up"
     assert all(t >= 9.0 for t, *_ in requests), requests
     assert session.replicas[4].committed_height == spec.target_height
-    assert observer.caught_up_nodes() == (4,)
+    assert nodes_with(events, "caught_up") == {4}
 
 
 def test_broken_catch_up_gives_up_and_forfeits_the_exemption():
@@ -135,14 +150,13 @@ def test_broken_catch_up_gives_up_and_forfeits_the_exemption():
         seed=12,
         fault_schedule=schedule,
     )
-    observer = RecoveryObserver()
-    session = NoCertBuilder(spec, observers=[observer]).build()
+    events: list = []
+    session = NoCertBuilder(spec, observers=[recording(events)]).build()
     session.run_to_quiescence()
     assert session.replicas[2].committed_height < spec.target_height
-    kinds = observer.kinds_for(2)
+    kinds = kinds_for(events, 2)
     assert kinds[-1] == "gave_up"
-    retries = [e for e in observer.events_for(2) if e[2] == "sync_retry"]
-    assert len(retries) == CATCH_UP_RETRY.max_retries
+    assert kinds.count("sync_retry") == CATCH_UP_RETRY.max_retries
     # The give-up path is slower than the grace window by design: the
     # healed node is held to the target it never reached.
     assert session.now > 28.0 + CATCH_UP_GRACE
@@ -159,8 +173,8 @@ def test_sync_traffic_rides_the_metered_medium():
     )
     baseline = SessionBuilder(baseline_spec).build()
     baseline.run_to_quiescence()
-    _, session, observer = run_with_recovery(schedule, "eesmr")
-    assert any(e[2] == "sync_request" for e in observer.events)
+    _, session, events = run_with_recovery(schedule, "eesmr")
+    assert any(e[2] == "sync_request" for e in events)
     assert (
         session.network.stats.unicasts > baseline.network.stats.unicasts
     ), "sync round trips must show up as extra metered unicasts"

@@ -1,21 +1,15 @@
 """The observer protocol: ordering, hook coverage, and the adapters.
 
 Observers registered on a session fire in registration order, see every
-commit / view change / fault window / event exactly once, and cannot
-perturb the run (fingerprints are pinned with and without observers).
+commit / view change / fault window exactly once, and cannot perturb the
+run (fingerprints are pinned with and without observers).
 """
 
 import pytest
 
 from repro.eval.runner import DeploymentSpec, run_protocol
-from repro.session import (
-    CallbackObserver,
-    EnergyTimelineObserver,
-    ObserverBus,
-    PerfObserver,
-    Session,
-    SessionObserver,
-)
+from repro.session import CallbackObserver, EnergyTimelineObserver, Session, SessionObserver
+from repro.session.observers import ObserverBus
 from repro.testkit import faults
 from repro.testkit.trace import TraceRecorder
 
@@ -34,9 +28,6 @@ class RecordingObserver(SessionObserver):
 
     def on_session_start(self, session) -> None:
         self.journal.append((self.name, "start", None))
-
-    def on_event(self, time, label) -> None:
-        self.journal.append((self.name, "event", (time, label)))
 
     def on_block_commit(self, pid, block, view, time) -> None:
         self.journal.append((self.name, "commit", (pid, block.height, view, time)))
@@ -112,16 +103,6 @@ def test_fault_window_hook_sees_open_and_close_edges():
     assert (4, "relay-deny", False, 8.0) in edges
 
 
-def test_event_hook_sees_every_traced_event():
-    journal: list = []
-    observer = RecordingObserver("o", journal)
-    recorder = TraceRecorder()
-    session = Session.from_spec(spec_with(), observers=[observer], recorder=recorder)
-    result = session.run().finish()
-    events = [p for _, h, p in journal if h == "event"]
-    assert events == [tuple(e) for e in result.trace.events]
-
-
 def test_observers_do_not_perturb_the_run():
     reference = (
         run_protocol(spec_with(), recorder=TraceRecorder()).trace.fingerprint()
@@ -129,7 +110,7 @@ def test_observers_do_not_perturb_the_run():
     journal: list = []
     session = Session.from_spec(
         spec_with(),
-        observers=[RecordingObserver("o", journal), PerfObserver(), EnergyTimelineObserver()],
+        observers=[RecordingObserver("o", journal), EnergyTimelineObserver()],
         recorder=TraceRecorder(),
     )
     assert session.run().finish().trace.fingerprint() == reference
@@ -140,7 +121,7 @@ def test_callback_observer_and_bus_overrides():
     observer = CallbackObserver(on_view_change=lambda pid, view, t: seen.append((pid, view)))
     bus = ObserverBus([observer])
     assert bus.overrides("on_view_change")
-    assert not bus.overrides("on_event")
+    assert not bus.overrides("on_block_commit")
     with pytest.raises(ValueError):
         CallbackObserver(on_teleport=lambda: None)
 
@@ -153,21 +134,8 @@ def test_callback_observer_and_bus_overrides():
 
 def test_unobserved_session_installs_no_hot_path_hooks():
     session = Session.from_spec(spec_with(), recorder=TraceRecorder())
-    assert session.sim.event_observer is None
     assert session.network.fault_observer is None
     assert all(r.hooks is None for r in session.replicas.values())
-
-
-def test_perf_observer_summary():
-    perf = PerfObserver()
-    session = Session.from_spec(spec_with(), observers=[perf])
-    result = session.run().finish()
-    summary = perf.summary()
-    assert summary["events"] == session.sim.executed_events
-    assert sum(summary["events_by_prefix"].values()) == summary["events"]
-    assert summary["commits_by_node"] == {
-        pid: h for pid, h in result.committed_heights.items() if h
-    }
 
 
 def test_energy_timeline_observer_is_monotone():

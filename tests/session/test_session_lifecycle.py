@@ -10,8 +10,8 @@ path here.
 import pytest
 
 from repro.eval.runner import DeploymentSpec, run_protocol
-from repro.session import Session, SessionBuilder, TopologyStage
-from repro.session.builder import build_topology, compute_delta
+from repro.session import Session, SessionBuilder
+from repro.session.builder import TopologyStage, build_topology, compute_delta
 from repro.sim.scheduler import SimulationError
 from repro.testkit.trace import TraceRecorder
 

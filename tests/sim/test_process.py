@@ -18,7 +18,6 @@ def test_deliver_dispatches_to_on_message():
     proc = Recorder(sim, 1)
     proc.deliver(2, "hello")
     assert proc.received == [(2, "hello")]
-    assert proc.delivered_count == 1
 
 
 def test_crashed_process_ignores_deliveries():
@@ -27,7 +26,6 @@ def test_crashed_process_ignores_deliveries():
     proc.crash()
     proc.deliver(2, "hello")
     assert proc.received == []
-    assert proc.delivered_count == 0
 
 
 def test_recover_resumes_deliveries():

@@ -1,20 +1,18 @@
 """Unit tests for seeded randomness helpers."""
 
-import pytest
-
 from repro.sim.rng import SeededRNG, derive_seed
 
 
 def test_same_seed_same_stream():
     a = SeededRNG(42)
     b = SeededRNG(42)
-    assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
+    assert [a.uniform(0.0, 1.0) for _ in range(10)] == [b.uniform(0.0, 1.0) for _ in range(10)]
 
 
 def test_different_seeds_differ():
     a = SeededRNG(1)
     b = SeededRNG(2)
-    assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
+    assert [a.uniform(0.0, 1.0) for _ in range(5)] != [b.uniform(0.0, 1.0) for _ in range(5)]
 
 
 def test_derive_seed_is_deterministic_and_label_sensitive():
@@ -25,10 +23,10 @@ def test_derive_seed_is_deterministic_and_label_sensitive():
 
 def test_child_streams_are_independent_of_sibling_creation():
     root = SeededRNG(99)
-    first = root.child("a").random()
+    first = root.child("a").uniform(0.0, 1.0)
     # Creating another child must not perturb the stream of child "a".
     root.child("b")
-    assert SeededRNG(99).child("a").random() == first
+    assert SeededRNG(99).child("a").uniform(0.0, 1.0) == first
 
 
 def test_uniform_within_bounds():
@@ -67,17 +65,6 @@ def test_shuffle_returns_permutation_without_mutating_input():
 
 def test_bytes_length():
     assert len(SeededRNG(5).bytes(16)) == 16
-
-
-def test_pick_weighted_respects_zero_weight():
-    rng = SeededRNG(5)
-    picks = {rng.pick_weighted([("a", 0.0), ("b", 1.0)]) for _ in range(50)}
-    assert picks == {"b"}
-
-
-def test_pick_weighted_rejects_nonpositive_total():
-    with pytest.raises(ValueError):
-        SeededRNG(5).pick_weighted([("a", 0.0)])
 
 
 def test_exponential_mean_positive():

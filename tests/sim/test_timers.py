@@ -38,14 +38,6 @@ def test_timer_cancel_prevents_firing():
     assert not timer.running
 
 
-def test_timer_remaining():
-    sim = Simulator()
-    timer = Timer(sim, "t", lambda: None)
-    timer.start(10.0)
-    sim.run(until=4.0)
-    assert timer.remaining() == pytest.approx(6.0)
-
-
 def test_timer_negative_duration_rejected():
     timer = Timer(Simulator(), "t", lambda: None)
     with pytest.raises(ValueError):

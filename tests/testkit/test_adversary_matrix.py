@@ -14,7 +14,7 @@ import pytest
 
 from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.testkit.faults import crash_at, equivocate_at, silent, stall_at
-from repro.testkit.invariants import Evidence, assert_all
+from repro.testkit.invariants import Evidence, check_all
 from repro.testkit.trace import TraceRecorder
 
 REPLICATED = ("eesmr", "sync-hotstuff", "optsync")
@@ -44,7 +44,8 @@ def test_behaviour_preserves_safety_and_liveness(protocol, behaviour):
     spec, result = run_behaviour(protocol, behaviour)
     assert result.safety.consistent, f"{protocol}×{behaviour} violated safety"
     assert result.min_committed_height >= spec.target_height
-    assert_all(Evidence(spec=spec, result=result, trace=result.trace))
+    reports = check_all(Evidence(spec=spec, result=result, trace=result.trace))
+    assert [r.detail for r in reports if not r.ok] == []
 
 
 @pytest.mark.parametrize("protocol", REPLICATED)

@@ -16,7 +16,6 @@ from repro.testkit.faults import (
     crash_recover,
     drop_window,
     equivocate_at,
-    no_faults,
     partition,
     schedule_from_dict,
     silent,
@@ -27,8 +26,8 @@ from tests.conftest import make_network
 
 
 def test_empty_schedule():
-    schedule = no_faults()
-    assert len(schedule) == 0
+    schedule = FaultSchedule()
+    assert schedule.faults == ()
     assert schedule.byzantine_nodes() == ()
     assert schedule.perturbed_nodes() == ()
     assert schedule.replica_behaviour(0) is None
@@ -72,7 +71,7 @@ def test_composition_preserves_all_faults():
     schedule = crash_at(0, 1.0).add(SilentFrom(4), RelayDropWindow(2, 0.0, 5.0))
     assert schedule.byzantine_nodes() == (0, 4)
     assert schedule.perturbed_nodes() == (0, 2, 4)
-    assert len(schedule) == 3
+    assert len(schedule.faults) == 3
 
 
 def test_two_byzantine_behaviours_on_one_node_rejected():
@@ -244,7 +243,7 @@ def test_concurrent_impairment_sets():
     assert frozenset({0, 2}) in sets  # during [1, 4)
     assert frozenset({0, 2, 3}) in sets  # during [4, 5)
     assert frozenset({0, 4}) in sets  # during [9, 9.5)
-    assert no_faults().concurrent_impairment_sets() == []
+    assert FaultSchedule().concurrent_impairment_sets() == []
 
 
 # ------------------------------------------------ recovery-bearing atoms

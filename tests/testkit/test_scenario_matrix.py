@@ -47,7 +47,7 @@ def test_fault_library_has_composed_multi_fault_schedules():
     assert set(COMPOSED_FAULTS) <= set(FAULT_LIBRARY)
     for name in COMPOSED_FAULTS:
         schedule = FAULT_LIBRARY[name](5)
-        assert len(schedule) >= 2, name
+        assert len(schedule.faults) >= 2, name
     # At least two entries put several nodes under *Byzantine* control.
     multi_byzantine = [
         name for name in COMPOSED_FAULTS if len(FAULT_LIBRARY[name](5).byzantine_nodes()) >= 2
@@ -145,7 +145,7 @@ def test_run_records_skips_and_stays_clean():
     assert report.cells_skipped == 1
     assert isinstance(report.skipped[0], SkippedCell)
     assert "Lemma A.5" in report.skipped[0].reason
-    assert "two-crashes" in report.skip_reasons()[0]
+    assert "two-crashes" in report.skipped[0].label()
     report.assert_clean()  # skips are not failures
 
 

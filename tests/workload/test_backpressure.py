@@ -55,7 +55,8 @@ def test_admit_returns_explicit_verdicts():
 
 def test_duplicate_and_overflow_are_counted_separately():
     pool = TxPool(max_size=2)
-    pool.add_all(commands("a", "b"))
+    for command in commands("a", "b"):
+        pool.admit(command)
     pool.admit(Command("a"))  # duplicate, not a drop
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TxPoolOverflowWarning)
@@ -65,19 +66,12 @@ def test_duplicate_and_overflow_are_counted_separately():
     assert pool.dropped == 2
     assert pool.admitted == 2
     assert pool.high_watermark == 2
-    assert pool.admission_stats() == {
-        "admitted": 2,
-        "duplicates": 1,
-        "dropped": 2,
-        "pending": 2,
-        "high_watermark": 2,
-        "max_size": 2,
-    }
+    assert len(pool) == 2
 
 
 def test_first_overflow_warns_once_per_pool():
     pool = TxPool(max_size=1)
-    pool.add(Command("a"))
+    pool.admit(Command("a"))
     with pytest.warns(TxPoolOverflowWarning, match="max_size=1"):
         pool.admit(Command("b"))
     with warnings.catch_warnings():
@@ -89,12 +83,13 @@ def test_bounded_pool_stays_bounded_and_preserves_drain_order():
     pool = TxPool(max_size=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TxPoolOverflowWarning)
-        pool.add_all(commands("a", "b", "c", "d", "e"))
+        for command in commands("a", "b", "c", "d", "e"):
+            pool.admit(command)
     assert len(pool) == 3
     # Drain order is arrival order, untouched by the rejected tail.
     assert [c.command_id for c in pool.peek_batch(10)] == ["a", "b", "c"]
     pool.remove(["a"])
-    assert pool.add(Command("f"))
+    assert pool.admit(Command("f")) == ADMITTED
     assert [c.command_id for c in pool.peek_batch(10)] == ["b", "c", "f"]
 
 

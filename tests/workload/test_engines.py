@@ -20,12 +20,11 @@ from repro.testkit.trace import TraceRecorder
 from repro.workload import (
     ClosedLoopPreload,
     OpenLoopPoisson,
-    TraceReplay,
-    default_open_loop_duration,
     parse_workload,
     workload_command_ids,
     workload_from_dict,
 )
+from repro.workload.engine import TraceReplay, default_open_loop_duration
 
 
 def open_loop_spec(rate=2.0, seed=17, **overrides):
@@ -146,7 +145,7 @@ def test_trace_replay_from_file_and_inline_are_equal(tmp_path):
     ]
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(entries))
-    from_file = TraceReplay.from_file(str(path))
+    from_file = TraceReplay(path=str(path))
     inline = TraceReplay(entries=((0.25, "a", 1, 32), (1.5, "tr1", 0, None)))
     assert from_file == inline  # path is provenance, not identity
 

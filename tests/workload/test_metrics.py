@@ -1,11 +1,8 @@
-"""SLO metrics: quantiles, fault windows, exporters, sharding equality.
+"""SLO metrics: quantiles, fault windows, sharding equality.
 
 ``MetricsObserver`` numbers are pure functions of the deterministic run:
 a serial matrix sweep and a ``parallel=N`` sharded one must report the
-identical summaries.  The Prometheus surface is exercised the way CI has
-it — without ``prometheus_client`` installed — so the zero-dependency
-text exporter and the documented no-op ``export()`` fallback are the
-tested paths.
+identical summaries.
 """
 
 import json
@@ -13,11 +10,7 @@ import warnings
 
 from repro.core.txpool import TxPoolOverflowWarning
 from repro.eval.runner import DeploymentSpec, run_protocol
-from repro.session.metrics import (
-    HAVE_PROMETHEUS,
-    MetricsObserver,
-    percentile,
-)
+from repro.session.metrics import MetricsObserver, percentile
 from repro.testkit import faults
 from repro.testkit.scenarios import ScenarioMatrix
 from repro.workload import OpenLoopPoisson
@@ -158,33 +151,3 @@ def test_metrics_identical_across_serial_and_parallel_matrix():
         (o.metrics is None) == (o.cell.workload == "preload") for o in serial.outcomes
     )
 
-
-# ---------------------------------------------------------------- exporters
-def test_prometheus_text_needs_no_dependency():
-    metrics, _ = run_with_metrics(open_loop_spec())
-    text = metrics.prometheus_text()
-    assert text.startswith("# HELP repro_commit_latency_p50 ")
-    for metric in (
-        "repro_commit_latency_p99",
-        "repro_goodput_commands_per_time",
-        "repro_queue_depth_mean",
-        "repro_commands_offered_total",
-        "repro_commands_dropped_total",
-    ):
-        assert f"# TYPE {metric} gauge" in text
-    assert 'window="overall"' in text
-    # Every sample line is "name{labels} value" with a parseable value.
-    for line in text.strip().splitlines():
-        if line.startswith("#"):
-            continue
-        _, _, value = line.rpartition(" ")
-        float(value)
-
-
-def test_export_is_noop_without_prometheus_client():
-    metrics, _ = run_with_metrics(open_loop_spec())
-    registry = metrics.export()
-    if HAVE_PROMETHEUS:  # pragma: no cover - dep not installed in CI
-        assert registry is not None
-    else:
-        assert registry is None
