@@ -30,8 +30,9 @@
 #                     were bit-identical (tools/ledger_pairs.py; takes
 #                     2 x N x ~25 s)
 #   make test-corpus  replay the committed fuzz reproducers in
-#                     tests/corpus (also part of test-fast; named target
-#                     for the PR-blocking CI step)
+#                     tests/corpus and check the files are what
+#                     tests/corpus/regenerate.py writes (also part of
+#                     test-fast; named target for the PR-blocking CI step)
 #   make fuzz         a short local fuzz campaign (SEED=n ITERATIONS=n to
 #                     override; see docs/fuzzing.md)
 #   make lint         ruff over src/tests/examples (critical rules plus

@@ -15,7 +15,6 @@ Run with:  python examples/farm_sensor_network.py
 """
 
 from repro import DeploymentSpec, FaultPlan, Session
-from repro.eval.workloads import SensorReadingWorkload
 from repro.session import EnergyTimelineObserver
 
 #: A common 18650-class battery for field sensors, in Joules.
@@ -24,7 +23,6 @@ BATTERY_CAPACITY_J = 10_000.0
 
 def run_field(fault_plan: FaultPlan, label: str) -> None:
     n_sensors = 10
-    workload = SensorReadingWorkload(n_sensors=n_sensors, reading_bytes=16, seed=7)
     epochs = 4
 
     spec = DeploymentSpec(
@@ -44,7 +42,6 @@ def run_field(fault_plan: FaultPlan, label: str) -> None:
     timeline = EnergyTimelineObserver()
     result = Session.from_spec(spec, observers=[timeline]).run().finish()
 
-    per_epoch_mj = result.energy_per_block_mj / max(1, 1)
     per_node_per_epoch_mj = result.energy_per_block_mj / (n_sensors - len(fault_plan.faulty))
     # One agreement per hour, as in the paper's closing observation.
     epochs_per_battery = BATTERY_CAPACITY_J / (per_node_per_epoch_mj / 1000.0)

@@ -12,8 +12,10 @@ The package is organised by substrate:
   analytical energy framework (Section 4);
 * :mod:`repro.core` — the EESMR protocol and the baselines it is compared
   against (Sync HotStuff, OptSync, trusted control node);
-* :mod:`repro.eval` — the deployment spec and run result, ``run_protocol``,
-  workloads and the per-table / per-figure experiment implementations;
+* :mod:`repro.eval` — the deployment spec and run result, ``run_protocol``
+  and the per-table / per-figure experiment implementations;
+* :mod:`repro.workload` — the workload engines that feed commands into
+  the replicas' pools;
 * :mod:`repro.session` — the one front door for running a spec: staged
   deployment construction, observer hooks, steppable run control and
   adaptive adversaries (``run_protocol`` is sugar for it).

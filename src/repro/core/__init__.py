@@ -8,7 +8,6 @@ from repro.core.messages import (
     verify_view_qc,
 )
 from repro.core.ledger import SafetyChecker, SafetyReport, SafetyViolation
-from repro.core.client import Client, CommandFactory, AckRouter
 from repro.core.config import ProtocolConfig
 from repro.core.eesmr import EesmrReplica
 from repro.core.baselines import (
@@ -32,9 +31,6 @@ __all__ = [
     "SafetyChecker",
     "SafetyReport",
     "SafetyViolation",
-    "Client",
-    "CommandFactory",
-    "AckRouter",
     "ProtocolConfig",
     "EesmrReplica",
     "SyncHotStuffReplica",

@@ -19,10 +19,9 @@ feasible-region analysis of Fig. 1 compares EESMR against.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Set
 
 from repro.core.blocks import Block, make_block
-from repro.core.client import AckRouter
 from repro.core.config import ProtocolConfig
 from repro.core.messages import (
     ClientRequest,
@@ -145,9 +144,8 @@ class TrustedBaselineReplica(BaseReplica):
         network: SimulatedNetwork,
         meter: EnergyMeter,
         control_node_id: NodeId,
-        ack_router: Optional[AckRouter] = None,
     ) -> None:
-        super().__init__(sim, pid, config, scheme, network, meter, ack_router)
+        super().__init__(sim, pid, config, scheme, network, meter)
         self.control_node_id = control_node_id
         # Retransmission latency on a lossy wire can reorder TB_ORDERs;
         # dangling blocks wait here (keyed by parent hash) until their

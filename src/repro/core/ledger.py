@@ -36,8 +36,8 @@ class CommittedLog:
         self.store = store
         self._by_height: Dict[int, CommitRecord] = {}
         # The same records by block hash, and the running maximum height:
-        # both maintained by commit(), the only writer, so membership,
-        # latency look-ups and ``highest_height`` never scan the log.
+        # both maintained by commit(), the only writer, so membership and
+        # ``highest_height`` never scan the log.
         self._by_hash: Dict[str, CommitRecord] = {}
         self._highest = 0
         self.commit_order: List[str] = []
@@ -112,11 +112,6 @@ class CommittedLog:
         for block in self.committed_blocks():
             ids.extend(block.batch.command_ids)
         return ids
-
-    def commit_latency(self, block_hash: str, proposed_at: float) -> Optional[float]:
-        """Latency between a proposal time and this node's commit of it."""
-        record = self._by_hash.get(block_hash)
-        return record.committed_at - proposed_at if record is not None else None
 
 
 @dataclass

@@ -278,10 +278,6 @@ class ProtocolMessage:
                 size += signature.size_bytes
         return size
 
-    def matches(self, msg_type: MessageType, view: View) -> bool:
-        """The ``MatchingMsg`` helper of Algorithm 1."""
-        return self.msg_type == msg_type and self.view == view
-
 
 @dataclass(frozen=True)
 class EquivocationProof(PayloadRecord):
@@ -404,10 +400,6 @@ class QuorumCertificate:
                 self.block.block_hash if self.block is not None else None,
             ]
         )
-
-    def matches(self, cert_type: MessageType, view: View) -> bool:
-        """The ``MatchingQC`` helper of Algorithm 1."""
-        return self.cert_type == cert_type and self.view == view
 
 
 #: Everything a :class:`ProtocolMessage` may carry.  None of these types can

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.blocks import Block, BlockStore, GENESIS
-from repro.core.client import AckRouter
 from repro.core.config import ProtocolConfig, RunStats
 from repro.core.ledger import CommittedLog
 from repro.core.messages import (
@@ -70,14 +69,12 @@ class BaseReplica(Process):
         scheme: SignatureScheme,
         network: SimulatedNetwork,
         meter: EnergyMeter,
-        ack_router: Optional[AckRouter] = None,
     ) -> None:
         super().__init__(sim, pid)
         self.config = config
         self.scheme = scheme
         self.network = network
         self.meter = meter
-        self.ack_router = ack_router
         self.hash_fn = HashFunction()
 
         self.blocks = BlockStore()
@@ -190,7 +187,7 @@ class BaseReplica(Process):
             self.charge_block_hash(block)
 
     def commit_chain(self, block: Block) -> List[Block]:
-        """Commit ``block`` and its ancestors; update b_com, txpool and acks."""
+        """Commit ``block`` and its ancestors; update b_com and the txpool."""
         if not self.blocks.has_ancestry(block):
             # Chain synchronization failed: refuse to commit a dangling block.
             return []
@@ -200,11 +197,6 @@ class BaseReplica(Process):
         for committed in newly_committed:
             self.stats.blocks_committed += 1
             self.txpool.remove(committed.batch.command_ids)
-            if self.ack_router is not None:
-                for command in committed.batch.commands:
-                    self.ack_router.route(
-                        self.pid, command, committed.height, committed.block_hash
-                    )
         if self.hooks is not None:
             for committed in newly_committed:
                 self.hooks.block_commit(self.pid, committed, self.v_cur, self.sim.now)

@@ -72,10 +72,6 @@ class KeyStore:
             raise KeyError(f"no key pair generated for node {node_id}")
         return self._pairs[node_id]
 
-    def known_nodes(self) -> list[int]:
-        """Node ids with registered key material."""
-        return sorted(self._pairs)
-
     def verify_tag(self, node_id: int, payload: bytes, tag: str) -> bool:
         """Check an authentication tag against ``node_id``'s key.
 

@@ -29,10 +29,9 @@ class EnergyReport:
 class ClusterEnergyLedger:
     """Holds one meter per node and computes aggregate energy views."""
 
-    def __init__(self, node_ids: Iterable[int], sleep_power_w: float = 0.0003) -> None:
+    def __init__(self, node_ids: Iterable[int]) -> None:
         self.meters: Dict[int, EnergyMeter] = {
-            node_id: EnergyMeter(node_id, sleep_power_w=sleep_power_w)
-            for node_id in node_ids
+            node_id: EnergyMeter(node_id) for node_id in node_ids
         }
 
     def meter(self, node_id: int) -> EnergyMeter:
@@ -40,10 +39,6 @@ class ClusterEnergyLedger:
         if node_id not in self.meters:
             self.meters[node_id] = EnergyMeter(node_id)
         return self.meters[node_id]
-
-    def node_ids(self) -> list[int]:
-        """All metered node ids."""
-        return sorted(self.meters)
 
     # -------------------------------------------------------------- queries
     def total_joules(self, exclude: Optional[Iterable[int]] = None) -> float:

@@ -3,10 +3,11 @@
 The paper attributes energy to the protocol by measuring the board's draw
 and subtracting the sleep-state baseline.  The reproduction does the
 converse: it starts from zero and charges every protocol-visible operation
-(radio transmit/receive, signature sign/verify, hashing) plus an optional
-idle/sleep power draw over elapsed virtual time.  The result is the same
-quantity the paper plots — "energy consumed by the protocol" — broken down
-by category so experiments can explain *where* the Joules go.
+(radio transmit/receive, signature sign/verify, hashing).  The sleep
+baseline is never charged, because the paper subtracts it, and neither is
+client cost, which the paper leaves out of the model.  The result is the
+same quantity the paper plots — "energy consumed by the protocol" — broken
+down by category so experiments can explain *where* the Joules go.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ class EnergyCategory(str, Enum):
     SIGN = "sign"
     VERIFY = "verify"
     HASH = "hash"
-    SLEEP = "sleep"
-    COMPUTE = "compute"
 
 
 @dataclass
@@ -66,20 +65,10 @@ class EnergyMeter:
 
     Callers charge by category (``meter.charge(EnergyCategory.SIGN, j)``);
     the meter keeps totals only, never a log of individual charges.
-
-    Args:
-        node_id: Owner of the meter.
-        sleep_power_w: Baseline draw while idle; the paper measured 0.3 mW
-            in sleep and ~1 mW while running SMR.  Sleep energy is charged
-            explicitly via :meth:`charge_sleep` when a session finishes
-            (``DeploymentSpec.charge_sleep``) so per-protocol numbers can
-            include or exclude it, mirroring the paper's subtraction of the
-            sleep baseline.
     """
 
-    def __init__(self, node_id: int, sleep_power_w: float = 0.0003) -> None:
+    def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-        self.sleep_power_w = sleep_power_w
         self.breakdown = EnergyBreakdown()
 
     # -------------------------------------------------------------- charging
@@ -94,12 +83,6 @@ class EnergyMeter:
         # EnergyBreakdown.add, inlined: two charges per reception land here.
         totals = self.breakdown.joules
         totals[category] = totals.get(category, 0.0) + joules
-
-    def charge_sleep(self, duration_s: float) -> None:
-        """Charge the idle baseline for ``duration_s`` seconds of virtual time."""
-        if duration_s < 0:
-            raise ValueError("duration cannot be negative")
-        self.charge(EnergyCategory.SLEEP, self.sleep_power_w * duration_s)
 
     # --------------------------------------------------------------- queries
     @property

@@ -1,4 +1,4 @@
-"""Experiment harness: deployment spec, workloads and per-figure experiments.
+"""Experiment harness: deployment spec, run result and per-figure experiments.
 
 :mod:`repro.eval.experiments` is a submodule, not an eager import: every
 run imports this package for the spec and result types, and only the
@@ -7,22 +7,12 @@ loads it on demand.
 """
 
 from repro.eval.runner import DeploymentSpec, RunResult, run_protocol
-from repro.eval.workloads import (
-    commands_for_run,
-    fill_txpools,
-    client_for_run,
-    SensorReadingWorkload,
-)
 from repro.eval.tables import format_table
 
 __all__ = [
     "DeploymentSpec",
     "RunResult",
     "run_protocol",
-    "commands_for_run",
-    "fill_txpools",
-    "client_for_run",
-    "SensorReadingWorkload",
     "experiments",
     "format_table",
 ]

@@ -101,11 +101,6 @@ class DeploymentSpec:
     #: behaviour: a perfectly reliable medium.
     impairment: Optional[Any] = field(default=None, metadata={"load": impairment_from_dict})
     seed: int = 0
-    #: Charge every correct node's idle baseline over the run's virtual time
-    #: when the session finishes (the paper subtracts it; off by default).
-    #: Schema-visible: :meth:`to_dict` writes it into corpus entries and
-    #: ``--spec`` files (``spec_fingerprint`` omits it).
-    charge_sleep: bool = False
     jitter: bool = True
 
     def __post_init__(self) -> None:

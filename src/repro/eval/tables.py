@@ -1,12 +1,12 @@
-"""Plain-text table / series formatting for experiment output.
+"""Plain-text table formatting for experiment output.
 
-Benchmarks and examples print the same rows and series the paper's tables
-and figures report; these helpers keep that formatting in one place.
+Benchmarks and examples print the same rows the paper's tables and
+figures report; this helper keeps that formatting in one place.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 def format_table(
@@ -28,12 +28,6 @@ def format_table(
     for row in materialized:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_series(name: str, points: Mapping[object, float], unit: str = "mJ") -> str:
-    """Render one figure series as ``name: x=value unit, ...``."""
-    parts = [f"{x}={value:.2f}{unit}" for x, value in points.items()]
-    return f"{name}: " + ", ".join(parts)
 
 
 def _fmt(cell: object, float_format: str) -> str:

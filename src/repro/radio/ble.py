@@ -64,16 +64,6 @@ class KCastTransmissionCost:
     per_receiver_energy_j: float
     duration_s: float
 
-    @property
-    def total_receiver_energy_j(self) -> float:
-        """Energy summed over all ``k`` receivers."""
-        return self.per_receiver_energy_j * self.k
-
-    @property
-    def total_energy_j(self) -> float:
-        """Sender plus all receivers."""
-        return self.sender_energy_j + self.total_receiver_energy_j
-
 
 class BleAdvertisementKCast:
     """Reliable k-cast built from redundant BLE advertisements.
@@ -127,15 +117,6 @@ class BleAdvertisementKCast:
             per_receiver_energy_j=receiver_mj / 1000.0,
             duration_s=fragments * self.fragment_time_s,
         )
-
-    # ------------------------------------------------- MediumEnergyModel API
-    def send_energy_j(self, size_bytes: int, k: int = 7) -> float:
-        """Sender energy (J) for one reliable k-cast of ``size_bytes``."""
-        return self.transmission_cost(size_bytes, k).sender_energy_j
-
-    def recv_energy_j(self, size_bytes: int, k: int = 7) -> float:
-        """Per-receiver energy (J) for one reliable k-cast of ``size_bytes``."""
-        return self.transmission_cost(size_bytes, k).per_receiver_energy_j
 
     def message_energy_25b(self, k: int) -> tuple[float, float]:
         """(sender mJ, receiver mJ) for one 25-byte message — the paper's headline numbers."""

@@ -71,18 +71,8 @@ class BleGattUnicast:
         """Sender energy (J) for one unicast transfer."""
         return self.transmission_cost(size_bytes).sender_energy_j
 
-    def recv_energy_j(self, size_bytes: int) -> float:
-        """Receiver energy (J) for one unicast transfer."""
-        return self.transmission_cost(size_bytes).receiver_energy_j
-
     def fanout_send_energy_j(self, size_bytes: int, d_out: int) -> float:
         """Sender energy (J) to emulate a k-cast with ``d_out`` serial unicasts."""
         if d_out < 0:
             raise ValueError("d_out cannot be negative")
         return d_out * self.send_energy_j(size_bytes)
-
-    def fanout_duration_s(self, d_out: int) -> float:
-        """Serialised duration of ``d_out`` unicasts (no concurrent connections)."""
-        if d_out < 0:
-            raise ValueError("d_out cannot be negative")
-        return d_out * self.connection_time_s

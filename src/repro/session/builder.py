@@ -29,14 +29,12 @@ from repro.core.adversary import behaviour_class, replica_class_for
 from repro.core.baselines.optsync import OptSyncReplica
 from repro.core.baselines.sync_hotstuff import SyncHotStuffReplica
 from repro.core.baselines.trusted_baseline import TrustedBaselineReplica, TrustedControlNode
-from repro.core.client import AckRouter, Client
 from repro.core.config import ProtocolConfig
 from repro.core.eesmr.replica import EesmrReplica
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import SignatureScheme, make_scheme
 from repro.energy.ledger import ClusterEnergyLedger
 from repro.eval.runner import DeploymentSpec
-from repro.eval.workloads import client_for_run
 from repro.workload import ClosedLoopPreload, WorkloadEngine
 from repro.net.hypergraph import Hypergraph
 from repro.net.network import SimulatedNetwork
@@ -142,8 +140,6 @@ class ReplicaStage:
     """
 
     replicas: Dict[int, Any]
-    client: Client
-    ack_router: AckRouter
     #: The trusted control node, or ``None`` for replicated runs.
     control: Optional[TrustedControlNode] = None
 
@@ -323,23 +319,20 @@ class SessionBuilder:
         misbehaviour at start time.  The trusted baseline schedules leaf
         fail-stops later, in the fault stage — matching the seed runner.
         """
-        spec = self.spec
         network = self._need("medium_stage").network
         crypto = self._need("crypto_stage")
-        client = client_for_run(spec.f, spec.command_payload_bytes, spec.seed)
-        ack_router = AckRouter([client])
         if self.trusted:
-            stage = self._build_trusted_replicas(crypto, network, ack_router, client)
+            stage = self._build_trusted_replicas(crypto, network)
         else:
-            replicas = self._build_replicated_replicas(crypto, network, ack_router)
-            stage = ReplicaStage(replicas, client, ack_router)
+            replicas = self._build_replicated_replicas(crypto, network)
+            stage = ReplicaStage(replicas)
             for replica in replicas.values():
                 network.register(replica)
         self.replica_stage = stage
         return stage
 
     def _build_replicated_replicas(
-        self, crypto: CryptoStage, network: SimulatedNetwork, ack_router: AckRouter
+        self, crypto: CryptoStage, network: SimulatedNetwork
     ) -> Dict[int, Any]:
         spec = self.spec
         ledger = self._need("medium_stage").ledger
@@ -350,16 +343,13 @@ class SessionBuilder:
             if spec.protocol == "eesmr":
                 cls, kwargs = self._eesmr_class_for(pid)
                 replica = cls(
-                    self.sim, pid, crypto.config, crypto.scheme, network, meter, ack_router,
-                    **kwargs,
+                    self.sim, pid, crypto.config, crypto.scheme, network, meter, **kwargs
                 )
             else:
                 base_cls = (
                     SyncHotStuffReplica if spec.protocol == "sync-hotstuff" else OptSyncReplica
                 )
-                replica = base_cls(
-                    self.sim, pid, crypto.config, crypto.scheme, network, meter, ack_router
-                )
+                replica = base_cls(self.sim, pid, crypto.config, crypto.scheme, network, meter)
                 # Baseline faults are modelled as fail-stop at the trigger time.
                 if schedule is not None:
                     failstop = schedule.failstop_time(pid)
@@ -382,11 +372,7 @@ class SessionBuilder:
         return replica_class_for(spec.fault_plan, pid)
 
     def _build_trusted_replicas(
-        self,
-        crypto: CryptoStage,
-        network: SimulatedNetwork,
-        ack_router: AckRouter,
-        client: Client,
+        self, crypto: CryptoStage, network: SimulatedNetwork
     ) -> ReplicaStage:
         spec = self.spec
         top = self._need("topology_stage")
@@ -409,13 +395,12 @@ class SessionBuilder:
                 network,
                 ledger.meter(pid),
                 top.control_id,
-                ack_router,
             )
         control.replica_ids = list(replicas)
         network.register(control)
         for replica in replicas.values():
             network.register(replica)
-        return ReplicaStage(replicas, client, ack_router, control=control)
+        return ReplicaStage(replicas, control=control)
 
     # ------------------------------------------------------------ stage 5
     def build_workload_stage(self) -> WorkloadStage:

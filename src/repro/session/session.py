@@ -66,7 +66,7 @@ class Session:
     :meth:`from_spec` convenience).  The builder's stage artifacts stay
     reachable (``session.builder``) and the frequently used substrates are
     exposed directly: ``sim``, ``network``, ``replicas``, ``ledger``,
-    ``config``, ``scheme``, ``client``, ``topology``.
+    ``config``, ``scheme``, ``topology``.
     """
 
     def __init__(self, builder) -> None:
@@ -88,7 +88,6 @@ class Session:
         self.config = crypto.config
         self.replicas: Dict[int, Any] = replica_stage.replicas
         self.control = replica_stage.control
-        self.client = replica_stage.client
         self.commands = builder.workload_stage.commands
         self.controllers = tuple(builder.fault_stage.controllers)
         self.bus = builder.observer_stage.bus
@@ -275,10 +274,6 @@ class Session:
         exclude_from_energy = {self.control_id} if self.control_id is not None else set()
         byzantine = set(spec.byzantine_nodes)
         faulty = byzantine | exclude_from_energy
-        if spec.charge_sleep:
-            for pid, meter in ledger.meters.items():
-                if pid not in faulty:
-                    meter.charge_sleep(sim.now)
         leader = config.leader_of(1)
         energy = ledger.report(leader=leader, faulty=faulty)
         logs = {pid: replica.log for pid, replica in replicas.items()}

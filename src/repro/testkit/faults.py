@@ -655,10 +655,6 @@ class FaultSchedule:
         """
         return tuple(sorted({p for f in self.faults if f.byzantine for p in f.nodes()}))
 
-    def perturbed_nodes(self) -> Tuple[int, ...]:
-        """Every node touched by any fault, Byzantine or environmental."""
-        return tuple(sorted({p for f in self.faults for p in f.nodes()}))
-
     def liveness_exempt_nodes(self, end_time: Optional[float] = None) -> Tuple[int, ...]:
         """Nodes excused from liveness expectations (sorted, unique).
 

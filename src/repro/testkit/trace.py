@@ -93,7 +93,6 @@ def spec_fingerprint(spec) -> Dict[str, Any]:
     out = spec.to_dict()
     plan, schedule = out.pop("fault_plan"), out.pop("fault_schedule")
     out["faults"] = plan if schedule is None else schedule
-    del out["charge_sleep"]
     if spec.topology != "random-kcast":
         # Only the parameterised topology carries its extra knobs.
         del out["edges_per_node"], out["topology_seed"]

@@ -4,12 +4,18 @@ The seed behaviour — generate one deterministic command stream and
 pre-load it into every replica's txpool before the run starts — is one
 engine among several:
 
-* :class:`ClosedLoopPreload` — the byte-identical shim over the seed's
-  ``fill_txpools`` path (golden trace fingerprints pin this);
+* :class:`ClosedLoopPreload` — the seed behaviour, which owns the
+  ``c0-<index>`` command stream and fills every pool before the run
+  (golden trace fingerprints pin this);
 * :class:`OpenLoopPoisson` — seeded Poisson arrivals multiplexing many
   simulated clients, injected as simulator events during the run;
 * :class:`TraceReplay` — a timestamped command stream replayed from a
   file (or inline entries).
+
+Clients are out-of-band, as in the paper: nothing models their
+acknowledgements or their energy.  Open-loop commands still carry
+``client_id=0``, which keeps their canonical form byte-stable; it does not
+route them to a tracking client.
 
 Engines are declarative values: they serialise through
 :meth:`WorkloadEngine.describe` / :func:`workload_from_dict` (the

@@ -12,11 +12,13 @@ to serial ones.
 Open-loop command ids live in their own namespace (``ol<client>-<index>``,
 trace entries default to ``tr<index>``), so they can never collide with
 the closed-loop generator's ``c0-<index>`` stream.  Open-loop commands
-carry ``client_id=0`` — the session's single tracking
-:class:`~repro.core.client.Client` — and encode the *simulated* client in
-the id namespace instead: the paper's clients are out-of-band, so
-multiplexing thousands of simulated senders over one f+1-ack tracker
-models production load without n_clients live objects.
+carry ``client_id=0`` and encode the *simulated* client in the id
+namespace instead.  The zero is there to keep a command's canonical form,
+and with it every block hash and trace fingerprint, byte-stable; no
+client object tracks acknowledgements.  The paper's clients are
+out-of-band ("the clients wait to receive f+1 identical
+acknowledgments"), and a committed log already says what f+1 replicas
+would acknowledge.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.types import Command
-from repro.eval.workloads import commands_for_run, fill_txpools
 from repro.net.impairment import SpecError, check_fields, checked_number, from_kind, read_json
 from repro.sim.rng import SeededRNG, derive_seed
 
@@ -89,11 +90,11 @@ class WorkloadEngine:
 class ClosedLoopPreload(WorkloadEngine):
     """The seed workload path: pre-load one stream into every pool.
 
-    Byte-identical to the pre-engine ``build_workload_stage`` — the same
-    generator call, the same client registration, the same fill order, no
-    simulator events — so every golden trace fingerprint is unchanged
-    whether a spec carries ``workload=None`` or an explicit default
-    ``ClosedLoopPreload()``.
+    Every replica holds the whole stream before the first proposal, and no
+    simulator event is pushed, so every golden trace fingerprint is the
+    same whether a spec carries ``workload=None`` or an explicit default
+    ``ClosedLoopPreload()``.  This mirrors the paper's exclusion of client
+    costs from the protocol energy: commands reach the pools out of band.
     """
 
     #: Extra blocks' worth of commands beyond the target height (covers
@@ -103,24 +104,28 @@ class ClosedLoopPreload(WorkloadEngine):
     kind = "closed-loop"
 
     def commands_for(self, spec) -> List[Command]:
-        return commands_for_run(
-            spec.target_height,
-            spec.batch_size,
-            spec.command_payload_bytes,
-            seed=spec.seed,
-            surplus_blocks=self.surplus_blocks,
-        )
+        """``(target_height + surplus_blocks) × batch_size`` commands ``c0-<i>``.
+
+        Each payload digest is eight bytes of the spec seed's
+        ``("workload", 0)`` child stream, drawn in id order.
+        """
+        rng = SeededRNG(spec.seed).child("workload", 0)
+        count = (spec.target_height + self.surplus_blocks) * spec.batch_size
+        return [
+            Command(
+                command_id=f"c0-{index}",
+                client_id=0,
+                payload_size_bytes=spec.command_payload_bytes,
+                payload_digest=rng.bytes(8).hex(),
+            )
+            for index in range(count)
+        ]
 
     def install(self, builder) -> WorkloadPlan:
-        replica_stage = builder._need("replica_stage")
+        replicas = builder._need("replica_stage").replicas
         commands = self.commands_for(builder.spec)
-        if not builder.trusted:
-            # The replicated client tracks its submissions for f+1-ack
-            # acceptance; the trusted baseline's leaves ack via the control
-            # node, matching the seed runner.
-            for command in commands:
-                replica_stage.client.submitted[command.command_id] = command
-        fill_txpools(replica_stage.replicas.values(), commands)
+        for replica in replicas.values():
+            replica.submit_commands(commands)
         return WorkloadPlan(commands=commands)
 
     def is_default(self) -> bool:
@@ -144,11 +149,11 @@ class OpenLoopPoisson(WorkloadEngine):
 
     Arrivals are drawn once, at build time, from the spec-derived stream
     ``derive_seed(seed, "workload", "open-loop", rate, clients)`` and
-    scheduled as ``workload:arrival`` events; each event registers the
-    command with the tracking client and submits it to every live replica
-    through pool admission.  A command that arrives after the leader
-    stopped proposing (or that a bounded pool rejects) simply never
-    commits — that *is* the overload behaviour the SLO metrics report.
+    scheduled as ``workload:arrival`` events; each event submits the
+    command to every live replica through pool admission.  A command that
+    arrives after the leader stopped proposing (or that a bounded pool
+    rejects) simply never commits — that *is* the overload behaviour the
+    SLO metrics report.
     """
 
     #: Mean arrivals per unit of virtual time (Poisson process rate λ).
@@ -301,18 +306,13 @@ def _schedule_arrivals(builder, replica_stage, commands: Sequence[Command]) -> N
     Events acquire queue sequence numbers here, in stage 5 — after every
     replica fail-stop timer (stage 4) and before the fault stage's own
     events — which is what makes open-loop runs byte-deterministic per
-    seed.  Each arrival registers with the tracking client (replicated
-    runs) and submits to every non-crashed replica through admission, in
-    pid order.
+    seed.  Each arrival submits to every non-crashed replica through
+    admission, in pid order.
     """
-    client = replica_stage.client
     replicas = replica_stage.replicas
-    trusted = builder.trusted
     ordered_pids = sorted(replicas)
 
     def deliver(command: Command) -> None:
-        if not trusted:
-            client.submitted[command.command_id] = command
         for pid in ordered_pids:
             replica = replicas[pid]
             if not replica.crashed:

@@ -55,15 +55,6 @@ def test_committed_command_ids_linearized():
     assert log.committed_command_ids() == ["c0", "c1", "c2"]
 
 
-def test_commit_latency_lookup():
-    store = BlockStore()
-    blocks = build_chain(store, 1)
-    log = CommittedLog(0, store)
-    log.commit(blocks[0], now=16.0, view=1)
-    assert log.commit_latency(blocks[0].block_hash, proposed_at=4.0) == pytest.approx(12.0)
-    assert log.commit_latency("missing", proposed_at=0.0) is None
-
-
 def test_safety_checker_consistent_logs():
     store = BlockStore()
     blocks = build_chain(store, 3)
@@ -125,17 +116,15 @@ def test_block_at_returns_none_when_missing():
 
 # -------------------------------------------- indexes kept by commit()
 def assert_indexes_match_a_scan(log):
-    """``highest_height``, ``in`` and ``commit_latency`` read indexes that
-    ``commit()`` maintains; each must equal what scanning the log gives."""
+    """``highest_height`` and ``in`` read indexes that ``commit()``
+    maintains; each must equal what scanning the log gives."""
     records = list(log._by_height.values())
     assert log.highest_height == max(log._by_height, default=0)
     assert sorted(log._by_hash) == sorted(r.block.block_hash for r in records)
     for record in records:
-        block_hash = record.block.block_hash
-        assert block_hash in log
-        assert log.commit_latency(block_hash, proposed_at=0.0) == record.committed_at
+        assert record.block.block_hash in log
+        assert log._by_hash[record.block.block_hash] is record
     assert "missing" not in log
-    assert log.commit_latency("missing", proposed_at=0.0) is None
 
 
 def test_indexes_follow_in_order_commits():
@@ -157,7 +146,7 @@ def test_indexes_follow_an_ancestor_batch_commit():
     log.commit(blocks[5], now=9.0, view=2)  # commits heights 3..6 in one call
     assert log.highest_height == 6
     assert blocks[3].block_hash in log
-    assert log.commit_latency(blocks[3].block_hash, proposed_at=4.0) == pytest.approx(5.0)
+    assert log._by_hash[blocks[3].block_hash].committed_at == 9.0
     assert_indexes_match_a_scan(log)
     log.commit(blocks[2], now=11.0, view=2)  # already committed: nothing moves
     assert log.highest_height == 6

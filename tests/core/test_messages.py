@@ -67,13 +67,6 @@ def test_verify_rejects_missing_signature(scheme):
     assert not verify_message(scheme, 1, unsigned)
 
 
-def test_matches_helper(scheme):
-    message = signed(scheme, 0, view=4)
-    assert message.matches(MessageType.CERTIFY, 4)
-    assert not message.matches(MessageType.BLAME, 4)
-    assert not message.matches(MessageType.CERTIFY, 5)
-
-
 def test_wire_size_includes_signatures_and_payload(scheme):
     small = signed(scheme, 0, data="x")
     block = make_block(GENESIS, 0, 1, 3, [])
@@ -168,4 +161,3 @@ def test_qc_wire_size_counts_signatures(scheme):
     votes = [signed(scheme, i, data="h") for i in range(3)]
     qc = make_qc(votes)
     assert qc.wire_size_bytes >= 3 * 128
-    assert qc.matches(MessageType.CERTIFY, 1)

@@ -8,7 +8,9 @@ Every entry here came out of a real fuzz campaign (``repro fuzz`` or the
 planted-mutant meta-tests); this script rebuilds them from their recorded
 schedules so the committed files stay canonical (content-hashed names,
 sorted-key JSON) if the corpus schema ever changes.  Entry files are
-what CI replays — see ``test_corpus_replay.py``.
+what CI replays — see ``test_corpus_replay.py``.  When the schema
+changes, run the script and delete the files it no longer writes;
+``test_corpus_is_regenerated.py`` fails until the two agree.
 """
 
 import dataclasses
@@ -82,8 +84,9 @@ FAULT_FREE = []
 CRASH_RECOVER = [{"kind": "CrashRecoverWindow", "node": 4, "start": 1.0, "heal": 6.0}]
 
 
-def regenerate() -> None:
-    corpus = Corpus(ROOT)
+def regenerate(root: Path = ROOT) -> Corpus:
+    """Write every curated entry under ``root``; returns the corpus there."""
+    corpus = Corpus(root)
     corpus.add(
         spec_dict(LEADER_PARTITION, "sync-hotstuff"),
         expect="violation",
@@ -192,9 +195,9 @@ def regenerate() -> None:
         "n/2+1 quorum, so any of several peers serves the certified tip",
         slug="shs-crash-recover",
     )
-    for entry in Corpus(ROOT).entries():
-        print(f"{entry.path.name}: expect={entry.expect}")
+    return corpus
 
 
 if __name__ == "__main__":
-    regenerate()
+    for entry in regenerate().entries():
+        print(f"{entry.path.name}: expect={entry.expect}")

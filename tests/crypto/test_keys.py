@@ -60,9 +60,3 @@ def test_verify_tag_rejects_other_signer_or_payload():
 def test_verify_tag_unknown_node_is_false():
     store = KeyStore(seed=1)
     assert store.verify_tag(9, b"x", "00" * 32) is False
-
-
-def test_known_nodes_sorted():
-    store = KeyStore(seed=1)
-    store.generate([3, 1, 2])
-    assert store.known_nodes() == [1, 2, 3]

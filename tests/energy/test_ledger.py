@@ -50,8 +50,3 @@ def test_meter_created_lazily_for_new_node():
     meter = ledger.meter(7)
     assert meter.node_id == 7
     assert 7 in ledger.meters
-
-
-def test_node_ids_sorted():
-    ledger = ClusterEnergyLedger([3, 1, 2])
-    assert ledger.node_ids() == [1, 2, 3]

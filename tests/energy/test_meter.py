@@ -35,14 +35,6 @@ def test_charge_takes_a_category_and_an_amount_only():
     assert meter.total_joules == 0.0
 
 
-def test_sleep_charge_uses_power_draw():
-    meter = EnergyMeter(0, sleep_power_w=0.0003)
-    meter.charge_sleep(1000.0)
-    assert meter.breakdown.get(EnergyCategory.SLEEP) == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        meter.charge_sleep(-1.0)
-
-
 def test_breakdown_groups():
     breakdown = EnergyBreakdown()
     breakdown.add(EnergyCategory.TRANSMIT, 1.0)

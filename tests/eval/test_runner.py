@@ -94,7 +94,7 @@ PROBES = [
     ("batch-size-0", {"batch_size": 0}, "batch_size: "),
     ("seed-float", {"seed": 1.5}, "seed: "),
     ("jitter-str", {"jitter": "yes"}, "jitter: "),
-    ("charge-sleep-int", {"charge_sleep": 3}, "charge_sleep: "),
+    ("jitter-int", {"jitter": 3}, "jitter: "),
     ("txpool-limit-bool", {"txpool_limit": True}, "txpool_limit: "),
     ("topology-seed-str", {"topology_seed": "x"}, "topology_seed: "),
     ("k-above-n-1", {"k": 5}, "k: "),
@@ -317,7 +317,6 @@ def _fingerprint_pins():
             DeploymentSpec(impairment=ImpairmentSpec(loss=0.2, max_retries=2)),
             _HEAD + '"impairment": {"loss": 0.2, "max_retries": 2}, ' + _TAIL + "}",
         ),
-        "charge-sleep": (DeploymentSpec(charge_sleep=True), _HEAD + _TAIL + "}"),
         "schedule-over-plan": (
             DeploymentSpec(
                 fault_plan=FaultPlan(faulty=(0,), behaviour="equivocate"),
@@ -345,7 +344,7 @@ def test_default_to_dict_is_pinned_key_for_key():
         "edges_per_node": 1, "topology_seed": None, "medium": "ble", "hop_delay": 1.0,
         "delta": None, "signature_scheme": "rsa-1024", "batch_size": 1,
         "command_payload_bytes": 16, "target_height": 5, "block_interval": 0.0, "seed": 0,
-        "charge_sleep": False, "jitter": True, "fault_plan": plan, "fault_schedule": None,
+        "jitter": True, "fault_plan": plan, "fault_schedule": None,
         "workload": None, "txpool_limit": None, "impairment": None,
     }  # fmt: skip
 
@@ -435,12 +434,6 @@ def test_different_seeds_change_timing_but_not_outcome():
     b = run_protocol(honest_spec(n=6, f=1, k=2, blocks=3, seed=2))
     assert a.committed_blocks == b.committed_blocks == 3
     assert a.safety.consistent and b.safety.consistent
-
-
-def test_charge_sleep_adds_energy():
-    base = run_protocol(honest_spec(n=5, f=1, k=2, blocks=2, seed=53))
-    slept = run_protocol(honest_spec(n=5, f=1, k=2, blocks=2, seed=53, charge_sleep=True))
-    assert slept.correct_energy_mj > base.correct_energy_mj
 
 
 def test_result_derived_metrics_consistent():

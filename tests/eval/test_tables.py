@@ -1,6 +1,6 @@
 """Unit tests for plain-text table formatting."""
 
-from repro.eval.tables import format_series, format_table
+from repro.eval.tables import format_table
 
 
 def test_format_table_aligns_columns():
@@ -14,10 +14,3 @@ def test_format_table_aligns_columns():
 def test_format_table_handles_none_and_ints():
     text = format_table(["a", "b"], [[None, 3]])
     assert "-" in text and "3" in text
-
-
-def test_format_series():
-    text = format_series("EESMR leader", {2: 100.0, 3: 150.5})
-    assert text.startswith("EESMR leader:")
-    assert "2=100.00mJ" in text
-    assert "3=150.50mJ" in text

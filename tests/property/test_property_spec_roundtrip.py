@@ -171,7 +171,6 @@ def specs(draw):
         fault_plan=plan,
         fault_schedule=schedule if use_schedule else None,
         seed=draw(st.integers(0, 2**31)),
-        charge_sleep=draw(st.booleans()),
         jitter=draw(st.booleans()),
         workload=draw(workloads),
         txpool_limit=draw(st.one_of(st.none(), st.integers(1, 256))),

@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.baselines.optsync import OptSyncReplica
 from repro.core.baselines.sync_hotstuff import SyncHotStuffReplica
-from repro.core.client import AckRouter, Client
 from repro.core.config import ProtocolConfig
 from repro.core.eesmr.replica import EesmrReplica
 from repro.core.messages import EquivocationProof, MessageType, make_message, make_view_qc
@@ -39,11 +38,9 @@ def build_cluster(n=5, f=1, k=2, target=3, delta=8.0, seed=9, replica_class=Eesm
     keystore.generate(topology.nodes)
     scheme = make_scheme("rsa-1024", keystore=keystore)
     config = ProtocolConfig(n=n, f=f, delta=delta, target_height=target)
-    client = Client(client_id=0, f=f)
-    router = AckRouter([client])
     replicas = {}
     for pid in range(n):
-        replica = replica_class(sim, pid, config, scheme, network, ledger.meter(pid), router)
+        replica = replica_class(sim, pid, config, scheme, network, ledger.meter(pid))
         replicas[pid] = replica
         network.register(replica)
     return sim, scheme, config, replicas

@@ -50,13 +50,6 @@ def test_transmission_reliability_meets_target():
     assert cost.reliability >= 0.9999 * 0.999  # single-fragment four nines
 
 
-def test_total_energy_accounts_for_all_receivers():
-    radio = BleAdvertisementKCast()
-    cost = radio.transmission_cost(25, 4)
-    assert cost.total_receiver_energy_j == pytest.approx(4 * cost.per_receiver_energy_j)
-    assert cost.total_energy_j == pytest.approx(cost.sender_energy_j + cost.total_receiver_energy_j)
-
-
 def test_invalid_k_rejected():
     with pytest.raises(ValueError):
         BleAdvertisementKCast().transmission_cost(25, 0)
@@ -69,6 +62,7 @@ def test_duration_follows_200ms_per_fragment():
 
 
 def test_medium_api_send_recv():
-    radio = BleAdvertisementKCast()
-    assert radio.send_energy_j(25, k=7) == pytest.approx(5.3 / 1000.0, rel=0.01)
-    assert radio.recv_energy_j(25, k=7) == pytest.approx(9.98 / 1000.0, rel=0.01)
+    """The run path prices a k-cast through ``transmission_cost``, in Joules."""
+    cost = BleAdvertisementKCast().transmission_cost(25, 7)
+    assert cost.sender_energy_j == pytest.approx(5.3 / 1000.0, rel=0.01)
+    assert cost.per_receiver_energy_j == pytest.approx(9.98 / 1000.0, rel=0.01)

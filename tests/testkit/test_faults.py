@@ -29,7 +29,6 @@ def test_empty_schedule():
     schedule = FaultSchedule()
     assert schedule.faults == ()
     assert schedule.byzantine_nodes() == ()
-    assert schedule.perturbed_nodes() == ()
     assert schedule.replica_behaviour(0) is None
     assert schedule.failstop_time(0) is None
 
@@ -62,7 +61,6 @@ def test_silent_fails_stop_baselines_immediately():
 def test_environmental_faults_are_not_byzantine():
     schedule = drop_window(1, start=1.0, end=2.0).add(PartitionWindow(2, 0.0, 3.0))
     assert schedule.byzantine_nodes() == ()
-    assert schedule.perturbed_nodes() == (1, 2)
     assert schedule.replica_behaviour(1) is None
     assert schedule.failstop_time(1) is None
 
@@ -70,7 +68,6 @@ def test_environmental_faults_are_not_byzantine():
 def test_composition_preserves_all_faults():
     schedule = crash_at(0, 1.0).add(SilentFrom(4), RelayDropWindow(2, 0.0, 5.0))
     assert schedule.byzantine_nodes() == (0, 4)
-    assert schedule.perturbed_nodes() == (0, 2, 4)
     assert len(schedule.faults) == 3
 
 
@@ -225,7 +222,6 @@ def test_liveness_exempt_nodes_distinguish_fault_classes():
         .add(PartitionWindow(2, 0.0, 3.0))
         .add(RelayDropWindow(3, 1.0, 2.0))
     )
-    assert schedule.perturbed_nodes() == (0, 2, 3)
     assert schedule.liveness_exempt_nodes() == (0, 2)
     # A drop window on an otherwise-Byzantine node stays exempt.
     stacked = crash_at(1, 0.0).add(RelayDropWindow(1, 1.0, 2.0))
@@ -250,7 +246,6 @@ def test_concurrent_impairment_sets():
 def test_crash_recover_window_is_correct_not_byzantine():
     schedule = crash_recover(2, start=1.0, heal=4.0)
     assert schedule.byzantine_nodes() == ()
-    assert schedule.perturbed_nodes() == (2,)
     assert schedule.max_byzantine() == 0
     assert schedule.replica_behaviour(2) is None
     assert schedule.failstop_time(2) is None

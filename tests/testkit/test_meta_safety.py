@@ -11,7 +11,6 @@ testkit's agreement invariant.
 import pytest
 
 from repro.core.adversary import EquivocatingLeaderReplica, FaultPlan
-from repro.core.client import AckRouter
 from repro.core.config import ProtocolConfig
 from repro.core.eesmr.replica import EesmrReplica
 from repro.core.ledger import SafetyChecker
@@ -19,13 +18,13 @@ from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import make_scheme
 from repro.energy.ledger import ClusterEnergyLedger
 from repro.eval.runner import DeploymentSpec
-from repro.eval.workloads import client_for_run, commands_for_run, fill_txpools
 from repro.net.network import SimulatedNetwork
 from repro.net.topology import ring_kcast_topology
 from repro.sim.rng import SeededRNG
 from repro.sim.scheduler import Simulator
 from repro.testkit.invariants import AgreementInvariant, Evidence, InvariantViolation
 from repro.testkit.trace import TraceRecorder
+from repro.workload import ClosedLoopPreload
 
 
 class ForkingReplica(EesmrReplica):
@@ -61,18 +60,17 @@ def run_broken_deployment():
     keystore.generate(topology.nodes)
     scheme = make_scheme(spec.signature_scheme, keystore=keystore)
     config = ProtocolConfig(n=spec.n, f=spec.f, delta=4.0, target_height=spec.target_height)
-    ack_router = AckRouter([client_for_run(spec.f, seed=spec.seed)])
 
     replicas = {}
     for pid in range(spec.n):
         cls = EquivocatingLeaderReplica if pid == 0 else ForkingReplica
         kwargs = {"trigger_round": 3} if pid == 0 else {}
-        replicas[pid] = cls(
-            sim, pid, config, scheme, network, ledger.meter(pid), ack_router, **kwargs
-        )
+        replicas[pid] = cls(sim, pid, config, scheme, network, ledger.meter(pid), **kwargs)
         network.register(replicas[pid])
 
-    fill_txpools(replicas.values(), commands_for_run(spec.target_height, 1, seed=spec.seed))
+    commands = ClosedLoopPreload().commands_for(spec)
+    for replica in replicas.values():
+        replica.submit_commands(commands)
     for replica in replicas.values():
         replica.start()
     # Stop before the view change completes: the fork has already happened

@@ -107,6 +107,30 @@ def test_differential_check_flags_divergent_logs():
     assert failures and "differential" in failures[0]
 
 
+@pytest.mark.parametrize("block_interval", [0.0, 2.0])
+def test_differential_check_compares_preloaded_groups_only(block_interval):
+    """An open-loop cell commits what its proposals met among the arrivals
+    (EESMR's back-to-back proposals run ahead of them and commit nothing),
+    so only the closed-loop preload groups are compared across protocols."""
+    matrix = ScenarioMatrix(
+        fault_names=("none",),
+        media=("ble",),
+        workloads=("preload", "open-loop"),
+        impairments=("none", "ble-calibrated", "lossy"),
+        block_interval=block_interval,
+    )
+    report = matrix.run()
+    report.assert_clean()
+    assert {o.cell.workload for o in report.outcomes} == {"preload", "open-loop"}
+    # A preload group is still compared: tamper with one member's log.
+    group = [o for o in report.outcomes if o.cell.workload == "preload" and o.cell.impairment == "lossy"]
+    log = group[1].evidence.trace.committed_commands
+    for pid in log:
+        log[pid] = ["tampered-command"] + log[pid][1:]
+    failures = matrix._differential_check(report.outcomes)
+    assert len(failures) == 1 and failures[0].startswith(f"differential: {group[1].cell.label()} ")
+
+
 def test_matrix_report_assert_clean_raises_with_cell_labels():
     report = MatrixReport()
     report.differential_failures = ["differential: something diverged"]

@@ -11,11 +11,14 @@ The engine contract under test:
   ``workload_from_dict`` and the full ``DeploymentSpec`` JSON schema.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from repro.eval.runner import DeploymentSpec, run_protocol
+from repro.session import Session
 from repro.testkit.trace import TraceRecorder
 from repro.workload import (
     ClosedLoopPreload,
@@ -135,6 +138,49 @@ def test_non_default_surplus_is_visible_in_spec_fingerprint():
     )
     assert "workload" not in plain
     assert tweaked["workload"] == {"kind": "closed-loop", "surplus_blocks": 2}
+
+
+def stream_digest(commands):
+    """Every field of a stream, arrival stamps included, hashed in order."""
+    blob = ";".join(
+        f"{c.command_id},{c.client_id},{c.payload_size_bytes},{c.payload_digest},{c.arrival_time}"
+        for c in commands
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "overrides, surplus, count, payload, pinned",
+    [
+        (dict(target_height=3, seed=3), 4, 7, 16, "5812d863657915d0"),
+        (dict(target_height=3, command_payload_bytes=128), 4, 7, 128, "df42d9564b5f7e5c"),
+        (dict(target_height=5, batch_size=2), 4, 18, 16, "622685b42bc4318e"),
+        (dict(target_height=5, batch_size=2), 1, 12, 16, "c74c0bfe86140954"),
+    ],
+    ids=["seed-3", "payload-128", "batch-2", "surplus-1"],
+)
+def test_closed_loop_stream_is_pinned(overrides, surplus, count, payload, pinned):
+    """``(target_height + surplus_blocks) × batch_size`` unstamped commands
+    ``c0-<i>`` of the spec's payload size, a pure function of the spec.  The
+    digests were recorded before the stream moved into the engine; every
+    golden fingerprint was taken over this stream."""
+    spec = DeploymentSpec(n=5, f=1, k=2, **overrides)
+    engine = ClosedLoopPreload(surplus_blocks=surplus)
+    commands = engine.commands_for(spec)
+    assert [c.command_id for c in commands] == [f"c0-{i}" for i in range(count)]
+    assert all(c.payload_size_bytes == payload and c.arrival_time is None for c in commands)
+    assert stream_digest(commands) == pinned
+    assert engine.commands_for(spec) == commands
+    reseeded = engine.commands_for(dataclasses.replace(spec, seed=spec.seed + 1))
+    assert stream_digest(reseeded) != pinned
+
+
+@pytest.mark.parametrize("protocol", ["eesmr", "trusted-baseline"])
+def test_closed_loop_install_fills_every_pool_before_the_run(protocol):
+    session = Session.from_spec(DeploymentSpec(protocol=protocol, n=5, f=1, k=2, target_height=3))
+    assert session.sim.pending_events == 0
+    for replica in session.replicas.values():
+        assert len(replica.txpool) == len(session.commands) == 7
 
 
 # ------------------------------------------------------------- trace replay
