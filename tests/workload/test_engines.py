@@ -175,6 +175,15 @@ def test_closed_loop_stream_is_pinned(overrides, surplus, count, payload, pinned
     assert stream_digest(reseeded) != pinned
 
 
+def test_closed_loop_command_ids_are_unique():
+    """A long preload stream still names each command once, all from client 0."""
+    spec = DeploymentSpec(n=5, f=1, k=2, target_height=20, batch_size=5)
+    commands = ClosedLoopPreload().commands_for(spec)
+    assert len(commands) == (20 + 4) * 5
+    assert len({c.command_id for c in commands}) == len(commands)
+    assert {c.client_id for c in commands} == {0}
+
+
 @pytest.mark.parametrize("protocol", ["eesmr", "trusted-baseline"])
 def test_closed_loop_install_fills_every_pool_before_the_run(protocol):
     session = Session.from_spec(DeploymentSpec(protocol=protocol, n=5, f=1, k=2, target_height=3))
