@@ -42,7 +42,7 @@ def run_field(fault_plan: FaultPlan, label: str) -> None:
     timeline = EnergyTimelineObserver()
     result = Session.from_spec(spec, observers=[timeline]).run().finish()
 
-    per_node_per_epoch_mj = result.energy_per_block_mj / (n_sensors - len(fault_plan.faulty))
+    per_node_per_epoch_mj = result.energy_per_block_mj / (n_sensors - len(result.spec.byzantine_nodes))
     # One agreement per hour, as in the paper's closing observation.
     epochs_per_battery = BATTERY_CAPACITY_J / (per_node_per_epoch_mj / 1000.0)
 

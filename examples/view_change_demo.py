@@ -42,7 +42,7 @@ def describe(result, label: str) -> None:
                 snap.get("view", "-"),
                 snap.get("committed_height", "-"),
                 snap.get("view_changes", "-"),
-                "faulty" if pid in result.spec.fault_plan.faulty else "correct",
+                "faulty" if pid in result.spec.byzantine_nodes else "correct",
             ]
         )
     print(format_table(["node", "view", "committed", "view changes", "role"], rows))

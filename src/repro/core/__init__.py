@@ -16,10 +16,7 @@ from repro.core.baselines import (
     TrustedBaselineReplica,
     TrustedControlNode,
 )
-from repro.core.adversary import (
-    FaultPlan,
-    replica_class_for,
-)
+from repro.core.adversary import FaultPlan
 
 __all__ = [
     "Command",
@@ -38,5 +35,4 @@ __all__ = [
     "TrustedBaselineReplica",
     "TrustedControlNode",
     "FaultPlan",
-    "replica_class_for",
 ]

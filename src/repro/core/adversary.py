@@ -13,19 +13,20 @@ The paper's evaluation needs three adversarial scenarios:
 
 Each behaviour is implemented as a replica subclass so the Byzantine node
 still runs real protocol code (it signs real messages, consumes real
-energy) — only the specific misbehaviour differs.
+energy) — only the specific misbehaviour differs.  The session builder
+looks it up in :data:`BEHAVIOUR_CLASSES` by a fault atom's ``behaviour()``;
+:class:`FaultPlan` is constructor shorthand for a ``FaultSchedule``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from repro.core.blocks import make_block
 from repro.core.eesmr.replica import EesmrReplica
 from repro.core.messages import MessageType
 from repro.core.types import Round
-from repro.net.impairment import SpecError, check_fields, from_fields
+from repro.net.impairment import SpecError, check_fields
 
 
 #: Behaviours a :class:`FaultPlan` may name (the keys of the class table
@@ -35,22 +36,22 @@ ALLOWED_BEHAVIOURS = ("crash", "silent_leader", "equivocate", "silent")
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Which nodes are faulty and how they misbehave.
+    """Which nodes are faulty and how they misbehave, for the whole run.
 
-    The whole-run, one-behaviour form; ``repro.testkit.faults.FaultSchedule``
-    composes timed per-node atoms and supersedes it when a spec sets both.
-    The plan stays beside the schedule because the two arm the trusted
-    baseline differently (a plan never fail-stops its leaves), so folding
-    one into the other would change behaviour, not just shape.
+    ``DeploymentSpec(fault_plan=...)`` lowers it into a ``FaultSchedule``
+    (``FaultSchedule.from_plan``) and keeps no plan; its fields are checked
+    here, where a caller writes them.
 
     Attributes:
-        faulty: Node ids under adversary control.
+        faulty: Distinct node ids under adversary control.
         behaviour: One of :data:`ALLOWED_BEHAVIOURS`; anything else raises
             :class:`~repro.net.impairment.SpecError` at construction so a
             typo cannot silently run an honest deployment.
         trigger_round: Steady-state round at which a leader misbehaviour is
             triggered (proposals before it are honest).
-        crash_time: Virtual time at which ``"crash"`` nodes stop.
+        crash_time: Virtual time at which ``"crash"`` nodes stop, and at
+            which the baselines fail-stop a stalling or equivocating leader.
+            A ``"silent"`` node sends nothing from the start, so it must be 0.
     """
 
     faulty: tuple[int, ...] = ()
@@ -69,16 +70,11 @@ class FaultPlan:
         ids = self.faulty
         if not isinstance(ids, (list, tuple)) or any(type(pid) is not int for pid in ids):
             raise SpecError(f"expected a tuple of node ids, got {ids!r}", "faulty")
-        object.__setattr__(self, "faulty", tuple(ids))  # JSON has lists
-
-    def describe(self) -> dict:
-        """Every field, JSON-friendly (round-trips through :func:`plan_from_dict`)."""
-        return {**dataclasses.asdict(self), "faulty": list(self.faulty)}
-
-
-def plan_from_dict(entry: dict) -> FaultPlan:
-    """Rebuild a :class:`FaultPlan`; omitted keys take the dataclass's defaults."""
-    return from_fields(FaultPlan, entry, "fault_plan")
+        if len(set(ids)) != len(ids):
+            raise SpecError(f"a node id repeats in {ids!r}", "faulty")
+        object.__setattr__(self, "faulty", tuple(ids))
+        if self.behaviour == "silent" and self.crash_time:
+            raise SpecError(f"a silent node has no crash time, got {self.crash_time}", "crash_time")
 
 
 class SilentLeaderReplica(EesmrReplica):
@@ -168,36 +164,10 @@ class SilentReplica(EesmrReplica):
         return
 
 
-#: Behaviour name -> Byzantine replica class implementing it.
+#: Behaviour name (a fault atom's ``behaviour()``) -> Byzantine replica class.
 BEHAVIOUR_CLASSES = {
     "crash": CrashReplica,
     "silent_leader": SilentLeaderReplica,
     "equivocate": EquivocatingLeaderReplica,
     "silent": SilentReplica,
 }
-
-
-def behaviour_class(behaviour: str):
-    """The Byzantine replica class implementing ``behaviour``."""
-    try:
-        return BEHAVIOUR_CLASSES[behaviour]
-    except KeyError:
-        raise ValueError(
-            f"unknown adversary behaviour {behaviour!r}; allowed: {ALLOWED_BEHAVIOURS}"
-        ) from None
-
-
-def behaviour_kwargs(plan: FaultPlan) -> dict:
-    """Constructor kwargs for the behaviour class of ``plan``."""
-    if plan.behaviour == "crash":
-        return {"crash_time": plan.crash_time}
-    if plan.behaviour in ("silent_leader", "equivocate"):
-        return {"trigger_round": plan.trigger_round}
-    return {}
-
-
-def replica_class_for(plan: FaultPlan, pid: int):
-    """The replica class (and kwargs) to instantiate for ``pid`` under ``plan``."""
-    if pid not in plan.faulty:
-        return EesmrReplica, {}
-    return behaviour_class(plan.behaviour), behaviour_kwargs(plan)

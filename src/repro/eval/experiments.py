@@ -342,7 +342,6 @@ def _view_change_point(
     scenario: str, n: int, f: int, k: int, blocks: int, seed: int
 ) -> ViewChangePoint:
     behaviour = "equivocate" if scenario == "equivocation" else "silent_leader"
-    fault_plan = FaultPlan(faulty=(0,), behaviour=behaviour, trigger_round=3)
     spec = DeploymentSpec(
         protocol="eesmr",
         n=n,
@@ -350,7 +349,7 @@ def _view_change_point(
         k=k,
         target_height=blocks,
         seed=seed,
-        fault_plan=fault_plan,
+        fault_plan=FaultPlan(faulty=(0,), behaviour=behaviour, trigger_round=3),
     )
     result = run_protocol(spec)
     new_leader = result.config.leader_of(2)
@@ -358,7 +357,7 @@ def _view_change_point(
     correct = [
         joules * 1000
         for pid, joules in result.energy.per_node_joules.items()
-        if pid not in fault_plan.faulty
+        if pid not in spec.byzantine_nodes
     ]
     return ViewChangePoint(
         scenario=scenario,

@@ -14,10 +14,10 @@ pause/inspect/resume, adaptive faults) keep the session instead.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.adversary import FaultPlan, plan_from_dict
+from repro.core.adversary import FaultPlan
 from repro.core.config import ProtocolConfig
 from repro.core.ledger import SafetyReport
 from repro.crypto import available_schemes
@@ -81,12 +81,11 @@ class DeploymentSpec:
     command_payload_bytes: int = field(default=16, metadata={"min": 0})
     target_height: int = field(default=5, metadata={"min": 1})
     block_interval: float = field(default=0.0, metadata={"min": 0})
-    fault_plan: FaultPlan = field(default_factory=FaultPlan, metadata={"load": plan_from_dict})
-    #: Optional testkit fault schedule (``repro.testkit.faults.FaultSchedule``),
-    #: duck-typed here to keep ``eval`` importable without the testkit.  When
-    #: set it supersedes ``fault_plan``: per-node behaviours come from
-    #: :meth:`FaultSchedule.replica_behaviour` and network-level faults are
-    #: armed via :meth:`FaultSchedule.install`.
+    #: Constructor shorthand, not a field: a :class:`FaultPlan` is lowered
+    #: into ``fault_schedule`` (``FaultSchedule.from_plan``) and not kept.
+    fault_plan: InitVar[Optional[FaultPlan]] = None
+    #: The faults (``repro.testkit.faults.FaultSchedule``; ``None`` = none),
+    #: duck-typed here to keep ``eval`` importable without the testkit.
     fault_schedule: Optional[Any] = field(default=None, metadata={"load": _schedule_from_dict})
     #: Optional workload engine (``repro.workload.WorkloadEngine``), duck-typed
     #: here so ``eval`` stays importable without the workload layer.  ``None``
@@ -103,7 +102,14 @@ class DeploymentSpec:
     seed: int = 0
     jitter: bool = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, fault_plan: Optional[FaultPlan]) -> None:
+        if fault_plan is not None:
+            if self.fault_schedule is not None:
+                raise SpecError("give a fault_plan or a fault_schedule, not both", "fault_plan")
+            if fault_plan.faulty:  # an empty plan leaves the spec fault-free
+                from repro.testkit.faults import FaultSchedule
+
+                self.fault_schedule = FaultSchedule.from_plan(fault_plan)
         check_fields(self)
         # The cross-field rules.  ``f < n/2`` is not one of them: the matrix
         # and the fuzzer build over-budget specs on purpose and skip them
@@ -112,24 +118,21 @@ class DeploymentSpec:
             raise SpecError(f"must be in [1, n-1], got k={self.k}, n={self.n}", "k")
         if self.topology == "random-kcast" and self.edges_per_node < 1:
             raise SpecError(f"random-kcast needs >= 1, got {self.edges_per_node}", "edges_per_node")
-        targets = [("fault_plan.faulty", self.fault_plan.faulty)]
         for index, fault in enumerate(getattr(self.fault_schedule, "faults", ())):
-            targets.append((f"fault_schedule[{index}].node", fault.nodes()))
-        for path, ids in targets:
-            outside = [pid for pid in ids if not 0 <= pid < self.n]
+            outside = [pid for pid in fault.nodes() if not 0 <= pid < self.n]
             if outside:
+                path = f"fault_schedule[{index}].node"
                 raise SpecError(f"node ids {outside} are outside range(n={self.n})", path)
 
     @property
     def byzantine_nodes(self) -> tuple[int, ...]:
-        """Node ids under adversary control (schedule-aware).
+        """Node ids under adversary control.
 
         Read *after* a run for adaptive schedules: their victim sets are
         decided mid-run and recorded back onto the schedule.
         """
-        if self.fault_schedule is not None:
-            return tuple(self.fault_schedule.byzantine_nodes())
-        return self.fault_plan.faulty
+        schedule = self.fault_schedule
+        return () if schedule is None else tuple(schedule.byzantine_nodes())
 
     # ------------------------------------------------------------ declarative
     def to_dict(self) -> dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.adversary import behaviour_class, replica_class_for
+from repro.core.adversary import BEHAVIOUR_CLASSES
 from repro.core.baselines.optsync import OptSyncReplica
 from repro.core.baselines.sync_hotstuff import SyncHotStuffReplica
 from repro.core.baselines.trusted_baseline import TrustedBaselineReplica, TrustedControlNode
@@ -336,7 +336,6 @@ class SessionBuilder:
     ) -> Dict[int, Any]:
         spec = self.spec
         ledger = self._need("medium_stage").ledger
-        schedule = spec.fault_schedule
         replicas: Dict[int, Any] = {}
         for pid in range(spec.n):
             meter = ledger.meter(pid)
@@ -350,26 +349,30 @@ class SessionBuilder:
                     SyncHotStuffReplica if spec.protocol == "sync-hotstuff" else OptSyncReplica
                 )
                 replica = base_cls(self.sim, pid, crypto.config, crypto.scheme, network, meter)
-                # Baseline faults are modelled as fail-stop at the trigger time.
-                if schedule is not None:
-                    failstop = schedule.failstop_time(pid)
-                    if failstop is not None:
-                        replica.after(failstop, replica.crash, label="crash")
-                elif pid in spec.fault_plan.faulty:
-                    replica.after(spec.fault_plan.crash_time, replica.crash, label="crash")
             replicas[pid] = replica
+        if spec.protocol != "eesmr":
+            self._arm_failstops(replicas)
         return replicas
 
     def _eesmr_class_for(self, pid: int):
         """The (class, kwargs) for one EESMR node under the spec's faults."""
-        spec = self.spec
-        if spec.fault_schedule is not None:
-            behaviour = spec.fault_schedule.replica_behaviour(pid)
-            if behaviour is None:
-                return EesmrReplica, {}
-            name, kwargs = behaviour
-            return behaviour_class(name), dict(kwargs)
-        return replica_class_for(spec.fault_plan, pid)
+        schedule = self.spec.fault_schedule
+        behaviour = schedule.replica_behaviour(pid) if schedule is not None else None
+        if behaviour is None:
+            return EesmrReplica, {}
+        name, kwargs = behaviour
+        return BEHAVIOUR_CLASSES[name], dict(kwargs)
+
+    def _arm_failstops(self, replicas: Dict[int, Any]) -> None:
+        """Baseline faults are modelled as fail-stop at the trigger time: one
+        ``crash`` timer per node the schedule fail-stops, pushed in pid order."""
+        schedule = self.spec.fault_schedule
+        if schedule is None:
+            return
+        for pid, replica in replicas.items():
+            failstop = schedule.failstop_time(pid)
+            if failstop is not None:
+                replica.after(failstop, replica.crash, label="crash")
 
     def _build_trusted_replicas(
         self, crypto: CryptoStage, network: SimulatedNetwork
@@ -420,23 +423,13 @@ class SessionBuilder:
         replica_stage = self._need("replica_stage")
         replicas = replica_stage.replicas
         schedule = spec.fault_schedule
-        if self.trusted:
-            if schedule is not None:
-                for pid, replica in replicas.items():
-                    failstop = schedule.failstop_time(pid)
-                    if failstop is not None:
-                        replica.after(failstop, replica.crash, label="crash")
-                schedule.install(self.sim, network, replicas)
-        elif schedule is not None:
-            # The schedule arms its own network-level faults (relay drops,
-            # partitions, timed relay silence) with per-fault timing.
-            schedule.install(self.sim, network, replicas)
-        else:
-            # A Byzantine node never relays: one denial nobody lifts.
-            for pid in spec.fault_plan.faulty:
-                network.deny_relay(pid)
         controllers: Tuple[Any, ...] = ()
         if schedule is not None:
+            if self.trusted:
+                self._arm_failstops(replicas)
+            # The schedule arms its own network-level faults (relay denial of
+            # Byzantine nodes, drops, partitions) with per-fault timing.
+            schedule.install(self.sim, network, replicas)
             controllers = tuple(schedule.controllers())
         if controllers and not self.trusted:
             # Budget-aware provisioning: an adaptive atom picks its victims

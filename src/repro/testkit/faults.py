@@ -1,10 +1,11 @@
 """The FaultSchedule DSL: timed, per-node, composable fault injection.
 
-:class:`repro.core.adversary.FaultPlan` describes one behaviour applied to
-a fixed set of nodes for a whole run.  The scenario matrix needs more:
-different nodes misbehaving in different ways, faults that switch on and
-off at chosen virtual times, and purely environmental perturbations
-(relay-drop windows, partitions) that leave the node itself correct.
+A deployment's faults are one schedule: different nodes misbehaving in
+different ways, faults that switch on and off at chosen virtual times, and
+purely environmental perturbations (relay-drop windows, partitions) that
+leave the node itself correct.  :class:`repro.core.adversary.FaultPlan`,
+one behaviour on fixed nodes for a whole run, is shorthand that
+:meth:`FaultSchedule.from_plan` lowers.
 
 A :class:`FaultSchedule` is an immutable composition of fault atoms:
 
@@ -202,8 +203,8 @@ class StallAt(ByzantineFault):
 
     round: Round = field(default=3, metadata={"min": 1})
     #: When baseline protocols (which model this as fail-stop) crash the node.
-    #: Nothing sets it away from 1.0 today, but it is schema-visible:
-    #: :meth:`describe` writes it into corpus entries and spec fingerprints.
+    #: A lowered :class:`~repro.core.adversary.FaultPlan` sets it to the
+    #: plan's ``crash_time`` (0.0 by default); a hand-written atom keeps 1.0.
     baseline_failstop: float = 1.0
 
     def behaviour(self) -> Optional[Tuple[str, dict]]:
@@ -218,7 +219,7 @@ class EquivocateAt(ByzantineFault):
     """An equivocating leader: two conflicting proposals at ``round``."""
 
     round: Round = field(default=3, metadata={"min": 1})
-    #: As :attr:`StallAt.baseline_failstop` (schema-visible, so it stays).
+    #: As :attr:`StallAt.baseline_failstop`.
     baseline_failstop: float = 1.0
 
     def behaviour(self) -> Optional[Tuple[str, dict]]:
@@ -237,6 +238,17 @@ class SilentFrom(ByzantineFault):
 
     def failstop_time(self) -> Optional[float]:
         return 0.0
+
+
+#: The lowering table of :meth:`FaultSchedule.from_plan`: a ``FaultPlan``
+#: behaviour -> its atom, and the plan fields that fill the atom's fields
+#: after ``node``, in order.  A silent plan's ``crash_time`` is always 0.
+PLAN_ATOMS: Dict[str, Tuple[type, Tuple[str, ...]]] = {
+    "crash": (CrashAt, ("crash_time",)),
+    "silent_leader": (StallAt, ("trigger_round", "crash_time")),
+    "equivocate": (EquivocateAt, ("trigger_round", "crash_time")),
+    "silent": (SilentFrom, ()),
+}
 
 
 @dataclass(frozen=True)
@@ -622,6 +634,14 @@ class FaultSchedule:
                         f"[{index}]",
                     )
                 behaviours[fault.node] = b[0]
+
+    @classmethod
+    def from_plan(cls, plan) -> "FaultSchedule":
+        """The schedule a :class:`~repro.core.adversary.FaultPlan` is short
+        for: one :data:`PLAN_ATOMS` atom per faulty node, in ``faulty`` order."""
+        atom, carried = PLAN_ATOMS[plan.behaviour]
+        values = tuple(getattr(plan, name) for name in carried)
+        return cls(tuple(atom(pid, *values) for pid in plan.faulty))
 
     # ------------------------------------------------------------ composition
     def add(self, *faults: Fault) -> "FaultSchedule":

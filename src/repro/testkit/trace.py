@@ -85,14 +85,19 @@ class RunTrace:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
+#: A fault-free spec's ``faults``: the empty ``FaultPlan`` section specs had
+#: before the plan became constructor shorthand.  Every fault-free
+#: fingerprint, the golden traces among them, hashes it, so it stays.
+NO_FAULTS = {"behaviour": "crash", "crash_time": 0.0, "faulty": [], "trigger_round": 3}
+
+
 def spec_fingerprint(spec) -> Dict[str, Any]:
     """A canonical description of a :class:`DeploymentSpec`: ``to_dict()``
     under omit rules that keep the fingerprints of specs predating a field
-    byte-identical — a schedule supersedes the plan, and whatever is still
-    the seed behaviour stays invisible."""
+    byte-identical — whatever is still the seed behaviour stays invisible."""
     out = spec.to_dict()
-    plan, schedule = out.pop("fault_plan"), out.pop("fault_schedule")
-    out["faults"] = plan if schedule is None else schedule
+    schedule = out.pop("fault_schedule")
+    out["faults"] = dict(NO_FAULTS) if schedule is None else schedule
     if spec.topology != "random-kcast":
         # Only the parameterised topology carries its extra knobs.
         del out["edges_per_node"], out["topology_seed"]

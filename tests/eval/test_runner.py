@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.adversary import FaultPlan
 from repro.crypto import available_schemes
 from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.fuzz.corpus import CorpusEntry
@@ -13,6 +14,7 @@ from repro.net.impairment import SpecError
 from repro.session import Session, SessionBuilder
 from repro.session.builder import build_topology, compute_delta
 from repro.sim.events import BucketedEventQueue
+from repro.testkit.faults import CrashAt, FaultSchedule
 from repro.testkit.trace import TraceRecorder, spec_fingerprint
 from repro.workload.engine import TraceReplay
 from tests.conftest import honest_spec
@@ -83,10 +85,24 @@ def _workload(kind, **fields):
     return {"workload": {"kind": kind, **fields}}
 
 
+def _plan(schedule=(), **fields):
+    """A ``FaultPlan`` row: no JSON spec holds a plan, so the row builds the
+    spec through the constructor, where the plan is lowered."""
+
+    def build():
+        return DeploymentSpec(
+            n=5, f=1, k=2, target_height=3, fault_plan=FaultPlan(**fields),
+            fault_schedule=FaultSchedule(schedule) if schedule else None,
+        )  # fmt: skip
+
+    return build
+
+
 #: One malformed leaf per row, laid over a valid n=5 spec: ``(id, overlay,
-#: the JSON path the error must start with)``.  At the parent commit these
-#: raised ``TypeError`` or ``KeyError``, crashed in the event queue, or ran
-#: to the target height with the fault silently never applied.
+#: the JSON path the error must start with)``; a ``FaultPlan`` row's overlay
+#: builds the spec instead.  Before these checks the rows raised
+#: ``TypeError`` or ``KeyError``, crashed in the event queue, or ran to the
+#: target height with the fault silently never applied.
 PROBES = [
     ("n-str", {"n": "7"}, "n: "),
     ("block-interval-nan", {"block_interval": NAN}, "block_interval: "),
@@ -117,12 +133,17 @@ PROBES = [
         "workload.entries[0].payload_size_bytes: ",
     ),
     ("trace-entries-int", _workload("trace", entries=5), "workload.entries: "),
-    ("plan-faulty-outside", {"fault_plan": {"faulty": [9]}}, "fault_plan.faulty: "),
-    ("plan-faulty-str", {"fault_plan": {"faulty": ["1"]}}, "fault_plan.faulty: "),
-    ("plan-round-str", {"fault_plan": {"trigger_round": "3"}}, "fault_plan.trigger_round: "),
-    ("plan-round-0", {"fault_plan": {"trigger_round": 0}}, "fault_plan.trigger_round: "),
-    ("plan-crash-time-nan", {"fault_plan": {"crash_time": NAN}}, "fault_plan.crash_time: "),
-    ("plan-bogus-key", {"fault_plan": {"bogus": 1}}, "fault_plan: "),
+    ("plan-faulty-outside", _plan(faulty=(9,)), "fault_schedule[0].node: "),
+    ("plan-faulty-str", _plan(faulty=("1",)), "faulty: "),
+    ("plan-faulty-repeated", _plan(faulty=(1, 1)), "faulty: "),
+    ("plan-round-str", _plan(trigger_round="3"), "trigger_round: "),
+    ("plan-round-0", _plan(trigger_round=0), "trigger_round: "),
+    ("plan-crash-time-nan", _plan(crash_time=NAN), "crash_time: "),
+    ("plan-silent-crash-time", _plan(faulty=(0,), behaviour="silent", crash_time=1.0), "crash_time: "),
+    ("plan-and-schedule", _plan(faulty=(0,), schedule=(CrashAt(1),)), "fault_plan: "),
+    # A spec file written before the plan became constructor shorthand.
+    ("plan-bogus-key", {"fault_plan": {"bogus": 1}}, "unknown DeploymentSpec keys ['fault_plan']"),
+    ("plan-section", {"fault_plan": {"faulty": [0]}}, "unknown DeploymentSpec keys ['fault_plan']"),
     ("crash-node-outside", _schedule(_atom("CrashAt", node=9)), "fault_schedule[0].node: "),
     ("node-str", _schedule(_atom("SilentFrom", node="1")), "fault_schedule[0].node: "),
     ("node-bool", _schedule(_atom("SilentFrom", node=True)), "fault_schedule[0].node: "),
@@ -181,9 +202,13 @@ def nothing_scheduled(monkeypatch):
     "overlay, path", [row[1:] for row in PROBES], ids=[row[0] for row in PROBES]
 )
 def test_a_malformed_spec_is_one_spec_error_at_its_json_path(overlay, path, nothing_scheduled):
-    document = {**DeploymentSpec(n=5, f=1, k=2, target_height=3).to_dict(), **overlay}
     with pytest.raises(SpecError) as caught:
-        run_protocol(DeploymentSpec.from_dict(json.loads(json.dumps(document))))
+        if callable(overlay):
+            spec = overlay()
+        else:
+            document = {**DeploymentSpec(n=5, f=1, k=2, target_height=3).to_dict(), **overlay}
+            spec = DeploymentSpec.from_dict(json.loads(json.dumps(document)))
+        run_protocol(spec)
     assert str(caught.value).startswith(path), str(caught.value)
 
 
@@ -292,7 +317,6 @@ _TAIL = (
 
 
 def _fingerprint_pins():
-    from repro.core.adversary import FaultPlan
     from repro.net.impairment import ImpairmentSpec
     from repro.testkit import faults
     from repro.workload import ClosedLoopPreload, OpenLoopPoisson
@@ -317,15 +341,21 @@ def _fingerprint_pins():
             DeploymentSpec(impairment=ImpairmentSpec(loss=0.2, max_retries=2)),
             _HEAD + '"impairment": {"loss": 0.2, "max_retries": 2}, ' + _TAIL + "}",
         ),
-        "schedule-over-plan": (
+        "schedule": (
             DeploymentSpec(
-                fault_plan=FaultPlan(faulty=(0,), behaviour="equivocate"),
                 fault_schedule=faults.crash_at(1, 2.0).add(faults.PartitionWindow(3, 1.0, 4.0)),
             ),
             (_HEAD + _TAIL + "}").replace(
                 _PLAN,
                 '[{"kind": "CrashAt", "node": 1, "time": 2.0}, '
                 '{"heal": 4.0, "kind": "PartitionWindow", "node": 3, "start": 1.0}]',
+            ),
+        ),
+        # A plan is written as the schedule it lowers to.
+        "plan": (
+            DeploymentSpec(fault_plan=FaultPlan(faulty=(0,), behaviour="equivocate")),
+            (_HEAD + _TAIL + "}").replace(
+                _PLAN, '[{"baseline_failstop": 0.0, "kind": "EquivocateAt", "node": 0, "round": 3}]'
             ),
         ),
     }
@@ -338,13 +368,12 @@ def test_spec_fingerprint_is_pinned_per_omit_rule(name):
 
 
 def test_default_to_dict_is_pinned_key_for_key():
-    plan = {"faulty": [], "behaviour": "crash", "trigger_round": 3, "crash_time": 0.0}
     assert DeploymentSpec().to_dict() == {
         "protocol": "eesmr", "n": 7, "f": 1, "k": 2, "topology": "ring-kcast",
         "edges_per_node": 1, "topology_seed": None, "medium": "ble", "hop_delay": 1.0,
         "delta": None, "signature_scheme": "rsa-1024", "batch_size": 1,
         "command_payload_bytes": 16, "target_height": 5, "block_interval": 0.0, "seed": 0,
-        "jitter": True, "fault_plan": plan, "fault_schedule": None,
+        "jitter": True, "fault_schedule": None,
         "workload": None, "txpool_limit": None, "impairment": None,
     }  # fmt: skip
 

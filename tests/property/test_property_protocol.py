@@ -69,5 +69,6 @@ def test_faulty_leader_runs_stay_safe_and_recover(spec):
     # Liveness: every correct node commits at least the workload target.
     # (After a view change the new leader may anchor one extra block.)
     assert result.min_committed_height >= spec.target_height
-    if spec.fault_plan.behaviour in ("silent_leader", "equivocate"):
+    behaviour, _ = spec.fault_schedule.replica_behaviour(0)
+    if behaviour in ("silent_leader", "equivocate"):
         assert result.view_changes >= 1

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adversary import ALLOWED_BEHAVIOURS, FaultPlan
 from repro.eval.runner import MEDIA, PROTOCOLS, TOPOLOGIES, DeploymentSpec
 from repro.net.impairment import ImpairmentSpec, SpecError
 from repro.testkit import faults
@@ -86,15 +85,6 @@ schedules = st.lists(fault_atoms, min_size=0, max_size=4).map(
     )
 )
 
-fault_plans = st.builds(
-    FaultPlan,
-    faulty=st.lists(st.integers(0, 9), max_size=3, unique=True).map(tuple),
-    behaviour=st.sampled_from(ALLOWED_BEHAVIOURS),
-    trigger_round=st.integers(1, 8),
-    crash_time=st.floats(0, 10),
-)
-
-
 # Trace entries are drawn with strictly increasing times and distinct ids
 # (both validated at TraceReplay construction).
 trace_replays = st.lists(
@@ -148,8 +138,6 @@ def specs(draw):
     use_schedule = draw(st.booleans())
     # A spec rejects fault targets outside ``range(n)``: fold the ids the
     # shared strategies draw from 0..9 into the deployment.
-    plan = draw(fault_plans)
-    plan = dataclasses.replace(plan, faulty=tuple(sorted({_within(n, p) for p in plan.faulty})))
     atoms = [dataclasses.replace(a, node=_within(n, a.node)) for a in draw(schedules).faults]
     schedule = faults.FaultSchedule(tuple({a.node: a for a in atoms}.values()))
     return DeploymentSpec(
@@ -168,7 +156,6 @@ def specs(draw):
         command_payload_bytes=draw(st.integers(1, 512)),
         target_height=draw(st.integers(1, 8)),
         block_interval=draw(st.floats(0, 4)),
-        fault_plan=plan,
         fault_schedule=schedule if use_schedule else None,
         seed=draw(st.integers(0, 2**31)),
         jitter=draw(st.booleans()),

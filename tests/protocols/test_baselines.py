@@ -139,3 +139,21 @@ def test_trusted_baseline_commits_reordered_orders():
     result = run_protocol(spec)
     assert result.min_committed_height == 4
     assert result.safety.consistent
+
+
+def test_a_fault_plan_on_the_trusted_baseline_is_armed():
+    """A plan is lowered to the schedule every protocol reads, so a crashed
+    leaf stops and never relays (it used to commit every block: the trusted
+    baseline armed only a schedule, and its plan was dropped)."""
+    from repro.session import Session
+
+    spec = DeploymentSpec(
+        protocol="trusted-baseline", n=5, f=1, k=2, target_height=4, seed=3,
+        fault_plan=FaultPlan(faulty=(0,), behaviour="crash", crash_time=1.0),
+    )  # fmt: skip
+    session = Session.from_spec(spec).run()
+    result = session.finish()
+    assert session.replicas[0].crashed
+    assert session.network.relay_denied(0)
+    assert result.committed_heights[0] == 0
+    assert result.min_committed_height == 4 and result.safety.consistent

@@ -79,7 +79,7 @@ def run_broken_deployment():
     sim.run(until=10.0)
 
     safety = SafetyChecker(
-        {pid: r.log for pid, r in replicas.items()}, faulty=spec.fault_plan.faulty
+        {pid: r.log for pid, r in replicas.items()}, faulty=spec.byzantine_nodes
     ).check()
     trace = TraceRecorder().capture(
         spec, config, sim, ledger, network, scheme, replicas, safety

@@ -186,13 +186,15 @@ def _cli_runs(scratch: Path) -> List[Tuple[List[str], int]]:
     leader_faults = run_parser._option_string_actions["--leader-fault"].choices
     trace = scratch / "trace.json"
     trace.write_text(json.dumps([{"time": 0.5 * i} for i in range(6)]))
-    # A spec file that sets every nested record: fault plan, fault
-    # schedule, workload and impairment.
+    # A spec file that sets every nested record: fault schedule, workload
+    # and impairment.
     full_spec = scratch / "full.json"
     full_spec.write_text(json.dumps({
         "protocol": "eesmr", "n": 7, "f": 2, "k": 2, "target_height": 4, "block_interval": 1.0,
-        "fault_plan": {"faulty": [6], "behaviour": "crash"},
-        "fault_schedule": [{"kind": "PartitionWindow", "node": 5, "start": 1.0, "heal": 4.0}],
+        "fault_schedule": [
+            {"kind": "CrashAt", "node": 6, "time": 0.0},
+            {"kind": "PartitionWindow", "node": 5, "start": 1.0, "heal": 4.0},
+        ],
         "workload": {"kind": "open-loop", "rate": 2.0, "clients": 2, "duration": 6.0},
         "impairment": {"loss": 0.1},
     }))
