@@ -41,6 +41,12 @@ traces, split back per receiver, hashes to its previous value.  The other
 13 kept theirs: on an impaired wire every receiver keeps its own event, and
 the trusted baseline sends no k-casts.
 
+The 9 faulty-leader pins were re-pinned once more when ``FaultPlan``
+became constructor shorthand for a ``FaultSchedule``: the trace's
+``spec.faults`` holds the lowered atom (``StallAt`` / ``EquivocateAt`` with
+``baseline_failstop=0.0``, ``CrashAt(0, 0.0)``) instead of the plan dict,
+and each trace without its ``spec`` key is byte-identical to before.
+
 An event-plane change that keeps every ``(time, seq, label)``
 keeps these byte-for-byte; update them only for an intentional protocol
 or model change, and say why in the PR.
@@ -81,15 +87,15 @@ PINS = {
     "giveup/sync-hotstuff": "3d5870f79995d2ba07612224f904e77f7984b3f8364dcace6afd0ce0c7c39ccc",
     "giveup/optsync": "90399e815f8cabc8cef9415c56fec5c630b9d37a7f288170d03c7e52f66296d6",
     "giveup/trusted-baseline": "d5e9a2454b16f22b9c56bdb4541177e270ef27a84d4e507727285e8cee7b3a89",
-    "silent_leader/eesmr": "79dc4b3576af9b0e23593b1c2777a7ac8c520d19cd6a3c14a2fe624b13093e0b",
-    "equivocate/eesmr": "302a265f6956a1e2ce5d79a2915e62103814305a93406afe785c0a0e7a7e142f",
-    "crash/eesmr": "03d55135c4ce77eff38e57e2987d66f8f5fc2a16d6bb540b250658f34661337d",
-    "silent_leader/sync-hotstuff": "1d781516350734cd93d57ebb6bab183513ea342ea32d16400f51b2afee19432b",
-    "equivocate/sync-hotstuff": "ccb933926eb85b08ef598fa1b85fa87256d25478f2a44d303ff5aa36a3ac5dbc",
-    "crash/sync-hotstuff": "b79663c18cc6e61a2195e7d7a4e265fe3529f13611643ad74d4b9a18a53072bf",
-    "silent_leader/optsync": "d9e70b9c846838ec8dbe82f4d05fd0041a426f00b74c50b769798758d4ea50ec",
-    "equivocate/optsync": "f6603c82c8af07dbda5f8f02174af57e34f6bce479490050665e1e6078191d14",
-    "crash/optsync": "92b65f4c5f5e26b7b72a91ca3b798aea4d1935f34de7d2dd2fd68e3613fa26fc",
+    "silent_leader/eesmr": "ef50c79624e74b90a54bd9c80a87b7e2cb053f45ade809c615c0d807d65e52ca",
+    "equivocate/eesmr": "af045c3ad1e72f06819abce9e2e40880443cac4ee30f4620fdc61c99dd21b702",
+    "crash/eesmr": "3a3a9897408a0ab08784a88ca02d2e7052698437f22b6b32db4a00e0a2abd434",
+    "silent_leader/sync-hotstuff": "a4567f9a408b72f527124ff9f8fedb02e9cc26abcb473d51bc1307c6c4ab9649",
+    "equivocate/sync-hotstuff": "201be5a81ec68bd15ba6a17909dac3fb770f4b78da916c35c4c3b59b14ab89b5",
+    "crash/sync-hotstuff": "52ae3d4500c7546da675086a7510b0ff5591b168045f312674b40f3cc4ae76d5",
+    "silent_leader/optsync": "3284bfb3b9ddb0ddb1dc923dd483b642d9004cdcbd013645b3452d236d6e73ef",
+    "equivocate/optsync": "a7420855c54152e6cece62d6d1907519dbb0b5e76aa2b28d3546bc1861d36c98",
+    "crash/optsync": "678432640571d5b58566865afc162a96f5ecaf25b8855cb5beaff7cf5c3a0949",
     "stacked/eesmr": "c0d755d15793e75a1d24162f0668b5f8f764683378a95e9970ab40e2bef2f8fc",
     "stacked/sync-hotstuff": "b62de9e881c670772fdbfbd49d34caf436f76cb1fa95c1002fe446a19a0c0c73",
     "stacked/optsync": "734d87ad304736f7f340d9bbf45f1077f7804bd4568717e13f73b68588473003",

@@ -15,7 +15,9 @@ multi-receiver edge event: the replicated protocols' golden runs, the
 plan-invalidation fault windows, the faulty leaders and the stacked window
 schedule on a clean wire.  The other pinned specs (trusted baseline, and
 every run on an impaired wire, where each receiver keeps its own event)
-kept their fingerprints.
+kept their fingerprints.  The 9 faulty-leader values were re-pinned with
+their event-plane pins, for the same reason: the spec's ``faults`` entry
+became the lowered atom list.
 """
 
 import re
@@ -38,15 +40,15 @@ PER_RECEIVER = {
     "golden/wifi-n9": "43c14c5c7956a2fc1a92034295a69ef03bfcadbe816aa2b6af2d1f50f1a3047a",
     "relay-drop-window": "790e2d29f7523ae994148cb96f20fde061d0fbc52d06e363e3ca343b0ba1b28e",
     "partition-heal": "817452e16593ef1531fe7b9cf93f86b939f4954cb52fdb2cd81a27bf8f730c74",
-    "silent_leader/eesmr": "8280f1e7baaf6d098ad60ca29f75811741429c0c98fd9a892ac9f83e502f8c75",
-    "equivocate/eesmr": "036c083ba39d922580db3e21cd2da480d6e0bc684414c395dd22371842ca834b",
-    "crash/eesmr": "31150c38cfb8bbd32672b2ae090e33a726f1e8cad2730658be12ea8966011478",
-    "silent_leader/sync-hotstuff": "c95f707ac51c8211fa5a5b7d0364625297609d29f54cb80120e714558b5b1ff4",
-    "equivocate/sync-hotstuff": "e1c0cf085da26e332154441fb15c975a3656e5d154033ed71caffd019cb22801",
-    "crash/sync-hotstuff": "ef8cbfa287ced4b81cd33a31f8461d405bfaccf44ca825064ea22d2c00612ffe",
-    "silent_leader/optsync": "3b73347bb04cdf25fb6c87cc31cd37428ebb3a4bda9d6f5fa5cdcb706d2a4e82",
-    "equivocate/optsync": "b2b21815885faab6fe6732fbd12fa4b2c646cc42642220f819835d8a789d3cb9",
-    "crash/optsync": "8b79952427f2e93418f15e32492a1beadfa08df8ee7fde4c28d36430a17caf11",
+    "silent_leader/eesmr": "4c85022206dbcdf8664e90a66f39dfe9cfe1f6e2a774736cb913135aa955e8de",
+    "equivocate/eesmr": "6510c6c9f5e1441dba5522f0bcd07a3cd905fe8a927c50aaa6b13d551cab2825",
+    "crash/eesmr": "f67ad6b91ff9d9c41f28fc02c4860005b7fc76800fe9f76212df2fa8aa4af501",
+    "silent_leader/sync-hotstuff": "a4da09bb9e9be0b4afd6a22571f5710c8447b1950a104b1579d454228d662392",
+    "equivocate/sync-hotstuff": "f887b673deb9214bcb43568d8fcffe24c4e8167e035d000fc64c3c81b8fba748",
+    "crash/sync-hotstuff": "4a6d79b8c5d817982f8d1db948f3c02053d37c176b6b3e52d7f512b3ffd8a732",
+    "silent_leader/optsync": "777c2f9b076cce05694c7737e87868cf268789724f105d125887f75822d18086",
+    "equivocate/optsync": "5580816f75342417a6d805a402a9f05a381fe9f15f0db51902c242570ec12cc0",
+    "crash/optsync": "438a5a3d201f169ca0b6067309bd96bb0dcddfd78c899d7004d38b855ed8f8af",
     "stacked/eesmr": "5ade78a67b4a8814c1825aea5219a1d207a09d6278a45f49713cefab268c335e",
     "stacked/sync-hotstuff": "ed84237ed1e4db104abeabea2a0a3ab448204d99511ad2af6202556966011e4c",
     "stacked/optsync": "3dd56c4811b4214d4bfaa4b7b3690c9b83d4e33f003d50159c52f7785503934e",
