@@ -14,6 +14,14 @@ zero-argument callables; callables are only invoked when a trace consumer
 actually needs the text, so unlabeled or untraced events never pay for
 string formatting.
 
+A pending handle's key may change: :meth:`BucketedEventQueue.move` re-keys
+it to a later-or-equal time under a fresh ``seq`` and leaves its heap entry
+where it is.  An entry whose ``seq`` no longer matches its event's is stale;
+``pop`` / ``peek_time`` re-place it under the event's current key when they
+reach it, which is never later than that key, so the pop order is the one
+a cancel + push would have given.  A restarted timer therefore keeps one
+queue entry instead of leaving one cancelled entry per restart.
+
 The queue itself, :class:`BucketedEventQueue`, is a two-tier calendar
 structure (near-future time buckets plus an overflow heap): pushes to
 future buckets are O(1) list appends and pops are O(log b) in the *bucket*
@@ -27,6 +35,10 @@ import heapq
 import itertools
 from typing import Callable, List, Optional, Tuple, Union
 
+#: Exclusive upper bound of a schedulable time: ``0.0 <= t < INF`` is one
+#: chained test that also refuses NaN and both infinities.
+INF = float("inf")
+
 #: A trace label: either the string itself or a thunk producing it lazily.
 Label = Union[str, Callable[[], str]]
 
@@ -35,8 +47,10 @@ class Event:
     """A single scheduled callback.
 
     Attributes:
-        time: Virtual time at which the event fires.
-        seq: Monotonically increasing tie-breaker assigned by the queue.
+        time: Virtual time at which the event fires.  While the event is
+            pending, :meth:`BucketedEventQueue.move` may set a later one.
+        seq: Monotonically increasing tie-breaker assigned by the queue; a
+            move draws a fresh one, exactly as the push it replaces would.
         callback: Callable invoked as ``callback(*args)`` when the event fires.
         label: Optional label used in traces (string or lazy thunk).
         args: Positional arguments for ``callback``.  The event carries
@@ -65,7 +79,7 @@ class Event:
         self.args = args
         self.cancelled = False
         #: The queue holding this event (``None`` for a free-standing one);
-        #: ``_in_heap`` is true from the push until the pop.
+        #: ``_in_heap`` is true from the push until the pop, across moves.
         self._queue = queue
         self._in_heap = queue is not None
 
@@ -114,7 +128,9 @@ class BucketedEventQueue:
     entries within a bucket are heap-ordered by those tuples, and the
     overflow heap is only ever drained bucket-aligned — so the pop sequence
     is the exact total order a single heap would give (the
-    golden-fingerprint tests were captured on one).
+    golden-fingerprint tests were captured on one).  A moved event's stale
+    entry sorts no later than its current key and is re-placed when it
+    surfaces, so moves keep the same order.
     """
 
     #: Bucket width in virtual-time units.  Hop delays and protocol Δs in
@@ -152,12 +168,33 @@ class BucketedEventQueue:
         args: tuple = (),
     ) -> Event:
         """Schedule ``callback(*args)`` at virtual ``time``; returns its handle."""
-        if time < 0:
-            raise ValueError(f"cannot schedule event at negative time {time}")
+        if not 0.0 <= time < INF:
+            raise ValueError(f"event time {time} is negative or not finite")
         seq = next(self._counter)
         event = Event(time, seq, callback, label, args, self)
-        entry = (time, seq, event)
-        bucket_id = int(time / self._width)
+        self._place((time, seq, event))
+        self._live += 1
+        return event
+
+    def move(self, event: Event, time: float) -> bool:
+        """Re-key pending ``event`` to fire at ``time``; ``False`` if it cannot.
+
+        A pending event moved to a finite time no earlier than its own keeps
+        its handle and its heap entry: it takes the next ``seq``, exactly as
+        a push would, and the stale entry is re-placed when it surfaces.  An
+        earlier or non-finite time, or a handle that is cancelled or no
+        longer queued, changes nothing and returns ``False``: the caller
+        cancels and pushes instead.
+        """
+        if event.time <= time < INF and event._in_heap and not event.cancelled:
+            event.seq = next(self._counter)
+            event.time = time
+            return True
+        return False
+
+    def _place(self, entry: HeapEntry) -> None:
+        """Put ``entry`` in the near heap, its future bucket or the overflow heap."""
+        bucket_id = int(entry[0] / self._width)
         if bucket_id <= self._cur:
             heapq.heappush(self._near, entry)
         elif bucket_id < self._far_bound:
@@ -169,8 +206,6 @@ class BucketedEventQueue:
                 bucket.append(entry)
         else:
             heapq.heappush(self._far, entry)
-        self._live += 1
-        return event
 
     def _advance(self) -> bool:
         """Make the next non-empty bucket current; ``False`` when drained.
@@ -211,10 +246,14 @@ class BucketedEventQueue:
         near = self._near
         while True:
             while near:
-                event = heapq.heappop(near)[2]
-                event._in_heap = False
+                _, seq, event = heapq.heappop(near)
                 if event.cancelled:
+                    event._in_heap = False
                     continue
+                if seq != event.seq:
+                    self._place((event.time, event.seq, event))
+                    continue
+                event._in_heap = False
                 self._live -= 1
                 return event
             if not self._advance():
@@ -226,11 +265,16 @@ class BucketedEventQueue:
         while True:
             near = self._near
             while near:
-                entry = near[0]
-                if entry[2].cancelled:
-                    heapq.heappop(near)[2]._in_heap = False
+                time, seq, event = near[0]
+                if event.cancelled:
+                    heapq.heappop(near)
+                    event._in_heap = False
                     continue
-                return entry[0]
+                if seq != event.seq:
+                    heapq.heappop(near)
+                    self._place((event.time, event.seq, event))
+                    continue
+                return time
             if not self._advance():
                 return None
 

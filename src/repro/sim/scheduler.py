@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.events import BucketedEventQueue, Event
+from repro.sim.events import INF, BucketedEventQueue, Event
 
 
 class SimulationError(RuntimeError):
@@ -65,9 +65,9 @@ class Simulator:
         args: tuple = (),
     ) -> Event:
         """Schedule ``callback(*args)`` at an absolute virtual time."""
-        if time < self._now:
+        if not self._now <= time < INF:
             raise SimulationError(
-                f"cannot schedule event in the past: {time} < now={self._now}"
+                f"cannot schedule event at {time}: in the past (now={self._now}) or not finite"
             )
         return self._queue.push(time, callback, label, args)
 
@@ -83,11 +83,21 @@ class Simulator:
         Pass per-event state through ``args`` rather than closing over it:
         the event is then the only object the schedule allocates.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not 0.0 <= delay < INF:
+            raise SimulationError(f"delay {delay} is negative or not finite")
         # Push directly rather than via schedule_at: this is the hottest
         # call in the simulator and delay >= 0 already implies time >= now.
         return self._queue.push(self._now + delay, callback, label, args)
+
+    def move(self, event: Event, delay: float) -> bool:
+        """Move a pending ``event`` to fire ``delay`` from now, if that is no earlier.
+
+        The handle stays valid and takes a fresh ``seq``, so it fires where
+        a cancel + :meth:`schedule` would have put a new event.  Returns
+        ``False``, changing nothing, for an earlier or non-finite deadline
+        or an event that is no longer pending: cancel and schedule instead.
+        """
+        return self._queue.move(event, self._now + delay)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event."""

@@ -1,26 +1,34 @@
-"""Cancellable, resettable timers built on top of the simulator.
+"""Cancellable, restartable timers built on top of the simulator.
 
 EESMR and the baseline protocols are timer-heavy: ``T_blame`` (progress
 timer), ``T_commit(block)`` (the 4Δ quiet period), the 5Δ/8Δ/6Δ waits of the
 view change.  This module gives protocol code a small, explicit API —
 start / restart / cancel / cancel-all — that mirrors how the pseudo-code in
 Algorithm 2 manipulates its timers.
+
+Restarting a running :class:`Timer` to a deadline no earlier than its
+pending one *moves* the pending event (``Simulator.move``): every
+block restarts ``T_blame`` on every node, and a move leaves one queue entry
+per timer where cancel + push left one per restart.  An earlier deadline
+cancels and schedules anew.  Either way the timer fires at the same
+``(time, seq)`` a cancel + push would give.  Durations must be finite and
+non-negative (``ValueError``, checked before anything is scheduled).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Hashable, Optional
 
-from repro.sim.events import Event
+from repro.sim.events import INF, Event
 from repro.sim.scheduler import Simulator
 
 
 class Timer:
     """A single named timer.
 
-    A timer can be (re)started any number of times; restarting cancels the
-    previous deadline.  The callback fires exactly once per start unless the
-    timer is cancelled first.
+    A timer can be (re)started any number of times; restarting supersedes
+    the previous deadline.  The callback fires exactly once per start unless
+    the timer is cancelled or restarted first.
     """
 
     def __init__(self, sim: Simulator, name: str, callback: Callable[[], None]) -> None:
@@ -37,16 +45,22 @@ class Timer:
         return self._event is not None and self._event.active
 
     def start(self, duration: float) -> None:
-        """Arm (or re-arm) the timer to fire ``duration`` from now."""
-        if duration < 0:
-            raise ValueError(f"timer {self.name}: negative duration {duration}")
-        event = self._event
-        if event is not None:
-            if not event.cancelled:
-                self._sim.cancel(event)
-            self._event = None
+        """Arm (or re-arm) the timer to fire ``duration`` from now.
+
+        Re-arming a running timer to a deadline no earlier than the pending
+        one moves its pending event rather than cancelling it and
+        scheduling another.
+        """
+        if not 0.0 <= duration < INF:
+            raise ValueError(f"timer {self.name}: duration {duration} is negative or not finite")
         self.fired = False
-        self._event = self._sim.schedule(duration, self._fire, label=self._label)
+        sim = self._sim
+        event = self._event
+        if event is not None and not event.cancelled:
+            if sim.move(event, duration):
+                return
+            sim.cancel(event)
+        self._event = sim.schedule(duration, self._fire, label=self._label)
 
     def cancel(self) -> None:
         """Disarm the timer if it is running."""
@@ -76,6 +90,8 @@ class TimerRegistry:
     def __init__(self, sim: Simulator, prefix: str = "timer") -> None:
         self._sim = sim
         self._prefix = prefix
+        #: The label of an untraced timer event; a traced one names its key.
+        self._label = f"timer:{prefix}"
         self._timers: Dict[Hashable, Event] = {}
 
     def __len__(self) -> int:
@@ -88,15 +104,14 @@ class TimerRegistry:
         self, key: Hashable, duration: float, callback: Callable[..., None], *args: Any
     ) -> None:
         """Start (or restart) the timer for ``key``; it calls ``callback(*args)``."""
-        if duration < 0:
-            raise ValueError(f"timer {self._prefix}:{key}: negative duration {duration}")
+        if not 0.0 <= duration < INF:
+            raise ValueError(
+                f"timer {self._prefix}:{key}: duration {duration} is negative or not finite"
+            )
         self.cancel(key)
-        self._timers[key] = self._sim.schedule(
-            duration,
-            self._fire,
-            label=f"timer:{self._prefix}:{key}",
-            args=(key, callback, args),
-        )
+        sim = self._sim
+        label = f"timer:{self._prefix}:{key}" if sim.trace_enabled else self._label
+        self._timers[key] = sim.schedule(duration, self._fire, label, (key, callback, args))
 
     def _fire(self, key: Hashable, callback: Callable[..., None], args: tuple) -> None:
         del self._timers[key]

@@ -57,6 +57,25 @@ def make_network(n: int = 5, k: int = 2, seed: int = 3):
     return sim, topology, ledger, network
 
 
+def record_scheduled(sim):
+    """Every event scheduled on ``sim`` from now on, through its public entry points."""
+    events = []
+    for name in ("schedule", "schedule_at"):
+
+        def recording(*args, _schedule=getattr(sim, name), **kwargs):
+            event = _schedule(*args, **kwargs)
+            events.append(event)
+            return event
+
+        setattr(sim, name, recording)
+    return events
+
+
+def entry_count(queue):
+    """Heap entries a ``BucketedEventQueue`` holds, stale and cancelled ones included."""
+    return len(queue._near) + sum(map(len, queue._buckets.values())) + len(queue._far)
+
+
 def honest_spec(protocol: str = "eesmr", n: int = 5, f: int = 1, k: int = 2, blocks: int = 3, seed: int = 5, **kwargs) -> DeploymentSpec:
     """A small honest-run deployment spec."""
     return DeploymentSpec(

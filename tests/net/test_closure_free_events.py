@@ -14,20 +14,7 @@ import pytest
 from repro.eval.runner import DeploymentSpec
 from repro.net.impairment import ImpairmentSpec
 from repro.session.builder import SessionBuilder
-
-
-def record_scheduled(sim):
-    """Every event scheduled on ``sim`` from now on, through its public entry points."""
-    events = []
-    for name in ("schedule", "schedule_at"):
-
-        def recording(*args, _schedule=getattr(sim, name), **kwargs):
-            event = _schedule(*args, **kwargs)
-            events.append(event)
-            return event
-
-        setattr(sim, name, recording)
-    return events
+from tests.conftest import record_scheduled
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,40 @@ def test_schedule_at_past_rejected():
         sim.schedule_at(1.0, lambda: None)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", ["schedule", "schedule_at"])
+def test_non_finite_times_are_a_simulation_error(entry, value):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        getattr(sim, entry)(value, lambda: None)
+    # Refused before a seq was drawn or anything was scheduled.
+    assert sim.pending_events == 0
+    assert sim.schedule(1.0, lambda: None).seq == 0
+
+
+@pytest.mark.parametrize("delay", [*NON_FINITE, -1.0, 0.5], ids=["nan", "inf", "-inf", "neg", "early"])
+def test_move_refuses_an_earlier_or_non_finite_deadline(delay):
+    sim = Simulator()
+    event = sim.schedule(1.0, lambda: None)
+    assert not sim.move(event, delay)
+    assert (event.time, event.seq, event.active, sim.pending_events) == (1.0, 0, True, 1)
+
+
+def test_move_keeps_the_handle_and_draws_a_seq():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(2.0, fired.append, args=("a",))
+    tie = sim.schedule(3.0, fired.append, args=("b",))
+    assert sim.move(event, 3.0)
+    assert (event.time, event.seq, sim.pending_events) == (3.0, 2, 2)
+    sim.run_until_idle()
+    assert fired == ["b", "a"]  # the moved event fires after the tie it now follows
+    assert not sim.move(event, 1.0) and not sim.move(tie, 1.0)  # both already fired
+
+
 def test_cancel_scheduled_event():
     sim = Simulator()
     fired = []

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.eval.runner import DeploymentSpec
+from repro.session import Session
+from repro.sim.events import BucketedEventQueue
 from repro.sim.scheduler import Simulator
 from repro.sim.timers import Timer, TimerRegistry
+from tests.conftest import entry_count, record_scheduled
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 def test_timer_fires_after_duration():
@@ -42,6 +48,83 @@ def test_timer_negative_duration_rejected():
     timer = Timer(Simulator(), "t", lambda: None)
     with pytest.raises(ValueError):
         timer.start(-1.0)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_timer_non_finite_duration_rejected(value):
+    sim = Simulator()
+    timer = Timer(sim, "t", lambda: None)
+    with pytest.raises(ValueError):
+        timer.start(value)
+    timer.start(1.0)
+    with pytest.raises(ValueError):
+        timer.start(value)
+    # Refused before anything was scheduled, moved or cancelled.
+    assert timer.running and sim.pending_events == 1
+    assert sim.schedule(2.0, lambda: None).seq == 1
+
+
+def test_rearming_later_schedules_nothing():
+    sim = Simulator()
+    fired = []
+    timer = Timer(sim, "t", lambda: fired.append(sim.now))
+    timer.start(4.0)
+    scheduled = record_scheduled(sim)
+    sim.run(until=1.0)
+    timer.start(4.0)  # deadline 5.0 > 4.0: the pending event moves
+    timer.start(4.0)  # same deadline: moves again, to a new seq
+    assert scheduled == []
+    assert (sim.pending_events, entry_count(sim._queue)) == (1, 1)
+    sim.run_until_idle()
+    assert fired == [5.0]
+    assert scheduled == []
+
+
+def test_rearming_earlier_cancels_and_schedules():
+    sim = Simulator()
+    fired = []
+    timer = Timer(sim, "t", lambda: fired.append(sim.now))
+    timer.start(8.0)
+    first = timer._event
+    scheduled = record_scheduled(sim)
+    timer.start(4.0)
+    assert len(scheduled) == 1 and scheduled[0] is timer._event
+    assert not first.active
+    assert sim.pending_events == 1
+    sim.run_until_idle()
+    assert fired == [4.0]
+
+
+def test_cancel_after_moves_prevents_firing():
+    sim = Simulator()
+    fired = []
+    timer = Timer(sim, "t", lambda: fired.append(1))
+    timer.start(1.0)
+    for now in (0.5, 1.0, 1.5):
+        sim.run(until=now)
+        timer.start(1.0)
+    timer.cancel()
+    assert not timer.running and sim.pending_events == 0
+    sim.run_until_idle()
+    assert fired == []
+    assert entry_count(sim._queue) == 0
+
+
+def test_ten_thousand_rearms_keep_one_pending_event():
+    sim = Simulator()
+    fired = []
+    timer = Timer(sim, "t", lambda: fired.append(sim.now))
+    timer.start(1.0)
+    for step in range(1, 10_001):
+        sim.run(until=step * 0.25)  # crosses the 512-bucket horizon on the way
+        timer.start(1.0)
+        assert sim.pending_events == 1
+    assert entry_count(sim._queue) == 1
+    assert timer.running and not timer.fired and fired == []
+    sim.run_until_idle()
+    assert fired == [2501.0]
+    assert timer.fired and not timer.running
+    assert sim.executed_events == 1
 
 
 def test_registry_starts_independent_timers():
@@ -162,6 +245,20 @@ def test_registry_negative_duration_rejected():
     assert "a" not in registry
 
 
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_registry_non_finite_duration_rejected(value):
+    sim = Simulator()
+    registry = TimerRegistry(sim, prefix="commit")
+    registry.start("a", 1.0, lambda: None)
+    with pytest.raises(ValueError):
+        registry.start("a", value, lambda: None)
+    with pytest.raises(ValueError):
+        registry.start("b", value, lambda: None)
+    # Refused before the armed timer was cancelled or a seq was drawn.
+    assert registry.running_keys() == ["a"] and sim.pending_events == 1
+    assert sim.schedule(2.0, lambda: None).seq == 1
+
+
 def test_registry_timer_is_its_pending_event():
     sim = Simulator(trace=True)
     registry = TimerRegistry(sim, prefix="p0:t-commit")
@@ -171,3 +268,37 @@ def test_registry_timer_is_its_pending_event():
     registry.cancel("abc")
     assert not event.active
     assert sim.pending_events == 0
+
+
+def test_untraced_registry_event_carries_the_constant_label():
+    sim = Simulator()
+    registry = TimerRegistry(sim, prefix="p0:t-commit")
+    registry.start("abc", 4.0, lambda: None)
+    registry.start("def", 5.0, lambda: None)
+    assert [event.label for event in registry._timers.values()] == ["timer:p0:t-commit"] * 2
+    sim.trace_enabled = True
+    registry.start("ghi", 6.0, lambda: None)
+    assert registry._timers["ghi"].label == "timer:p0:t-commit:ghi"
+
+
+@pytest.mark.parametrize("protocol", ["eesmr", "sync-hotstuff"])
+def test_restarted_blame_timers_push_no_events(protocol, monkeypatch):
+    """Host-independent guard on queue traffic: pushes − executed events.
+
+    Every block restarts ``T_blame`` on every replica.  A restart moves the
+    pending event, so the only pushed events that never execute are the
+    seven ``T_blame`` timers cancelled at the target height (cancel + push
+    left 70 here: one cancelled event per restart as well).
+    """
+    pushes = []
+    push = BucketedEventQueue.push
+
+    def counting_push(self, *args, **kwargs):
+        pushes.append(args[0])
+        return push(self, *args, **kwargs)
+
+    monkeypatch.setattr(BucketedEventQueue, "push", counting_push)
+    spec = DeploymentSpec(protocol=protocol, n=7, f=1, k=2, target_height=10, seed=0)
+    session = Session.from_spec(spec).run()
+    assert session.sim.pending_events == 0
+    assert len(pushes) - session.sim.executed_events == 7
