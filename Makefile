@@ -45,8 +45,8 @@
 #                     a cold `repro run` pays before it simulates anything
 #                     (networkx / numpy / multiprocessing must not appear;
 #                     see "Cold start and footprint" in docs/performance.md)
-#   make analyze      detlint: the determinism & registry-coherence
-#                     static analyzer over src/repro (AST-only, < 10s;
+#   make analyze      detlint: the determinism static analyzer over
+#                     src/repro (AST-only, < 10s;
 #                     PR-blocking in CI — see docs/analysis.md)
 #   make reach        the reachability audit (tools/reach.py): traces the
 #                     entry points (benchmarks/, examples/, python3 -m bench,

@@ -1,4 +1,4 @@
-"""detlint: determinism & registry-coherence static analysis.
+"""detlint: determinism static analysis.
 
 Every PR in this repo rests on one contract — seeded byte-determinism:
 golden trace fingerprints stay byte-identical across serial and

@@ -1,12 +1,8 @@
 """Built-in detlint checkers (importing this package registers them)."""
 
 from repro.analysis.checkers import (  # noqa: F401
-    floats,
-    observers,
     ordering,
     randomness,
-    registries,
     rng_discipline,
-    slots,
     wallclock,
 )

@@ -51,7 +51,6 @@ class OrderedIterationChecker(Checker):
         "iteration over a set without sorted(...) — set order is a hash-table "
         "accident and must never reach scheduling/trace/fingerprint sinks"
     )
-    scope = "module"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for scope in walk_scopes(ctx.tree):

@@ -51,7 +51,6 @@ class UnseededRandomnessChecker(Checker):
         "random/secrets/os.urandom/uuid4 outside repro.sim.rng — all "
         "randomness must flow through derive_seed/SeededRNG streams"
     )
-    scope = "module"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.in_module(*EXEMPT_MODULES):

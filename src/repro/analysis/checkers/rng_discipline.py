@@ -41,7 +41,6 @@ class RngStreamDisciplineChecker(Checker):
         "RNG streams must come from derive_seed/rng.child — no hard-coded "
         "SeededRNG(<literal>), in-place .seed(), or raw random.Random"
     )
-    scope = "module"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.in_module(*EXEMPT_MODULES):

@@ -49,7 +49,6 @@ class WallClockChecker(Checker):
         "code — simulation state must be a function of virtual time only "
         "(perf counters allowlisted)"
     )
-    scope = "module"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -4,37 +4,28 @@ A :class:`ModuleContext` bundles everything a checker needs about one
 file: the parsed AST, raw source, the repo-relative path used in
 findings, and the *dotted module name* used for rule scoping (so e.g.
 ``no-unseeded-randomness`` can exempt ``repro.sim.rng`` and nothing
-else).
+else).  The module name is the path after its last ``src/`` component.
 
-The module name is normally derived from the path (the part after a
-``src/`` component).  Test fixtures that plant violations outside the
-source tree can claim a scope explicitly with a magic comment in their
-first few lines::
-
-    # detlint-module: repro.energy.fixture
-
-This also documents *which* scope a fixture exercises.
-
-The second half of this module is the **known-set inference** shared by
-the ``ordered-iteration`` and ``no-float-accumulation-order`` checkers:
-a conservative, purely syntactic answer to "is this expression certainly
-a ``set``?"  It recognises set displays, set comprehensions,
-``set(...)``/``frozenset(...)`` calls, set-algebra methods on known sets,
-and local names whose every assignment in the enclosing scope is one of
-those.  It never claims a set on partial evidence — a name with any
-non-set (re)assignment is dropped — so the checkers err toward silence,
-not noise.
+The second half of this module is the **known-set inference** behind
+the ``ordered-iteration`` checker: a conservative, purely syntactic
+answer to "is this expression certainly a ``set``?"  It recognises set
+displays, set comprehensions, ``set(...)``/``frozenset(...)`` calls,
+set-algebra methods on known sets, and local names whose every
+assignment in the enclosing scope is one of those.  It never claims a
+set on partial evidence — a name with any non-set (re)assignment is
+dropped — so the checker errs toward silence, not noise.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Set
 
-_MODULE_OVERRIDE = re.compile(r"#\s*detlint-module\s*:\s*([\w.]+)")
+
+class ParseError(Exception):
+    """A file the analyzer cannot read as Python: ``<path>:<line>: <reason>``."""
 
 
 @dataclass
@@ -46,11 +37,17 @@ class ModuleContext:
     module: str
     source: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
 
     @classmethod
     def load(cls, path: Path, root: Path) -> "ModuleContext":
-        source = path.read_text(encoding="utf-8")
+        try:
+            source = path.read_text(encoding="utf-8")
+            tree = ast.parse(source, filename=str(path))
+        except UnicodeDecodeError as error:
+            line = path.read_bytes().count(b"\n", 0, error.start) + 1
+            raise ParseError(f"{path}:{line}: not UTF-8 ({error.reason})") from error
+        except SyntaxError as error:
+            raise ParseError(f"{path}:{error.lineno}: {error.msg}") from error
         try:
             relpath = path.resolve().relative_to(root.resolve()).as_posix()
         except ValueError:
@@ -58,10 +55,9 @@ class ModuleContext:
         return cls(
             path=path,
             relpath=relpath,
-            module=_module_name(path, source),
+            module=_module_name(path),
             source=source,
-            tree=ast.parse(source, filename=str(path)),
-            lines=source.splitlines(),
+            tree=tree,
         )
 
     def in_module(self, *prefixes: str) -> bool:
@@ -72,11 +68,7 @@ class ModuleContext:
         )
 
 
-def _module_name(path: Path, source: str) -> str:
-    head = "\n".join(source.splitlines()[:5])
-    override = _MODULE_OVERRIDE.search(head)
-    if override:
-        return override.group(1)
+def _module_name(path: Path) -> str:
     parts = list(path.resolve().parts)
     if "src" in parts:
         parts = parts[len(parts) - parts[::-1].index("src"):]
@@ -181,101 +173,3 @@ def _bind(target: ast.AST, value_is_set: bool, candidates: Set[str], tainted: Se
     elif isinstance(target, (ast.Tuple, ast.List)):
         for element in target.elts:
             _bind(element, False, candidates, tainted)
-
-
-# ----------------------------------------------------------- class utilities
-def base_names(cls: ast.ClassDef) -> Tuple[str, ...]:
-    """Base-class names of ``cls`` (attribute bases collapse to their attr)."""
-    names = []
-    for base in cls.bases:
-        if isinstance(base, ast.Name):
-            names.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.append(base.attr)
-    return tuple(names)
-
-
-def has_decorator(cls: ast.ClassDef, name: str) -> bool:
-    for decorator in cls.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Name) and target.id == name:
-            return True
-        if isinstance(target, ast.Attribute) and target.attr == name:
-            return True
-    return False
-
-
-def dataclass_fields(cls: ast.ClassDef) -> List[Tuple[str, ast.AnnAssign]]:
-    """(name, node) for every non-ClassVar annotated field of ``cls``."""
-    fields: List[Tuple[str, ast.AnnAssign]] = []
-    for node in cls.body:
-        if not isinstance(node, ast.AnnAssign) or not isinstance(node.target, ast.Name):
-            continue
-        annotation = ast.dump(node.annotation)
-        if "ClassVar" in annotation:
-            continue
-        fields.append((node.target.id, node))
-    return fields
-
-
-class ProjectIndex:
-    """A cross-module class index for project-scope checkers.
-
-    Resolves classes *by name* across every analyzed module — the
-    analyzer never imports the code it checks, so this is nominal, not
-    semantic: two same-named classes in different modules merge.  The
-    repo's registries (fault atoms, workload engines) use globally unique
-    class names, which is itself part of the contract being checked.
-    """
-
-    def __init__(self, contexts: List[ModuleContext]) -> None:
-        self.contexts = contexts
-        self.classes: Dict[str, Tuple[ModuleContext, ast.ClassDef]] = {}
-        self.subclasses: Dict[str, Set[str]] = {}
-        for ctx in contexts:
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.ClassDef):
-                    self.classes.setdefault(node.name, (ctx, node))
-                    for base in base_names(node):
-                        self.subclasses.setdefault(base, set()).add(node.name)
-
-    def transitive_subclasses(self, root: str) -> Set[str]:
-        seen: Set[str] = set()
-        frontier = [root]
-        while frontier:
-            name = frontier.pop()
-            for child in self.subclasses.get(name, ()):
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
-
-    def leaf_subclasses(self, root: str) -> Set[str]:
-        """Subclasses of ``root`` that nothing else inherits from."""
-        return {
-            name
-            for name in self.transitive_subclasses(root)
-            if not self.subclasses.get(name)
-        }
-
-    def assignment(self, name: str) -> Optional[Tuple[ModuleContext, ast.Assign]]:
-        """The first module-level ``name = ...`` assignment, if any."""
-        for ctx in self.contexts:
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name) and target.id == name:
-                            return ctx, node
-        return None
-
-    def function(self, name: str) -> Optional[Tuple[ModuleContext, ast.FunctionDef]]:
-        for ctx in self.contexts:
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.FunctionDef) and node.name == name:
-                    return ctx, node
-        return None
-
-
-def names_in(node: ast.AST) -> Set[str]:
-    """Every ``ast.Name`` identifier appearing under ``node``."""
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}

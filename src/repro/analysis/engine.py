@@ -4,7 +4,8 @@
 :func:`run_cli`.  The pass is purely syntactic (``ast`` over every file;
 the analyzed code is never imported), so a repo-wide run is fast enough
 to block every PR — the CI budget is < 10 s and the shipped tree runs in
-well under one.
+well under one.  A file that does not parse is an input error (exit 2),
+not a finding.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.context import ModuleContext, ProjectIndex
+from repro.analysis.context import ModuleContext, ParseError
 from repro.analysis.findings import AnalysisReport, Finding
 from repro.analysis.registry import CheckerRegistry, default_registry
 from repro.analysis.suppressions import (
@@ -71,14 +72,8 @@ class Analyzer:
         checkers = self.registry.instantiate(select=select, ignore=checker_ignore or None)
         raw: List[Finding] = []
         for checker in checkers:
-            if checker.scope == "module":
-                for ctx in contexts:
-                    raw.extend(checker.check(ctx))
-        project_checkers = [c for c in checkers if c.scope == "project"]
-        if project_checkers:
-            index = ProjectIndex(contexts)
-            for checker in project_checkers:
-                raw.extend(checker.check_project(index))
+            for ctx in contexts:
+                raw.extend(checker.check(ctx))
 
         findings: List[Finding] = []
         suppressed = 0
@@ -163,9 +158,9 @@ def run_cli(args: argparse.Namespace) -> int:
     registry = default_registry()
     if args.list_rules:
         for entry in registry.describe():
-            print(f"{entry['rule']:32s} [{entry['scope']:7s}] {entry['description']}")
-        print(f"{BAD_SUPPRESSION:32s} [meta   ] malformed detlint suppression comment")
-        print(f"{UNUSED_SUPPRESSION:32s} [meta   ] suppression that matched no finding")
+            print(f"{entry['rule']:32s} {entry['description']}")
+        print(f"{BAD_SUPPRESSION:32s} (meta) malformed detlint suppression comment")
+        print(f"{UNUSED_SUPPRESSION:32s} (meta) suppression that matched no finding")
         return 0
     paths = [Path(p) for p in args.paths] if args.paths else [Path("src/repro")]
     for path in paths:
@@ -177,6 +172,9 @@ def run_cli(args: argparse.Namespace) -> int:
         report = analyzer.run(paths, select=args.select, ignore=args.ignore)
     except KeyError as error:
         print(f"detlint: {error.args[0]}")
+        return 2
+    except ParseError as error:
+        print(f"detlint: cannot parse {error}")
         return 2
     if args.format == "json":
         print(report.render_json())
@@ -194,7 +192,7 @@ def run_cli(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
-        description="detlint: determinism & registry-coherence static analysis",
+        description="detlint: determinism static analysis",
     )
     add_arguments(parser)
     return run_cli(parser.parse_args(argv))

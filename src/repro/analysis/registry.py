@@ -1,13 +1,8 @@
 """The pluggable checker registry for the determinism analyzer.
 
 A checker is a class with a unique kebab-case ``name``, a one-line
-``description``, a ``scope`` and one ``check`` entry point:
-
-* ``scope = "module"`` — ``check(ctx)`` is called once per analyzed
-  file with a :class:`~repro.analysis.context.ModuleContext`;
-* ``scope = "project"`` — ``check_project(index)`` is called once per
-  run with a :class:`~repro.analysis.context.ProjectIndex` over every
-  analyzed file (for cross-file contracts such as registry coherence).
+``description`` and one entry point, ``check(ctx)``, called once per
+analyzed file with a :class:`~repro.analysis.context.ModuleContext`.
 
 Checkers register themselves with :func:`register` at import time; the
 :mod:`repro.analysis.checkers` package imports every built-in checker
@@ -20,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Type
 
-from repro.analysis.context import ModuleContext, ProjectIndex
+from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
 
 
@@ -31,15 +26,9 @@ class Checker:
     name: str = ""
     #: One-line summary for ``--list-rules`` and the docs catalog.
     description: str = ""
-    #: ``"module"`` or ``"project"``.
-    scope: str = "module"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        """Yield findings for one module (``scope == "module"``)."""
-        return iter(())
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        """Yield findings for the whole file set (``scope == "project"``)."""
+        """Yield findings for one module."""
         return iter(())
 
     def finding(self, ctx: ModuleContext, node, message: str) -> Finding:
@@ -61,11 +50,6 @@ class CheckerRegistry:
         name = checker_cls.name
         if not name:
             raise ValueError(f"checker {checker_cls.__name__} has no rule name")
-        if checker_cls.scope not in ("module", "project"):
-            raise ValueError(
-                f"checker {name!r} has unknown scope {checker_cls.scope!r}; "
-                "expected 'module' or 'project'"
-            )
         existing = self._checkers.get(name)
         if existing is not None and existing is not checker_cls:
             raise ValueError(f"duplicate checker name {name!r}")
@@ -77,11 +61,7 @@ class CheckerRegistry:
 
     def describe(self) -> List[Dict[str, str]]:
         return [
-            {
-                "rule": name,
-                "scope": self._checkers[name].scope,
-                "description": self._checkers[name].description,
-            }
+            {"rule": name, "description": self._checkers[name].description}
             for name in self.names()
         ]
 

@@ -14,8 +14,8 @@ the common workflows:
 * ``fuzz``        — run the closed-loop fault-schedule fuzzer (generate →
   detect → shrink) and optionally persist shrunk reproducers to a corpus
   directory;
-* ``analyze``     — run detlint, the determinism & registry-coherence
-  static analyzer, over the source tree (see ``docs/analysis.md``).
+* ``analyze``     — run detlint, the determinism static analyzer, over the
+  source tree (see ``docs/analysis.md``).
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="run detlint, the determinism & registry-coherence static analyzer",
+        help="run detlint, the determinism static analyzer",
     )
     # The analyzer owns its flag set; keep it in one place so
     # ``python -m repro.analysis`` and ``repro analyze`` never drift.

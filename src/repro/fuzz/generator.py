@@ -34,20 +34,9 @@ from repro.sim.rng import SeededRNG, derive_seed
 from repro.testkit import faults
 from repro.testkit.scenarios import schedule_feasibility
 
-#: Atom kinds the generator draws from by default (FAULT_KINDS names).
-DEFAULT_KINDS: Tuple[str, ...] = (
-    "CrashAt",
-    "StallAt",
-    "EquivocateAt",
-    "SilentFrom",
-    "RelayDropWindow",
-    "PartitionWindow",
-    "CrashRecoverWindow",
-    "LeaderFollowingCrash",
-    "LossWindow",
-    "DuplicateWindow",
-    "JitterWindow",
-)
+#: Atom kinds the generator draws from by default: every registered kind,
+#: in ``FAULT_KINDS`` order (every fuzz seed's draws depend on that order).
+DEFAULT_KINDS: Tuple[str, ...] = tuple(faults.FAULT_KINDS)
 
 #: Loss/duplicate probabilities drawn for impairment windows.  Moderate on
 #: purpose: the reliable sublayer's default retry budget covers these, so

@@ -61,15 +61,9 @@ class SessionObserver:
         """The run is quiescent and ``result`` is assembled."""
 
 
-#: The hook names an observer may override, in dispatch order.
-OBSERVER_HOOKS = (
-    "on_session_start",
-    "on_block_commit",
-    "on_view_change",
-    "on_fault_window",
-    "on_recovery",
-    "on_session_end",
-)
+#: The hook names an observer may override: the ``on_*`` methods of
+#: :class:`SessionObserver`, in definition (= dispatch) order.
+OBSERVER_HOOKS = tuple(name for name in vars(SessionObserver) if name.startswith("on_"))
 
 
 class ObserverBus:

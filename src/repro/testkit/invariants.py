@@ -28,8 +28,9 @@ the collected :class:`~repro.eval.runner.RunResult` and the structured
 :func:`judge` is the one run-and-check function: the scenario matrix, the
 fuzz detector and the corpus replay all run a spec under a
 :class:`~repro.testkit.trace.TraceRecorder` and map the battery over its
-evidence through it (:func:`judge_reports` for the callers that must
-survive a run that crashes).
+evidence through it (:func:`judge_reports` and the matrix's cells, the
+callers that must survive a run that crashes, map a mid-run violation
+through :func:`run_failure_report`).
 """
 
 from __future__ import annotations
@@ -454,19 +455,27 @@ def judge(
     return result, evidence, check_all(evidence)
 
 
-def judge_reports(spec, *, label: str, **judge_kwargs) -> List[InvariantReport]:
-    """:func:`judge`'s reports, for callers that must not die on a finding.
+#: What a run raises when a planted (or real) bug crashes the run itself.
+RUN_FAILURES = (SafetyViolation, SimulationError)
 
-    A planted (or real) bug can crash the run itself.  A replica refusing
-    to commit over its own log mid-run (:class:`SafetyViolation`) *is* an
-    agreement failure, observed earlier than the post-run checker would
-    see it; a livelock tripping the event budget (:class:`SimulationError`)
-    is reported against a synthetic ``no-livelock`` invariant.  Either
-    way the run's one failing report is returned instead of raised.
+
+def run_failure_report(error: Exception, label: str) -> InvariantReport:
+    """The one failing report for a run that raised one of :data:`RUN_FAILURES`.
+
+    A replica refusing to commit over its own log mid-run
+    (:class:`SafetyViolation`) *is* an agreement failure, observed earlier
+    than the post-run checker would see it; a livelock tripping the event
+    budget (:class:`SimulationError`) is reported against a synthetic
+    ``no-livelock`` invariant.
     """
+    name = "agreement" if isinstance(error, SafetyViolation) else "no-livelock"
+    return InvariantReport(name, False, f"[{name} @ {label}] {error}")
+
+
+def judge_reports(spec, *, label: str, **judge_kwargs) -> List[InvariantReport]:
+    """:func:`judge`'s reports, for callers that must not die on a finding:
+    a run that raises returns its :func:`run_failure_report` instead."""
     try:
         return judge(spec, label=label, **judge_kwargs)[2]
-    except SafetyViolation as violation:
-        return [InvariantReport("agreement", False, f"[agreement @ {label}] {violation}")]
-    except SimulationError as error:
-        return [InvariantReport("no-livelock", False, f"[no-livelock @ {label}] {error}")]
+    except RUN_FAILURES as error:
+        return [run_failure_report(error, label)]

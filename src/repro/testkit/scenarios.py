@@ -15,7 +15,9 @@ runs every *feasible* cell deterministically through
 :func:`~repro.testkit.invariants.judge` (a session under a
 :class:`~repro.testkit.trace.TraceRecorder`, then the full invariant
 battery, :data:`~repro.testkit.invariants.DEFAULT_INVARIANTS`, over its
-evidence), and adds two differential checks:
+evidence; a run that raises a safety violation or trips its event budget
+mid-run is a failed cell, not a traceback), and adds two differential
+checks:
 
 * within a cell, all correct replicas committed prefix-compatible command
   sequences (part of the agreement invariant);
@@ -50,10 +52,12 @@ from repro.session.metrics import MetricsObserver
 from repro.testkit import faults
 from repro.workload import ClosedLoopPreload, OpenLoopPoisson, WorkloadEngine, parse_workload
 from repro.testkit.invariants import (
+    RUN_FAILURES,
     Evidence,
     InvariantReport,
     InvariantViolation,
     judge,
+    run_failure_report,
 )
 
 #: Named fault-schedule builders.  Each takes the deployment size ``n`` and
@@ -274,8 +278,10 @@ class CellOutcome:
 
     cell: ScenarioCell
     spec: DeploymentSpec
+    #: ``None`` (both) when the run itself raised: ``reports`` then holds
+    #: the one failing report :func:`run_failure_report` maps it to.
     result: object
-    evidence: Evidence
+    evidence: Optional[Evidence]
     reports: List[InvariantReport] = field(default_factory=list)
     #: SLO metrics summary (collected for non-preload workload cells).
     metrics: Optional[dict] = None
@@ -531,12 +537,22 @@ class ScenarioMatrix:
         # Non-preload cells carry SLO metrics; preload cells stay exactly
         # the seed pipeline (no extra observer, no perturbed traces).
         metrics = MetricsObserver() if cell.workload != "preload" else None
-        result, evidence, reports = judge(
-            spec,
-            label=cell.label(),
-            max_events=self.max_events,
-            observers=(metrics,) if metrics is not None else (),
-        )
+        try:
+            result, evidence, reports = judge(
+                spec,
+                label=cell.label(),
+                max_events=self.max_events,
+                observers=(metrics,) if metrics is not None else (),
+            )
+        except RUN_FAILURES as error:
+            # A mid-run violation fails the cell; it must not end the sweep.
+            return CellOutcome(
+                cell=cell,
+                spec=spec,
+                result=None,
+                evidence=None,
+                reports=[run_failure_report(error, cell.label())],
+            )
         outcome = CellOutcome(
             cell=cell, spec=spec, result=result, evidence=evidence, reports=reports
         )
@@ -610,14 +626,15 @@ class ScenarioMatrix:
         a protocol commits depends on where its proposals fall among the
         arrivals: an EESMR leader's back-to-back proposals can run ahead of
         them and order empty blocks, and impairment shifts those timings
-        per protocol.  Different logs there are not a fault.
+        per protocol.  Different logs there are not a fault.  A cell whose
+        run raised has no log to compare; its own report already fails.
         """
         failures: List[str] = []
         groups: Dict[Tuple[str, str, str, str, str], List[CellOutcome]] = {}
         for outcome in outcomes:
             workload = outcome.spec.workload
             preloaded = workload is None or isinstance(workload, ClosedLoopPreload)
-            if outcome.cell.fault != "none" or not preloaded:
+            if outcome.cell.fault != "none" or not preloaded or outcome.evidence is None:
                 continue
             key = (
                 outcome.cell.fault,

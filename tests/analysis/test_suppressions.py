@@ -39,7 +39,7 @@ def test_multiple_rules_and_ascii_dash() -> None:
     assert sup.rules == ("no-wall-clock", "ordered-iteration")
     assert sup.covers(1, "no-wall-clock")
     assert sup.covers(1, "ordered-iteration")
-    assert not sup.covers(1, "slots-discipline")
+    assert not sup.covers(1, "rng-stream-discipline")
 
 
 def test_star_covers_every_rule() -> None:

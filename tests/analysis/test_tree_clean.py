@@ -28,8 +28,12 @@ def test_shipped_tree_is_detlint_clean() -> None:
     elapsed = time.perf_counter() - start
     assert report.ok, "\n" + report.render_human()
     assert report.files_analyzed > 50
-    assert set(report.rules_run) == set(default_registry().names())
-    assert len(report.rules_run) >= 8
+    assert set(report.rules_run) == set(default_registry().names()) == {
+        "no-unseeded-randomness",
+        "no-wall-clock",
+        "ordered-iteration",
+        "rng-stream-discipline",
+    }
     assert elapsed < CI_BUDGET_SECONDS
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.adversary import FaultPlan
@@ -74,6 +76,33 @@ def record_scheduled(sim):
 def entry_count(queue):
     """Heap entries a ``BucketedEventQueue`` holds, stale and cancelled ones included."""
     return len(queue._near) + sum(map(len, queue._buckets.values())) + len(queue._far)
+
+
+def registry_inventory(root: type) -> set:
+    """The classes a ``root``-keyed serializer registry must hold.
+
+    The public subclasses of ``root`` defined in ``root``'s own module that
+    no other class of that module extends.  Underscore bases and classes
+    other modules derive (a test-local probe) are not registry entries.
+    """
+    module = root.__module__
+    leaves, frontier = set(), [root]
+    while frontier:
+        cls = frontier.pop()
+        children = [sub for sub in cls.__subclasses__() if sub.__module__ == module]
+        if not children and cls is not root and not cls.__name__.startswith("_"):
+            leaves.add(cls)
+        frontier.extend(children)
+    return leaves
+
+
+def assert_rebuildable_dataclass(cls: type) -> None:
+    """``cls`` is itself a dataclass (``from_kind`` rebuilds it from its
+    fields) and declares no underscore field: schema fields are public, and
+    ``Fault.describe()`` drops underscore state."""
+    assert "__dataclass_fields__" in vars(cls), f"{cls.__name__} is not a @dataclass"
+    hidden = [field.name for field in dataclasses.fields(cls) if field.name.startswith("_")]
+    assert not hidden, f"{cls.__name__} fields {hidden} drop out of describe()"
 
 
 def honest_spec(protocol: str = "eesmr", n: int = 5, f: int = 1, k: int = 2, blocks: int = 3, seed: int = 5, **kwargs) -> DeploymentSpec:

@@ -103,6 +103,29 @@ def test_matrix_subcommand(tmp_path, capsys):
         assert DeploymentSpec.from_dict(data).n == 5
 
 
+def test_matrix_reports_a_mid_run_safety_violation(capsys):
+    """This impaired OptSync cell forks mid-run (ROADMAP item 9): the sweep
+    names the cell's agreement failure and exits 1, with no traceback."""
+    code = main(
+        [
+            "matrix",
+            "--protocols", "optsync",
+            "--faults", "none", "leader-partition-fork",
+            "--topologies", "star",
+            "--media", "wifi",
+            "--impairments", "ble-calibrated",
+            "-n", "5",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "cells run           : 2" in out
+    assert "invariants          : 1 FAILURES" in out
+    (failure,) = [line for line in out.splitlines() if "FAIL:" in line]
+    assert "optsync×leader-partition-fork×wifi×star×ble-calibrated: [agreement @" in failure
+    assert "tried to commit" in failure
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["teleport"])

@@ -141,6 +141,26 @@ def test_generated_windows_are_never_degenerate(kind):
         assert end - start >= TIME_QUANTUM - 1e-9, atom
 
 
+def test_default_kinds_are_the_registry_in_its_pinned_order():
+    """Every fuzz seed's draws index this roster, so reordering
+    ``FAULT_KINDS`` (or registering an atom mid-list) re-keys every seed."""
+    from repro.fuzz.generator import DEFAULT_KINDS
+
+    assert DEFAULT_KINDS == (
+        "CrashAt",
+        "StallAt",
+        "EquivocateAt",
+        "SilentFrom",
+        "RelayDropWindow",
+        "PartitionWindow",
+        "CrashRecoverWindow",
+        "LeaderFollowingCrash",
+        "LossWindow",
+        "DuplicateWindow",
+        "JitterWindow",
+    )
+
+
 def test_default_kinds_include_crash_recover_windows():
     """CrashRecoverWindow is part of the default fuzzing grammar (the
     nightly core leg runs with no ``--kinds`` filter)."""

@@ -5,11 +5,13 @@ commit / view change / fault window exactly once, and cannot perturb the
 run (fingerprints are pinned with and without observers).
 """
 
+import inspect
+
 import pytest
 
 from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.session import CallbackObserver, EnergyTimelineObserver, Session, SessionObserver
-from repro.session.observers import ObserverBus
+from repro.session.observers import OBSERVER_HOOKS, ObserverBus
 from repro.testkit import faults
 from repro.testkit.trace import TraceRecorder
 
@@ -130,6 +132,32 @@ def test_callback_observer_and_bus_overrides():
     )
     session.run().finish()
     assert seen and all(view == 2 for _pid, view in seen)
+
+
+def test_observer_hooks_are_the_session_observer_methods():
+    assert OBSERVER_HOOKS == (
+        "on_session_start",
+        "on_block_commit",
+        "on_view_change",
+        "on_fault_window",
+        "on_recovery",
+        "on_session_end",
+    )
+
+
+@pytest.mark.parametrize("hook", OBSERVER_HOOKS)
+def test_bus_dispatch_matches_hook_signature(hook):
+    """``ObserverBus.<hook minus on_>`` takes exactly the hook's parameters
+    and forwards them in order, so a drifted hook or dispatch fails here,
+    not when the hook first fires."""
+    parameters = inspect.signature(getattr(SessionObserver, hook)).parameters
+    dispatch = getattr(ObserverBus, hook[len("on_"):])
+    assert inspect.signature(dispatch).parameters == parameters
+    seen = []
+    bus = ObserverBus([CallbackObserver(**{hook: lambda *args: seen.append(args)})])
+    arguments = tuple(parameters)[1:]  # the parameter names, minus self
+    getattr(bus, dispatch.__name__)(*arguments)
+    assert seen == [arguments]
 
 
 def test_unobserved_session_installs_no_hot_path_hooks():

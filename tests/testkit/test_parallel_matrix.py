@@ -10,7 +10,6 @@ import pickle
 
 import pytest
 
-from repro.sim.scheduler import SimulationError
 from repro.testkit.scenarios import (
     CellOutcome,
     ScenarioCell,
@@ -74,10 +73,14 @@ def test_parallel_default_reads_environment_knob(monkeypatch):
 
 
 def test_parallel_worker_failure_propagates():
-    """A cell that raises inside a worker must surface, not vanish."""
+    """A cell that raises inside a worker must surface, not vanish: as its
+    failed ``no-livelock`` report, exactly as in a serial sweep."""
     matrix = ScenarioMatrix(**SMALL, max_events=1)  # guaranteed livelock trip
-    with pytest.raises(SimulationError, match="max_events"):
-        matrix.run(parallel=2)
+    report = matrix.run(parallel=2)
+    assert report.cells_run == 4
+    assert [r.name for o in report.outcomes for r in o.reports] == ["no-livelock"] * 4
+    assert all("max_events" in failure for failure in report.failures())
+    assert report.failures() == matrix.run(parallel=1).failures()
 
 
 @pytest.mark.matrix

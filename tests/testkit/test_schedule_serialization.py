@@ -11,10 +11,24 @@ same static-field validation the constructor applies.
 import pytest
 
 from repro.testkit.faults import (
+    FAULT_KINDS,
+    Fault,
     LeaderFollowingCrash,
     fault_from_dict,
     schedule_from_dict,
 )
+from tests.conftest import assert_rebuildable_dataclass, registry_inventory
+
+
+def test_fault_kinds_registers_every_atom():
+    """A fault atom missing from ``FAULT_KINDS`` cannot be rebuilt from a
+    spec, a corpus entry or the fuzzer's roster; an atom that is not its
+    own dataclass, or hides a field from ``describe()``, does not round-trip."""
+    atoms = registry_inventory(Fault)
+    assert atoms == set(FAULT_KINDS.values())
+    assert all(FAULT_KINDS[cls.__name__] is cls for cls in atoms)
+    for cls in atoms:
+        assert_rebuildable_dataclass(cls)
 
 
 def test_unknown_kind_names_the_offending_entry_index():

@@ -27,7 +27,23 @@ from repro.workload import (
     workload_command_ids,
     workload_from_dict,
 )
-from repro.workload.engine import TraceReplay, default_open_loop_duration
+from repro.workload.engine import (
+    WORKLOAD_KINDS,
+    TraceReplay,
+    WorkloadEngine,
+    default_open_loop_duration,
+)
+from tests.conftest import assert_rebuildable_dataclass, registry_inventory
+
+
+def test_workload_kinds_registers_every_engine():
+    """An engine missing from ``WORKLOAD_KINDS`` cannot be rebuilt by
+    ``workload_from_dict``, so its specs do not round-trip."""
+    engines = registry_inventory(WorkloadEngine)
+    assert engines == set(WORKLOAD_KINDS.values())
+    assert all(WORKLOAD_KINDS[cls.kind] is cls for cls in engines)
+    for cls in engines:
+        assert_rebuildable_dataclass(cls)
 
 
 def open_loop_spec(rate=2.0, seed=17, **overrides):

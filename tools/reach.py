@@ -226,6 +226,10 @@ def _cli_runs(scratch: Path) -> List[Tuple[List[str], int]]:
     runs.append((["matrix", "--media", *MEDIA, "--topologies", *TOPOLOGIES], 0))
     runs.append((["matrix", "--workloads", *WORKLOAD_LIBRARY, "--block-interval", "2.0"], 0))
     runs.append((["matrix", "--impairments", *IMPAIRMENT_LIBRARY], 0))
+    # A cell that forks mid-run is a failed cell in the report, not a traceback.
+    runs.append((["matrix", "--protocols", "optsync", "--faults", "leader-partition-fork",
+                  "--topologies", "star", "--media", "wifi",
+                  "--impairments", "ble-calibrated"], 1))
     for name in sorted(EXPERIMENTS):
         runs.append((["experiment", name], 0))
     runs.append((["feasibility"], 0))
