@@ -12,13 +12,14 @@ The package is organised by substrate:
   analytical energy framework (Section 4);
 * :mod:`repro.core` — the EESMR protocol and the baselines it is compared
   against (Sync HotStuff, OptSync, trusted control node);
-* :mod:`repro.eval` — the deployment spec and run result, ``run_protocol``
-  and the per-table / per-figure experiment implementations;
+* :mod:`repro.eval` — the per-table / per-figure experiment
+  implementations;
 * :mod:`repro.workload` — the workload engines that feed commands into
   the replicas' pools;
-* :mod:`repro.session` — the one front door for running a spec: staged
-  deployment construction, observer hooks, steppable run control and
-  adaptive adversaries (``run_protocol`` is sugar for it).
+* :mod:`repro.session` — the one front door for running a spec: the
+  deployment spec and run result, one-pass deployment construction,
+  observer hooks, steppable run control and adaptive adversaries
+  (``run_protocol`` is sugar for it).
 
 Quickstart::
 
@@ -37,8 +38,7 @@ from repro.energy import (
     sync_hotstuff_cost_model,
     trusted_baseline_cost_model,
 )
-from repro.eval import DeploymentSpec, RunResult, run_protocol
-from repro.session import Session, SessionBuilder
+from repro.session import DeploymentSpec, RunResult, Session, SessionBuilder, run_protocol
 
 __version__ = "1.0.0"
 

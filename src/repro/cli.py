@@ -27,10 +27,11 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core.adversary import FaultPlan
-from repro.eval.runner import MEDIA, PROTOCOLS, TOPOLOGIES, DeploymentSpec, run_protocol
 from repro.eval.tables import format_table
 from repro.net.impairment import SpecError, parse_impairment, read_json
 from repro.optional import MissingDependencyError
+from repro.session import run_protocol
+from repro.session.spec import MEDIA, PROTOCOLS, TOPOLOGIES, DeploymentSpec
 
 #: Experiment names accepted by the ``experiment`` subcommand, mapped to the
 #: :mod:`repro.eval.experiments` function each one calls.  Names, not

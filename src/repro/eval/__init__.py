@@ -1,18 +1,15 @@
-"""Experiment harness: deployment spec, run result and per-figure experiments.
+"""Experiment harness: the paper's per-table and per-figure experiments.
 
-:mod:`repro.eval.experiments` is a submodule, not an eager import: every
-run imports this package for the spec and result types, and only the
-table/figure commands need the experiments.  ``from repro.eval import experiments``
-loads it on demand.
+The deployment spec, the run result and ``run_protocol`` live in
+:mod:`repro.session`; :mod:`repro.eval.runner` re-exports them under their
+old path.  :mod:`repro.eval.experiments` is a submodule, not an eager
+import: only the table/figure commands need it, and
+``from repro.eval import experiments`` loads it on demand.
 """
 
-from repro.eval.runner import DeploymentSpec, RunResult, run_protocol
 from repro.eval.tables import format_table
 
 __all__ = [
-    "DeploymentSpec",
-    "RunResult",
-    "run_protocol",
     "experiments",
     "format_table",
 ]

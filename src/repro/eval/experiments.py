@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.adversary import FaultPlan
 from repro.crypto.energy_costs import SIGNATURE_ENERGY_TABLE
 from repro.energy.feasibility import FeasibleRegion, feasible_region
-from repro.eval.runner import DeploymentSpec, RunResult, run_protocol
+from repro.session import DeploymentSpec, RunResult, run_protocol
 from repro.radio.ble import BleAdvertisementKCast
 from repro.radio.gatt import BleGattUnicast
 from repro.radio.media import TABLE1_MEDIA_ENERGY_MJ

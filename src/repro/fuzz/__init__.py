@@ -17,7 +17,7 @@ invariant battery into a bug-finding flywheel instead:
   schedule to a minimal reproducer (drop-atom → narrow-window →
   shrink-victim-set passes, re-verifying the failure after every step);
 * :class:`~repro.fuzz.corpus.Corpus` persists survivors as canonical
-  :class:`~repro.eval.runner.DeploymentSpec` JSON so CI replays them as a
+  :class:`~repro.session.spec.DeploymentSpec` JSON so CI replays them as a
   growing regression suite (``tests/corpus/``);
 * :class:`~repro.fuzz.fuzzer.Fuzzer` is the closed loop over all four.
 

@@ -5,7 +5,7 @@ keeping: it once demonstrated a bug (in a planted mutant or in the real
 code), and replaying it forever is how the scenario surface grows beyond
 the hand-curated matrix.  A corpus entry is one JSON file holding
 
-* ``spec`` — the full :meth:`~repro.eval.runner.DeploymentSpec.to_dict`
+* ``spec`` — the full :meth:`~repro.session.spec.DeploymentSpec.to_dict`
   of the shrunk reproducer (protocol, deployment, fault schedule);
 * ``expect`` — what replaying it on the *current* code should produce:
   ``"clean"`` (the bug is fixed or was planted in a mutant; the run must
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.eval.runner import DeploymentSpec
+from repro.session.spec import DeploymentSpec
 from repro.net.impairment import SpecError, read_json
 from repro.testkit.invariants import InvariantReport, judge_reports
 

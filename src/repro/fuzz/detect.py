@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, List, Optional, Tuple
 
-from repro.eval.runner import DeploymentSpec
+from repro.session.spec import DeploymentSpec
 from repro.fuzz.generator import FuzzConfig
 from repro.session.builder import SessionBuilder
 from repro.testkit.faults import FaultSchedule, schedule_from_dict

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.eval.runner import PROTOCOLS, DeploymentSpec
+from repro.session.spec import PROTOCOLS, DeploymentSpec
 from repro.net.impairment import SpecError
 from repro.sim.rng import SeededRNG, derive_seed
 from repro.testkit import faults

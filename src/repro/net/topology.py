@@ -110,7 +110,7 @@ def random_kcast_topology(
             f"edges_per_node={edges_per_node} is unsatisfiable: only "
             f"{distinct_sets} distinct receiver sets exist for n={n}, k={k}"
         )
-    # detlint: ok rng-stream-discipline — fallback for direct test calls; deployments derive the generator from DeploymentSpec.topology_seed (see SessionBuilder.build_topology_stage)
+    # detlint: ok rng-stream-discipline — fallback for direct test calls; deployments derive the generator from DeploymentSpec.topology_seed (see repro.session.builder.build_topology)
     generator = rng or SeededRNG(0)
     nodes = list(range(n))
     for _ in range(max_attempts):

@@ -2,13 +2,14 @@
 
 Every surface — the CLI, the scenario matrix, the fuzzer and corpus
 replay, the ``bench/`` ledger, the examples and ``run_protocol`` itself —
-builds deployments through the :class:`SessionBuilder` staged pipeline and
-drives them through a :class:`Session`; there is no other way to run a
-:class:`~repro.eval.runner.DeploymentSpec`:
+builds deployments with :class:`SessionBuilder` and drives them through a
+:class:`Session`; there is no other way to run a :class:`DeploymentSpec`:
 
-* **staged construction** — topology → medium/radios → crypto → replicas
-  → workload → faults → observers, each stage an overridable method
-  returning a typed artifact (:mod:`repro.session.builder`);
+* **the spec** — :class:`DeploymentSpec`, its JSON schema, and the
+  :class:`RunResult` a finished run collects (:mod:`repro.session.spec`);
+* **one-pass construction** — topology → radios and network → crypto →
+  replicas → workload → faults → observers, in a pinned order
+  (:mod:`repro.session.builder`, with ``run_protocol`` beside it);
 * **observer protocol** — ``on_block_commit`` / ``on_view_change`` /
   ``on_fault_window`` / ``on_recovery`` hooks with a fan-out bus
   (:mod:`repro.session.observers`);
@@ -21,8 +22,7 @@ drives them through a :class:`Session`; there is no other way to run a
 
 Quickstart::
 
-    from repro import DeploymentSpec
-    from repro.session import Session
+    from repro.session import DeploymentSpec, Session
 
     session = Session.from_spec(DeploymentSpec(protocol="eesmr", n=7, f=2, k=3))
     session.run_until(pred=lambda s: max(s.inspect()["committed_heights"].values()) >= 2)
@@ -31,7 +31,7 @@ Quickstart::
 """
 
 from repro.session.adaptive import LeaderFollowingController
-from repro.session.builder import SessionBuilder
+from repro.session.builder import SessionBuilder, run_protocol
 from repro.session.metrics import MetricsObserver
 from repro.session.observers import (
     CallbackObserver,
@@ -39,8 +39,12 @@ from repro.session.observers import (
     SessionObserver,
 )
 from repro.session.session import Session
+from repro.session.spec import DeploymentSpec, RunResult
 
 __all__ = [
+    "DeploymentSpec",
+    "RunResult",
+    "run_protocol",
     "Session",
     "SessionBuilder",
     "SessionObserver",

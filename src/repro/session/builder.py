@@ -1,28 +1,25 @@
-"""Staged construction of protocol deployments.
+"""One-pass construction of protocol deployments.
 
-:class:`SessionBuilder` decomposes the experiment runner's monolithic
-build-and-run method into an explicit pipeline of stages::
+:meth:`SessionBuilder.build` makes a deployment in this order and hands it
+to a :class:`~repro.session.session.Session`::
 
-    topology -> medium/radios -> crypto -> replicas -> workload -> faults -> observers
+    topology -> radios, ledger, network -> crypto -> replicas -> workload -> faults -> observers
 
-Each stage computes a typed artifact (:class:`TopologyStage`,
-:class:`MediumStage`, ...) that is cached on the builder, visible to every
-later stage, and individually overridable: subclass the builder and
-replace one ``build_*`` method, or pre-assign the artifact slot before
-calling :meth:`build`, and the remaining stages consume the substitute
-without the caller forking the whole runner.
+The order is a contract.  Simulator events pushed at build time take
+queue sequence numbers in push order, and the golden trace fingerprints
+and the build push-order test pin that order byte-for-byte.  Three steps
+push events:
 
-The stage *ordering contract* matters: simulator events scheduled at
-build time (baseline fail-stop timers, fault-window arming, replica
-start-up) acquire queue sequence numbers in push order, and the golden
-trace fingerprints pin that order byte-for-byte.  Stages that schedule
-events document exactly what they push; stages that don't may be swapped
-freely.
+* replicas — a replicated baseline arms one fail-stop timer per crashing
+  replica, in pid order (EESMR's adversary classes arm themselves at start);
+* workload — an arrival-driven engine pushes one ``workload:arrival`` per
+  command;
+* faults — the trusted baseline arms its leaf fail-stops (pid order), then
+  the schedule pushes its own events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.adversary import BEHAVIOUR_CLASSES
@@ -34,9 +31,8 @@ from repro.core.eesmr.replica import EesmrReplica
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import SignatureScheme, make_scheme
 from repro.energy.ledger import ClusterEnergyLedger
-from repro.eval.runner import DeploymentSpec
-from repro.workload import ClosedLoopPreload, WorkloadEngine
 from repro.net.hypergraph import Hypergraph
+from repro.net.impairment import SpecError
 from repro.net.network import SimulatedNetwork
 from repro.net.topology import (
     fully_connected_topology,
@@ -53,11 +49,12 @@ from repro.radio.media import (
 )
 from repro.session.observers import ObserverBus, SessionObserver
 from repro.session.session import Session
+from repro.session.spec import DeploymentSpec, RunResult
 from repro.sim.rng import SeededRNG, derive_seed
 from repro.sim.scheduler import Simulator
+from repro.workload import ClosedLoopPreload
 
 
-# ---------------------------------------------------------------- stage logic
 def build_topology(spec: DeploymentSpec) -> Hypergraph:
     """The hypergraph for a spec (ring k-cast by default, as in the paper)."""
     if spec.topology == "ring-kcast":
@@ -100,92 +97,8 @@ def build_radios(spec: DeploymentSpec) -> Tuple[Optional[Any], Optional[Any]]:
     return MediumKCastAdapter(medium), MediumUnicastAdapter(medium)
 
 
-# ------------------------------------------------------------ stage artifacts
-@dataclass
-class TopologyStage:
-    """Stage 1: the communication graph and the synchrony bound over it."""
-
-    topology: Hypergraph
-    delta: float
-    #: Node id of the trusted control node, or ``None`` for replicated runs.
-    control_id: Optional[int] = None
-
-
-@dataclass
-class MediumStage:
-    """Stage 2: radios, energy ledger and the simulated network."""
-
-    kcast_radio: Optional[Any]
-    unicast_radio: Optional[Any]
-    ledger: ClusterEnergyLedger
-    network: SimulatedNetwork
-
-
-@dataclass
-class CryptoStage:
-    """Stage 3: key material, signature scheme and protocol configuration."""
-
-    keystore: KeyStore
-    scheme: SignatureScheme
-    config: ProtocolConfig
-
-
-@dataclass
-class ReplicaStage:
-    """Stage 4: replica processes, registered with the network.
-
-    For baseline protocols this stage also arms per-replica fail-stop
-    timers (one ``after`` per scheduled crash, in pid order) — those
-    events are part of the golden trace order.
-    """
-
-    replicas: Dict[int, Any]
-    #: The trusted control node, or ``None`` for replicated runs.
-    control: Optional[TrustedControlNode] = None
-
-
-@dataclass
-class WorkloadStage:
-    """Stage 5: the workload engine's deterministic command stream.
-
-    The default :class:`~repro.workload.ClosedLoopPreload` fills every
-    txpool at build time and pushes no events (the seed behaviour, pinned
-    byte-for-byte by the golden fingerprints).  Arrival-driven engines
-    (open-loop, trace replay) instead schedule one ``workload:arrival``
-    event per command here — after the replica stage's fail-stop timers
-    and before the fault stage's events, an ordering the open-loop
-    determinism tests pin.
-    """
-
-    commands: List[Any]
-    #: The engine that produced the stream (never ``None`` after build).
-    engine: Optional[WorkloadEngine] = None
-    #: Commands injected as simulator events (empty for preloads).
-    arrivals: Tuple[Any, ...] = ()
-
-
-@dataclass
-class FaultStage:
-    """Stage 6: armed network faults and any session-time fault controllers.
-
-    Scheduling order (pinned by golden traces): for replicated runs the
-    schedule's own fault events are pushed here, after every replica
-    fail-stop timer from stage 4; for the trusted baseline, leaf fail-stop
-    timers are pushed first (pid order), then the schedule's events.
-    """
-
-    controllers: Tuple[Any, ...] = ()
-
-
-@dataclass
-class ObserverStage:
-    """Stage 7: the observer bus, wired into the live substrates."""
-
-    bus: ObserverBus = field(default_factory=ObserverBus)
-
-
 class SessionBuilder:
-    """Builds a :class:`~repro.session.session.Session` stage by stage.
+    """Builds a :class:`~repro.session.session.Session` for one spec.
 
     Args:
         spec: The deployment to build.
@@ -193,21 +106,6 @@ class SessionBuilder:
         observers: Session observers, invoked in the given order.
         recorder: Optional ``repro.testkit.trace.TraceRecorder`` (itself a
             :class:`SessionObserver`), registered after ``observers``.
-
-    Stages can be overridden three ways::
-
-        # 1. subclass and replace one stage method
-        class StarBuilder(SessionBuilder):
-            def build_topology_stage(self):
-                return TopologyStage(star_topology(self.spec.n, 0), 6.0)
-
-        # 2. pre-assign the artifact slot before build()
-        builder = SessionBuilder(spec)
-        builder.topology_stage = TopologyStage(my_graph, delta=8.0)
-        session = builder.build()
-
-        # 3. run stages manually and inspect between them
-        builder.build_topology_stage(); builder.build_medium_stage(); ...
     """
 
     def __init__(
@@ -224,57 +122,35 @@ class SessionBuilder:
         if recorder is not None:
             self.observers.append(recorder)
         self.sim = Simulator()
-        self.rng = SeededRNG(spec.seed)
-        # Stage slots, filled lazily (and overridable before build()).
-        self.topology_stage: Optional[TopologyStage] = None
-        self.medium_stage: Optional[MediumStage] = None
-        self.crypto_stage: Optional[CryptoStage] = None
-        self.replica_stage: Optional[ReplicaStage] = None
-        self.workload_stage: Optional[WorkloadStage] = None
-        self.fault_stage: Optional[FaultStage] = None
-        self.observer_stage: Optional[ObserverStage] = None
 
-    @property
-    def trusted(self) -> bool:
-        """Whether this deployment runs the paper's trusted baseline."""
-        return self.spec.protocol == "trusted-baseline"
-
-    # ------------------------------------------------------------ stage 1
-    def build_topology_stage(self) -> TopologyStage:
-        """Topology and Δ.  Trusted-baseline runs use a control star."""
+    def build(self) -> Session:
+        """Build the deployment in the module docstring's order."""
         spec = self.spec
-        if self.trusted:
-            control_id = spec.n
-            topology = star_topology(spec.n + 1, center=control_id)
+        trusted = spec.protocol == "trusted-baseline"
+        # Topology and Δ.  The trusted baseline's leaves hang off a control star.
+        if trusted:
+            topology = star_topology(spec.n + 1, center=spec.n)
             delta = spec.delta if spec.delta is not None else 3 * spec.hop_delay
-            self.topology_stage = TopologyStage(topology, delta, control_id)
         else:
             topology = build_topology(spec)
-            self.topology_stage = TopologyStage(topology, compute_delta(spec, topology))
-        return self.topology_stage
+            delta = compute_delta(spec, topology)
 
-    # ------------------------------------------------------------ stage 2
-    def build_medium_stage(self) -> MediumStage:
-        """Radios for the spec's medium, energy ledger, simulated network."""
-        spec = self.spec
-        top = self._need("topology_stage")
-        ledger = ClusterEnergyLedger(top.topology.nodes)
-        if self.trusted:
+        # Radios, energy ledger and network.
+        ledger = ClusterEnergyLedger(topology.nodes)
+        if trusted:
             # The paper's trusted baseline talks to its control node over
             # LTE; "ble" (the default) keeps that, other media override.
             kcast_radio = None
-            unicast_radio = (
-                MediumUnicastAdapter(lte_medium())
-                if spec.medium == "ble"
-                else MediumUnicastAdapter(make_medium(spec.medium))
+            unicast_radio = MediumUnicastAdapter(
+                lte_medium() if spec.medium == "ble" else make_medium(spec.medium)
             )
         else:
             kcast_radio, unicast_radio = build_radios(spec)
         network = SimulatedNetwork(
             self.sim,
-            top.topology,
+            topology,
             ledger,
-            rng=self.rng.child("network"),
+            rng=SeededRNG(spec.seed).child("network"),
             kcast_radio=kcast_radio,
             unicast_radio=unicast_radio,
             hop_delay=spec.hop_delay,
@@ -284,21 +160,15 @@ class SessionBuilder:
             # The model derives its own child stream; an unimpaired spec
             # builds the exact network the seed did (no model at all).
             network.configure_impairment(spec.impairment)
-        self.medium_stage = MediumStage(kcast_radio, unicast_radio, ledger, network)
-        return self.medium_stage
 
-    # ------------------------------------------------------------ stage 3
-    def build_crypto_stage(self) -> CryptoStage:
-        """Key store (all topology nodes), signature scheme, protocol config."""
-        spec = self.spec
-        top = self._need("topology_stage")
+        # Key material for every topology node, signature scheme, config.
         keystore = KeyStore(seed=spec.seed)
-        keystore.generate(top.topology.nodes)
+        keystore.generate(topology.nodes)
         scheme = make_scheme(spec.signature_scheme, keystore=keystore)
         config = ProtocolConfig(
             n=spec.n,
             f=spec.f,
-            delta=top.delta,
+            delta=delta,
             signature_scheme=spec.signature_scheme,
             batch_size=spec.batch_size,
             command_payload_bytes=spec.command_payload_bytes,
@@ -306,49 +176,80 @@ class SessionBuilder:
             block_interval=spec.block_interval,
             txpool_limit=spec.txpool_limit,
         )
-        self.crypto_stage = CryptoStage(keystore, scheme, config)
-        return self.crypto_stage
 
-    # ------------------------------------------------------------ stage 4
-    def build_replica_stage(self) -> ReplicaStage:
-        """Replicas (Byzantine substitutions applied), registered in pid order.
-
-        Event-scheduling contract: for baseline protocols each replica's
-        fail-stop timer is pushed immediately after that replica is
-        constructed (pid order); EESMR adversary classes arm their own
-        misbehaviour at start time.  The trusted baseline schedules leaf
-        fail-stops later, in the fault stage — matching the seed runner.
-        """
-        network = self._need("medium_stage").network
-        crypto = self._need("crypto_stage")
-        if self.trusted:
-            stage = self._build_trusted_replicas(crypto, network)
+        # Replicas, registered in pid order (the control node first).
+        if trusted:
+            control, replicas = self._build_trusted_replicas(config, scheme, network)
         else:
-            replicas = self._build_replicated_replicas(crypto, network)
-            stage = ReplicaStage(replicas)
+            control, replicas = None, self._build_replicated_replicas(config, scheme, network)
             for replica in replicas.values():
                 network.register(replica)
-        self.replica_stage = stage
-        return stage
+
+        engine = spec.workload if spec.workload is not None else ClosedLoopPreload()
+        commands = engine.install(self.sim, replicas, spec)
+
+        schedule = spec.fault_schedule
+        controllers: Tuple[Any, ...] = ()
+        if schedule is not None:
+            if trusted:
+                self._arm_failstops(replicas)
+            # The schedule arms its own network-level faults (relay denial of
+            # Byzantine nodes, drops, partitions) with per-fault timing.
+            schedule.install(self.sim, network, replicas)
+            controllers = tuple(schedule.controllers())
+        if controllers and not trusted:
+            # Budget-aware provisioning: an adaptive atom picks its victims
+            # mid-run, so quorum sizes must assume its whole budget up
+            # front.  Generated schedules (the fuzzer) hit this path with
+            # arbitrary budgets; failing at build time beats a run whose
+            # realised Byzantine set silently exceeds the f the quorums
+            # were sized for.
+            required = schedule.max_byzantine()
+            if spec.f < required:
+                raise SpecError(
+                    f"schedule may field {required} Byzantine nodes (adaptive "
+                    f"budget included) but the deployment provisions f={spec.f}; "
+                    f"raise f to at least {required}",
+                    "f",
+                )
+
+        # Dispatch is only installed where some observer listens, so a
+        # session without observers runs the exact seed code paths.
+        bus = ObserverBus(self.observers)
+        if bus.overrides("on_fault_window"):
+            network.fault_observer = bus.fault_window
+        if bus.overrides("on_block_commit") or bus.overrides("on_view_change"):
+            for replica in replicas.values():
+                replica.hooks = bus
+        return Session(
+            spec,
+            self.sim,
+            network,
+            config,
+            scheme,
+            replicas,
+            control=control,
+            commands=commands,
+            controllers=controllers,
+            bus=bus,
+            max_events=self.max_events,
+        )
 
     def _build_replicated_replicas(
-        self, crypto: CryptoStage, network: SimulatedNetwork
+        self, config: ProtocolConfig, scheme: SignatureScheme, network: SimulatedNetwork
     ) -> Dict[int, Any]:
         spec = self.spec
-        ledger = self._need("medium_stage").ledger
         replicas: Dict[int, Any] = {}
         for pid in range(spec.n):
-            meter = ledger.meter(pid)
+            meter = network.ledger.meter(pid)
             if spec.protocol == "eesmr":
                 cls, kwargs = self._eesmr_class_for(pid)
-                replica = cls(
-                    self.sim, pid, crypto.config, crypto.scheme, network, meter, **kwargs
-                )
+                replica = cls(self.sim, pid, config, scheme, network, meter, **kwargs)
             else:
                 base_cls = (
                     SyncHotStuffReplica if spec.protocol == "sync-hotstuff" else OptSyncReplica
                 )
-                replica = base_cls(self.sim, pid, crypto.config, crypto.scheme, network, meter)
+                replica = base_cls(self.sim, pid, config, scheme, network, meter)
             replicas[pid] = replica
         if spec.protocol != "eesmr":
             self._arm_failstops(replicas)
@@ -375,112 +276,35 @@ class SessionBuilder:
                 replica.after(failstop, replica.crash, label="crash")
 
     def _build_trusted_replicas(
-        self, crypto: CryptoStage, network: SimulatedNetwork
-    ) -> ReplicaStage:
+        self, config: ProtocolConfig, scheme: SignatureScheme, network: SimulatedNetwork
+    ) -> Tuple[TrustedControlNode, Dict[int, Any]]:
         spec = self.spec
-        top = self._need("topology_stage")
-        ledger = self._need("medium_stage").ledger
+        control_id = spec.n
         control = TrustedControlNode(
             self.sim,
-            top.control_id,
-            crypto.config,
-            crypto.scheme,
+            control_id,
+            config,
+            scheme,
             network,
             round_interval=max(spec.hop_delay, 0.5),
         )
         replicas: Dict[int, Any] = {}
         for pid in range(spec.n):
             replicas[pid] = TrustedBaselineReplica(
-                self.sim,
-                pid,
-                crypto.config,
-                crypto.scheme,
-                network,
-                ledger.meter(pid),
-                top.control_id,
+                self.sim, pid, config, scheme, network, network.ledger.meter(pid), control_id
             )
         control.replica_ids = list(replicas)
         network.register(control)
         for replica in replicas.values():
             network.register(replica)
-        return ReplicaStage(replicas, control=control)
+        return control, replicas
 
-    # ------------------------------------------------------------ stage 5
-    def build_workload_stage(self) -> WorkloadStage:
-        """Install the spec's workload engine (default: closed-loop preload)."""
-        engine = self.spec.workload if self.spec.workload is not None else ClosedLoopPreload()
-        plan = engine.install(self)
-        self.workload_stage = WorkloadStage(
-            commands=plan.commands, engine=engine, arrivals=plan.arrivals
-        )
-        return self.workload_stage
 
-    # ------------------------------------------------------------ stage 6
-    def build_fault_stage(self) -> FaultStage:
-        """Arm network-level faults and collect session-time controllers."""
-        spec = self.spec
-        network = self._need("medium_stage").network
-        replica_stage = self._need("replica_stage")
-        replicas = replica_stage.replicas
-        schedule = spec.fault_schedule
-        controllers: Tuple[Any, ...] = ()
-        if schedule is not None:
-            if self.trusted:
-                self._arm_failstops(replicas)
-            # The schedule arms its own network-level faults (relay denial of
-            # Byzantine nodes, drops, partitions) with per-fault timing.
-            schedule.install(self.sim, network, replicas)
-            controllers = tuple(schedule.controllers())
-        if controllers and not self.trusted:
-            # Budget-aware provisioning: an adaptive atom picks its victims
-            # mid-run, so quorum sizes must assume its whole budget up
-            # front.  Generated schedules (the fuzzer) hit this path with
-            # arbitrary budgets; failing at build time beats a run whose
-            # realised Byzantine set silently exceeds the f the quorums
-            # were sized for.
-            required = schedule.max_byzantine()
-            if spec.f < required:
-                raise ValueError(
-                    f"schedule may field {required} Byzantine nodes (adaptive "
-                    f"budget included) but the deployment provisions f={spec.f}; "
-                    f"raise f to at least {required}"
-                )
-        self.fault_stage = FaultStage(controllers)
-        return self.fault_stage
+def run_protocol(spec: DeploymentSpec, **builder_kwargs) -> RunResult:
+    """Run ``spec`` to quiescence and collect its metrics.
 
-    # ------------------------------------------------------------ stage 7
-    def build_observer_stage(self) -> ObserverStage:
-        """Wire the observer bus into the network and replicas.
-
-        Dispatch is only installed where some observer listens, so a
-        session without observers runs the exact seed code paths.
-        """
-        bus = ObserverBus(self.observers)
-        network = self._need("medium_stage").network
-        replica_stage = self._need("replica_stage")
-        if bus.overrides("on_fault_window"):
-            network.fault_observer = bus.fault_window
-        if bus.overrides("on_block_commit") or bus.overrides("on_view_change"):
-            for replica in replica_stage.replicas.values():
-                replica.hooks = bus
-        self.observer_stage = ObserverStage(bus)
-        return self.observer_stage
-
-    # -------------------------------------------------------------- assembly
-    def _need(self, slot: str):
-        """The artifact in ``slot``, building it (and its defaults) on demand."""
-        artifact = getattr(self, slot)
-        if artifact is None:
-            artifact = getattr(self, f"build_{slot}")()
-        return artifact
-
-    def build(self) -> Session:
-        """Run every stage still unset (in pipeline order) and assemble."""
-        self._need("topology_stage")
-        self._need("medium_stage")
-        self._need("crypto_stage")
-        self._need("replica_stage")
-        self._need("workload_stage")
-        self._need("fault_stage")
-        self._need("observer_stage")
-        return Session(self)
+    ``builder_kwargs`` are :class:`SessionBuilder`'s (``max_events``,
+    ``observers``, ``recorder``).  Keep the session instead, through
+    :meth:`SessionBuilder.build`, to step, pause or inspect a run.
+    """
+    return SessionBuilder(spec, **builder_kwargs).build().run().finish()

@@ -17,7 +17,7 @@ six hooks:
 * ``on_recovery(node, event, detail, time)`` — a step of a recovering
   node's catch-up (see :meth:`SessionObserver.on_recovery`);
 * ``on_session_end(session, result)`` — the run is quiescent and the
-  :class:`~repro.eval.runner.RunResult` is assembled; enrich it here.
+  :class:`~repro.session.spec.RunResult` is assembled; enrich it here.
 
 Observers are registered on a :class:`SessionBuilder` (or directly on an
 :class:`ObserverBus`) and are always invoked in registration order.

@@ -12,7 +12,7 @@ the run as a *controllable* process instead of a one-shot black box:
   hook);
 * :meth:`inspect` — a read-only snapshot of live replica+network state,
   valid at any pause point;
-* :meth:`finish` — collect the :class:`~repro.eval.runner.RunResult`
+* :meth:`finish` — collect the :class:`~repro.session.spec.RunResult`
   (idempotent) and notify observers.
 
 Handing control back *is* the pause: between any two events the caller
@@ -24,11 +24,16 @@ the golden trace fingerprints pin this.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.config import ProtocolConfig
 from repro.core.ledger import SafetyChecker
-from repro.eval.runner import RunResult
-from repro.sim.scheduler import SimulationError
+from repro.core.types import Command
+from repro.crypto.signatures import SignatureScheme
+from repro.net.network import SimulatedNetwork
+from repro.session.observers import ObserverBus
+from repro.session.spec import DeploymentSpec, RunResult
+from repro.sim.scheduler import SimulationError, Simulator
 
 
 class SessionController:
@@ -63,34 +68,42 @@ class Session:
     """A built deployment with steppable run control.
 
     Build one with :class:`~repro.session.builder.SessionBuilder` (or the
-    :meth:`from_spec` convenience).  The builder's stage artifacts stay
-    reachable (``session.builder``) and the frequently used substrates are
-    exposed directly: ``sim``, ``network``, ``replicas``, ``ledger``,
-    ``config``, ``scheme``, ``topology``.
+    :meth:`from_spec` convenience).  The substrates are exposed directly:
+    ``sim``, ``network``, ``replicas``, ``ledger``, ``config``, ``scheme``,
+    ``topology``.
     """
 
-    def __init__(self, builder) -> None:
-        self.builder = builder
-        self.spec = builder.spec
-        self.max_events = builder.max_events
-        self.sim = builder.sim
-        top = builder.topology_stage
-        medium = builder.medium_stage
-        crypto = builder.crypto_stage
-        replica_stage = builder.replica_stage
-        self.topology = top.topology
-        self.delta = top.delta
-        self.control_id = top.control_id
-        self.network = medium.network
-        self.ledger = medium.ledger
-        self.keystore = crypto.keystore
-        self.scheme = crypto.scheme
-        self.config = crypto.config
-        self.replicas: Dict[int, Any] = replica_stage.replicas
-        self.control = replica_stage.control
-        self.commands = builder.workload_stage.commands
-        self.controllers = tuple(builder.fault_stage.controllers)
-        self.bus = builder.observer_stage.bus
+    def __init__(
+        self,
+        spec: DeploymentSpec,
+        sim: Simulator,
+        network: SimulatedNetwork,
+        config: ProtocolConfig,
+        scheme: SignatureScheme,
+        replicas: Dict[int, Any],
+        *,
+        control: Optional[Any],
+        commands: List[Command],
+        controllers: Tuple[SessionController, ...],
+        bus: ObserverBus,
+        max_events: int,
+    ) -> None:
+        self.spec = spec
+        self.sim = sim
+        self.network = network
+        self.topology = network.hypergraph
+        self.ledger = network.ledger
+        self.config = config
+        self.delta = config.delta
+        self.scheme = scheme
+        self.replicas = replicas
+        #: The trusted control node and its id, or ``None`` for replicated runs.
+        self.control = control
+        self.control_id = control.pid if control is not None else None
+        self.commands = commands
+        self.controllers = controllers
+        self.bus = bus
+        self.max_events = max_events
         self.started = False
         self.finished = False
         self._result: Optional[RunResult] = None

@@ -21,7 +21,7 @@ protocol produced the run:
   negative.
 
 Invariants consume :class:`Evidence` — a bundle of the deployment spec,
-the collected :class:`~repro.eval.runner.RunResult` and the structured
+the collected :class:`~repro.session.spec.RunResult` and the structured
 :class:`~repro.testkit.trace.RunTrace` — and raise
 :class:`InvariantViolation` with a cell-identifying message on failure.
 

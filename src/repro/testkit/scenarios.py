@@ -45,7 +45,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.eval.runner import MEDIA, PROTOCOLS, DeploymentSpec
+from repro.session.spec import MEDIA, PROTOCOLS, DeploymentSpec
 from repro.net.impairment import ImpairmentSpec, SpecError, parse_impairment
 from repro.session.builder import build_topology
 from repro.session.metrics import MetricsObserver
@@ -178,7 +178,7 @@ DIFFERENTIAL_FAULTS = ("leader-partition-fork",)
 ALL_FAULTS = tuple(name for name in FAULT_LIBRARY if name not in DIFFERENTIAL_FAULTS)
 
 #: Topology names usable as matrix axes (all thread through
-#: :class:`~repro.eval.runner.DeploymentSpec.topology`).
+#: :class:`~repro.session.spec.DeploymentSpec.topology`).
 MATRIX_TOPOLOGIES = ("ring-kcast", "fully-connected", "star", "random-kcast")
 
 #: Named workload builders for the matrix's workload axis.  ``"preload"``

@@ -114,9 +114,9 @@ class TraceRecorder(SessionObserver):
 
     A :class:`~repro.session.observers.SessionObserver`: registered on a
     session (or passed as ``recorder=`` to a ``SessionBuilder`` /
-    :func:`repro.eval.runner.run_protocol`), it enables event tracing at
+    :func:`repro.session.builder.run_protocol`), it enables event tracing at
     session start and stores the harvested trace on the
-    :class:`~repro.eval.runner.RunResult` at session end — the same
+    :class:`~repro.session.spec.RunResult` at session end — the same
     plumbing every other observer uses.  The trace always keeps the full
     simulator event log: byte-identical determinism checks need it.
     """

@@ -19,11 +19,11 @@ route them to a tracking client.
 
 Engines are declarative values: they serialise through
 :meth:`WorkloadEngine.describe` / :func:`workload_from_dict` (the
-``workload`` section of the :class:`~repro.eval.runner.DeploymentSpec`
+``workload`` section of the :class:`~repro.session.spec.DeploymentSpec`
 schema), generate their arrival stream as a pure function of the spec
 (so invariants and property tests can regenerate it without a
-simulator), and install themselves into a
-:class:`~repro.session.builder.SessionBuilder` at stage 5.
+simulator), and install themselves into a deployment once
+:class:`~repro.session.builder.SessionBuilder` has made its replicas.
 """
 
 from repro.workload.engine import (

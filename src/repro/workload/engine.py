@@ -2,7 +2,7 @@
 
 Every engine obeys the same determinism contract as the rest of the
 reproduction: the arrival stream is a pure function of the
-:class:`~repro.eval.runner.DeploymentSpec` (rate/clients/seed), drawn from
+:class:`~repro.session.spec.DeploymentSpec` (rate/clients/seed), drawn from
 a :func:`~repro.sim.rng.derive_seed`-derived stream so that adding an
 engine never perturbs any existing consumer of randomness.  Two builds of
 the same spec produce the identical stream — including across matrix
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.types import Command
 from repro.net.impairment import SpecError, check_fields, checked_number, from_kind, read_json
@@ -35,27 +35,14 @@ from repro.sim.rng import SeededRNG, derive_seed
 MAX_GENERATED_COMMANDS = 250_000
 
 
-@dataclass
-class WorkloadPlan:
-    """What an engine contributed to a session build.
-
-    ``commands`` is the full deterministic stream (the session exposes it
-    as ``session.commands``); ``arrivals`` is the subset injected as
-    simulator events (empty for preloads).
-    """
-
-    commands: List[Command]
-    arrivals: Tuple[Command, ...] = ()
-
-
 class WorkloadEngine:
     """Protocol for workload engines (duck-typed; subclassing is idiomatic).
 
     * :meth:`commands_for` — the arrival stream as a pure function of the
       spec (no simulator needed; invariants and property tests call this);
-    * :meth:`install` — wire the stream into a partially built session
-      (stage 5 of the builder pipeline); preloads fill pools directly,
-      arrival-driven engines push ``workload:arrival`` simulator events;
+    * :meth:`install` — wire the stream into a deployment the builder has
+      made up to its replicas; preloads fill pools directly, arrival-driven
+      engines push ``workload:arrival`` simulator events;
     * :meth:`describe` — the JSON-safe ``workload`` schema section
       (round-trips through :func:`workload_from_dict`), derived from the
       engine dataclass's compared fields;
@@ -75,8 +62,30 @@ class WorkloadEngine:
         """The id set of :meth:`commands_for` (liveness invariant support)."""
         return {command.command_id for command in self.commands_for(spec)}
 
-    def install(self, builder) -> WorkloadPlan:
-        raise NotImplementedError
+    def install(self, sim, replicas: Dict[int, Any], spec) -> List[Command]:
+        """Push one ``workload:arrival`` event per command (stream order)
+        and return the stream.
+
+        The builder calls this once the replicas exist (a replicated
+        baseline's fail-stop timers already pushed) and before the fault
+        schedule pushes anything, so arrival-driven runs are
+        byte-deterministic per seed.  Each arrival submits to every
+        non-crashed replica through admission, in pid order.
+        """
+        commands = self.commands_for(spec)
+        ordered_pids = sorted(replicas)
+
+        def deliver(command: Command) -> None:
+            for pid in ordered_pids:
+                replica = replicas[pid]
+                if not replica.crashed:
+                    replica.submit_commands((command,))
+
+        for command in commands:
+            sim.schedule_at(
+                command.arrival_time, deliver, label="workload:arrival", args=(command,)
+            )
+        return commands
 
     def describe(self) -> Dict[str, Any]:
         described = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.compare}
@@ -121,12 +130,11 @@ class ClosedLoopPreload(WorkloadEngine):
             for index in range(count)
         ]
 
-    def install(self, builder) -> WorkloadPlan:
-        replicas = builder._need("replica_stage").replicas
-        commands = self.commands_for(builder.spec)
+    def install(self, sim, replicas: Dict[int, Any], spec) -> List[Command]:
+        commands = self.commands_for(spec)
         for replica in replicas.values():
             replica.submit_commands(commands)
-        return WorkloadPlan(commands=commands)
+        return commands
 
     def is_default(self) -> bool:
         return self.surplus_blocks == 4
@@ -205,12 +213,6 @@ class OpenLoopPoisson(WorkloadEngine):
             )
         return commands
 
-    def install(self, builder) -> WorkloadPlan:
-        replica_stage = builder._need("replica_stage")
-        commands = self.commands_for(builder.spec)
-        _schedule_arrivals(builder, replica_stage, commands)
-        return WorkloadPlan(commands=commands, arrivals=tuple(commands))
-
 
 @dataclass
 class TraceReplay(WorkloadEngine):
@@ -250,12 +252,6 @@ class TraceReplay(WorkloadEngine):
                 )
             )
         return commands
-
-    def install(self, builder) -> WorkloadPlan:
-        replica_stage = builder._need("replica_stage")
-        commands = self.commands_for(builder.spec)
-        _schedule_arrivals(builder, replica_stage, commands)
-        return WorkloadPlan(commands=commands, arrivals=tuple(commands))
 
     def describe(self) -> Dict[str, Any]:
         entries = [dict(zip(TRACE_KEYS, entry)) for entry in self.entries]
@@ -298,30 +294,6 @@ def _normalise_trace_entries(raw: Any) -> Tuple[Tuple[float, str, int, Optional[
                 )
         out.append((time, command_id, client_id, payload))
     return tuple(out)
-
-
-def _schedule_arrivals(builder, replica_stage, commands: Sequence[Command]) -> None:
-    """Push one ``workload:arrival`` event per command (stream order).
-
-    Events acquire queue sequence numbers here, in stage 5 — after every
-    replica fail-stop timer (stage 4) and before the fault stage's own
-    events — which is what makes open-loop runs byte-deterministic per
-    seed.  Each arrival submits to every non-crashed replica through
-    admission, in pid order.
-    """
-    replicas = replica_stage.replicas
-    ordered_pids = sorted(replicas)
-
-    def deliver(command: Command) -> None:
-        for pid in ordered_pids:
-            replica = replicas[pid]
-            if not replica.crashed:
-                replica.submit_commands((command,))
-
-    for command in commands:
-        builder.sim.schedule_at(
-            command.arrival_time, deliver, label="workload:arrival", args=(command,)
-        )
 
 
 # -------------------------------------------------------------- serialisation

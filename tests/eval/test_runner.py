@@ -283,6 +283,21 @@ def test_repro_run_turns_a_spec_error_into_one_stderr_line(argv, start, capsys, 
     assert "Traceback" not in captured.err
 
 
+def test_repro_run_refuses_an_under_provisioned_adaptive_schedule(tmp_path, capsys):
+    """The builder finds this one (the budget is only known with the
+    schedule's controllers), and it is the same exit-2 one-liner."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "n": 7, "f": 1, "block_interval": 2.0,
+        "fault_schedule": [{"kind": "LeaderFollowingCrash", "budget": 2}],
+    }))
+    assert main(["run", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro: f: schedule may field 2 Byzantine nodes")
+    assert captured.err.endswith("raise f to at least 2\n") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, axis",
     [

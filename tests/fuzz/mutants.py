@@ -43,7 +43,7 @@ through the same broken build.
 import dataclasses
 
 from repro.core.eesmr.replica import EesmrReplica
-from repro.session.builder import MediumStage, ReplicaStage, SessionBuilder
+from repro.session import Session, SessionBuilder
 
 
 class ForkOnEquivocation(EesmrReplica):
@@ -77,10 +77,10 @@ class CommitRuleMutantBuilder(SessionBuilder):
 class LeakyRelayMutantBuilder(SessionBuilder):
     """Mutant B: relay denials are never popped — window heals leak."""
 
-    def build_medium_stage(self) -> MediumStage:
-        stage = super().build_medium_stage()
-        stage.network.allow_relay = lambda pid: None
-        return stage
+    def build(self) -> Session:
+        session = super().build()
+        session.network.allow_relay = lambda pid: None
+        return session
 
 
 class RetransmissionGiveUpMutantBuilder(SessionBuilder):
@@ -92,11 +92,11 @@ class RetransmissionGiveUpMutantBuilder(SessionBuilder):
     silently-exhausted retry configuration would produce in deployment.
     """
 
-    def build_medium_stage(self) -> MediumStage:
-        stage = super().build_medium_stage()
-        model = stage.network.configure_impairment(None)
+    def build(self) -> Session:
+        session = super().build()
+        model = session.network.configure_impairment(None)
         model.spec = dataclasses.replace(model.spec, max_retries=0)
-        return stage
+        return session
 
 
 class DroppedCatchUpQcMutantBuilder(SessionBuilder):
@@ -109,8 +109,8 @@ class DroppedCatchUpQcMutantBuilder(SessionBuilder):
     give up past the catch-up grace window.
     """
 
-    def build_replica_stage(self) -> ReplicaStage:
-        stage = super().build_replica_stage()
-        for replica in stage.replicas.values():
+    def build(self) -> Session:
+        session = super().build()
+        for replica in session.replicas.values():
             replica.sync_serve_certificates = False
-        return stage
+        return session

@@ -133,11 +133,11 @@ def test_broken_catch_up_gives_up_and_forfeits_the_exemption():
     certificates can paper over the dropped sync certs."""
 
     class NoCertBuilder(SessionBuilder):
-        def build_replica_stage(self):
-            stage = super().build_replica_stage()
-            for replica in stage.replicas.values():
+        def build(self):
+            session = super().build()
+            for replica in session.replicas.values():
                 replica.sync_serve_certificates = False
-            return stage
+            return session
 
     schedule = faults.crash_recover(2, start=1.0, heal=28.0)
     spec = DeploymentSpec(

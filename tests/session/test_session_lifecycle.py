@@ -10,8 +10,8 @@ path here.
 import pytest
 
 from repro.eval.runner import DeploymentSpec, run_protocol
-from repro.session import Session, SessionBuilder
-from repro.session.builder import TopologyStage, build_topology, compute_delta
+from repro.session import Session
+from repro.session.builder import compute_delta
 from repro.sim.scheduler import SimulationError
 from repro.testkit.trace import TraceRecorder
 
@@ -123,46 +123,3 @@ def test_max_events_budget_enforced():
     session = Session.from_spec(small_spec(), max_events=10)
     with pytest.raises(SimulationError):
         session.run()
-
-
-# ---------------------------------------------------------- stage overrides
-def test_stage_override_by_subclass():
-    class FullyConnectedBuilder(SessionBuilder):
-        def build_topology_stage(self):
-            spec = self.spec
-            topology = build_topology(
-                DeploymentSpec(
-                    protocol=spec.protocol, n=spec.n, f=spec.f, k=spec.k,
-                    topology="fully-connected", seed=spec.seed,
-                )
-            )
-            self.topology_stage = TopologyStage(topology, compute_delta(spec, topology))
-            return self.topology_stage
-
-    session = FullyConnectedBuilder(small_spec()).build()
-    # Every node k-casts to all others in a fully connected hypergraph.
-    assert session.topology.diameter() == 1
-    result = session.run().finish()
-    assert result.safety.consistent
-    assert result.min_committed_height == 3
-
-
-def test_stage_override_by_preassigned_artifact():
-    spec = small_spec()
-    builder = SessionBuilder(spec)
-    topology = build_topology(spec)
-    builder.topology_stage = TopologyStage(topology, delta=99.0)
-    session = builder.build()
-    assert session.delta == 99.0
-    assert session.config.delta == 99.0
-
-
-def test_stages_are_individually_runnable_and_cached():
-    builder = SessionBuilder(small_spec())
-    top = builder.build_topology_stage()
-    assert builder.topology_stage is top
-    medium = builder.build_medium_stage()
-    assert medium.network.hypergraph is top.topology
-    session = builder.build()
-    assert session.topology is top.topology
-    assert session.network is medium.network

@@ -8,6 +8,7 @@ would silently give that back — fails here.  This file needs only pytest:
 it is what CI's ``minimal-deps`` job runs with nothing else installed.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -20,8 +21,7 @@ RUN_PATH = """
 import json, sys
 {prelude}
 import repro.cli, repro.session, repro.testkit
-from repro.eval.runner import DeploymentSpec
-from repro.session import SessionBuilder
+from repro.session import DeploymentSpec, SessionBuilder
 from repro.testkit import ScenarioMatrix
 
 spec = DeploymentSpec(protocol="eesmr", n=7, f=2, k=3, target_height=3)
@@ -100,3 +100,31 @@ else:
         "repro: is_partition_resistant() past the exhaustive limit needs the 'networkx' package, "
         "which is not installed",
     ]
+
+
+def eval_imports(path: Path) -> list:
+    """``(line, module)`` for every import of ``repro.eval`` in ``path``,
+    deferred imports inside functions included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+            if node.module == "repro":
+                modules += [f"repro.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m == "repro.eval" or m.startswith("repro.eval.")]
+    return found
+
+
+def test_the_run_path_packages_never_import_the_experiments_package():
+    """``repro.eval`` holds the paper's experiments and runs deployments
+    through ``repro.session``; nothing the run path is made of imports it back."""
+    offenders = {}
+    for package in ("session", "testkit", "fuzz"):
+        for path in sorted((Path(SRC) / "repro" / package).rglob("*.py")):
+            if found := eval_imports(path):
+                offenders[str(path.relative_to(SRC))] = found
+    assert offenders == {}

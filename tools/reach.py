@@ -178,7 +178,7 @@ def _literal_all(path: Path) -> List[str]:
 def _cli_runs(scratch: Path) -> List[Tuple[List[str], int]]:
     """Every ``repro`` invocation of the callers pass, with its exit status."""
     from repro.cli import EXPERIMENTS, build_parser
-    from repro.eval.runner import MEDIA, PROTOCOLS, TOPOLOGIES
+    from repro.session.spec import MEDIA, PROTOCOLS, TOPOLOGIES
     from repro.net.impairment import IMPAIRMENT_KINDS
     from repro.testkit.scenarios import FAULT_LIBRARY, IMPAIRMENT_LIBRARY, WORKLOAD_LIBRARY
 
@@ -202,6 +202,11 @@ def _cli_runs(scratch: Path) -> List[Tuple[List[str], int]]:
     bad_spec.write_text('{"n": "7"}')
     bad_nested = scratch / "bad_nested.json"
     bad_nested.write_text('{"fault_schedule": [{"kind": "PartitionWindow", "node": 5, "start": "x"}]}')
+    under_provisioned = scratch / "under_provisioned.json"
+    under_provisioned.write_text(json.dumps({
+        "n": 7, "f": 1, "block_interval": 2.0,
+        "fault_schedule": [{"kind": "LeaderFollowingCrash", "budget": 2}],
+    }))
 
     runs: List[Tuple[List[str], int]] = []
     for protocol in PROTOCOLS:
@@ -242,10 +247,11 @@ def _cli_runs(scratch: Path) -> List[Tuple[List[str], int]]:
     fixtures = str(ROOT / "tests" / "analysis" / "fixtures")
     runs.append((["analyze", fixtures], 1))
     runs.append((["analyze", "--format", "json", fixtures], 1))
-    # Malformed input is refused in one line: the four cases CI checks,
-    # and a bad field nested inside a spec.
+    # Malformed input is refused in one line: the four cases CI checks, a
+    # bad field nested inside a spec, and an adaptive budget f cannot cover.
     runs.append((["run", "--spec", str(bad_spec)], 2))
     runs.append((["run", "--spec", str(bad_nested)], 2))
+    runs.append((["run", "--spec", str(under_provisioned)], 2))
     runs.append((["run", "-n", "4", "-f", "2", "-k", "2"], 2))
     runs.append((["matrix", "--faults", "bogus"], 2))
     runs.append((["fuzz", "--kinds", "Bogus", "--iterations", "1"], 2))
