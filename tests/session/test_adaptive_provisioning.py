@@ -4,8 +4,9 @@ An adaptive atom decides its victims mid-run, so a spec that provisions
 ``f`` below the schedule's worst-case Byzantine count (static targets
 plus adaptive budgets) would run with quorum sizes sized for a smaller
 adversary than the one actually deployed — and any resulting "violation"
-would be a provisioning artifact, not a finding.  The session builder now
-rejects such specs at the fault stage with an actionable message; the
+would be a provisioning artifact, not a finding.  The session builder
+rejects such specs when it arms the faults, with a ``SpecError`` at
+``f`` (a ``ValueError``) and an actionable message; the
 fuzzer's ``FuzzConfig.spec_for`` provisions ``f = max_byzantine()`` so
 generated schedules never trip it.
 """
