@@ -52,10 +52,12 @@
 #                     entry points (benchmarks/, examples/, python3 -m bench,
 #                     every repro subcommand over its registries) and the
 #                     tests, then lists the src/repro functions nothing
-#                     reaches, those only tests reach, and the package
-#                     __all__ names nothing outside the package reads; exits
+#                     reaches, those only tests reach, the package __all__
+#                     names nothing outside the package reads, the defaulted
+#                     parameters the entry points pass only their default
+#                     (or never), and the attributes nothing reads; exits
 #                     1 on an entry tools/reach_allow.txt does not accept or
-#                     on an allowlist line that matches nothing (~1 min)
+#                     on an allowlist line that matches nothing (~2 min)
 #   make loc          src/ line count — `wc -l` over src/repro/**/*.py, per
 #                     package and in total — the number the standing gate
 #                     asks every PR to quote as its net src/ delta

@@ -14,7 +14,7 @@ Entry points:
   run the pass (exit 1 on findings);
 * :class:`repro.analysis.engine.Analyzer` — the library API
   (``Analyzer(root).run(paths)``);
-* :func:`repro.analysis.registry.register` — plug in a new checker.
+* :data:`repro.analysis.checkers.RULES` — the rules it runs.
 
 See ``docs/analysis.md`` for the rule catalog and the suppression
 grammar (``# detlint: ok <rule> — <reason>``).
@@ -22,12 +22,10 @@ grammar (``# detlint: ok <rule> — <reason>``).
 
 from repro.analysis.engine import add_arguments, main, run_cli
 from repro.analysis.findings import Finding
-from repro.analysis.registry import register
 
 __all__ = [
     "Finding",
     "add_arguments",
     "main",
-    "register",
     "run_cli",
 ]

@@ -1,8 +1,15 @@
-"""Built-in detlint checkers (importing this package registers them)."""
+"""The built-in detlint rules."""
 
-from repro.analysis.checkers import (  # noqa: F401
-    ordering,
-    randomness,
-    rng_discipline,
-    wallclock,
+from repro.analysis.checkers.ordering import OrderedIterationChecker
+from repro.analysis.checkers.randomness import UnseededRandomnessChecker
+from repro.analysis.checkers.rng_discipline import RngStreamDisciplineChecker
+from repro.analysis.checkers.wallclock import WallClockChecker
+
+#: Every rule detlint runs, in rule-name order (the order findings are
+#: gathered and ``--list-rules`` prints).
+RULES = (
+    UnseededRandomnessChecker,
+    WallClockChecker,
+    OrderedIterationChecker,
+    RngStreamDisciplineChecker,
 )

@@ -38,13 +38,12 @@ from repro.analysis.context import (
     walk_scopes,
 )
 from repro.analysis.findings import Finding
-from repro.analysis.registry import Checker, register
+from repro.analysis.checker import Checker
 
 #: Builtin calls that materialise their iterable in iteration order.
 _ORDERED_MATERIALISERS = {"list", "tuple"}
 
 
-@register
 class OrderedIterationChecker(Checker):
     name = "ordered-iteration"
     description = (

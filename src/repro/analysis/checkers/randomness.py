@@ -23,7 +23,7 @@ from typing import Iterator
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
-from repro.analysis.registry import Checker, register
+from repro.analysis.checker import Checker
 
 #: The one module allowed to touch ``random``: the seeded-RNG wrapper.
 EXEMPT_MODULES = ("repro.sim.rng",)
@@ -44,7 +44,6 @@ _BANNED_FROM = {
 }
 
 
-@register
 class UnseededRandomnessChecker(Checker):
     name = "no-unseeded-randomness"
     description = (

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
-from repro.analysis.registry import Checker, register
+from repro.analysis.checker import Checker
 
 EXEMPT_MODULES = ("repro.sim.rng",)
 
@@ -34,7 +34,6 @@ def _is_literal_number(node: ast.AST) -> bool:
     return False
 
 
-@register
 class RngStreamDisciplineChecker(Checker):
     name = "rng-stream-discipline"
     description = (

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
-from repro.analysis.registry import Checker, register
+from repro.analysis.checker import Checker
 
 #: ``module.attribute`` reads that are findings.
 _BANNED_ATTRS = {
@@ -41,7 +41,6 @@ _BANNED_FROM = {
 }
 
 
-@register
 class WallClockChecker(Checker):
     name = "no-wall-clock"
     description = (

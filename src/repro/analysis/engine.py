@@ -14,9 +14,9 @@ import argparse
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro.analysis.checkers import RULES
 from repro.analysis.context import ModuleContext, ParseError
 from repro.analysis.findings import AnalysisReport, Finding
-from repro.analysis.registry import CheckerRegistry, default_registry
 from repro.analysis.suppressions import (
     BAD_SUPPRESSION,
     UNUSED_SUPPRESSION,
@@ -48,28 +48,14 @@ def collect_contexts(paths: Sequence[Path], root: Path) -> List[ModuleContext]:
 
 
 class Analyzer:
-    """One configured analysis pass over a file set."""
+    """Every rule over a file set; findings name files relative to ``root``."""
 
-    def __init__(
-        self,
-        registry: Optional[CheckerRegistry] = None,
-        root: Optional[Path] = None,
-    ) -> None:
-        self.registry = registry or default_registry()
-        self.root = root or Path.cwd()
+    def __init__(self, root: Path) -> None:
+        self.root = root
 
-    def run(
-        self,
-        paths: Sequence[Path],
-        select: Optional[Sequence[str]] = None,
-        ignore: Optional[Sequence[str]] = None,
-    ) -> AnalysisReport:
+    def run(self, paths: Sequence[Path]) -> AnalysisReport:
         contexts = collect_contexts([Path(p) for p in paths], self.root)
-        # The meta-rules are not checkers; keep them out of the registry
-        # lookup so ``--ignore bad-suppression`` is legal.
-        meta = (BAD_SUPPRESSION, UNUSED_SUPPRESSION)
-        checker_ignore = [rule for rule in (ignore or ()) if rule not in meta]
-        checkers = self.registry.instantiate(select=select, ignore=checker_ignore or None)
+        checkers = [rule() for rule in RULES]
         raw: List[Finding] = []
         for checker in checkers:
             for ctx in contexts:
@@ -78,7 +64,6 @@ class Analyzer:
         findings: List[Finding] = []
         suppressed = 0
         sheets = {ctx.relpath: parse_suppressions(ctx.source) for ctx in contexts}
-        meta_ignored = set(ignore or ())
         for finding in raw:
             sheet = sheets.get(finding.path)
             if sheet is not None and sheet.match(finding.line, finding.rule):
@@ -86,33 +71,25 @@ class Analyzer:
             else:
                 findings.append(finding)
         for relpath, sheet in sheets.items():
-            if BAD_SUPPRESSION not in meta_ignored:
-                for line, message in sheet.malformed:
-                    findings.append(
-                        Finding(
-                            path=relpath,
-                            line=line,
-                            column=1,
-                            rule=BAD_SUPPRESSION,
-                            message=message,
-                        )
+            for line, message in sheet.malformed:
+                findings.append(
+                    Finding(
+                        path=relpath, line=line, column=1, rule=BAD_SUPPRESSION, message=message
                     )
-            # A scoped --select run cannot distinguish "unused" from
-            # "covers a rule we did not run", so only full runs audit use.
-            if select is None and UNUSED_SUPPRESSION not in meta_ignored:
-                for suppression in sheet.unused():
-                    findings.append(
-                        Finding(
-                            path=relpath,
-                            line=suppression.line,
-                            column=1,
-                            rule=UNUSED_SUPPRESSION,
-                            message=(
-                                f"suppression for {', '.join(suppression.rules)} "
-                                "matched no finding; remove it or fix the rule list"
-                            ),
-                        )
+                )
+            for suppression in sheet.unused():
+                findings.append(
+                    Finding(
+                        path=relpath,
+                        line=suppression.line,
+                        column=1,
+                        rule=UNUSED_SUPPRESSION,
+                        message=(
+                            f"suppression for {', '.join(suppression.rules)} "
+                            "matched no finding; remove it or fix the rule list"
+                        ),
                     )
+                )
         return AnalysisReport(
             findings=sorted(findings),
             files_analyzed=len(contexts),
@@ -130,18 +107,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="files or directories to analyze (default: src/repro)",
     )
     parser.add_argument(
-        "--select",
-        nargs="+",
-        metavar="RULE",
-        help="run only these rules",
-    )
-    parser.add_argument(
-        "--ignore",
-        nargs="+",
-        metavar="RULE",
-        help="skip these rules (also silences the suppression meta-rules)",
-    )
-    parser.add_argument(
         "--format",
         choices=("human", "json"),
         default="human",
@@ -155,10 +120,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run_cli(args: argparse.Namespace) -> int:
-    registry = default_registry()
     if args.list_rules:
-        for entry in registry.describe():
-            print(f"{entry['rule']:32s} {entry['description']}")
+        for rule in RULES:
+            print(f"{rule.name:32s} {rule.description}")
         print(f"{BAD_SUPPRESSION:32s} (meta) malformed detlint suppression comment")
         print(f"{UNUSED_SUPPRESSION:32s} (meta) suppression that matched no finding")
         return 0
@@ -167,12 +131,8 @@ def run_cli(args: argparse.Namespace) -> int:
         if not path.exists():
             print(f"detlint: no such path: {path}")
             return 2
-    analyzer = Analyzer(registry=registry)
     try:
-        report = analyzer.run(paths, select=args.select, ignore=args.ignore)
-    except KeyError as error:
-        print(f"detlint: {error.args[0]}")
-        return 2
+        report = Analyzer(Path.cwd()).run(paths)
     except ParseError as error:
         print(f"detlint: cannot parse {error}")
         return 2

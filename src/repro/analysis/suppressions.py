@@ -13,10 +13,8 @@ Grammar (one comment per line, trailing or standalone)::
 * ``--`` is accepted in place of the em dash.
 
 Suppressions are tracked: one that matches no finding is reported as
-``unused-suppression`` (only when the full rule set ran — a scoped
-``--select`` run cannot tell an unused suppression from an unselected
-rule).  This keeps the suppression inventory honest as findings get
-fixed for real.
+``unused-suppression``.  Every run runs every rule, so this keeps the
+suppression inventory honest as findings get fixed for real.
 """
 
 from __future__ import annotations

@@ -363,9 +363,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_feasibility(args: argparse.Namespace) -> int:
     from repro.eval import experiments
 
+    node_counts = tuple(range(4, args.max_nodes + 1, 2))
+    if not node_counts:
+        raise SpecError(f"the node axis starts at 4, got {args.max_nodes}", "max-nodes")
+    negative = [size for size in args.payloads if size < 0]
+    if negative:
+        raise SpecError(f"payload sizes cannot be negative, got {negative}", "payloads")
     region = experiments.fig1_feasible_region(
-        message_sizes=tuple(args.payloads),
-        node_counts=tuple(range(4, args.max_nodes + 1, 2)),
+        message_sizes=tuple(args.payloads), node_counts=node_counts
     )
     rows = [
         [r["message_bytes"], r["crossover_n"], f"{r['favourable_fraction']:.0%}"]

@@ -20,8 +20,6 @@ from repro.core.baselines.sync_hotstuff import SyncHotStuffReplica
 class OptSyncReplica(SyncHotStuffReplica):
     """An OptSync node: responsive quorum of 3n/4 + 1 votes."""
 
-    protocol_name = "optsync"
-
     #: Fraction of the responsive commit delay relative to Δ (2δ with δ ≪ Δ).
     RESPONSIVE_COMMIT_FRACTION = 0.5
 

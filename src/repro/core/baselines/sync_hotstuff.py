@@ -39,9 +39,6 @@ from repro.core.types import NodeId, View
 class SyncHotStuffReplica(LeaderReplica):
     """A (simplified) Sync HotStuff node."""
 
-    #: Human-readable protocol name used by the experiment harness.
-    protocol_name = "sync-hotstuff"
-
     #: Sync HotStuff forms explicit vote certificates, so catch-up
     #: responses must carry one over the served tip: a recovering node
     #: never adopts an uncertified suffix (see BaseReplica's sync

@@ -133,8 +133,6 @@ class TrustedControlNode(Process):
 class TrustedBaselineReplica(BaseReplica):
     """A CPS node in the trusted-baseline protocol."""
 
-    protocol_name = "trusted-baseline"
-
     def __init__(
         self,
         sim: Simulator,

@@ -79,7 +79,7 @@ def make_block(
     proposer: NodeId,
     view: View,
     round_number: Round,
-    commands: Optional[List[Command]] = None,
+    commands: List[Command],
 ) -> Block:
     """Create a child block extending ``parent`` (the ``CreateProposal`` helper)."""
     return Block(
@@ -88,7 +88,7 @@ def make_block(
         view=view,
         round=round_number,
         proposer=proposer,
-        batch=Batch(tuple(commands or ())),
+        batch=Batch(tuple(commands)),
     )
 
 
@@ -104,8 +104,8 @@ class BlockStore:
     allowance.
     """
 
-    def __init__(self, genesis: Optional[Block] = None) -> None:
-        self.genesis = genesis or GENESIS
+    def __init__(self) -> None:
+        self.genesis = GENESIS
         self._blocks: Dict[str, Block] = {self.genesis.block_hash: self.genesis}
         # Hashes known to have a complete ancestry down to genesis, so
         # repeated has_ancestry checks on a growing chain are amortized

@@ -10,7 +10,7 @@ that have committed a block at that position committed the same block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.core.blocks import Block, BlockStore
 
@@ -19,28 +19,18 @@ class SafetyViolation(AssertionError):
     """Raised when two correct nodes committed conflicting blocks."""
 
 
-@dataclass
-class CommitRecord:
-    """Bookkeeping for one committed block."""
-
-    block: Block
-    committed_at: float
-    view: int
-
-
 class CommittedLog:
     """A single node's committed chain, indexed by height."""
 
     def __init__(self, node_id: int, store: BlockStore) -> None:
         self.node_id = node_id
         self.store = store
-        self._by_height: Dict[int, CommitRecord] = {}
-        # The same records by block hash, and the running maximum height:
-        # both maintained by commit(), the only writer, so membership and
+        self._by_height: Dict[int, Block] = {}
+        # The committed hashes and the running maximum height: both
+        # maintained by commit(), the only writer, so membership and
         # ``highest_height`` never scan the log.
-        self._by_hash: Dict[str, CommitRecord] = {}
+        self._by_hash: Set[str] = set()
         self._highest = 0
-        self.commit_order: List[str] = []
 
     def __len__(self) -> int:
         return len(self._by_height)
@@ -55,10 +45,9 @@ class CommittedLog:
 
     def block_at(self, height: int) -> Optional[Block]:
         """The committed block at ``height`` or ``None``."""
-        record = self._by_height.get(height)
-        return record.block if record else None
+        return self._by_height.get(height)
 
-    def commit(self, block: Block, now: float, view: int) -> List[Block]:
+    def commit(self, block: Block) -> List[Block]:
         """Commit ``block`` and all its not-yet-committed ancestors.
 
         Returns the newly committed blocks in chain order.  Committing a
@@ -81,10 +70,10 @@ class CommittedLog:
                 break
             existing = self._by_height.get(ancestor.height)
             if existing is not None:
-                if existing.block.block_hash != ancestor.block_hash:
+                if existing.block_hash != ancestor.block_hash:
                     raise SafetyViolation(
                         f"node {self.node_id} tried to commit {ancestor.short_hash()} at "
-                        f"height {ancestor.height} over {existing.block.short_hash()}"
+                        f"height {ancestor.height} over {existing.short_hash()}"
                     )
                 anchored = True
                 break
@@ -93,10 +82,8 @@ class CommittedLog:
             raise KeyError(f"chain of {block.short_hash()} has missing ancestors")
         newly_committed: List[Block] = []
         for ancestor in reversed(pending):
-            record = CommitRecord(ancestor, now, view)
-            self._by_height[ancestor.height] = record
-            self._by_hash[ancestor.block_hash] = record
-            self.commit_order.append(ancestor.block_hash)
+            self._by_height[ancestor.height] = ancestor
+            self._by_hash.add(ancestor.block_hash)
             newly_committed.append(ancestor)
             if ancestor.height > self._highest:
                 self._highest = ancestor.height
@@ -104,7 +91,7 @@ class CommittedLog:
 
     def committed_blocks(self) -> List[Block]:
         """All committed blocks in height order."""
-        return [self._by_height[h].block for h in sorted(self._by_height)]
+        return [self._by_height[h] for h in sorted(self._by_height)]
 
     def committed_command_ids(self) -> List[str]:
         """Command ids in commit (height) order — the linearizable log."""
@@ -127,7 +114,7 @@ class SafetyReport:
 class SafetyChecker:
     """Compares committed logs across nodes (Definition 2.1 safety)."""
 
-    def __init__(self, logs: Dict[int, CommittedLog], faulty: Iterable[int] = ()) -> None:
+    def __init__(self, logs: Dict[int, CommittedLog], faulty: Iterable[int]) -> None:
         self.logs = logs
         self.faulty = set(faulty)
 

@@ -102,9 +102,9 @@ class BaseReplica(Process):
         """The leader of ``view`` according to the configured schedule."""
         return self.config.leader_of(view)
 
-    def is_leader(self, view: Optional[View] = None) -> bool:
-        """Whether this replica leads the given (default: current) view."""
-        return self.leader_of(view if view is not None else self.v_cur) == self.pid
+    def is_leader(self, view: View) -> bool:
+        """Whether this replica leads ``view``."""
+        return self.leader_of(view) == self.pid
 
     # ------------------------------------------------------------ messaging
     def sign_message(
@@ -191,7 +191,7 @@ class BaseReplica(Process):
         if not self.blocks.has_ancestry(block):
             # Chain synchronization failed: refuse to commit a dangling block.
             return []
-        newly_committed = self.log.commit(block, self.sim.now, self.v_cur)
+        newly_committed = self.log.commit(block)
         if block.height > self.b_com.height:
             self.b_com = block
         for committed in newly_committed:

@@ -44,8 +44,6 @@ class TxPool:
         self.dropped = 0
         #: Commands rejected because they were already pending.
         self.duplicates = 0
-        #: Commands accepted into the pool.
-        self.admitted = 0
         #: The largest number of simultaneously pending commands observed.
         self.high_watermark = 0
         self._overflow_warned = False
@@ -77,7 +75,6 @@ class TxPool:
                 )
             return OVERFLOW
         self._pending[command.command_id] = command
-        self.admitted += 1
         if len(self._pending) > self.high_watermark:
             self.high_watermark = len(self._pending)
         return ADMITTED

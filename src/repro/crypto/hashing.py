@@ -77,16 +77,8 @@ class HashFunction:
 
     name = "sha256"
 
-    def __init__(
-        self,
-        base_energy_j: float = HASH_BASE_ENERGY_J,
-        per_byte_energy_j: float = HASH_PER_BYTE_ENERGY_J,
-    ) -> None:
-        self.base_energy_j = base_energy_j
-        self.per_byte_energy_j = per_byte_energy_j
-
     def energy_for_size(self, size_bytes: int) -> float:
         """Energy (J) to hash a message of ``size_bytes`` bytes."""
         if size_bytes < 0:
             raise ValueError("message size cannot be negative")
-        return self.base_energy_j + self.per_byte_energy_j * size_bytes
+        return HASH_BASE_ENERGY_J + HASH_PER_BYTE_ENERGY_J * size_bytes

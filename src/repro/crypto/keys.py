@@ -19,11 +19,9 @@ from typing import Dict, Iterable
 
 @dataclass(frozen=True)
 class KeyPair:
-    """A node's signing key pair."""
+    """A node's signing key: the simulation's signatures are HMACs under it."""
 
-    owner: int
     secret_key: bytes
-    public_key: bytes
 
     def sign_tag(self, payload: bytes) -> str:
         """Compute the authentication tag for ``payload`` under the secret key."""
@@ -33,12 +31,6 @@ class KeyPair:
 def _derive_secret(seed: int, owner: int) -> bytes:
     material = f"eesmr-key-seed:{seed}:node:{owner}".encode("utf-8")
     return hashlib.sha256(material).digest()
-
-
-def _public_from_secret(secret: bytes) -> bytes:
-    # A one-way mapping; the "public key" only serves as an identifier that
-    # the verification routine can bind signatures to.
-    return hashlib.sha256(b"public:" + secret).digest()
 
 
 class KeyStore:
@@ -59,12 +51,7 @@ class KeyStore:
         """Generate key pairs for every node id (idempotent)."""
         for node_id in node_ids:
             if node_id not in self._pairs:
-                secret = _derive_secret(self.seed, node_id)
-                self._pairs[node_id] = KeyPair(
-                    owner=node_id,
-                    secret_key=secret,
-                    public_key=_public_from_secret(secret),
-                )
+                self._pairs[node_id] = KeyPair(_derive_secret(self.seed, node_id))
 
     def key_pair(self, node_id: int) -> KeyPair:
         """The full key pair for ``node_id`` (only its owner should call this)."""

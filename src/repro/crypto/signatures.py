@@ -5,15 +5,15 @@ fails inside the simulation) but is *priced* as the real primitive the
 paper measured (Table 2): RSA-1024, ECDSA over the NIST and Brainpool
 curves, or plain HMAC.  The distinction the paper draws between digital
 signatures (transferable authentication, equivocation provable to third
-parties) and MACs (cheaper, but equivocation hard to prove) is captured by
-:attr:`SchemeSpec.transferable`.
+parties) and MACs (cheaper, but equivocation hard to prove) is the
+``family`` of the scheme's :class:`SignatureEnergyCost`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.crypto.energy_costs import (
     SIGNATURE_ENERGY_TABLE,
@@ -44,15 +44,6 @@ class Signature:
         return signature_cost(self.scheme).signature_size_bytes
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
-    """Static description of a signature scheme configuration."""
-
-    name: str
-    cost: SignatureEnergyCost
-    transferable: bool
-
-
 class SignatureScheme:
     """Signing/verification service bound to one scheme and one key store.
 
@@ -64,8 +55,9 @@ class SignatureScheme:
     #: Bound on the memo tables; cleared wholesale when exceeded.
     max_cache_entries = 16384
 
-    def __init__(self, spec: SchemeSpec, keystore: KeyStore) -> None:
-        self.spec = spec
+    def __init__(self, cost: SignatureEnergyCost, keystore: KeyStore) -> None:
+        self.name = cost.name
+        self.cost = cost
         self.keystore = keystore
         self.sign_counts: Counter[int] = Counter()
         self.verify_counts: Counter[int] = Counter()
@@ -88,7 +80,7 @@ class SignatureScheme:
             pair = self.keystore.key_pair(signer)
             signature = Signature(
                 signer=signer,
-                scheme=self.spec.name,
+                scheme=self.name,
                 tag=pair.sign_tag(self._domain_separated(data)),
             )
             if len(self._sign_memo) >= self.max_cache_entries:
@@ -96,7 +88,7 @@ class SignatureScheme:
             self._sign_memo[key] = signature
         return signature
 
-    def note_verify(self, verifier: int, operations: int = 1) -> None:
+    def note_verify(self, verifier: int, operations: int) -> None:
         """Count verification operations satisfied from a higher-level memo.
 
         When a whole-message verification result is reused across replicas,
@@ -109,7 +101,7 @@ class SignatureScheme:
     def verify(self, verifier: int, payload: Any, signature: Signature) -> bool:
         """Verify ``signature`` over ``payload``; counts the operation for ``verifier``."""
         self.verify_counts[verifier] += 1
-        if signature.scheme != self.spec.name:
+        if signature.scheme != self.name:
             return False
         data = canonical_bytes(payload)
         key = (signature.signer, signature.tag, data)
@@ -128,12 +120,12 @@ class SignatureScheme:
     @property
     def sign_energy_j(self) -> float:
         """Energy (J) of one signing operation."""
-        return self.spec.cost.sign_joules
+        return self.cost.sign_joules
 
     @property
     def verify_energy_j(self) -> float:
         """Energy (J) of one verification operation."""
-        return self.spec.cost.verify_joules
+        return self.cost.verify_joules
 
     def total_sign_operations(self) -> int:
         """Total signing operations performed across all nodes."""
@@ -145,7 +137,7 @@ class SignatureScheme:
 
     # -------------------------------------------------------------- internal
     def _domain_separated(self, data: bytes) -> bytes:
-        return self.spec.name.encode("utf-8") + b"|" + data
+        return self.name.encode("utf-8") + b"|" + data
 
 
 def available_schemes() -> list[str]:
@@ -153,17 +145,10 @@ def available_schemes() -> list[str]:
     return sorted(SIGNATURE_ENERGY_TABLE)
 
 
-def make_scheme(name: str, keystore: Optional[KeyStore] = None, seed: int = 0) -> SignatureScheme:
-    """Build a :class:`SignatureScheme` by name.
+def make_scheme(name: str, keystore: KeyStore) -> SignatureScheme:
+    """Build a :class:`SignatureScheme` by name over ``keystore``.
 
-    Args:
-        name: One of :func:`available_schemes` (e.g. ``"rsa-1024"``,
-            ``"ecdsa-secp256k1"``, ``"hmac-sha256"``).
-        keystore: Optional pre-populated key store; a fresh one (with the
-            given seed) is created otherwise.
-        seed: Seed for the key store when one is created here.
+    ``name`` is one of :func:`available_schemes` (e.g. ``"rsa-1024"``,
+    ``"ecdsa-secp256k1"``, ``"hmac-sha256"``).
     """
-    cost = signature_cost(name)
-    spec = SchemeSpec(name=cost.name, cost=cost, transferable=cost.family != "hmac")
-    store = keystore if keystore is not None else KeyStore(seed=seed)
-    return SignatureScheme(spec, store)
+    return SignatureScheme(signature_cost(name), keystore)

@@ -41,10 +41,9 @@ class ClusterEnergyLedger:
         return self.meters[node_id]
 
     # -------------------------------------------------------------- queries
-    def total_joules(self, exclude: Optional[Iterable[int]] = None) -> float:
-        """Total Joules across nodes, optionally excluding some (e.g. Byzantine)."""
-        skip = set(exclude or ())
-        return sum(m.total_joules for nid, m in self.meters.items() if nid not in skip)
+    def total_joules(self) -> float:
+        """Total Joules across nodes."""
+        return sum(m.total_joules for m in self.meters.values())
 
     def per_node_joules(self) -> Dict[int, float]:
         """Total Joules keyed by node id."""
@@ -64,7 +63,7 @@ class ClusterEnergyLedger:
     def report(
         self,
         leader: int,
-        faulty: Optional[Iterable[int]] = None,
+        faulty: Iterable[int],
     ) -> EnergyReport:
         """Produce the standard per-run energy report.
 
@@ -74,7 +73,7 @@ class ClusterEnergyLedger:
             faulty: Node ids of Byzantine nodes; excluded from the
                 "correct nodes" totals, as in Fig. 2f.
         """
-        faulty_set = set(faulty or ())
+        faulty_set = set(faulty)
         per_node = self.per_node_joules()
         correct_nodes = [nid for nid in per_node if nid not in faulty_set]
         replicas = [nid for nid in correct_nodes if nid != leader]

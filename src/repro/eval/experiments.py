@@ -33,7 +33,11 @@ from repro.core.adversary import FaultPlan
 from repro.crypto.energy_costs import SIGNATURE_ENERGY_TABLE
 from repro.energy.feasibility import FeasibleRegion, feasible_region
 from repro.session import DeploymentSpec, RunResult, run_protocol
-from repro.radio.ble import BleAdvertisementKCast
+from repro.radio.ble import (
+    ADVERTISEMENT_RX_ENERGY_MJ,
+    ADVERTISEMENT_TX_ENERGY_MJ,
+    BleAdvertisementKCast,
+)
 from repro.radio.gatt import BleGattUnicast
 from repro.radio.media import TABLE1_MEDIA_ENERGY_MJ
 from repro.radio.reliability import AdvertisementLossModel, ReliabilityPoint
@@ -209,15 +213,11 @@ def fig2a_kcast_reliability(
     ks: Sequence[int] = (1, 3, 7), max_redundancy: int = 10
 ) -> Dict[int, List[ReliabilityPoint]]:
     """Failure rate vs energy for k-casts of different degree (Fig. 2a)."""
-    radio = BleAdvertisementKCast()
-    model: AdvertisementLossModel = radio.loss_model
+    model = AdvertisementLossModel()
     curves: Dict[int, List[ReliabilityPoint]] = {}
     for k in ks:
         curves[k] = model.tradeoff_curve(
-            k,
-            radio.tx_energy_per_packet_mj,
-            radio.rx_energy_per_packet_mj,
-            max_redundancy=max_redundancy,
+            k, ADVERTISEMENT_TX_ENERGY_MJ, ADVERTISEMENT_RX_ENERGY_MJ, max_redundancy
         )
     return curves
 

@@ -115,10 +115,10 @@ class Corpus:
         self,
         spec_dict: dict,
         *,
-        expect: str = "violation",
-        found: Optional[dict] = None,
-        note: str = "",
-        slug: str = "reproducer",
+        expect: str,
+        found: dict,
+        note: str,
+        slug: str,
     ) -> Path:
         """Persist one reproducer; returns the written path.
 
@@ -133,7 +133,7 @@ class Corpus:
             entry_id=entry_id,
             spec=spec_dict,
             expect=expect,
-            found=dict(found or {}),
+            found=dict(found),
             note=note,
         )
         self.root.mkdir(parents=True, exist_ok=True)
@@ -143,9 +143,7 @@ class Corpus:
         return path
 
 
-def replay_entry(
-    entry: CorpusEntry, *, max_events: int = 2_000_000
-) -> Tuple[List[InvariantReport], List[InvariantReport]]:
+def replay_entry(entry: CorpusEntry) -> Tuple[List[InvariantReport], List[InvariantReport]]:
     """Replay one corpus entry; returns (all reports, failing reports).
 
     The caller asserts the direction: for ``expect == "clean"`` the
@@ -154,7 +152,5 @@ def replay_entry(
     A run that crashes replays as its one failing report, exactly as the
     detector recorded it (:func:`~repro.testkit.invariants.judge_reports`).
     """
-    reports = judge_reports(
-        entry.build_spec(), label=f"corpus:{entry.entry_id}", max_events=max_events
-    )
+    reports = judge_reports(entry.build_spec(), label=f"corpus:{entry.entry_id}")
     return reports, [report for report in reports if not report.ok]

@@ -101,8 +101,9 @@ class Detector:
             :class:`SessionBuilder` subclass that substitutes mutated
             replica classes or network behaviour — the fuzzer then has
             something real to find.
-        max_events: Per-run event budget; exceeding it is reported as a
-            ``no-livelock`` violation instead of raising.
+
+    A run that exceeds the session's event budget is reported as a
+    ``no-livelock`` violation instead of raising.
     """
 
     def __init__(
@@ -110,11 +111,9 @@ class Detector:
         config: FuzzConfig,
         *,
         builder_factory: Callable[..., SessionBuilder] = SessionBuilder,
-        max_events: int = 2_000_000,
     ) -> None:
         self.config = config
         self.builder_factory = builder_factory
-        self.max_events = max_events
         #: Protocol runs executed since construction (shrink-cost metric).
         self.runs = 0
 
@@ -141,12 +140,7 @@ class Detector:
 
     def _run_one(self, spec: DeploymentSpec, protocol: str) -> ProtocolVerdict:
         self.runs += 1
-        reports = judge_reports(
-            spec,
-            label=f"fuzz:{protocol}",
-            builder=self.builder_factory,
-            max_events=self.max_events,
-        )
+        reports = judge_reports(spec, label=f"fuzz:{protocol}", builder=self.builder_factory)
         return ProtocolVerdict(
             protocol, violations=[report for report in reports if not report.ok]
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.detect import Detection, Detector
@@ -72,13 +72,8 @@ class FuzzReport:
 class Fuzzer:
     """The generate → detect → shrink loop, deterministic per seed."""
 
-    def __init__(
-        self,
-        config: Optional[FuzzConfig] = None,
-        seed: int = 0,
-        **detector_kwargs,
-    ) -> None:
-        self.config = config or FuzzConfig()
+    def __init__(self, config: FuzzConfig, seed: int = 0, **detector_kwargs) -> None:
+        self.config = config
         self.seed = seed
         self.generator = ScheduleGenerator(self.config, seed)
         self.detector = Detector(self.config, **detector_kwargs)

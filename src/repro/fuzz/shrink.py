@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 from repro.fuzz.detect import Detection
 from repro.fuzz.generator import TIME_QUANTUM
@@ -65,18 +65,18 @@ class Shrinker:
         detector: Anything with ``detect(schedule) -> Detection``; the
             property tests substitute a stub, the fuzzer passes the real
             :class:`~repro.fuzz.detect.Detector`.
-        max_evaluations: Hard bound on candidate detections per shrink.
     """
 
-    def __init__(self, detector, *, max_evaluations: int = 200) -> None:
+    #: Hard bound on candidate detections per shrink.
+    max_evaluations = 200
+
+    def __init__(self, detector) -> None:
         self.detector = detector
-        self.max_evaluations = max_evaluations
 
     # ----------------------------------------------------------------- public
-    def shrink(self, schedule: FaultSchedule, detection: Optional[Detection] = None) -> ShrinkResult:
-        """Reduce ``schedule`` to a minimal reproducer of its failure."""
-        if detection is None:
-            detection = self.detector.detect(schedule)
+    def shrink(self, schedule: FaultSchedule, detection: Detection) -> ShrinkResult:
+        """Reduce ``schedule``, whose ``detection`` failed, to a minimal
+        reproducer of its failure."""
         if not detection.failed:
             raise ValueError("cannot shrink a schedule that does not fail")
         state = ShrinkResult(

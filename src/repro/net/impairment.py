@@ -65,7 +65,7 @@ class SpecError(ValueError):
         return SpecError(self.message, f"{parent}{joint}{self.path}")
 
 
-def checked_number(label: str, value: Any, allow_inf: bool = False, path: str = "") -> float:
+def checked_number(label: str, value: Any, allow_inf: bool = False, *, path: str) -> float:
     """The fault plane's one number check: ``value`` as a float.
 
     Specs and fault atoms are rebuilt from JSON (corpus entries, ``--spec``
@@ -285,7 +285,9 @@ class ImpairmentSpec:
             object.__setattr__(self, name, _probability(name, getattr(self, name)))
         for name in ("jitter", "start", "end"):
             # An open-ended window never closes: ``end`` alone may be ``+inf``.
-            value = checked_number(f"impairment {name}", getattr(self, name), name == "end", name)
+            value = checked_number(
+                f"impairment {name}", getattr(self, name), name == "end", path=name
+            )
             object.__setattr__(self, name, value)
         if self.jitter < 0:
             raise SpecError(f"impairment jitter must be non-negative, got {self.jitter}", "jitter")
@@ -404,11 +406,10 @@ class ImpairmentModel:
         self,
         spec: Optional[ImpairmentSpec],
         rng: SeededRNG,
-        loss_model: Optional[AdvertisementLossModel] = None,
     ) -> None:
         self.spec = spec or ImpairmentSpec(loss=0.0)
         self.rng = rng
-        self.loss_model = loss_model or AdvertisementLossModel()
+        self.loss_model = AdvertisementLossModel()
         # kind -> pid -> stack of overlay values (fault windows may nest).
         self._overlays: Dict[str, Dict[int, list]] = {k: {} for k in IMPAIRMENT_KINDS}
         self._overlay_count = 0

@@ -151,7 +151,7 @@ class SimulatedNetwork:
         sim: Simulator,
         hypergraph: Hypergraph,
         ledger: ClusterEnergyLedger,
-        rng: Optional[SeededRNG] = None,
+        rng: SeededRNG,
         kcast_radio: Optional[BleAdvertisementKCast] = None,
         unicast_radio: Optional[BleGattUnicast] = None,
         hop_delay: float = 1.0,
@@ -164,8 +164,7 @@ class SimulatedNetwork:
         # Every other stochastic consumer (the impairment model, the
         # reliable sublayer's backoff jitter) derives its own child stream,
         # so new randomness can never perturb baseline delivery timing.
-        # detlint: ok rng-stream-discipline — constructor fallback for direct test construction; every session build injects the spec-derived stream (SessionBuilder passes SeededRNG(spec.seed))
-        self.rng = rng or SeededRNG(0)
+        self.rng = rng
         self.kcast_radio = kcast_radio or BleAdvertisementKCast()
         self.unicast_radio = unicast_radio or BleGattUnicast()
         self.hop_delay = hop_delay
@@ -200,11 +199,7 @@ class SimulatedNetwork:
         # fault-window transitions (relay denial and partition edges) — the
         # session observer bus's ``on_fault_window`` dispatch.
         self.fault_observer = None
-        # Unbalanced reconnect() calls (no isolation active).  Kept out of
-        # ``NetworkStats`` deliberately: the trace recorder fingerprints
-        # that dataclass field-for-field and golden traces predate this
-        # counter.
-        self.unbalanced_reconnects = 0
+        # Whether an unbalanced reconnect() (no isolation active) has warned.
         self._warned_unbalanced_reconnect = False
         # Wire-level impairment (off by default: ``None`` keeps the delivery
         # path byte-identical to the seed — one attribute test per hop).
@@ -279,21 +274,20 @@ class SimulatedNetwork:
         """Undo one :meth:`isolate`; the node rejoins at depth zero.
 
         Reconnecting a node that is not isolated leaves the partition
-        state untouched, but it is *counted* (``unbalanced_reconnects``)
-        and warned about once per network: a silent no-op is exactly how
-        the pre-refcount fault-composition bugs hid, and an unbalanced call
-        almost always means a fault schedule healed a window it never opened.
+        state untouched, but it is warned about once per network: a silent
+        no-op is exactly how the pre-refcount fault-composition bugs hid, and
+        an unbalanced call almost always means a fault schedule healed a
+        window it never opened.
         """
         if self._pop(self._partition, pid, "partition"):
             return
-        self.unbalanced_reconnects += 1
         if not self._warned_unbalanced_reconnect:
             self._warned_unbalanced_reconnect = True
             warnings.warn(
                 f"reconnect({pid}) without a matching isolate(): the call "
                 "is a no-op; check the fault schedule's window composition "
                 "(further unbalanced reconnects on this network are "
-                "counted but not warned about)",
+                "not warned about)",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -320,11 +314,7 @@ class SimulatedNetwork:
     def _ensure_impairment(self) -> ImpairmentModel:
         model = self.impairment
         if model is None:
-            model = ImpairmentModel(
-                None,
-                self.rng.child("impairment"),
-                loss_model=getattr(self.kcast_radio, "loss_model", None),
-            )
+            model = ImpairmentModel(None, self.rng.child("impairment"))
             self.impairment = model
         return model
 

@@ -66,7 +66,7 @@ def unicast_ring_topology(n: int, d: int) -> Hypergraph:
     return Hypergraph(nodes=nodes, edges=edges)
 
 
-def star_topology(n: int, center: int = 0) -> Hypergraph:
+def star_topology(n: int, center: int) -> Hypergraph:
     """A star: the centre multicasts to everyone, leaves unicast to the centre.
 
     This is the communication pattern of the trusted-baseline protocol
@@ -83,23 +83,21 @@ def star_topology(n: int, center: int = 0) -> Hypergraph:
     return Hypergraph(nodes=nodes, edges=edges)
 
 
-def random_kcast_topology(
-    n: int,
-    k: int,
-    edges_per_node: int = 1,
-    rng: Optional[SeededRNG] = None,
-    max_attempts: int = 200,
-) -> Hypergraph:
+#: How often :func:`random_kcast_topology` resamples a receiver set or a graph.
+_MAX_ATTEMPTS = 200
+
+
+def random_kcast_topology(n: int, k: int, rng: SeededRNG, edges_per_node: int = 1) -> Hypergraph:
     """A random k-cast topology that is strongly connected.
 
     Each node gets exactly ``edges_per_node`` outgoing k-casts with
-    uniformly chosen *distinct* receiver sets; a duplicate sample is
-    resampled (bounded by ``max_attempts``) rather than silently dropped,
-    so the graph never under-provisions a node's out-edges.  Requests that
-    cannot be satisfied — more distinct receiver sets than
-    ``comb(n-1, k)`` exist — raise :class:`ValueError` immediately.
+    uniformly chosen *distinct* receiver sets drawn from ``rng``; a
+    duplicate sample is resampled (bounded by ``_MAX_ATTEMPTS``) rather
+    than silently dropped, so the graph never under-provisions a node's
+    out-edges.  Requests that cannot be satisfied — more distinct receiver
+    sets than ``comb(n-1, k)`` exist — raise :class:`ValueError` immediately.
     Whole-graph candidates are resampled until the resulting hypergraph is
-    strongly connected (also bounded by ``max_attempts``).
+    strongly connected (also bounded by ``_MAX_ATTEMPTS``).
     """
     _validate_n_k(n, k)
     if edges_per_node < 1:
@@ -110,25 +108,23 @@ def random_kcast_topology(
             f"edges_per_node={edges_per_node} is unsatisfiable: only "
             f"{distinct_sets} distinct receiver sets exist for n={n}, k={k}"
         )
-    # detlint: ok rng-stream-discipline — fallback for direct test calls; deployments derive the generator from DeploymentSpec.topology_seed (see repro.session.builder.build_topology)
-    generator = rng or SeededRNG(0)
     nodes = list(range(n))
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         edges = []
         for node in nodes:
             others = [x for x in nodes if x != node]
             seen: set[frozenset[int]] = set()
             for _ in range(edges_per_node):
                 receivers: Optional[frozenset[int]] = None
-                for _ in range(max_attempts):
-                    candidate_set = frozenset(generator.sample(others, k))
+                for _ in range(_MAX_ATTEMPTS):
+                    candidate_set = frozenset(rng.sample(others, k))
                     if candidate_set not in seen:
                         receivers = candidate_set
                         break
                 if receivers is None:
                     raise RuntimeError(
                         f"could not sample {edges_per_node} distinct receiver "
-                        f"sets for node {node} within {max_attempts} attempts "
+                        f"sets for node {node} within {_MAX_ATTEMPTS} attempts "
                         f"(n={n}, k={k})"
                     )
                 seen.add(receivers)

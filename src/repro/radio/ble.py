@@ -17,11 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.radio.reliability import (
-    FOUR_NINES,
-    AdvertisementLossModel,
-    DEFAULT_ADVERTISEMENT_LOSS,
-)
+from repro.radio.reliability import AdvertisementLossModel
 
 #: Maximum advertisement payload (bytes) allowed by the BLE GAP specification.
 BLE_ADVERTISEMENT_PAYLOAD_BYTES = 25
@@ -35,11 +31,6 @@ ADVERTISEMENT_TX_ENERGY_MJ = 0.6625
 #: paper measured receivers to be more expensive than senders (9.98 mJ vs
 #: 5.3 mJ) because they scan continuously in a noisy RF environment.
 ADVERTISEMENT_RX_ENERGY_MJ = 1.2475
-
-#: Time to transmit one 25-byte fragment reliably (seconds).  The paper
-#: observes "bounded 200 ms to transmit a 25 byte message with 99.99 %
-#: reliability over a multicast link in BLE, with k = 7".
-ADVERTISEMENT_FRAGMENT_TIME_S = 0.2
 
 
 def fragments_for_payload(payload_bytes: int) -> int:
@@ -57,65 +48,43 @@ class KCastTransmissionCost:
 
     payload_bytes: int
     k: int
-    fragments: int
     redundancy: int
     reliability: float
     sender_energy_j: float
     per_receiver_energy_j: float
-    duration_s: float
 
 
 class BleAdvertisementKCast:
-    """Reliable k-cast built from redundant BLE advertisements.
-
-    Args:
-        loss_model: Per-transmission loss model; defaults to the calibrated
-            one from :mod:`repro.radio.reliability`.
-        target_reliability: The per-k-cast delivery guarantee; the paper
-            standardises on 99.99 %.
-        tx_energy_per_packet_mj / rx_energy_per_packet_mj: Per-advertisement
-            energies (defaults reproduce the measured operating point).
-    """
+    """Reliable k-cast built from redundant BLE advertisements, priced at
+    the paper's operating point: the calibrated loss model, 99.99 %
+    delivery per k-cast and the per-advertisement energies above."""
 
     name = "ble-advertisement-kcast"
 
-    def __init__(
-        self,
-        loss_model: AdvertisementLossModel | None = None,
-        target_reliability: float = FOUR_NINES,
-        tx_energy_per_packet_mj: float = ADVERTISEMENT_TX_ENERGY_MJ,
-        rx_energy_per_packet_mj: float = ADVERTISEMENT_RX_ENERGY_MJ,
-        fragment_time_s: float = ADVERTISEMENT_FRAGMENT_TIME_S,
-    ) -> None:
-        self.loss_model = loss_model or AdvertisementLossModel(DEFAULT_ADVERTISEMENT_LOSS)
-        self.target_reliability = target_reliability
-        self.tx_energy_per_packet_mj = tx_energy_per_packet_mj
-        self.rx_energy_per_packet_mj = rx_energy_per_packet_mj
-        self.fragment_time_s = fragment_time_s
+    def __init__(self) -> None:
+        self.loss_model = AdvertisementLossModel()
 
     # ------------------------------------------------------------ modelling
     def redundancy_for(self, k: int) -> int:
-        """Redundancy factor needed to hit the target reliability for ``k`` receivers."""
-        return self.loss_model.redundancy_for_reliability(k, self.target_reliability)
+        """Redundancy factor needed for four-nines delivery to ``k`` receivers."""
+        return self.loss_model.redundancy_for_reliability(k)
 
     def transmission_cost(self, payload_bytes: int, k: int) -> KCastTransmissionCost:
-        """Energy and duration to reliably k-cast ``payload_bytes`` to ``k`` receivers."""
+        """Energy to reliably k-cast ``payload_bytes`` to ``k`` receivers."""
         if k < 1:
             raise ValueError("k must be at least 1")
         fragments = fragments_for_payload(payload_bytes)
         redundancy = self.redundancy_for(k)
-        sender_mj = fragments * redundancy * self.tx_energy_per_packet_mj
-        receiver_mj = fragments * redundancy * self.rx_energy_per_packet_mj
+        sender_mj = fragments * redundancy * ADVERTISEMENT_TX_ENERGY_MJ
+        receiver_mj = fragments * redundancy * ADVERTISEMENT_RX_ENERGY_MJ
         reliability = self.loss_model.kcast_reliability(k, redundancy) ** fragments
         return KCastTransmissionCost(
             payload_bytes=payload_bytes,
             k=k,
-            fragments=fragments,
             redundancy=redundancy,
             reliability=reliability,
             sender_energy_j=sender_mj / 1000.0,
             per_receiver_energy_j=receiver_mj / 1000.0,
-            duration_s=fragments * self.fragment_time_s,
         )
 
     def message_energy_25b(self, k: int) -> tuple[float, float]:

@@ -5,9 +5,7 @@ Fig. 2b: connection-based GATT transfers.  GATT handles packet loss and
 retransmission at the link layer, so no application-level redundancy is
 needed, but each transfer pays a per-connection overhead and the sender
 must repeat the transfer once per neighbour (``d_out`` unicasts replace one
-k-cast).  The paper notes the boards cannot hold concurrent GATT
-connections, which adds a serialisation time overhead captured by
-``connection_time_s``.
+k-cast).
 """
 
 from __future__ import annotations
@@ -23,9 +21,6 @@ GATT_TX_ENERGY_PER_BYTE_MJ = 0.022
 #: Marginal energy per payload byte transferred over GATT, receiver side (mJ).
 GATT_RX_ENERGY_PER_BYTE_MJ = 0.020
 
-#: Time overhead of a (serial) GATT connection + transfer (seconds).
-GATT_CONNECTION_TIME_S = 0.35
-
 
 @dataclass(frozen=True)
 class UnicastTransmissionCost:
@@ -34,37 +29,23 @@ class UnicastTransmissionCost:
     payload_bytes: int
     sender_energy_j: float
     receiver_energy_j: float
-    duration_s: float
 
 
 class BleGattUnicast:
-    """Reliable, connection-based BLE unicast."""
+    """Reliable, connection-based BLE unicast at the calibrated costs above."""
 
     name = "ble-gatt-unicast"
 
-    def __init__(
-        self,
-        connection_overhead_mj: float = GATT_CONNECTION_OVERHEAD_MJ,
-        tx_per_byte_mj: float = GATT_TX_ENERGY_PER_BYTE_MJ,
-        rx_per_byte_mj: float = GATT_RX_ENERGY_PER_BYTE_MJ,
-        connection_time_s: float = GATT_CONNECTION_TIME_S,
-    ) -> None:
-        self.connection_overhead_mj = connection_overhead_mj
-        self.tx_per_byte_mj = tx_per_byte_mj
-        self.rx_per_byte_mj = rx_per_byte_mj
-        self.connection_time_s = connection_time_s
-
     def transmission_cost(self, payload_bytes: int) -> UnicastTransmissionCost:
-        """Energy and time for one unicast transfer of ``payload_bytes``."""
+        """Energy for one unicast transfer of ``payload_bytes``."""
         if payload_bytes < 0:
             raise ValueError("payload size cannot be negative")
-        sender_mj = self.connection_overhead_mj + self.tx_per_byte_mj * payload_bytes
-        receiver_mj = self.connection_overhead_mj + self.rx_per_byte_mj * payload_bytes
+        sender_mj = GATT_CONNECTION_OVERHEAD_MJ + GATT_TX_ENERGY_PER_BYTE_MJ * payload_bytes
+        receiver_mj = GATT_CONNECTION_OVERHEAD_MJ + GATT_RX_ENERGY_PER_BYTE_MJ * payload_bytes
         return UnicastTransmissionCost(
             payload_bytes=payload_bytes,
             sender_energy_j=sender_mj / 1000.0,
             receiver_energy_j=receiver_mj / 1000.0,
-            duration_s=self.connection_time_s,
         )
 
     def send_energy_j(self, size_bytes: int) -> float:

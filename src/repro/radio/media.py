@@ -138,10 +138,6 @@ def ble_link_medium() -> TabulatedMediumModel:
     )
 
 
-#: Duration (s) the adapters below charge for one transfer over a Table 1 medium.
-LINK_TIME_S = 0.1
-
-
 class MediumUnicastAdapter:
     """Adapts a :class:`MediumEnergyModel` to the unicast-radio interface.
 
@@ -158,12 +154,11 @@ class MediumUnicastAdapter:
         self.name = f"{medium.name}-unicast"
 
     def transmission_cost(self, payload_bytes: int):
-        """Energy and time of one unicast transfer over the wrapped medium."""
+        """Energy of one unicast transfer over the wrapped medium."""
         return self._cost_type(
             payload_bytes=payload_bytes,
             sender_energy_j=self.medium.send_energy_j(payload_bytes),
             receiver_energy_j=self.medium.recv_energy_j(payload_bytes),
-            duration_s=LINK_TIME_S,
         )
 
 
@@ -186,18 +181,16 @@ class MediumKCastAdapter:
         self.name = f"{medium.name}-kcast"
 
     def transmission_cost(self, payload_bytes: int, k: int):
-        """Energy and time of one k-cast transfer over the wrapped medium."""
+        """Energy of one k-cast transfer over the wrapped medium."""
         if k < 1:
             raise ValueError("k must be at least 1")
         return self._cost_type(
             payload_bytes=payload_bytes,
             k=k,
-            fragments=1,
             redundancy=1,
             reliability=1.0,
             sender_energy_j=self.medium.send_energy_j(payload_bytes),
             per_receiver_energy_j=self.medium.recv_energy_j(payload_bytes),
-            duration_s=LINK_TIME_S,
         )
 
 

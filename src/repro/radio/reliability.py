@@ -20,6 +20,7 @@ operating point (≈5.3 mJ sender / ≈9.98 mJ receiver per 25-byte message).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 #: Per-receiver, per-transmission advertisement loss probability calibrated
@@ -52,12 +53,10 @@ class ReliabilityPoint:
 
 
 class AdvertisementLossModel:
-    """Independent-loss model for BLE advertisement k-casts."""
+    """Independent-loss model for BLE advertisement k-casts, at the
+    calibrated per-transmission loss probability."""
 
-    def __init__(self, p_loss: float = DEFAULT_ADVERTISEMENT_LOSS) -> None:
-        if not 0.0 < p_loss < 1.0:
-            raise ValueError(f"p_loss must be in (0, 1), got {p_loss}")
-        self.p_loss = p_loss
+    p_loss = DEFAULT_ADVERTISEMENT_LOSS
 
     def receiver_miss_probability(self, redundancy: int) -> float:
         """Probability one receiver misses every one of ``redundancy`` copies."""
@@ -76,23 +75,20 @@ class AdvertisementLossModel:
         """Probability that all ``k`` receivers get the fragment."""
         return 1.0 - self.kcast_failure_probability(k, redundancy)
 
-    def redundancy_for_reliability(self, k: int, target: float = FOUR_NINES, max_redundancy: int = 64) -> int:
-        """Smallest redundancy factor achieving the target k-cast reliability."""
-        if not 0.0 < target < 1.0:
-            raise ValueError(f"target reliability must be in (0, 1), got {target}")
-        for redundancy in range(1, max_redundancy + 1):
-            if self.kcast_reliability(k, redundancy) >= target:
+    def redundancy_for_reliability(self, k: int) -> int:
+        """Smallest redundancy factor reaching four-nines k-cast reliability
+        (the search ends: ``p_loss < 1``, so each copy shrinks the miss
+        probability)."""
+        for redundancy in itertools.count(1):
+            if self.kcast_reliability(k, redundancy) >= FOUR_NINES:
                 return redundancy
-        raise ValueError(
-            f"cannot reach reliability {target} for k={k} within redundancy {max_redundancy}"
-        )
 
     def tradeoff_curve(
         self,
         k: int,
         tx_energy_per_packet_mj: float,
         rx_energy_per_packet_mj: float,
-        max_redundancy: int = 10,
+        max_redundancy: int,
     ) -> list[ReliabilityPoint]:
         """The Fig. 2a curve: failure rate vs energy as redundancy grows."""
         points = []

@@ -102,7 +102,6 @@ class SessionBuilder:
 
     Args:
         spec: The deployment to build.
-        max_events: Safety valve against livelocked protocols.
         observers: Session observers, invoked in the given order.
         recorder: Optional ``repro.testkit.trace.TraceRecorder`` (itself a
             :class:`SessionObserver`), registered after ``observers``.
@@ -112,12 +111,10 @@ class SessionBuilder:
         self,
         spec: DeploymentSpec,
         *,
-        max_events: int = 2_000_000,
         observers: Sequence[SessionObserver] = (),
         recorder: Optional[Any] = None,
     ) -> None:
         self.spec = spec
-        self.max_events = max_events
         self.observers: List[SessionObserver] = list(observers)
         if recorder is not None:
             self.observers.append(recorder)
@@ -232,7 +229,6 @@ class SessionBuilder:
             commands=commands,
             controllers=controllers,
             bus=bus,
-            max_events=self.max_events,
         )
 
     def _build_replicated_replicas(
@@ -303,8 +299,8 @@ class SessionBuilder:
 def run_protocol(spec: DeploymentSpec, **builder_kwargs) -> RunResult:
     """Run ``spec`` to quiescence and collect its metrics.
 
-    ``builder_kwargs`` are :class:`SessionBuilder`'s (``max_events``,
-    ``observers``, ``recorder``).  Keep the session instead, through
+    ``builder_kwargs`` are :class:`SessionBuilder`'s (``observers``,
+    ``recorder``).  Keep the session instead, through
     :meth:`SessionBuilder.build`, to step, pause or inspect a run.
     """
     return SessionBuilder(spec, **builder_kwargs).build().run().finish()

@@ -29,7 +29,7 @@ plain one-shot path stays byte-identical and hook-free.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 
 class SessionObserver:
@@ -76,9 +76,9 @@ class ObserverBus:
     sessions pay nothing.
     """
 
-    def __init__(self, observers: Optional[List[SessionObserver]] = None) -> None:
+    def __init__(self, observers: List[SessionObserver]) -> None:
         self._observers: List[SessionObserver] = []
-        for observer in observers or ():
+        for observer in observers:
             self.register(observer)
 
     def register(self, observer: SessionObserver) -> SessionObserver:

@@ -35,6 +35,10 @@ from repro.session.observers import ObserverBus
 from repro.session.spec import DeploymentSpec, RunResult
 from repro.sim.scheduler import SimulationError, Simulator
 
+#: A run's event budget: executing more raises ``SimulationError`` (a likely
+#: livelock).  Read at each check, so a test may patch it to trip the guard.
+MAX_EVENTS = 2_000_000
+
 
 class SessionController:
     """Mid-run intervention logic driven by :meth:`Session.run_to_quiescence`.
@@ -86,7 +90,6 @@ class Session:
         commands: List[Command],
         controllers: Tuple[SessionController, ...],
         bus: ObserverBus,
-        max_events: int,
     ) -> None:
         self.spec = spec
         self.sim = sim
@@ -103,9 +106,7 @@ class Session:
         self.commands = commands
         self.controllers = controllers
         self.bus = bus
-        self.max_events = max_events
         self.started = False
-        self.finished = False
         self._result: Optional[RunResult] = None
         self._executed_at_start = 0
 
@@ -240,16 +241,14 @@ class Session:
         return self.run_to_quiescence()
 
     def _remaining_budget(self) -> int:
-        return max(1, self.max_events - self._executed_since_start())
+        return max(1, MAX_EVENTS - self._executed_since_start())
 
     def _executed_since_start(self) -> int:
         return self.sim.executed_events - self._executed_at_start
 
     def _check_budget(self) -> None:
-        if self._executed_since_start() >= self.max_events:
-            raise SimulationError(
-                f"exceeded max_events={self.max_events}; likely a livelock"
-            )
+        if self._executed_since_start() >= MAX_EVENTS:
+            raise SimulationError(f"exceeded max_events={MAX_EVENTS}; likely a livelock")
 
     # ------------------------------------------------------------- inspection
     def inspect(self) -> dict:
@@ -344,5 +343,4 @@ class Session:
         )
         self.bus.session_end(self, result)
         self._result = result
-        self.finished = True
         return result

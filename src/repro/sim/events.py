@@ -9,10 +9,7 @@ interleavings and the experiments must be reproducible run-to-run.
 Hot-path design: the heap holds plain ``(time, seq, event)`` tuples, so
 every sift compares native tuples instead of invoking dataclass
 rich-comparison methods, and :class:`Event` is a ``__slots__`` handle that
-carries no per-instance ``__dict__``.  Labels may be either strings or
-zero-argument callables; callables are only invoked when a trace consumer
-actually needs the text, so unlabeled or untraced events never pay for
-string formatting.
+carries no per-instance ``__dict__``.
 
 A pending handle's key may change: :meth:`BucketedEventQueue.move` re-keys
 it to a later-or-equal time under a fresh ``seq`` and leaves its heap entry
@@ -33,14 +30,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 #: Exclusive upper bound of a schedulable time: ``0.0 <= t < INF`` is one
 #: chained test that also refuses NaN and both infinities.
 INF = float("inf")
-
-#: A trace label: either the string itself or a thunk producing it lazily.
-Label = Union[str, Callable[[], str]]
 
 
 class Event:
@@ -52,7 +46,7 @@ class Event:
         seq: Monotonically increasing tie-breaker assigned by the queue; a
             move draws a fresh one, exactly as the push it replaces would.
         callback: Callable invoked as ``callback(*args)`` when the event fires.
-        label: Optional label used in traces (string or lazy thunk).
+        label: The label a traced run records for the event.
         args: Positional arguments for ``callback``.  The event carries
             them so per-event callbacks can be plain bound methods instead
             of closures allocated per schedule.
@@ -68,9 +62,9 @@ class Event:
         time: float,
         seq: int,
         callback: Callable[..., None],
-        label: Label = "",
-        args: tuple = (),
-        queue: Optional["BucketedEventQueue"] = None,
+        label: str,
+        args: tuple,
+        queue: "BucketedEventQueue",
     ) -> None:
         self.time = time
         self.seq = seq
@@ -78,10 +72,10 @@ class Event:
         self.label = label
         self.args = args
         self.cancelled = False
-        #: The queue holding this event (``None`` for a free-standing one);
-        #: ``_in_heap`` is true from the push until the pop, across moves.
+        #: The queue holding this event; ``_in_heap`` is true from the push
+        #: until the pop, across moves.
         self._queue = queue
-        self._in_heap = queue is not None
+        self._in_heap = True
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when popped.
@@ -92,7 +86,7 @@ class Event:
         """
         if not self.cancelled:
             self.cancelled = True
-            if self._in_heap and self._queue is not None:
+            if self._in_heap:
                 self._queue._live -= 1
 
     @property
@@ -136,15 +130,14 @@ class BucketedEventQueue:
     #: Bucket width in virtual-time units.  Hop delays and protocol Δs in
     #: the reproduction are O(1), so width 1.0 keeps bucket populations at
     #: "events per hop window" rather than "events per run".
-    default_width = 1.0
+    width = 1.0
     #: How many buckets ahead of the overflow bound are materialised per
     #: migration; beyond that, entries wait in the overflow heap.
     horizon = 512
 
-    def __init__(self, width: Optional[float] = None) -> None:
-        self._width = float(width if width is not None else self.default_width)
-        if self._width <= 0:
-            raise ValueError(f"bucket width must be positive, got {self._width}")
+    def __init__(self) -> None:
+        # Bound per queue: an instance attribute is the cheaper load in _place.
+        self._width = self.width
         self._near: List[HeapEntry] = []
         self._cur = 0
         #: bucket id -> unsorted entry list, for ids in (cur, far_bound).
@@ -164,7 +157,7 @@ class BucketedEventQueue:
         self,
         time: float,
         callback: Callable[..., None],
-        label: Label = "",
+        label: str,
         args: tuple = (),
     ) -> Event:
         """Schedule ``callback(*args)`` at virtual ``time``; returns its handle."""

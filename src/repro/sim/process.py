@@ -23,7 +23,6 @@ class Process:
         self.pid = pid
         self.name = name if name is not None else f"p{pid}"
         self.crashed = False
-        self._after_label = f"{self.name}:after"
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -57,11 +56,9 @@ class Process:
         """Create a keyed timer registry owned by this process."""
         return TimerRegistry(self.sim, prefix=f"{self.name}:{prefix}")
 
-    def after(self, delay: float, callback, label: str = "", args: tuple = ()) -> None:
+    def after(self, delay: float, callback, label: str, args: tuple = ()) -> None:
         """Schedule ``callback(*args)`` guarded by the crash flag."""
-        self.sim.schedule(
-            delay, self._run_unless_crashed, label=label or self._after_label, args=(callback, args)
-        )
+        self.sim.schedule(delay, self._run_unless_crashed, label, (callback, args))
 
     def _run_unless_crashed(self, callback, args: tuple) -> None:
         if not self.crashed:

@@ -22,18 +22,17 @@ class SimulationError(RuntimeError):
 class Simulator:
     """Deterministic discrete-event scheduler with a virtual clock.
 
-    Args:
-        trace: When true, every executed event is appended to
-            :attr:`trace_log` as ``(time, label)`` tuples.  Traces are used
-            by the integration tests to assert protocol phase ordering.
+    Setting :attr:`trace_enabled` appends every executed event to
+    :attr:`trace_log` as a ``(time, label)`` tuple (``TraceRecorder``
+    does, for the golden fingerprints).
     """
 
-    def __init__(self, trace: bool = False) -> None:
+    def __init__(self) -> None:
         self._queue = BucketedEventQueue()
         self._now = 0.0
         self._running = False
         self._executed = 0
-        self.trace_enabled = trace
+        self.trace_enabled = False
         self.trace_log: list[tuple[float, str]] = []
 
     # ------------------------------------------------------------------ time
@@ -58,11 +57,7 @@ class Simulator:
 
     # ------------------------------------------------------------ scheduling
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        label: str = "",
-        args: tuple = (),
+        self, time: float, callback: Callable[..., None], label: str, args: tuple
     ) -> Event:
         """Schedule ``callback(*args)`` at an absolute virtual time."""
         if not self._now <= time < INF:
@@ -75,7 +70,7 @@ class Simulator:
         self,
         delay: float,
         callback: Callable[..., None],
-        label: str = "",
+        label: str,
         args: tuple = (),
     ) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` units of virtual time.
@@ -114,37 +109,20 @@ class Simulator:
         self._now = event.time
         self._executed += 1
         if self.trace_enabled:
-            label = event.label
-            if callable(label):
-                label = label()
-            self.trace_log.append((self._now, label))
+            self.trace_log.append((self._now, event.label))
         event.callback(*event.args)
         return True
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Run the event loop.
-
-        Args:
-            until: Stop once virtual time would exceed this bound.  The clock
-                is advanced to ``until`` when the queue drains earlier.
-            max_events: Safety valve for runaway protocols; raises
-                :class:`SimulationError` when exceeded.
-        """
-        if until is not None:
-            self.run_until(until, max_events=max_events)
-            return
+    def run_until_idle(self, max_events: int) -> None:
+        """Run until no events remain; more than ``max_events`` of them
+        raises :class:`SimulationError` (a runaway protocol)."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         executed_here = 0
         pop = self._queue.pop
         try:
-            # The unbounded loop (run_until_idle, the hot case): one pop
-            # per event — no peek, no ``step()`` frame.
+            # The hot loop: one pop per event — no peek, no ``step()`` frame.
             while True:
                 event = pop()
                 if event is None:
@@ -154,26 +132,23 @@ class Simulator:
                 self._now = event.time
                 self._executed += 1
                 if self.trace_enabled:
-                    label = event.label
-                    if callable(label):
-                        label = label()
-                    self.trace_log.append((self._now, label))
+                    self.trace_log.append((self._now, event.label))
                 event.callback(*event.args)
                 executed_here += 1
-                if max_events is not None and executed_here > max_events:
+                if executed_here > max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; likely a livelock"
                     )
         finally:
             self._running = False
 
-    def run_until(self, deadline: float, max_events: Optional[int] = None) -> int:
+    def run_until(self, deadline: float, max_events: int) -> int:
         """Run every event scheduled at or before ``deadline``; returns the count.
 
-        The time-bounded twin of :meth:`run`'s loop: one peek/pop pair per
-        event on locally bound queue methods.  The clock is advanced to
-        ``deadline`` when the queue drains (or holds only later events), exactly like
-        ``run(until=deadline)`` — which delegates here.
+        The time-bounded twin of :meth:`run_until_idle`'s loop: one
+        peek/pop pair per event on locally bound queue methods.  The clock
+        is advanced to ``deadline`` when the queue drains (or holds only
+        later events).
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -193,13 +168,10 @@ class Simulator:
                 self._now = event.time
                 self._executed += 1
                 if self.trace_enabled:
-                    label = event.label
-                    if callable(label):
-                        label = label()
-                    self.trace_log.append((self._now, label))
+                    self.trace_log.append((self._now, event.label))
                 event.callback(*event.args)
                 executed_here += 1
-                if max_events is not None and executed_here > max_events:
+                if executed_here > max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; likely a livelock"
                     )
@@ -208,7 +180,3 @@ class Simulator:
         finally:
             self._running = False
         return executed_here
-
-    def run_until_idle(self, max_events: int = 1_000_000) -> None:
-        """Run until no events remain (bounded by ``max_events``)."""
-        self.run(until=None, max_events=max_events)

@@ -37,7 +37,6 @@ class Timer:
         self._callback = callback
         self._label = f"timer:{name}"
         self._event: Optional[Event] = None
-        self.fired = False
 
     @property
     def running(self) -> bool:
@@ -53,7 +52,6 @@ class Timer:
         """
         if not 0.0 <= duration < INF:
             raise ValueError(f"timer {self.name}: duration {duration} is negative or not finite")
-        self.fired = False
         sim = self._sim
         event = self._event
         if event is not None and not event.cancelled:
@@ -70,7 +68,6 @@ class Timer:
 
     def _fire(self) -> None:
         self._event = None
-        self.fired = True
         self._callback()
 
 
@@ -87,7 +84,7 @@ class TimerRegistry:
     per block.
     """
 
-    def __init__(self, sim: Simulator, prefix: str = "timer") -> None:
+    def __init__(self, sim: Simulator, prefix: str) -> None:
         self._sim = sim
         self._prefix = prefix
         #: The label of an untraced timer event; a traced one names its key.

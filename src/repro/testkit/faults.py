@@ -675,30 +675,25 @@ class FaultSchedule:
         """
         return tuple(sorted({p for f in self.faults if f.byzantine for p in f.nodes()}))
 
-    def liveness_exempt_nodes(self, end_time: Optional[float] = None) -> Tuple[int, ...]:
-        """Nodes excused from liveness expectations (sorted, unique).
+    def liveness_exempt_nodes(self, end_time: float) -> Tuple[int, ...]:
+        """Nodes excused from liveness expectations at ``end_time``, the
+        run's final virtual time (sorted, unique).
 
         A node is exempt if *any* of its faults exempts it: Byzantine
         behaviours do permanently, relay-drop windows never do — a
         dropping relay still receives every flood and keeps committing.
 
-        Exemptions are *window-scoped*: with ``end_time`` (the run's
-        final virtual time) given, a recovering atom (partition or
+        Exemptions are *window-scoped*: a recovering atom (partition or
         crash-recover window) only exempts its node while
         ``fault.exemption_end() > end_time`` — i.e. until
         ``heal + CATCH_UP_GRACE``.  A run that outlives the grace period
         holds the healed node to the full liveness target again, which is
         what makes catch-up a *checked* invariant rather than a pardon.
-        Without ``end_time`` the pre-run view is returned (every exempting
-        atom counts), which is what feasibility checks want.
         """
         exempt = set()
         for fault in self.faults:
-            if not fault.liveness_exempt:
-                continue
-            if end_time is not None and fault.exemption_end() <= end_time:
-                continue
-            exempt.update(fault.nodes())
+            if fault.liveness_exempt and fault.exemption_end() > end_time:
+                exempt.update(fault.nodes())
         return tuple(sorted(exempt))
 
     def dynamic_budget(self) -> int:
@@ -777,17 +772,17 @@ class FaultSchedule:
 
 
 # --------------------------------------------------------------- constructors
-def crash_at(node: int, time: float = 0.0) -> FaultSchedule:
+def crash_at(node: int, time: float) -> FaultSchedule:
     """Fail-stop one node at a virtual time."""
     return FaultSchedule((CrashAt(node, time),))
 
 
-def stall_at(node: int, round_number: Round = 3) -> FaultSchedule:
+def stall_at(node: int, round_number: Round) -> FaultSchedule:
     """A stalling (no-progress) leader from a steady-state round on."""
     return FaultSchedule((StallAt(node, round_number),))
 
 
-def equivocate_at(node: int, round_number: Round = 3) -> FaultSchedule:
+def equivocate_at(node: int, round_number: Round) -> FaultSchedule:
     """An equivocating leader at a steady-state round."""
     return FaultSchedule((EquivocateAt(node, round_number),))
 
@@ -812,26 +807,22 @@ def crash_recover(node: int, start: float, heal: float) -> FaultSchedule:
     return FaultSchedule((CrashRecoverWindow(node, start, heal),))
 
 
-def leader_following_crash(
-    budget: int = 1, start: float = 0.0, interval: float = 1.0
-) -> FaultSchedule:
+def leader_following_crash(budget: int, start: float, interval: float) -> FaultSchedule:
     """An adaptive adversary crashing whichever node the rotation elects."""
     return FaultSchedule((LeaderFollowingCrash(budget=budget, start=start, interval=interval),))
 
 
-def loss_window(node: int, start: float, end: float, loss: float = 0.5) -> FaultSchedule:
+def loss_window(node: int, start: float, end: float, loss: float) -> FaultSchedule:
     """A correct node whose incoming deliveries drop with probability ``loss``."""
     return FaultSchedule((LossWindow(node, start, end, loss),))
 
 
-def duplicate_window(
-    node: int, start: float, end: float, probability: float = 0.5
-) -> FaultSchedule:
+def duplicate_window(node: int, start: float, end: float, probability: float) -> FaultSchedule:
     """A correct node receiving duplicated deliveries for a window."""
     return FaultSchedule((DuplicateWindow(node, start, end, probability),))
 
 
-def jitter_window(node: int, start: float, end: float, jitter: float = 0.5) -> FaultSchedule:
+def jitter_window(node: int, start: float, end: float, jitter: float) -> FaultSchedule:
     """A correct node whose deliveries are jitter-delayed for a window."""
     return FaultSchedule((JitterWindow(node, start, end, jitter),))
 

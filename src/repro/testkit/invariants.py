@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.core.ledger import SafetyViolation
 from repro.session.builder import SessionBuilder
@@ -178,13 +178,8 @@ class LivenessInvariant(Invariant):
 
     name = "liveness"
 
-    def __init__(self, min_height: Optional[int] = None) -> None:
-        self.min_height = min_height
-
     def check(self, evidence: Evidence) -> None:
-        expected = (
-            self.min_height if self.min_height is not None else evidence.spec.target_height
-        )
+        expected = evidence.spec.target_height
         for pid in evidence.live_nodes:
             height = evidence.trace.committed_heights[pid]
             if height < expected:
@@ -437,7 +432,6 @@ def judge(
     *,
     label: str,
     builder: Callable[..., SessionBuilder] = SessionBuilder,
-    max_events: int = 2_000_000,
     observers: Sequence = (),
 ) -> Tuple[Any, Evidence, List[InvariantReport]]:
     """Run ``spec`` to quiescence under a :class:`TraceRecorder` and check
@@ -447,9 +441,7 @@ def judge(
     the seam the fuzzer's planted mutants substitute.  An exception raised
     by the run itself propagates; see :func:`judge_reports`.
     """
-    session = builder(
-        spec, max_events=max_events, observers=observers, recorder=TraceRecorder()
-    ).build()
+    session = builder(spec, observers=observers, recorder=TraceRecorder()).build()
     result = session.run_to_quiescence().finish()
     evidence = Evidence(spec=spec, result=result, trace=result.trace, label=label)
     return result, evidence, check_all(evidence)

@@ -122,7 +122,9 @@ FAULT_LIBRARY: Dict[str, Callable[[int], Optional[faults.FaultSchedule]]] = {
     # retry chains (default budget 3) straddling the window comfortably;
     # duplicate/jitter windows never excuse liveness at all.
     "loss-window": lambda n: faults.loss_window(n - 1, start=1.0, end=6.0, loss=0.5),
-    "duplicate-window": lambda n: faults.duplicate_window(n - 1, start=1.0, end=6.0),
+    "duplicate-window": lambda n: faults.duplicate_window(
+        n - 1, start=1.0, end=6.0, probability=0.5
+    ),
     "jitter-window": lambda n: faults.jitter_window(n - 1, start=1.0, end=6.0, jitter=0.5),
     # ---- adaptive (mobile) adversaries ------------------------------------
     # A leader-following crash adversary: executed mid-run over the
@@ -448,12 +450,9 @@ class ScenarioMatrix:
         n: int = 5,
         f: int = 1,
         k: int = 2,
-        edges_per_node: int = 1,
-        topology_seed: Optional[int] = None,
         target_height: int = 3,
         block_interval: float = 0.0,
         seed: int = 29,
-        max_events: int = 2_000_000,
     ) -> None:
         unknown = [name for name in fault_names if name not in FAULT_LIBRARY]
         if unknown:
@@ -473,8 +472,6 @@ class ScenarioMatrix:
         self.n = n
         self.f = f
         self.k = k
-        self.edges_per_node = edges_per_node
-        self.topology_seed = topology_seed
         self.target_height = target_height
         #: Virtual time between successive proposals.  0 (the default)
         #: matches the paper's EESMR operating point; adaptive-adversary
@@ -482,7 +479,6 @@ class ScenarioMatrix:
         #: virtual time and a mid-run strike actually interrupts it.
         self.block_interval = block_interval
         self.seed = seed
-        self.max_events = max_events
 
     # ------------------------------------------------------------ enumeration
     def cells(self) -> List[ScenarioCell]:
@@ -516,8 +512,6 @@ class ScenarioMatrix:
             f=f_cell,
             k=self.k,
             topology=cell.topology,
-            edges_per_node=self.edges_per_node,
-            topology_seed=self.topology_seed,
             medium=cell.medium,
             target_height=self.target_height,
             block_interval=self.block_interval,
@@ -528,12 +522,9 @@ class ScenarioMatrix:
         )
 
     # ---------------------------------------------------------------- running
-    def run_cell(
-        self, cell: ScenarioCell, spec: Optional[DeploymentSpec] = None
-    ) -> CellOutcome:
-        """Run one cell and check every invariant against its evidence."""
-        if spec is None:
-            spec = self.build_spec(cell)
+    def run_cell(self, cell: ScenarioCell, spec: DeploymentSpec) -> CellOutcome:
+        """Run one cell's spec (:meth:`build_spec`) and check every
+        invariant against its evidence."""
         # Non-preload cells carry SLO metrics; preload cells stay exactly
         # the seed pipeline (no extra observer, no perturbed traces).
         metrics = MetricsObserver() if cell.workload != "preload" else None
@@ -541,7 +532,6 @@ class ScenarioMatrix:
             result, evidence, reports = judge(
                 spec,
                 label=cell.label(),
-                max_events=self.max_events,
                 observers=(metrics,) if metrics is not None else (),
             )
         except RUN_FAILURES as error:
@@ -572,7 +562,8 @@ class ScenarioMatrix:
             parallel: Number of worker processes.  ``None`` reads the
                 ``REPRO_MATRIX_PARALLEL`` environment variable (defaulting
                 to 1; CI's matrix job sets it to 2, ``bench/`` passes
-                ``parallel=1``); values <= 1 run serially in-process.  Cells are
+                ``parallel=1``; a value that is not an integer is a
+                :class:`SpecError`); values <= 1 run serially in-process.  Cells are
                 independent seeded runs, so sharding them over a
                 ``ProcessPoolExecutor`` cannot change any cell's result:
                 every worker rebuilds its cell's spec deterministically,
@@ -583,7 +574,13 @@ class ScenarioMatrix:
                 the merged outcomes, unchanged.
         """
         if parallel is None:
-            parallel = int(os.environ.get("REPRO_MATRIX_PARALLEL", "1") or "1")
+            knob = os.environ.get("REPRO_MATRIX_PARALLEL", "1") or "1"
+            try:
+                parallel = int(knob)
+            except ValueError:
+                raise SpecError(
+                    f"expected a worker count, got {knob!r}", "REPRO_MATRIX_PARALLEL"
+                ) from None
         report = MatrixReport()
         runnable: List[Tuple[ScenarioCell, DeploymentSpec]] = []
         for cell in self.cells():
@@ -595,7 +592,7 @@ class ScenarioMatrix:
             runnable.append((cell, spec))
         if parallel <= 1 or len(runnable) <= 1:
             for cell, spec in runnable:
-                report.outcomes.append(self.run_cell(cell, spec=spec))
+                report.outcomes.append(self.run_cell(cell, spec))
         else:
             # Only a sharded sweep pays for multiprocessing's import.
             from concurrent.futures import ProcessPoolExecutor

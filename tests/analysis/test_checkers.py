@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.checkers import RULES
 from repro.analysis.engine import Analyzer
-from repro.analysis.registry import default_registry
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -28,38 +28,44 @@ CASES = [
 
 
 def _run(path: Path, rule: str):
-    return Analyzer(root=FIXTURES).run([path], select=[rule])
+    """The findings of ``rule`` on one fixture file."""
+    report = Analyzer(root=FIXTURES).run([path])
+    return [finding for finding in report.findings if finding.rule == rule]
 
 
 @pytest.mark.parametrize("slug,rule,expected", CASES, ids=[c[1] for c in CASES])
 def test_planted_fixture_fires(slug: str, rule: str, expected: int) -> None:
-    report = _run(FIXTURES / f"planted_{slug}.py", rule)
-    assert len(report.findings) == expected, report.render_human()
-    assert {f.rule for f in report.findings} == {rule}
+    findings = _run(FIXTURES / f"planted_{slug}.py", rule)
+    assert len(findings) == expected, "\n".join(f.render() for f in findings)
     # Findings are anchored: real line numbers, 1-based columns.
-    assert all(f.line >= 1 and f.column >= 1 for f in report.findings)
+    assert all(f.line >= 1 and f.column >= 1 for f in findings)
 
 
 @pytest.mark.parametrize("slug,rule,expected", CASES, ids=[c[1] for c in CASES])
 def test_clean_fixture_is_silent(slug: str, rule: str, expected: int) -> None:
-    report = _run(FIXTURES / f"clean_{slug}.py", rule)
+    assert _run(FIXTURES / f"clean_{slug}.py", rule) == []
+
+
+def test_suppressed_fixture_is_clean_and_counted() -> None:
+    report = Analyzer(root=FIXTURES).run([FIXTURES / "suppressed_rng_discipline.py"])
     assert report.ok, report.render_human()
-    assert report.findings == []
+    assert report.suppressed == 1
 
 
 def test_every_shipped_rule_has_a_fixture_pair() -> None:
     """Adding a checker without a planted/clean pair fails here."""
     covered = {rule for _, rule, _ in CASES}
-    assert set(default_registry().names()) == covered
+    assert {rule.name for rule in RULES} == covered
+    assert len(RULES) == len(covered), "two rules share a name"
     for slug, _, _ in CASES:
         assert (FIXTURES / f"planted_{slug}.py").is_file()
         assert (FIXTURES / f"clean_{slug}.py").is_file()
 
 
 def test_findings_sort_and_render() -> None:
-    report = _run(FIXTURES / "planted_ordering.py", "ordered-iteration")
-    lines = [f.line for f in report.findings]
+    findings = _run(FIXTURES / "planted_ordering.py", "ordered-iteration")
+    lines = [f.line for f in findings]
     assert lines == sorted(lines)
-    rendered = report.findings[0].render()
+    rendered = findings[0].render()
     assert rendered.startswith("planted_ordering.py:")
     assert "[ordered-iteration]" in rendered

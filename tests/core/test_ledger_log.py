@@ -22,7 +22,7 @@ def test_commit_appends_ancestors_in_order():
     store = BlockStore()
     blocks = build_chain(store, 3)
     log = CommittedLog(0, store)
-    newly = log.commit(blocks[2], now=10.0, view=1)
+    newly = log.commit(blocks[2])
     assert [b.height for b in newly] == [1, 2, 3]
     assert log.highest_height == 3
     assert len(log) == 3
@@ -32,8 +32,8 @@ def test_commit_is_idempotent():
     store = BlockStore()
     blocks = build_chain(store, 2)
     log = CommittedLog(0, store)
-    log.commit(blocks[1], now=1.0, view=1)
-    assert log.commit(blocks[1], now=2.0, view=1) == []
+    log.commit(blocks[1])
+    assert log.commit(blocks[1]) == []
 
 
 def test_commit_conflicting_block_raises():
@@ -42,16 +42,16 @@ def test_commit_conflicting_block_raises():
     fork = make_block(blocks[0], 9, 2, 4, [Command("fork")])
     store.add_if_absent(fork)
     log = CommittedLog(0, store)
-    log.commit(blocks[1], now=1.0, view=1)
+    log.commit(blocks[1])
     with pytest.raises(SafetyViolation):
-        log.commit(fork, now=2.0, view=2)
+        log.commit(fork)
 
 
 def test_committed_command_ids_linearized():
     store = BlockStore()
     blocks = build_chain(store, 3)
     log = CommittedLog(0, store)
-    log.commit(blocks[2], now=1.0, view=1)
+    log.commit(blocks[2])
     assert log.committed_command_ids() == ["c0", "c1", "c2"]
 
 
@@ -61,9 +61,9 @@ def test_safety_checker_consistent_logs():
     logs = {}
     for pid in range(3):
         log = CommittedLog(pid, store)
-        log.commit(blocks[2], now=1.0, view=1)
+        log.commit(blocks[2])
         logs[pid] = log
-    report = SafetyChecker(logs).check()
+    report = SafetyChecker(logs, ()).check()
     assert report.consistent
     assert report.common_prefix_height == 3
 
@@ -74,10 +74,10 @@ def test_safety_checker_detects_conflict():
     fork_store = BlockStore()
     fork_blocks = build_chain(fork_store, 2, proposer=9, tag="f")
     log_a = CommittedLog(0, store)
-    log_a.commit(blocks[1], now=1.0, view=1)
+    log_a.commit(blocks[1])
     log_b = CommittedLog(1, fork_store)
-    log_b.commit(fork_blocks[1], now=1.0, view=1)
-    checker = SafetyChecker({0: log_a, 1: log_b})
+    log_b.commit(fork_blocks[1])
+    checker = SafetyChecker({0: log_a, 1: log_b}, ())
     report = checker.check()
     assert not report.consistent
     assert report.details
@@ -89,9 +89,9 @@ def test_safety_checker_ignores_faulty_nodes():
     fork_store = BlockStore()
     fork_blocks = build_chain(fork_store, 2, proposer=9, tag="f")
     log_a = CommittedLog(0, store)
-    log_a.commit(blocks[1], now=1.0, view=1)
+    log_a.commit(blocks[1])
     log_bad = CommittedLog(1, fork_store)
-    log_bad.commit(fork_blocks[1], now=1.0, view=1)
+    log_bad.commit(fork_blocks[1])
     report = SafetyChecker({0: log_a, 1: log_bad}, faulty=[1]).check()
     assert report.consistent
 
@@ -100,10 +100,10 @@ def test_safety_checker_prefix_with_lagging_node():
     store = BlockStore()
     blocks = build_chain(store, 3)
     fast = CommittedLog(0, store)
-    fast.commit(blocks[2], now=1.0, view=1)
+    fast.commit(blocks[2])
     slow = CommittedLog(1, store)
-    slow.commit(blocks[0], now=1.0, view=1)
-    checker = SafetyChecker({0: fast, 1: slow})
+    slow.commit(blocks[0])
+    checker = SafetyChecker({0: fast, 1: slow}, ())
     report = checker.check()
     assert report.consistent
     assert report.common_prefix_height == 1
@@ -118,12 +118,11 @@ def test_block_at_returns_none_when_missing():
 def assert_indexes_match_a_scan(log):
     """``highest_height`` and ``in`` read indexes that ``commit()``
     maintains; each must equal what scanning the log gives."""
-    records = list(log._by_height.values())
+    blocks = list(log._by_height.values())
     assert log.highest_height == max(log._by_height, default=0)
-    assert sorted(log._by_hash) == sorted(r.block.block_hash for r in records)
-    for record in records:
-        assert record.block.block_hash in log
-        assert log._by_hash[record.block.block_hash] is record
+    assert sorted(log._by_hash) == sorted(b.block_hash for b in blocks)
+    for height, block in log._by_height.items():
+        assert block.height == height and block.block_hash in log
     assert "missing" not in log
 
 
@@ -132,8 +131,8 @@ def test_indexes_follow_in_order_commits():
     blocks = build_chain(store, 4)
     log = CommittedLog(0, store)
     assert_indexes_match_a_scan(log)  # empty: height 0, nothing contained
-    for now, block in enumerate(blocks, start=1):
-        log.commit(block, now=float(now), view=1)
+    for block in blocks:
+        log.commit(block)
         assert log.highest_height == block.height
         assert_indexes_match_a_scan(log)
 
@@ -142,13 +141,12 @@ def test_indexes_follow_an_ancestor_batch_commit():
     store = BlockStore()
     blocks = build_chain(store, 6)
     log = CommittedLog(0, store)
-    log.commit(blocks[1], now=2.0, view=1)
-    log.commit(blocks[5], now=9.0, view=2)  # commits heights 3..6 in one call
+    log.commit(blocks[1])
+    log.commit(blocks[5])  # commits heights 3..6 in one call
     assert log.highest_height == 6
     assert blocks[3].block_hash in log
-    assert log._by_hash[blocks[3].block_hash].committed_at == 9.0
     assert_indexes_match_a_scan(log)
-    log.commit(blocks[2], now=11.0, view=2)  # already committed: nothing moves
+    log.commit(blocks[2])  # already committed: nothing moves
     assert log.highest_height == 6
     assert_indexes_match_a_scan(log)
 

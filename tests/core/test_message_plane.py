@@ -296,7 +296,7 @@ def run_counting(spec):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Process, "deliver", deliver)
-        result = run_protocol(spec, max_events=2_000_000)
+        result = run_protocol(spec)
     assert result.safety.consistent
     return delivered
 

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 import pytest
 
 from repro.crypto.hashing import canonical_bytes, sha256_hex
+from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import make_scheme
 
 
 # ----------------------------------------------------------- mutation safety
 def test_mutated_after_sign_payload_fails_verification():
-    scheme = make_scheme("hmac-sha256")
+    scheme = make_scheme("hmac-sha256", KeyStore())
     scheme.keystore.generate([0, 1])
     payload = {"cmd": "transfer", "amount": 10}
     signature = scheme.sign(0, payload)
@@ -38,7 +39,7 @@ def test_frozen_wrapper_around_mutable_field_is_never_cached():
     class FrozenWithList:
         items: list
 
-    scheme = make_scheme("hmac-sha256")
+    scheme = make_scheme("hmac-sha256", KeyStore())
     scheme.keystore.generate([0, 1])
     payload = FrozenWithList(items=[1, 2, 3])
     signature = scheme.sign(0, payload)
@@ -50,7 +51,7 @@ def test_frozen_wrapper_around_mutable_field_is_never_cached():
 def test_message_with_mutable_data_recomputes_digest_after_mutation():
     from repro.core.messages import MessageType, make_message
 
-    scheme = make_scheme("hmac-sha256")
+    scheme = make_scheme("hmac-sha256", KeyStore())
     scheme.keystore.generate([0])
     # A message can no longer hold a mutable payload at all.
     with pytest.raises(TypeError):
@@ -97,7 +98,7 @@ def test_tuples_with_mutable_members_are_not_cached():
 
 # ----------------------------------------------------- scheme-level memoing
 def test_verify_memo_still_counts_every_operation():
-    scheme = make_scheme("rsa-1024")
+    scheme = make_scheme("rsa-1024", KeyStore())
     scheme.keystore.generate([0, 1, 2, 3])
     payload = ("data", "digest", 1)
     signature = scheme.sign(0, payload)
@@ -110,7 +111,7 @@ def test_verify_memo_still_counts_every_operation():
 
 
 def test_sign_memo_returns_identical_tags_and_counts():
-    scheme = make_scheme("rsa-1024")
+    scheme = make_scheme("rsa-1024", KeyStore())
     scheme.keystore.generate([0])
     first = scheme.sign(0, ("view", "propose", 5))
     second = scheme.sign(0, ("view", "propose", 5))
@@ -119,7 +120,7 @@ def test_sign_memo_returns_identical_tags_and_counts():
 
 
 def test_forged_tag_rejected_even_after_genuine_verification():
-    scheme = make_scheme("hmac-sha256")
+    scheme = make_scheme("hmac-sha256", KeyStore())
     scheme.keystore.generate([0, 1])
     payload = ("data", "real", 1)
     genuine = scheme.sign(0, payload)
@@ -133,7 +134,7 @@ def test_forged_tag_rejected_even_after_genuine_verification():
 def test_message_level_memo_keys_on_frozen_message_identity():
     from repro.core.messages import MessageType, make_message, verify_message
 
-    scheme = make_scheme("rsa-1024")
+    scheme = make_scheme("rsa-1024", KeyStore())
     scheme.keystore.generate([0, 1, 2])
     message = make_message(scheme, 0, MessageType.PROPOSE, 1, "ab" * 32)
     assert verify_message(scheme, 1, message)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.crypto.hashing import HashFunction, canonical_bytes, sha256_hex
+from repro.crypto.hashing import (
+    HASH_PER_BYTE_ENERGY_J,
+    HashFunction,
+    canonical_bytes,
+    sha256_hex,
+)
 
 
 def test_sha256_hex_deterministic():
@@ -24,7 +29,7 @@ def test_hash_energy_grows_linearly_with_size():
     small = fn.energy_for_size(100)
     large = fn.energy_for_size(10_100)
     assert large > small
-    assert large - small == pytest.approx(10_000 * fn.per_byte_energy_j)
+    assert large - small == pytest.approx(10_000 * HASH_PER_BYTE_ENERGY_J)
 
 
 def test_hash_energy_rejects_negative_size():

@@ -30,13 +30,6 @@ def test_different_nodes_get_different_keys():
     assert store.key_pair(0).secret_key != store.key_pair(1).secret_key
 
 
-def test_public_key_differs_from_secret():
-    store = KeyStore(seed=1)
-    store.generate([0])
-    pair = store.key_pair(0)
-    assert pair.public_key != pair.secret_key
-
-
 def test_missing_key_raises():
     with pytest.raises(KeyError):
         KeyStore().key_pair(3)

@@ -19,7 +19,7 @@ def make_ledger():
 def test_total_and_exclusion():
     ledger = make_ledger()
     assert ledger.total_joules() == pytest.approx(1.05)
-    assert ledger.total_joules(exclude=[0]) == pytest.approx(0.55)
+    assert ledger.combined_breakdown(exclude=[0]).total == pytest.approx(0.55)
 
 
 def test_per_node_totals():

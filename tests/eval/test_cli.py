@@ -58,6 +58,26 @@ def test_feasibility_subcommand(capsys):
     assert "payload (B)" in out
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--max-nodes", "3"], "repro: max-nodes: the node axis starts at 4, got 3\n"),
+        (["--payloads", "256", "-5"], "repro: payloads: payload sizes cannot be negative, got [-5]\n"),
+    ],
+)
+def test_feasibility_refuses_an_empty_grid_in_one_line(argv, line, capsys):
+    assert main(["feasibility", *argv]) == 2
+    assert capsys.readouterr().err == line
+
+
+def test_matrix_refuses_a_malformed_parallel_knob_in_one_line(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_MATRIX_PARALLEL", "two")
+    assert main(["matrix", "--protocols", "eesmr", "--faults", "none", "--media", "ble"]) == 2
+    assert capsys.readouterr().err == (
+        "repro: REPRO_MATRIX_PARALLEL: expected a worker count, got 'two'\n"
+    )
+
+
 def test_run_protocol_choices_derive_from_runner_registry():
     run_parser = next(
         action

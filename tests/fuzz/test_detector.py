@@ -1,5 +1,6 @@
 """Detector tests: verdict shape, skip paths, and failure keys."""
 
+import repro.session.session as session_module
 from repro.fuzz import FuzzConfig
 from repro.fuzz.corpus import CorpusEntry, replay_entry
 from repro.fuzz.detect import Detection, Detector, ProtocolVerdict
@@ -101,7 +102,7 @@ def test_matrix_detector_and_replay_judge_a_clean_spec_alike():
     config = FuzzConfig(protocols=("eesmr",))
     spec = config.spec_for(None, "eesmr")
     cell = ScenarioCell("eesmr", "none", spec.medium)
-    matrix_reports = ScenarioMatrix().run_cell(cell, spec=spec).reports
+    matrix_reports = ScenarioMatrix().run_cell(cell, spec).reports
     replay_reports, replay_failing = replay_entry(entry_for(spec))
     assert matrix_reports == replay_reports
     assert [report.name for report in replay_reports] == [
@@ -112,14 +113,15 @@ def test_matrix_detector_and_replay_judge_a_clean_spec_alike():
     assert verdict.violations == replay_failing
 
 
-def test_livelock_is_a_no_livelock_report_for_detector_and_replay_alike():
+def test_livelock_is_a_no_livelock_report_for_detector_and_replay_alike(monkeypatch):
     """A run that trips the event budget is a finding, not a traceback —
     for the detector that records it *and* for the replay of what it
     recorded."""
     config = FuzzConfig(protocols=("eesmr",))
     # The unbudgeted run executes 33 events.
-    (verdict,) = Detector(config, max_events=20).detect(None).verdicts
-    reports, failing = replay_entry(entry_for(config.spec_for(None, "eesmr")), max_events=20)
+    monkeypatch.setattr(session_module, "MAX_EVENTS", 20)
+    (verdict,) = Detector(config).detect(None).verdicts
+    reports, failing = replay_entry(entry_for(config.spec_for(None, "eesmr")))
     assert reports == failing
     assert [report.name for report in failing] == ["no-livelock"]
     assert not failing[0].ok and "max_events=20" in failing[0].detail

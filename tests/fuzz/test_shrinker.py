@@ -42,21 +42,25 @@ class StubDetector:
         )
 
 
+def shrink(detector, schedule):
+    """Shrink ``schedule`` from ``detector``'s first detection of it."""
+    return Shrinker(detector).shrink(schedule, detector.detect(schedule))
+
+
 def has_kind(kind):
     return lambda schedule: any(type(a).__name__ == kind for a in schedule.faults)
 
 
 def test_refuses_to_shrink_a_passing_schedule():
-    shrinker = Shrinker(StubDetector(lambda s: False))
     with pytest.raises(ValueError, match="does not fail"):
-        shrinker.shrink(FaultSchedule((CrashAt(1, time=1.0),)))
+        shrink(StubDetector(lambda s: False), FaultSchedule((CrashAt(1, time=1.0),)))
 
 
 def test_drop_atom_pass_removes_everything_irrelevant():
     schedule = FaultSchedule(
         (CrashAt(1, time=1.0), EquivocateAt(0, round=2), CrashAt(3, time=4.0))
     )
-    result = Shrinker(StubDetector(has_kind("EquivocateAt"))).shrink(schedule)
+    result = shrink(StubDetector(has_kind("EquivocateAt")), schedule)
     assert [type(a).__name__ for a in result.schedule.faults] == ["EquivocateAt"]
     assert result.failure_key == frozenset({("eesmr", "agreement")})
 
@@ -65,7 +69,7 @@ def test_narrow_window_pass_halves_down_to_the_quantum():
     """A failure that only needs *a* window (any width) shrinks to the
     minimum window width, on the grid."""
     schedule = FaultSchedule((RelayDropWindow(2, 0.0, 8.0),))
-    result = Shrinker(StubDetector(has_kind("RelayDropWindow"))).shrink(schedule)
+    result = shrink(StubDetector(has_kind("RelayDropWindow")), schedule)
     (atom,) = result.schedule.faults
     start, end = atom.impairment()
     assert end - start == pytest.approx(TIME_QUANTUM)
@@ -84,7 +88,7 @@ def test_narrowing_respects_a_predicate_that_needs_the_late_half():
         return False
 
     schedule = FaultSchedule((PartitionWindow(0, 0.0, 8.0),))
-    result = Shrinker(StubDetector(needs_late)).shrink(schedule)
+    result = shrink(StubDetector(needs_late), schedule)
     (atom,) = result.schedule.faults
     assert atom.start <= 7.5 < atom.heal
     assert atom.heal - atom.start < 8.0  # it did narrow
@@ -92,7 +96,7 @@ def test_narrowing_respects_a_predicate_that_needs_the_late_half():
 
 def test_victim_pass_steps_adaptive_budgets_to_one():
     schedule = FaultSchedule((LeaderFollowingCrash(budget=2, start=1.0, interval=1.0),))
-    result = Shrinker(StubDetector(has_kind("LeaderFollowingCrash"))).shrink(schedule)
+    result = shrink(StubDetector(has_kind("LeaderFollowingCrash")), schedule)
     (atom,) = result.schedule.faults
     assert atom.budget == 1
 
@@ -102,17 +106,18 @@ def test_shrink_is_deterministic():
         (RelayDropWindow(1, 0.0, 8.0), CrashAt(3, time=2.0), PartitionWindow(4, 1.0, 6.0))
     )
     predicate = has_kind("RelayDropWindow")
-    first = Shrinker(StubDetector(predicate)).shrink(schedule)
-    second = Shrinker(StubDetector(predicate)).shrink(schedule)
+    first = shrink(StubDetector(predicate), schedule)
+    second = shrink(StubDetector(predicate), schedule)
     assert first.describe() == second.describe()
 
 
-def test_evaluation_budget_is_respected():
+def test_evaluation_budget_is_respected(monkeypatch):
     schedule = FaultSchedule(
         (RelayDropWindow(1, 0.0, 8.0), PartitionWindow(4, 0.0, 8.0), CrashAt(3, time=2.0))
     )
     detector = StubDetector(lambda s: True)
-    result = Shrinker(detector, max_evaluations=5).shrink(schedule)
+    monkeypatch.setattr(Shrinker, "max_evaluations", 5)
+    result = shrink(detector, schedule)
     assert result.evaluations <= 5
     # One detect() per evaluation plus the initial detection shrink() ran.
     assert detector.runs == result.evaluations + 1
@@ -139,7 +144,7 @@ def test_rejects_candidates_whose_failure_is_a_different_bug():
             return Detection(schedule=schedule, verdicts=verdicts)
 
     schedule = FaultSchedule((RelayDropWindow(1, 0.0, 4.0), CrashAt(3, time=2.0)))
-    result = Shrinker(TwoBugDetector()).shrink(schedule)
+    result = shrink(TwoBugDetector(), schedule)
     # The window (the original bug's trigger) survives; the crash is gone.
     assert [type(a).__name__ for a in result.schedule.faults] == ["RelayDropWindow"]
     assert result.failure_key == frozenset({("eesmr", "liveness")})
@@ -149,7 +154,7 @@ def test_narrow_pass_handles_crash_recover_windows():
     """The narrowing pass treats a crash-recover window like any other
     impairment window: halves it down to the quantum, on the grid."""
     schedule = FaultSchedule((CrashRecoverWindow(2, 0.0, 8.0),))
-    result = Shrinker(StubDetector(has_kind("CrashRecoverWindow"))).shrink(schedule)
+    result = shrink(StubDetector(has_kind("CrashRecoverWindow")), schedule)
     (atom,) = result.schedule.faults
     start, heal = atom.impairment()
     assert heal - start == pytest.approx(TIME_QUANTUM)

@@ -34,7 +34,7 @@ def test_pending_net_and_timer_events_are_closure_free(impairment, expected_kind
     session.run_until(2.2)  # mid-flood: receptions, chains and commit timers pending
     seen = set()
     for event in scheduled:
-        label = event.label() if callable(event.label) else event.label
+        label = event.label
         if not label.startswith(("net:", "timer:")):
             continue
         seen.update(kind for kind in expected_kinds if label.startswith(kind))

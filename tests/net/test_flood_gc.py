@@ -25,7 +25,7 @@ def test_dedup_state_empty_after_run_until_idle():
     sim, _, _, network, sinks = build()
     for i in range(10):
         network.broadcast(i % 7, f"msg-{i}")
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert network.live_floods == 0
     # GC never cost a delivery: every node saw every flood exactly once.
     for sink in sinks.values():
@@ -35,7 +35,7 @@ def test_dedup_state_empty_after_run_until_idle():
 def test_multicast_state_retired_after_quiescence():
     sim, _, _, network, _ = build()
     network.multicast_neighbors(0, "hi")
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert network.live_floods == 0
 
 
@@ -49,7 +49,7 @@ def test_gc_preserves_stats_and_deliveries():
     sim, _, ledger, network, sinks = build(seed=13)
     for i in range(6):
         network.broadcast(i % 7, "payload-" + "x" * 64)
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     stats = network.stats
     assert (
         stats.physical_transmissions,
@@ -70,7 +70,7 @@ def test_gc_with_isolated_receiver_still_retires():
     sim, _, _, network, sinks = build()
     network.isolate(3)
     network.broadcast(0, "m")
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert network.live_floods == 0
     assert sinks[3].messages == []
 
@@ -79,7 +79,7 @@ def test_gc_with_non_relaying_byzantine_node_still_retires():
     sim, _, _, network, sinks = build()
     network.deny_relay(1)
     network.broadcast(0, "m")
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert network.live_floods == 0
     delivered = [pid for pid, sink in sinks.items() if sink.messages]
     assert sorted(delivered) == list(range(7))
@@ -89,7 +89,7 @@ def test_interleaved_floods_retire_independently():
     sim, _, _, network, _ = build()
     network.broadcast(0, "a")
     # Run only the first hop, then start a second flood mid-propagation.
-    sim.run(until=0.5)
+    sim.run_until(0.5, max_events=1_000_000)
     network.broadcast(1, "b")
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert network.live_floods == 0

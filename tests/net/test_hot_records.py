@@ -11,10 +11,10 @@ which no behaviour test notices.
 import pytest
 
 from repro.net.network import DisseminationPlan, Flood
-from repro.sim.events import Event
+from repro.sim.events import BucketedEventQueue, Event
 
 INSTANCES = {
-    Event: lambda: Event(0.0, 0, print),
+    Event: lambda: BucketedEventQueue().push(0.0, print, ""),
     DisseminationPlan: lambda: DisseminationPlan(0, 0, {}),
     Flood: lambda: Flood(0, 0, None),
 }

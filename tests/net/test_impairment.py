@@ -129,11 +129,11 @@ def test_disabled_model_leaves_delivery_identical():
     draws at all."""
     sim_a, _, _, network_a, sinks_a = build()
     network_a.broadcast(0, "m")
-    sim_a.run_until_idle()
+    sim_a.run_until_idle(max_events=1_000_000)
 
     sim_b, _, _, network_b, sinks_b = impaired_build(ImpairmentSpec())
     network_b.broadcast(0, "m")
-    sim_b.run_until_idle()
+    sim_b.run_until_idle(max_events=1_000_000)
 
     assert delivery_times(sinks_a) == delivery_times(sinks_b)
     assert network_b.impairment.attempts == 0
@@ -144,7 +144,7 @@ def test_loss_drops_are_recovered_by_retransmission():
     sim, _, _, network, sinks = impaired_build(spec, seed=3)
     for i in range(4):
         network.broadcast(0, f"m{i}")
-        sim.run_until_idle()
+        sim.run_until_idle(max_events=1_000_000)
     imp = network.impairment
     assert imp.dropped > 0, "seed 3 at loss=0.4 must drop at least one hop"
     assert imp.retransmits > 0
@@ -160,7 +160,7 @@ def test_zero_retry_budget_gives_up_and_loses_deliveries():
     spec = ImpairmentSpec(loss=1.0, max_retries=0)
     sim, _, _, network, sinks = impaired_build(spec)
     network.broadcast(0, "m")
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     imp = network.impairment
     assert imp.giveups > 0
     assert imp.retransmits == 0
@@ -175,7 +175,7 @@ def test_retry_budget_exhaustion_gives_up():
     spec = ImpairmentSpec(loss=1.0, max_retries=2)
     sim, _, _, network, _ = impaired_build(spec)
     network.broadcast(0, "m")
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     imp = network.impairment
     assert imp.giveups > 0
     assert imp.recovered == 0
@@ -186,7 +186,7 @@ def test_duplicate_delivers_twice_on_the_wire_once_to_the_app():
     spec = ImpairmentSpec(duplicate=1.0)
     sim, _, _, network, sinks = impaired_build(spec)
     network.broadcast(0, "m")
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     imp = network.impairment
     assert imp.duplicated > 0
     # The flood dedup set absorbs the duplicates: apps see one copy.
@@ -197,11 +197,11 @@ def test_duplicate_delivers_twice_on_the_wire_once_to_the_app():
 def test_jitter_delays_deliveries():
     sim_a, _, _, network_a, sinks_a = build()
     network_a.broadcast(0, "m")
-    sim_a.run_until_idle()
+    sim_a.run_until_idle(max_events=1_000_000)
 
     sim_b, _, _, network_b, sinks_b = impaired_build(ImpairmentSpec(jitter=2.0))
     network_b.broadcast(0, "m")
-    sim_b.run_until_idle()
+    sim_b.run_until_idle(max_events=1_000_000)
 
     imp = network_b.impairment
     assert imp.delayed > 0
@@ -215,7 +215,7 @@ def test_retransmission_and_ack_energy_are_charged():
     sim, _, ledger, network, _ = impaired_build(spec, seed=5)
     for i in range(4):
         network.broadcast(0, f"m{i}")
-        sim.run_until_idle()
+        sim.run_until_idle(max_events=1_000_000)
     imp = network.impairment
     assert imp.recovered > 0, "seed 5 at loss=0.6 must recover at least one drop"
     # Retransmissions charge the sender; the ACK charges the receiver's
@@ -230,7 +230,7 @@ def test_retransmission_and_ack_energy_are_charged():
     sim_c, _, ledger_c, network_c, _ = build(seed=5)
     for i in range(4):
         network_c.broadcast(0, f"m{i}")
-        sim_c.run_until_idle()
+        sim_c.run_until_idle(max_events=1_000_000)
     clean_tx = sum(
         ledger_c.meter(pid).breakdown.get(EnergyCategory.TRANSMIT) for pid in range(5)
     )
@@ -242,13 +242,13 @@ def test_node_overlays_push_and_pop():
     sim, _, _, network, sinks = build()
     network.impair_node(3, "loss", 1.0)
     network.broadcast(0, "m")
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     imp = network.impairment
     assert imp.drops_by_node[3] > 0
     network.unimpair_node(3, "loss")
     assert not imp.engaged(sim.now)
     network.broadcast(0, "m2")
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     # After the pop, node 3 receives cleanly on the first attempt.
     assert "m2" in [m for (_, m, _) in sinks[3].messages]
 
@@ -297,7 +297,7 @@ def test_impairment_stream_is_deterministic_per_seed():
         )
         for i in range(3):
             network.broadcast(0, f"m{i}")
-            sim.run_until_idle()
+            sim.run_until_idle(max_events=1_000_000)
         return delivery_times(sinks), network.impairment.stats_dict()
 
     assert run(3) == run(3)
@@ -323,7 +323,7 @@ def test_configure_impairment_mirrors_retry_budget():
     ):
         sim, _, _, network, _ = impaired_build(spec)
         network.broadcast(0, "m")
-        sim.run_until_idle()
+        sim.run_until_idle(max_events=1_000_000)
         imp = network.impairment
         assert imp.giveups > 0
         assert imp.retransmits == budget * imp.giveups

@@ -84,6 +84,6 @@ def test_random_kcast_never_under_provisions_edges():
 def test_random_kcast_unsatisfiable_request_raises():
     # Only comb(4, 4) = 1 distinct receiver set exists for n=5, k=4.
     with pytest.raises(ValueError, match="unsatisfiable"):
-        random_kcast_topology(5, 4, edges_per_node=2)
+        random_kcast_topology(5, 4, SeededRNG(0), edges_per_node=2)
     with pytest.raises(ValueError):
-        random_kcast_topology(5, 2, edges_per_node=0)
+        random_kcast_topology(5, 2, SeededRNG(0), edges_per_node=0)

@@ -82,12 +82,17 @@ def is_subsequence_narrowing(shrunk_schedule, original_schedule):
     return True
 
 
+def shrink(detector, schedule):
+    """Shrink ``schedule`` from ``detector``'s first detection of it."""
+    return Shrinker(detector).shrink(schedule, detector.detect(schedule))
+
+
 @settings(max_examples=60, deadline=None)
 @given(failing_cases())
 def test_shrink_is_deterministic(case):
     schedule, kind = case
-    first = Shrinker(StubDetector(kind)).shrink(schedule)
-    second = Shrinker(StubDetector(kind)).shrink(schedule)
+    first = shrink(StubDetector(kind), schedule)
+    second = shrink(StubDetector(kind), schedule)
     assert first.describe() == second.describe()
 
 
@@ -95,7 +100,7 @@ def test_shrink_is_deterministic(case):
 @given(failing_cases())
 def test_shrunk_output_still_fails(case):
     schedule, kind = case
-    result = Shrinker(StubDetector(kind)).shrink(schedule)
+    result = shrink(StubDetector(kind), schedule)
     assert StubDetector(kind).detect(result.schedule).failed
     assert result.failure_key == frozenset({("eesmr", "agreement")})
 
@@ -104,7 +109,7 @@ def test_shrunk_output_still_fails(case):
 @given(failing_cases())
 def test_shrunk_output_is_a_narrowing_of_the_input(case):
     schedule, kind = case
-    result = Shrinker(StubDetector(kind)).shrink(schedule)
+    result = shrink(StubDetector(kind), schedule)
     assert len(result.schedule.faults) <= len(schedule.faults)
     assert is_subsequence_narrowing(result.schedule, schedule)
 

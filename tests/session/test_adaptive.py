@@ -80,7 +80,7 @@ def test_victims_recorded_on_schedule_accounting():
     assert schedule.dynamic_budget() == 2
     run_protocol(spec)
     assert schedule.byzantine_nodes() == (0, 1)
-    assert schedule.liveness_exempt_nodes() == (0, 1)
+    assert schedule.liveness_exempt_nodes(end_time=0.0) == (0, 1)
     atom = schedule.faults[0]
     assert atom.victims == (0, 1)
     # The declarative description stays static: re-deploying the schedule

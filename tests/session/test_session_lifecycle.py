@@ -9,6 +9,7 @@ path here.
 
 import pytest
 
+import repro.session.session as session_module
 from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.session import Session
 from repro.session.builder import compute_delta
@@ -119,7 +120,8 @@ def test_trusted_baseline_session_has_control_node():
     assert result.safety.consistent
 
 
-def test_max_events_budget_enforced():
-    session = Session.from_spec(small_spec(), max_events=10)
-    with pytest.raises(SimulationError):
+def test_max_events_budget_enforced(monkeypatch):
+    monkeypatch.setattr(session_module, "MAX_EVENTS", 10)
+    session = Session.from_spec(small_spec())
+    with pytest.raises(SimulationError, match="max_events=10"):
         session.run()

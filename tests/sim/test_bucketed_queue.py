@@ -37,7 +37,7 @@ def test_orders_identically_to_the_binary_heap():
     queue = BucketedEventQueue()
     pushed = []
     for time in times:
-        event = queue.push(time, lambda: None)
+        event = queue.push(time, lambda: None, "")
         pushed.append((time, event.seq))
     assert [seq for _, seq in pushed] == list(range(len(times)))
     assert drain_order(queue) == sorted(pushed)
@@ -59,7 +59,7 @@ def test_interleaved_push_pop_matches_heap():
             if len(popped) < 400:
                 push(t + rng.choice((0.0, 0.1, 0.9, 3.7, 40.0)))
 
-        event = queue.push(t, cb)
+        event = queue.push(t, cb, "")
         pushed.append((event.time, event.seq))
 
     for i in range(10):
@@ -73,19 +73,19 @@ def test_interleaved_push_pop_matches_heap():
 
 def test_far_future_events_cross_the_overflow_heap():
     queue = BucketedEventQueue()
-    horizon_time = BucketedEventQueue.horizon * BucketedEventQueue.default_width
+    horizon_time = BucketedEventQueue.horizon * BucketedEventQueue.width
     times = [horizon_time * 5, 0.5, horizon_time * 3, horizon_time + 1.0, 2.0]
     for t in times:
-        queue.push(t, lambda: None)
+        queue.push(t, lambda: None, "")
     assert len(queue._far) >= 2  # the far-future entries start in overflow
     assert [event.time for event in iter(queue.pop, None)] == sorted(times)
 
 
 def test_cancel_semantics_match_eventqueue():
     queue = BucketedEventQueue()
-    keep = queue.push(1.0, lambda: None)
-    drop = queue.push(2.0, lambda: None)
-    far = queue.push(10_000.0, lambda: None)
+    keep = queue.push(1.0, lambda: None, "")
+    drop = queue.push(2.0, lambda: None, "")
+    far = queue.push(10_000.0, lambda: None, "")
     queue.cancel(drop)
     queue.cancel(drop)  # double cancel: no len corruption
     assert len(queue) == 2
@@ -100,8 +100,8 @@ def test_cancel_semantics_match_eventqueue():
 
 def test_peek_time_skips_cancelled_and_advances_tiers():
     queue = BucketedEventQueue()
-    first = queue.push(3.0, lambda: None)
-    queue.push(7_000.0, lambda: None)
+    first = queue.push(3.0, lambda: None, "")
+    queue.push(7_000.0, lambda: None, "")
     assert queue.peek_time() == 3.0
     queue.cancel(first)
     assert queue.peek_time() == 7_000.0
@@ -111,12 +111,7 @@ def test_peek_time_skips_cancelled_and_advances_tiers():
 
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
-        BucketedEventQueue().push(-1.0, lambda: None)
-
-
-def test_invalid_width_rejected():
-    with pytest.raises(ValueError):
-        BucketedEventQueue(width=0.0)
+        BucketedEventQueue().push(-1.0, lambda: None, "")
 
 
 # ------------------------------------------------ move == cancel + push
@@ -163,7 +158,7 @@ class CancelAndPushQueue:
         return self._heap[0][0] if self._heap else None
 
 
-HORIZON_TIME = BucketedEventQueue.horizon * BucketedEventQueue.default_width
+HORIZON_TIME = BucketedEventQueue.horizon * BucketedEventQueue.width
 #: Zero (same-time ties), bucket edges, and jumps past the 512-bucket horizon.
 DELAYS = st.one_of(
     st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, HORIZON_TIME - 1.0, HORIZON_TIME, 3.5 * HORIZON_TIME]),
@@ -200,7 +195,7 @@ def test_move_pops_exactly_as_cancel_and_push(operations):
         kind = operation[0]
         if kind == "push":
             time, callback = now + operation[1], (lambda: None)
-            handles.append((queue.push(time, callback), reference.push(time, callback)))
+            handles.append((queue.push(time, callback, ""), reference.push(time, callback)))
         elif kind in ("move", "cancel") and handles:
             index = operation[1] % len(handles)
             event, handle = handles[index]
@@ -216,7 +211,7 @@ def test_move_pops_exactly_as_cancel_and_push(operations):
                 }[direction]
                 if not queue.move(event, time):
                     queue.cancel(event)
-                    event = queue.push(time, event.callback)
+                    event = queue.push(time, event.callback, "")
                 handles[index] = (event, reference.move(handle, time))
         elif kind == "pop":
             event, handle = queue.pop(), reference.pop()
@@ -239,8 +234,8 @@ def test_move_pops_exactly_as_cancel_and_push(operations):
 
 def test_a_move_keeps_one_entry_and_draws_the_next_seq():
     queue = BucketedEventQueue()
-    event = queue.push(2.0, lambda: None)
-    other = queue.push(2.0, lambda: None)
+    event = queue.push(2.0, lambda: None, "")
+    other = queue.push(2.0, lambda: None, "")
     assert queue.move(event, 2.0)
     assert (event.time, event.seq) == (2.0, 2)
     assert queue.move(event, HORIZON_TIME * 2)
@@ -256,20 +251,20 @@ def test_a_move_keeps_one_entry_and_draws_the_next_seq():
 
 def test_a_refused_move_changes_nothing():
     queue = BucketedEventQueue()
-    event = queue.push(5.0, lambda: None)
-    cancelled = queue.push(6.0, lambda: None)
+    event = queue.push(5.0, lambda: None, "")
+    cancelled = queue.push(6.0, lambda: None, "")
     cancelled.cancel()
     assert not queue.move(event, 1.0)  # earlier
     assert not queue.move(cancelled, 7.0)
     assert (event.time, event.seq, event.active, len(queue)) == (5.0, 0, True, 1)
     assert queue.pop() is event
     assert not queue.move(event, 8.0)  # no longer queued
-    assert queue.push(9.0, lambda: None).seq == 2
+    assert queue.push(9.0, lambda: None, "").seq == 2
 
 
 def test_cancel_after_moves_retires_the_event_once():
     queue = BucketedEventQueue()
-    event = queue.push(1.0, lambda: None)
+    event = queue.push(1.0, lambda: None, "")
     for time in (3.0, 3.0, 700.0):
         queue.move(event, time)
     event.cancel()
@@ -282,9 +277,9 @@ def test_cancel_after_moves_retires_the_event_once():
 @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_times_are_refused_before_a_seq_is_drawn(time):
     queue = BucketedEventQueue()
-    event = queue.push(1.0, lambda: None)
+    event = queue.push(1.0, lambda: None, "")
     with pytest.raises(ValueError):
-        queue.push(time, lambda: None)
+        queue.push(time, lambda: None, "")
     assert not queue.move(event, time)
     assert (event.time, event.active, len(queue)) == (1.0, True, 1)
-    assert queue.push(2.0, lambda: None).seq == 1
+    assert queue.push(2.0, lambda: None, "").seq == 1

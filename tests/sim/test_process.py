@@ -41,11 +41,11 @@ def test_after_callback_guarded_by_crash():
     sim = Simulator()
     proc = Recorder(sim, 1)
     calls = []
-    proc.after(1.0, lambda: calls.append("a"))
-    proc.after(2.0, lambda: calls.append("b"))
-    sim.run(until=1.5)
+    proc.after(1.0, lambda: calls.append("a"), "a")
+    proc.after(2.0, lambda: calls.append("b"), "b")
+    sim.run_until(1.5, max_events=1_000_000)
     proc.crash()
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert calls == ["a"]
 
 
@@ -62,7 +62,7 @@ def test_make_timer_is_bound_to_process_name():
     timer = proc.make_timer("blame", lambda: fired.append(1))
     assert timer.name == "p3:blame"
     timer.start(1.0)
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == [1]
 
 
@@ -70,9 +70,9 @@ def test_after_passes_args_and_stays_guarded():
     sim = Simulator()
     proc = Recorder(sim, 1)
     calls = []
-    proc.after(1.0, lambda view, tag: calls.append((view, tag)), args=(3, "quit"))
-    proc.after(2.0, calls.append, args=("dropped",))
-    sim.run(until=1.5)
+    proc.after(1.0, lambda view, tag: calls.append((view, tag)), "quit", args=(3, "quit"))
+    proc.after(2.0, calls.append, "dropped", args=("dropped",))
+    sim.run_until(1.5, max_events=1_000_000)
     proc.crash()
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert calls == [(3, "quit")]

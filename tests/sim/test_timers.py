@@ -17,9 +17,9 @@ def test_timer_fires_after_duration():
     fired = []
     timer = Timer(sim, "t", lambda: fired.append(sim.now))
     timer.start(4.0)
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == [4.0]
-    assert timer.fired
+    assert not timer.running
 
 
 def test_timer_restart_supersedes_previous_deadline():
@@ -27,9 +27,9 @@ def test_timer_restart_supersedes_previous_deadline():
     fired = []
     timer = Timer(sim, "t", lambda: fired.append(sim.now))
     timer.start(4.0)
-    sim.run(until=2.0)
+    sim.run_until(2.0, max_events=1_000_000)
     timer.start(4.0)  # re-arm at t=2 -> fires at 6
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == [6.0]
 
 
@@ -39,7 +39,7 @@ def test_timer_cancel_prevents_firing():
     timer = Timer(sim, "t", lambda: fired.append(1))
     timer.start(4.0)
     timer.cancel()
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == []
     assert not timer.running
 
@@ -61,7 +61,7 @@ def test_timer_non_finite_duration_rejected(value):
         timer.start(value)
     # Refused before anything was scheduled, moved or cancelled.
     assert timer.running and sim.pending_events == 1
-    assert sim.schedule(2.0, lambda: None).seq == 1
+    assert sim.schedule(2.0, lambda: None, "").seq == 1
 
 
 def test_rearming_later_schedules_nothing():
@@ -70,12 +70,12 @@ def test_rearming_later_schedules_nothing():
     timer = Timer(sim, "t", lambda: fired.append(sim.now))
     timer.start(4.0)
     scheduled = record_scheduled(sim)
-    sim.run(until=1.0)
+    sim.run_until(1.0, max_events=1_000_000)
     timer.start(4.0)  # deadline 5.0 > 4.0: the pending event moves
     timer.start(4.0)  # same deadline: moves again, to a new seq
     assert scheduled == []
     assert (sim.pending_events, entry_count(sim._queue)) == (1, 1)
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == [5.0]
     assert scheduled == []
 
@@ -91,7 +91,7 @@ def test_rearming_earlier_cancels_and_schedules():
     assert len(scheduled) == 1 and scheduled[0] is timer._event
     assert not first.active
     assert sim.pending_events == 1
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == [4.0]
 
 
@@ -101,11 +101,11 @@ def test_cancel_after_moves_prevents_firing():
     timer = Timer(sim, "t", lambda: fired.append(1))
     timer.start(1.0)
     for now in (0.5, 1.0, 1.5):
-        sim.run(until=now)
+        sim.run_until(now, max_events=1_000_000)
         timer.start(1.0)
     timer.cancel()
     assert not timer.running and sim.pending_events == 0
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == []
     assert entry_count(sim._queue) == 0
 
@@ -116,14 +116,14 @@ def test_ten_thousand_rearms_keep_one_pending_event():
     timer = Timer(sim, "t", lambda: fired.append(sim.now))
     timer.start(1.0)
     for step in range(1, 10_001):
-        sim.run(until=step * 0.25)  # crosses the 512-bucket horizon on the way
+        sim.run_until(step * 0.25, max_events=1_000_000)  # crosses the 512-bucket horizon on the way
         timer.start(1.0)
         assert sim.pending_events == 1
     assert entry_count(sim._queue) == 1
-    assert timer.running and not timer.fired and fired == []
-    sim.run_until_idle()
+    assert timer.running and fired == []
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == [2501.0]
-    assert timer.fired and not timer.running
+    assert not timer.running
     assert sim.executed_events == 1
 
 
@@ -133,7 +133,7 @@ def test_registry_starts_independent_timers():
     registry = TimerRegistry(sim, prefix="commit")
     registry.start("a", 2.0, lambda: fired.append("a"))
     registry.start("b", 4.0, lambda: fired.append("b"))
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == ["a", "b"]
 
 
@@ -144,7 +144,7 @@ def test_registry_cancel_all():
     registry.start("a", 2.0, lambda: fired.append("a"))
     registry.start("b", 4.0, lambda: fired.append("b"))
     cancelled = registry.cancel_all()
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert cancelled == 2
     assert fired == []
 
@@ -156,7 +156,7 @@ def test_registry_cancel_single_key():
     registry.start("a", 2.0, lambda: fired.append("a"))
     registry.start("b", 4.0, lambda: fired.append("b"))
     registry.cancel("a")
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == ["b"]
 
 
@@ -166,7 +166,7 @@ def test_registry_restart_replaces_callback():
     registry = TimerRegistry(sim, prefix="commit")
     registry.start("a", 2.0, lambda: fired.append("old"))
     registry.start("a", 3.0, lambda: fired.append("new"))
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == ["new"]
 
 
@@ -191,7 +191,7 @@ def test_registry_holds_armed_timers_only():
     registry.cancel("block-7")
     assert len(registry) == 49
     assert "block-7" not in registry
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     # Every timer fired: nothing is left to scan, cancel or keep alive.
     assert len(registry) == 0
     assert registry.running_keys() == []
@@ -209,7 +209,7 @@ def test_registry_callback_may_restart_its_own_key():
         registry.start("a", 1.0, lambda: fired.append("second"))
 
     registry.start("a", 1.0, first)
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == ["first", "second"]
     assert len(registry) == 0
 
@@ -221,7 +221,7 @@ def test_registry_delivers_args_to_the_callback():
     registry = TimerRegistry(sim, prefix="commit")
     assert registry.start("a", 2.0, lambda x, y: fired.append((x, y)), "block", 7) is None
     registry.start("b", 3.0, lambda: fired.append("bare"))
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == [("block", 7), "bare"]
     assert len(registry) == 0
 
@@ -233,7 +233,7 @@ def test_registry_restart_replaces_callback_and_args():
     registry.start("a", 2.0, lambda x: fired.append(("old", x)), 1)
     registry.start("a", 3.0, lambda x: fired.append(("new", x)), 2)
     assert len(registry) == 1
-    sim.run_until_idle()
+    sim.run_until_idle(max_events=1_000_000)
     assert fired == [("new", 2)]
     assert sim.now == 3.0
 
@@ -256,11 +256,12 @@ def test_registry_non_finite_duration_rejected(value):
         registry.start("b", value, lambda: None)
     # Refused before the armed timer was cancelled or a seq was drawn.
     assert registry.running_keys() == ["a"] and sim.pending_events == 1
-    assert sim.schedule(2.0, lambda: None).seq == 1
+    assert sim.schedule(2.0, lambda: None, "").seq == 1
 
 
 def test_registry_timer_is_its_pending_event():
-    sim = Simulator(trace=True)
+    sim = Simulator()
+    sim.trace_enabled = True
     registry = TimerRegistry(sim, prefix="p0:t-commit")
     registry.start("abc", 4.0, lambda: None)
     event = registry._timers["abc"]

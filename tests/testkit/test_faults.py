@@ -104,9 +104,9 @@ def test_drop_window_toggles_relay_policy():
     schedule = drop_window(2, start=1.0, end=3.0)
     schedule.install(sim, network, {})
     assert not network.relay_denied(2)
-    sim.run(until=1.5)
+    sim.run_until(1.5, max_events=1_000_000)
     assert network.relay_denied(2)
-    sim.run(until=3.5)
+    sim.run_until(3.5, max_events=1_000_000)
     assert not network.relay_denied(2)
 
 
@@ -114,9 +114,9 @@ def test_partition_window_isolates_and_heals():
     sim, topology, ledger, network = make_network()
     schedule = partition(1, start=0.5, heal=2.0)
     schedule.install(sim, network, {})
-    sim.run(until=1.0)
+    sim.run_until(1.0, max_events=1_000_000)
     assert 1 in network._partition
-    sim.run(until=2.5)
+    sim.run_until(2.5, max_events=1_000_000)
     assert 1 not in network._partition
 
 
@@ -135,7 +135,7 @@ def test_drop_window_restores_a_composed_permanent_policy():
     sim, topology, ledger, network = make_network()
     schedule = FaultSchedule((CrashAt(2, time=0.0), RelayDropWindow(2, 1.0, 3.0)))
     schedule.install(sim, network, {})
-    sim.run(until=5.0)
+    sim.run_until(5.0, max_events=1_000_000)
     assert network.relay_denied(2)
 
 
@@ -146,9 +146,9 @@ def test_overlapping_partition_windows_do_not_heal_early():
     sim, topology, ledger, network = make_network()
     schedule = partition(3, start=1.0, heal=5.0).add(PartitionWindow(3, 2.0, 10.0))
     schedule.install(sim, network, {})
-    sim.run(until=6.0)
+    sim.run_until(6.0, max_events=1_000_000)
     assert 3 in network._partition, "first heal must not lift the second window"
-    sim.run(until=10.5)
+    sim.run_until(10.5, max_events=1_000_000)
     assert 3 not in network._partition
 
 
@@ -160,9 +160,9 @@ def test_interleaved_drop_windows_do_not_lift_denial_early():
     sim, topology, ledger, network = make_network()
     schedule = drop_window(2, start=1.0, end=5.0).add(RelayDropWindow(2, 2.0, 10.0))
     schedule.install(sim, network, {})
-    sim.run(until=6.0)
+    sim.run_until(6.0, max_events=1_000_000)
     assert network.relay_denied(2), "denial must persist until the last window closes"
-    sim.run(until=10.5)
+    sim.run_until(10.5, max_events=1_000_000)
     assert not network.relay_denied(2)
 
 
@@ -189,9 +189,9 @@ def test_simultaneous_window_off_and_on_events():
     sim, topology, ledger, network = make_network()
     schedule = drop_window(2, start=1.0, end=5.0).add(RelayDropWindow(2, 5.0, 9.0))
     schedule.install(sim, network, {})
-    sim.run(until=5.5)
+    sim.run_until(5.5, max_events=1_000_000)
     assert network.relay_denied(2)
-    sim.run(until=9.5)
+    sim.run_until(9.5, max_events=1_000_000)
     assert not network.relay_denied(2)
 
 
@@ -206,7 +206,7 @@ def test_same_node_byzantine_plus_interleaved_windows():
     seen = []
     network.fault_observer = lambda *transition: seen.append(transition)
     for until in (0.5, 1.5, 3.0, 5.0, 7.0):
-        sim.run(until=until)
+        sim.run_until(until, max_events=1_000_000)
         assert network.relay_denied(2)
     # Back at the Byzantine base, and a relay that never came back was
     # never reported as restored (nor as lost a second time).
@@ -222,10 +222,10 @@ def test_liveness_exempt_nodes_distinguish_fault_classes():
         .add(PartitionWindow(2, 0.0, 3.0))
         .add(RelayDropWindow(3, 1.0, 2.0))
     )
-    assert schedule.liveness_exempt_nodes() == (0, 2)
+    assert schedule.liveness_exempt_nodes(end_time=0.0) == (0, 2)
     # A drop window on an otherwise-Byzantine node stays exempt.
     stacked = crash_at(1, 0.0).add(RelayDropWindow(1, 1.0, 2.0))
-    assert stacked.liveness_exempt_nodes() == (1,)
+    assert stacked.liveness_exempt_nodes(end_time=0.0) == (1,)
 
 
 def test_concurrent_impairment_sets():
@@ -254,9 +254,9 @@ def test_crash_recover_window_is_correct_not_byzantine():
 def test_crash_recover_window_powers_the_node_off_and_on():
     sim, topology, ledger, network = make_network()
     crash_recover(3, start=2.0, heal=6.0).install(sim, network, {})
-    sim.run(until=3.0)
+    sim.run_until(3.0, max_events=1_000_000)
     assert 3 in network._partition
-    sim.run(until=6.5)
+    sim.run_until(6.5, max_events=1_000_000)
     assert 3 not in network._partition
 
 
@@ -283,9 +283,8 @@ def test_liveness_exemption_is_window_scoped():
         .add(CrashRecoverWindow(1, 0.0, 4.0))
         .add(RelayDropWindow(3, 1.0, 2.0))
     )
-    # Legacy no-argument call: every recovering node stays exempt
-    # (feasibility checks and short runs rely on this).
-    assert schedule.liveness_exempt_nodes() == (0, 1, 2)
+    # At the start every recovering node is exempt.
+    assert schedule.liveness_exempt_nodes(end_time=0.0) == (0, 1, 2)
     # Before any grace window lapses, everything is still exempt.
     assert schedule.liveness_exempt_nodes(end_time=2.0) == (0, 1, 2)
     # Node 2's grace ends at 3 + CATCH_UP_GRACE, node 1's at 4 + grace.
@@ -404,5 +403,5 @@ def test_a_new_window_atom_declares_only_what_differs():
     sim, *_ = make_network()
     calls = []
     atom.install(sim, calls, {})
-    sim.run(until=5.0)
+    sim.run_until(5.0, max_events=1_000_000)
     assert calls == [("open", 1), ("close", 1)]

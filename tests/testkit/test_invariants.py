@@ -90,12 +90,6 @@ def test_liveness_detects_foreign_commands(evidence):
         LivenessInvariant().check(bad)
 
 
-def test_liveness_respects_explicit_floor(evidence):
-    relaxed = doctored(evidence)
-    relaxed.trace.committed_heights[3] = 1
-    LivenessInvariant(min_height=1).check(relaxed)
-
-
 def test_unique_commit_detects_a_command_ordered_twice(evidence):
     bad = doctored(evidence)
     log = bad.trace.committed_commands[2]

@@ -51,7 +51,8 @@ def run_broken_deployment():
         seed=3,
         fault_plan=FaultPlan(faulty=(0,), behaviour="equivocate", trigger_round=3),
     )
-    sim = Simulator(trace=True)
+    sim = Simulator()
+    sim.trace_enabled = True
     rng = SeededRNG(spec.seed)
     topology = ring_kcast_topology(spec.n, spec.k)
     ledger = ClusterEnergyLedger(topology.nodes)
@@ -76,7 +77,7 @@ def run_broken_deployment():
     # Stop before the view change completes: the fork has already happened
     # once the twins are flooded, and running further only piles recovery
     # traffic (and local safety explosions) on top of it.
-    sim.run(until=10.0)
+    sim.run_until(10.0, max_events=1_000_000)
 
     safety = SafetyChecker(
         {pid: r.log for pid, r in replicas.items()}, faulty=spec.byzantine_nodes

@@ -10,6 +10,8 @@ import pickle
 
 import pytest
 
+import repro.session.session as session_module
+from repro.net.impairment import SpecError
 from repro.testkit.scenarios import (
     CellOutcome,
     ScenarioCell,
@@ -50,7 +52,8 @@ def test_parallel_run_records_skips_and_differentials_like_serial():
 
 def test_cell_outcome_and_skipped_cell_are_picklable():
     matrix = ScenarioMatrix(**SMALL)
-    outcome = matrix.run_cell(ScenarioCell("eesmr", "crash-leader", "ble"))
+    cell = ScenarioCell("eesmr", "crash-leader", "ble")
+    outcome = matrix.run_cell(cell, matrix.build_spec(cell))
     clone = pickle.loads(pickle.dumps(outcome))
     assert isinstance(clone, CellOutcome)
     assert clone.ok == outcome.ok
@@ -72,10 +75,18 @@ def test_parallel_default_reads_environment_knob(monkeypatch):
     assert matrix.run().cells_run == 1  # empty value falls back to serial
 
 
-def test_parallel_worker_failure_propagates():
+def test_malformed_parallel_knob_is_a_spec_error(monkeypatch):
+    matrix = ScenarioMatrix(protocols=("eesmr",), fault_names=("none",), media=("ble",))
+    monkeypatch.setenv("REPRO_MATRIX_PARALLEL", "two")
+    with pytest.raises(SpecError, match="^REPRO_MATRIX_PARALLEL: expected a worker count, got 'two'$"):
+        matrix.run()
+
+
+def test_parallel_worker_failure_propagates(monkeypatch):
     """A cell that raises inside a worker must surface, not vanish: as its
     failed ``no-livelock`` report, exactly as in a serial sweep."""
-    matrix = ScenarioMatrix(**SMALL, max_events=1)  # guaranteed livelock trip
+    monkeypatch.setattr(session_module, "MAX_EVENTS", 1)  # guaranteed livelock trip
+    matrix = ScenarioMatrix(**SMALL)
     report = matrix.run(parallel=2)
     assert report.cells_run == 4
     assert [r.name for o in report.outcomes for r in o.reports] == ["no-livelock"] * 4

@@ -6,6 +6,8 @@ protocol × every fault schedule × every medium — run under the ``matrix``
 marker (``make test-matrix`` / ``pytest -m matrix``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.eval.runner import MEDIA, PROTOCOLS
@@ -22,6 +24,13 @@ from repro.testkit.scenarios import (
     schedule_feasibility,
 )
 from repro.testkit.invariants import DEFAULT_INVARIANTS, InvariantViolation
+
+
+class TwoEdgeMatrix(ScenarioMatrix):
+    """A matrix whose random-kcast cells give every node two out-edges."""
+
+    def build_spec(self, cell):
+        return dataclasses.replace(super().build_spec(cell), edges_per_node=2)
 
 
 def test_default_matrix_covers_at_least_36_cells():
@@ -79,7 +88,7 @@ def test_representative_cells_pass_all_invariants():
         ScenarioCell("optsync", "crash-leader", "4g-lte"),
         ScenarioCell("trusted-baseline", "none", "ble"),
     ):
-        outcome = matrix.run_cell(cell)
+        outcome = matrix.run_cell(cell, matrix.build_spec(cell))
         assert outcome.ok, f"{cell.label()}: {[r.detail for r in outcome.violations()]}"
         assert len(outcome.reports) == len(DEFAULT_INVARIANTS)
 
@@ -87,16 +96,19 @@ def test_representative_cells_pass_all_invariants():
 def test_cells_are_deterministic_per_seed():
     matrix = ScenarioMatrix()
     cell = ScenarioCell("eesmr", "crash-leader", "ble")
-    first = matrix.run_cell(cell)
-    second = matrix.run_cell(cell)
+    first = matrix.run_cell(cell, matrix.build_spec(cell))
+    second = matrix.run_cell(cell, matrix.build_spec(cell))
     assert first.evidence.trace.fingerprint() == second.evidence.trace.fingerprint()
 
 
 def test_differential_check_flags_divergent_logs():
     matrix = ScenarioMatrix()
     outcomes = [
-        matrix.run_cell(ScenarioCell("eesmr", "none", "ble")),
-        matrix.run_cell(ScenarioCell("sync-hotstuff", "none", "ble")),
+        matrix.run_cell(cell, matrix.build_spec(cell))
+        for cell in (
+            ScenarioCell("eesmr", "none", "ble"),
+            ScenarioCell("sync-hotstuff", "none", "ble"),
+        )
     ]
     assert matrix._differential_check(outcomes) == []
     # Tamper with one protocol's committed log: the checker must object.
@@ -181,13 +193,12 @@ def test_unconstructible_topology_skips_instead_of_crashing():
     """An unsatisfiable random-kcast request (only comb(4,4)=1 distinct
     receiver set, 2 asked) must skip the cell with a reason, not blow up
     the whole sweep."""
-    matrix = ScenarioMatrix(
+    matrix = TwoEdgeMatrix(
         protocols=("eesmr", "trusted-baseline"),
         fault_names=("none", "crash-leader"),
         media=("ble",),
         topologies=("random-kcast",),
         k=4,
-        edges_per_node=2,
     )
     report = matrix.run()
     # The eesmr cells (fault-free included) are skipped; trusted-baseline
@@ -204,15 +215,15 @@ def test_star_and_random_kcast_cells_pass_all_invariants():
         matrix = ScenarioMatrix(topologies=(topology,))
         cell = ScenarioCell("eesmr", fault, "ble", topology)
         assert schedule_feasibility(matrix.build_spec(cell)) is None
-        outcome = matrix.run_cell(cell)
+        outcome = matrix.run_cell(cell, matrix.build_spec(cell))
         assert outcome.ok, f"{cell.label()}: {[r.detail for r in outcome.violations()]}"
 
 
 def test_random_kcast_cells_deterministic_per_seed():
-    matrix = ScenarioMatrix(topologies=("random-kcast",), edges_per_node=2)
+    matrix = TwoEdgeMatrix(topologies=("random-kcast",))
     cell = ScenarioCell("eesmr", "none", "ble", "random-kcast")
-    first = matrix.run_cell(cell)
-    second = matrix.run_cell(cell)
+    first = matrix.run_cell(cell, matrix.build_spec(cell))
+    second = matrix.run_cell(cell, matrix.build_spec(cell))
     assert first.evidence.trace.fingerprint() == second.evidence.trace.fingerprint()
 
 
@@ -220,7 +231,8 @@ def test_composed_fault_cell_passes_with_degraded_window_liveness():
     """equivocate+drop-window: recovery runs through the degraded window and
     the drop node — which keeps receiving — is still held to full liveness."""
     matrix = ScenarioMatrix()
-    outcome = matrix.run_cell(ScenarioCell("eesmr", "equivocate+drop-window", "ble"))
+    cell = ScenarioCell("eesmr", "equivocate+drop-window", "ble")
+    outcome = matrix.run_cell(cell, matrix.build_spec(cell))
     assert outcome.ok, [r.detail for r in outcome.violations()]
     drop_node = matrix.n - 2
     assert outcome.evidence.trace.committed_heights[drop_node] >= matrix.target_height
@@ -332,8 +344,8 @@ def test_matrix_on_star_topology():
 @pytest.mark.matrix
 def test_matrix_on_random_kcast_topology():
     """The seeded random-hypergraph axis, dense enough to tolerate faults."""
-    report = ScenarioMatrix(
-        topologies=("random-kcast",), edges_per_node=2, k=3, media=("ble",),
+    report = TwoEdgeMatrix(
+        topologies=("random-kcast",), k=3, media=("ble",),
         fault_names=DEFAULT_FAULTS + ("crash-leader+silent-relay", "stacked-drop-windows"),
     ).run()
     assert report.cells_run >= 16
@@ -386,14 +398,13 @@ def test_matrix_large_n_operating_point():
 @pytest.mark.matrix
 def test_matrix_large_n_random_kcast():
     """A second n=40 point on the seeded random-hypergraph axis."""
-    report = ScenarioMatrix(
+    report = TwoEdgeMatrix(
         protocols=("eesmr",),
         fault_names=("none", "crash-leader"),
         media=("ble",),
         topologies=("random-kcast",),
         n=40,
         k=4,
-        edges_per_node=2,
         target_height=2,
         seed=11,
     ).run()
@@ -443,7 +454,8 @@ def test_healed_cells_assert_post_heal_liveness(protocol, fault):
     demonstrably commits the *full* target after the heal — catch-up is a
     checked obligation, not an exemption."""
     matrix = ScenarioMatrix(block_interval=2.0)
-    outcome = matrix.run_cell(ScenarioCell(protocol, fault, "ble"))
+    cell = ScenarioCell(protocol, fault, "ble")
+    outcome = matrix.run_cell(cell, matrix.build_spec(cell))
     assert outcome.ok, [r.detail for r in outcome.violations()]
     healed_node = matrix.n - 1
     assert outcome.evidence.trace.committed_heights[healed_node] >= matrix.target_height

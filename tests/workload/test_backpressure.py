@@ -64,7 +64,6 @@ def test_duplicate_and_overflow_are_counted_separately():
         pool.admit(Command("c"))  # still overflow (pool is full, not pending)
     assert pool.duplicates == 1
     assert pool.dropped == 2
-    assert pool.admitted == 2
     assert pool.high_watermark == 2
     assert len(pool) == 2
 

@@ -24,18 +24,31 @@ tree alone.  A function counts as reached when a traced code object's
 ``(file, co_firstlineno, co_name)`` matches its ``def`` (on 3.8+ the first
 line is the first decorator's).
 
-The report has three lists:
+The report has five lists:
 
 1. functions no pass reaches;
 2. functions only the tests pass reaches;
 3. ``__all__`` names that no module outside the package reads, counting
    ``src/``, ``bench/``, ``benchmarks/`` and ``examples/`` (test
-   directories excluded).
+   directories excluded);
+4. measured options: a defaulted parameter of a function the callers pass
+   runs that only ever received its default (a constant in disguise), or
+   that never received it (the argument is required in practice).  The
+   hook compares each call's argument with the default by identity, then
+   by type and ``==``;
+5. write-only state: an attribute a ``src/repro`` class writes
+   (``self.x = ...``, ``self.x += ...``, a dataclass field, a class
+   attribute) that nothing in those four roots loads.  A discarded
+   mutating call (``self.x.append(...)``) and a subscript store
+   (``self.x[k] = v``) are writes, not reads.
 
-Interface stubs (a body that is only a docstring, ``pass``, ``...`` or
-``raise NotImplementedError``) are not reported.  An entry is accepted
-when ``tools/reach_allow.txt`` has a line ``path::qualname  reason`` for
-it (``path::__all__.Name`` for list 3).
+Lists 4 and 5 skip ``eval/`` and the Section-4 analytic modules
+(``OPTION_SCOPE_EXCLUDED``): their parameters are the paper's figure
+grids and closed-form inputs.  Interface stubs (a body that is only a
+docstring, ``pass``, ``...`` or ``raise NotImplementedError``) are not
+reported.  An entry is accepted when ``tools/reach_allow.txt`` has a line
+``path::qualname  reason`` for it (``path::__all__.Name`` for list 3,
+``path::qualname(param)`` for list 4, ``path::Class.attr`` for list 5).
 
     python tools/reach.py        (make reach; the two passes run side by
                                   side, about a minute on two cores)
@@ -48,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -56,7 +70,8 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
+from types import FunctionType
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -64,6 +79,20 @@ PACKAGE = SRC / "repro"
 ALLOWLIST = ROOT / "tools" / "reach_allow.txt"
 #: Where list 3 looks for a reader of an exported name.
 REFERENCE_ROOTS = ("src", "bench", "benchmarks", "examples")
+#: Lists 4 and 5 leave out the paper's figure grids and closed-form inputs.
+OPTION_SCOPE_EXCLUDED = (
+    "src/repro/eval/",
+    "src/repro/energy/model.py",
+    "src/repro/energy/feasibility.py",
+    "src/repro/energy/protocol_costs.py",
+    "src/repro/energy/analysis.py",
+    "src/repro/crypto/energy_costs.py",
+)
+#: Container methods whose discarded call writes the receiver (list 5).
+MUTATORS = frozenset({
+    "add", "append", "appendleft", "clear", "discard", "extend", "extendleft", "insert",
+    "pop", "popitem", "popleft", "remove", "setdefault", "update",
+})
 PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", "--benchmark-disable", "--hypothesis-seed=0"]
 
 #: (path relative to ROOT, first line, name) of one function.
@@ -76,6 +105,8 @@ class Function(NamedTuple):
     first: int
     last: int
     stub: bool
+    #: Names of the parameters that have a default.
+    defaulted: Tuple[str, ...]
 
     @property
     def key(self) -> Key:
@@ -109,12 +140,21 @@ def _is_stub(node: ast.AST) -> bool:
     return False
 
 
+def _defaulted(args: ast.arguments) -> Tuple[str, ...]:
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return tuple(names)
+
+
 def _defs(node: ast.AST, path: str, prefix: str) -> Iterator[Function]:
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qualname = prefix + child.name
             first = min([d.lineno for d in child.decorator_list] + [child.lineno])
-            yield Function(path, qualname, first, child.end_lineno, _is_stub(child))
+            yield Function(
+                path, qualname, first, child.end_lineno, _is_stub(child), _defaulted(child.args)
+            )
             yield from _defs(child, path, qualname + ".<locals>.")
         elif isinstance(child, ast.ClassDef):
             yield from _defs(child, path, prefix + child.name + ".")
@@ -172,6 +212,125 @@ def _literal_all(path: Path) -> List[str]:
         ):
             return list(ast.literal_eval(node.value))
     return []
+
+
+def in_option_scope(path: str) -> bool:
+    """Whether lists 4 and 5 look at the file ``path`` (relative to ROOT)."""
+    return not path.startswith(OPTION_SCOPE_EXCLUDED)
+
+
+def _parents(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
+    return {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+
+def _written_through(node: ast.Attribute, parents: Dict[ast.AST, ast.AST]) -> bool:
+    """Whether a loaded ``node`` is only written through: ``node[k] = v``,
+    ``del node[k]`` or a discarded ``node.append(...)``."""
+    parent = parents.get(node)
+    if isinstance(parent, ast.Subscript):
+        return parent.value is node and not isinstance(parent.ctx, ast.Load)
+    if isinstance(parent, ast.Attribute) and parent.attr in MUTATORS:
+        call = parents.get(parent)
+        return isinstance(call, ast.Call) and isinstance(parents.get(call), ast.Expr)
+    return False
+
+
+def loaded_attributes(tree: ast.AST) -> Set[str]:
+    """The attribute names a module reads: loads that are not only written
+    through, and ``getattr``/``hasattr`` with a literal name."""
+    parents = _parents(tree)
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if not _written_through(node, parents):
+                names.add(node.attr)
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr") and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)
+        ):
+            names.add(node.args[1].value)
+    return names
+
+
+def written_attributes(tree: ast.AST) -> Iterator[Tuple[str, str, int]]:
+    """``(class qualname, attribute, line)`` for every write a class makes:
+    a class-body assignment or annotation, and in its methods a store to
+    ``self.x``, a write through it, or ``object.__setattr__(self, "x", v)``."""
+    parents = _parents(tree)
+
+    def visit(node: ast.AST, prefix: str) -> Iterator[Tuple[str, str, int]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from _class_writes(child, prefix + child.name, parents)
+                yield from visit(child, prefix + child.name + ".")
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, prefix)
+
+    return visit(tree, "")
+
+
+def _class_writes(
+    cls: ast.ClassDef, qualname: str, parents: Dict[ast.AST, ast.AST]
+) -> Iterator[Tuple[str, str, int]]:
+    for stmt in cls.body:
+        if isinstance(stmt, ast.AnnAssign) and "InitVar" in ast.unparse(stmt.annotation):
+            continue  # an __init__ argument, not state
+        targets = (
+            stmt.targets if isinstance(stmt, ast.Assign)
+            else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+        )
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                yield qualname, target.id, stmt.lineno
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.args.args:
+            this = stmt.args.args[0].arg
+            for sub in ast.walk(stmt):
+                if (
+                    isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                    and sub.value.id == this
+                    and (isinstance(sub.ctx, ast.Store) or _written_through(sub, parents))
+                ):
+                    yield qualname, sub.attr, sub.lineno
+                elif (
+                    isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr == "__setattr__" and len(sub.args) == 3
+                    and isinstance(sub.args[1], ast.Constant)
+                ):
+                    yield qualname, sub.args[1].value, sub.lineno
+
+
+def write_only_state() -> List[Tuple[str, int]]:
+    """List 5 as ``(path::Class.attr, line)``, sorted by key: attributes a
+    class in scope writes that no module in ``REFERENCE_ROOTS`` loads."""
+    loaded: Set[str] = set()
+    for root in REFERENCE_ROOTS:
+        for path in sorted((ROOT / root).rglob("*.py")):
+            if "tests" not in path.relative_to(ROOT).parts:
+                loaded |= loaded_attributes(ast.parse(path.read_text(), str(path)))
+    found: Dict[str, int] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        relative = path.relative_to(ROOT).as_posix()
+        if not in_option_scope(relative):
+            continue
+        for cls, attr, line in written_attributes(ast.parse(path.read_text(), str(path))):
+            if attr not in loaded:
+                key = f"{relative}::{cls}.{attr}"
+                found[key] = min(line, found.get(key, line))
+    return sorted(found.items())
+
+
+def option_findings(observed: Dict[str, Tuple[bool, bool]]) -> List[Tuple[str, str]]:
+    """List 4 from the callers pass's table ``path::qualname(param) ->
+    (received its default, received another value)``, sorted by key."""
+    verdicts = []
+    for key in sorted(observed):
+        received_default, received_other = observed[key]
+        if not received_other:
+            verdicts.append((key, "only ever received its default"))
+        elif not received_default:
+            verdicts.append((key, "never received its default"))
+    return verdicts
 
 
 # --------------------------------------------------------------------- passes
@@ -247,14 +406,17 @@ def _cli_runs(scratch: Path) -> List[Tuple[List[str], int]]:
     fixtures = str(ROOT / "tests" / "analysis" / "fixtures")
     runs.append((["analyze", fixtures], 1))
     runs.append((["analyze", "--format", "json", fixtures], 1))
-    # Malformed input is refused in one line: the four cases CI checks, a
-    # bad field nested inside a spec, and an adaptive budget f cannot cover.
+    # Malformed input is refused in one line: the cases CI checks, a bad
+    # field nested inside a spec, and an adaptive budget f cannot cover.
     runs.append((["run", "--spec", str(bad_spec)], 2))
     runs.append((["run", "--spec", str(bad_nested)], 2))
     runs.append((["run", "--spec", str(under_provisioned)], 2))
     runs.append((["run", "-n", "4", "-f", "2", "-k", "2"], 2))
     runs.append((["matrix", "--faults", "bogus"], 2))
     runs.append((["fuzz", "--kinds", "Bogus", "--iterations", "1"], 2))
+    runs.append((["run", "--workload", "open-loop"], 2))
+    runs.append((["feasibility", "--max-nodes", "3"], 2))
+    runs.append((["feasibility", "--payloads", "-5"], 2))
     return runs
 
 
@@ -312,15 +474,102 @@ def _tests_pass(scratch: Path) -> List[str]:
 PASSES = {"callers": _callers_pass, "tests": _tests_pass}
 
 
+def _function_of(code, frame) -> Optional[FunctionType]:
+    """The function object that runs ``code``: looked up by qualified name
+    from the frame's globals, else found among the code's referrers."""
+    parts = code.co_qualname.split(".")
+    if "<locals>" not in parts:
+        obj: Any = frame.f_globals.get(parts[0])
+        for part in parts[1:]:
+            obj = vars(obj).get(part) if hasattr(obj, "__dict__") else None
+        for _ in range(4):
+            if getattr(obj, "__code__", None) is code:
+                return obj
+            obj = getattr(obj, "__func__", None) or getattr(obj, "__wrapped__", None)
+    for ref in gc.get_referrers(code):
+        if isinstance(ref, FunctionType) and ref.__code__ is code:
+            return ref
+    return None
+
+
+def _same(value: Any, default: Any) -> bool:
+    if value is default:
+        return True
+    try:
+        return type(value) is type(default) and bool(value == default)
+    except Exception:
+        return False
+
+
+class OptionRecorder:
+    """List 4's half of the callers-pass hook.
+
+    For each watched function it resolves the defaults once, then marks per
+    defaulted parameter whether a call passed the default and whether one
+    passed anything else; a parameter that has seen both stops being looked
+    at.  A generator's code is checked only on its first ``call`` event, not
+    on each resume.
+    """
+
+    def __init__(self, functions: List[Function]):
+        self.watch = {
+            f.key: f for f in functions if f.defaulted and in_option_scope(f.path)
+        }
+        self.plans: Dict[Any, Any] = {}
+        self.observed: Dict[str, List[bool]] = {}
+
+    def _plan(self, code, frame) -> Optional[list]:
+        path = os.path.relpath(os.path.abspath(code.co_filename), ROOT)
+        function = self.watch.get((path, code.co_firstlineno, code.co_name))
+        if function is None:
+            return None
+        live = _function_of(code, frame)
+        if live is None:
+            return None
+        defaults = dict(live.__kwdefaults__ or {})
+        positional = code.co_varnames[: code.co_argcount]
+        defaults.update(zip(positional[len(positional) - len(live.__defaults__ or ()):],
+                            live.__defaults__ or ()))
+        entries = []
+        for name in function.defaulted:
+            flags = self.observed.setdefault(f"{function.allow_key}({name})", [False, False])
+            entries.append((name, defaults[name], flags))
+        return [frame.f_lasti, entries]
+
+    def __call__(self, frame) -> None:
+        code = frame.f_code
+        try:
+            plan = self.plans[code]
+        except KeyError:
+            plan = self.plans[code] = self._plan(code, frame)
+        if not plan or not plan[1] or frame.f_lasti != plan[0]:
+            return
+        values = frame.f_locals
+        pending = []
+        for entry in plan[1]:
+            name, default, flags = entry
+            flags[0 if _same(values[name], default) else 1] = True
+            if not (flags[0] and flags[1]):
+                pending.append(entry)
+        plan[1] = pending
+
+
 def run_pass(name: str, out: Path) -> int:
-    """Child side: run one pass under the hook, write the keys it reached."""
+    """Child side: run one pass under the hook, write the keys it reached
+    and, for the callers pass, list 4's table of observed arguments."""
     sys.path[:0] = [str(SRC), str(ROOT)]
     os.chdir(ROOT)
     seen: Set = set()
     add = seen.add
+    options = OptionRecorder(inventory()) if name == "callers" else None
 
-    def hook(frame, event, arg):
-        add(frame.f_code)
+    if options is None:
+        def hook(frame, event, arg):
+            add(frame.f_code)
+    else:
+        def hook(frame, event, arg):
+            add(frame.f_code)
+            options(frame)
 
     with tempfile.TemporaryDirectory() as scratch:
         threading.settrace(hook)
@@ -341,13 +590,15 @@ def run_pass(name: str, out: Path) -> int:
     )
     for failure in failures:
         print(f"reach: {name} pass: {failure}", file=sys.stderr)
-    out.write_text(json.dumps({"reached": reached, "failures": failures}))
+    observed = options.observed if options is not None else {}
+    out.write_text(json.dumps({"reached": reached, "failures": failures, "options": observed}))
     return 0
 
 
-def traced(passes: Tuple[str, ...]) -> Dict[str, Set[Key]]:
+def traced(passes: Tuple[str, ...]) -> Tuple[Dict[str, Set[Key]], Dict[str, Tuple[bool, bool]]]:
     """Parent side: run each pass in its own child process, concurrently.
 
+    Returns each pass's reached keys and the callers pass's list-4 table.
     A pass's output goes to a log that is shown only if the pass fails;
     then there is no report and the audit exits 2.
     """
@@ -361,6 +612,7 @@ def traced(passes: Tuple[str, ...]) -> Dict[str, Set[Key]]:
                     cwd=ROOT, stdout=log, stderr=subprocess.STDOUT,
                 )
         results: Dict[str, Set[Key]] = {}
+        options: Dict[str, Tuple[bool, bool]] = {}
         failed = []
         for name, child in children.items():
             status = child.wait()
@@ -374,10 +626,11 @@ def traced(passes: Tuple[str, ...]) -> Dict[str, Set[Key]]:
                 failed.extend(f"{name}: {failure}" for failure in result["failures"])
             else:
                 results[name] = {tuple(key) for key in result["reached"]}
+                options.update((key, tuple(flags)) for key, flags in result["options"].items())
         if failed:
             print("reach: a pass failed, no report:\n  " + "\n  ".join(failed), file=sys.stderr)
             raise SystemExit(2)
-        return results
+        return results, options
 
 
 # --------------------------------------------------------------------- report
@@ -393,9 +646,12 @@ def read_allowlist(path: Path = ALLOWLIST) -> Dict[str, str]:
     return allowed
 
 
-def report(reached: Dict[str, Set[Key]], allowed: Dict[str, str]) -> Tuple[List[str], int]:
+def report(
+    reached: Dict[str, Set[Key]], options: Dict[str, Tuple[bool, bool]], allowed: Dict[str, str]
+) -> Tuple[List[str], int]:
     """The report's lines and its number of findings."""
     functions = inventory()
+    by_key = {f.allow_key: f for f in functions}
     live = [f for f in functions if not f.stub]
     callers, tests = reached["callers"], reached["tests"]
     sections = []
@@ -413,6 +669,21 @@ def report(reached: Dict[str, Set[Key]], allowed: Dict[str, str]) -> Tuple[List[
     sections.append((
         f"__all__ names no module outside their package reads: {len(exports)}",
         [(key, key) for key in exports],
+    ))
+    verdicts = option_findings(options)
+    rows = []
+    for key, verdict in verdicts:
+        function = by_key[key.partition("(")[0]]
+        rows.append((key, f"{function.path}:{function.first}  {key.partition('::')[2]}  {verdict}"))
+    sections.append((
+        f"defaulted parameters with one kind of value in use: {len(verdicts)} "
+        f"of {len(options)} the callers pass ran",
+        rows,
+    ))
+    state = write_only_state()
+    sections.append((
+        f"attributes written and never read: {len(state)}",
+        [(key, f"{key.partition('::')[0]}:{line}  {key.partition('::')[2]}") for key, line in state],
     ))
     lines = [
         f"reach: {len(functions)} functions in src/repro, "
@@ -439,7 +710,7 @@ def main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     if args.child:
         return run_pass(args.child[0], Path(args.child[1]))
-    lines, findings = report(traced(tuple(PASSES)), read_allowlist())
+    lines, findings = report(*traced(tuple(PASSES)), read_allowlist())
     print("\n".join(lines))
     return 1 if findings else 0
 
