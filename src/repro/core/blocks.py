@@ -107,9 +107,9 @@ class BlockStore:
     def __init__(self) -> None:
         self.genesis = GENESIS
         self._blocks: Dict[str, Block] = {self.genesis.block_hash: self.genesis}
-        # Hashes known to have a complete ancestry down to genesis, so
-        # repeated has_ancestry checks on a growing chain are amortized
-        # O(1) instead of a fresh walk to genesis every time.
+        # Stored hashes known to have a complete ancestry down to genesis:
+        # add_if_absent roots a block over a rooted parent, and a
+        # has_ancestry walk roots the stored blocks it crossed.
         self._rooted: set[str] = {self.genesis.block_hash}
 
     def add_if_absent(self, block: Block) -> bool:
@@ -118,6 +118,8 @@ class BlockStore:
         if block_hash in self._blocks:
             return False
         self._blocks[block_hash] = block
+        if block.parent_hash in self._rooted:  # rooted, hence stored
+            self._rooted.add(block_hash)
         return True
 
     def get(self, block_hash: str) -> Optional[Block]:
@@ -125,21 +127,22 @@ class BlockStore:
         return self._blocks.get(block_hash)
 
     def has_ancestry(self, block: Block) -> bool:
-        """Whether every ancestor of ``block`` down to genesis is known."""
+        """Whether every ancestor of ``block`` down to genesis is known.
+
+        A block stored after its parent is rooted by :meth:`add_if_absent`,
+        so this is one membership test; the walk runs only for a block
+        stored before its parent, and roots the stored hashes it crossed.
+        """
         rooted = self._rooted
+        blocks = self._blocks
         walked = []
         current = block
-        while True:
-            if current.block_hash in rooted:
-                break
-            if current.is_genesis:
-                break
+        while current.block_hash not in rooted and not current.is_genesis:
             walked.append(current.block_hash)
-            parent = self._blocks.get(current.parent_hash)
-            if parent is None:
+            current = blocks.get(current.parent_hash)
+            if current is None:
                 return False
-            current = parent
-        rooted.update(walked)
+        rooted.update(walked if block.block_hash in blocks else walked[1:])
         return True
 
     def iter_ancestors(self, block: Block) -> Iterator[Block]:
@@ -152,16 +155,23 @@ class BlockStore:
             current = self._blocks.get(current.parent_hash)
 
     def extends(self, descendant: Block, ancestor: Block) -> bool:
-        """Whether ``descendant`` extends (or equals) ``ancestor``."""
-        if descendant.height < ancestor.height:
-            return False
+        """Whether ``descendant`` extends (or equals) ``ancestor``.
+
+        The walk stops below ``ancestor``'s height; for a proposal over the
+        lock it is one parent step.  Genesis ends it too: its parent hash is
+        no stored block's hash.
+        """
         target = ancestor.block_hash
-        for candidate in self.iter_ancestors(descendant):
-            if candidate.block_hash == target:
-                return True
-            if candidate.height < ancestor.height:
+        floor = ancestor.height
+        blocks = self._blocks
+        current = descendant
+        while current.block_hash != target:
+            if current.height < floor:
                 return False
-        return False
+            current = blocks.get(current.parent_hash)
+            if current is None:
+                return False
+        return True
 
     def conflicts(self, block_a: Block, block_b: Block) -> bool:
         """Two blocks conflict when neither extends the other."""

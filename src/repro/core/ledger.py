@@ -58,28 +58,28 @@ class CommittedLog:
         The walk stops at the first ancestor that is already committed at
         its height: everything below it was conflict-checked when that
         ancestor was committed, so re-walking to genesis on every commit
-        (O(height) per commit, O(height²) per run) is unnecessary.  A
-        conflicting ancestor *above* the stop point still raises, exactly
-        as the full walk did.
+        (O(height) per commit, O(height²) per run) is unnecessary; for a
+        block over the committed tip it is one parent step.  A conflicting
+        ancestor *above* the stop point still raises, exactly as the full
+        walk did, and an ancestor missing from the store raises ``KeyError``.
         """
+        by_height = self._by_height
+        blocks = self.store._blocks
         pending: List[Block] = []
-        anchored = False
-        for ancestor in self.store.iter_ancestors(block):
-            if ancestor.is_genesis:
-                anchored = True
-                break
-            existing = self._by_height.get(ancestor.height)
+        current = block
+        while not current.is_genesis:
+            existing = by_height.get(current.height)
             if existing is not None:
-                if existing.block_hash != ancestor.block_hash:
+                if existing.block_hash != current.block_hash:
                     raise SafetyViolation(
-                        f"node {self.node_id} tried to commit {ancestor.short_hash()} at "
-                        f"height {ancestor.height} over {existing.short_hash()}"
+                        f"node {self.node_id} tried to commit {current.short_hash()} at "
+                        f"height {current.height} over {existing.short_hash()}"
                     )
-                anchored = True
                 break
-            pending.append(ancestor)
-        if not anchored:
-            raise KeyError(f"chain of {block.short_hash()} has missing ancestors")
+            pending.append(current)
+            current = blocks.get(current.parent_hash)
+            if current is None:
+                raise KeyError(f"chain of {block.short_hash()} has missing ancestors")
         newly_committed: List[Block] = []
         for ancestor in reversed(pending):
             self._by_height[ancestor.height] = ancestor
@@ -130,11 +130,8 @@ class SafetyChecker:
         max_height = max((log.highest_height for log in correct.values()), default=0)
         common_prefix = 0
         for height in range(1, max_height + 1):
-            blocks = {
-                nid: log.block_at(height)
-                for nid, log in correct.items()
-                if log.block_at(height) is not None
-            }
+            at_height = {nid: log.block_at(height) for nid, log in correct.items()}
+            blocks = {nid: block for nid, block in at_height.items() if block is not None}
             distinct = {b.block_hash for b in blocks.values()}
             if len(distinct) > 1:
                 consistent = False

@@ -80,6 +80,6 @@ class Batch:
         """Total bytes of all commands in the batch."""
         return sum(command.wire_size_bytes for command in self.commands)
 
-    @property
+    @cached_property
     def command_ids(self) -> Tuple[str, ...]:
         return tuple(command.command_id for command in self.commands)

@@ -75,6 +75,18 @@ def test_store_missing_parent_breaks_ancestry():
     assert [b.block_hash for b in store.iter_ancestors(orphan)] == [orphan.block_hash]
 
 
+def test_querying_an_unstored_block_does_not_root_its_children():
+    store, blocks = chain_of(2)
+    unstored = make_block(blocks[-1], 0, 1, 9, [Command("b")])
+    assert store.has_ancestry(unstored)
+    child = make_block(unstored, 0, 1, 10, [Command("child")])
+    store.add_if_absent(child)
+    assert not store.has_ancestry(child)
+    assert not store.has_ancestry(child)
+    store.add_if_absent(unstored)
+    assert store.has_ancestry(child)
+
+
 def test_extends_along_chain():
     store, blocks = chain_of(4)
     assert store.extends(blocks[3], blocks[0])

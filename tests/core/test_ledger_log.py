@@ -167,3 +167,40 @@ def test_indexes_follow_a_sync_adopted_suffix():
     assert session.replicas[2].committed_height == spec.target_height
     for replica in session.replicas.values():
         assert_indexes_match_a_scan(replica.log)
+
+
+class CountingDict(dict):
+    """A ``dict`` that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_an_in_order_chain_costs_one_parent_step_per_block():
+    """Host-independent guard on chain bookkeeping: ``_blocks.get`` calls.
+
+    A block stored after its parent is rooted at insert, so ``has_ancestry``
+    looks nothing up; committing it over the committed tip, or checking it
+    extends its parent, is one parent step.
+    """
+    store = BlockStore()
+    store._blocks = CountingDict(store._blocks)
+    log = CommittedLog(0, store)
+
+    def lookups(query, *args):
+        before = store._blocks.gets
+        assert query(*args)
+        return store._blocks.gets - before
+
+    parent = store.genesis
+    for i in range(500):
+        block = make_block(parent, 0, 1, i + 3, [Command(f"c{i}")])
+        store.add_if_absent(block)
+        assert lookups(store.has_ancestry, block) == 0, f"has_ancestry at {block.height}"
+        assert lookups(store.extends, block, parent) <= 1, f"extends at {block.height}"
+        assert lookups(log.commit, block) <= 1, f"commit at {block.height}"
+        parent = block
+    assert log.highest_height == 500

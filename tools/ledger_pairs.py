@@ -10,7 +10,9 @@ whether the three modelled metrics were bit-identical in every pair; where
 one was not, each pair's parent -> change value and whether it moved in
 the metric's better direction, so a modelled gain gets its rows here too.
 Last, one ``--trace 1`` run per side at the first pair's seed gives the
-exact per-layer counts (``sim.events``, ``net.tx``, ...) that differ.
+exact per-layer counts (``sim.events``, ``net.tx``, ...) that differ, and
+each layer's ``*_share`` row as parent -> change: a timing from one
+sampled run per side, so it shows where host time moved, not a claim.
 
 Before the first pair it compiles both trees' bytecode: with
 ``PYTHONDONTWRITEBYTECODE`` set, a fresh clone would otherwise compile its
@@ -160,6 +162,11 @@ def main() -> int:
         parent, change = counts["parent"][name], counts["change"][name]
         print(f"  {name:28s} {parent!r} -> {change!r}"
               f"{f'  ({(change / parent - 1) * 100:+.1f} %)' if parent else ''}")
+    shares = [name for name in counts["change"] if name.endswith("_share")]
+    print(f"\nlayer shares, --trace 1 at seed {args.seed}: one sampled run per side, "
+          f"a timing, not a count")
+    for name in shares:
+        print(f"  {name:28s} {counts['parent'][name]:.3f} -> {counts['change'][name]:.3f}")
     if args.out is not None:
         args.out.write_text(json.dumps({"workload": args.workload, "runs": runs}, indent=1))
     return 0
