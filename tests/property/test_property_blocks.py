@@ -236,7 +236,8 @@ def test_indexed_chain_queries_match_the_generator_walk(blocks, data):
             else:
                 assert getattr(store, name)(a, b) == getattr(reference, name)(a, b), (name, i, j)
             assert store._rooted <= store._blocks.keys(), "a rooted hash is not stored"
-    assert log.committed_blocks() == [reference_log._by_height[h] for h in sorted(reference_log._by_height)]
+    by_height = reference_log._by_height
+    assert log.committed_blocks() == [by_height[height] for height in sorted(by_height)]
     for a in blocks:
         assert store.has_ancestry(a) == reference.has_ancestry(a)
         for b in blocks:
