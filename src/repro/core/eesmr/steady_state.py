@@ -11,6 +11,12 @@ and every node:
   ancestors) when the timer expires without an equivocation having been
   observed for that view.
 
+A proposal that arrives ahead of its round is buffered.  The delivery that
+fills the gap accepts the whole run it makes current, in one loop, at one
+instant: the run's ``T_commit`` timers would share a deadline and fire back
+to back, so they are one event, keyed (and, traced, labelled) by the
+blocks' hashes joined with ``,``, which commits them in order.
+
 The only signature in the whole steady state is the leader's signature on
 the proposal, which is what gives EESMR its O(1) signing / O(n)
 verification per block (Table 3) and its energy advantage over
@@ -99,41 +105,45 @@ class SteadyStateMixin:
             self._process_steady_proposal(message)
 
     def _process_steady_proposal(self, message: ProtocolMessage) -> None:
-        """Vote in the head: lock, start the 4Δ commit timer, advance the round."""
-        block = message.data
-        if not isinstance(block, Block):
+        """Vote in the head for ``message`` and each buffered proposal it makes current.
+
+        The accepted run shares one 4Δ commit timer; ``T_blame`` is re-armed once.
+        """
+        per_view = self.buffered_proposals.get(self.v_cur, {})
+        accepted: tuple[Block, ...] = ()
+        key = ""
+        while True:
+            block = message.data
+            if not isinstance(block, Block):
+                break
+            self.store_block(block)
+            # Without stored parents (chain synchronization would fetch them)
+            # the extension cannot be validated; a block forking away from
+            # our lock is refused, and the blame timer will depose its leader.
+            if not self.blocks.has_ancestry(block) or not self.blocks.extends(block, self.b_lock):
+                break
+            self.b_lock = block
+            self.stats.proposals_received += 1
+            self.r_cur = message.round + 1
+            key = f"{key},{block.block_hash}" if accepted else block.block_hash
+            accepted += (block,)
+            if self.r_cur not in per_view:
+                break
+            message = per_view.pop(self.r_cur)
+        if not accepted:
             return
-        self.store_block(block)
-        if not self.blocks.has_ancestry(block):
-            # Chain synchronization would fetch the missing parents; absent
-            # them we cannot validate the extension, so do not advance.
-            return
-        if not self.blocks.extends(block, self.b_lock):
-            # The leader forked away from our lock; refuse to adopt it.  The
-            # blame timer will eventually fire and trigger a view change.
-            return
-        self.b_lock = block
-        self.stats.proposals_received += 1
-        self.commit_timers.start(
-            block.block_hash,
-            4 * self.config.delta,
-            self._commit_on_timer,
-            block,
-        )
-        self.r_cur = message.round + 1
-        if block.height >= self.config.target_height:
+        self.commit_timers.start(key, 4 * self.config.delta, self._commit_on_timer, *accepted)
+        if self.b_lock.height >= self.config.target_height:
             # All expected blocks have been proposed; a quiet leader is not a
             # faulty leader once the workload is exhausted.
             self.blame_timer.cancel()
         else:
             self.blame_timer.start(4 * self.config.delta)
-        self._drain_buffered_proposals()
 
     def _drain_buffered_proposals(self) -> None:
-        """Process any buffered proposal that has become current."""
-        per_view = self.buffered_proposals.get(self.v_cur, {})
-        while self.r_cur in per_view and not self.in_view_change:
-            message = per_view.pop(self.r_cur)
+        """Process the buffered proposal that has become current, if any."""
+        message = self.buffered_proposals.get(self.v_cur, {}).pop(self.r_cur, None)
+        if message is not None:
             self._process_steady_proposal(message)
 
     # --------------------------------------------------------- equivocation

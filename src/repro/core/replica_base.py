@@ -379,11 +379,12 @@ class LeaderReplica(BaseReplica):
             first, second = list(seen.values())[:2]
             self._handle_equivocation(message.view, first, second)
 
-    def _commit_on_timer(self, block: Block) -> None:
-        """Commit rule: ``T_commit(block)`` elapsed without an equivocation."""
+    def _commit_on_timer(self, *blocks: Block) -> None:
+        """Commit rule: ``T_commit`` elapsed without an equivocation; commit ``blocks`` in order."""
         if self.crashed:
             return
-        self.commit_chain(block)
+        for block in blocks:
+            self.commit_chain(block)
 
     # ----------------------------------------------------------------- blame
     def _on_blame_timer(self) -> None:

@@ -81,7 +81,7 @@ class TimerRegistry:
     and its arguments, so arming allocates nothing else.  An entry leaves
     when its timer fires or is cancelled, so every operation costs
     O(armed), not O(timers ever started): a replica starts one ``T_commit``
-    per block.
+    per block, or, on EESMR, one per run of blocks a delivery accepts.
     """
 
     def __init__(self, sim: Simulator, prefix: str) -> None:

@@ -76,7 +76,7 @@ def test_proposal_from_non_leader_is_ignored():
 
 
 def test_future_round_proposal_is_buffered_until_current():
-    sim, scheme, _, replicas = build_cluster()
+    sim, scheme, config, replicas = build_cluster()
     replica = replicas[2]
     from repro.core.blocks import make_block
 
@@ -90,6 +90,58 @@ def test_future_round_proposal_is_buffered_until_current():
     # Both applied in order once the gap is filled.
     assert replica.r_cur == 5
     assert replica.b_lock.block_hash == second.block_hash
+    # The run shares one commit timer, keyed by its hashes in order ...
+    assert replica.commit_timers.running_keys() == [f"{first.block_hash},{second.block_hash}"]
+    # ... which, 4Δ later and as one event, commits both blocks by height.
+    assert sim.next_event_time() == 4 * config.delta
+    assert sim.step() and sim.executed_events == 1
+    assert [block.block_hash for block in replica.log.committed_blocks()] == [
+        first.block_hash,
+        second.block_hash,
+    ]
+    assert replica.b_com.block_hash == second.block_hash
+
+
+def buffered_run(replica, scheme, *blocks):
+    """Deliver ``blocks`` (rounds 3, 4, ...) last-first, so the round-3 one drains the rest."""
+    for round_number, block in reversed(list(enumerate(blocks, start=3))):
+        replica.on_message(
+            0, make_message(scheme, 0, MessageType.PROPOSE, 1, block, round_number=round_number)
+        )
+
+
+def test_equivocation_before_the_deadline_cancels_the_whole_run():
+    from repro.core.blocks import make_block
+    from repro.core.types import Command
+
+    sim, scheme, config, replicas = build_cluster()
+    replica = replicas[2]
+    first = make_block(replica.blocks.genesis, 0, 1, 3, [])
+    second = make_block(first, 0, 1, 4, [])
+    buffered_run(replica, scheme, first, second)
+    assert len(replica.commit_timers) == 1
+    rival = make_block(first, 0, 1, 4, [Command("rival")])
+    replica.on_message(0, make_message(scheme, 0, MessageType.PROPOSE, 1, rival, round_number=4))
+    assert replica.stats.equivocations_detected == 1 and len(replica.commit_timers) == 0
+    sim.run_until(4 * config.delta, max_events=10_000)
+    assert replica.log.highest_height == 0 and replica.b_com.is_genesis
+
+
+def test_a_buffered_fork_ends_the_run_at_the_last_accepted_block():
+    from repro.core.blocks import make_block
+
+    _, scheme, _, replicas = build_cluster()
+    replica = replicas[2]
+    first = make_block(replica.blocks.genesis, 0, 1, 3, [])
+    second = make_block(first, 0, 1, 4, [])
+    fork = make_block(first, 0, 1, 5, [])  # extends round 3, not the new lock
+    after_fork = make_block(fork, 0, 1, 6, [])
+    buffered_run(replica, scheme, first, second, fork, after_fork)
+    assert replica.b_lock.block_hash == second.block_hash
+    assert replica.r_cur == 5
+    assert replica.commit_timers.running_keys() == [f"{first.block_hash},{second.block_hash}"]
+    # The fork was consumed; the proposal after it waits for a round 5 that never comes.
+    assert sorted(replica.buffered_proposals[1]) == [6]
 
 
 def test_proposal_not_extending_lock_is_rejected():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval.runner import run_protocol
+from repro.eval.runner import DeploymentSpec, run_protocol
 from tests.conftest import honest_spec
 
 
@@ -90,3 +90,10 @@ def test_block_interval_paces_proposals():
     paced = run_protocol(honest_spec(n=5, f=1, k=2, blocks=3, seed=15, block_interval=10.0))
     assert paced.min_committed_height == 3
     assert paced.sim_time >= 2 * 10.0
+
+
+def test_a_long_out_of_order_stream_drains_without_recursion():
+    """At n=25 with k=2 one delivery can fill a gap of hundreds of buffered
+    proposals; accepting them is one loop, not one stack frame per block."""
+    result = run_protocol(DeploymentSpec(protocol="eesmr", n=25, f=5, k=2, target_height=600, seed=7))
+    assert all(height == 600 for height in result.committed_heights.values())

@@ -77,6 +77,8 @@ LEADER_FAULTS = ("silent_leader", "equivocate", "crash")
 LOSSY = ImpairmentSpec(loss=0.1, duplicate=0.05, jitter=0.25, ble_calibrated=True)
 #: Heavy loss with a two-retry budget: chains give up or are ACKed implicitly.
 GIVEUP = ImpairmentSpec(loss=0.4, duplicate=0.2, jitter=0.5, reorder=0.2, max_retries=2)
+#: The wire of the ``stacked-lossy`` cases.
+STACKED_LOSSY = ImpairmentSpec(loss=0.2, max_retries=2)
 
 PINS = {
     "lossy/eesmr": "4c1e6fc2646c8aa6e01caf058d1608f9cfb137ff635f37ea059e0182700eda13",
@@ -191,8 +193,7 @@ def test_stacked_window_schedule_trace_matches_parent(protocol):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_stacked_window_schedule_on_a_lossy_wire_matches_parent(protocol):
-    lossy = ImpairmentSpec(loss=0.2, max_retries=2)
-    assert fingerprint(stacked_spec(protocol, lossy)) == PINS[f"stacked-lossy/{protocol}"]
+    assert fingerprint(stacked_spec(protocol, STACKED_LOSSY)) == PINS[f"stacked-lossy/{protocol}"]
 
 
 def test_stacked_window_schedule_reports_only_effective_transitions():

@@ -18,6 +18,17 @@ every run on an impaired wire, where each receiver keeps its own event)
 kept their fingerprints.  The 9 faulty-leader values were re-pinned with
 their event-plane pins, for the same reason: the spec's ``faults`` entry
 became the lowered atom list.
+
+The same argument covers EESMR's commit timers.  The blocks one delivery
+accepts (the delivered proposal and the buffered ones it makes current)
+share one ``T_commit`` event whose traced label lists them in order
+(``timer:p3:t-commit:<h1>,<h2>``).  Each used to have its own event at the
+same time, with consecutive surviving sequence numbers: the only push
+between two of them was the ``T_blame`` move, whose final position is after
+the last.  So :func:`expand` also splits commit events back per block, and
+``PER_BLOCK_COMMIT`` holds the values pinned before that change for every
+pinned trace it moved; split back per block only, each trace hashes to
+them.
 """
 
 import re
@@ -27,10 +38,19 @@ import pytest
 from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.testkit.trace import RunTrace, TraceRecorder
 from tests.net.test_plan_invalidation import BASE, UNCOMPILED
-from tests.testkit.test_event_plane_pins import LEADER_FAULTS, faulty_leader_spec, stacked_spec
+from tests.testkit.test_event_plane_pins import (
+    GIVEUP,
+    LEADER_FAULTS,
+    LOSSY,
+    STACKED_LOSSY,
+    faulty_leader_spec,
+    open_loop_spec,
+    stacked_spec,
+)
 from tests.testkit.test_golden_fingerprints import WIFI_N9, golden_spec
 
-EDGE_LABEL = re.compile(r"net:flood(\d+)->(\d+(?:,\d+)+)")
+EDGE_LABEL = re.compile(r"(net:flood\d+->)(\d+(?:,\d+)+)")
+COMMIT_LABEL = re.compile(r"(timer:p\d+:t-commit:)([^,]+(?:,[^,]+)+)")
 
 #: case -> the fingerprint pinned while every reception was its own event.
 PER_RECEIVER = {
@@ -55,6 +75,23 @@ PER_RECEIVER = {
 }
 
 
+#: case -> the fingerprint pinned while every accepted EESMR block armed its
+#: own commit timer event.
+PER_BLOCK_COMMIT = {
+    "golden/eesmr": "3e3a94439d915f34bbff4efb96884d9ac0ec40144af65ba2b6efa13f19a08c27",
+    "golden/wifi-n9": "34ba7609c8e5b9fb0ba9aeef2630fb6b85f548950e80d69f0abdf5b7f529548d",
+    "relay-drop-window": "8c3bdd3879dd1c56f8a31dfc5319a0118af833f4573540c134f49f5fe5d430ff",
+    "partition-heal": "72f3d3c2d35427bd30572f253a34105ff79b8a2e3ad99975ef3bd602d97cfc02",
+    "lossy/eesmr": "4c1e6fc2646c8aa6e01caf058d1608f9cfb137ff635f37ea059e0182700eda13",
+    "giveup/eesmr": "b6c7247fe3dbadddbe7c1c3e164d3f656a933a3b5b02819c9ae6649e9105e9fc",
+    "silent_leader/eesmr": "ef50c79624e74b90a54bd9c80a87b7e2cb053f45ade809c615c0d807d65e52ca",
+    "equivocate/eesmr": "af045c3ad1e72f06819abce9e2e40880443cac4ee30f4620fdc61c99dd21b702",
+    "crash/eesmr": "3a3a9897408a0ab08784a88ca02d2e7052698437f22b6b32db4a00e0a2abd434",
+    "stacked/eesmr": "c0d755d15793e75a1d24162f0668b5f8f764683378a95e9970ab40e2bef2f8fc",
+    "stacked-lossy/eesmr": "4bcc435512a85155af9f7730466fa420f6c6acf3c6ed23518c3819a0d6366300",
+}
+
+
 def spec_for(case: str) -> DeploymentSpec:
     kind, _, protocol = case.partition("/")
     if kind == "golden":
@@ -63,26 +100,46 @@ def spec_for(case: str) -> DeploymentSpec:
         return DeploymentSpec(**BASE, fault_schedule=UNCOMPILED[kind][0]())
     if kind in LEADER_FAULTS:
         return faulty_leader_spec(kind, protocol)
-    return stacked_spec(protocol)
+    if kind == "lossy":
+        return open_loop_spec(protocol, LOSSY, 30)
+    if kind == "giveup":
+        return open_loop_spec(protocol, GIVEUP, 12)
+    return stacked_spec(protocol, STACKED_LOSSY if kind == "stacked-lossy" else None)
 
 
-def expand(trace: RunTrace) -> RunTrace:
-    """Split each multi-receiver edge event into one event per receiver."""
+def split(trace: RunTrace, pattern: re.Pattern) -> RunTrace:
+    """Split each event whose label ``pattern`` matches into one event per listed item."""
     events = []
     for time, label in trace.events:
-        match = EDGE_LABEL.fullmatch(label)
+        match = pattern.fullmatch(label)
         if match is None:
             events.append([time, label])
             continue
-        flood, receivers = match.groups()
-        events.extend([time, f"net:flood{flood}->{r}"] for r in receivers.split(","))
+        head, items = match.groups()
+        events.extend([time, head + item] for item in items.split(","))
     trace.executed_events += len(events) - len(trace.events)
     trace.events = events
     return trace
 
 
+def expand(trace: RunTrace) -> RunTrace:
+    """Split each multi-receiver edge event and each multi-block commit event."""
+    return split(split(trace, EDGE_LABEL), COMMIT_LABEL)
+
+
+def run_trace(case: str) -> RunTrace:
+    return run_protocol(spec_for(case), recorder=TraceRecorder()).trace
+
+
 @pytest.mark.parametrize("case", list(PER_RECEIVER))
 def test_expanded_edge_trace_hashes_to_the_per_receiver_pin(case):
-    trace = run_protocol(spec_for(case), recorder=TraceRecorder()).trace
+    trace = run_trace(case)
     assert any(EDGE_LABEL.fullmatch(label) for _, label in trace.events)
     assert expand(trace).fingerprint() == PER_RECEIVER[case]
+
+
+@pytest.mark.parametrize("case", list(PER_BLOCK_COMMIT))
+def test_split_commit_trace_hashes_to_the_per_block_pin(case):
+    trace = run_trace(case)
+    assert any(COMMIT_LABEL.fullmatch(label) for _, label in trace.events)
+    assert split(trace, COMMIT_LABEL).fingerprint() == PER_BLOCK_COMMIT[case]
