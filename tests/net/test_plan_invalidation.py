@@ -110,7 +110,9 @@ BASE = dict(protocol="eesmr", n=5, f=1, k=2, target_height=3, seed=17)
 #: changed; the event schedules, energy and network counters did not move.
 #: Re-pinned with them again when a k-cast's receivers began sharing one
 #: event (``tests/testkit/test_per_receiver_expansion.py`` keeps the
-#: previous values asserted).
+#: previous values asserted).  Re-pinned once more when the blocks one EESMR
+#: delivery accepts began sharing one commit-timer event (the same file's
+#: ``PER_BLOCK_COMMIT`` keeps those values asserted).
 UNCOMPILED = {
     "fault-free": (lambda: None, GOLDEN["eesmr"]),
     # Relay denial opening and lifting mid-run: each transition must
@@ -118,12 +120,12 @@ UNCOMPILED = {
     # table would see it.
     "relay-drop-window": (
         lambda: drop_window(3, start=1.0, end=8.0),
-        "8c3bdd3879dd1c56f8a31dfc5319a0118af833f4573540c134f49f5fe5d430ff",
+        "32f665685549c753ce7f8ba5521cf1b814b18196ba68a7cd0986f4891aea4fb2",
     ),
     # Partition cut + heal mid-run: receiver filtering must follow.
     "partition-heal": (
         lambda: partition(4, start=2.0, heal=10.0),
-        "72f3d3c2d35427bd30572f253a34105ff79b8a2e3ad99975ef3bd602d97cfc02",
+        "215c24349e3f0a09f02b5d9ea0737cc05073892cc42fb23110085105d4c12e37",
     ),
 }
 

@@ -26,6 +26,15 @@ sequence numbers).  Only the event list and ``executed_events`` changed:
 split back per receiver, each trace hashes to its previous value, which
 ``tests/testkit/test_per_receiver_expansion.py`` asserts.  The trusted
 baseline sends no k-casts and kept its fingerprint.
+
+Re-pinned a third time, EESMR and the n=9 WiFi run only, when the blocks
+one delivery accepts began sharing one ``T_commit`` event
+(``timer:p3:t-commit:<h1>,<h2>`` where there were per-block events at the
+same time and consecutive surviving sequence numbers).  Only the event
+list and ``executed_events`` changed: split back per block, each trace
+hashes to its previous value, which the same file asserts
+(``PER_BLOCK_COMMIT``).  Sync HotStuff, OptSync and the trusted baseline
+accept one proposal per delivery and kept their fingerprints.
 """
 
 import pytest
@@ -35,13 +44,13 @@ from repro.testkit.trace import TraceRecorder
 
 #: (spec kwargs) -> fingerprint captured before the hot-path overhaul.
 GOLDEN = {
-    "eesmr": "3e3a94439d915f34bbff4efb96884d9ac0ec40144af65ba2b6efa13f19a08c27",
+    "eesmr": "e02030429f623ab81e7d6076c665ad81e6f9132eed1e8c0d6fd39bb288a336d7",
     "sync-hotstuff": "4218851e95317a9bcd7b4b19a7dae1a366192ba193f2d9091cb167b77ecfa915",
     "optsync": "fb2ec8c760c3eb390b41d3ba232dbeb83c805f096a69afa6e3284a2a76991959",
     "trusted-baseline": "1649688ceca18c07a6a78a08e5ffa2dafb1345cd12c2e228ac4dc5cc17c02ea8",
 }
 
-GOLDEN_WIFI_N9 = "34ba7609c8e5b9fb0ba9aeef2630fb6b85f548950e80d69f0abdf5b7f529548d"
+GOLDEN_WIFI_N9 = "50939fd49392dc26d7f1da2b01d5d8a3aee4ffcaacfecb4558f4468779c58c6d"
 
 
 def golden_spec(protocol: str) -> DeploymentSpec:
