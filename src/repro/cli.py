@@ -330,7 +330,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     print(f"cells run           : {report.cells_run}")
     print(f"cells skipped       : {report.cells_skipped}")
     for skip in report.skipped:
-        print(f"  skip: {skip.label()}")
+        print(f"  skip: {skip.cell} [skipped: {skip.skip_reason}]")
     if report.ok:
         print("invariants          : OK")
         return 0

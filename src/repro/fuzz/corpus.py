@@ -16,8 +16,11 @@ the hand-curated matrix.  A corpus entry is one JSON file holding
 
 Entries are written with a canonical JSON encoding and named by a content
 hash, so regenerating the corpus from the same findings is byte-stable
-and collisions are self-evident.  ``tests/corpus/`` holds the committed
-corpus; its pytest collector replays every entry on every CI run.
+and collisions are self-evident.  :meth:`CorpusEntry.load` refuses a
+malformed field with a :class:`~repro.net.impairment.SpecError`.
+``tests/corpus/`` holds the committed corpus; its pytest collector
+replays every entry on every CI run as ``judge("corpus:<id>",
+entry.build_spec(), SessionBuilder)``.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.session.spec import DeploymentSpec
 from repro.net.impairment import SpecError, read_json
-from repro.testkit.invariants import InvariantReport, judge_reports
 
 #: Corpus entry schema version (bump on incompatible changes).
 CORPUS_FORMAT = 1
@@ -71,12 +73,27 @@ class CorpusEntry:
         missing = [key for key in ("id", "spec") if key not in data]
         if missing:
             raise SpecError(f"corpus entry lacks {missing}", str(path))
+        entry_id = _content_id({"spec": data["spec"], "expect": expect})
+        found, note = data.get("found", {}), data.get("note", "")
+        failures = found.get("failures", []) if isinstance(found, dict) else []
+        pairs = isinstance(failures, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
+            for pair in failures
+        )
+        for name, ok, value, wanted in (
+            ("id", data["id"] == entry_id, data["id"], f"the content hash {entry_id!r}"),
+            ("found", isinstance(found, dict), found, "an object"),
+            ("found.failures", pairs, failures, "[protocol, invariant] pairs"),
+            ("note", isinstance(note, str), note, "a string"),
+        ):
+            if not ok:
+                raise SpecError(f"{name}: expected {wanted}, got {value!r}", str(path))
         return cls(
-            entry_id=data["id"],
+            entry_id=entry_id,
             spec=data["spec"],
             expect=expect,
-            found=data.get("found", {}),
-            note=data.get("note", ""),
+            found=found,
+            note=note,
             path=Path(path),
         )
 
@@ -141,16 +158,3 @@ class Corpus:
         path.write_text(canonical_json(entry.payload()))
         entry.path = path
         return path
-
-
-def replay_entry(entry: CorpusEntry) -> Tuple[List[InvariantReport], List[InvariantReport]]:
-    """Replay one corpus entry; returns (all reports, failing reports).
-
-    The caller asserts the direction: for ``expect == "clean"`` the
-    failing list must be empty; for ``expect == "violation"`` it must not
-    (and should still contain the recorded (protocol, invariant) pairs).
-    A run that crashes replays as its one failing report, exactly as the
-    detector recorded it (:func:`~repro.testkit.invariants.judge_reports`).
-    """
-    reports = judge_reports(entry.build_spec(), label=f"corpus:{entry.entry_id}")
-    return reports, [report for report in reports if not report.ok]

@@ -1,24 +1,18 @@
 """Run generated schedules across protocols and detect invariant violations.
 
 The :class:`Detector` is the middle of the fuzzing loop: given a
-:class:`~repro.testkit.faults.FaultSchedule` it runs one session per
-protocol through :func:`repro.testkit.invariants.judge_reports` — the same
-run-and-check function the scenario matrix and the corpus replay use —
-and folds the failing reports into a :class:`Detection`.
+:class:`~repro.testkit.faults.FaultSchedule` it generates one spec per
+protocol, labelled ``fuzz:<protocol>``, and judges them through
+:func:`repro.testkit.scenarios.judge_specs` — the runner the scenario
+matrix and the corpus replay also use — into a :class:`Detection` of one
+:class:`~repro.testkit.scenarios.Verdict` per protocol.  It never dies on
+a finding: a run that raises mid-run is a failing verdict the shrinker
+can chase like any other.
 
-Two detector properties matter for fuzzing:
-
-* **It never dies on a finding.**  A planted (or real) bug can crash the
-  run itself — a local :class:`~repro.core.ledger.SafetyViolation` raised
-  mid-event, or a livelock tripping the event budget.  Those surface as
-  *violations* (mapped onto the agreement / a synthetic ``no-livelock``
-  invariant) rather than detector exceptions, so the shrinker can chase
-  them like any other failure.
-* **Schedules are rebuilt per protocol.**  Each run deserialises the
-  schedule from its canonical description
-  (``schedule_from_dict(describe())``), so adaptive atoms never share
-  victim state across protocol runs and every detection doubles as a
-  round-trip exercise of the corpus schema.
+Schedules are rebuilt per protocol from their canonical description
+(``schedule_from_dict(describe())``), so adaptive atoms never share
+victim state across protocol runs and every detection doubles as a
+round-trip exercise of the corpus schema.
 """
 
 from __future__ import annotations
@@ -26,38 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, List, Optional, Tuple
 
-from repro.session.spec import DeploymentSpec
 from repro.fuzz.generator import FuzzConfig
 from repro.session.builder import SessionBuilder
 from repro.testkit.faults import FaultSchedule, schedule_from_dict
-from repro.testkit.invariants import InvariantReport, judge_reports
-from repro.testkit.scenarios import schedule_feasibility
-
-
-@dataclass
-class ProtocolVerdict:
-    """What one protocol run of a schedule concluded."""
-
-    protocol: str
-    #: Feasibility skip reason (the run never happened), or ``None``.
-    skip_reason: Optional[str] = None
-    #: Failing invariant reports only; empty means the run was clean.
-    violations: List[InvariantReport] = field(default_factory=list)
-
-    @property
-    def failed(self) -> bool:
-        return bool(self.violations)
-
-    def describe(self) -> dict:
-        """Canonical JSON-friendly verdict (for reports and reproducibility)."""
-        return {
-            "protocol": self.protocol,
-            "skip_reason": self.skip_reason,
-            "violations": [
-                {"invariant": report.name, "detail": report.detail}
-                for report in self.violations
-            ],
-        }
+from repro.testkit.scenarios import Verdict, judge_specs
 
 
 @dataclass
@@ -65,11 +31,12 @@ class Detection:
     """Aggregate verdict of one schedule across every configured protocol."""
 
     schedule: FaultSchedule
-    verdicts: List[ProtocolVerdict] = field(default_factory=list)
+    #: One verdict per configured protocol, in configuration order.
+    verdicts: List[Verdict] = field(default_factory=list)
 
     @property
     def failed(self) -> bool:
-        return any(verdict.failed for verdict in self.verdicts)
+        return not all(verdict.ok for verdict in self.verdicts)
 
     def failure_key(self) -> FrozenSet[Tuple[str, str]]:
         """The set of (protocol, invariant) pairs that failed.
@@ -79,15 +46,26 @@ class Detection:
         some other failure the surgery introduced.
         """
         return frozenset(
-            (verdict.protocol, report.name)
+            (verdict.spec.protocol, report.name)
             for verdict in self.verdicts
-            for report in verdict.violations
+            for report in verdict.violations()
         )
 
     def describe(self) -> dict:
+        """Canonical JSON-friendly form (for reports and reproducibility)."""
         return {
             "schedule": self.schedule.describe(),
-            "verdicts": [verdict.describe() for verdict in self.verdicts],
+            "verdicts": [
+                {
+                    "protocol": verdict.spec.protocol,
+                    "skip_reason": verdict.skip_reason,
+                    "violations": [
+                        {"invariant": report.name, "detail": report.detail}
+                        for report in verdict.violations()
+                    ],
+                }
+                for verdict in self.verdicts
+            ],
         }
 
 
@@ -101,9 +79,6 @@ class Detector:
             :class:`SessionBuilder` subclass that substitutes mutated
             replica classes or network behaviour — the fuzzer then has
             something real to find.
-
-    A run that exceeds the session's event budget is reported as a
-    ``no-livelock`` violation instead of raising.
     """
 
     def __init__(
@@ -119,15 +94,13 @@ class Detector:
 
     # ---------------------------------------------------------------- running
     def detect(self, schedule: Optional[FaultSchedule]) -> Detection:
-        """Run ``schedule`` under every configured protocol and judge it."""
-        verdicts: List[ProtocolVerdict] = []
-        for protocol in self.config.protocols:
-            spec = self.config.spec_for(self._fresh_schedule(schedule), protocol)
-            reason = schedule_feasibility(spec)
-            if reason is not None:
-                verdicts.append(ProtocolVerdict(protocol, skip_reason=reason))
-                continue
-            verdicts.append(self._run_one(spec, protocol))
+        """Judge ``schedule`` under every configured protocol."""
+        runs = [
+            (f"fuzz:{protocol}", self.config.spec_for(self._fresh_schedule(schedule), protocol))
+            for protocol in self.config.protocols
+        ]
+        verdicts = judge_specs(runs, 1, self.builder_factory)
+        self.runs += sum(verdict.skip_reason is None for verdict in verdicts)
         return Detection(
             schedule if schedule is not None else FaultSchedule(), verdicts
         )
@@ -137,10 +110,3 @@ class Detector:
         if schedule is None:
             return None
         return schedule_from_dict(schedule.describe())
-
-    def _run_one(self, spec: DeploymentSpec, protocol: str) -> ProtocolVerdict:
-        self.runs += 1
-        reports = judge_reports(spec, label=f"fuzz:{protocol}", builder=self.builder_factory)
-        return ProtocolVerdict(
-            protocol, violations=[report for report in reports if not report.ok]
-        )

@@ -11,8 +11,9 @@ against.  It provides:
   conservation);
 * :mod:`repro.testkit.faults` — the :class:`FaultSchedule` DSL of timed,
   per-node, composable faults;
-* :mod:`repro.testkit.scenarios` — :class:`ScenarioMatrix`, the
-  protocols × faults × media × topologies cross-product runner.
+* :mod:`repro.testkit.scenarios` — :func:`judge`, the one run-and-check
+  of a spec, and :class:`ScenarioMatrix`, the protocols × faults × media
+  × topologies cross-product judged through it.
 
 See ``docs/testkit.md`` for a guide.
 """
@@ -28,14 +29,10 @@ from repro.testkit.faults import (
     StallAt,
     partition,
 )
-from repro.testkit.invariants import (
-    InvariantReport,
-    judge,
-    judge_reports,
-)
 from repro.testkit.scenarios import (
     DEFAULT_FAULTS,
     ScenarioMatrix,
+    judge,
 )
 
 __all__ = [
@@ -44,13 +41,11 @@ __all__ = [
     "EquivocateAt",
     "Fault",
     "FaultSchedule",
-    "InvariantReport",
     "PartitionWindow",
     "RelayDropWindow",
     "ScenarioMatrix",
     "SilentFrom",
     "StallAt",
     "judge",
-    "judge_reports",
     "partition",
 ]

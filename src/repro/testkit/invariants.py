@@ -25,24 +25,16 @@ the collected :class:`~repro.session.spec.RunResult` and the structured
 :class:`~repro.testkit.trace.RunTrace` — and raise
 :class:`InvariantViolation` with a cell-identifying message on failure.
 
-:func:`judge` is the one run-and-check function: the scenario matrix, the
-fuzz detector and the corpus replay all run a spec under a
-:class:`~repro.testkit.trace.TraceRecorder` and map the battery over its
-evidence through it (:func:`judge_reports` and the matrix's cells, the
-callers that must survive a run that crashes, map a mid-run violation
-through :func:`run_failure_report`).
+:func:`check_all` maps the battery over one run's evidence;
+:func:`repro.testkit.scenarios.judge` is the one function that runs a
+spec to get it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Sequence, Tuple
-
-from repro.core.ledger import SafetyViolation
-from repro.session.builder import SessionBuilder
-from repro.sim.scheduler import SimulationError
-from repro.testkit.trace import TraceRecorder
+from typing import List
 
 
 class InvariantViolation(AssertionError):
@@ -425,49 +417,3 @@ DEFAULT_INVARIANTS: tuple = (
 def check_all(evidence: Evidence) -> List[InvariantReport]:
     """Check the standard battery, returning one report per invariant."""
     return [invariant.run(evidence) for invariant in DEFAULT_INVARIANTS]
-
-
-def judge(
-    spec,
-    *,
-    label: str,
-    builder: Callable[..., SessionBuilder] = SessionBuilder,
-    observers: Sequence = (),
-) -> Tuple[Any, Evidence, List[InvariantReport]]:
-    """Run ``spec`` to quiescence under a :class:`TraceRecorder` and check
-    the standard battery against its evidence: ``(result, evidence, reports)``.
-
-    ``builder`` is the session-builder class (or factory) to build with —
-    the seam the fuzzer's planted mutants substitute.  An exception raised
-    by the run itself propagates; see :func:`judge_reports`.
-    """
-    session = builder(spec, observers=observers, recorder=TraceRecorder()).build()
-    result = session.run_to_quiescence().finish()
-    evidence = Evidence(spec=spec, result=result, trace=result.trace, label=label)
-    return result, evidence, check_all(evidence)
-
-
-#: What a run raises when a planted (or real) bug crashes the run itself.
-RUN_FAILURES = (SafetyViolation, SimulationError)
-
-
-def run_failure_report(error: Exception, label: str) -> InvariantReport:
-    """The one failing report for a run that raised one of :data:`RUN_FAILURES`.
-
-    A replica refusing to commit over its own log mid-run
-    (:class:`SafetyViolation`) *is* an agreement failure, observed earlier
-    than the post-run checker would see it; a livelock tripping the event
-    budget (:class:`SimulationError`) is reported against a synthetic
-    ``no-livelock`` invariant.
-    """
-    name = "agreement" if isinstance(error, SafetyViolation) else "no-livelock"
-    return InvariantReport(name, False, f"[{name} @ {label}] {error}")
-
-
-def judge_reports(spec, *, label: str, **judge_kwargs) -> List[InvariantReport]:
-    """:func:`judge`'s reports, for callers that must not die on a finding:
-    a run that raises returns its :func:`run_failure_report` instead."""
-    try:
-        return judge(spec, label=label, **judge_kwargs)[2]
-    except RUN_FAILURES as error:
-        return [run_failure_report(error, label)]

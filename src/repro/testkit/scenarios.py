@@ -11,13 +11,11 @@ that: it enumerates the cross-product of
 * medium ∈ {ble, wifi, 4g-lte},
 * topology ∈ {ring-kcast, fully-connected, star, random-kcast, ...},
 
-runs every *feasible* cell deterministically through
-:func:`~repro.testkit.invariants.judge` (a session under a
-:class:`~repro.testkit.trace.TraceRecorder`, then the full invariant
-battery, :data:`~repro.testkit.invariants.DEFAULT_INVARIANTS`, over its
-evidence; a run that raises a safety violation or trips its event budget
-mid-run is a failed cell, not a traceback), and adds two differential
-checks:
+and judges every cell's spec through :func:`judge_specs`, the one runner
+the fuzz detector and the corpus replay also generate specs for (one
+:class:`Verdict` per spec: skipped with its feasibility reason, or run
+under a :class:`~repro.testkit.trace.TraceRecorder` and checked against
+the invariant battery).  The matrix adds two differential checks:
 
 * within a cell, all correct replicas committed prefix-compatible command
   sequences (part of the agreement invariant);
@@ -40,24 +38,26 @@ assumption.  Skips are recorded on the :class:`MatrixReport`.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.ledger import SafetyViolation
 from repro.session.spec import MEDIA, PROTOCOLS, DeploymentSpec
 from repro.net.impairment import ImpairmentSpec, SpecError, parse_impairment
-from repro.session.builder import build_topology
+from repro.session.builder import SessionBuilder, build_topology
 from repro.session.metrics import MetricsObserver
+from repro.sim.scheduler import SimulationError
 from repro.testkit import faults
+from repro.testkit.trace import TraceRecorder
 from repro.workload import ClosedLoopPreload, OpenLoopPoisson, WorkloadEngine, parse_workload
 from repro.testkit.invariants import (
-    RUN_FAILURES,
     Evidence,
     InvariantReport,
     InvariantViolation,
-    judge,
-    run_failure_report,
+    check_all,
 )
 
 #: Named fault-schedule builders.  Each takes the deployment size ``n`` and
@@ -273,19 +273,23 @@ class ScenarioCell:
             base += f"×{self.impairment}"
         return base
 
+    __str__ = label
+
 
 @dataclass
-class CellOutcome:
-    """The evidence and verdicts collected from one cell."""
+class Verdict:
+    """What :func:`judge` concluded about one spec."""
 
-    cell: ScenarioCell
+    #: A :class:`ScenarioCell`, ``"fuzz:<protocol>"`` or ``"corpus:<id>"``.
+    cell: object
     spec: DeploymentSpec
-    #: ``None`` (both) when the run itself raised: ``reports`` then holds
-    #: the one failing report :func:`run_failure_report` maps it to.
-    result: object
-    evidence: Optional[Evidence]
+    #: Empty when skipped; one failing report when the run raised.
     reports: List[InvariantReport] = field(default_factory=list)
-    #: SLO metrics summary (collected for non-preload workload cells).
+    skip_reason: Optional[str] = None
+    #: ``None`` (both) when skipped or when the run raised.
+    result: object = None
+    evidence: Optional[Evidence] = None
+    #: SLO metrics summary, collected when the spec sets a workload.
     metrics: Optional[dict] = None
 
     @property
@@ -296,25 +300,16 @@ class CellOutcome:
         return [report for report in self.reports if not report.ok]
 
 
-@dataclass(frozen=True)
-class SkippedCell:
-    """A cell the matrix declined to run, with the reason why."""
-
-    cell: ScenarioCell
-    reason: str
-
-    def label(self) -> str:
-        return f"{self.cell.label()} [skipped: {self.reason}]"
-
-
 @dataclass
 class MatrixReport:
     """Aggregate verdict over a matrix sweep."""
 
-    outcomes: List[CellOutcome] = field(default_factory=list)
+    #: The verdicts of the cells that ran.
+    outcomes: List[Verdict] = field(default_factory=list)
     differential_failures: List[str] = field(default_factory=list)
-    #: Infeasible cells, each with an explanatory reason (not failures).
-    skipped: List[SkippedCell] = field(default_factory=list)
+    #: The verdicts of infeasible cells, each with its ``skip_reason``
+    #: (not failures).
+    skipped: List[Verdict] = field(default_factory=list)
 
     @property
     def cells_run(self) -> int:
@@ -436,6 +431,96 @@ def schedule_feasibility(spec: DeploymentSpec) -> Optional[str]:
     return None
 
 
+def judge(cell: object, spec: DeploymentSpec, builder: Callable[..., SessionBuilder]) -> Verdict:
+    """Skip ``spec`` with its :func:`schedule_feasibility` reason, or run it
+    with ``builder`` (``SessionBuilder`` or a planted mutant) under a
+    :class:`TraceRecorder` and check the invariant battery; reports are
+    labelled ``str(cell)``.
+
+    A run that raises is a failed verdict, not a traceback: a replica
+    refusing to commit over its own log (:class:`SafetyViolation`) *is* an
+    agreement failure, seen before the post-run checker would see it; a
+    livelock tripping the event budget (:class:`SimulationError`) fails a
+    synthetic ``no-livelock`` invariant.
+    """
+    reason = schedule_feasibility(spec)
+    if reason is not None:
+        return Verdict(cell, spec, skip_reason=reason)
+    # Workload specs carry SLO metrics; preload specs stay exactly the seed
+    # pipeline (no extra observer).
+    metrics = MetricsObserver() if spec.workload is not None else None
+    observers = (metrics,) if metrics is not None else ()
+    try:
+        session = builder(spec, observers=observers, recorder=TraceRecorder()).build()
+        result = session.run_to_quiescence().finish()
+    except (SafetyViolation, SimulationError) as error:
+        name = "agreement" if isinstance(error, SafetyViolation) else "no-livelock"
+        return Verdict(cell, spec, [InvariantReport(name, False, f"[{name} @ {cell}] {error}")])
+    evidence = Evidence(spec=spec, result=result, trace=result.trace, label=str(cell))
+    summary = metrics.summary() if metrics is not None else None
+    return Verdict(
+        cell, spec, check_all(evidence), result=result, evidence=evidence, metrics=summary
+    )
+
+
+def judge_specs(
+    runs: Sequence[Tuple[object, DeploymentSpec]],
+    parallel: int,
+    builder: Callable[..., SessionBuilder],
+) -> List[Verdict]:
+    """:func:`judge` every ``(cell, spec)`` pair, one verdict each in input
+    order; ``parallel > 1`` shards them over worker processes.  Each is an
+    independent seeded run collected in submission order, so the result
+    equals the serial one verdict for verdict."""
+    if parallel <= 1 or len(runs) <= 1:
+        return [judge(cell, spec, builder) for cell, spec in runs]
+    # Only a sharded run pays for multiprocessing's import.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(parallel, len(runs))) as pool:
+        # Arguments and verdicts cross the process boundary by pickle.
+        futures = [pool.submit(judge, cell, spec, builder) for cell, spec in runs]
+        return [future.result() for future in futures]
+
+
+def differential_failures(verdicts: Sequence[Verdict]) -> List[str]:
+    """Same workload ⇒ same committed command sequence across protocols,
+    within each group of fault-free closed-loop preload verdicts whose
+    specs differ only in ``protocol``.
+
+    Faulty specs recover along protocol-specific paths (dropping different
+    in-flight blocks).  Under an arrival-driven workload what a protocol
+    commits depends on where its proposals fall among the arrivals (an
+    EESMR leader's back-to-back proposals can run ahead of them), so only
+    the preload, which holds the whole stream before the first proposal,
+    makes the logs comparable.  A verdict without evidence has no log.
+    """
+    groups: Dict[str, List[Verdict]] = {}
+    for verdict in verdicts:
+        spec = verdict.spec
+        preloaded = spec.workload is None or isinstance(spec.workload, ClosedLoopPreload)
+        if spec.fault_schedule is not None or not preloaded or verdict.evidence is None:
+            continue
+        key = json.dumps({**spec.to_dict(), "protocol": None}, sort_keys=True)
+        groups.setdefault(key, []).append(verdict)
+    failures: List[str] = []
+    for group in groups.values():
+        reference: Optional[Tuple[Verdict, List[str]]] = None
+        for verdict in group:
+            correct = verdict.evidence.correct_nodes
+            if not correct:
+                continue
+            sequence = verdict.evidence.trace.committed_commands[correct[0]]
+            if reference is None:
+                reference = (verdict, sequence)
+            elif sequence != reference[1]:
+                failures.append(
+                    f"differential: {verdict.cell} committed {sequence} "
+                    f"but {reference[0].cell} committed {reference[1]}"
+                )
+    return failures
+
+
 class ScenarioMatrix:
     """Enumerates and runs the scenario cross-product with invariant checks."""
 
@@ -522,56 +607,16 @@ class ScenarioMatrix:
         )
 
     # ---------------------------------------------------------------- running
-    def run_cell(self, cell: ScenarioCell, spec: DeploymentSpec) -> CellOutcome:
-        """Run one cell's spec (:meth:`build_spec`) and check every
-        invariant against its evidence."""
-        # Non-preload cells carry SLO metrics; preload cells stay exactly
-        # the seed pipeline (no extra observer, no perturbed traces).
-        metrics = MetricsObserver() if cell.workload != "preload" else None
-        try:
-            result, evidence, reports = judge(
-                spec,
-                label=cell.label(),
-                observers=(metrics,) if metrics is not None else (),
-            )
-        except RUN_FAILURES as error:
-            # A mid-run violation fails the cell; it must not end the sweep.
-            return CellOutcome(
-                cell=cell,
-                spec=spec,
-                result=None,
-                evidence=None,
-                reports=[run_failure_report(error, cell.label())],
-            )
-        outcome = CellOutcome(
-            cell=cell, spec=spec, result=result, evidence=evidence, reports=reports
-        )
-        if metrics is not None:
-            outcome.metrics = metrics.summary()
-        return outcome
-
     def run(self, parallel: Optional[int] = None) -> MatrixReport:
-        """Run every feasible cell, then apply the differential checks.
-
-        Infeasible (topology, fault) cells — including cells whose
-        topology cannot be constructed at all — are recorded on
-        ``report.skipped`` with an explanatory reason instead of being run
-        and spuriously failed.
+        """Judge every cell (:func:`judge_specs`), then apply the
+        differential check; infeasible cells land on ``report.skipped``.
 
         Args:
             parallel: Number of worker processes.  ``None`` reads the
                 ``REPRO_MATRIX_PARALLEL`` environment variable (defaulting
                 to 1; CI's matrix job sets it to 2, ``bench/`` passes
                 ``parallel=1``; a value that is not an integer is a
-                :class:`SpecError`); values <= 1 run serially in-process.  Cells are
-                independent seeded runs, so sharding them over a
-                ``ProcessPoolExecutor`` cannot change any cell's result:
-                every worker rebuilds its cell's spec deterministically,
-                and results are merged in the fixed enumeration order
-                (sorted label order within the report accessors), making a
-                parallel report identical to a serial one cell for cell.
-                The differential cross-cell checks run in the parent on
-                the merged outcomes, unchanged.
+                :class:`SpecError`).
         """
         if parallel is None:
             knob = os.environ.get("REPRO_MATRIX_PARALLEL", "1") or "1"
@@ -581,80 +626,10 @@ class ScenarioMatrix:
                 raise SpecError(
                     f"expected a worker count, got {knob!r}", "REPRO_MATRIX_PARALLEL"
                 ) from None
-        report = MatrixReport()
-        runnable: List[Tuple[ScenarioCell, DeploymentSpec]] = []
-        for cell in self.cells():
-            spec = self.build_spec(cell)
-            reason = schedule_feasibility(spec)
-            if reason is not None:
-                report.skipped.append(SkippedCell(cell, reason))
-                continue
-            runnable.append((cell, spec))
-        if parallel <= 1 or len(runnable) <= 1:
-            for cell, spec in runnable:
-                report.outcomes.append(self.run_cell(cell, spec))
-        else:
-            # Only a sharded sweep pays for multiprocessing's import.
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(parallel, len(runnable))) as pool:
-                # The matrix, cell and pre-built spec travel to the worker by
-                # pickle and the CellOutcome — evidence, trace, reports —
-                # travels back, so everything they hold must stay picklable
-                # (pinned by the parallel-matrix tests).
-                futures = [
-                    pool.submit(self.run_cell, cell, spec) for cell, spec in runnable
-                ]
-                # Collect in submission order — deterministic regardless of
-                # which worker finishes first.
-                report.outcomes.extend(future.result() for future in futures)
-        report.differential_failures = self._differential_check(report.outcomes)
-        return report
-
-    # ----------------------------------------------------------- differential
-    def _differential_check(self, outcomes: List[CellOutcome]) -> List[str]:
-        """Same workload ⇒ same committed command sequence across protocols.
-
-        Applied to fault-free closed-loop preload groups only.  Protocols
-        recover from faults along different paths (dropping different
-        in-flight blocks), so faulty cells are out.  The premise also needs
-        every protocol to hold the whole stream before its first proposal,
-        which only the preload gives.  Under an arrival-driven workload what
-        a protocol commits depends on where its proposals fall among the
-        arrivals: an EESMR leader's back-to-back proposals can run ahead of
-        them and order empty blocks, and impairment shifts those timings
-        per protocol.  Different logs there are not a fault.  A cell whose
-        run raised has no log to compare; its own report already fails.
-        """
-        failures: List[str] = []
-        groups: Dict[Tuple[str, str, str, str, str], List[CellOutcome]] = {}
-        for outcome in outcomes:
-            workload = outcome.spec.workload
-            preloaded = workload is None or isinstance(workload, ClosedLoopPreload)
-            if outcome.cell.fault != "none" or not preloaded or outcome.evidence is None:
-                continue
-            key = (
-                outcome.cell.fault,
-                outcome.cell.medium,
-                outcome.cell.topology,
-                outcome.cell.workload,
-                outcome.cell.impairment,
-            )
-            groups.setdefault(key, []).append(outcome)
-        for key, group in sorted(groups.items()):
-            reference: Optional[Tuple[CellOutcome, List[str]]] = None
-            for outcome in group:
-                correct = outcome.evidence.correct_nodes
-                if not correct:
-                    continue
-                sequence = outcome.evidence.trace.committed_commands[correct[0]]
-                if reference is None:
-                    reference = (outcome, sequence)
-                    continue
-                ref_outcome, ref_sequence = reference
-                if sequence != ref_sequence:
-                    failures.append(
-                        f"differential: {outcome.cell.label()} committed {sequence} "
-                        f"but {ref_outcome.cell.label()} committed {ref_sequence}"
-                    )
-        return failures
+        runs = [(cell, self.build_spec(cell)) for cell in self.cells()]
+        verdicts = judge_specs(runs, parallel, SessionBuilder)
+        return MatrixReport(
+            outcomes=[verdict for verdict in verdicts if verdict.skip_reason is None],
+            differential_failures=differential_failures(verdicts),
+            skipped=[verdict for verdict in verdicts if verdict.skip_reason is not None],
+        )

@@ -9,7 +9,7 @@ from repro.cli import main
 from repro.core.adversary import FaultPlan
 from repro.crypto import available_schemes
 from repro.eval.runner import DeploymentSpec, run_protocol
-from repro.fuzz.corpus import CorpusEntry
+from repro.fuzz.corpus import CorpusEntry, _content_id
 from repro.net.impairment import SpecError
 from repro.session import Session, SessionBuilder
 from repro.session.builder import build_topology, compute_delta
@@ -260,6 +260,29 @@ def test_a_corpus_entry_lacking_a_required_key_names_the_file(key, tmp_path):
     with pytest.raises(SpecError) as caught:
         CorpusEntry.load(path)
     assert str(caught.value).startswith(f"{path}: ") and key in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("found", "x", "found"),
+        ("found", {"failures": "eesmr"}, "found.failures"),
+        ("id", "abc", "id"),
+        ("note", 7, "note"),
+    ],
+    ids=["found-not-an-object", "failures-not-pairs", "id-not-the-content-hash", "note-not-a-string"],
+)
+def test_a_malformed_corpus_entry_field_names_the_file_and_field(key, value, field, tmp_path):
+    entry = {"format": 1, "expect": "clean", "spec": {}, "found": {}, "note": ""}
+    entry["id"] = _content_id({"spec": entry["spec"], "expect": entry["expect"]})
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(entry))
+    CorpusEntry.load(path)  # well-formed as written
+    entry[key] = value
+    path.write_text(json.dumps(entry))
+    with pytest.raises(SpecError) as caught:
+        CorpusEntry.load(path)
+    assert str(caught.value).startswith(f"{path}: {field}: "), str(caught.value)
 
 
 @pytest.mark.parametrize(

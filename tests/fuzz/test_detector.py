@@ -2,8 +2,9 @@
 
 import repro.session.session as session_module
 from repro.fuzz import FuzzConfig
-from repro.fuzz.corpus import CorpusEntry, replay_entry
-from repro.fuzz.detect import Detection, Detector, ProtocolVerdict
+from repro.fuzz.corpus import CorpusEntry
+from repro.fuzz.detect import Detection, Detector
+from repro.session.builder import SessionBuilder
 from repro.testkit.faults import (
     CrashAt,
     FaultSchedule,
@@ -11,14 +12,15 @@ from repro.testkit.faults import (
     schedule_from_dict,
 )
 from repro.testkit.invariants import DEFAULT_INVARIANTS, InvariantReport
-from repro.testkit.scenarios import ScenarioCell, ScenarioMatrix
+from repro.testkit.scenarios import ScenarioCell, Verdict, judge
 
 
 def test_honest_run_is_clean_across_all_protocols():
     config = FuzzConfig()
     detection = Detector(config).detect(None)
     assert not detection.failed
-    assert [v.protocol for v in detection.verdicts] == list(config.protocols)
+    assert [v.spec.protocol for v in detection.verdicts] == list(config.protocols)
+    assert [v.cell for v in detection.verdicts] == [f"fuzz:{p}" for p in config.protocols]
     assert all(v.skip_reason is None for v in detection.verdicts)
     assert detection.failure_key() == frozenset()
 
@@ -39,7 +41,7 @@ def test_quorum_infeasible_schedule_is_skipped_not_run():
     detector = Detector(config)
     schedule = FaultSchedule((SilentFrom(1), SilentFrom(2), SilentFrom(3)))
     detection = detector.detect(schedule)
-    by_protocol = {v.protocol: v for v in detection.verdicts}
+    by_protocol = {v.spec.protocol: v for v in detection.verdicts}
     assert "2f < n" in by_protocol["eesmr"].skip_reason
     assert "f < n/2" in by_protocol["trusted-baseline"].skip_reason
     assert detector.runs == 0
@@ -53,7 +55,7 @@ def test_topology_infeasible_schedule_skips_only_the_topology_bound_protocols():
     detector = Detector(config)
     schedule = FaultSchedule((CrashAt(0, time=1.0), CrashAt(4, time=1.0)))
     detection = detector.detect(schedule)
-    by_protocol = {v.protocol: v for v in detection.verdicts}
+    by_protocol = {v.spec.protocol: v for v in detection.verdicts}
     assert "Lemma A.5" in by_protocol["eesmr"].skip_reason
     assert by_protocol["trusted-baseline"].skip_reason is None
     assert detector.runs == 1
@@ -70,19 +72,22 @@ def test_detection_survives_schedule_round_trip():
     assert first.describe() == second.describe()
 
 
+def verdict(protocol, *reports):
+    return Verdict(f"fuzz:{protocol}", FuzzConfig().spec_for(None, protocol), list(reports))
+
+
 def test_failure_key_collects_protocol_invariant_pairs():
     detection = Detection(
         schedule=FaultSchedule(),
         verdicts=[
-            ProtocolVerdict("eesmr", violations=[InvariantReport("liveness", False, "x")]),
-            ProtocolVerdict(
+            verdict("eesmr", InvariantReport("liveness", False, "x")),
+            verdict(
                 "optsync",
-                violations=[
-                    InvariantReport("agreement", False, "y"),
-                    InvariantReport("liveness", False, "z"),
-                ],
+                InvariantReport("agreement", False, "y"),
+                InvariantReport("quorum-certificates", True),
+                InvariantReport("liveness", False, "z"),
             ),
-            ProtocolVerdict("trusted-baseline"),
+            verdict("trusted-baseline", InvariantReport("liveness", True)),
         ],
     )
     assert detection.failed
@@ -92,25 +97,23 @@ def test_failure_key_collects_protocol_invariant_pairs():
 
 
 # ------------------------------------------------------------------ one judge
-def entry_for(spec) -> CorpusEntry:
-    return CorpusEntry(entry_id="probe", spec=spec.to_dict())
-
-
 def test_matrix_detector_and_replay_judge_a_clean_spec_alike():
-    """The three surfaces share one run-and-check function, so one spec
-    yields one verdict: the same report list, label-independent when clean."""
+    """The three surfaces generate specs for one judge, so one spec yields
+    one verdict: the same report list, label-independent when clean."""
     config = FuzzConfig(protocols=("eesmr",))
     spec = config.spec_for(None, "eesmr")
     cell = ScenarioCell("eesmr", "none", spec.medium)
-    matrix_reports = ScenarioMatrix().run_cell(cell, spec).reports
-    replay_reports, replay_failing = replay_entry(entry_for(spec))
-    assert matrix_reports == replay_reports
-    assert [report.name for report in replay_reports] == [
+    entry = CorpusEntry(entry_id="probe", spec=spec.to_dict())
+    matrix_verdict = judge(cell, spec, SessionBuilder)
+    replayed = judge(f"corpus:{entry.entry_id}", entry.build_spec(), SessionBuilder)
+    assert matrix_verdict.reports == replayed.reports
+    assert [report.name for report in replayed.reports] == [
         invariant.name for invariant in DEFAULT_INVARIANTS
     ]
-    assert all(report.ok for report in replay_reports) and not replay_failing
-    (verdict,) = Detector(config).detect(None).verdicts
-    assert verdict.violations == replay_failing
+    assert replayed.ok and replayed.skip_reason is None
+    (detected,) = Detector(config).detect(None).verdicts
+    assert detected.reports == replayed.reports
+    assert detected.evidence.trace.fingerprint() == replayed.evidence.trace.fingerprint()
 
 
 def test_livelock_is_a_no_livelock_report_for_detector_and_replay_alike(monkeypatch):
@@ -120,13 +123,17 @@ def test_livelock_is_a_no_livelock_report_for_detector_and_replay_alike(monkeypa
     config = FuzzConfig(protocols=("eesmr",))
     # The unbudgeted run executes 33 events.
     monkeypatch.setattr(session_module, "MAX_EVENTS", 20)
-    (verdict,) = Detector(config).detect(None).verdicts
-    reports, failing = replay_entry(entry_for(config.spec_for(None, "eesmr")))
-    assert reports == failing
-    assert [report.name for report in failing] == ["no-livelock"]
-    assert not failing[0].ok and "max_events=20" in failing[0].detail
+    (detected,) = Detector(config).detect(None).verdicts
+    replayed = judge("corpus:probe", config.spec_for(None, "eesmr"), SessionBuilder)
+    assert replayed.reports == replayed.violations()
+    assert [report.name for report in replayed.reports] == ["no-livelock"]
+    assert "[no-livelock @ corpus:probe] " in replayed.reports[0].detail
+    assert "max_events=20" in replayed.reports[0].detail
+    assert replayed.result is None and replayed.evidence is None
 
     def unlabelled(report):
         return (report.name, report.ok, report.detail.split("] ", 1)[1])
 
-    assert [unlabelled(r) for r in verdict.violations] == [unlabelled(r) for r in failing]
+    assert [unlabelled(r) for r in detected.violations()] == [
+        unlabelled(r) for r in replayed.violations()
+    ]

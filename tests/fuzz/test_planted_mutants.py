@@ -24,8 +24,11 @@ from mutants import (
 )
 
 from repro.fuzz import FuzzConfig, Fuzzer
-from repro.fuzz.corpus import CorpusEntry, replay_entry
-from repro.testkit.invariants import judge_reports
+from repro.fuzz.corpus import CorpusEntry
+from repro.session.builder import SessionBuilder
+from repro.session.spec import PROTOCOLS
+from repro.testkit.faults import EquivocateAt, FaultSchedule
+from repro.testkit.scenarios import judge, judge_specs
 
 #: Budget the ISSUE-style acceptance is phrased in: the fuzzer must find
 #: each planted bug within this many generated schedules.
@@ -123,8 +126,8 @@ def test_retransmission_giveup_mutant_is_found_and_shrunk():
 def test_saved_reproducers_load_replay_and_save_stably(tmp_path):
     """``repro fuzz --out``'s path: save_findings → Corpus.add → one file per
     finding.  Each file loads back and still fails, with the pairs it
-    recorded, under the build that found it; ``replay_entry`` runs the
-    stock build, where a planted mutant's reproducer is clean.  Entries are
+    recorded, under the build that found it; the corpus replay judges it
+    under the stock build, where a planted mutant's reproducer is clean.  Entries are
     content-addressed, so saving again rewrites the same files."""
     fuzzer = Fuzzer(
         COMMIT_RULE_CONFIG, seed=COMMIT_RULE_SEED, builder_factory=CommitRuleMutantBuilder
@@ -138,15 +141,41 @@ def test_saved_reproducers_load_replay_and_save_stably(tmp_path):
         assert entry.expect == "violation"
         recorded = {tuple(pair) for pair in entry.found["failures"]}
         protocol = entry.spec["protocol"]
-        reports = judge_reports(
-            entry.build_spec(), label=entry.entry_id, builder=CommitRuleMutantBuilder
-        )
-        assert {(protocol, r.name) for r in reports if not r.ok} == recorded
-        _, failing = replay_entry(entry)
-        assert failing == []
+        label = f"corpus:{entry.entry_id}"
+        mutant = judge(label, entry.build_spec(), CommitRuleMutantBuilder)
+        assert {(protocol, r.name) for r in mutant.violations()} == recorded
+        stock = judge(label, entry.build_spec(), SessionBuilder)
+        assert stock.skip_reason is None and stock.ok
     again = fuzzer.save_findings(report, tmp_path)
     assert [path.name for path in again] == [path.name for path in written]
     assert {path.name: path.read_text() for path in tmp_path.iterdir()} == contents
+
+
+def test_sharded_judging_plants_the_mutant_in_every_worker():
+    """The builder seam survives the process pool: judging one equivocating
+    schedule under all four protocols over two workers gives the serial
+    verdicts, report for report and trace for trace, with the planted
+    commit rule still forking EESMR."""
+    schedule = FaultSchedule((EquivocateAt(0, round=2),))
+    runs = [
+        (f"fuzz:{protocol}", COMMIT_RULE_CONFIG.spec_for(schedule, protocol))
+        for protocol in PROTOCOLS
+    ]
+    serial = judge_specs(runs, 1, CommitRuleMutantBuilder)
+    sharded = judge_specs(runs, 2, CommitRuleMutantBuilder)
+
+    def fingerprints(verdicts):
+        # EESMR's run raises mid-run, so it leaves no trace to fingerprint.
+        return [v.evidence.trace.fingerprint() if v.evidence else None for v in verdicts]
+
+    assert [v.cell for v in sharded] == [cell for cell, _ in runs]
+    assert [v.reports for v in sharded] == [v.reports for v in serial]
+    assert fingerprints(sharded) == fingerprints(serial)
+    assert fingerprints(sharded).count(None) == 1
+    failing = {v.spec.protocol: [r.name for r in v.violations()] for v in sharded}
+    assert failing == {
+        "eesmr": ["agreement"], "sync-hotstuff": [], "optsync": [], "trusted-baseline": []
+    }
 
 
 def test_honest_controls_are_clean():

@@ -9,7 +9,8 @@ detector.
 
 import pytest
 
-from repro.fuzz.detect import Detection, ProtocolVerdict
+from repro.fuzz.detect import Detection
+from repro.session.spec import DeploymentSpec
 from repro.fuzz.generator import TIME_QUANTUM
 from repro.fuzz.shrink import Shrinker
 from repro.testkit.faults import (
@@ -22,6 +23,11 @@ from repro.testkit.faults import (
     RelayDropWindow,
 )
 from repro.testkit.invariants import InvariantReport
+from repro.testkit.scenarios import Verdict
+
+
+def stub_verdict(protocol, violations):
+    return Verdict(f"fuzz:{protocol}", DeploymentSpec(protocol=protocol), violations)
 
 
 class StubDetector:
@@ -37,9 +43,7 @@ class StubDetector:
         violations = []
         if self.predicate(schedule):
             violations = [InvariantReport(self.key[1], False, "stub")]
-        return Detection(
-            schedule=schedule, verdicts=[ProtocolVerdict(self.key[0], violations=violations)]
-        )
+        return Detection(schedule=schedule, verdicts=[stub_verdict(self.key[0], violations)])
 
 
 def shrink(detector, schedule):
@@ -130,17 +134,9 @@ def test_rejects_candidates_whose_failure_is_a_different_bug():
     class TwoBugDetector:
         def detect(self, schedule):
             if has_kind("RelayDropWindow")(schedule):
-                verdicts = [
-                    ProtocolVerdict(
-                        "eesmr", violations=[InvariantReport("liveness", False, "w")]
-                    )
-                ]
+                verdicts = [stub_verdict("eesmr", [InvariantReport("liveness", False, "w")])]
             else:
-                verdicts = [
-                    ProtocolVerdict(
-                        "optsync", violations=[InvariantReport("agreement", False, "o")]
-                    )
-                ]
+                verdicts = [stub_verdict("optsync", [InvariantReport("agreement", False, "o")])]
             return Detection(schedule=schedule, verdicts=verdicts)
 
     schedule = FaultSchedule((RelayDropWindow(1, 0.0, 4.0), CrashAt(3, time=2.0)))

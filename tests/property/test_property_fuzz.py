@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 
 from repro.eval.runner import DeploymentSpec
 from repro.fuzz import FuzzConfig
-from repro.fuzz.detect import Detection, ProtocolVerdict
+from repro.fuzz.detect import Detection
 from repro.fuzz.generator import ScheduleGenerator
 from repro.fuzz.shrink import Shrinker
 from repro.testkit.faults import LeaderFollowingCrash
 from repro.testkit.invariants import InvariantReport
+from repro.testkit.scenarios import Verdict
 
 
 class StubDetector:
@@ -38,9 +39,8 @@ class StubDetector:
         violations = []
         if any(type(a).__name__ == self.required_kind for a in schedule.faults):
             violations = [InvariantReport("agreement", False, "stub")]
-        return Detection(
-            schedule=schedule, verdicts=[ProtocolVerdict("eesmr", violations=violations)]
-        )
+        verdict = Verdict("fuzz:eesmr", DeploymentSpec(protocol="eesmr"), violations)
+        return Detection(schedule=schedule, verdicts=[verdict])
 
 
 @st.composite

@@ -183,5 +183,5 @@ def test_budget_two_adaptive_cell_infeasible_on_the_ring_but_not_dense():
     assert report.cells_skipped == 1
     skip = report.skipped[0]
     assert skip.cell.topology == "ring-kcast"
-    assert "adaptive budget 2" in skip.reason
+    assert "adaptive budget 2" in skip.skip_reason
     assert report.ok, report.failures()

@@ -12,12 +12,8 @@ import pytest
 
 import repro.session.session as session_module
 from repro.net.impairment import SpecError
-from repro.testkit.scenarios import (
-    CellOutcome,
-    ScenarioCell,
-    ScenarioMatrix,
-    SkippedCell,
-)
+from repro.session.builder import SessionBuilder
+from repro.testkit.scenarios import ScenarioCell, ScenarioMatrix, Verdict, judge
 
 SMALL = dict(
     protocols=("eesmr", "sync-hotstuff"),
@@ -45,23 +41,25 @@ def test_parallel_run_records_skips_and_differentials_like_serial():
     serial = matrix.run(parallel=1)
     parallel = matrix.run(parallel=2)
     assert [s.cell for s in serial.skipped] == [s.cell for s in parallel.skipped]
-    assert [s.reason for s in serial.skipped] == [s.reason for s in parallel.skipped]
+    assert [s.skip_reason for s in serial.skipped] == [s.skip_reason for s in parallel.skipped]
     assert serial.differential_failures == parallel.differential_failures
     parallel.assert_clean()
 
 
-def test_cell_outcome_and_skipped_cell_are_picklable():
+def test_run_and_skip_verdicts_are_picklable():
     matrix = ScenarioMatrix(**SMALL)
     cell = ScenarioCell("eesmr", "crash-leader", "ble")
-    outcome = matrix.run_cell(cell, matrix.build_spec(cell))
+    outcome = judge(cell, matrix.build_spec(cell), SessionBuilder)
     clone = pickle.loads(pickle.dumps(outcome))
-    assert isinstance(clone, CellOutcome)
+    assert isinstance(clone, Verdict)
     assert clone.ok == outcome.ok
     assert clone.cell == outcome.cell
     assert clone.evidence.trace.fingerprint() == outcome.evidence.trace.fingerprint()
     assert [r.name for r in clone.reports] == [r.name for r in outcome.reports]
 
-    skip = SkippedCell(ScenarioCell("eesmr", "two-crashes", "ble"), "because")
+    skipped = ScenarioCell("eesmr", "two-crashes", "ble")
+    skip = judge(skipped, matrix.build_spec(skipped), SessionBuilder)
+    assert skip.skip_reason and not skip.reports
     assert pickle.loads(pickle.dumps(skip)) == skip
 
 

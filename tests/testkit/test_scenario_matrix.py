@@ -20,9 +20,12 @@ from repro.testkit.scenarios import (
     MatrixReport,
     ScenarioCell,
     ScenarioMatrix,
-    SkippedCell,
+    Verdict,
+    differential_failures,
+    judge,
     schedule_feasibility,
 )
+from repro.session.builder import SessionBuilder
 from repro.testkit.invariants import DEFAULT_INVARIANTS, InvariantViolation
 
 
@@ -88,7 +91,7 @@ def test_representative_cells_pass_all_invariants():
         ScenarioCell("optsync", "crash-leader", "4g-lte"),
         ScenarioCell("trusted-baseline", "none", "ble"),
     ):
-        outcome = matrix.run_cell(cell, matrix.build_spec(cell))
+        outcome = judge(cell, matrix.build_spec(cell), SessionBuilder)
         assert outcome.ok, f"{cell.label()}: {[r.detail for r in outcome.violations()]}"
         assert len(outcome.reports) == len(DEFAULT_INVARIANTS)
 
@@ -96,26 +99,26 @@ def test_representative_cells_pass_all_invariants():
 def test_cells_are_deterministic_per_seed():
     matrix = ScenarioMatrix()
     cell = ScenarioCell("eesmr", "crash-leader", "ble")
-    first = matrix.run_cell(cell, matrix.build_spec(cell))
-    second = matrix.run_cell(cell, matrix.build_spec(cell))
+    first = judge(cell, matrix.build_spec(cell), SessionBuilder)
+    second = judge(cell, matrix.build_spec(cell), SessionBuilder)
     assert first.evidence.trace.fingerprint() == second.evidence.trace.fingerprint()
 
 
 def test_differential_check_flags_divergent_logs():
     matrix = ScenarioMatrix()
     outcomes = [
-        matrix.run_cell(cell, matrix.build_spec(cell))
+        judge(cell, matrix.build_spec(cell), SessionBuilder)
         for cell in (
             ScenarioCell("eesmr", "none", "ble"),
             ScenarioCell("sync-hotstuff", "none", "ble"),
         )
     ]
-    assert matrix._differential_check(outcomes) == []
+    assert differential_failures(outcomes) == []
     # Tamper with one protocol's committed log: the checker must object.
     log = outcomes[1].evidence.trace.committed_commands
     for pid in log:
         log[pid] = ["tampered-command"] + log[pid][1:]
-    failures = matrix._differential_check(outcomes)
+    failures = differential_failures(outcomes)
     assert failures and "differential" in failures[0]
 
 
@@ -139,7 +142,7 @@ def test_differential_check_compares_preloaded_groups_only(block_interval):
     log = group[1].evidence.trace.committed_commands
     for pid in log:
         log[pid] = ["tampered-command"] + log[pid][1:]
-    failures = matrix._differential_check(report.outcomes)
+    failures = differential_failures(report.outcomes)
     assert len(failures) == 1 and failures[0].startswith(f"differential: {group[1].cell.label()} ")
 
 
@@ -179,9 +182,9 @@ def test_run_records_skips_and_stays_clean():
     report = matrix.run()
     assert report.cells_run == 1
     assert report.cells_skipped == 1
-    assert isinstance(report.skipped[0], SkippedCell)
-    assert "Lemma A.5" in report.skipped[0].reason
-    assert "two-crashes" in report.skipped[0].label()
+    assert isinstance(report.skipped[0], Verdict)
+    assert "Lemma A.5" in report.skipped[0].skip_reason
+    assert "two-crashes" in str(report.skipped[0].cell)
     report.assert_clean()  # skips are not failures
 
 
@@ -205,7 +208,7 @@ def test_unconstructible_topology_skips_instead_of_crashing():
     # never builds the cell topology (it always runs the control star).
     assert report.cells_run == 2
     assert report.cells_skipped == 2
-    assert all("cannot be built" in skip.reason for skip in report.skipped)
+    assert all("cannot be built" in skip.skip_reason for skip in report.skipped)
     report.assert_clean()
 
 
@@ -215,15 +218,15 @@ def test_star_and_random_kcast_cells_pass_all_invariants():
         matrix = ScenarioMatrix(topologies=(topology,))
         cell = ScenarioCell("eesmr", fault, "ble", topology)
         assert schedule_feasibility(matrix.build_spec(cell)) is None
-        outcome = matrix.run_cell(cell, matrix.build_spec(cell))
+        outcome = judge(cell, matrix.build_spec(cell), SessionBuilder)
         assert outcome.ok, f"{cell.label()}: {[r.detail for r in outcome.violations()]}"
 
 
 def test_random_kcast_cells_deterministic_per_seed():
     matrix = TwoEdgeMatrix(topologies=("random-kcast",))
     cell = ScenarioCell("eesmr", "none", "ble", "random-kcast")
-    first = matrix.run_cell(cell, matrix.build_spec(cell))
-    second = matrix.run_cell(cell, matrix.build_spec(cell))
+    first = judge(cell, matrix.build_spec(cell), SessionBuilder)
+    second = judge(cell, matrix.build_spec(cell), SessionBuilder)
     assert first.evidence.trace.fingerprint() == second.evidence.trace.fingerprint()
 
 
@@ -232,7 +235,7 @@ def test_composed_fault_cell_passes_with_degraded_window_liveness():
     the drop node — which keeps receiving — is still held to full liveness."""
     matrix = ScenarioMatrix()
     cell = ScenarioCell("eesmr", "equivocate+drop-window", "ble")
-    outcome = matrix.run_cell(cell, matrix.build_spec(cell))
+    outcome = judge(cell, matrix.build_spec(cell), SessionBuilder)
     assert outcome.ok, [r.detail for r in outcome.violations()]
     drop_node = matrix.n - 2
     assert outcome.evidence.trace.committed_heights[drop_node] >= matrix.target_height
@@ -273,7 +276,7 @@ def test_uncoverable_loss_cell_skips_with_reason():
     report = matrix.run()
     assert report.cells_run == 0
     assert report.cells_skipped == 1
-    assert "loss" in report.skipped[0].reason
+    assert "loss" in report.skipped[0].skip_reason
     report.assert_clean()
 
 
@@ -322,7 +325,7 @@ def test_extended_matrix_every_fault_in_the_library():
     # and `adaptive-leader-crash-f2` (budget 2 with adversarial placement).
     assert report.cells_run >= total - 2 * len(MEDIA) * (len(PROTOCOLS) - 1)
     for skip in report.skipped:
-        assert skip.reason  # every skip is explained
+        assert skip.skip_reason  # every skip is explained
     report.assert_clean()
 
 
@@ -455,7 +458,7 @@ def test_healed_cells_assert_post_heal_liveness(protocol, fault):
     checked obligation, not an exemption."""
     matrix = ScenarioMatrix(block_interval=2.0)
     cell = ScenarioCell(protocol, fault, "ble")
-    outcome = matrix.run_cell(cell, matrix.build_spec(cell))
+    outcome = judge(cell, matrix.build_spec(cell), SessionBuilder)
     assert outcome.ok, [r.detail for r in outcome.violations()]
     healed_node = matrix.n - 1
     assert outcome.evidence.trace.committed_heights[healed_node] >= matrix.target_height
