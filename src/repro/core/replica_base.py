@@ -116,8 +116,8 @@ class BaseReplica(Process):
     ) -> ProtocolMessage:
         """Create a signed protocol message and charge signing energy.
 
-        The ``Msg`` helper signs twice (viewSig and dataSig); signing energy
-        is charged per cryptographic operation, so two charges per message.
+        The ``Msg`` helper signs twice (viewSig and dataSig): two sign
+        operations per message.
         """
         message = make_message(
             self.scheme,
@@ -127,7 +127,7 @@ class BaseReplica(Process):
             data,
             round_number=round_number,
         )
-        self.meter.charge(_SIGN, 2 * self.scheme.sign_energy_j)
+        self.meter.charge(_SIGN, self.scheme.sign_energy_j, 2)
         return message
 
     def verify_signed_message(self, message: ProtocolMessage) -> bool:
@@ -139,17 +139,17 @@ class BaseReplica(Process):
         """
         if message.sender == self.pid:
             return True
-        self.meter.charge(_VERIFY, 2 * self.scheme.verify_energy_j)
+        self.meter.charge(_VERIFY, self.scheme.verify_energy_j, 2)
         return verify_message(self.scheme, self.pid, message)
 
     def verify_quorum_certificate(self, qc: QuorumCertificate) -> bool:
         """Verify a QC (f+1 signatures) and charge per-signature verification energy."""
-        self.meter.charge(_VERIFY, len(qc.signatures) * self.scheme.verify_energy_j)
+        self.meter.charge(_VERIFY, self.scheme.verify_energy_j, len(qc.signatures))
         return verify_qc(self.scheme, self.pid, qc, self.config.quorum)
 
     def verify_view_quorum_certificate(self, qc: QuorumCertificate) -> bool:
         """Verify a view-signature QC (e.g. a blame certificate) with energy accounting."""
-        self.meter.charge(_VERIFY, len(qc.signatures) * self.scheme.verify_energy_j)
+        self.meter.charge(_VERIFY, self.scheme.verify_energy_j, len(qc.signatures))
         return verify_view_qc(self.scheme, self.pid, qc, self.config.quorum)
 
     def charge_block_hash(self, block: Block) -> None:

@@ -3,9 +3,10 @@
 ``repro.energy`` contains two layers:
 
 * *Measurement* (:mod:`repro.energy.meter`): per-node energy meters that
-  charge every send, receive, sign, verify, hash and idle interval during a
-  simulated protocol run — the reproduction's stand-in for the paper's
-  Saleae/INA169 instrumentation.
+  count every send, receive, sign, verify and hash of a simulated protocol
+  run at its unit cost (idle time is never charged: the paper subtracts the
+  sleep baseline) and price the counts in Joules when read — the
+  reproduction's stand-in for the paper's Saleae/INA169 instrumentation.
 * *Analysis* (:mod:`repro.energy.model`, :mod:`repro.energy.protocol_costs`,
   :mod:`repro.energy.analysis`, :mod:`repro.energy.feasibility`): the
   Section 4 framework — closed-form per-consensus cost functions psi(X),

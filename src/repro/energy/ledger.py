@@ -9,7 +9,7 @@ breakdowns, and per-consensus-unit averages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.energy.meter import EnergyBreakdown, EnergyMeter
 
@@ -42,23 +42,17 @@ class ClusterEnergyLedger:
 
     # -------------------------------------------------------------- queries
     def total_joules(self) -> float:
-        """Total Joules across nodes."""
-        return sum(m.total_joules for m in self.meters.values())
+        """Total Joules across nodes, priced from their summed counts."""
+        return self.combined_breakdown().total
 
     def per_node_joules(self) -> Dict[int, float]:
         """Total Joules keyed by node id."""
         return {nid: m.total_joules for nid, m in self.meters.items()}
 
-    def combined_breakdown(self, exclude: Optional[Iterable[int]] = None) -> EnergyBreakdown:
-        """Category breakdown summed over the (non-excluded) nodes."""
-        skip = set(exclude or ())
-        combined = EnergyBreakdown()
-        for nid, meter in self.meters.items():
-            if nid in skip:
-                continue
-            for category, amount in meter.breakdown.joules.items():
-                combined.add(category, amount)
-        return combined
+    def combined_breakdown(self, exclude: Iterable[int] = ()) -> EnergyBreakdown:
+        """Category breakdown of the (non-excluded) nodes' summed counts."""
+        skip = set(exclude)
+        return EnergyBreakdown(m.counts for nid, m in self.meters.items() if nid not in skip)
 
     def report(
         self,
@@ -75,16 +69,16 @@ class ClusterEnergyLedger:
         """
         faulty_set = set(faulty)
         per_node = self.per_node_joules()
-        correct_nodes = [nid for nid in per_node if nid not in faulty_set]
-        replicas = [nid for nid in correct_nodes if nid != leader]
+        replicas = [nid for nid in per_node if nid not in faulty_set and nid != leader]
         mean_replica = (
             sum(per_node[nid] for nid in replicas) / len(replicas) if replicas else 0.0
         )
+        correct = self.combined_breakdown(exclude=faulty_set)
         return EnergyReport(
             per_node_joules=per_node,
-            total_joules=sum(per_node.values()),
-            correct_total_joules=sum(per_node[nid] for nid in correct_nodes),
+            total_joules=self.total_joules(),
+            correct_total_joules=correct.total,
             leader_joules=per_node.get(leader, 0.0),
             mean_replica_joules=mean_replica,
-            breakdown=self.combined_breakdown(exclude=faulty_set),
+            breakdown=correct,
         )

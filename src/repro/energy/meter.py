@@ -2,19 +2,19 @@
 
 The paper attributes energy to the protocol by measuring the board's draw
 and subtracting the sleep-state baseline.  The reproduction does the
-converse: it starts from zero and charges every protocol-visible operation
-(radio transmit/receive, signature sign/verify, hashing).  The sleep
-baseline is never charged, because the paper subtracts it, and neither is
-client cost, which the paper leaves out of the model.  The result is the
-same quantity the paper plots — "energy consumed by the protocol" — broken
-down by category so experiments can explain *where* the Joules go.
+converse: it starts from zero and counts every protocol-visible operation
+(radio transmit/receive, signature sign/verify, hashing) at its unit cost.
+The sleep baseline is never charged, because the paper subtracts it, and
+neither is client cost, which the paper leaves out of the model.  Priced
+when read, the counts give the quantity the paper plots — "energy consumed
+by the protocol" — by category, so experiments can explain *where* the
+Joules go.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict
+from typing import Dict, Iterable, Tuple
 
 
 class EnergyCategory(str, Enum):
@@ -27,18 +27,30 @@ class EnergyCategory(str, Enum):
     HASH = "hash"
 
 
-@dataclass
+#: ``(category, Joules per operation) -> operations``.
+Counts = Dict[Tuple[EnergyCategory, float], int]
+
+
+def price(counts: Iterable[Counts]) -> Dict[EnergyCategory, float]:
+    """Joules per category of the summed counts: Σ count × unit, in sorted key order."""
+    merged: Counts = {}
+    for node_counts in counts:
+        for key, times in node_counts.items():
+            merged[key] = merged.get(key, 0) + times
+    joules: Dict[EnergyCategory, float] = {}
+    for (category, unit_j), times in sorted(merged.items()):
+        joules[category] = joules.get(category, 0.0) + times * unit_j
+    return joules
+
+
 class EnergyBreakdown:
-    """Aggregated Joules per category with convenience accessors."""
+    """A read-only view of priced counts: Joules per category."""
 
-    joules: Dict[EnergyCategory, float] = field(default_factory=dict)
-
-    def add(self, category: EnergyCategory, amount_j: float) -> None:
-        """Accumulate ``amount_j`` Joules into ``category``."""
-        self.joules[category] = self.joules.get(category, 0.0) + amount_j
+    def __init__(self, counts: Iterable[Counts]) -> None:
+        self.joules = price(counts)
 
     def get(self, category: EnergyCategory) -> float:
-        """Joules charged to ``category`` so far."""
+        """Joules charged to ``category``."""
         return self.joules.get(category, 0.0)
 
     @property
@@ -57,34 +69,36 @@ class EnergyBreakdown:
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view keyed by category value (for reports/tables)."""
-        return {category.value: amount for category, amount in sorted(self.joules.items(), key=lambda kv: kv[0].value)}
+        return {category.value: amount for category, amount in self.joules.items()}
 
 
 class EnergyMeter:
-    """Energy meter attached to one simulated node: a counter per category.
-
-    Callers charge by category (``meter.charge(EnergyCategory.SIGN, j)``);
-    the meter keeps totals only, never a log of individual charges.
-    """
+    """Energy meter attached to one simulated node: one integer per
+    ``(category, unit cost)``, never a log of charges or a float sum."""
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-        self.breakdown = EnergyBreakdown()
+        self.counts: Counts = {}
 
     # -------------------------------------------------------------- charging
-    def charge(self, category: EnergyCategory, joules: float) -> None:
-        """Charge ``joules`` to ``category``.
+    def charge(self, category: EnergyCategory, unit_j: float, times: int = 1) -> None:
+        """Count ``times`` operations of ``category`` costing ``unit_j`` Joules each.
 
-        Negative charges are rejected: refunds would let a buggy protocol
+        Negative unit costs are rejected: refunds would let a buggy protocol
         hide energy, and nothing in the paper's model ever returns energy.
         """
-        if joules < 0:
-            raise ValueError(f"cannot charge negative energy: {joules}")
-        # EnergyBreakdown.add, inlined: two charges per reception land here.
-        totals = self.breakdown.joules
-        totals[category] = totals.get(category, 0.0) + joules
+        if unit_j < 0:
+            raise ValueError(f"cannot charge negative energy: {unit_j}")
+        key = (category, unit_j)
+        counts = self.counts
+        counts[key] = counts.get(key, 0) + times
 
     # --------------------------------------------------------------- queries
+    @property
+    def breakdown(self) -> EnergyBreakdown:
+        """This node's Joules per category."""
+        return EnergyBreakdown((self.counts,))
+
     @property
     def total_joules(self) -> float:
         """Total energy charged to this node."""

@@ -8,10 +8,11 @@ the system parameter vector
 where ``n`` is the number of nodes, ``f`` the fault bound, ``m`` the
 payload size, ``S``/``R`` the per-byte send/receive costs of the medium,
 and ``sigma_s``/``sigma_v`` the signing/verification energies.  The paper's
-example is a linear combination of monomials such as ``c4 * m * n * S``;
-:class:`LinearCostModel` expresses exactly that family and
-:class:`CostFunction` lets callers plug in arbitrary callables when a
-protocol needs a shape the linear family cannot express.
+example is a linear combination of monomials such as ``c4 * m * n * S``.
+A run's meters are that linear family evaluated on measured operation
+counts: :func:`repro.energy.meter.price` sums count × unit cost per
+category.  :class:`CostFunction` wraps the closed-form psi(X) of each
+protocol (:mod:`repro.energy.protocol_costs`).
 """
 
 from __future__ import annotations
@@ -157,37 +158,3 @@ class CostFunction:
     def sweep(self, params: CostParameters, sizes: Iterable[int]) -> Dict[int, float]:
         """Evaluate the function over a range of payload sizes."""
         return {size: self(params.with_message_bytes(size)) for size in sizes}
-
-
-@dataclass
-class LinearCostModel:
-    """The paper's example linear cost family.
-
-    ``psi(X) = c1*m + c2*n + c3*m*n + c4*m*n*S + c5*m*n*R + c6*sigma_s + c7*n*sigma_v``
-    """
-
-    c1: float = 0.0
-    c2: float = 0.0
-    c3: float = 0.0
-    c4: float = 0.0
-    c5: float = 0.0
-    c6: float = 0.0
-    c7: float = 0.0
-    name: str = "linear"
-
-    def __call__(self, params: CostParameters) -> float:
-        m = params.message_bytes
-        n = params.n
-        return (
-            self.c1 * m
-            + self.c2 * n
-            + self.c3 * m * n
-            + self.c4 * m * n * params.send_per_byte_j
-            + self.c5 * m * n * params.recv_per_byte_j
-            + self.c6 * params.sign_j
-            + self.c7 * n * params.verify_j
-        )
-
-    def as_cost_function(self) -> CostFunction:
-        """Wrap this model as a :class:`CostFunction`."""
-        return CostFunction(self.name, self.__call__)

@@ -16,9 +16,9 @@ protocol produced the run:
   least f+1 distinct valid signatures;
 * **monotone virtual time** — the simulator's event trace never goes
   backwards and ends at the reported quiescence time;
-* **energy conservation** — per-node meter totals sum to the cluster
-  ledger totals, category breakdowns are complete, and no meter is
-  negative.
+* **energy conservation** — no operation count or unit cost is negative,
+  and every per-node and correct-node Joule figure of the report is the
+  trace's operation counts priced, exactly.
 
 Invariants consume :class:`Evidence` — a bundle of the deployment spec,
 the collected :class:`~repro.session.spec.RunResult` and the structured
@@ -35,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import List
+
+from repro.energy.meter import price
 
 
 class InvariantViolation(AssertionError):
@@ -256,46 +258,25 @@ class MonotoneVirtualTimeInvariant(Invariant):
 
 
 class EnergyConservationInvariant(Invariant):
-    """Meter totals, ledger totals and report aggregates agree."""
+    """The report's Joules are the trace's operation counts, priced exactly."""
 
     name = "energy-conservation"
 
     def check(self, evidence: Evidence) -> None:
-        per_node = evidence.trace.energy_per_node_j
-        for pid, joules in per_node.items():
-            if joules < 0:
-                self.fail(evidence, f"node {pid} has a negative meter: {joules} J")
-        total = sum(per_node.values())
-        if not math.isclose(total, evidence.trace.energy_total_j, rel_tol=1e-9, abs_tol=1e-12):
-            self.fail(
-                evidence,
-                f"per-node meters sum to {total} J but the cluster ledger "
-                f"reports {evidence.trace.energy_total_j} J",
-            )
-        breakdown_total = sum(evidence.trace.energy_breakdown_j.values())
-        if not math.isclose(breakdown_total, total, rel_tol=1e-9, abs_tol=1e-12):
-            self.fail(
-                evidence,
-                f"category breakdown sums to {breakdown_total} J, meters to {total} J",
-            )
+        counts = {}
+        for pid, entries in evidence.trace.energy_counts.items():
+            if any(unit_j < 0 or times < 0 for _, unit_j, times in entries):
+                self.fail(evidence, f"node {pid} has a negative count or unit cost: {entries}")
+            counts[pid] = {(category, unit_j): times for category, unit_j, times in entries}
         report = evidence.result.energy
-        if not math.isclose(
-            sum(report.per_node_joules.values()), report.total_joules, rel_tol=1e-9, abs_tol=1e-12
-        ):
-            self.fail(evidence, "EnergyReport total disagrees with its own per-node map")
-        expected_correct = sum(
-            joules
-            for pid, joules in report.per_node_joules.items()
-            if pid not in evidence.byzantine and pid not in _energy_excluded(evidence)
-        )
-        if not math.isclose(
-            report.correct_total_joules, expected_correct, rel_tol=1e-9, abs_tol=1e-12
-        ):
-            self.fail(
-                evidence,
-                f"correct-node total {report.correct_total_joules} J != "
-                f"sum over correct meters {expected_correct} J",
-            )
+        excluded = evidence.byzantine | _energy_excluded(evidence)
+        correct = sum(price(c for pid, c in counts.items() if pid not in excluded).values())
+        if report.correct_total_joules != correct:
+            self.fail(evidence, f"correct-node total {report.correct_total_joules} J != {correct} J")
+        for pid, node_counts in counts.items():
+            joules = report.per_node_joules.get(pid)
+            if joules != sum(price((node_counts,)).values()):
+                self.fail(evidence, f"node {pid} reports {joules} J, not its counts priced")
 
 
 class LossBudgetLivenessInvariant(Invariant):

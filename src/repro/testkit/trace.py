@@ -4,8 +4,8 @@ A :class:`TraceRecorder` taps three substrates of a run:
 
 * the simulator's event trace (``Simulator.trace_log`` — every executed
   event as ``(time, label)``);
-* the network and energy ledgers (per-node counters and per-category
-  Joule breakdowns);
+* the network and energy ledgers (per-node counters and per-node energy
+  operation counts at their unit costs);
 * the replicas themselves at collection time (committed chains, committed
   command sequences, quorum certificates, protocol statistics).
 
@@ -56,9 +56,9 @@ class RunTrace:
     committed_commands: Dict[int, List[str]] = field(default_factory=dict)
     committed_chain: Dict[int, List[List[Any]]] = field(default_factory=dict)
     committed_heights: Dict[int, int] = field(default_factory=dict)
-    energy_per_node_j: Dict[int, float] = field(default_factory=dict)
-    energy_breakdown_j: Dict[str, float] = field(default_factory=dict)
-    energy_total_j: float = 0.0
+    #: pid -> ``[category, Joules per operation, operations]`` in sorted key
+    #: order; the floats serialise by ``repr``, so they round-trip exactly.
+    energy_counts: Dict[int, List[List[Any]]] = field(default_factory=dict)
     network: Dict[str, Any] = field(default_factory=dict)
     qcs: List[QCRecord] = field(default_factory=list)
     replica_stats: Dict[int, Dict[str, int]] = field(default_factory=dict)
@@ -176,11 +176,13 @@ class TraceRecorder(SessionObserver):
             for qc in _harvest_qcs(replica):
                 trace.qcs.append(_record_qc(pid, qc, scheme, config))
 
-        trace.energy_per_node_j = {
-            pid: meter.total_joules for pid, meter in sorted(ledger.meters.items())
+        trace.energy_counts = {
+            pid: [
+                [category.value, unit_j, times]
+                for (category, unit_j), times in sorted(meter.counts.items())
+            ]
+            for pid, meter in sorted(ledger.meters.items())
         }
-        trace.energy_breakdown_j = ledger.combined_breakdown().as_dict()
-        trace.energy_total_j = ledger.total_joules()
 
         stats = network.stats
         trace.network = {

@@ -6,7 +6,6 @@ from repro.crypto.energy_costs import RSA_1024
 from repro.energy.model import (
     CostFunction,
     CostParameters,
-    LinearCostModel,
     parameters_from_components,
 )
 from repro.radio.media import lte_medium, wifi_medium
@@ -86,19 +85,6 @@ def test_parameters_from_components_accepts_scheme_name():
         n=4, f=1, message_bytes=64, medium=wifi_medium(), signature="hmac-sha256"
     )
     assert params.sign_j == pytest.approx(0.19)
-
-
-def test_linear_cost_model_matches_formula():
-    model = LinearCostModel(c1=1, c2=2, c3=0, c4=0, c5=0, c6=3, c7=4)
-    params = make_params()
-    expected = 1 * 256 + 2 * 10 + 3 * 0.4 + 4 * 10 * 0.02
-    assert model(params) == pytest.approx(expected)
-
-
-def test_linear_cost_model_as_cost_function_sweep():
-    fn = LinearCostModel(c1=1).as_cost_function()
-    sweep = fn.sweep(make_params(), [10, 20])
-    assert sweep[20] == pytest.approx(2 * sweep[10])
 
 
 def test_cost_function_clamps_tiny_negative_noise():

@@ -139,22 +139,32 @@ def test_monotone_time_detects_truncated_quiescence(evidence):
 
 def test_energy_conservation_detects_negative_meter(evidence):
     bad = doctored(evidence)
-    bad.trace.energy_per_node_j[0] = -0.5
-    with pytest.raises(InvariantViolation, match="negative meter"):
+    bad.trace.energy_counts[0][0][2] = -1
+    with pytest.raises(InvariantViolation, match="node 0 has a negative count"):
+        EnergyConservationInvariant().check(bad)
+    bad = doctored(evidence)
+    bad.trace.energy_counts[0][0][1] = -1e-3
+    with pytest.raises(InvariantViolation, match="negative count or unit cost"):
         EnergyConservationInvariant().check(bad)
 
 
-def test_energy_conservation_detects_ledger_mismatch(evidence):
-    bad = doctored(evidence)
-    bad.trace.energy_total_j += 1.0
-    with pytest.raises(InvariantViolation, match="cluster ledger"):
+def test_energy_conservation_detects_ledger_mismatch():
+    """One extra operation on one node, priced or not, is a mismatch (here
+    on the silent node 4, so the correct-node total stays exact)."""
+    spec = honest_spec(fault_schedule=silent(4))
+    result = run_protocol(spec, recorder=TraceRecorder())
+    bad = doctored(Evidence(spec=spec, result=result, trace=result.trace))
+    bad.trace.energy_counts[4][0][2] += 1
+    with pytest.raises(InvariantViolation, match="node 4 reports"):
         EnergyConservationInvariant().check(bad)
 
 
 def test_energy_conservation_detects_breakdown_leak(evidence):
+    """A correct node's operation dropped from the counts leaks out of the
+    correct-node total, which must equal the correct counts priced."""
     bad = doctored(evidence)
-    bad.trace.energy_breakdown_j["transmit"] += 0.25
-    with pytest.raises(InvariantViolation, match="breakdown"):
+    bad.trace.energy_counts[1][-1][2] -= 1
+    with pytest.raises(InvariantViolation, match="correct-node total"):
         EnergyConservationInvariant().check(bad)
 
 

@@ -2,8 +2,7 @@
 
 import json
 
-import pytest
-
+from repro.energy.meter import price
 from repro.eval.runner import run_protocol
 from repro.testkit.trace import TraceRecorder, spec_fingerprint
 from repro.testkit.faults import crash_at
@@ -29,8 +28,15 @@ def test_trace_captures_committed_logs_and_energy():
         assert len(trace.committed_chain[pid]) == 3
         assert trace.committed_chain[pid][0][0] == 1  # first entry is height 1
         assert len(trace.committed_commands[pid]) == 3
-    assert trace.energy_total_j == pytest.approx(sum(trace.energy_per_node_j.values()))
-    assert trace.energy_total_j > 0
+    assert set(trace.energy_counts) == {0, 1, 2, 3, 4}
+    for pid, entries in trace.energy_counts.items():
+        assert entries == sorted(entries)
+        assert all(isinstance(times, int) and times > 0 for _, _, times in entries)
+        counts = {(category, unit_j): times for category, unit_j, times in entries}
+        assert sum(price((counts,)).values()) == result.energy.per_node_joules[pid] > 0
+    # The unit costs serialise by repr, so the encoded counts decode exactly.
+    decoded = json.loads(trace.canonical_json())["energy_counts"]
+    assert decoded == {str(pid): entries for pid, entries in trace.energy_counts.items()}
     assert trace.network["broadcasts"] > 0
     assert trace.safety["consistent"] is True
 
@@ -67,7 +73,7 @@ def test_canonical_json_is_valid_and_sorted():
 def test_fingerprint_reflects_content():
     trace = record(honest_spec()).trace
     fingerprint = trace.fingerprint()
-    trace.energy_total_j += 1.0
+    trace.energy_counts[0][0][2] += 1
     assert trace.fingerprint() != fingerprint
 
 
