@@ -120,12 +120,12 @@ UNCOMPILED = {
     # table would see it.
     "relay-drop-window": (
         lambda: drop_window(3, start=1.0, end=8.0),
-        "32f665685549c753ce7f8ba5521cf1b814b18196ba68a7cd0986f4891aea4fb2",
+        "a47e711f82688c387c9590fe95b85837fc93d9a3b21642b3914ebc865259aae8",
     ),
     # Partition cut + heal mid-run: receiver filtering must follow.
     "partition-heal": (
         lambda: partition(4, start=2.0, heal=10.0),
-        "215c24349e3f0a09f02b5d9ea0737cc05073892cc42fb23110085105d4c12e37",
+        "0ee7187103f472b37293788108f6ecedb8465ecba86dbe11c475bd83300cc70f",
     ),
 }
 

@@ -89,31 +89,31 @@ GIVEUP = ImpairmentSpec(loss=0.4, duplicate=0.2, jitter=0.5, reorder=0.2, max_re
 STACKED_LOSSY = ImpairmentSpec(loss=0.2, max_retries=2)
 
 PINS = {
-    "lossy/eesmr": "d18dc259530ce25529848f3b4af7f2d5b707b942e1688f2dc537dfbd22e6f2d2",
-    "lossy/sync-hotstuff": "cb92829aff3cf2ccbc38d365d15e5872067d17bcb8b7310bd383659c2d5d2007",
-    "lossy/optsync": "008096eb42caf65314ff28d8106ce0ec1d3c37e2a75f1af98b565dc2ea108811",
-    "lossy/trusted-baseline": "bd8dcc00b834d95574ff0a917534041cd6ee4b9f8b3c54defc52ea4069523152",
-    "giveup/eesmr": "dd35cd2ffc8345067c25aa392f5499037adb95484dfdc276494f01a36dd6257b",
-    "giveup/sync-hotstuff": "3d5870f79995d2ba07612224f904e77f7984b3f8364dcace6afd0ce0c7c39ccc",
-    "giveup/optsync": "90399e815f8cabc8cef9415c56fec5c630b9d37a7f288170d03c7e52f66296d6",
-    "giveup/trusted-baseline": "d5e9a2454b16f22b9c56bdb4541177e270ef27a84d4e507727285e8cee7b3a89",
-    "silent_leader/eesmr": "07a7dd74a0d775eb06948a9556eb257feb54e9e04e0d02ac2855e932de753339",
-    "equivocate/eesmr": "271145b2295ce56390b0d2d729b976143c0319a90c05006cc6670ca082b0bf24",
-    "crash/eesmr": "2d3982af13ae03f320c39ab62002ade33840db06e6af497da43da04f0c52b4f3",
-    "silent_leader/sync-hotstuff": "a4567f9a408b72f527124ff9f8fedb02e9cc26abcb473d51bc1307c6c4ab9649",
-    "equivocate/sync-hotstuff": "201be5a81ec68bd15ba6a17909dac3fb770f4b78da916c35c4c3b59b14ab89b5",
-    "crash/sync-hotstuff": "52ae3d4500c7546da675086a7510b0ff5591b168045f312674b40f3cc4ae76d5",
-    "silent_leader/optsync": "3284bfb3b9ddb0ddb1dc923dd483b642d9004cdcbd013645b3452d236d6e73ef",
-    "equivocate/optsync": "a7420855c54152e6cece62d6d1907519dbb0b5e76aa2b28d3546bc1861d36c98",
-    "crash/optsync": "678432640571d5b58566865afc162a96f5ecaf25b8855cb5beaff7cf5c3a0949",
-    "stacked/eesmr": "e7fb1c6eec995bb24ba85b654db409ba70ff113126c929206c2d0f678fb67867",
-    "stacked/sync-hotstuff": "b62de9e881c670772fdbfbd49d34caf436f76cb1fa95c1002fe446a19a0c0c73",
-    "stacked/optsync": "734d87ad304736f7f340d9bbf45f1077f7804bd4568717e13f73b68588473003",
-    "stacked/trusted-baseline": "6b448eecdd64781ed9fda05728d3f207df759403a02561044b5d7e56049c35df",
-    "stacked-lossy/eesmr": "8a950edda34cb2c67d83038be86a6ec46137b49f2791190ed3f2103c9586f6e6",
-    "stacked-lossy/sync-hotstuff": "7092f4a8e15889426e8d70570176c21808d0433397efe83e3ba414d8c106fd2d",
-    "stacked-lossy/optsync": "48119cc226f18db823bcd5a90764526ee3920b388c1a9292212a505d5a859b04",
-    "stacked-lossy/trusted-baseline": "a382c65ca6df7409964593c52e86e3e4f8a43cc47182c6458140a2c44dd87939",
+    "lossy/eesmr": "d6d3b5891baade3c29e8efb022d9fd09b94ffd0c0f6ec6d4b459507ff5ff9946",
+    "lossy/sync-hotstuff": "6fa767419e7b7de8c3b5d3c211b90d584c70e53c8861a14e5717c0a6a3439023",
+    "lossy/optsync": "ccea033240000c6764f7634d10bf86d306cc5245ee5611e87dfbb46acb8ee80f",
+    "lossy/trusted-baseline": "d54ffe76bd90867bc102c98735e7a3406d7dab0c4e35ad49d4b812a14af7f4cf",
+    "giveup/eesmr": "ed5bb40f186ea1ac2e7fe165cbc2a0d5f276778d8b2faaec1954e40193de2df4",
+    "giveup/sync-hotstuff": "2ed7be69770f164c44833cc72dca951758cea3eecd46a6cdffc36335d17c3df8",
+    "giveup/optsync": "25a578bcafe1a048466f0b39bad42486a75242d4fc421da45fecba87be0f167f",
+    "giveup/trusted-baseline": "2a631eee9b9f32c1ff5313e4eb5c131cd7ab317b3e57c5282c2445e4b3e00f83",
+    "silent_leader/eesmr": "0811eb590d5f1133d4419e475890909b1d198b02d5ca9dbc6e44a92d9a3c9e1f",
+    "equivocate/eesmr": "0867eb08b876813ff3f0c09c52a43665abe8a595fea65e0165a7b6c48613ca08",
+    "crash/eesmr": "bc61199c35665d2bbc2c3370e4d0ef223a4a6cab0e292d52cf393940aafa9f07",
+    "silent_leader/sync-hotstuff": "48661fa45d6115dfb175b67ea08f21a84198e18521f83e22ae651e2b7fbb61a9",
+    "equivocate/sync-hotstuff": "c26cb55c2ababbe3d6ee302ed718be26f3b9ae21e63eaea976b3048c24dfa35d",
+    "crash/sync-hotstuff": "1195bea95adcf3ec3cbc83ec37d99f6a4e957c1d5c189c460b519ee242977807",
+    "silent_leader/optsync": "d1963359ff9eef5dae2f8db6c9e9e878248accf3927140798086f806f74e65de",
+    "equivocate/optsync": "2ca2834fd3467c4e1310ac0d1ee0af1442bd856faed6c31c2e8ae42be44ee2c0",
+    "crash/optsync": "e54620ec6d8b0b9799885d4020da3f40fbd101ddf9b7e14b0649b10f1510c56d",
+    "stacked/eesmr": "709e9ed146dde2ba04c5b682717f2beac248766b1ce74c3841994dd96a25efb9",
+    "stacked/sync-hotstuff": "344a2b8c8cad98d739e9760b6595346b93a778667033f8129f578353a6e6301e",
+    "stacked/optsync": "c3049c332d1d837534f71c920f26def50b881e08d4ca10a649fb0857a1ce6d45",
+    "stacked/trusted-baseline": "8ba8db6d07642065c2b1196f8164ca9acda9d39e1a6f50df37b7f4ff4285cf9a",
+    "stacked-lossy/eesmr": "95466a081de2d6fa7e0d8641b42c4168120083dde29cde7dbb6a2e367ba85924",
+    "stacked-lossy/sync-hotstuff": "e763f6acbb659fcc2516dd570de615d6be008654331420f1613c6c4f0ddc5f9a",
+    "stacked-lossy/optsync": "772416eb880708b53b075c23f15325e0066da30e42842a11b53b6d54dc9faa0b",
+    "stacked-lossy/trusted-baseline": "4503f0c697170ff822544eb4a480064c964fbd927255af90ead8f9b4ce539218",
 }
 
 #: Every window kind at once: a drop window over a crashed (permanently

@@ -44,13 +44,13 @@ from repro.testkit.trace import TraceRecorder
 
 #: (spec kwargs) -> fingerprint captured before the hot-path overhaul.
 GOLDEN = {
-    "eesmr": "e02030429f623ab81e7d6076c665ad81e6f9132eed1e8c0d6fd39bb288a336d7",
-    "sync-hotstuff": "4218851e95317a9bcd7b4b19a7dae1a366192ba193f2d9091cb167b77ecfa915",
-    "optsync": "fb2ec8c760c3eb390b41d3ba232dbeb83c805f096a69afa6e3284a2a76991959",
-    "trusted-baseline": "1649688ceca18c07a6a78a08e5ffa2dafb1345cd12c2e228ac4dc5cc17c02ea8",
+    "eesmr": "3170437f2e68d051e0ddba9c37ef6ef3eb646adc45c22289fe4e8ed91a6e0987",
+    "sync-hotstuff": "ead7a85bad1d4ac8bcb3feb808b0aa0105eba69d5b0ccaf7d394c4d76b042ae7",
+    "optsync": "4a6e043e2824e2cbbe303dfbeb91a0bb43b520da9bb2ae677c95169719cdfff8",
+    "trusted-baseline": "02836a6801149b749e157dcef8af917799b1c6ee089515c1339ba7be240a6c5e",
 }
 
-GOLDEN_WIFI_N9 = "50939fd49392dc26d7f1da2b01d5d8a3aee4ffcaacfecb4558f4468779c58c6d"
+GOLDEN_WIFI_N9 = "f73c60d61f449691c2c23a236acb60040ec17f597f0fcb12ab429176a92156ae"
 
 
 def golden_spec(protocol: str) -> DeploymentSpec:

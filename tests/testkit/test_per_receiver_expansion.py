@@ -54,41 +54,41 @@ COMMIT_LABEL = re.compile(r"(timer:p\d+:t-commit:)([^,]+(?:,[^,]+)+)")
 
 #: case -> the fingerprint pinned while every reception was its own event.
 PER_RECEIVER = {
-    "golden/eesmr": "72d19228588db71b0ad1945c483277a9483ddaef052ac7f05e5531f7fff7e95a",
-    "golden/sync-hotstuff": "de3063f61010a05b8a6c4f5b3937a4bc78f6aba98c3536b117f714f21f6fc0a3",
-    "golden/optsync": "6be1584db7805fd72c2cf74f5d35f0dc5a6fd10ec8f8242ae3416e8663c4d72f",
-    "golden/wifi-n9": "43c14c5c7956a2fc1a92034295a69ef03bfcadbe816aa2b6af2d1f50f1a3047a",
-    "relay-drop-window": "790e2d29f7523ae994148cb96f20fde061d0fbc52d06e363e3ca343b0ba1b28e",
-    "partition-heal": "817452e16593ef1531fe7b9cf93f86b939f4954cb52fdb2cd81a27bf8f730c74",
-    "silent_leader/eesmr": "4c85022206dbcdf8664e90a66f39dfe9cfe1f6e2a774736cb913135aa955e8de",
-    "equivocate/eesmr": "6510c6c9f5e1441dba5522f0bcd07a3cd905fe8a927c50aaa6b13d551cab2825",
-    "crash/eesmr": "f67ad6b91ff9d9c41f28fc02c4860005b7fc76800fe9f76212df2fa8aa4af501",
-    "silent_leader/sync-hotstuff": "a4da09bb9e9be0b4afd6a22571f5710c8447b1950a104b1579d454228d662392",
-    "equivocate/sync-hotstuff": "f887b673deb9214bcb43568d8fcffe24c4e8167e035d000fc64c3c81b8fba748",
-    "crash/sync-hotstuff": "4a6d79b8c5d817982f8d1db948f3c02053d37c176b6b3e52d7f512b3ffd8a732",
-    "silent_leader/optsync": "777c2f9b076cce05694c7737e87868cf268789724f105d125887f75822d18086",
-    "equivocate/optsync": "5580816f75342417a6d805a402a9f05a381fe9f15f0db51902c242570ec12cc0",
-    "crash/optsync": "438a5a3d201f169ca0b6067309bd96bb0dcddfd78c899d7004d38b855ed8f8af",
-    "stacked/eesmr": "5ade78a67b4a8814c1825aea5219a1d207a09d6278a45f49713cefab268c335e",
-    "stacked/sync-hotstuff": "ed84237ed1e4db104abeabea2a0a3ab448204d99511ad2af6202556966011e4c",
-    "stacked/optsync": "3dd56c4811b4214d4bfaa4b7b3690c9b83d4e33f003d50159c52f7785503934e",
+    "golden/eesmr": "594b01d459121346493927fba29678be3a89d11d9e860ef0d2e6df8abcd49eb0",
+    "golden/sync-hotstuff": "2f128073a71f06aeb44db19341131b01d4d8077c4fc021fde5a2b9bb1956d75e",
+    "golden/optsync": "dd9862f44a44d9989019892aa9b3c5f0f4622b944c811367251b5151c281dd84",
+    "golden/wifi-n9": "d88207365e187541bd4f6391f61717bec3cb211e91075d927838720b6026b80f",
+    "relay-drop-window": "74fc63f7375352062a8374d2d185e853d809fc4551578c61f9b1e7be15f30f07",
+    "partition-heal": "382ef5894ded9a5c744d9808f13267717d3b0e82f64869f25317bc606a39912f",
+    "silent_leader/eesmr": "680bfdbed92ffe045f521edb7f5e4832abf1cbe5d1574d261cb8c3a65ad52dd8",
+    "equivocate/eesmr": "29448bf309a5b86e2d0cc727d609dff9c7fec6381e7c652b799df9906d85ef59",
+    "crash/eesmr": "fcf437091c99b4707b2060a32a8ddc80b4b0acc283093114d3d853d1c155a087",
+    "silent_leader/sync-hotstuff": "10350cb1ad0cfedf71b951952a94f6e7e5476a5c4fa867d6356eee10bb78289c",
+    "equivocate/sync-hotstuff": "ebdf08ce2994687e2d1c37ecde666c3aae04d745a5295f7368792f17d433193d",
+    "crash/sync-hotstuff": "2703f17495efb2a6f307c00679f1d7bf6c4149c087719990fd0bd6f6169b7adf",
+    "silent_leader/optsync": "8874b1cb16550e8c5c5d613ae3472547c485ba903a0f487f44453d4a482d605f",
+    "equivocate/optsync": "3d829df9cb41984ca50c9ade83c78c5c16efa78ffbf81f13ea2da800a780d4a5",
+    "crash/optsync": "cb6b0e0921a6f690a9b4a26ed0492c630146fe3ce6d704a82a9f5fe15e261ddb",
+    "stacked/eesmr": "f4506771c5b0f243b4e7bbe09d6cc406538cf71c745a9c2d1464cbb72f9700f1",
+    "stacked/sync-hotstuff": "3aa6bb88e10d54d3d6a37e40ddeaa919514717774a467a00003ac01e553bb7fb",
+    "stacked/optsync": "ae0edf44e432f15e17ec3da5986298b39f4a09c918956fd9528e91e49b93fcb4",
 }
 
 
 #: case -> the fingerprint pinned while every accepted EESMR block armed its
 #: own commit timer event.
 PER_BLOCK_COMMIT = {
-    "golden/eesmr": "3e3a94439d915f34bbff4efb96884d9ac0ec40144af65ba2b6efa13f19a08c27",
-    "golden/wifi-n9": "34ba7609c8e5b9fb0ba9aeef2630fb6b85f548950e80d69f0abdf5b7f529548d",
-    "relay-drop-window": "8c3bdd3879dd1c56f8a31dfc5319a0118af833f4573540c134f49f5fe5d430ff",
-    "partition-heal": "72f3d3c2d35427bd30572f253a34105ff79b8a2e3ad99975ef3bd602d97cfc02",
-    "lossy/eesmr": "4c1e6fc2646c8aa6e01caf058d1608f9cfb137ff635f37ea059e0182700eda13",
-    "giveup/eesmr": "b6c7247fe3dbadddbe7c1c3e164d3f656a933a3b5b02819c9ae6649e9105e9fc",
-    "silent_leader/eesmr": "ef50c79624e74b90a54bd9c80a87b7e2cb053f45ade809c615c0d807d65e52ca",
-    "equivocate/eesmr": "af045c3ad1e72f06819abce9e2e40880443cac4ee30f4620fdc61c99dd21b702",
-    "crash/eesmr": "3a3a9897408a0ab08784a88ca02d2e7052698437f22b6b32db4a00e0a2abd434",
-    "stacked/eesmr": "c0d755d15793e75a1d24162f0668b5f8f764683378a95e9970ab40e2bef2f8fc",
-    "stacked-lossy/eesmr": "4bcc435512a85155af9f7730466fa420f6c6acf3c6ed23518c3819a0d6366300",
+    "golden/eesmr": "27bd7670d10dad3a2090a4066ea2a16624d05189557f9454731316f293de8646",
+    "golden/wifi-n9": "2e065e53afef46ff74faab766cfd8548763a21e963c0fc0ca6b311ef72851f8f",
+    "relay-drop-window": "67c39237c2626c47f8878b2487318c7742895241cbac4c2f698008a04a982dd8",
+    "partition-heal": "eecf5d742ae37e85f112e3b481fcbae467fef5c1da3f0ef393e0850f817b5645",
+    "lossy/eesmr": "20375c600a48e9ac3b814489877a058304c1a5f1885cbcebb348fb9b4d4f66cb",
+    "giveup/eesmr": "82cde07077451cdf5cf420875e89c099658c4db233e01270b8feb0bfab8e9db5",
+    "silent_leader/eesmr": "02791ff0fe2a13eb73b1df6aa87bf286f4ad00b76ad3147d37151cd01e2e85e9",
+    "equivocate/eesmr": "98c3f4c713dd3f73c5c62cc7829879fb27892de859f5061203b58ba1bc8b72cd",
+    "crash/eesmr": "2dcde42d413135aab3d8b9766eb4cf9a966979008cc44cdee0f3a931aca068c7",
+    "stacked/eesmr": "0fc0ca5663c95c9cc6c54c64d2219f73c73fa08b97e49a3370f3d5863b459f28",
+    "stacked-lossy/eesmr": "5c109ed7a0830d5885e77bae2e19901914c051b44a2ac16e8e89a9789a69cd2f",
 }
 
 
