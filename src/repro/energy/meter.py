@@ -13,6 +13,7 @@ Joules go.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
 from typing import Dict, Iterable, Tuple
 
@@ -78,7 +79,7 @@ class EnergyMeter:
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-        self.counts: Counts = {}
+        self.counts: Counts = defaultdict(int)
 
     # -------------------------------------------------------------- charging
     def charge(self, category: EnergyCategory, unit_j: float, times: int = 1) -> None:
@@ -89,9 +90,7 @@ class EnergyMeter:
         """
         if unit_j < 0:
             raise ValueError(f"cannot charge negative energy: {unit_j}")
-        key = (category, unit_j)
-        counts = self.counts
-        counts[key] = counts.get(key, 0) + times
+        self.counts[category, unit_j] += times
 
     # --------------------------------------------------------------- queries
     @property

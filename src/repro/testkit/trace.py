@@ -178,7 +178,7 @@ class TraceRecorder(SessionObserver):
 
         trace.energy_counts = {
             pid: [
-                [category.value, unit_j, times]
+                [category, unit_j, times]
                 for (category, unit_j), times in sorted(meter.counts.items())
             ]
             for pid, meter in sorted(ledger.meters.items())
