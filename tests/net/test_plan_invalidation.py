@@ -112,7 +112,8 @@ BASE = dict(protocol="eesmr", n=5, f=1, k=2, target_height=3, seed=17)
 #: event (``tests/testkit/test_per_receiver_expansion.py`` keeps the
 #: previous values asserted).  Re-pinned once more when the blocks one EESMR
 #: delivery accepts began sharing one commit-timer event (the same file's
-#: ``PER_BLOCK_COMMIT`` keeps those values asserted).
+#: ``PER_BLOCK_COMMIT`` keeps those values asserted).  Re-pinned with them
+#: when energy became integer operation counts, priced when read.
 UNCOMPILED = {
     "fault-free": (lambda: None, GOLDEN["eesmr"]),
     # Relay denial opening and lifting mid-run: each transition must

@@ -55,6 +55,11 @@ previous value (``PER_BLOCK_COMMIT``).  The other 18 kept theirs: Sync
 HotStuff, OptSync and the trusted baseline accept one proposal per
 delivery.
 
+All 25 were re-pinned once more, with the golden fingerprints and for the
+reason given there: energy became integer operation counts, priced when
+read.  Each trace without its ``energy_*`` keys is byte-identical to before
+(``tests/testkit/test_energy_free_pins.py``).
+
 An event-plane change that keeps every ``(time, seq, label)``
 keeps these byte-for-byte; update them only for an intentional protocol
 or model change, and say why in the PR.

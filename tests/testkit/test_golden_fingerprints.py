@@ -35,6 +35,13 @@ list and ``executed_events`` changed: split back per block, each trace
 hashes to its previous value, which the same file asserts
 (``PER_BLOCK_COMMIT``).  Sync HotStuff, OptSync and the trusted baseline
 accept one proposal per delivery and kept their fingerprints.
+
+Re-pinned a fourth time, all five, when the meters began keeping integer
+operation counts: the trace's three energy fields became one,
+``energy_counts``, and every Joule figure is priced from the counts, which
+moved per-node energy by at most 2.7e-15 relative across every pinned run.
+With every ``energy_*`` key removed, each trace hashes to its previous
+value, which ``tests/testkit/test_energy_free_pins.py`` asserts.
 """
 
 import pytest

@@ -29,6 +29,10 @@ the last.  So :func:`expand` also splits commit events back per block, and
 ``PER_BLOCK_COMMIT`` holds the values pinned before that change for every
 pinned trace it moved; split back per block only, each trace hashes to
 them.
+
+Every value in both tables was re-pinned once, with the golden
+fingerprints and for the reason given there: the traces' energy became
+integer operation counts (``energy_counts``), priced when read.
 """
 
 import re
