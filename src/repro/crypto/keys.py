@@ -25,7 +25,7 @@ class KeyPair:
 
     def sign_tag(self, payload: bytes) -> str:
         """Compute the authentication tag for ``payload`` under the secret key."""
-        return hmac.new(self.secret_key, payload, hashlib.sha256).hexdigest()
+        return hmac.digest(self.secret_key, payload, "sha256").hex()
 
 
 def _derive_secret(seed: int, owner: int) -> bytes:

@@ -316,7 +316,7 @@ class ImpairmentSpec:
 
     def active(self, now: float) -> bool:
         """Whether the spec's window covers virtual time ``now``."""
-        return self.enabled() and self.start <= now < self.end
+        return self.start <= now < self.end and self.enabled()
 
     def describe(self) -> Dict[str, Any]:
         """Canonical dict form: every field that differs from its dataclass
@@ -465,8 +465,11 @@ class ImpairmentModel:
 
     def loss_probability(self, receiver: int, cost: Any, now: float) -> float:
         """Composed drop probability for one hop delivery to ``receiver``."""
+        return self._loss(receiver, cost, self.spec.active(now))
+
+    def _loss(self, receiver: int, cost: Any, active: bool) -> float:
         p = 0.0
-        if self.spec.active(now):
+        if active:
             if self.spec.ble_calibrated:
                 redundancy = getattr(cost, "redundancy", 1)
                 p = self.loss_model.receiver_miss_probability(max(1, redundancy))
@@ -481,11 +484,11 @@ class ImpairmentModel:
         pure function of (seed, spec, schedule) — byte-deterministic.
         """
         self.attempts += 1
-        if self.rng.chance(self.loss_probability(receiver, cost, now)):
+        active = self.spec.active(now)
+        if self.rng.chance(self._loss(receiver, cost, active)):
             self.dropped += 1
             self.drops_by_node[receiver] += 1
             return True, False, 0.0
-        active = self.spec.active(now)
         duplicated = self.rng.chance(
             self._composed("duplicate", receiver, self.spec.duplicate if active else 0.0)
         )

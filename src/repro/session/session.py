@@ -17,9 +17,11 @@ the run as a *controllable* process instead of a one-shot black box:
 
 Handing control back *is* the pause: between any two events the caller
 may inspect replicas, inject faults, or mutate the network, then resume
-with another ``step``/``run_until``/``run`` call.  Runs driven entirely
-through :meth:`run` are byte-identical to the seed one-shot runner —
-the golden trace fingerprints pin this.
+with another ``step``/``run_until``/``run`` call.  All three drive one
+loop that wakes the fault controllers between events, so however the
+calls split a run its trace is the one-shot trace, and runs driven
+through :meth:`run` are byte-identical to the seed one-shot runner — the
+golden trace fingerprints pin this.
 """
 
 from __future__ import annotations
@@ -33,15 +35,17 @@ from repro.crypto.signatures import SignatureScheme
 from repro.net.network import SimulatedNetwork
 from repro.session.observers import ObserverBus
 from repro.session.spec import DeploymentSpec, RunResult
+from repro.sim.events import INF
 from repro.sim.scheduler import SimulationError, Simulator
 
-#: A run's event budget: executing more raises ``SimulationError`` (a likely
-#: livelock).  Read at each check, so a test may patch it to trip the guard.
+#: A run's event budget: every entry point refuses the event past it with
+#: ``SimulationError`` (a likely livelock).  Read at each call, so a test
+#: may patch it to trip the guard.
 MAX_EVENTS = 2_000_000
 
 
 class SessionController:
-    """Mid-run intervention logic driven by :meth:`Session.run_to_quiescence`.
+    """Mid-run intervention logic woken by every :class:`Session` entry point.
 
     Controllers are how *adaptive* adversaries (and future schedulers,
     e.g. partition-and-catch-up orchestration) get a deterministic slice
@@ -108,7 +112,6 @@ class Session:
         self.bus = bus
         self.started = False
         self._result: Optional[RunResult] = None
-        self._executed_at_start = 0
 
     # ------------------------------------------------------------ convenience
     @classmethod
@@ -143,7 +146,6 @@ class Session:
         if self.started:
             return self
         self.started = True
-        self._executed_at_start = self.sim.executed_events
         for controller in self.controllers:
             controller.on_attach(self)
         self.bus.session_start(self)
@@ -154,101 +156,85 @@ class Session:
         return self
 
     def step(self) -> bool:
-        """Execute the single next event; ``False`` when idle."""
-        self.start()
-        self._check_budget()
-        return self.sim.step()
+        """Execute the single next event; ``False`` when the run is over."""
+        before = self.sim.executed_events
+        self._drive(INF, lambda session: session.sim.executed_events > before)
+        return self.sim.executed_events > before
 
     def run_until(
         self,
         deadline: Optional[float] = None,
         pred: Optional[Callable[["Session"], bool]] = None,
-        max_events: Optional[int] = None,
     ) -> int:
         """Run until a deadline and/or a predicate holds; returns events run.
 
         Args:
-            deadline: Stop once every event at or before this virtual time
-                has executed (the clock advances to ``deadline``).  With a
-                predicate, acts as an upper bound instead and the clock is
-                not advanced past the last executed event.
+            deadline: Stop once every event and controller wake-up at or
+                before this virtual time has run; the clock then reads
+                ``deadline``, unless the run ended before it.
             pred: Called on the live session before each event; the run
-                pauses as soon as it returns true (or the queue drains).
-            max_events: Per-call event budget (defaults to the session's
-                remaining budget).
+                pauses as soon as it returns true.
         """
-        self.start()
         if deadline is None and pred is None:
             raise ValueError("run_until needs a deadline, a predicate, or both")
-        budget = max_events if max_events is not None else self._remaining_budget()
-        if pred is None:
-            return self.sim.run_until(deadline, max_events=budget)
-        executed = 0
-        while not pred(self):
-            next_time = self.sim.next_event_time()
-            if next_time is None:
-                break
-            if deadline is not None and next_time > deadline:
-                break
-            if not self.sim.step():  # pragma: no cover - raced with next_time
-                break
-            executed += 1
-            if executed > budget:
-                raise SimulationError(f"exceeded max_events={budget}; likely a livelock")
-        return executed
+        before = self.sim.executed_events
+        self._drive(INF if deadline is None else deadline, pred)
+        return self.sim.executed_events - before
 
     def run_to_quiescence(self) -> "Session":
-        """Drive the run to completion, interleaving fault controllers.
-
-        Without controllers this is exactly the seed runner's
-        ``run_until_idle`` (byte-identical traces).  With controllers, the
-        loop alternates: run to the earliest controller wake-up, give each
-        due controller its slice of control, repeat — until the queue is
-        empty and every controller reports done.
-        """
-        self.start()
-        if not self.controllers:
-            self.sim.run_until_idle(max_events=self._remaining_budget())
-            return self
-        stalls = 0
-        while True:
-            wakeups = [
-                t for c in self.controllers if (t := c.next_wakeup(self)) is not None
-            ]
-            if not wakeups:
-                self.sim.run_until_idle(max_events=self._remaining_budget())
-                if all(c.next_wakeup(self) is None for c in self.controllers):
-                    return self
-                continue
-            executed = self.sim.run_until(
-                min(wakeups), max_events=self._remaining_budget()
-            )
-            for controller in self.controllers:
-                due = controller.next_wakeup(self)
-                if due is not None and due <= self.sim.now + 1e-12:
-                    controller.on_wakeup(self)
-            # A controller that keeps asking for wake-ups on an idle queue
-            # would spin forever; bound the no-progress iterations.
-            stalls = stalls + 1 if executed == 0 else 0
-            if stalls > 100_000:
-                raise SimulationError(
-                    "session controllers requested 100000 consecutive wake-ups "
-                    "without any event executing; likely a controller livelock"
-                )
+        """Drive the run to completion, interleaving fault controllers."""
+        self._drive(INF, None)
+        return self
 
     def run(self) -> "Session":
         """Alias of :meth:`run_to_quiescence` (chainable)."""
         return self.run_to_quiescence()
 
-    def _remaining_budget(self) -> int:
-        return max(1, MAX_EVENTS - self._executed_since_start())
+    def _drive(self, deadline: float, pred: Optional[Callable[["Session"], bool]]) -> None:
+        """The one run loop behind :meth:`step`, :meth:`run_until` and :meth:`run`.
 
-    def _executed_since_start(self) -> int:
-        return self.sim.executed_events - self._executed_at_start
+        Events run in order; each controller gets control once every event
+        due by its wake-up has run, with the clock at that wake-up.  The
+        loop pauses before an event at which ``pred`` holds, stops once
+        nothing is due by ``deadline``, and ends with the run: nothing
+        pending and no controller waiting, the clock where the run ended.
+        However the calls split a run, it executes the same events and
+        wake-ups in the same order, so the trace is the one-shot trace.
+        """
+        self.start()
+        sim = self.sim
 
-    def _check_budget(self) -> None:
-        if self._executed_since_start() >= MAX_EVENTS:
-            raise SimulationError(f"exceeded max_events={MAX_EVENTS}; likely a livelock")
+        def stop() -> bool:
+            # Pause on ``pred``.  With no controller waiting, also stop as
+            # the queue drains: a deadline past the run's last event must
+            # not move the clock.
+            return (pred is not None and pred(self)) or (wake == INF and not sim.pending_events)
+
+        # A one-shot run checks nothing between events.
+        halt = None if pred is None and deadline == INF else stop
+        stalls = 0
+        while True:
+            wake = min(
+                (t for c in self.controllers if (t := c.next_wakeup(self)) is not None),
+                default=INF,
+            )
+            if wake == INF and not sim.pending_events:
+                return
+            executed = sim.executed_events
+            if not sim.run(min(wake, deadline), halt, max_events=MAX_EVENTS) or wake > deadline:
+                return
+            for controller in self.controllers:
+                due = controller.next_wakeup(self)
+                if due is not None and due <= sim.now + 1e-12:
+                    controller.on_wakeup(self)
+            # A controller that keeps asking for wake-ups on an idle queue
+            # would spin forever; bound the no-progress iterations.
+            stalls = stalls + 1 if sim.executed_events == executed else 0
+            if stalls > 100_000:
+                raise SimulationError(
+                    "session controllers requested 100000 consecutive wake-ups "
+                    "without any event executing; likely a controller livelock"
+                )
 
     # ------------------------------------------------------------- inspection
     def inspect(self) -> dict:

@@ -14,10 +14,10 @@ carries no per-instance ``__dict__``.
 A pending handle's key may change: :meth:`BucketedEventQueue.move` re-keys
 it to a later-or-equal time under a fresh ``seq`` and leaves its heap entry
 where it is.  An entry whose ``seq`` no longer matches its event's is stale;
-``pop`` / ``peek_time`` re-place it under the event's current key when they
-reach it, which is never later than that key, so the pop order is the one
-a cancel + push would have given.  A restarted timer therefore keeps one
-queue entry instead of leaving one cancelled entry per restart.
+``pop`` re-places it under the event's current key when it reaches it,
+which is never later than that key, so the pop order is the one a cancel +
+push would have given.  A restarted timer therefore keeps one queue entry
+instead of leaving one cancelled entry per restart.
 
 The queue itself, :class:`BucketedEventQueue`, is a two-tier calendar
 structure (near-future time buckets plus an overflow heap): pushes to
@@ -234,12 +234,20 @@ class BucketedEventQueue:
                 else:
                     bucket.append(entry)
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next active event, or ``None`` if empty."""
+    def pop(self, until: float = INF) -> Optional[Event]:
+        """Remove and return the next live event due at or before ``until``.
+
+        Returns ``None`` when no live event is due by then.  Cancelled
+        entries met on the way are dropped and stale ones re-placed under
+        their event's current key; an entry later than ``until`` goes back.
+        """
         near = self._near
         while True:
             while near:
-                _, seq, event = heapq.heappop(near)
+                time, seq, event = entry = heapq.heappop(near)
+                if time > until:
+                    heapq.heappush(near, entry)
+                    return None
                 if event.cancelled:
                     event._in_heap = False
                     continue
@@ -252,24 +260,6 @@ class BucketedEventQueue:
             if not self._advance():
                 return None
             near = self._near
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the next active event without popping."""
-        while True:
-            near = self._near
-            while near:
-                time, seq, event = near[0]
-                if event.cancelled:
-                    heapq.heappop(near)
-                    event._in_heap = False
-                    continue
-                if seq != event.seq:
-                    heapq.heappop(near)
-                    self._place((event.time, event.seq, event))
-                    continue
-                return time
-            if not self._advance():
-                return None
 
     def cancel(self, event: Event) -> None:
         """Cancel an event previously returned by :meth:`push`."""

@@ -51,10 +51,6 @@ class Simulator:
         """Number of events still scheduled."""
         return len(self._queue)
 
-    def next_event_time(self) -> Optional[float]:
-        """Virtual time of the next live event, or ``None`` when idle."""
-        return self._queue.peek_time()
-
     # ------------------------------------------------------------ scheduling
     def schedule_at(
         self, time: float, callback: Callable[..., None], label: str, args: tuple
@@ -99,70 +95,38 @@ class Simulator:
         self._queue.cancel(event)
 
     # --------------------------------------------------------------- running
-    def step(self) -> bool:
-        """Execute the single next event.  Returns ``False`` when idle."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:
-            raise SimulationError("event queue returned an event from the past")
-        self._now = event.time
-        self._executed += 1
-        if self.trace_enabled:
-            self.trace_log.append((self._now, event.label))
-        event.callback(*event.args)
-        return True
+    def run(
+        self,
+        until: float = INF,
+        stop: Optional[Callable[[], bool]] = None,
+        *,
+        max_events: int,
+    ) -> bool:
+        """Execute events in order until none is due at or before ``until``.
 
-    def run_until_idle(self, max_events: int) -> None:
-        """Run until no events remain; more than ``max_events`` of them
-        raises :class:`SimulationError` (a runaway protocol)."""
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        self._running = True
-        executed_here = 0
-        pop = self._queue.pop
-        try:
-            # The hot loop: one pop per event — no peek, no ``step()`` frame.
-            while True:
-                event = pop()
-                if event is None:
-                    break
-                if event.time < self._now:
-                    raise SimulationError("event queue returned an event from the past")
-                self._now = event.time
-                self._executed += 1
-                if self.trace_enabled:
-                    self.trace_log.append((self._now, event.label))
-                event.callback(*event.args)
-                executed_here += 1
-                if executed_here > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a livelock"
-                    )
-        finally:
-            self._running = False
-
-    def run_until(self, deadline: float, max_events: int) -> int:
-        """Run every event scheduled at or before ``deadline``; returns the count.
-
-        The time-bounded twin of :meth:`run_until_idle`'s loop: one
-        peek/pop pair per event on locally bound queue methods.  The clock
-        is advanced to ``deadline`` when the queue drains (or holds only
-        later events).
+        ``stop``, when given, is called before each event, and the run
+        pauses as soon as it returns true.  A run that reaches a finite
+        ``until`` advances the clock to it, even when the queue drained
+        first.  ``max_events`` caps :attr:`executed_events`: the event that
+        would pass it raises :class:`SimulationError` (a runaway protocol)
+        before it runs.  Returns ``False`` when ``stop`` paused the run.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        executed_here = 0
-        queue = self._queue
-        peek = queue.peek_time
-        pop = queue.pop
+        pop = self._queue.pop
         try:
-            while True:
-                next_time = peek()
-                if next_time is None or next_time > deadline:
-                    break
-                event = pop()
+            # The one loop that executes events: one pop per event.
+            while stop is None or not stop():
+                event = pop(until)
+                if event is None:
+                    if self._now < until < INF:
+                        self._now = until
+                    return True
+                if self._executed >= max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; likely a livelock"
+                    )
                 if event.time < self._now:
                     raise SimulationError("event queue returned an event from the past")
                 self._now = event.time
@@ -170,13 +134,6 @@ class Simulator:
                 if self.trace_enabled:
                     self.trace_log.append((self._now, event.label))
                 event.callback(*event.args)
-                executed_here += 1
-                if executed_here > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a livelock"
-                    )
-            if deadline > self._now:
-                self._now = deadline
+            return False
         finally:
             self._running = False
-        return executed_here

@@ -29,7 +29,7 @@ def build(n=5, k=2, seed=3):
 def test_broadcast_reaches_every_node_exactly_once():
     sim, _, _, network, sinks = build()
     network.broadcast(0, "hello")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     for pid, sink in sinks.items():
         assert len(sink.messages) == 1, pid
         assert sink.messages[0][0] == 0
@@ -40,7 +40,7 @@ def test_broadcast_delivery_within_diameter_times_hop_delay():
     sim, topology, _, network, sinks = build(n=9, k=2)
     bound = topology.diameter() * network.hop_delay
     network.broadcast(0, "m")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     for sink in sinks.values():
         assert sink.messages[0][2] <= bound + 1e-9
 
@@ -48,7 +48,7 @@ def test_broadcast_delivery_within_diameter_times_hop_delay():
 def test_broadcast_charges_transmit_and_receive_energy():
     sim, _, ledger, network, _ = build()
     network.broadcast(0, "x" * 100)
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     for pid in range(5):
         meter = ledger.meter(pid)
         assert meter.breakdown.get(EnergyCategory.TRANSMIT) > 0
@@ -61,7 +61,7 @@ def test_non_relaying_byzantine_nodes_cannot_partition_below_fault_bound():
     sim, _, _, network, sinks = build(n=7, k=2)
     network.deny_relay(1)
     network.broadcast(0, "m")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     delivered = [pid for pid, sink in sinks.items() if sink.messages]
     assert sorted(delivered) == list(range(7))
 
@@ -70,7 +70,7 @@ def test_origin_relay_policy_does_not_block_own_broadcast():
     sim, _, _, network, sinks = build(n=5, k=2)
     network.deny_relay(0)
     network.broadcast(0, "m")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert all(sink.messages for sink in sinks.values())
 
 
@@ -78,7 +78,7 @@ def test_isolated_node_receives_nothing():
     sim, _, _, network, sinks = build(n=5, k=2)
     network.isolate(3)
     network.broadcast(0, "m")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert sinks[3].messages == []
 
 
@@ -87,7 +87,7 @@ def test_reconnect_restores_delivery():
     network.isolate(3)
     network.reconnect(3)
     network.broadcast(0, "m")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert sinks[3].messages
 
 
@@ -99,11 +99,11 @@ def test_isolation_is_refcounted():
     network.isolate(3)
     network.reconnect(3)
     network.broadcast(0, "first")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert sinks[3].messages == [], "one reconnect must not lift two isolations"
     network.reconnect(3)
     network.broadcast(0, "second")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert [m[1] for m in sinks[3].messages] == ["second"]
 
 
@@ -113,7 +113,7 @@ def test_reconnect_without_isolation_is_a_noop():
         network.reconnect(3)
     network.isolate(3)
     network.broadcast(0, "m")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert sinks[3].messages == [], "a stray reconnect must not pre-cancel an isolation"
 
 
@@ -166,7 +166,7 @@ def test_set_relay_policy_under_active_denial_updates_the_base():
     network.allow_relay(2)  # the window closes
     assert network.relay_denied(2)
     network.broadcast(0, "m")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert network.stats.per_node_transmissions[2] == 0, "a denied node forwards nothing"
     assert all(sink.messages for sink in sinks.values())
 
@@ -223,7 +223,7 @@ def test_fault_observer_sees_only_the_outermost_edges():
 def test_unicast_delivers_and_charges_both_endpoints():
     sim, _, ledger, network, sinks = build()
     network.send(0, 3, "direct")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert sinks[3].messages == [(0, "direct", pytest.approx(sinks[3].messages[0][2]))]
     assert ledger.meter(0).breakdown.get(EnergyCategory.TRANSMIT) > 0
     assert ledger.meter(3).breakdown.get(EnergyCategory.RECEIVE) > 0
@@ -245,7 +245,7 @@ def test_broadcast_from_unregistered_process_rejected():
 def test_multicast_neighbors_is_single_hop():
     sim, topology, _, network, sinks = build(n=7, k=2)
     network.multicast_neighbors(0, "hi")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     delivered = {pid for pid, sink in sinks.items() if sink.messages}
     assert delivered == topology.out_neighbors(0)
 
@@ -253,7 +253,7 @@ def test_multicast_neighbors_is_single_hop():
 def test_stats_count_transmissions_and_bytes():
     sim, _, _, network, _ = build(n=5, k=2)
     network.broadcast(0, "y" * 50)
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     # Every node relays once in a flood.
     assert network.stats.physical_transmissions == 5
     assert network.stats.physical_bytes == 5 * 50
@@ -283,6 +283,6 @@ def test_recommended_delta_covers_observed_latency():
     spec = DeploymentSpec(n=9, k=2, hop_delay=network.hop_delay)
     delta = compute_delta(spec, topology)
     network.broadcast(0, "m")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     worst = max(sink.messages[0][2] for sink in sinks.values())
     assert worst <= delta

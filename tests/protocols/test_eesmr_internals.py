@@ -93,8 +93,10 @@ def test_future_round_proposal_is_buffered_until_current():
     # The run shares one commit timer, keyed by its hashes in order ...
     assert replica.commit_timers.running_keys() == [f"{first.block_hash},{second.block_hash}"]
     # ... which, 4Δ later and as one event, commits both blocks by height.
-    assert sim.next_event_time() == 4 * config.delta
-    assert sim.step() and sim.executed_events == 1
+    sim.run(4 * config.delta - 1e-9, max_events=10_000)
+    assert sim.executed_events == 0
+    sim.run(4 * config.delta, lambda: sim.executed_events == 1, max_events=10_000)
+    assert (sim.executed_events, sim.now) == (1, 4 * config.delta)
     assert [block.block_hash for block in replica.log.committed_blocks()] == [
         first.block_hash,
         second.block_hash,
@@ -123,7 +125,7 @@ def test_equivocation_before_the_deadline_cancels_the_whole_run():
     rival = make_block(first, 0, 1, 4, [Command("rival")])
     replica.on_message(0, make_message(scheme, 0, MessageType.PROPOSE, 1, rival, round_number=4))
     assert replica.stats.equivocations_detected == 1 and len(replica.commit_timers) == 0
-    sim.run_until(4 * config.delta, max_events=10_000)
+    sim.run(4 * config.delta, max_events=10_000)
     assert replica.log.highest_height == 0 and replica.b_com.is_genesis
 
 

@@ -14,6 +14,7 @@ from repro.eval.runner import DeploymentSpec, run_protocol
 from repro.session import Session
 from repro.session.builder import compute_delta
 from repro.sim.scheduler import SimulationError
+from repro.testkit import faults
 from repro.testkit.trace import TraceRecorder
 
 
@@ -22,16 +23,55 @@ def small_spec(**kwargs) -> DeploymentSpec:
     return DeploymentSpec(n=5, f=1, k=2, target_height=3, seed=17, **kwargs)
 
 
+def controller_spec(protocol: str, schedule) -> DeploymentSpec:
+    return DeploymentSpec(
+        protocol=protocol,
+        n=7,
+        f=2,
+        k=3,
+        target_height=6,
+        block_interval=2.0,
+        seed=3,
+        fault_schedule=schedule(),
+    )
+
+
+#: Runs whose fault schedule attaches a session controller that takes
+#: control between events: catch-up after a reboot or a healed partition,
+#: and an adaptive adversary crashing whichever node leads.
+CONTROLLED = {
+    "eesmr-crash-recover": lambda: controller_spec(
+        "eesmr", lambda: faults.crash_recover(2, 3.0, 12.0)
+    ),
+    "sync-hotstuff-partition": lambda: controller_spec(
+        "sync-hotstuff", lambda: faults.partition(3, 2.0, 10.0)
+    ),
+    "eesmr-leader-following-crash": lambda: controller_spec(
+        "eesmr", lambda: faults.leader_following_crash(1, 2.0, 5.0)
+    ),
+}
+SPECS = {
+    **{
+        protocol: lambda protocol=protocol: small_spec(protocol=protocol)
+        for protocol in ("eesmr", "sync-hotstuff", "optsync", "trusted-baseline")
+    },
+    **CONTROLLED,
+}
+
+
 def oneshot_fingerprint(spec: DeploymentSpec) -> str:
     return run_protocol(spec, recorder=TraceRecorder()).trace.fingerprint()
 
 
-@pytest.mark.parametrize("protocol", ["eesmr", "sync-hotstuff", "optsync", "trusted-baseline"])
-def test_single_stepped_run_matches_oneshot_fingerprint(protocol):
-    spec = small_spec(protocol=protocol)
-    reference = oneshot_fingerprint(spec)
+def committed_once(session: Session) -> bool:
+    return max(r.committed_height for r in session.replicas.values()) >= 1
 
-    session = Session.from_spec(small_spec(protocol=protocol), recorder=TraceRecorder())
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_single_stepped_run_matches_oneshot_fingerprint(name):
+    reference = oneshot_fingerprint(SPECS[name]())
+
+    session = Session.from_spec(SPECS[name](), recorder=TraceRecorder())
     steps = 0
     while session.step():
         steps += 1
@@ -58,7 +98,7 @@ def test_pause_on_predicate_inspect_resume():
     reference = oneshot_fingerprint(spec)
 
     session = Session.from_spec(small_spec(), recorder=TraceRecorder())
-    session.run_until(pred=lambda s: max(r.committed_height for r in s.replicas.values()) >= 1)
+    session.run_until(pred=committed_once)
 
     snapshot = session.inspect()
     assert max(snapshot["committed_heights"].values()) >= 1
@@ -70,6 +110,23 @@ def test_pause_on_predicate_inspect_resume():
     result = session.run().finish()
     assert result.trace.fingerprint() == reference
     assert result.min_committed_height == spec.target_height
+
+
+@pytest.mark.parametrize("name", ["eesmr", *CONTROLLED])
+def test_sliced_and_paused_runs_match_oneshot_fingerprint(name):
+    reference = oneshot_fingerprint(SPECS[name]())
+
+    # Forty 1-unit slices run past the end of the fault-free and partition
+    # runs: a slice after the run ended must not move its clock.
+    session = Session.from_spec(SPECS[name](), recorder=TraceRecorder())
+    for _ in range(40):
+        session.run_until(deadline=session.now + 1.0)
+    assert session.run().finish().trace.fingerprint() == reference
+
+    session = Session.from_spec(SPECS[name](), recorder=TraceRecorder())
+    session.run_until(pred=committed_once)
+    assert session.sim.pending_events > 0
+    assert session.run().finish().trace.fingerprint() == reference
 
 
 def test_run_until_requires_deadline_or_predicate():
@@ -122,6 +179,15 @@ def test_trusted_baseline_session_has_control_node():
 
 def test_max_events_budget_enforced(monkeypatch):
     monkeypatch.setattr(session_module, "MAX_EVENTS", 10)
-    session = Session.from_spec(small_spec())
-    with pytest.raises(SimulationError, match="max_events=10"):
-        session.run()
+    drives = {
+        "step": lambda session: list(iter(session.step, False)),
+        "run_until(deadline)": lambda session: session.run_until(deadline=1e9),
+        "run_until(pred)": lambda session: session.run_until(pred=lambda s: False),
+        "run": lambda session: session.run(),
+    }
+    for name, drive in drives.items():
+        session = Session.from_spec(small_spec())
+        with pytest.raises(SimulationError, match="max_events=10"):
+            drive(session)
+        # Every entry point refuses the event past the budget before it runs.
+        assert session.sim.executed_events == 10, name

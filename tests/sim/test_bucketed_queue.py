@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.events import BucketedEventQueue
+from repro.sim.events import INF, BucketedEventQueue
 from tests.conftest import entry_count
 
 
@@ -98,15 +98,15 @@ def test_cancel_semantics_match_eventqueue():
     assert queue.pop() is None
 
 
-def test_peek_time_skips_cancelled_and_advances_tiers():
+def test_pop_until_skips_cancelled_and_advances_tiers():
     queue = BucketedEventQueue()
     first = queue.push(3.0, lambda: None, "")
     queue.push(7_000.0, lambda: None, "")
-    assert queue.peek_time() == 3.0
     queue.cancel(first)
-    assert queue.peek_time() == 7_000.0
-    assert queue.pop().time == 7_000.0
-    assert queue.peek_time() is None
+    assert queue.pop(until=6_999.0) is None
+    assert len(queue) == 1
+    assert queue.pop(until=7_000.0).time == 7_000.0
+    assert queue.pop() is None
 
 
 def test_negative_time_rejected():
@@ -145,17 +145,13 @@ class CancelAndPushQueue:
         while self._heap and not self._heap[0][2][3]:
             heapq.heappop(self._heap)
 
-    def pop(self):
+    def pop(self, until=INF):
         self._skip_cancelled()
-        if not self._heap:
+        if not self._heap or self._heap[0][0] > until:
             return None
         handle = heapq.heappop(self._heap)[2]
         handle[3] = False
         return handle
-
-    def peek_time(self):
-        self._skip_cancelled()
-        return self._heap[0][0] if self._heap else None
 
 
 HORIZON_TIME = BucketedEventQueue.horizon * BucketedEventQueue.width
@@ -170,8 +166,7 @@ OPERATIONS = st.lists(
         st.tuples(st.just("push"), DELAYS),
         st.tuples(st.just("move"), HANDLE, st.sampled_from(["later", "equal", "earlier"]), DELAYS),
         st.tuples(st.just("cancel"), HANDLE),
-        st.just(("pop",)),
-        st.just(("peek",)),
+        st.tuples(st.just("pop"), st.one_of(st.just(INF), DELAYS)),
     ),
     max_size=120,
 )
@@ -180,7 +175,7 @@ OPERATIONS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(OPERATIONS)
 def test_move_pops_exactly_as_cancel_and_push(operations):
-    """Any interleaving of push / move / cancel / pop / peek: same pops, same length.
+    """Any interleaving of push / move / cancel / pop(until): same pops, same length.
 
     Times are scheduled as the simulator does, never before the last pop.
     Moves go later, to the same time, and earlier, on pending, cancelled
@@ -214,13 +209,12 @@ def test_move_pops_exactly_as_cancel_and_push(operations):
                     event = queue.push(time, event.callback, "")
                 handles[index] = (event, reference.move(handle, time))
         elif kind == "pop":
-            event, handle = queue.pop(), reference.pop()
+            until = now + operation[1]
+            event, handle = queue.pop(until), reference.pop(until)
             popped.append(None if event is None else (event.time, event.seq, event.callback))
             reference_popped.append(None if handle is None else tuple(handle[:3]))
             if event is not None:
                 now = event.time
-        elif kind == "peek":
-            assert queue.peek_time() == reference.peek_time()
         assert popped == reference_popped
         assert len(queue) == len(reference)
     while True:
@@ -240,10 +234,10 @@ def test_a_move_keeps_one_entry_and_draws_the_next_seq():
     assert (event.time, event.seq) == (2.0, 2)
     assert queue.move(event, HORIZON_TIME * 2)
     assert (event.time, event.seq, len(queue), entry_count(queue)) == (HORIZON_TIME * 2, 3, 2, 2)
-    assert queue.peek_time() == 2.0
+    assert queue.pop(until=1.0) is None
     assert queue.pop() is other
     # The stale entry at (2.0, 0) surfaced and was re-placed, not returned.
-    assert queue.peek_time() == HORIZON_TIME * 2
+    assert queue.pop(until=HORIZON_TIME) is None
     assert (len(queue), entry_count(queue)) == (1, 1)
     assert queue.pop() is event
     assert queue.pop() is None

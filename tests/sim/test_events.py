@@ -53,12 +53,13 @@ def test_double_cancel_does_not_corrupt_count():
     assert len(queue) == 0
 
 
-def test_peek_time_ignores_cancelled():
+def test_pop_until_ignores_cancelled():
     queue = BucketedEventQueue()
     first = queue.push(1.0, lambda: None, "")
-    queue.push(2.0, lambda: None, "")
+    second = queue.push(2.0, lambda: None, "")
     queue.cancel(first)
-    assert queue.peek_time() == 2.0
+    assert queue.pop(until=1.5) is None
+    assert queue.pop(until=2.0) is second
 
 
 def test_negative_time_rejected():

@@ -39,11 +39,11 @@ def test_pending_events_accurate_after_mixed_cancels():
     kept = sim.schedule(1.0, lambda: None, "")
     dropped = sim.schedule(1.0, lambda: None, "")
     fired = sim.schedule(0.5, lambda: None, "")
-    sim.step()
+    sim.run(stop=lambda: sim.executed_events == 1, max_events=1_000_000)
     sim.cancel(fired)  # cancel of an already-fired event
     sim.cancel(dropped)
     sim.cancel(dropped)  # double cancel
     assert sim.pending_events == 1
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert sim.pending_events == 0
     assert kept.cancelled is False

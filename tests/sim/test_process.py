@@ -43,9 +43,9 @@ def test_after_callback_guarded_by_crash():
     calls = []
     proc.after(1.0, lambda: calls.append("a"), "a")
     proc.after(2.0, lambda: calls.append("b"), "b")
-    sim.run_until(1.5, max_events=1_000_000)
+    sim.run(1.5, max_events=1_000_000)
     proc.crash()
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert calls == ["a"]
 
 
@@ -62,7 +62,7 @@ def test_make_timer_is_bound_to_process_name():
     timer = proc.make_timer("blame", lambda: fired.append(1))
     assert timer.name == "p3:blame"
     timer.start(1.0)
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert fired == [1]
 
 
@@ -72,7 +72,7 @@ def test_after_passes_args_and_stays_guarded():
     calls = []
     proc.after(1.0, lambda view, tag: calls.append((view, tag)), "quit", args=(3, "quit"))
     proc.after(2.0, calls.append, "dropped", args=("dropped",))
-    sim.run_until(1.5, max_events=1_000_000)
+    sim.run(1.5, max_events=1_000_000)
     proc.crash()
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert calls == [(3, "quit")]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.events import INF
 from repro.sim.scheduler import SimulationError, Simulator
 
 
@@ -13,7 +14,7 @@ def test_schedule_and_run_advances_clock():
     sim = Simulator()
     seen = []
     sim.schedule(5.0, lambda: seen.append(sim.now), "")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert seen == [5.0]
     assert sim.now == 5.0
 
@@ -24,7 +25,7 @@ def test_events_execute_in_order():
     sim.schedule(2.0, lambda: order.append("b"), "")
     sim.schedule(1.0, lambda: order.append("a"), "")
     sim.schedule(3.0, lambda: order.append("c"), "")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert order == ["a", "b", "c"]
 
 
@@ -40,7 +41,7 @@ def test_event_can_schedule_followups():
         times.append(sim.now)
 
     sim.schedule(1.0, first, "")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert times == [1.0, 3.0]
 
 
@@ -49,10 +50,10 @@ def test_run_until_bound_stops_before_later_events():
     fired = []
     sim.schedule(1.0, lambda: fired.append(1), "")
     sim.schedule(10.0, lambda: fired.append(10), "")
-    sim.run_until(5.0, max_events=1_000_000)
+    sim.run(5.0, max_events=1_000_000)
     assert fired == [1]
     assert sim.now == 5.0
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert fired == [1, 10]
 
 
@@ -65,7 +66,7 @@ def test_negative_delay_rejected():
 def test_schedule_at_past_rejected():
     sim = Simulator()
     sim.schedule(5.0, lambda: None, "")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     with pytest.raises(SimulationError):
         sim.schedule_at(1.0, lambda: None, "", ())
 
@@ -99,7 +100,7 @@ def test_move_keeps_the_handle_and_draws_a_seq():
     tie = sim.schedule(3.0, fired.append, "", args=("b",))
     assert sim.move(event, 3.0)
     assert (event.time, event.seq, sim.pending_events) == (3.0, 2, 2)
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert fired == ["b", "a"]  # the moved event fires after the tie it now follows
     assert not sim.move(event, 1.0) and not sim.move(tie, 1.0)  # both already fired
 
@@ -109,7 +110,7 @@ def test_cancel_scheduled_event():
     fired = []
     event = sim.schedule(1.0, lambda: fired.append(1), "")
     sim.cancel(event)
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert fired == []
 
 
@@ -121,7 +122,7 @@ def test_max_events_guard_detects_livelock():
 
     sim.schedule(0.0, loop, "")
     with pytest.raises(SimulationError):
-        sim.run_until_idle(max_events=100)
+        sim.run(max_events=100)
 
 
 def test_executed_and_pending_counters():
@@ -129,7 +130,7 @@ def test_executed_and_pending_counters():
     sim.schedule(1.0, lambda: None, "")
     sim.schedule(2.0, lambda: None, "")
     assert sim.pending_events == 2
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert sim.executed_events == 2
     assert sim.pending_events == 0
 
@@ -139,12 +140,14 @@ def test_trace_log_records_labels():
     sim.trace_enabled = True
     sim.schedule(1.0, lambda: None, label="first")
     sim.schedule(2.0, lambda: None, label="second")
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert sim.trace_log == [(1.0, "first"), (2.0, "second")]
 
 
-def test_step_returns_false_when_idle():
-    assert Simulator().step() is False
+def test_run_on_an_idle_simulator_executes_nothing():
+    sim = Simulator()
+    assert sim.run(stop=lambda: sim.executed_events == 1, max_events=1_000_000) is True
+    assert (sim.executed_events, sim.now) == (0, 0.0)
 
 
 # ------------------------------------------------------ run_until fast path
@@ -154,18 +157,18 @@ def test_run_until_executes_events_up_to_deadline():
     sim.schedule(1.0, lambda: fired.append(1), "")
     sim.schedule(5.0, lambda: fired.append(5), "")
     sim.schedule(10.0, lambda: fired.append(10), "")
-    executed = sim.run_until(5.0, max_events=1_000_000)
-    assert executed == 2
+    assert sim.run(5.0, max_events=1_000_000) is True
+    assert sim.executed_events == 2
     assert fired == [1, 5]
     assert sim.now == 5.0
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert fired == [1, 5, 10]
 
 
 def test_run_until_advances_clock_when_queue_drains_early():
     sim = Simulator()
     sim.schedule(1.0, lambda: None, "")
-    sim.run_until(9.0, max_events=1_000_000)
+    sim.run(9.0, max_events=1_000_000)
     assert sim.now == 9.0
 
 
@@ -174,7 +177,7 @@ def test_run_until_records_trace_labels():
     sim.trace_enabled = True
     sim.schedule(1.0, lambda: None, label="first")
     sim.schedule(2.0, lambda: None, label="second")
-    sim.run_until(3.0, max_events=1_000_000)
+    sim.run(3.0, max_events=1_000_000)
     assert sim.trace_log == [(1.0, "first"), (2.0, "second")]
 
 
@@ -186,7 +189,7 @@ def test_run_until_max_events_guard():
 
     sim.schedule(0.0, loop, "")
     with pytest.raises(SimulationError):
-        sim.run_until(1.0, max_events=50)
+        sim.run(1.0, max_events=50)
 
 
 def test_run_until_is_not_reentrant():
@@ -195,12 +198,12 @@ def test_run_until_is_not_reentrant():
 
     def reenter():
         try:
-            sim.run_until(5.0, max_events=1_000_000)
+            sim.run(5.0, max_events=1_000_000)
         except SimulationError as error:
             errors.append(error)
 
     sim.schedule(1.0, reenter, "")
-    sim.run_until(2.0, max_events=1_000_000)
+    sim.run(2.0, max_events=1_000_000)
     assert len(errors) == 1
 
 
@@ -211,20 +214,21 @@ def test_schedule_passes_args_to_the_callback():
     sim.schedule(1.0, lambda a, b: calls.append((a, b)), "", args=("x", 2))
     sim.schedule_at(2.0, lambda a: calls.append(a), "", ("y",))
     sim.schedule(3.0, lambda: calls.append("no-args"), "")  # default () unchanged
-    sim.run_until_idle(max_events=1_000_000)
+    sim.run(max_events=1_000_000)
     assert calls == [("x", 2), "y", "no-args"]
 
 
 @pytest.mark.parametrize("drive", ["run", "run_until", "step"])
 def test_every_loop_passes_args(drive):
+    """The one run loop, unbounded, with a deadline, and stopped after one event."""
     sim = Simulator()
     calls = []
     event = sim.schedule(1.0, calls.append, "", args=("payload",))
     assert event.args == ("payload",)
-    if drive == "run":
-        sim.run_until_idle(max_events=1_000_000)
-    elif drive == "run_until":
-        assert sim.run_until(5.0, max_events=1_000_000) == 1
-    else:
-        assert sim.step() is True
+    until, stop = {
+        "run": (INF, None),
+        "run_until": (5.0, None),
+        "step": (INF, lambda: sim.executed_events == 1),
+    }[drive]
+    sim.run(until, stop, max_events=1_000_000)
     assert calls == ["payload"]

@@ -77,7 +77,7 @@ def run_broken_deployment():
     # Stop before the view change completes: the fork has already happened
     # once the twins are flooded, and running further only piles recovery
     # traffic (and local safety explosions) on top of it.
-    sim.run_until(10.0, max_events=1_000_000)
+    sim.run(10.0, max_events=1_000_000)
 
     safety = SafetyChecker(
         {pid: r.log for pid, r in replicas.items()}, faulty=spec.byzantine_nodes
