@@ -76,6 +76,13 @@ class BaseReplica(Process):
         self.network = network
         self.meter = meter
         self.hash_fn = HashFunction()
+        # Energy is charged as tally increments at slots interned once:
+        # sign and verify have one unit cost per scheme, a hash one per
+        # wire size (looked up on first sight of each size).
+        units = meter.units
+        self._sign_slot = units.slot(_SIGN, scheme.sign_energy_j)
+        self._verify_slot = units.slot(_VERIFY, scheme.verify_energy_j)
+        self._hash_slots: Dict[int, int] = {}
 
         self.blocks = BlockStore()
         self.log = CommittedLog(pid, self.blocks)
@@ -127,7 +134,7 @@ class BaseReplica(Process):
             data,
             round_number=round_number,
         )
-        self.meter.charge(_SIGN, self.scheme.sign_energy_j, 2)
+        self.meter.tally[self._sign_slot] += 2
         return message
 
     def verify_signed_message(self, message: ProtocolMessage) -> bool:
@@ -139,22 +146,26 @@ class BaseReplica(Process):
         """
         if message.sender == self.pid:
             return True
-        self.meter.charge(_VERIFY, self.scheme.verify_energy_j, 2)
+        self.meter.tally[self._verify_slot] += 2
         return verify_message(self.scheme, self.pid, message)
 
     def verify_quorum_certificate(self, qc: QuorumCertificate) -> bool:
         """Verify a QC (f+1 signatures) and charge per-signature verification energy."""
-        self.meter.charge(_VERIFY, self.scheme.verify_energy_j, len(qc.signatures))
+        self.meter.tally[self._verify_slot] += len(qc.signatures)
         return verify_qc(self.scheme, self.pid, qc, self.config.quorum)
 
     def verify_view_quorum_certificate(self, qc: QuorumCertificate) -> bool:
         """Verify a view-signature QC (e.g. a blame certificate) with energy accounting."""
-        self.meter.charge(_VERIFY, self.scheme.verify_energy_j, len(qc.signatures))
+        self.meter.tally[self._verify_slot] += len(qc.signatures)
         return verify_view_qc(self.scheme, self.pid, qc, self.config.quorum)
 
     def charge_block_hash(self, block: Block) -> None:
         """Charge the energy of hashing a block (chaining / digest checks)."""
-        self.meter.charge(_HASH, self.hash_fn.energy_for_size(block.wire_size_bytes))
+        size = block.wire_size_bytes
+        slots = self._hash_slots
+        if size not in slots:
+            slots[size] = self.meter.units.slot(_HASH, self.hash_fn.energy_for_size(size))
+        self.meter.tally[slots[size]] += 1
 
     def broadcast(self, message: ProtocolMessage) -> None:
         """Flood a message to all nodes via the simulated network."""

@@ -8,10 +8,11 @@ breakdowns, and per-consensus-unit averages.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
-from repro.energy.meter import EnergyBreakdown, EnergyMeter
+from repro.energy.meter import EnergyBreakdown, EnergyMeter, UnitTable
 
 
 @dataclass
@@ -27,17 +28,22 @@ class EnergyReport:
 
 
 class ClusterEnergyLedger:
-    """Holds one meter per node and computes aggregate energy views."""
+    """Holds one meter per node and computes aggregate energy views.
+
+    The meters share one :class:`UnitTable`, so any sum across nodes adds
+    tallies slot by slot and keys each slot once.
+    """
 
     def __init__(self, node_ids: Iterable[int]) -> None:
+        self.units = UnitTable()
         self.meters: Dict[int, EnergyMeter] = {
-            node_id: EnergyMeter(node_id) for node_id in node_ids
+            node_id: EnergyMeter(node_id, self.units) for node_id in node_ids
         }
 
     def meter(self, node_id: int) -> EnergyMeter:
         """The meter for one node (created lazily for late joiners)."""
         if node_id not in self.meters:
-            self.meters[node_id] = EnergyMeter(node_id)
+            self.meters[node_id] = EnergyMeter(node_id, self.units)
         return self.meters[node_id]
 
     # -------------------------------------------------------------- queries
@@ -52,7 +58,12 @@ class ClusterEnergyLedger:
     def combined_breakdown(self, exclude: Iterable[int] = ()) -> EnergyBreakdown:
         """Category breakdown of the (non-excluded) nodes' summed counts."""
         skip = set(exclude)
-        return EnergyBreakdown(m.counts for nid, m in self.meters.items() if nid not in skip)
+        merged: Dict[int, int] = defaultdict(int)
+        for nid, meter in self.meters.items():
+            if nid not in skip:
+                for slot, times in meter.tally.items():
+                    merged[slot] += times
+        return EnergyBreakdown(self.units.price(merged))
 
     def report(
         self,

@@ -58,17 +58,18 @@ class DisseminationPlan:
     between fault-window transitions.  The plan precomputes, per node:
 
     * whether the node relays floods it did not originate;
-    * the node's energy meter handle;
+    * the node's energy tally;
     * one record per outgoing hyper-edge: the radio cost object for this
-      plan's wire size, the partition-filtered sorted receiver tuple and
-      those receivers' meters.
+      plan's wire size, the partition-filtered sorted receiver tuple,
+      those receivers' tallies, and the transmit and receive slots of the
+      cost (see :class:`repro.energy.meter.UnitTable`).
 
     Executing the plan touches O(1) precompiled state per hop instead of
     re-querying the topology index, relay-denial and partition tables,
-    radio-cost memo and meter cache.  Plans are validated against the
-    network's state epoch at every relay, so the rare fault-window
-    transitions that mutate denial or partition state are observed by the
-    very next hop.
+    radio-cost memo and meter cache, and charges energy as tally
+    increments.  Plans are validated against the network's state epoch at
+    every relay, so the rare fault-window transitions that mutate denial or
+    partition state are observed by the very next hop.
     """
 
     __slots__ = ("state_epoch", "size", "nodes")
@@ -76,7 +77,7 @@ class DisseminationPlan:
     def __init__(self, state_epoch: int, size: int, nodes: dict) -> None:
         self.state_epoch = state_epoch
         self.size = size
-        #: pid -> (relays, meter, edge records); partitioned nodes
+        #: pid -> (relays, tally, edge records); partitioned nodes
         #: are absent (they neither relay nor receive).
         self.nodes = nodes
 
@@ -183,8 +184,9 @@ class SimulatedNetwork:
         # Membership tests treat each dict as the set of affected nodes.
         self._partition: Dict[int, int] = {}
         self._relay_denied: Dict[int, int] = {}
-        # (size, k) -> k-cast cost and size -> unicast cost: pricing is a
-        # pure function of the shape, computed once per shape.
+        # (size, k) -> k-cast and size -> unicast ``(cost, tx_slot,
+        # rx_slot)``: pricing is a pure function of the shape, computed
+        # (and its energy units interned) once per shape.
         self._kcast_costs: Dict[tuple, Any] = {}
         self._unicast_costs: Dict[int, Any] = {}
         # pid -> meter: skips the ledger's lazy-create indirection when
@@ -388,7 +390,7 @@ class SimulatedNetwork:
         record = self._plan_for(size).nodes.get(origin)
         edges = self._edge_records(origin, size) if record is None else record[2]
         # The receptions carry no plan, so nobody forwards.
-        self._transmit(flood, origin, self._meter(origin), edges, size, None)
+        self._transmit(flood, origin, self._meter(origin).tally, edges, size, None)
         self._release(flood)
 
     # ------------------------------------------------------- compiled plans
@@ -404,7 +406,7 @@ class SimulatedNetwork:
             return plan
         denied = self._relay_denied
         nodes = {
-            node: (node not in denied, self._meter(node), self._edge_records(node, size))
+            node: (node not in denied, self._meter(node).tally, self._edge_records(node, size))
             for node in self.hypergraph.nodes
             if node not in self._partition
         }
@@ -415,14 +417,15 @@ class SimulatedNetwork:
 
     def _edge_records(self, node: int, size: int) -> tuple:
         """``node``'s out-edges priced for ``size`` bytes, one
-        ``(cost, receivers, receiver meters)`` record each; partitioned
-        receivers are left out."""
+        ``(cost, receivers, receiver tallies, tx_slot, rx_slot)`` record
+        each; partitioned receivers are left out."""
         partition = self._partition
         records = []
         for edge in self.hypergraph.out_edges(node):
             receivers = tuple(r for r in edge.receivers_sorted if r not in partition)
-            meters = tuple(self._meter(r) for r in receivers)
-            records.append((self._kcast_cost(size, edge.degree), receivers, meters))
+            tallies = tuple(self._meter(r).tally for r in receivers)
+            cost, tx_slot, rx_slot = self._kcast_cost(size, edge.degree)
+            records.append((cost, receivers, tallies, tx_slot, rx_slot))
         return tuple(records)
 
     def _plan_relay(self, plan: DisseminationPlan, flood: Flood, node: int) -> None:
@@ -444,21 +447,21 @@ class SimulatedNetwork:
         if node in relayed:
             return
         relayed.add(node)
-        relays, meter, edges = record
+        relays, tally, edges = record
         if not relays and node != flood.origin:
             return
-        self._transmit(flood, node, meter, edges, plan.size, plan)
+        self._transmit(flood, node, tally, edges, plan.size, plan)
 
     def _transmit(
         self,
         flood: Flood,
         sender: int,
-        meter,
+        tally: dict,
         edges: tuple,
         size: int,
         plan: Optional[DisseminationPlan],
     ) -> None:
-        """k-cast the flood's message once per ``(cost, receivers, meters)`` record.
+        """k-cast the flood's message once per edge record (:meth:`_edge_records`).
 
         An unimpaired transmission is one event for all its receivers.  On
         an impaired wire each receiver gets its own verdict and latency, so
@@ -469,14 +472,15 @@ class SimulatedNetwork:
         stats = self.stats
         imp = self.impairment
         impaired = imp is not None and imp.engaged(sim.now)
-        for cost, receivers, meters in edges:
-            meter.charge(_TRANSMIT, cost.sender_energy_j)
+        for cost, receivers, tallies, tx_slot, rx_slot in edges:
+            tally[tx_slot] += 1
             stats.record_transmission(sender, size)
             latency = self._hop_latency()
             if impaired:
                 for receiver in receivers:
                     self._impaired_reception(
-                        flood, sender, receiver, flood.message, cost, latency, size, plan, imp
+                        flood, sender, receiver, flood.message, cost, rx_slot, latency, size,
+                        plan, imp,
                     )
             elif receivers:
                 flood.in_flight += 1
@@ -484,7 +488,7 @@ class SimulatedNetwork:
                     label = f"net:flood{flood.flood_id}->{','.join(map(str, receivers))}"
                 else:
                     label = "net:flood"
-                args = (flood, receivers, meters, cost, plan)
+                args = (flood, receivers, tallies, rx_slot, plan)
                 sim.schedule(latency, self._arrive_edge, label, args)
 
     def _release(self, flood: Optional[Flood]) -> None:
@@ -511,21 +515,35 @@ class SimulatedNetwork:
             self._meter_cache[pid] = meter
         return meter
 
-    def _kcast_cost(self, size: int, k: int):
-        cost = self._kcast_costs.get((size, k))
-        if cost is None:
+    def _kcast_cost(self, size: int, k: int) -> tuple:
+        """``(cost, tx_slot, rx_slot)`` of one k-cast of ``size`` bytes."""
+        priced = self._kcast_costs.get((size, k))
+        if priced is None:
             cost = self.kcast_radio.transmission_cost(size, k)
+            units = self.ledger.units
+            priced = (
+                cost,
+                units.slot(_TRANSMIT, cost.sender_energy_j),
+                units.slot(_RECEIVE, cost.per_receiver_energy_j),
+            )
             if len(self._kcast_costs) < 4096:
-                self._kcast_costs[(size, k)] = cost
-        return cost
+                self._kcast_costs[(size, k)] = priced
+        return priced
 
-    def _unicast_cost(self, size: int):
-        cost = self._unicast_costs.get(size)
-        if cost is None:
+    def _unicast_cost(self, size: int) -> tuple:
+        """``(cost, tx_slot, rx_slot)`` of one unicast of ``size`` bytes."""
+        priced = self._unicast_costs.get(size)
+        if priced is None:
             cost = self.unicast_radio.transmission_cost(size)
+            units = self.ledger.units
+            priced = (
+                cost,
+                units.slot(_TRANSMIT, cost.sender_energy_j),
+                units.slot(_RECEIVE, cost.receiver_energy_j),
+            )
             if len(self._unicast_costs) < 4096:
-                self._unicast_costs[size] = cost
-        return cost
+                self._unicast_costs[size] = priced
+        return priced
 
     # ------------------------------------------------------------ receptions
     # One delivery pipeline serves floods and unicasts: ``flood is None``
@@ -536,7 +554,7 @@ class SimulatedNetwork:
         hop_sender: int,
         receiver: int,
         message: Any,
-        cost,
+        rx_slot: int,
         latency: float,
         plan: Optional[DisseminationPlan],
     ) -> None:
@@ -544,20 +562,20 @@ class SimulatedNetwork:
         labelled = self.sim.trace_enabled
         if flood is None:
             label = f"net:uni {hop_sender}->{receiver}" if labelled else "net:uni"
-            args = (hop_sender, receiver, message, cost)
+            args = (hop_sender, receiver, message, rx_slot)
             self.sim.schedule(latency, self._arrive_unicast, label, args)
             return
         flood.in_flight += 1
         label = f"net:flood{flood.flood_id}->{receiver}" if labelled else "net:flood"
-        args = (flood, (receiver,), (self._meter(receiver),), cost, plan)
+        args = (flood, (receiver,), (self._meter(receiver).tally,), rx_slot, plan)
         self.sim.schedule(latency, self._arrive_edge, label, args)
 
     def _arrive_edge(
         self,
         flood: Flood,
         receivers: tuple,
-        meters: tuple,
-        cost,
+        tallies: tuple,
+        rx_slot: int,
         plan: Optional[DisseminationPlan],
     ) -> None:
         """A transmission is heard: per receiver, in sorted order, charge
@@ -566,10 +584,9 @@ class SimulatedNetwork:
         Duplicates are charged too: the radio does not know the payload is
         old until it has received it.
         """
-        energy = cost.per_receiver_energy_j
         delivered = flood.delivered
-        for receiver, meter in zip(receivers, meters):
-            meter.charge(_RECEIVE, energy)
+        for receiver, tally in zip(receivers, tallies):
+            tally[rx_slot] += 1
             if receiver not in delivered:
                 self._deliver(flood, receiver)
                 if plan is not None:  # one-hop multicasts carry no plan
@@ -587,8 +604,8 @@ class SimulatedNetwork:
         self.stats.deliveries += 1
         process.deliver(flood.origin, flood.message)
 
-    def _arrive_unicast(self, src: int, dst: int, message: Any, cost) -> None:
-        self._meter(dst).charge(_RECEIVE, cost.receiver_energy_j)
+    def _arrive_unicast(self, src: int, dst: int, message: Any, rx_slot: int) -> None:
+        self._meter(dst).tally[rx_slot] += 1
         process = self.processes.get(dst)
         if process is not None:
             self.stats.deliveries += 1
@@ -602,6 +619,7 @@ class SimulatedNetwork:
         receiver: int,
         message: Any,
         cost,
+        rx_slot: int,
         latency: float,
         size: int,
         plan: Optional[DisseminationPlan],
@@ -622,10 +640,10 @@ class SimulatedNetwork:
             return
         if extra:
             latency += extra
-        self._schedule_arrival(flood, hop_sender, receiver, message, cost, latency, plan)
+        self._schedule_arrival(flood, hop_sender, receiver, message, rx_slot, latency, plan)
         if duplicated:
             dup_latency = latency + self.hop_delay * imp.rng.uniform(0.25, 0.75)
-            self._schedule_arrival(flood, hop_sender, receiver, message, cost, dup_latency, plan)
+            self._schedule_arrival(flood, hop_sender, receiver, message, rx_slot, dup_latency, plan)
 
     def _begin_retransmit(
         self,
@@ -716,7 +734,9 @@ class SimulatedNetwork:
         latency = self.hop_delay * imp.rng.uniform(0.5, 1.0) if self.jitter else self.hop_delay
         self._charge_ack(hop_sender, receiver)
         imp.note_recovered(receiver)
-        self._schedule_arrival(flood, hop_sender, receiver, message, cost, latency, plan)
+        energy = cost.receiver_energy_j if flood is None else cost.per_receiver_energy_j
+        rx_slot = self.ledger.units.slot(_RECEIVE, energy)
+        self._schedule_arrival(flood, hop_sender, receiver, message, rx_slot, latency, plan)
         self._release(flood)
 
     def _charge_ack(self, hop_sender: int, receiver: int) -> None:
@@ -727,9 +747,9 @@ class SimulatedNetwork:
         sublayer is lazy: it only engages explicit acknowledgements once
         a loss is suspected), so the baseline energy model is unchanged.
         """
-        cost = self._unicast_cost(ACK_WIRE_BYTES)
-        self._meter(receiver).charge(_TRANSMIT, cost.sender_energy_j)
-        self._meter(hop_sender).charge(_RECEIVE, cost.receiver_energy_j)
+        _cost, tx_slot, rx_slot = self._unicast_cost(ACK_WIRE_BYTES)
+        self._meter(receiver).tally[tx_slot] += 1
+        self._meter(hop_sender).tally[rx_slot] += 1
         self.stats.record_transmission(receiver, ACK_WIRE_BYTES)
 
     # -------------------------------------------------------------- unicast
@@ -747,16 +767,18 @@ class SimulatedNetwork:
         if src in self._partition or dst in self._partition:
             return
         size = default_wire_size(message)
-        cost = self._unicast_cost(size)
-        self._meter(src).charge(_TRANSMIT, cost.sender_energy_j)
+        cost, tx_slot, rx_slot = self._unicast_cost(size)
+        self._meter(src).tally[tx_slot] += 1
         self.stats.unicasts += 1
         self.stats.record_transmission(src, size)
         latency = self._hop_latency()
         imp = self.impairment
         if imp is not None and imp.engaged(self.sim.now):
-            self._impaired_reception(None, src, dst, message, cost, latency, size, None, imp)
+            self._impaired_reception(
+                None, src, dst, message, cost, rx_slot, latency, size, None, imp
+            )
         else:
-            self._schedule_arrival(None, src, dst, message, cost, latency, None)
+            self._schedule_arrival(None, src, dst, message, rx_slot, latency, None)
 
     # ------------------------------------------------------------- helpers
     def _require_registered(self, pid: int) -> None:

@@ -4,11 +4,11 @@ import inspect
 
 import pytest
 
-from repro.energy.meter import EnergyBreakdown, EnergyCategory, EnergyMeter, price
+from repro.energy.meter import EnergyBreakdown, EnergyCategory, EnergyMeter, UnitTable, price
 
 
 def test_charges_accumulate_per_category():
-    meter = EnergyMeter(0)
+    meter = EnergyMeter(0, UnitTable())
     meter.charge(EnergyCategory.TRANSMIT, 0.5)
     meter.charge(EnergyCategory.TRANSMIT, 0.25)
     meter.charge(EnergyCategory.VERIFY, 0.1)
@@ -19,7 +19,7 @@ def test_charges_accumulate_per_category():
 
 def test_negative_charge_rejected():
     with pytest.raises(ValueError):
-        EnergyMeter(0).charge(EnergyCategory.TRANSMIT, -0.1)
+        EnergyMeter(0, UnitTable()).charge(EnergyCategory.TRANSMIT, -0.1)
 
 
 def test_charge_takes_a_category_a_unit_cost_and_a_count():
@@ -30,7 +30,7 @@ def test_charge_takes_a_category_a_unit_cost_and_a_count():
         "unit_j",
         "times",
     ]
-    meter = EnergyMeter(0)
+    meter = EnergyMeter(0, UnitTable())
     with pytest.raises(ValueError, match="negative"):
         meter.charge(EnergyCategory.SIGN, -1e-9, 2)
     assert meter.counts == {}
@@ -38,40 +38,43 @@ def test_charge_takes_a_category_a_unit_cost_and_a_count():
 
 
 def test_meter_state_is_integer_counts_per_category_and_unit_cost():
-    meter = EnergyMeter(0)
+    meter = EnergyMeter(0, UnitTable())
     meter.charge(EnergyCategory.SIGN, 0.3, 2)
     meter.charge(EnergyCategory.SIGN, 0.3, 2)
     meter.charge(EnergyCategory.VERIFY, 0.1, 5)
     meter.charge(EnergyCategory.VERIFY, 0.2)
-    assert vars(meter) == {
-        "node_id": 0,
-        "counts": {
-            (EnergyCategory.SIGN, 0.3): 4,
-            (EnergyCategory.VERIFY, 0.1): 5,
-            (EnergyCategory.VERIFY, 0.2): 1,
-        },
+    assert dict(meter.counts) == {
+        (EnergyCategory.SIGN, 0.3): 4,
+        (EnergyCategory.VERIFY, 0.1): 5,
+        (EnergyCategory.VERIFY, 0.2): 1,
     }
+    # The meter's only counting state: one integer per interned slot.
+    assert sorted(meter.tally) == [0, 1, 2]
+    assert all(type(times) is int for times in meter.tally.values())
+    assert [meter.units.keys[slot] for slot in meter.tally] == list(meter.counts)
     assert meter.breakdown.get(EnergyCategory.SIGN) == 4 * 0.3
     assert meter.breakdown.get(EnergyCategory.VERIFY) == 5 * 0.1 + 1 * 0.2
 
 
 def test_breakdown_groups():
     breakdown = EnergyBreakdown(
-        [
-            {
-                (EnergyCategory.TRANSMIT, 1.0): 1,
-                (EnergyCategory.RECEIVE, 0.5): 4,
-                (EnergyCategory.SIGN, 0.25): 2,
-            },
-            {(EnergyCategory.VERIFY, 0.125): 2, (EnergyCategory.HASH, 0.05): 1},
-        ]
+        price(
+            [
+                {
+                    (EnergyCategory.TRANSMIT, 1.0): 1,
+                    (EnergyCategory.RECEIVE, 0.5): 4,
+                    (EnergyCategory.SIGN, 0.25): 2,
+                },
+                {(EnergyCategory.VERIFY, 0.125): 2, (EnergyCategory.HASH, 0.05): 1},
+            ]
+        )
     )
     assert breakdown.cryptography == pytest.approx(0.8)
     assert breakdown.total == pytest.approx(3.8)
 
 
 def test_breakdown_as_dict_keys_are_strings():
-    breakdown = EnergyBreakdown([{(EnergyCategory.SIGN, 0.5): 2}])
+    breakdown = EnergyBreakdown(price([{(EnergyCategory.SIGN, 0.5): 2}]))
     assert breakdown.as_dict() == {"sign": 1.0}
 
 

@@ -65,12 +65,12 @@ def test_deny_and_allow_each_invalidate():
     network.deny_relay(4)
     denied = network._plan_for(64)
     assert denied is not baseline
-    relays, _meter, _edges = denied.nodes[4]
+    relays, _tally, _edges = denied.nodes[4]
     assert relays is False
     network.allow_relay(4)
     healed = network._plan_for(64)
     assert healed is not denied
-    relays, _meter, _edges = healed.nodes[4]
+    relays, _tally, _edges = healed.nodes[4]
     assert relays is True
 
 
@@ -82,10 +82,12 @@ def test_partition_and_heal_each_invalidate():
     cut = network._plan_for(64)
     assert cut is not baseline
     assert 5 not in cut.nodes  # partitioned: neither relays nor receives
-    for _relays, _meter, edges in cut.nodes.values():
-        for _cost, receivers, meters in edges:
+    for _relays, _tally, edges in cut.nodes.values():
+        for _cost, receivers, tallies, _tx_slot, _rx_slot in edges:
             assert 5 not in receivers
-            assert [meter.node_id for meter in meters] == list(receivers)
+            assert len(tallies) == len(receivers)
+            for receiver, tally in zip(receivers, tallies):
+                assert tally is network.ledger.meters[receiver].tally
     network.reconnect(5)
     healed = network._plan_for(64)
     assert healed is not cut

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.energy.meter import EnergyCategory, EnergyMeter
+from repro.energy.meter import EnergyCategory, EnergyMeter, UnitTable
 from repro.radio.ble import BleAdvertisementKCast, fragments_for_payload
 from repro.radio.gatt import BleGattUnicast
 from repro.radio.media import lte_medium, wifi_medium
@@ -55,7 +55,7 @@ def test_gatt_fanout_linear(size, d_out):
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_meter_total_equals_sum_of_charges(charges):
-    meter = EnergyMeter(0)
+    meter = EnergyMeter(0, UnitTable())
     categories = list(EnergyCategory)
     for i, amount in enumerate(charges):
         meter.charge(categories[i % len(categories)], amount)
