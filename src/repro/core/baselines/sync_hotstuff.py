@@ -181,6 +181,8 @@ class SyncHotStuffReplica(LeaderReplica):
         block = self.blocks.get(block_hash)
         cert = make_qc(list(per_block.values())[: self.vote_quorum], block=block)
         self.certs[block_hash] = cert
+        # Every later vote for the block returns on ``certs`` above.
+        del self.votes[block_hash]
         self.stats.certificates_formed += 1
         if self.is_leader(self.v_cur) and block_hash == self.leader_chain_tip.block_hash:
             self.after(self.config.block_interval, self._propose_next, label="shs:propose")

@@ -15,7 +15,8 @@ A proposal that arrives ahead of its round is buffered.  The delivery that
 fills the gap accepts the whole run it makes current, in one loop, at one
 instant: the run's ``T_commit`` timers would share a deadline and fire back
 to back, so they are one event, keyed (and, traced, labelled) by the
-blocks' hashes joined with ``,``, which commits them in order.
+blocks' hashes joined with ``,``.  Each block of the run extends the one
+before it, so the event commits the last one's chain: the run, in order.
 
 The only signature in the whole steady state is the leader's signature on
 the proposal, which is what gives EESMR its O(1) signing / O(n)
@@ -110,8 +111,7 @@ class SteadyStateMixin:
         The accepted run shares one 4Δ commit timer; ``T_blame`` is re-armed once.
         """
         per_view = self.buffered_proposals.get(self.v_cur, {})
-        accepted: tuple[Block, ...] = ()
-        key = ""
+        accepted: list[str] = []  # the run's block hashes, in order
         while True:
             block = message.data
             if not isinstance(block, Block):
@@ -125,14 +125,16 @@ class SteadyStateMixin:
             self.b_lock = block
             self.stats.proposals_received += 1
             self.r_cur = message.round + 1
-            key = f"{key},{block.block_hash}" if accepted else block.block_hash
-            accepted += (block,)
+            accepted.append(block.block_hash)
             if self.r_cur not in per_view:
                 break
             message = per_view.pop(self.r_cur)
         if not accepted:
             return
-        self.commit_timers.start(key, 4 * self.config.delta, self._commit_on_timer, *accepted)
+        # Each accepted block extends the one before it, so committing the
+        # last one's chain, the new lock's, commits the run in height order.
+        key = ",".join(accepted)
+        self.commit_timers.start(key, 4 * self.config.delta, self._commit_on_timer, self.b_lock)
         if self.b_lock.height >= self.config.target_height:
             # All expected blocks have been proposed; a quiet leader is not a
             # faulty leader once the workload is exhausted.

@@ -205,12 +205,13 @@ class BaseReplica(Process):
         newly_committed = self.log.commit(block)
         if block.height > self.b_com.height:
             self.b_com = block
+        hooks = self.hooks
         for committed in newly_committed:
             self.stats.blocks_committed += 1
             self.txpool.remove(committed.batch.command_ids)
-        if self.hooks is not None:
-            for committed in newly_committed:
-                self.hooks.block_commit(self.pid, committed, self.v_cur, self.sim.now)
+            # Each hook sees the pool as that block's commit left it.
+            if hooks is not None:
+                hooks.block_commit(self.pid, committed, self.v_cur, self.sim.now)
         return newly_committed
 
     # ------------------------------------------------- catch-up state transfer
@@ -360,7 +361,8 @@ class LeaderReplica(BaseReplica):
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.leader_chain_tip: Block = self.blocks.genesis
-        self.proposals_seen: Dict[Tuple[View, Round], Dict[str, ProtocolMessage]] = {}
+        #: (view, slot) -> (first digest, its latest message).
+        self.proposals_seen: Dict[Tuple[View, Round], Tuple[str, ProtocolMessage]] = {}
         self.commit_timers = self.make_timer_registry("t-commit")
         self.blame_timer = self.make_timer("t-blame", self._on_blame_timer)
         self.in_view_change = False
@@ -383,19 +385,23 @@ class LeaderReplica(BaseReplica):
 
     # ------------------------------------------------------ proposals, commit
     def _record_proposal(self, message: ProtocolMessage, slot: int, digest: str) -> None:
-        """Track the leader's proposals per (view, slot); two distinct ones equivocate."""
-        seen = self.proposals_seen.setdefault((message.view, slot), {})
-        seen[digest] = message
-        if len(seen) >= 2:
-            first, second = list(seen.values())[:2]
-            self._handle_equivocation(message.view, first, second)
+        """Track the leader's proposals per (view, slot); two distinct ones equivocate.
 
-    def _commit_on_timer(self, *blocks: Block) -> None:
-        """Commit rule: ``T_commit`` elapsed without an equivocation; commit ``blocks`` in order."""
+        The slot keeps the first digest with its latest message: a
+        re-delivery refreshes it, and any other digest is reported against it.
+        """
+        key = (message.view, slot)
+        seen = self.proposals_seen.get(key)
+        if seen is None or seen[0] == digest:
+            self.proposals_seen[key] = (digest, message)
+        else:
+            self._handle_equivocation(message.view, seen[1], message)
+
+    def _commit_on_timer(self, block: Block) -> None:
+        """Commit rule: ``T_commit`` elapsed without an equivocation; commit ``block``'s chain."""
         if self.crashed:
             return
-        for block in blocks:
-            self.commit_chain(block)
+        self.commit_chain(block)
 
     # ----------------------------------------------------------------- blame
     def _on_blame_timer(self) -> None:

@@ -222,14 +222,30 @@ class Hypergraph:
         return len(_bfs_depths(predecessors, source)) == len(successors)
 
     def diameter(self) -> int:
-        """Longest shortest-path length between any two nodes (hop count)."""
+        """Longest shortest-path length between any two nodes (hop count).
+
+        Every source at once, as bitsets: after round ``d``, bit ``j`` of
+        ``reach[i]`` says node ``i`` reaches node ``j`` in at most ``d``
+        hops.  A round ORs each node's successors' sets (of the previous
+        round) into its own; the diameter is the number of rounds until
+        every set is full.
+        """
         successors = self._successors()
+        index = {node: i for i, node in enumerate(successors)}
+        out = [[index[receiver] for receiver in receivers] for receivers in successors.values()]
+        full = (1 << len(index)) - 1
+        reach = [1 << i for i in range(len(index))]
         diameter = 0
-        for source in successors:
-            depths = _bfs_depths(successors, source)
-            if len(depths) < len(successors):
+        while any(bits != full for bits in reach):
+            grown = []
+            for bits, targets in zip(reach, out):
+                for target in targets:
+                    bits |= reach[target]
+                grown.append(bits)
+            if grown == reach:
                 raise ValueError("diameter undefined: hypergraph is not strongly connected")
-            diameter = max(diameter, max(depths.values()))
+            reach = grown
+            diameter += 1
         return diameter
 
     # ------------------------------------------------------- fault tolerance

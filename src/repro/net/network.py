@@ -120,21 +120,39 @@ def default_wire_size(message: Any) -> int:
 
 @dataclass
 class NetworkStats:
-    """Counters used for communication-complexity measurements (Table 3)."""
+    """Counters used for communication-complexity measurements (Table 3).
+
+    Physical transmissions are one record, ``sent``: ``(sender, wire size)
+    -> transmissions``.  A transmission bumps one entry, and the totals and
+    per-node views are read off it, so no two counters can disagree.
+    """
 
     broadcasts: int = 0
     unicasts: int = 0
-    physical_transmissions: int = 0
-    physical_bytes: int = 0
     deliveries: int = 0
-    per_node_transmissions: Counter = field(default_factory=Counter)
-    per_node_bytes: Counter = field(default_factory=Counter)
+    sent: Counter = field(default_factory=Counter)
 
-    def record_transmission(self, sender: int, size_bytes: int) -> None:
-        self.physical_transmissions += 1
-        self.physical_bytes += size_bytes
-        self.per_node_transmissions[sender] += 1
-        self.per_node_bytes[sender] += size_bytes
+    @property
+    def physical_transmissions(self) -> int:
+        return sum(self.sent.values())
+
+    @property
+    def physical_bytes(self) -> int:
+        return sum(size * times for (_, size), times in self.sent.items())
+
+    @property
+    def per_node_transmissions(self) -> Counter:
+        per_node: Counter = Counter()
+        for (sender, _), times in self.sent.items():
+            per_node[sender] += times
+        return per_node
+
+    @property
+    def per_node_bytes(self) -> Counter:
+        per_node: Counter = Counter()
+        for (sender, size), times in self.sent.items():
+            per_node[sender] += size * times
+        return per_node
 
 
 class SimulatedNetwork:
@@ -355,10 +373,12 @@ class SimulatedNetwork:
         # impairment model and retransmission chains draw their latencies
         # from their own child stream, so the sequence of jitter draws (and
         # with it every baseline fingerprint) is independent of whether the
-        # wire is impaired.
+        # wire is impaired.  The factor is ``uniform(0.5, 1.0)`` spelled as
+        # CPython evaluates it, ``a + (b - a) * random()``: the same bits,
+        # without its two frames.
         if not self.jitter:
             return self.hop_delay
-        return self.hop_delay * self.rng.uniform(0.5, 1.0)
+        return self.hop_delay * (0.5 + 0.5 * self.rng.random())
 
     # ------------------------------------------------------------ broadcast
     def broadcast(self, origin: int, message: Any) -> int:
@@ -373,7 +393,9 @@ class SimulatedNetwork:
         self._live_floods += 1
         self.stats.broadcasts += 1
         # Local delivery to the origin (no radio energy).
-        self._deliver(flood, origin)
+        flood.delivered.add(origin)
+        self.stats.deliveries += 1
+        self.processes[origin].deliver(origin, message)
         self._plan_relay(self._plan_for(default_wire_size(message)), flood, origin)
         self._release(flood)
         return flood.flood_id
@@ -469,13 +491,16 @@ class SimulatedNetwork:
         covers every transmission of the call.
         """
         sim = self.sim
-        stats = self.stats
         imp = self.impairment
         impaired = imp is not None and imp.engaged(sim.now)
+        hop_delay = self.hop_delay
+        random = self.rng.random if self.jitter else None
+        if edges:
+            self.stats.sent[sender, size] += len(edges)
         for cost, receivers, tallies, tx_slot, rx_slot in edges:
             tally[tx_slot] += 1
-            stats.record_transmission(sender, size)
-            latency = self._hop_latency()
+            # _hop_latency, inline.
+            latency = hop_delay if random is None else hop_delay * (0.5 + 0.5 * random())
             if impaired:
                 for receiver in receivers:
                     self._impaired_reception(
@@ -585,24 +610,21 @@ class SimulatedNetwork:
         old until it has received it.
         """
         delivered = flood.delivered
+        processes = self.processes
         for receiver, tally in zip(receivers, tallies):
             tally[rx_slot] += 1
             if receiver not in delivered:
-                self._deliver(flood, receiver)
+                delivered.add(receiver)
+                process = processes.get(receiver)
+                if process is not None:
+                    self.stats.deliveries += 1
+                    process.deliver(flood.origin, flood.message)
                 if plan is not None:  # one-hop multicasts carry no plan
                     self._plan_relay(plan, flood, receiver)
         # _release, inline.
         flood.in_flight -= 1
         if not flood.in_flight:
             self._live_floods -= 1
-
-    def _deliver(self, flood: Flood, receiver: int) -> None:
-        flood.delivered.add(receiver)
-        process = self.processes.get(receiver)
-        if process is None:
-            return
-        self.stats.deliveries += 1
-        process.deliver(flood.origin, flood.message)
 
     def _arrive_unicast(self, src: int, dst: int, message: Any, rx_slot: int) -> None:
         self._meter(dst).tally[rx_slot] += 1
@@ -719,7 +741,7 @@ class SimulatedNetwork:
             return
         imp = self.impairment
         self._meter(hop_sender).charge(_TRANSMIT, cost.sender_energy_j)
-        self.stats.record_transmission(hop_sender, size)
+        self.stats.sent[hop_sender, size] += 1
         imp.note_retransmit(receiver)
         if imp.rng.chance(imp.loss_probability(receiver, cost, self.sim.now)):
             if attempt + 1 >= max_retries:
@@ -750,7 +772,7 @@ class SimulatedNetwork:
         _cost, tx_slot, rx_slot = self._unicast_cost(ACK_WIRE_BYTES)
         self._meter(receiver).tally[tx_slot] += 1
         self._meter(hop_sender).tally[rx_slot] += 1
-        self.stats.record_transmission(receiver, ACK_WIRE_BYTES)
+        self.stats.sent[receiver, ACK_WIRE_BYTES] += 1
 
     # -------------------------------------------------------------- unicast
     def send(self, src: int, dst: int, message: Any) -> None:
@@ -770,7 +792,7 @@ class SimulatedNetwork:
         cost, tx_slot, rx_slot = self._unicast_cost(size)
         self._meter(src).tally[tx_slot] += 1
         self.stats.unicasts += 1
-        self.stats.record_transmission(src, size)
+        self.stats.sent[src, size] += 1
         latency = self._hop_latency()
         imp = self.impairment
         if imp is not None and imp.engaged(self.sim.now):

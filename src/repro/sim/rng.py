@@ -33,6 +33,9 @@ class SeededRNG:
     def __init__(self, seed: int) -> None:
         self.seed = seed
         self._rng = random.Random(seed)
+        #: The stream's bound ``random()``: a float in ``[0, 1)`` without a
+        #: wrapper frame, for hot paths that scale the draw themselves.
+        self.random = self._rng.random
 
     def child(self, *labels: object) -> "SeededRNG":
         """Derive an independent stream for a named sub-component."""

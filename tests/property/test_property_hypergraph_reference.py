@@ -1,16 +1,18 @@
 """Differential tests: the native graph searches against networkx.
 
-``Hypergraph.is_strongly_connected`` and ``Hypergraph.diameter`` are
-breadth-first searches over the hypergraph's own edge data; networkx, on the
-``to_digraph()`` export, is the reference they must agree with — on every
-topology family the runner builds, with and without excluded nodes.
+``Hypergraph.is_strongly_connected`` is a breadth-first search and
+``Hypergraph.diameter`` an all-sources bitset expansion over the
+hypergraph's own edge data; networkx, on the ``to_digraph()`` export, is the
+reference they must agree with — on every topology family the runner
+builds, with and without excluded nodes.  The diameter is also checked
+against one breadth-first search per source, the definition it replaces.
 """
 
 import networkx as nx
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from repro.net.hypergraph import HyperEdge, Hypergraph
+from repro.net.hypergraph import HyperEdge, Hypergraph, _bfs_depths
 from repro.net.topology import random_kcast_topology, ring_kcast_topology, star_topology
 from repro.sim.rng import SeededRNG
 
@@ -68,15 +70,53 @@ def test_strong_connectivity_matches_networkx(case):
     assert graph.is_strongly_connected() == reference_strongly_connected(graph)
 
 
+def per_source_bfs_diameter(graph):
+    """The largest hop distance over one breadth-first search per source."""
+    successors = graph._successors()
+    diameter = 0
+    for source in successors:
+        depths = _bfs_depths(successors, source)
+        if len(depths) < len(successors):
+            raise ValueError("not strongly connected")
+        diameter = max(diameter, max(depths.values()))
+    return diameter
+
+
+@st.composite
+def strongly_connected_hypergraphs(draw):
+    """Rings and seeded random k-casts of up to 80 nodes, all strongly connected."""
+    n = draw(st.integers(min_value=2, max_value=80))
+    k = draw(st.integers(min_value=1, max_value=min(n - 1, 6)))
+    if draw(st.booleans()):
+        return ring_kcast_topology(n, k)
+    try:
+        return random_kcast_topology(
+            n,
+            k,
+            edges_per_node=draw(st.integers(min_value=1, max_value=2)),
+            rng=SeededRNG(draw(st.integers(min_value=0, max_value=2**32))),
+        )
+    except (ValueError, RuntimeError):
+        reject()
+
+
 @given(hypergraphs())
 @settings(max_examples=300, deadline=None)
 def test_diameter_matches_networkx(graph):
     if reference_strongly_connected(graph):
         expected = nx.diameter(graph.to_digraph()) if len(graph.nodes) > 1 else 0
-        assert graph.diameter() == expected
+        assert graph.diameter() == expected == per_source_bfs_diameter(graph)
     else:
         with pytest.raises(ValueError, match="not strongly connected"):
             graph.diameter()
+        with pytest.raises(ValueError):
+            per_source_bfs_diameter(graph)
+
+
+@given(strongly_connected_hypergraphs())
+@settings(max_examples=100, deadline=None)
+def test_diameter_matches_per_source_search_on_large_graphs(graph):
+    assert graph.diameter() == per_source_bfs_diameter(graph) == nx.diameter(graph.to_digraph())
 
 
 def test_degenerate_graphs():

@@ -146,6 +146,91 @@ def test_a_buffered_fork_ends_the_run_at_the_last_accepted_block():
     assert sorted(replica.buffered_proposals[1]) == [6]
 
 
+class CommitRecorder:
+    """An observer bus stand-in: per ``block_commit``, what the replica showed."""
+
+    def __init__(self, replica):
+        self.replica = replica
+        self.commits = []
+
+    def block_commit(self, pid, block, view, time):
+        pool = sorted(c.command_id for c in self.replica.txpool.peek_batch(100))
+        self.commits.append((block.height, time, self.replica.stats.blocks_committed, pool))
+
+
+def test_a_drained_run_commits_through_one_walk_as_the_per_block_loop_did():
+    """Planted mutant: timing the run on its first block
+    (``self.blocks.get(accepted[0])``) instead of the new lock commits only
+    that block, and this fails."""
+    from repro.core.blocks import make_block
+    from repro.core.types import Command
+
+    sim, scheme, config, replicas = build_cluster(target=4)
+    drained, reference = replicas[2], replicas[3]
+    blocks, parent = [], drained.blocks.genesis
+    for height in range(1, 5):
+        parent = make_block(parent, 0, 1, height + 2, [Command(f"c{height}")])
+        blocks.append(parent)
+    for replica in (drained, reference):
+        replica.hooks = CommitRecorder(replica)
+        replica.submit_commands([Command(f"c{h}") for h in range(1, 6)])
+    walks = []
+    commit = drained.log.commit
+    drained.log.commit = lambda block: walks.append(block.height) or commit(block)
+
+    buffered_run(drained, scheme, *blocks)
+    assert drained.commit_timers.running_keys() == [",".join(b.block_hash for b in blocks)]
+    sim.run(4 * config.delta, max_events=10_000)
+    assert sim.executed_events == 1 and walks == [4]
+
+    # The per-block loop the run replaced, on a replica holding the same blocks.
+    for block in blocks:
+        reference.store_block(block)
+    for block in blocks:
+        reference.commit_chain(block)
+    assert drained.hooks.commits == reference.hooks.commits
+    assert [h for h, *_ in drained.hooks.commits] == [1, 2, 3, 4]
+    assert {time for _, time, *_ in drained.hooks.commits} == {4 * config.delta}
+    assert drained.stats.blocks_committed == reference.stats.blocks_committed == 4
+    assert [c.command_id for c in drained.txpool.peek_batch(100)] == ["c5"]
+    assert drained.log.committed_blocks() == reference.log.committed_blocks() == blocks
+    assert drained.b_com is blocks[-1]
+
+
+@every_leader_class
+def test_one_record_per_proposal_slot_reports_the_first_equivocation_once(replica_class):
+    """Planted mutant: keeping the first message on a same-digest
+    re-delivery reports the stale message as ``first``, and this fails."""
+    from repro.core.blocks import make_block
+    from repro.core.types import Command
+
+    sim, scheme, config, replicas = build_cluster(replica_class=replica_class)
+    replica = replicas[2]
+    replica.broadcast = lambda message: None  # keep our own blame from coming back
+    reported = []
+    handle = replica._handle_equivocation
+    replica._handle_equivocation = lambda view, *pair: reported.append(pair) or handle(view, *pair)
+
+    def proposal(name):
+        block = make_block(replica.blocks.genesis, 0, 1, 3, [Command(name)])
+        return make_message(scheme, 0, MessageType.PROPOSE, 1, block, round_number=3)
+
+    first, again, rival, third = proposal("a"), proposal("a"), proposal("b"), proposal("c")
+    assert first is not again and first.data_digest == again.data_digest
+    for message in (first, again, again):
+        replica._record_proposal(message, 3, message.data_digest)
+    assert reported == [] and replica.stats.equivocations_detected == 0
+    replica._record_proposal(rival, 3, rival.data_digest)
+    assert len(reported) == 1
+    assert reported[0][0] is again and reported[0][1] is rival
+    quit_views = set(replica.quit_views)
+    replica._record_proposal(third, 3, third.data_digest)
+    replica._record_proposal(again, 3, again.data_digest)
+    assert replica.stats.equivocations_detected == 1
+    assert replica.quit_views == quit_views
+    assert replica.stats.blames_sent == 1
+
+
 def test_proposal_not_extending_lock_is_rejected():
     sim, scheme, _, replicas = build_cluster()
     replica = replicas[2]
