@@ -116,8 +116,7 @@ class SyncHotStuffReplica(LeaderReplica):
             cert_ok = self.verify_quorum_certificate(cert)
             cert_block = cert.block
             if cert_ok and cert_block is not None:
-                self.store_block(cert_block)
-                self.certs.setdefault(cert_block.block_hash, cert)
+                self._adopt_certificate(cert, cert_block)
         self.store_block(block)
         if not self.blocks.has_ancestry(block):
             return
@@ -222,8 +221,19 @@ class SyncHotStuffReplica(LeaderReplica):
         self.store_block(payload.block)
         if cert is not None and cert.block is not None:
             if self.verify_quorum_certificate(cert):
-                self.store_block(cert.block)
-                self.certs.setdefault(cert.block.block_hash, cert)
+                self._adopt_certificate(cert, cert.block)
+
+    def _adopt_certificate(self, cert: QuorumCertificate, block: Block) -> None:
+        """Keep a verified certificate a proposal or status carried for ``block``.
+
+        Its vote set is done with: ``_on_vote`` returns on ``certs`` before
+        it reads ``votes``.  Commits prune nothing, since under loss the
+        leader may still need late votes for the certificate that releases
+        its next proposal.
+        """
+        self.store_block(block)
+        self.certs.setdefault(block.block_hash, cert)
+        self.votes.pop(block.block_hash, None)
 
     def _sync_tip_certificate(self, tip: Block) -> Optional[QuorumCertificate]:
         """Serve the vote certificate for a caught-up tip, if we hold one."""

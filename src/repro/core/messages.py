@@ -245,6 +245,8 @@ class ProtocolMessage:
             QC, payload record or nothing).
         view_sig: Signature over (type, view) — ``m.viewSig``.
         data_sig: Signature over (data digest, view) — ``m.dataSig``.
+        wire_size_bytes: Bytes on the wire — header, payload and
+            signatures — set when the message is built.
     """
 
     msg_type: MessageType
@@ -254,6 +256,7 @@ class ProtocolMessage:
     data: Any
     view_sig: Optional[Signature] = None
     data_sig: Optional[Signature] = None
+    wire_size_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The set is closed so that nothing a message carries can change
@@ -263,20 +266,16 @@ class ProtocolMessage:
             raise TypeError(
                 f"a message carries one of PAYLOAD_TYPES, got {type(self.data).__name__}"
             )
+        size = MESSAGE_HEADER_BYTES + payload_wire_size(self.data)
+        for signature in (self.view_sig, self.data_sig):
+            if signature is not None:
+                size += signature.size_bytes
+        object.__setattr__(self, "wire_size_bytes", size)
 
     @cached_property
     def data_digest(self) -> str:
         """Digest of the payload used for signing and vote matching."""
         return message_data_digest(self.data)
-
-    @cached_property
-    def wire_size_bytes(self) -> int:
-        """Bytes on the wire: header + payload + signatures."""
-        size = MESSAGE_HEADER_BYTES + payload_wire_size(self.data)
-        for signature in (self.view_sig, self.data_sig):
-            if signature is not None:
-                size += signature.size_bytes
-        return size
 
 
 @dataclass(frozen=True)

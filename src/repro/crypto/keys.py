@@ -7,14 +7,24 @@ the experiment seed, and every node can look up every other node's public
 key.  Secret keys are random hex strings; signatures are HMACs over the
 message keyed by the secret, which is unforgeable inside the simulation for
 anyone who does not hold the secret.
+
+A key pair carries its HMAC key schedule: the RFC 2104 inner and outer
+SHA-256 states are hashed once, when the pair is made, and every tag copies
+them instead of re-padding the key and looking the digest up by name.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
-from typing import Dict, Iterable
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable
+
+#: SHA-256's block size: RFC 2104 pads (or first hashes) the key to it.
+_BLOCK_BYTES = 64
+#: ``bytes.translate`` tables XOR-ing every key byte with ipad / opad.
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
 
 
 @dataclass(frozen=True)
@@ -22,10 +32,28 @@ class KeyPair:
     """A node's signing key: the simulation's signatures are HMACs under it."""
 
     secret_key: bytes
+    #: ``sha256(key ^ ipad)`` and ``sha256(key ^ opad)``, hashed once.
+    _inner: Any = field(init=False, repr=False, compare=False)
+    _outer: Any = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        key = self.secret_key
+        if len(key) > _BLOCK_BYTES:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_BLOCK_BYTES, b"\0")
+        object.__setattr__(self, "_inner", hashlib.sha256(key.translate(_IPAD)))
+        object.__setattr__(self, "_outer", hashlib.sha256(key.translate(_OPAD)))
 
     def sign_tag(self, payload: bytes) -> str:
-        """Compute the authentication tag for ``payload`` under the secret key."""
-        return hmac.digest(self.secret_key, payload, "sha256").hex()
+        """HMAC-SHA256 of ``payload`` under the secret key, as hex.
+
+        Bit-identical to ``hmac.digest(secret_key, payload, "sha256").hex()``.
+        """
+        inner = self._inner.copy()
+        inner.update(payload)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.hexdigest()
 
 
 def _derive_secret(seed: int, owner: int) -> bytes:
@@ -67,7 +95,7 @@ class KeyStore:
         owner's secret.  Protocol code never touches other nodes' secrets
         directly — it always goes through a :class:`SignatureScheme`.
         """
-        if node_id not in self._pairs:
+        pair = self._pairs.get(node_id)
+        if pair is None:
             return False
-        expected = self._pairs[node_id].sign_tag(payload)
-        return hmac.compare_digest(expected, tag)
+        return hmac.compare_digest(pair.sign_tag(payload), tag)

@@ -58,6 +58,9 @@ class SignatureScheme:
     def __init__(self, cost: SignatureEnergyCost, keystore: KeyStore) -> None:
         self.name = cost.name
         self.cost = cost
+        #: Prepended to every signed payload, so one payload signed under
+        #: two schemes never shares a tag.
+        self._domain = cost.name.encode("utf-8") + b"|"
         self.keystore = keystore
         self.sign_counts: Counter[int] = Counter()
         self.verify_counts: Counter[int] = Counter()
@@ -81,7 +84,7 @@ class SignatureScheme:
             signature = Signature(
                 signer=signer,
                 scheme=self.name,
-                tag=pair.sign_tag(self._domain_separated(data)),
+                tag=pair.sign_tag(self._domain + data),
             )
             if len(self._sign_memo) >= self.max_cache_entries:
                 self._sign_memo.clear()
@@ -108,9 +111,7 @@ class SignatureScheme:
         cached = self._verify_memo.get(key)
         if cached is not None:
             return cached
-        result = self.keystore.verify_tag(
-            signature.signer, self._domain_separated(data), signature.tag
-        )
+        result = self.keystore.verify_tag(signature.signer, self._domain + data, signature.tag)
         if len(self._verify_memo) >= self.max_cache_entries:
             self._verify_memo.clear()
         self._verify_memo[key] = result
@@ -134,10 +135,6 @@ class SignatureScheme:
     def total_verify_operations(self) -> int:
         """Total verification operations performed across all nodes."""
         return sum(self.verify_counts.values())
-
-    # -------------------------------------------------------------- internal
-    def _domain_separated(self, data: bytes) -> bytes:
-        return self.name.encode("utf-8") + b"|" + data
 
 
 def available_schemes() -> list[str]:

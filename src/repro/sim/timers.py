@@ -6,13 +6,15 @@ view change.  This module gives protocol code a small, explicit API —
 start / restart / cancel / cancel-all — that mirrors how the pseudo-code in
 Algorithm 2 manipulates its timers.
 
-Restarting a running :class:`Timer` to a deadline no earlier than its
-pending one *moves* the pending event (``Simulator.move``): every
-block restarts ``T_blame`` on every node, and a move leaves one queue entry
-per timer where cancel + push left one per restart.  An earlier deadline
-cancels and schedules anew.  Either way the timer fires at the same
-``(time, seq)`` a cancel + push would give.  Durations must be finite and
-non-negative (``ValueError``, checked before anything is scheduled).
+Restarting a running :class:`Timer` or :class:`TimerRegistry` key to a
+deadline no earlier than its pending one *moves* the pending event
+(``Simulator.move``): every block restarts ``T_blame`` on every node,
+OptSync re-arms a block's ``T_commit`` on its responsive quorum, and a
+move leaves one queue entry per timer where cancel + push left one per
+restart.  An earlier deadline cancels and schedules anew.  Either way the
+timer fires at the same ``(time, seq)`` a cancel + push would give.
+Durations must be finite and non-negative (``ValueError``, checked before
+anything is scheduled).
 """
 
 from __future__ import annotations
@@ -100,15 +102,29 @@ class TimerRegistry:
     def start(
         self, key: Hashable, duration: float, callback: Callable[..., None], *args: Any
     ) -> None:
-        """Start (or restart) the timer for ``key``; it calls ``callback(*args)``."""
+        """Start (or restart) the timer for ``key``; it calls ``callback(*args)``.
+
+        Like :meth:`Timer.start`, a restart to a deadline no earlier than
+        the pending one moves the pending event; an earlier one cancels it
+        and schedules anew.
+        """
         if not 0.0 <= duration < INF:
             raise ValueError(
                 f"timer {self._prefix}:{key}: duration {duration} is negative or not finite"
             )
-        self.cancel(key)
         sim = self._sim
+        timers = self._timers
         label = f"timer:{self._prefix}:{key}" if sim.trace_enabled else self._label
-        self._timers[key] = sim.schedule(duration, self._fire, label, (key, callback, args))
+        event = timers.get(key)
+        if event is not None and sim.move(event, duration):
+            # A restart is the key's latest start (``running_keys`` order).
+            del timers[key]
+            event.label = label
+            event.args = (key, callback, args)
+            timers[key] = event
+            return
+        self.cancel(key)
+        timers[key] = sim.schedule(duration, self._fire, label, (key, callback, args))
 
     def _fire(self, key: Hashable, callback: Callable[..., None], args: tuple) -> None:
         del self._timers[key]

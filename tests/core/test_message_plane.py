@@ -16,6 +16,7 @@ import pytest
 from repro.core.blocks import GENESIS, make_block
 from repro.core.baselines import TrustedControlNode
 from repro.core.messages import (
+    MESSAGE_HEADER_BYTES,
     PAYLOAD_TYPES,
     CertifiedBlock,
     ClientRequest,
@@ -34,6 +35,7 @@ from repro.core.messages import (
     verify_message,
 )
 from repro.core.types import Command
+from repro.crypto.signatures import available_schemes, make_scheme
 from repro.eval.runner import PROTOCOLS, run_protocol
 from repro.sim.process import Process
 from repro.testkit import faults
@@ -258,6 +260,27 @@ def test_client_request_wire_size_equals_the_tuple_it_replaced(count):
 def test_equivocation_proof_wire_size_equals_the_pair_it_replaced(scheme):
     first, second, _ = proposals(scheme)
     assert EquivocationProof(first, second).wire_size_bytes == payload_wire_size((first, second))
+
+
+@pytest.mark.parametrize("name", available_schemes())
+def test_every_message_is_sized_when_it_is_built(keystore, name):
+    """A message's wire size is its header, its payload and two signatures of
+    the scheme's size, set at construction: by ``make_message`` and by a
+    direct build alike (counting one signature, or none, fails here)."""
+    scheme = make_scheme(name, keystore=keystore)
+    payloads = [BLOCK, certificate(scheme), BLOCK.block_hash, None]
+    payloads += [base for base, _ in record_variants(scheme)]
+    kinds = {type(payload) for payload in payloads}
+    assert all(any(issubclass(kind, allowed) for kind in kinds) for allowed in PAYLOAD_TYPES)
+    signatures = 2 * scheme.cost.signature_size_bytes
+    for payload in payloads:
+        built = make_message(scheme, 0, MessageType.PROPOSE, 1, payload, round_number=3)
+        expected = MESSAGE_HEADER_BYTES + payload_wire_size(payload) + signatures
+        assert "wire_size_bytes" in vars(built), type(payload).__name__
+        assert built.wire_size_bytes == expected, type(payload).__name__
+        assert replace(built).wire_size_bytes == expected, type(payload).__name__
+        unsigned = replace(built, view_sig=None, data_sig=None)
+        assert unsigned.wire_size_bytes == expected - signatures
 
 
 # ------------------------------------------------------------- the closed set

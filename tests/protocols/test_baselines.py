@@ -5,6 +5,7 @@ import pytest
 from repro.core.adversary import FaultPlan
 from repro.energy.meter import EnergyCategory
 from repro.eval.runner import DeploymentSpec, run_protocol
+from repro.session import Session
 from tests.conftest import honest_spec
 
 
@@ -95,6 +96,19 @@ def test_optsync_commits_and_costs_at_least_sync_hotstuff():
     assert opt.safety.consistent
     assert opt.verify_operations >= shs.verify_operations
     assert opt.energy_per_block_mj >= shs.energy_per_block_mj
+
+
+@pytest.mark.parametrize("protocol", ["sync-hotstuff", "optsync"])
+def test_a_carried_certificate_frees_its_vote_set(protocol):
+    """A replica drops a block's partial vote set once a proposal brings its
+    certificate; only the last block's, which no proposal carries, stays."""
+    spec = DeploymentSpec(protocol=protocol, n=25, f=5, k=2, target_height=50, seed=7)
+    session = Session.from_spec(spec).run()
+    replicas = list(session.replicas.values())
+    tip = replicas[0].log.committed_blocks()[-1]
+    assert tip.height == 50
+    for replica in replicas:
+        assert set(replica.votes) <= {tip.block_hash}, replica.pid
 
 
 def test_trusted_baseline_commits_all_blocks():

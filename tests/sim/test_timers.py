@@ -238,6 +238,55 @@ def test_registry_restart_replaces_callback_and_args():
     assert sim.now == 3.0
 
 
+def test_registry_rearming_later_moves_to_the_cancel_and_schedule_key():
+    """A later re-arm moves the pending event (no push, one queue entry) to
+    the ``(time, seq)`` a cancel + schedule on a twin simulator gives, so a
+    tie at its new deadline still goes to the event scheduled first."""
+    sim, twin = Simulator(), Simulator()
+    fired = []
+    registry = TimerRegistry(sim, prefix="commit")
+    registry.start("a", 4.0, fired.append, "old")
+    expected = twin.schedule(4.0, lambda: None, "")
+    scheduled = record_scheduled(sim)
+    for now in (1.0, 2.0):
+        sim.run(now, max_events=1_000_000)
+        twin.run(now, max_events=1_000_000)
+        tie = sim.schedule(4.0, fired.append, "", ("tie",))
+        twin.schedule(4.0, lambda: None, "")
+        registry.start("a", 4.0, fired.append, "new")  # deadline now + 4 > pending
+        twin.cancel(expected)
+        expected = twin.schedule(4.0, lambda: None, "")
+        event = registry._timers["a"]
+        assert (event.time, event.seq) == (expected.time, expected.seq)
+    assert scheduled[-1] is tie and len(scheduled) == 2
+    assert (sim.pending_events, entry_count(sim._queue)) == (3, 3)
+    sim.run(max_events=1_000_000)
+    assert fired == ["tie", "tie", "new"] and sim.now == 6.0
+    assert len(registry) == 0
+
+
+def test_registry_rearming_earlier_cancels_and_schedules():
+    sim = Simulator()
+    fired = []
+    registry = TimerRegistry(sim, prefix="commit")
+    registry.start("a", 8.0, fired.append, "old")
+    first = registry._timers["a"]
+    scheduled = record_scheduled(sim)
+    registry.start("a", 4.0, fired.append, "new")
+    assert scheduled == [registry._timers["a"]] and not first.active
+    sim.run(max_events=1_000_000)
+    assert fired == ["new"] and sim.now == 4.0
+
+
+@pytest.mark.parametrize("deadline", (4.0, 1.0), ids=("moved", "rescheduled"))
+def test_registry_restart_counts_as_the_latest_start(deadline):
+    registry = TimerRegistry(Simulator(), prefix="commit")
+    registry.start("a", 2.0, lambda: None)
+    registry.start("b", 3.0, lambda: None)
+    registry.start("a", deadline, lambda: None)
+    assert registry.running_keys() == ["b", "a"]
+
+
 def test_registry_negative_duration_rejected():
     registry = TimerRegistry(Simulator(), prefix="commit")
     with pytest.raises(ValueError):
