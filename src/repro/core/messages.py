@@ -473,9 +473,11 @@ def _verify_certificate(
 
     ``over_view`` selects what they cover: (type, view) for a
     view-signature QC, (digest, view) otherwise; the signed bytes are built
-    once for the whole certificate.  The count of valid signatures is
-    memoized per (certificate, scheme): replicas after the first reuse it
-    but still book their verification operations via
+    once for the whole certificate.  A certificate carrying a block must
+    have been signed over that block: signatures re-attached to another
+    block vouch for nothing.  The count of valid signatures is memoized
+    per (certificate, scheme): replicas after the first reuse it but still
+    book their verification operations via
     :meth:`SignatureScheme.note_verify`.
     """
     if len(set(qc.signers)) < threshold:
@@ -487,6 +489,9 @@ def _verify_certificate(
     if memo is not None and memo[0] is scheme:
         scheme.note_verify(verifier, len(qc.signatures))
         return memo[1] >= threshold
+    if qc.block is not None and qc.digest != message_data_digest(qc.block.block_hash):
+        # Adversarial like a mismatched signer below: never memoized.
+        return False
     if over_view:
         signed = view_signing_input(qc.cert_type, qc.view)
     else:

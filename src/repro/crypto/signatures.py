@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Tuple
 
 from repro.crypto.energy_costs import (
@@ -38,9 +39,11 @@ class Signature:
     scheme: str
     tag: str
 
-    @property
+    @cached_property
     def size_bytes(self) -> int:
-        """Wire size of the signature (scheme dependent)."""
+        """Wire size of the signature (scheme dependent), priced once per
+        signature: :meth:`SignatureScheme.sign` seeds it, and the sign memo
+        hands out one flyweight per (signer, payload)."""
         return signature_cost(self.scheme).signature_size_bytes
 
 
@@ -86,6 +89,10 @@ class SignatureScheme:
                 scheme=self.name,
                 tag=pair.sign_tag(self._domain + data),
             )
+            # Seeded here, as ``make_message`` seeds ``data_digest``: a first
+            # ``cached_property`` read takes a lock, and most signatures are
+            # read once or twice.
+            signature.__dict__["size_bytes"] = self.cost.signature_size_bytes
             if len(self._sign_memo) >= self.max_cache_entries:
                 self._sign_memo.clear()
             self._sign_memo[key] = signature

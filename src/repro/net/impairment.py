@@ -226,7 +226,7 @@ class RetryPolicy:
 #: within a couple of ACK timeouts, comfortably inside a
 #: :class:`~repro.testkit.faults.LossWindow`'s bounded allowance; one that
 #: gives up early (the planted retransmission-giveup mutant) leaves the
-#: receiver behind and the loss-budget invariant fails it.  Its
+#: receiver behind and the liveness invariant fails it.  Its
 #: ``max_retries`` is only the default of :attr:`ImpairmentSpec.max_retries`,
 #: the one place a run sets the budget.
 HOP_RETRY = RetryPolicy(timeout=2.0, max_retries=3)

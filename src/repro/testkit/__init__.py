@@ -7,7 +7,7 @@ against.  It provides:
 * :mod:`repro.testkit.trace` — :class:`TraceRecorder` and :class:`RunTrace`,
   structured byte-comparable per-run traces;
 * :mod:`repro.testkit.invariants` — the composable invariant battery
-  (agreement, liveness, quorum certificates, monotone time, energy
+  (agreement, liveness, unique commit, quorum certificates, energy
   conservation);
 * :mod:`repro.testkit.faults` — the :class:`FaultSchedule` DSL of timed,
   per-node, composable faults;

@@ -51,17 +51,6 @@ from repro.net.impairment import SpecError, check_fields, checked_number, from_k
 CATCH_UP_GRACE = 8.0
 
 
-def loss_allowance_end(end: float, loss: float) -> float:
-    """When the liveness allowance of a lossy window closing at ``end`` lapses.
-
-    One grace share for the retransmission tail (retry chains of drops
-    near the window's end run past it) plus a loss-proportional share for
-    protocol catch-up.  Bounded: never more than twice the recovery grace,
-    unlike the permanent Byzantine exemption.
-    """
-    return end + CATCH_UP_GRACE * (1.0 + min(1.0, loss))
-
-
 @dataclass(frozen=True)
 class Fault:
     """One fault atom applied to one node."""
@@ -72,12 +61,6 @@ class Fault:
     #: safety/energy accounting of correct nodes).  Environmental faults
     #: (drops, partitions) leave the node correct but perturbed.
     byzantine: ClassVar[bool] = True
-
-    #: Whether the fault exempts its node from liveness expectations.
-    #: Byzantine nodes and partitioned nodes may never reach the target
-    #: height; a relay-drop node still receives and votes, so it stays
-    #: held to full liveness (it only withholds *forwarding*).
-    liveness_exempt: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         # Atoms are rebuilt from JSON: what an atom's own checks do not name
@@ -121,13 +104,16 @@ class Fault:
     def exemption_end(self) -> float:
         """Virtual time at which this fault's liveness exemption lapses.
 
-        Permanent exemptions (Byzantine behaviours) never lapse
-        (``math.inf``); never-exempt atoms report ``-inf``.  Recovering
-        atoms (:class:`PartitionWindow`, :class:`CrashRecoverWindow`)
-        lapse at ``heal + CATCH_UP_GRACE``: past that instant the node is
-        expected to have caught up and is held to full liveness again.
+        The one liveness-exemption rule: a node is excused while any of its
+        atoms reports a time after the run's end.  Byzantine behaviours
+        never lapse (``math.inf``); atoms that leave the node receiving and
+        voting (relay-drop, duplicate and jitter windows) never exempt
+        (``-inf``).  Recovering atoms (:class:`PartitionWindow`,
+        :class:`CrashRecoverWindow`) lapse at ``heal + CATCH_UP_GRACE`` and
+        a :class:`LossWindow` at its loss-scaled allowance: past that
+        instant the node is held to full liveness again.
         """
-        return math.inf if self.liveness_exempt else -math.inf
+        return math.inf
 
     def behaviour(self) -> Optional[Tuple[str, dict]]:
         """(behaviour name, kwargs) for the EESMR adversary class table."""
@@ -332,16 +318,18 @@ class RelayDropWindow(_Window):
     (Appendix A): the node keeps running the protocol but contributes no
     forwarding for a while.  The node stays *correct* for safety and energy
     accounting — and because it keeps receiving floods and voting
-    throughout the window, it is also still held to full liveness
-    (``liveness_exempt = False``); only its *forwarding* is withheld.
+    throughout the window, it is also still held to full liveness (its
+    exemption ends at ``-inf``); only its *forwarding* is withheld.
     """
 
     start: float = 0.0
     end: float = 0.0
 
-    liveness_exempt: ClassVar[bool] = False
     window_name: ClassVar[str] = "drop"
     labels: ClassVar[Tuple[str, str]] = ("drop-on", "drop-off")
+
+    def exemption_end(self) -> float:
+        return -math.inf
 
     def open(self, network, replicas) -> None:
         network.deny_relay(self.node)
@@ -435,7 +423,6 @@ class _ImpairmentWindow(_Window):
     start: float = 0.0
     end: float = 0.0
 
-    liveness_exempt: ClassVar[bool] = False
     window_name: ClassVar[str] = "impairment"
 
     #: The overlay kind pushed onto the impairment model.
@@ -459,6 +446,11 @@ class _ImpairmentWindow(_Window):
         # A degraded wire still carries relays: no outage for Lemma A.5.
         return None
 
+    def exemption_end(self) -> float:
+        # A degraded wire never excuses a node; :class:`LossWindow` alone
+        # grants a bounded allowance.
+        return -math.inf
+
     def open(self, network, replicas) -> None:
         network.impair_node(self.node, self.impairment_kind, getattr(self, self.value_field))
 
@@ -474,16 +466,13 @@ class LossWindow(_ImpairmentWindow):
     The reliable-delivery sublayer retransmits each drop with bounded
     retries, so a working stack recovers the window's losses shortly
     after it closes.  The node is therefore liveness-exempt only for a
-    **bounded latency allowance** past the window — proportional to the
-    degradation severity and capped at ``2 * CATCH_UP_GRACE`` — after
-    which the loss-budget liveness invariant (and the base liveness
-    invariant) hold it to the full target again.  This mirrors the PR 7
-    heal-grace design instead of granting a blanket exemption.
+    **bounded latency allowance** past the window (:meth:`exemption_end`),
+    after which the liveness invariant holds it to the full target again,
+    as it holds a healed partition past ``heal + CATCH_UP_GRACE``.
     """
 
     loss: float = 0.5
 
-    liveness_exempt: ClassVar[bool] = True
     impairment_kind: ClassVar[str] = "loss"
     value_field: ClassVar[str] = "loss"
 
@@ -495,7 +484,10 @@ class LossWindow(_ImpairmentWindow):
         return self.window if self.loss >= 0.999 else None
 
     def exemption_end(self) -> float:
-        return loss_allowance_end(self.end, self.loss)
+        # One grace share for the retransmission tail (retry chains of drops
+        # near the window's end run past it) plus a loss-proportional share
+        # for protocol catch-up: never more than twice the recovery grace.
+        return self.end + CATCH_UP_GRACE * (1.0 + min(1.0, self.loss))
 
 
 @dataclass(frozen=True)
@@ -559,7 +551,6 @@ class LeaderFollowingCrash(Fault):
     interval: float = 1.0
 
     byzantine: ClassVar[bool] = True
-    liveness_exempt: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         # A budget of 1.5 or "2" would pass the range checks below yet
@@ -679,20 +670,19 @@ class FaultSchedule:
         """Nodes excused from liveness expectations at ``end_time``, the
         run's final virtual time (sorted, unique).
 
-        A node is exempt if *any* of its faults exempts it: Byzantine
-        behaviours do permanently, relay-drop windows never do — a
-        dropping relay still receives every flood and keeps committing.
-
-        Exemptions are *window-scoped*: a recovering atom (partition or
-        crash-recover window) only exempts its node while
-        ``fault.exemption_end() > end_time`` — i.e. until
-        ``heal + CATCH_UP_GRACE``.  A run that outlives the grace period
-        holds the healed node to the full liveness target again, which is
+        A node is exempt while *any* of its faults has
+        ``fault.exemption_end() > end_time``: Byzantine behaviours exempt
+        permanently, relay-drop and duplicate/jitter windows never do — the
+        node still receives every flood and keeps committing.  Exemptions
+        are *window-scoped*: a recovering atom (partition or crash-recover
+        window) exempts its node until ``heal + CATCH_UP_GRACE`` and a loss
+        window until its loss-scaled allowance.  A run that outlives that
+        instant holds the node to the full liveness target again, which is
         what makes catch-up a *checked* invariant rather than a pardon.
         """
         exempt = set()
         for fault in self.faults:
-            if fault.liveness_exempt and fault.exemption_end() > end_time:
+            if fault.exemption_end() > end_time:
                 exempt.update(fault.nodes())
         return tuple(sorted(exempt))
 

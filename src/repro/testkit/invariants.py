@@ -14,8 +14,6 @@ protocol produced the run:
   id twice: a slot is worth its energy only if it orders new work;
 * **quorum certificates** — every certificate any node holds carries at
   least f+1 distinct valid signatures;
-* **monotone virtual time** — the simulator's event trace never goes
-  backwards and ends at the reported quiescence time;
 * **energy conservation** — no operation count or unit cost is negative,
   and every per-node and correct-node Joule figure of the report is the
   trace's operation counts priced, exactly.
@@ -32,7 +30,6 @@ spec to get it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List
 
@@ -61,14 +58,14 @@ class Evidence:
     def perturbed(self) -> set:
         """Nodes excluded from liveness expectations (Byzantine + degraded).
 
-        Degraded-window aware *and window-scoped*: the schedule
-        distinguishes exempting faults (Byzantine behaviours — the node
-        may never catch up) from non-exempting ones (relay-drop windows —
-        the node still receives and commits), and for recovering faults
-        (partitions, crash-recover windows) the exemption *expires* at
-        ``heal + CATCH_UP_GRACE``.  A run that outlived the grace window
-        holds the healed node to the full target height — catch-up is a
-        checked obligation, not a permanent pardon.  See
+        Window-scoped: a node is excused while one of its atoms'
+        ``exemption_end()`` is after the run's end — forever for
+        Byzantine behaviours, never for relay-drop, duplicate and jitter
+        windows (the node still receives and commits), until
+        ``heal + CATCH_UP_GRACE`` for partitions and crash-recover windows
+        and until its loss-scaled allowance for a loss window.  A run that
+        outlived the allowance holds the node to the full target height —
+        catch-up is a checked obligation, not a permanent pardon.  See
         :meth:`~repro.testkit.faults.FaultSchedule.liveness_exempt_nodes`.
         """
         nodes = set(self.byzantine)
@@ -168,6 +165,10 @@ class LivenessInvariant(Invariant):
     partitioned node may miss blocks it cannot recover, so it is exempt
     from the height expectation — but it remains *correct*: everything it
     committed must come from the workload, and agreement still binds it.
+
+    A stall names the node's nonzero delivery counters (drops,
+    retransmissions, give-ups), so a retry budget that silently gives up
+    reads differently from a protocol that never proposed.
     """
 
     name = "liveness"
@@ -177,9 +178,14 @@ class LivenessInvariant(Invariant):
         for pid in evidence.live_nodes:
             height = evidence.trace.committed_heights[pid]
             if height < expected:
+                stats = evidence.trace.replica_stats.get(pid, {})
+                counts = ", ".join(
+                    f"{key}={stats[key]}" for key in _DELIVERY_COUNTERS if stats.get(key)
+                )
                 self.fail(
                     evidence,
-                    f"node {pid} stalled at height {height} < target {expected}",
+                    f"node {pid} stalled at height {height} < target {expected}"
+                    + (f" ({counts})" if counts else ""),
                 )
         workload = _workload_command_ids(evidence.spec)
         for pid in evidence.correct_nodes:
@@ -191,6 +197,10 @@ class LivenessInvariant(Invariant):
                     evidence,
                     f"node {pid} committed commands outside the workload: {unknown[:3]}",
                 )
+
+
+#: The per-node delivery accounting a liveness stall is attributed with.
+_DELIVERY_COUNTERS = ("deliveries_dropped", "deliveries_retransmitted", "delivery_giveups")
 
 
 class UniqueCommitInvariant(Invariant):
@@ -229,34 +239,6 @@ class QuorumCertificateInvariant(Invariant):
                 )
 
 
-class MonotoneVirtualTimeInvariant(Invariant):
-    """The discrete-event trace is causally ordered.
-
-    An audit of the recorded event log after the fact; the property is
-    also enforced at runtime, because the scheduler raises
-    :class:`~repro.sim.scheduler.SimulationError` the moment an event
-    would execute in the past.
-    """
-
-    name = "monotone-time"
-
-    def check(self, evidence: Evidence) -> None:
-        previous = 0.0
-        for time, label in evidence.trace.events:
-            if time < previous:
-                self.fail(
-                    evidence,
-                    f"event {label!r} at t={time} after t={previous} (time went backwards)",
-                )
-            previous = time
-        if evidence.trace.sim_time + 1e-12 < previous:
-            self.fail(
-                evidence,
-                f"quiescence time {evidence.trace.sim_time} precedes the last "
-                f"event at {previous}",
-            )
-
-
 class EnergyConservationInvariant(Invariant):
     """The report's Joules are the trace's operation counts, priced exactly."""
 
@@ -277,90 +259,6 @@ class EnergyConservationInvariant(Invariant):
             joules = report.per_node_joules.get(pid)
             if joules != sum(price((node_counts,)).values()):
                 self.fail(evidence, f"node {pid} reports {joules} J, not its counts priced")
-
-
-class LossBudgetLivenessInvariant(Invariant):
-    """Degraded delivery buys a bounded allowance, not a pardon.
-
-    A node behind a lossy window (a :class:`~repro.testkit.faults.LossWindow`
-    atom, or a spec-level wire impairment) may legitimately lag while drops
-    and retransmissions play out — but the reliable sublayer's retry chains
-    bound how long: once the window's *loss-budget allowance* (its
-    ``exemption_end``, i.e. window close plus a loss-scaled grace) has
-    passed, the node is held to the full target height, exactly like the
-    post-heal obligation on partitions.  Failure messages attribute the
-    stall with the run's delivery accounting (drops, retransmits, give-ups),
-    so a retry budget that silently gives up is distinguishable from a
-    genuinely infeasible loss rate.
-
-    A run with no lossy medium attached is vacuously fine — the plain
-    :class:`LivenessInvariant` governs it and this check is a no-op.
-    """
-
-    name = "loss-budget-liveness"
-
-    def check(self, evidence: Evidence) -> None:
-        from repro.testkit.faults import loss_allowance_end
-
-        schedule = evidence.spec.fault_schedule
-        atoms = schedule.faults if schedule is not None else ()
-        loss_atoms = [f for f in atoms if getattr(f, "impairment_kind", "") == "loss"]
-        spec_impairment = evidence.spec.impairment
-        spec_loss = spec_impairment is not None and (
-            spec_impairment.loss > 0 or spec_impairment.ble_calibrated
-        )
-        if not loss_atoms and not spec_loss:
-            return
-        sim_time = evidence.trace.sim_time
-        target = evidence.spec.target_height
-        # Per-node allowance: the latest loss-budget expiry of any loss
-        # window covering the node.  A spec-level impairment exposes every
-        # node; an unbounded one gives no allowance at all — the reliable
-        # sublayer is expected to sustain liveness *through* permanent
-        # moderate loss (the calibrated BLE operating point).
-        allowance: dict = {}
-        for fault in loss_atoms:
-            for node in fault.nodes():
-                allowance[node] = max(allowance.get(node, 0.0), fault.exemption_end())
-        if spec_loss:
-            if math.isinf(spec_impairment.end):
-                spec_allowance = 0.0
-            else:
-                spec_allowance = loss_allowance_end(spec_impairment.end, spec_impairment.loss)
-            for node in evidence.trace.committed_heights:
-                allowance[node] = max(allowance.get(node, 0.0), spec_allowance)
-        # Nodes excused by *other* still-unexpired exempting faults (e.g. a
-        # partition inside its heal grace) keep their excuse here too.
-        excused = set(evidence.byzantine)
-        for fault in atoms:
-            if getattr(fault, "impairment_kind", "") == "loss":
-                continue
-            if not fault.liveness_exempt:
-                continue
-            if fault.exemption_end() <= sim_time:
-                continue
-            excused.update(fault.nodes())
-        impairments = evidence.trace.network.get("impairments", {})
-        for node in sorted(allowance):
-            if node in excused or node not in evidence.trace.committed_heights:
-                continue
-            if sim_time <= allowance[node]:
-                continue  # the run ended inside the loss-budget allowance
-            height = evidence.trace.committed_heights[node]
-            if height < target:
-                stats = evidence.trace.replica_stats.get(node, {})
-                self.fail(
-                    evidence,
-                    f"node {node} stalled at height {height} < target {target} "
-                    f"after its loss-budget allowance expired at "
-                    f"t={allowance[node]:.3f} (run ended t={sim_time:.3f}; "
-                    f"node drops={stats.get('deliveries_dropped', 0)} "
-                    f"retransmits={stats.get('deliveries_retransmitted', 0)} "
-                    f"giveups={stats.get('delivery_giveups', 0)}; "
-                    f"run drops={impairments.get('dropped', 0)} "
-                    f"retransmits={impairments.get('retransmits', 0)} "
-                    f"giveups={impairments.get('giveups', 0)})",
-                )
 
 
 def _energy_excluded(evidence: Evidence) -> set:
@@ -389,9 +287,7 @@ DEFAULT_INVARIANTS: tuple = (
     LivenessInvariant(),
     UniqueCommitInvariant(),
     QuorumCertificateInvariant(),
-    MonotoneVirtualTimeInvariant(),
     EnergyConservationInvariant(),
-    LossBudgetLivenessInvariant(),
 )
 
 

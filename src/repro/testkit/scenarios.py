@@ -363,8 +363,9 @@ def schedule_feasibility(spec: DeploymentSpec) -> Optional[str]:
       exceeds what the reliable sublayer's retry budget can cover: a hop
       fails outright with probability ``loss**(retries+1)``, and past a
       residual of 0.25 no redundancy argument makes liveness expectable.
-      Windowed impairments are never gated — the loss-budget invariant's
-      bounded allowance absorbs them.
+      Windowed impairments are never gated: a ``LossWindow`` atom's
+      bounded allowance (its ``exemption_end``) absorbs its losses, and a
+      windowed spec-level impairment must be recovered from by run end.
     """
     n = spec.n
     impairment = spec.impairment

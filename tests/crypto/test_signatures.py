@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.keys import KeyStore
-from repro.crypto.signatures import available_schemes, make_scheme
+from repro.crypto.signatures import Signature, available_schemes, make_scheme
 
 
 @pytest.fixture
@@ -63,6 +63,17 @@ def test_energy_properties_match_table(scheme):
 def test_signature_size_matches_scheme(scheme):
     sig = scheme.sign(0, "x")
     assert sig.size_bytes == 128
+
+
+@pytest.mark.parametrize("name", available_schemes())
+def test_a_seeded_size_equals_the_size_a_built_signature_prices(name):
+    """``sign`` seeds ``size_bytes``; a signature built any other way (a
+    forgery, a test) prices it from its scheme name on first read."""
+    scheme = make_scheme(name, keystore=KeyStore(seed=3))
+    scheme.keystore.generate(range(2))
+    signed = scheme.sign(0, "x")
+    built = Signature(signed.signer, signed.scheme, signed.tag)
+    assert signed.size_bytes == built.size_bytes == scheme.cost.signature_size_bytes
 
 
 def test_hmac_scheme_is_not_transferable():

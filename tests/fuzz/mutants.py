@@ -34,10 +34,10 @@ through the same broken build.
   drops is abandoned on the spot instead of retried.  Honest retry chains
   straddle short loss windows and recover once loss subsides; the mutant
   leaves the lossy node permanently short of floods, it stalls below the
-  target height, and the loss-budget liveness invariant fires once the
-  window's bounded allowance expires.  This is the mutant the
-  degradation-aware allowance exists to catch: a blanket loss-window
-  exemption would have pardoned it forever.
+  target height, and the liveness invariant fires once the window's
+  bounded allowance (``LossWindow.exemption_end``) expires.  This is the
+  mutant the degradation-aware allowance exists to catch: a blanket
+  loss-window exemption would have pardoned it forever.
 """
 
 import dataclasses

@@ -26,9 +26,10 @@ from mutants import (
 from repro.fuzz import FuzzConfig, Fuzzer
 from repro.fuzz.corpus import CorpusEntry
 from repro.session.builder import SessionBuilder
-from repro.session.spec import PROTOCOLS
+from repro.session.spec import PROTOCOLS, DeploymentSpec
 from repro.testkit.faults import EquivocateAt, FaultSchedule
 from repro.testkit.scenarios import judge, judge_specs
+from tests.corpus.regenerate import LOSSY_RECEIVER, spec_dict
 
 #: Budget the ISSUE-style acceptance is phrased in: the fuzzer must find
 #: each planted bug within this many generated schedules.
@@ -109,8 +110,8 @@ def test_dropped_catch_up_qc_mutant_is_found_and_shrunk():
 
 def test_retransmission_giveup_mutant_is_found_and_shrunk():
     """A reliable sublayer whose retry budget silently reads zero strands
-    the lossy node — the loss-budget liveness invariant (a bounded
-    allowance, not a blanket loss-window exemption) must catch it."""
+    the lossy node — the liveness invariant, past the loss window's
+    bounded allowance (not a blanket loss-window exemption), must catch it."""
     fuzzer = Fuzzer(
         GIVEUP_CONFIG, seed=GIVEUP_SEED, builder_factory=RetransmissionGiveUpMutantBuilder
     )
@@ -120,7 +121,25 @@ def test_retransmission_giveup_mutant_is_found_and_shrunk():
     atoms = shrunk.schedule.describe()
     assert len(atoms) <= 3
     assert {atom["kind"] for atom in atoms} == {"LossWindow"}
-    assert ("eesmr", "loss-budget-liveness") in shrunk.failure_key
+    assert ("eesmr", "liveness") in shrunk.failure_key
+
+
+def test_a_lossy_stall_is_attributed_to_the_nodes_drops_and_giveups():
+    """Mutant D over its committed reproducer: the liveness report says the
+    stalled receiver lost deliveries and gave them up, not merely that it
+    stalled; the stock build is clean on the same spec."""
+    spec = DeploymentSpec.from_dict(spec_dict(LOSSY_RECEIVER, "eesmr"))
+    verdict = judge("lossy", spec, RetransmissionGiveUpMutantBuilder)
+    [report] = verdict.violations()
+    assert report.name == "liveness"
+    stats = verdict.evidence.trace.replica_stats[3]
+    drops, giveups = stats["deliveries_dropped"], stats["delivery_giveups"]
+    assert drops and giveups
+    assert report.detail.startswith("[liveness @ lossy] node 3 stalled at height ")
+    assert report.detail.endswith(
+        f" (deliveries_dropped={drops}, delivery_giveups={giveups})"
+    )
+    assert judge("lossy", spec, SessionBuilder).ok
 
 
 def test_saved_reproducers_load_replay_and_save_stably(tmp_path):

@@ -125,6 +125,21 @@ def test_max_events_guard_detects_livelock():
         sim.run(max_events=100)
 
 
+def test_an_event_behind_the_clock_is_refused_before_it_runs_or_is_traced():
+    """The run loop is the only writer of the clock and the trace, so its
+    guard is what keeps every recorded trace in time order."""
+    sim = Simulator()
+    sim.trace_enabled = True
+    sim.schedule(2.0, lambda: None, "on-time")
+    sim.run(max_events=1_000_000)
+    ran = []
+    sim._queue.push(1.0, ran.append, "late", ("late",))
+    with pytest.raises(SimulationError, match="event queue returned an event from the past"):
+        sim.run(max_events=1_000_000)
+    assert (sim.now, sim.executed_events, ran) == (2.0, 1, [])
+    assert sim.trace_log == [(2.0, "on-time")]
+
+
 def test_executed_and_pending_counters():
     sim = Simulator()
     sim.schedule(1.0, lambda: None, "")

@@ -12,7 +12,6 @@ from repro.testkit.invariants import (
     Evidence,
     InvariantViolation,
     LivenessInvariant,
-    MonotoneVirtualTimeInvariant,
     QuorumCertificateInvariant,
     UniqueCommitInvariant,
     check_all,
@@ -83,6 +82,21 @@ def test_liveness_detects_stalled_node(evidence):
         LivenessInvariant().check(bad)
 
 
+def test_liveness_stall_names_only_the_nonzero_delivery_counters(evidence):
+    bad = doctored(evidence)
+    bad.trace.committed_heights[3] = 1
+    stalled = f"[liveness @ unit] node 3 stalled at height 1 < target {evidence.spec.target_height}"
+    with pytest.raises(InvariantViolation) as plain:
+        LivenessInvariant().check(bad)
+    assert str(plain.value) == stalled
+    bad.trace.replica_stats[3].update(
+        deliveries_dropped=4, deliveries_retransmitted=0, delivery_giveups=2
+    )
+    with pytest.raises(InvariantViolation) as lossy:
+        LivenessInvariant().check(bad)
+    assert str(lossy.value) == f"{stalled} (deliveries_dropped=4, delivery_giveups=2)"
+
+
 def test_liveness_detects_foreign_commands(evidence):
     bad = doctored(evidence)
     bad.trace.committed_commands[0][0] = "not-from-the-workload"
@@ -121,20 +135,6 @@ def test_quorum_invariant_detects_underfull_certificate(evidence):
     bad2.trace.qcs[0].valid = False
     with pytest.raises(InvariantViolation, match="invalid"):
         QuorumCertificateInvariant().check(bad2)
-
-
-def test_monotone_time_detects_backwards_event(evidence):
-    bad = doctored(evidence)
-    bad.trace.events.append([bad.trace.events[-1][0] - 1.0, "time-travel"])
-    with pytest.raises(InvariantViolation, match="time went backwards"):
-        MonotoneVirtualTimeInvariant().check(bad)
-
-
-def test_monotone_time_detects_truncated_quiescence(evidence):
-    bad = doctored(evidence)
-    bad.trace.sim_time = bad.trace.events[-1][0] - 1.0
-    with pytest.raises(InvariantViolation, match="quiescence"):
-        MonotoneVirtualTimeInvariant().check(bad)
 
 
 def test_energy_conservation_detects_negative_meter(evidence):
