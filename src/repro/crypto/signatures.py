@@ -12,8 +12,7 @@ parties) and MACs (cheaper, but equivocation hard to prove) is the
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
 from repro.crypto.energy_costs import (
@@ -38,13 +37,13 @@ class Signature:
     signer: int
     scheme: str
     tag: str
+    #: Wire size of the signature (scheme dependent), priced once when the
+    #: signature is built: the sign memo hands out one flyweight per
+    #: (signer, payload), and messages and certificates read it per copy.
+    size_bytes: int = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def size_bytes(self) -> int:
-        """Wire size of the signature (scheme dependent), priced once per
-        signature: :meth:`SignatureScheme.sign` seeds it, and the sign memo
-        hands out one flyweight per (signer, payload)."""
-        return signature_cost(self.scheme).signature_size_bytes
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size_bytes", signature_cost(self.scheme).signature_size_bytes)
 
 
 class SignatureScheme:
@@ -89,10 +88,6 @@ class SignatureScheme:
                 scheme=self.name,
                 tag=pair.sign_tag(self._domain + data),
             )
-            # Seeded here, as ``make_message`` seeds ``data_digest``: a first
-            # ``cached_property`` read takes a lock, and most signatures are
-            # read once or twice.
-            signature.__dict__["size_bytes"] = self.cost.signature_size_bytes
             if len(self._sign_memo) >= self.max_cache_entries:
                 self._sign_memo.clear()
             self._sign_memo[key] = signature

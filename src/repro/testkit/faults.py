@@ -285,6 +285,11 @@ class _Window(Fault):
     def impairment(self) -> Optional[Tuple[float, float]]:
         return self.window
 
+    def exemption_end(self) -> float:
+        # The node keeps receiving and voting through a relay-drop,
+        # duplicate or jitter window; recovering and loss windows override.
+        return -math.inf
+
     def narrowed(self, start: float, end: float) -> "Fault":
         lo, hi = self.window
         if start < lo or end > hi:
@@ -327,9 +332,6 @@ class RelayDropWindow(_Window):
 
     window_name: ClassVar[str] = "drop"
     labels: ClassVar[Tuple[str, str]] = ("drop-on", "drop-off")
-
-    def exemption_end(self) -> float:
-        return -math.inf
 
     def open(self, network, replicas) -> None:
         network.deny_relay(self.node)
@@ -445,11 +447,6 @@ class _ImpairmentWindow(_Window):
     def impairment(self) -> Optional[Tuple[float, float]]:
         # A degraded wire still carries relays: no outage for Lemma A.5.
         return None
-
-    def exemption_end(self) -> float:
-        # A degraded wire never excuses a node; :class:`LossWindow` alone
-        # grants a bounded allowance.
-        return -math.inf
 
     def open(self, network, replicas) -> None:
         network.impair_node(self.node, self.impairment_kind, getattr(self, self.value_field))

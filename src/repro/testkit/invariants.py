@@ -155,6 +155,10 @@ class AgreementInvariant(Invariant):
                     )
 
 
+#: The per-node delivery accounting a liveness stall is attributed with.
+_DELIVERY_COUNTERS = ("deliveries_dropped", "deliveries_retransmitted", "delivery_giveups")
+
+
 class LivenessInvariant(Invariant):
     """Every correct, unperturbed node reaches the target height.
 
@@ -197,10 +201,6 @@ class LivenessInvariant(Invariant):
                     evidence,
                     f"node {pid} committed commands outside the workload: {unknown[:3]}",
                 )
-
-
-#: The per-node delivery accounting a liveness stall is attributed with.
-_DELIVERY_COUNTERS = ("deliveries_dropped", "deliveries_retransmitted", "delivery_giveups")
 
 
 class UniqueCommitInvariant(Invariant):

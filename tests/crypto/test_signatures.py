@@ -66,14 +66,16 @@ def test_signature_size_matches_scheme(scheme):
 
 
 @pytest.mark.parametrize("name", available_schemes())
-def test_a_seeded_size_equals_the_size_a_built_signature_prices(name):
-    """``sign`` seeds ``size_bytes``; a signature built any other way (a
-    forgery, a test) prices it from its scheme name on first read."""
+def test_a_signature_is_priced_once_when_it_is_built(name):
+    """The size is a field set at construction, excluded from equality:
+    a signature rebuilt from the same three values is equal and as large."""
     scheme = make_scheme(name, keystore=KeyStore(seed=3))
     scheme.keystore.generate(range(2))
     signed = scheme.sign(0, "x")
     built = Signature(signed.signer, signed.scheme, signed.tag)
-    assert signed.size_bytes == built.size_bytes == scheme.cost.signature_size_bytes
+    assert "size_bytes" in vars(signed)
+    assert built == signed
+    assert built.size_bytes == signed.size_bytes == scheme.cost.signature_size_bytes
 
 
 def test_hmac_scheme_is_not_transferable():
