@@ -49,6 +49,9 @@ class EesmrReplica(SteadyStateMixin, ViewChangeMixin, LeaderReplica):
         self.collected_commit_qcs: List[QuorumCertificate] = []
         self.nv_votes: Dict[View, Dict[NodeId, ProtocolMessage]] = {}
         self.nv_proposal_digest: Dict[View, str] = {}
+        #: What this node's round-1 vote of a view signed: the only digest a
+        #: round-2 certificate of that view may carry to it.
+        self.nv_voted_digest: Dict[View, str] = {}
         self.round2_sent: set[View] = set()
         self._future_messages: List[ProtocolMessage] = []
 

@@ -278,6 +278,7 @@ class ViewChangeMixin:
         vote = self.sign_message(
             MessageType.VOTE, message.data_digest, view=message.view, round_number=1
         )
+        self.nv_voted_digest[message.view] = vote.data_digest
         self.stats.votes_sent += 1
         self.broadcast(vote)
         self.blame_timer.start(6 * self.config.delta)
@@ -305,13 +306,24 @@ class ViewChangeMixin:
         self.broadcast(round2)
 
     def _on_round2_proposal(self, message: ProtocolMessage) -> None:
-        """Round 2 of the new view: a valid vote certificate returns us to the steady state."""
+        """Round 2 of the new view: a valid vote certificate returns us to the steady state.
+
+        The certificate must be this view's round-1 certificate: of this
+        view, and, once this node has voted in round 1, over what it voted
+        for.  A certificate from an earlier view, or over another proposal,
+        says nothing about this view's round 1.
+        """
         if message.view != self.v_cur or self.r_cur not in (1, 2):
             return
         payload = message.data
         if not isinstance(payload, Round2Proposal) or payload.qc.cert_type != MessageType.VOTE:
             return
         qc = payload.qc
+        if qc.view != message.view:
+            return
+        voted = self.nv_voted_digest.get(message.view)
+        if voted is not None and qc.digest != voted:
+            return
         if not self.verify_quorum_certificate(qc):
             return
         self._enter_steady_state(message.view)

@@ -20,9 +20,10 @@ flooded message reuse the digest, the wire size and the verification verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import hashlib
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Optional, Tuple
 
 from repro.core.blocks import Block
@@ -63,18 +64,18 @@ def payload_wire_size(payload: Any) -> int:
     """Estimate the wire size of a message payload in bytes."""
     if payload is None:
         return 0
-    if isinstance(payload, Block):
-        return payload.wire_size_bytes
-    if isinstance(payload, QuorumCertificate):
+    # A message's own payload first: a block hash, a block, a certificate
+    # or a record, each of which knows its size.
+    if isinstance(payload, str):
+        return len(payload.encode("utf-8"))
+    if isinstance(payload, (Block, QuorumCertificate, PayloadRecord)):
         return payload.wire_size_bytes
     if isinstance(payload, (bytes, bytearray)):
         return len(payload)
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8"))
     if isinstance(payload, (int, float)):
         return 8
     if isinstance(payload, (list, tuple)):
-        return sum(payload_wire_size(item) for item in payload)
+        return sum(map(payload_wire_size, payload))
     if isinstance(payload, dict):
         return sum(payload_wire_size(v) + 8 for v in payload.values())
     size = getattr(payload, "wire_size_bytes", None)
@@ -83,8 +84,13 @@ def payload_wire_size(payload: Any) -> int:
     return 32
 
 
+@cache
 def view_signing_input(msg_type: MessageType, view: View) -> bytes:
-    """The bytes ``viewSig`` covers: the message (or certificate) type and view."""
+    """The bytes ``viewSig`` covers: the message (or certificate) type and view.
+
+    Kept per ``(type, view)``, an entry per message type and view a run
+    reaches: every message of a view signs one of the same few.
+    """
     return f"view|{msg_type.value!r}|{view!r}".encode()
 
 
@@ -130,29 +136,35 @@ def _child_digest(value: Any) -> Any:
 class PayloadRecord:
     """Base of the typed, immutable composite payloads.
 
-    Every subclass is a frozen dataclass whose fields are checked at
-    construction to hold only blocks, certificates, commands, signed
+    Every subclass is a frozen dataclass whose ``__post_init__`` checks
+    that its fields hold only blocks, certificates, commands, signed
     messages, primitives and tuples of those, so a record cannot change
-    after it is signed and its digest, wire size and verification verdict
-    may be computed once per message.
+    after it is signed, and then calls this base ``__post_init__``, which
+    sets the record's digest and wire size once:
+
+    * ``digest`` — H(record type, child digests in field order).  Blocks
+      contribute ``block_hash``, certificates their ``content_digest``,
+      commands their ``digest``, a carried message its type, view, round,
+      sender and payload digest; the record type is the domain tag, so two
+      records of different types never share a digest.
+    * ``wire_size_bytes`` — each field plus a ``_FIELD_HEADER_BYTES``
+      field header.
     """
 
-    @cached_property
-    def wire_size_bytes(self) -> int:
-        """Bytes on the wire: each field plus an 8-byte field header."""
-        return sum(payload_wire_size(getattr(self, f.name)) + 8 for f in fields(self))
+    #: Per-field header on the wire; 0 prices a record as its fields back to back.
+    _FIELD_HEADER_BYTES = 8
 
-    @cached_property
-    def digest(self) -> str:
-        """Structural digest: H(record type, child digests in field order).
+    digest: str
+    wire_size_bytes: int
 
-        Blocks contribute ``block_hash``, certificates their
-        ``content_digest``, commands their ``digest``, a carried message its
-        type, view, round, sender and payload digest; the record type is the
-        domain tag, so two records of different types never share a digest.
-        """
-        return structural_digest(
-            [type(self).__name__, *(_child_digest(getattr(self, f.name)) for f in fields(self))]
+    def __post_init__(self) -> None:
+        # A record declares no ClassVar or InitVar, so its dataclass fields
+        # are the names of ``__dataclass_fields__``, in order.
+        values = [getattr(self, name) for name in self.__dataclass_fields__]
+        self.__dict__.update(
+            digest=structural_digest([type(self).__name__, *map(_child_digest, values)]),
+            wire_size_bytes=sum(map(payload_wire_size, values))
+            + self._FIELD_HEADER_BYTES * len(values),
         )
 
 
@@ -166,6 +178,7 @@ class CertifiedBlock(PayloadRecord):
     def __post_init__(self) -> None:
         _require(self.block, Block, "block")
         _require(self.cert, (QuorumCertificate, type(None)), "cert")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -178,6 +191,7 @@ class NewViewProposal(PayloadRecord):
     def __post_init__(self) -> None:
         _require(self.block, Block, "block")
         _require_all(self.status, QuorumCertificate, "status")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -190,6 +204,7 @@ class Round2Proposal(PayloadRecord):
     def __post_init__(self) -> None:
         _require(self.qc, QuorumCertificate, "qc")
         _require(self.block_hash, str, "block_hash")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -200,6 +215,7 @@ class SyncRequest(PayloadRecord):
 
     def __post_init__(self) -> None:
         _require(self.height, int, "height")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -214,6 +230,7 @@ class SyncResponse(PayloadRecord):
         _require_all(self.blocks, Block, "blocks")
         _require(self.cert, (QuorumCertificate, type(None)), "cert")
         _require(self.height, int, "height")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -222,14 +239,13 @@ class ClientRequest(PayloadRecord):
 
     commands: Tuple[Command, ...]
 
+    #: The commands back to back, no field header: the golden fingerprints
+    #: price a request as its commands alone.
+    _FIELD_HEADER_BYTES = 0
+
     def __post_init__(self) -> None:
         _require_all(self.commands, Command, "commands")
-
-    @cached_property
-    def wire_size_bytes(self) -> int:
-        """The commands back to back, no field header: the golden fingerprints
-        price a request as its commands alone."""
-        return sum(command.wire_size_bytes for command in self.commands)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -254,23 +270,42 @@ class ProtocolMessage:
     round: Round
     sender: NodeId
     data: Any
-    view_sig: Optional[Signature] = None
-    data_sig: Optional[Signature] = None
+    view_sig: Optional[Signature]
+    data_sig: Optional[Signature]
     wire_size_bytes: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        msg_type: MessageType,
+        view: View,
+        round: Round,
+        sender: NodeId,
+        data: Any,
+        view_sig: Optional[Signature],
+        data_sig: Optional[Signature],
+    ) -> None:
         # The set is closed so that nothing a message carries can change
         # after it is signed: its digest, wire size and verification
         # verdict are then facts about the object, computed once.
-        if not isinstance(self.data, PAYLOAD_TYPES):
-            raise TypeError(
-                f"a message carries one of PAYLOAD_TYPES, got {type(self.data).__name__}"
-            )
-        size = MESSAGE_HEADER_BYTES + payload_wire_size(self.data)
-        for signature in (self.view_sig, self.data_sig):
-            if signature is not None:
-                size += signature.size_bytes
-        object.__setattr__(self, "wire_size_bytes", size)
+        if not isinstance(data, PAYLOAD_TYPES):
+            raise TypeError(f"a message carries one of PAYLOAD_TYPES, got {type(data).__name__}")
+        size = MESSAGE_HEADER_BYTES + payload_wire_size(data)
+        if view_sig is not None:
+            size += view_sig.size_bytes
+        if data_sig is not None:
+            size += data_sig.size_bytes
+        # One store for every field: the generated ``__init__`` of a frozen
+        # dataclass makes an ``object.__setattr__`` call per field.
+        self.__dict__.update(
+            msg_type=msg_type,
+            view=view,
+            round=round,
+            sender=sender,
+            data=data,
+            view_sig=view_sig,
+            data_sig=data_sig,
+            wire_size_bytes=size,
+        )
 
     @cached_property
     def data_digest(self) -> str:
@@ -285,21 +320,22 @@ class EquivocationProof(PayloadRecord):
     first: ProtocolMessage
     second: ProtocolMessage
 
+    #: The two proposals back to back, no field headers: the golden
+    #: fingerprints price a proof as its evidence alone.
+    _FIELD_HEADER_BYTES = 0
+
     def __post_init__(self) -> None:
         _require(self.first, ProtocolMessage, "first")
         _require(self.second, ProtocolMessage, "second")
-
-    @cached_property
-    def wire_size_bytes(self) -> int:
-        """The two proposals back to back, no field headers: the golden
-        fingerprints price a proof as its evidence alone."""
-        return self.first.wire_size_bytes + self.second.wire_size_bytes
+        super().__post_init__()
 
 
 def message_data_digest(data: Any) -> str:
     """Canonical digest of a message payload (one of :data:`PAYLOAD_TYPES`)."""
     if isinstance(data, Block):
         return data.block_hash
+    if isinstance(data, str):
+        return hashlib.sha256(data.encode("utf-8")).hexdigest()
     if isinstance(data, (QuorumCertificate, PayloadRecord)):
         return data.digest
     return sha256_hex(data)
@@ -320,13 +356,13 @@ def make_message(
     """
     digest = message_data_digest(data)
     message = ProtocolMessage(
-        msg_type=msg_type,
-        view=view,
-        round=round_number,
-        sender=sender,
-        data=data,
-        view_sig=scheme.sign(sender, view_signing_input(msg_type, view)),
-        data_sig=scheme.sign(sender, data_signing_input(digest, view)),
+        msg_type,
+        view,
+        round_number,
+        sender,
+        data,
+        scheme.sign(sender, view_signing_input(msg_type, view)),
+        scheme.sign(sender, data_signing_input(digest, view)),
     )
     message.__dict__["data_digest"] = digest
     return message

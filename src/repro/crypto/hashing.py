@@ -44,17 +44,23 @@ def sha256_hex(payload: Any) -> str:
     return hashlib.sha256(canonical_bytes(payload)).hexdigest()
 
 
+#: The strict JSON encoder of every structural digest, built once: each
+#: ``json.dumps(payload, sort_keys=True)`` call builds a fresh
+#: ``JSONEncoder``.  The output bytes are the same.
+_encode_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def structural_digest(payload: Any) -> str:
     """SHA-256 over the strict JSON of primitives and child digests.
 
-    For owners that memoise the result themselves (``Block.block_hash``,
+    For owners that compute the result once themselves (``Block.block_hash``,
     ``Command.digest``, the payload records and
     ``QuorumCertificate.content_digest`` of ``repro.core.messages``): nothing
     is cached here, and a part that is not a JSON primitive raises
     ``TypeError`` instead of falling back to ``repr`` — a digest must never
     depend on an object's memory address.
     """
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_encode_json(payload).encode("utf-8")).hexdigest()
 
 
 # Retired with the canonicalization cache: nothing is looked up any more, but

@@ -42,8 +42,19 @@ class Signature:
     #: (signer, payload), and messages and certificates read it per copy.
     size_bytes: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "size_bytes", signature_cost(self.scheme).signature_size_bytes)
+    def __init__(self, signer: int, scheme: str, tag: str) -> None:
+        # One store for the four fields: the generated ``__init__`` of a
+        # frozen dataclass makes an ``object.__setattr__`` call per field.
+        self.__dict__.update(
+            signer=signer, scheme=scheme, tag=tag, size_bytes=_SIZE_BYTES[scheme]
+        )
+
+
+#: Scheme name -> signature wire size, for the scheme names a
+#: :class:`SignatureScheme` signs under.
+_SIZE_BYTES: Dict[str, int] = {
+    name: cost.signature_size_bytes for name, cost in SIGNATURE_ENERGY_TABLE.items()
+}
 
 
 class SignatureScheme:
@@ -70,8 +81,9 @@ class SignatureScheme:
         # deterministic MACs make signing a pure function, so the same
         # payload signed for n recipients costs one HMAC.
         self._sign_memo: Dict[Tuple[int, bytes], Signature] = {}
-        # (signer, tag, payload bytes) -> bool; once one replica has checked
-        # a (payload, signature) pair, the other n-1 verifiers pay a lookup.
+        # (signer, tag, payload bytes) -> bool; ``sign`` enters every tag it
+        # makes, so the verifiers of a genuine signature pay a lookup and
+        # only a tag nobody signed (a forgery) costs an HMAC.
         self._verify_memo: Dict[Tuple[int, str, bytes], bool] = {}
 
     # ------------------------------------------------------------ operations
@@ -82,15 +94,14 @@ class SignatureScheme:
         key = (signer, data)
         signature = self._sign_memo.get(key)
         if signature is None:
-            pair = self.keystore.key_pair(signer)
-            signature = Signature(
-                signer=signer,
-                scheme=self.name,
-                tag=pair.sign_tag(self._domain + data),
-            )
+            tag = self.keystore.key_pair(signer).sign_tag(self._domain + data)
+            signature = Signature(signer, self.name, tag)
             if len(self._sign_memo) >= self.max_cache_entries:
                 self._sign_memo.clear()
             self._sign_memo[key] = signature
+            # The signer has just computed the tag its first verifier would
+            # recompute: enter the verdict.  A forged tag is another key.
+            self._remember_verdict((signer, tag, data), True)
         return signature
 
     def note_verify(self, verifier: int, operations: int) -> None:
@@ -114,10 +125,13 @@ class SignatureScheme:
         if cached is not None:
             return cached
         result = self.keystore.verify_tag(signature.signer, self._domain + data, signature.tag)
+        self._remember_verdict(key, result)
+        return result
+
+    def _remember_verdict(self, key: Tuple[int, str, bytes], result: bool) -> None:
         if len(self._verify_memo) >= self.max_cache_entries:
             self._verify_memo.clear()
         self._verify_memo[key] = result
-        return result
 
     # -------------------------------------------------------------- energies
     @property

@@ -291,7 +291,7 @@ def test_every_message_is_sized_when_it_is_built(keystore, name):
 )
 def test_a_message_cannot_carry_a_payload_outside_the_closed_set(scheme, payload):
     with pytest.raises(TypeError):
-        ProtocolMessage(MessageType.PROPOSE, 1, 3, 0, payload)
+        ProtocolMessage(MessageType.PROPOSE, 1, 3, 0, payload, None, None)
     with pytest.raises(TypeError):
         make_message(scheme, 0, MessageType.PROPOSE, 1, payload)
 
@@ -351,13 +351,15 @@ def test_no_protocol_payload_takes_the_json_repr_path(protocol, fault):
 
 
 def test_serializations_per_run_do_not_grow_with_the_number_of_receivers(monkeypatch):
-    import json
+    from repro.crypto import hashing
 
     def serializations(n):
+        # Every structural digest encodes through the one module-level
+        # encoder of ``repro.crypto.hashing``; count its calls.
         calls = []
-        real = json.dumps
+        real = hashing._encode_json
         with monkeypatch.context() as patch:
-            patch.setattr(json, "dumps", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+            patch.setattr(hashing, "_encode_json", lambda payload: calls.append(1) or real(payload))
             run_counting(honest_spec("sync-hotstuff", n=n, f=(n - 1) // 2, blocks=6))
         return len(calls)
 
