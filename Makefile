@@ -58,6 +58,11 @@
 #                     (or never), and the attributes nothing reads; exits
 #                     1 on an entry tools/reach_allow.txt does not accept or
 #                     on an allowlist line that matches nothing (~2 min)
+#   make footprint    the peak RSS (MiB) of one round of each of the five bench/
+#                     workloads at seed 0, each in a fresh process
+#                     (`python3 -m bench --child round --workload W --seed 0`,
+#                     the child behind the ledger's peak_rss_mb; ~10 s in
+#                     total; printed, not gated, in CI's lint job)
 #   make loc          src/ line count — `wc -l` over src/repro/**/*.py, per
 #                     package and in total — the number the standing gate
 #                     asks every PR to quote as its net src/ delta
@@ -69,7 +74,7 @@
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python -m pytest
 PYTHON := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test-fast test-matrix test-all test-corpus fuzz bench-gate ledger ledger-compare ledger-pairs lint analyze reach import-time loc
+.PHONY: test-fast test-matrix test-all test-corpus fuzz bench-gate ledger ledger-compare ledger-pairs footprint lint analyze reach import-time loc
 
 test-fast:
 	$(PYTEST) -x -q
@@ -119,6 +124,12 @@ bench-gate:
 
 ledger:
 	python3 -m bench --out bench/out/ledger.json
+
+footprint:
+	@set -e; for workload in $(BENCH_WORKLOADS); do \
+		rss=$$(python3 -m bench --child round --workload $$workload --seed 0); \
+		printf '%-18s %7.2f MiB\n' "$$workload" "$$rss"; \
+	done
 
 ledger-compare:
 	python3 -m bench --compare $(PARENT) $(CHANGE)

@@ -53,8 +53,9 @@ class MetricsObserver(SessionObserver):
     def __init__(self, slo_p99: Optional[float] = None) -> None:
         self.slo_p99 = slo_p99
         self._session = None
+        #: The summary snapshotted at session end (it holds no session).
+        self._summary: Optional[Dict[str, Any]] = None
         self._start = 0.0
-        self._end: Optional[float] = None
         #: command id -> (first commit time, latency).
         self._commits: Dict[str, Tuple[float, float]] = {}
         #: (time, total pending across pools) samples.
@@ -65,6 +66,7 @@ class MetricsObserver(SessionObserver):
     # -------------------------------------------------------- observer hooks
     def on_session_start(self, session) -> None:
         self._session = session
+        self._summary = None
         self._start = session.sim.now
         self._sample_queue(session.sim.now)
 
@@ -83,9 +85,11 @@ class MetricsObserver(SessionObserver):
         self._sample_queue(time)
 
     def on_session_end(self, session, result) -> None:
-        self._end = session.sim.now
-        self._sample_queue(self._end)
-        result.metrics = self.summary()
+        self._sample_queue(session.sim.now)
+        result.metrics = self._summary = self.summary()
+        # The snapshot is all a finished run reports, so letting go of the
+        # session leaves no observer -> bus -> observer cycle behind.
+        self._session = None
 
     # --------------------------------------------------------------- queries
     def _sample_queue(self, time: float) -> None:
@@ -136,11 +140,12 @@ class MetricsObserver(SessionObserver):
 
         Windows are the segments between fault-window transitions; the
         ``faults`` label of each window lists the fault windows active in
-        it (``"nominal"`` when none are).
+        it (``"nominal"`` when none are).  After the session ends this is
+        the snapshot it wrote to ``result.metrics``.
         """
-        end = self._end if self._end is not None else (
-            self._session.sim.now if self._session is not None else self._start
-        )
+        if self._summary is not None:
+            return self._summary
+        end = self._session.sim.now if self._session is not None else self._start
         edges = self._window_edges(end)
         # Active fault labels per segment, walked from the transition log.
         windows: List[Dict[str, Any]] = []

@@ -26,6 +26,7 @@ golden trace fingerprints pin this.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import ProtocolConfig
@@ -112,6 +113,10 @@ class Session:
         self.bus = bus
         self.started = False
         self._result: Optional[RunResult] = None
+        # The network's process table and each process's ``network`` point
+        # at each other; emptying the table when the session goes cuts
+        # that cycle, so a dropped run is freed by reference count.
+        weakref.finalize(self, network.processes.clear)
 
     # ------------------------------------------------------------ convenience
     @classmethod

@@ -19,6 +19,8 @@ anything is scheduled).
 
 from __future__ import annotations
 
+import weakref
+from types import MethodType
 from typing import Any, Callable, Dict, Hashable, Optional
 
 from repro.sim.events import INF, Event
@@ -31,12 +33,22 @@ class Timer:
     A timer can be (re)started any number of times; restarting supersedes
     the previous deadline.  The callback fires exactly once per start unless
     the timer is cancelled or restarted first.
+
+    A bound-method callback is held as a weak reference to its owner plus
+    the plain function, so an owner that keeps its own timer (a replica's
+    ``T_blame``) forms no reference cycle and is freed by reference count
+    once its run is dropped; a timer whose owner is gone fires as a no-op.
+    Any other callable (a lambda, a function) is held strongly.
     """
 
     def __init__(self, sim: Simulator, name: str, callback: Callable[[], None]) -> None:
         self._sim = sim
         self.name = name
-        self._callback = callback
+        self._owner: Optional[weakref.ref] = None
+        self._callback: Callable[..., None] = callback
+        if isinstance(callback, MethodType):
+            self._owner = weakref.ref(callback.__self__)
+            self._callback = callback.__func__
         self._label = f"timer:{name}"
         self._event: Optional[Event] = None
 
@@ -70,7 +82,10 @@ class Timer:
 
     def _fire(self) -> None:
         self._event = None
-        self._callback()
+        if self._owner is None:
+            self._callback()
+        elif (owner := self._owner()) is not None:
+            self._callback(owner)
 
 
 class TimerRegistry:

@@ -1,5 +1,7 @@
 """Unit tests for timers and the timer registry."""
 
+import weakref
+
 import pytest
 
 from repro.eval.runner import DeploymentSpec
@@ -42,6 +44,41 @@ def test_timer_cancel_prevents_firing():
     sim.run(max_events=1_000_000)
     assert fired == []
     assert not timer.running
+
+
+class Owner:
+    """A process-like owner whose timer calls back one of its own methods."""
+
+    def __init__(self, sim: Simulator, fired: list) -> None:
+        self.fired = fired
+        self.timer = Timer(sim, "t", self.on_timer)
+
+    def on_timer(self) -> None:
+        self.fired.append(self)
+
+
+def test_bound_method_timer_fires_on_its_owner():
+    sim = Simulator()
+    fired = []
+    owner = Owner(sim, fired)
+    owner.timer.start(1.0)
+    sim.run(max_events=1_000_000)
+    assert fired == [owner]
+
+
+def test_bound_method_timer_does_not_keep_its_owner_alive():
+    sim = Simulator()
+    fired = []
+    owner = Owner(sim, fired)
+    owner.timer.start(1.0)
+    gone = weakref.ref(owner)
+    del owner
+    # Owner -> timer -> bound method -> owner would be a cycle; it is not.
+    assert gone() is None
+    # The pending event outlives the owner and fires as a no-op.
+    assert sim.pending_events == 1
+    sim.run(max_events=1_000_000)
+    assert fired == [] and sim.pending_events == 0
 
 
 def test_timer_negative_duration_rejected():

@@ -10,6 +10,7 @@ import warnings
 
 from repro.core.txpool import TxPoolOverflowWarning
 from repro.eval.runner import DeploymentSpec, run_protocol
+from repro.net.impairment import ImpairmentSpec
 from repro.session.metrics import MetricsObserver, percentile
 from repro.testkit import faults
 from repro.testkit.scenarios import ScenarioMatrix
@@ -128,6 +129,58 @@ def test_summary_is_plain_json_safe_data():
     metrics, _ = run_with_metrics(open_loop_spec(), slo_p99=40.0)
     encoded = json.dumps(metrics.summary(), sort_keys=True)
     assert json.loads(encoded) == metrics.summary()
+
+
+#: ``MetricsObserver.summary()`` of :func:`impaired_partition_spec`, as the
+#: observer computed it while it still held its session: the snapshot it
+#: keeps after the session ends must report exactly this.
+IMPAIRED_PARTITION_SUMMARY = {
+    "committed_commands": 3,
+    "deliveries_dropped": 9,
+    "deliveries_retransmitted": 0,
+    "delivery_giveups": 0,
+    "delivery_ratio": 0.71875,
+    "dropped": 0,
+    "duplicates": 0,
+    "offered": 7,
+    "overall": {
+        "commits": 3, "end": 20.0, "faults": "overall", "goodput": 0.15,
+        "latency_p50": 16.0, "latency_p95": 16.0, "latency_p99": 16.0,
+        "queue_depth_max": 35, "queue_depth_mean": 27.894736842105264, "start": 0.0,
+    },
+    "queue_high_watermark": 7,
+    "windows": [
+        {
+            "commits": 0, "end": 2.0, "faults": "nominal", "goodput": 0.0,
+            "latency_p50": None, "latency_p95": None, "latency_p99": None,
+            "queue_depth_max": 35, "queue_depth_mean": 35.0, "start": 0.0,
+        },
+        {
+            "commits": 0, "end": 10.0, "faults": "partition@4", "goodput": 0.0,
+            "latency_p50": None, "latency_p95": None, "latency_p99": None,
+            "queue_depth_max": 35, "queue_depth_mean": 35.0, "start": 2.0,
+        },
+        {
+            "commits": 3, "end": 20.0, "faults": "nominal", "goodput": 0.3,
+            "latency_p50": 16.0, "latency_p95": 16.0, "latency_p99": 16.0,
+            "queue_depth_max": 35, "queue_depth_mean": 27.058823529411764, "start": 10.0,
+        },
+    ],
+}
+
+
+def impaired_partition_spec():
+    return DeploymentSpec(
+        n=5, f=1, target_height=3, seed=3,
+        impairment=ImpairmentSpec(loss=0.2),
+        fault_schedule=faults.partition(4, start=2.0, heal=10.0),
+    )
+
+
+def test_summary_after_the_run_is_the_result_metrics():
+    metrics, result = run_with_metrics(impaired_partition_spec())
+    assert result.metrics == IMPAIRED_PARTITION_SUMMARY
+    assert metrics.summary() == result.metrics
 
 
 # ----------------------------------------------------------------- sharding

@@ -4,7 +4,8 @@ The standing rule for a performance claim (docs/performance.md, "How to
 measure a change"): at least ten pairs of the *unmodified* ``python3 -m
 bench --workload W --seed S --seconds 15 --trace 0``, one run in each of two
 checkouts, alternating which side runs first, a fresh seed per pair, every
-run reported.  This script does exactly that and prints, per end-to-end
+run reported.  This script does exactly that: one line per pair with
+each sampled metric's parent -> change value, then, per end-to-end
 metric, each side's median and quartiles, the pairs the change won, and
 whether the three modelled metrics were bit-identical in every pair; where
 one was not, each pair's parent -> change value and whether it moved in
@@ -111,12 +112,13 @@ def main() -> int:
         for side in order:
             row[side] = run_bench(trees[side], args.workload, seed, args.seconds)
         runs.append(row)
-        parent, change = row["parent"]["host_cost"], row["change"]["host_cost"]
-        print(
-            f"pair {pair + 1:2d}  seed {seed}  first={order[0]:6s}  host_cost "
-            f"parent {parent:.3f}  change {change:.3f}  ({(change / parent - 1) * 100:+.1f} %)",
-            flush=True,
+        # Every sampled metric, so a claim on any of them has all its runs here.
+        cells = "  ".join(
+            f"{name} {row['parent'][name]:.3f} -> {row['change'][name]:.3f} "
+            f"({(row['change'][name] / row['parent'][name] - 1) * 100:+.1f} %)"
+            for name in MEASURED
         )
+        print(f"pair {pair + 1:2d}  seed {seed}  first={order[0]:6s}  {cells}", flush=True)
 
     # Which way is better comes from the change's own benchmark declaration.
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
