@@ -32,23 +32,22 @@ class OptSyncReplica(SyncHotStuffReplica):
         """Responsive commits happen after ~2δ rather than 2Δ."""
         return 2 * self.config.delta * self.RESPONSIVE_COMMIT_FRACTION
 
+    def _vote_uncertified(self, message) -> bool:
+        """Sync HotStuff's guard; each vote it refuses still moves the 2δ deadline
+        (the per-vote re-arm ROADMAP item 1 removes)."""
+        if message.data not in self.certs:
+            return True
+        self._rearm_responsive_commit(message.data)
+        return False
+
     def _on_vote(self, message) -> None:  # type: ignore[override]
         """Collect votes; on a responsive quorum, shorten the commit timer."""
         super()._on_vote(message)
-        block_hash = message.data
-        if not isinstance(block_hash, str):
-            return
-        cert = self.certs.get(block_hash)
-        if cert is None:
-            return
+        if message.data in self.certs:
+            self._rearm_responsive_commit(message.data)
+
+    def _rearm_responsive_commit(self, block_hash: str) -> None:
+        """Responsive path: replace a certified block's synchronous wait with the 2δ wait."""
         block = self.blocks.get(block_hash)
-        if block is None:
-            return
-        if block_hash in self.commit_timers:
-            # Responsive path: replace the synchronous wait with the 2δ wait.
-            self.commit_timers.start(
-                block_hash,
-                self._commit_delay(),
-                self._commit_on_timer,
-                block,
-            )
+        if block is not None and block_hash in self.commit_timers:
+            self.commit_timers.start(block_hash, self._commit_delay(), self._commit_on_timer, block)

@@ -31,8 +31,9 @@ from repro.core.messages import (
     ProtocolMessage,
     QuorumCertificate,
     make_qc,
+    verify_qc,
 )
-from repro.core.replica_base import LeaderReplica
+from repro.core.replica_base import Admit, InView, LeaderReplica
 from repro.core.types import NodeId, View
 
 
@@ -55,9 +56,13 @@ class SyncHotStuffReplica(LeaderReplica):
 
     _HANDLERS = {
         **LeaderReplica._HANDLERS,
-        MessageType.SHS_PROPOSE: "_on_propose",
-        MessageType.SHS_VOTE: "_on_vote",
-        MessageType.SHS_STATUS: "_on_status",
+        MessageType.SHS_PROPOSE: ("_on_propose", Admit(
+            CertifiedBlock, from_leader=True, guard="_outside_view_change"
+        )),
+        MessageType.SHS_VOTE: ("_on_vote", Admit(str, guard="_vote_uncertified")),
+        # Any view: a status is sent in the view being quit and read while
+        # the next one starts, and its certificate is checked on its own.
+        MessageType.SHS_STATUS: ("_on_status", Admit(CertifiedBlock, InView.ANY)),
     }
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -71,6 +76,14 @@ class SyncHotStuffReplica(LeaderReplica):
     def vote_quorum(self) -> int:
         """Votes needed for a certificate: n/2 + 1 in Sync HotStuff."""
         return self.config.n // 2 + 1
+
+    def verify_quorum_certificate(self, qc: QuorumCertificate) -> bool:
+        """Every certificate adopted (a proposal's, a status's, a catch-up tip's)
+        is a vote certificate: ``SHS_VOTE`` signatures of ``vote_quorum`` signers."""
+        if qc.cert_type != MessageType.SHS_VOTE:
+            return False
+        self.meter.tally[self._verify_slot] += len(qc.signatures)
+        return verify_qc(self.scheme, self.pid, qc, self.vote_quorum)
 
     # --------------------------------------------------------------- startup
     def start(self) -> None:
@@ -96,16 +109,12 @@ class SyncHotStuffReplica(LeaderReplica):
         self.leader_chain_tip = block
 
     # ------------------------------------------------------------- proposals
+    def _outside_view_change(self, message: ProtocolMessage) -> bool:
+        """Admission guard: a proposal is taken only outside a view change."""
+        return not self.in_view_change
+
     def _on_propose(self, message: ProtocolMessage) -> None:
-        if message.view != self.v_cur or self.in_view_change:
-            return
-        if message.sender != self.leader_of(message.view):
-            return
-        if not self.verify_signed_message(message):
-            return
         payload = message.data
-        if not isinstance(payload, CertifiedBlock):
-            return
         block, cert = payload.block, payload.cert
         self._record_proposal(message, block.height, block.block_hash)
         if self.v_cur in self.equivocation_handled:
@@ -162,17 +171,12 @@ class SyncHotStuffReplica(LeaderReplica):
         self.deliver(self.pid, vote)
 
     # ----------------------------------------------------------------- votes
+    def _vote_uncertified(self, message: ProtocolMessage) -> bool:
+        """Admission guard: a vote for a block already certified is not verified."""
+        return message.data not in self.certs
+
     def _on_vote(self, message: ProtocolMessage) -> None:
-        if message.view != self.v_cur:
-            return
         block_hash = message.data
-        if not isinstance(block_hash, str):
-            return
-        if block_hash in self.certs:
-            # A certificate already exists; no need to verify further votes.
-            return
-        if not self.verify_signed_message(message):
-            return
         per_block = self.votes.setdefault(block_hash, {})
         per_block[message.sender] = message
         if len(per_block) < self.vote_quorum:
@@ -190,8 +194,8 @@ class SyncHotStuffReplica(LeaderReplica):
     # The blame phase is LeaderReplica's.  Its T_blame expiry needs no
     # ``in_view_change`` guard here: ``_leave_view`` cancels the timer as it
     # sets the flag, only ``_start_new_view`` re-arms it, after clearing the
-    # flag, and ``_on_propose`` returns before its own re-arm while the flag
-    # is set — so T_blame never fires in the middle of a view change.
+    # flag, and admission refuses a proposal (``_outside_view_change``) while
+    # the flag is set — so T_blame never fires in the middle of a view change.
 
     def _handle_equivocation(self, view: View, *_twins: ProtocolMessage) -> None:
         if view in self.equivocation_handled:
@@ -212,16 +216,11 @@ class SyncHotStuffReplica(LeaderReplica):
         )
 
     def _on_status(self, message: ProtocolMessage) -> None:
-        if not self.verify_signed_message(message):
-            return
         payload = message.data
-        if not isinstance(payload, CertifiedBlock):
-            return
         cert = payload.cert
         self.store_block(payload.block)
-        if cert is not None and cert.block is not None:
-            if self.verify_quorum_certificate(cert):
-                self._adopt_certificate(cert, cert.block)
+        if cert is not None and cert.block is not None and self.verify_quorum_certificate(cert):
+            self._adopt_certificate(cert, cert.block)
 
     def _adopt_certificate(self, cert: QuorumCertificate, block: Block) -> None:
         """Keep a verified certificate a proposal or status carried for ``block``.

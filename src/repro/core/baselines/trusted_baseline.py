@@ -160,19 +160,13 @@ class TrustedBaselineReplica(BaseReplica):
         self.send(self.control_node_id, request)
 
     def on_message(self, sender: int, message: Any) -> None:
-        if not isinstance(message, ProtocolMessage):
+        # Catch-up between leaves rides the shared rows (the control node keeps
+        # no per-leaf state; with no certificates, adoption needs f+1 matching
+        # peer responses).  A TB_ORDER is checked here, by transport sender.
+        if not isinstance(message, ProtocolMessage) or message.msg_type != MessageType.TB_ORDER:
+            super().on_message(sender, message)
             return
-        # Catch-up state transfer between leaves: the control node keeps no
-        # per-leaf delivery state, so a leaf that missed TB_ORDERs (power
-        # cycle, partition) recovers from its peers.  With no certificates
-        # in this protocol, adoption needs f+1 matching peer responses.
-        if message.msg_type == MessageType.SYNC_REQUEST:
-            self._on_sync_request(message)
-            return
-        if message.msg_type == MessageType.SYNC_RESPONSE:
-            self._on_sync_response(message)
-            return
-        if message.msg_type != MessageType.TB_ORDER or sender != self.control_node_id:
+        if sender != self.control_node_id:
             return
         block = message.data
         if not isinstance(block, Block):

@@ -11,27 +11,45 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.core.blocks import Block
 from repro.core.eesmr.steady_state import SteadyStateMixin
 from repro.core.eesmr.view_change import ViewChangeMixin
-from repro.core.messages import MessageType, ProtocolMessage, QuorumCertificate
-from repro.core.replica_base import LeaderReplica
+from repro.core.messages import (
+    MessageType,
+    NewViewProposal,
+    ProtocolMessage,
+    QuorumCertificate,
+    Round2Proposal,
+)
+from repro.core.replica_base import Admit, InView, LeaderReplica
 from repro.core.types import NodeId, Round, View
 
 
 class EesmrReplica(SteadyStateMixin, ViewChangeMixin, LeaderReplica):
     """A correct EESMR node (Algorithm 2)."""
 
-    #: Catch-up state transfer rides the shared handlers: EESMR has no
+    #: Catch-up state transfer rides the shared rows: EESMR has no
     #: steady-state certificates (commits are quiet-period timeouts), so
     #: recovering nodes adopt on f+1 matching peer responses instead.
     _HANDLERS = {
         **LeaderReplica._HANDLERS,
-        MessageType.PROPOSE: "_on_propose",
-        MessageType.COMMIT_UPDATE: "_on_commit_update",
-        MessageType.CERTIFY: "_on_certify",
-        MessageType.COMMIT_QC: "_on_commit_qc",
-        MessageType.NEW_VIEW_PROPOSAL: "_on_new_view_proposal",
-        MessageType.VOTE: "_on_vote",
+        # A steady-state block, or round 2's vote certificate.
+        MessageType.PROPOSE: ("_on_propose", Admit(
+            (Block, Round2Proposal), InView.BUFFER_LATER, from_leader=True
+        )),
+        MessageType.COMMIT_UPDATE: ("_on_commit_update", Admit(Block)),
+        MessageType.CERTIFY: ("_on_certify", Admit(str)),
+        # Any view: it is flooded in the view quit and sent to the next leader
+        # in the new one; f+1 Certify votes vouch for a block in any view.
+        MessageType.COMMIT_QC: ("_on_commit_qc", Admit(
+            QuorumCertificate,
+            InView.ANY,
+            certificate=(MessageType.CERTIFY, "verify_quorum_certificate"),
+        )),
+        MessageType.NEW_VIEW_PROPOSAL: ("_on_new_view_proposal", Admit(
+            NewViewProposal, InView.BUFFER_LATER, from_leader=True, guard="_in_round_one"
+        )),
+        MessageType.VOTE: ("_on_vote", Admit(str, guard="_leads_view")),
     }
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:

@@ -79,15 +79,6 @@ class SteadyStateMixin:
     # -------------------------------------------------------------- handling
     def _on_propose(self, message: ProtocolMessage) -> None:
         """Handle a PROPOSE message (steady-state rounds >= 3, or view-change round 2)."""
-        if message.view > self.v_cur:
-            self._buffer_future(message)
-            return
-        if message.view < self.v_cur:
-            return
-        if message.sender != self.leader_of(message.view):
-            return
-        if not self.verify_signed_message(message):
-            return
         if message.round == 2:
             self._on_round2_proposal(message)
             return

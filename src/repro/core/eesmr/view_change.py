@@ -98,13 +98,7 @@ class ViewChangeMixin:
 
     def _on_commit_update(self, message: ProtocolMessage) -> None:
         """Vote (Certify) for another node's B_com when it does not conflict with our lock."""
-        if message.view != self.v_cur:
-            return
-        if not self.verify_signed_message(message):
-            return
         block = message.data
-        if not isinstance(block, Block):
-            return
         self.store_block(block)
         if not self.blocks.has_ancestry(block):
             return
@@ -116,10 +110,6 @@ class ViewChangeMixin:
 
     def _on_certify(self, message: ProtocolMessage) -> None:
         """Collect f+1 Certify votes on our own B_com into a commit certificate."""
-        if message.view != self.v_cur:
-            return
-        if not self.verify_signed_message(message):
-            return
         if message.data != self.b_com.block_hash:
             return
         votes = self.certify_votes.setdefault(message.view, {})
@@ -164,14 +154,8 @@ class ViewChangeMixin:
         )
 
     def _on_commit_qc(self, message: ProtocolMessage) -> None:
-        """A commit certificate from another node (broadcast or sent to the new leader)."""
-        if not self.verify_signed_message(message):
-            return
+        """A verified commit certificate from another node (broadcast or sent to the new leader)."""
         qc = message.data
-        if not isinstance(qc, QuorumCertificate) or qc.cert_type != MessageType.CERTIFY:
-            return
-        if not self.verify_quorum_certificate(qc):
-            return
         self.collected_commit_qcs.append(qc)
         self._consider_commit_qc(qc)
 
@@ -241,21 +225,13 @@ class ViewChangeMixin:
         self.stats.proposals_made += 1
         self.broadcast(message)
 
+    def _in_round_one(self, message: ProtocolMessage) -> bool:
+        """Admission guard: a new-view proposal is taken in round 1 only."""
+        return self.r_cur == 1
+
     def _on_new_view_proposal(self, message: ProtocolMessage) -> None:
         """Round 1 of the new view: vote for the leader's proposal when it is safe."""
-        if message.view != self.v_cur:
-            if message.view > self.v_cur:
-                self._buffer_future(message)
-            return
-        if self.r_cur != 1:
-            return
-        if message.sender != self.leader_of(message.view):
-            return
-        if not self.verify_signed_message(message):
-            return
         payload = message.data
-        if not isinstance(payload, NewViewProposal):
-            return
         block = payload.block
         highest: Optional[Block] = None
         for qc in payload.status:
@@ -284,12 +260,12 @@ class ViewChangeMixin:
         self.blame_timer.start(6 * self.config.delta)
         self.r_cur = 2
 
+    def _leads_view(self, message: ProtocolMessage) -> bool:
+        """Admission guard: round-1 votes are collected by the view's leader only."""
+        return self.is_leader(message.view)
+
     def _on_vote(self, message: ProtocolMessage) -> None:
         """New leader: collect f+1 round-1 votes and issue the round-2 certificate."""
-        if message.view != self.v_cur or not self.is_leader(message.view):
-            return
-        if not self.verify_signed_message(message):
-            return
         expected = self.nv_proposal_digest.get(message.view)
         if expected is None or message.data != expected:
             return
@@ -313,7 +289,7 @@ class ViewChangeMixin:
         for.  A certificate from an earlier view, or over another proposal,
         says nothing about this view's round 1.
         """
-        if message.view != self.v_cur or self.r_cur not in (1, 2):
+        if self.r_cur not in (1, 2):
             return
         payload = message.data
         if not isinstance(payload, Round2Proposal) or payload.qc.cert_type != MessageType.VOTE:

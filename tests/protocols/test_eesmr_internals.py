@@ -437,8 +437,10 @@ def test_dispatch_resolves_every_handler_on_the_instance(replica_class):
     sim, scheme, config, replicas = build_cluster(replica_class=replica_class)
     replica = replicas[3]
     assert {MessageType.BLAME, MessageType.BLAME_QC} <= set(replica_class._HANDLERS)
-    for name in replica_class._HANDLERS.values():
-        assert callable(getattr(replica, name)), name
+    for name, admit in replica_class._HANDLERS.values():
+        methods = [name, admit.guard, admit.certificate and admit.certificate[1]]
+        for method in filter(None, methods):
+            assert callable(getattr(replica, method)), method
     # A type the protocol has no handler for, and a non-message, are dropped.
     replica.on_message(0, make_message(scheme, 0, MessageType.TB_ORDER, 1, None))
     replica.on_message(0, "not a protocol message")
@@ -453,7 +455,10 @@ def test_dispatch_honours_a_subclass_override_of_an_eesmr_handler():
             seen.append(message)
 
     sim, scheme, config, replicas = build_cluster(replica_class=Eavesdropper)
-    proposal = make_message(scheme, 0, MessageType.PROPOSE, 1, None, round_number=3)
+    from repro.core.blocks import make_block
+
+    block = make_block(replicas[2].blocks.genesis, 0, 1, 3, [])
+    proposal = make_message(scheme, 0, MessageType.PROPOSE, 1, block, round_number=3)
     replicas[2].on_message(0, proposal)
     assert seen == [proposal] and replicas[2].b_lock.is_genesis
 
