@@ -1,12 +1,7 @@
 """Core SMR data structures and protocol implementations."""
 
 from repro.core.types import Command, Round
-from repro.core.messages import (
-    MessageType,
-    QuorumCertificate,
-    verify_qc,
-    verify_view_qc,
-)
+from repro.core.messages import QuorumCertificate, verify_qc
 from repro.core.ledger import SafetyChecker, SafetyReport, SafetyViolation
 from repro.core.config import ProtocolConfig
 from repro.core.eesmr import EesmrReplica
@@ -21,10 +16,8 @@ from repro.core.adversary import FaultPlan
 __all__ = [
     "Command",
     "Round",
-    "MessageType",
     "QuorumCertificate",
     "verify_qc",
-    "verify_view_qc",
     "SafetyChecker",
     "SafetyReport",
     "SafetyViolation",

@@ -14,6 +14,8 @@ certificate quorum and the (shorter) responsive commit delay.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.core.baselines.sync_hotstuff import SyncHotStuffReplica
 
 
@@ -23,7 +25,7 @@ class OptSyncReplica(SyncHotStuffReplica):
     #: Fraction of the responsive commit delay relative to Δ (2δ with δ ≪ Δ).
     RESPONSIVE_COMMIT_FRACTION = 0.5
 
-    @property
+    @cached_property
     def vote_quorum(self) -> int:
         """Votes needed for a responsive certificate: ⌊3n/4⌋ + 1."""
         return (3 * self.config.n) // 4 + 1

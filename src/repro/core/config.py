@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.core.types import FIRST_VIEW, NodeId, View
@@ -62,9 +63,9 @@ class ProtocolConfig:
         if self.txpool_limit is not None and self.txpool_limit < 1:
             raise ValueError("txpool_limit must be at least 1 (or None for unbounded)")
 
-    @property
+    @cached_property
     def quorum(self) -> int:
-        """Size of a quorum certificate: f + 1 signatures."""
+        """Size of a quorum certificate: f + 1 signatures (read per delivery, so cached)."""
         return self.f + 1
 
     def leader_of(self, view: View) -> NodeId:

@@ -9,7 +9,7 @@ network and to its own timers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.blocks import Block
 from repro.core.eesmr.steady_state import SteadyStateMixin
@@ -44,7 +44,7 @@ class EesmrReplica(SteadyStateMixin, ViewChangeMixin, LeaderReplica):
         MessageType.COMMIT_QC: ("_on_commit_qc", Admit(
             QuorumCertificate,
             InView.ANY,
-            certificate=(MessageType.CERTIFY, "verify_quorum_certificate"),
+            certificate=MessageType.CERTIFY,
         )),
         MessageType.NEW_VIEW_PROPOSAL: ("_on_new_view_proposal", Admit(
             NewViewProposal, InView.BUFFER_LATER, from_leader=True, guard="_in_round_one"
@@ -91,6 +91,13 @@ class EesmrReplica(SteadyStateMixin, ViewChangeMixin, LeaderReplica):
         self._future_messages = [m for m in self._future_messages if m.view > self.v_cur]
         for message in ready:
             self.on_message(message.sender, message)
+
+    def held_certificates(self) -> Iterable[QuorumCertificate]:
+        """The commit certificates: its own per view, those it collected, its best."""
+        held = [*self.own_commit_qc.values(), *self.collected_commit_qcs]
+        if self.best_commit_qc is not None:
+            held.append(self.best_commit_qc)
+        return held
 
     # ---------------------------------------------------------------- status
     def describe(self) -> Dict[str, Any]:

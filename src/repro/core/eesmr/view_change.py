@@ -109,16 +109,17 @@ class ViewChangeMixin:
         self.send(message.sender, certify)
 
     def _on_certify(self, message: ProtocolMessage) -> None:
-        """Collect f+1 Certify votes on our own B_com into a commit certificate."""
+        """Collect a quorum of Certify votes on our own B_com into a commit certificate."""
         if message.data != self.b_com.block_hash:
             return
         votes = self.certify_votes.setdefault(message.view, {})
         votes[message.sender] = message
-        if len(votes) < self.config.quorum:
+        quorum = self.certificate_quorum(MessageType.CERTIFY)
+        if len(votes) < quorum:
             return
         if message.view in self.own_commit_qc:
             return
-        qc = make_qc(list(votes.values())[: self.config.quorum], block=self.b_com)
+        qc = make_qc(list(votes.values())[:quorum], block=self.b_com)
         self.own_commit_qc[message.view] = qc
         self.stats.certificates_formed += 1
         self._consider_commit_qc(qc)
@@ -237,7 +238,7 @@ class ViewChangeMixin:
         for qc in payload.status:
             if qc.block is None:
                 continue
-            if not self.verify_quorum_certificate(qc):
+            if not self.verify_quorum_certificate(qc, MessageType.CERTIFY):
                 continue
             self.store_block(qc.block)
             if highest is None or qc.block.height > highest.height:
@@ -265,18 +266,19 @@ class ViewChangeMixin:
         return self.is_leader(message.view)
 
     def _on_vote(self, message: ProtocolMessage) -> None:
-        """New leader: collect f+1 round-1 votes and issue the round-2 certificate."""
+        """New leader: collect a quorum of round-1 votes and issue the round-2 certificate."""
         expected = self.nv_proposal_digest.get(message.view)
         if expected is None or message.data != expected:
             return
         votes = self.nv_votes.setdefault(message.view, {})
         votes[message.sender] = message
-        if len(votes) < self.config.quorum:
+        quorum = self.certificate_quorum(MessageType.VOTE)
+        if len(votes) < quorum:
             return
         if message.view in self.round2_sent:
             return
         self.round2_sent.add(message.view)
-        vote_qc = make_qc(list(votes.values())[: self.config.quorum])
+        vote_qc = make_qc(list(votes.values())[:quorum])
         payload = Round2Proposal(vote_qc, self.leader_chain_tip.block_hash)
         round2 = self.sign_message(MessageType.PROPOSE, payload, view=message.view, round_number=2)
         self.broadcast(round2)
@@ -292,7 +294,7 @@ class ViewChangeMixin:
         if self.r_cur not in (1, 2):
             return
         payload = message.data
-        if not isinstance(payload, Round2Proposal) or payload.qc.cert_type != MessageType.VOTE:
+        if not isinstance(payload, Round2Proposal):
             return
         qc = payload.qc
         if qc.view != message.view:
@@ -300,7 +302,7 @@ class ViewChangeMixin:
         voted = self.nv_voted_digest.get(message.view)
         if voted is not None and qc.digest != voted:
             return
-        if not self.verify_quorum_certificate(qc):
+        if not self.verify_quorum_certificate(qc, MessageType.VOTE):
             return
         self._enter_steady_state(message.view)
 

@@ -31,10 +31,9 @@ from repro.core.messages import (
     SyncRequest,
     SyncResponse,
     make_message,
-    make_view_qc,
+    make_qc,
     verify_message,
     verify_qc,
-    verify_view_qc,
 )
 from repro.core.txpool import ADMITTED, TxPool
 from repro.core.types import Command, NodeId, Round, View
@@ -59,9 +58,11 @@ class InView(Enum):
     ANY = "any"
 
 
-# ``on_message`` compares with these on every delivery; reading a member off
-# an Enum class costs ~0.1 µs on Python 3.11, a module global ~0.01 µs.
+# ``on_message`` compares with these on every delivery, and each blame
+# delivery sizes the blame certificate; reading a member off an Enum class
+# costs ~0.1 µs on Python 3.11, a module global ~0.01 µs.
 _ANY, _BUFFER_LATER = InView.ANY, InView.BUFFER_LATER
+_BLAME = MessageType.BLAME
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,30 +71,31 @@ class Admit:
 
     :meth:`BaseReplica.on_message` checks the fields in order (``from_leader``:
     the sender leads the message's view; ``certificate``: for a payload that
-    is one, its ``cert_type`` and the name of the method that verifies it;
-    ``guard``: the name of a method ``(message) -> bool``, the one free state
-    check a type needs), then both signatures — every row verifies — then the
-    certificate's.  A message refused before its signatures costs nothing.
+    is one, the ``cert_type`` it must have; ``guard``: the name of a method
+    ``(message) -> bool``, the one free state check a type needs), then both
+    signatures — every row verifies — then the certificate, by
+    :meth:`BaseReplica.verify_quorum_certificate`.  A message refused before
+    its signatures costs nothing.
     """
 
     payload: Union[type, Tuple[type, ...]]
     view: InView = InView.CURRENT
     from_leader: bool = False
-    certificate: Optional[Tuple[MessageType, str]] = None
+    certificate: Optional[MessageType] = None
     guard: Optional[str] = None
 
 
 class BaseReplica(Process):
     """Common state and helpers for protocol replicas."""
 
-    #: Whether adopting a synced suffix requires a verified certificate
-    #: over its tip.  Protocols with explicit certificates (Sync HotStuff,
-    #: OptSync) set this — an uncertified suffix is never committed.
-    #: Certificate-free protocols (EESMR commits by quiet period, the
-    #: trusted baseline by control-node signature) instead require
-    #: matching responses from f+1 distinct peers, at least one of which
-    #: is correct.
-    sync_requires_certificate = False
+    #: The type of certificate that must cover a synced suffix's tip for
+    #: it to be adopted.  Protocols with explicit certificates (Sync
+    #: HotStuff, OptSync) name theirs — an uncertified suffix is never
+    #: committed.  Certificate-free protocols (``None``: EESMR commits by
+    #: quiet period, the trusted baseline by control-node signature) ignore
+    #: any certificate a response carries and instead require matching
+    #: responses from f+1 distinct peers, at least one of which is correct.
+    tip_certificate: Optional[MessageType] = None
     #: Whether this replica attaches its highest certificate when serving
     #: sync responses (the planted recovery mutant flips this off).
     sync_serve_certificates = True
@@ -197,15 +199,29 @@ class BaseReplica(Process):
         self.meter.tally[self._verify_slot] += 2
         return verify_message(self.scheme, self.pid, message)
 
-    def verify_quorum_certificate(self, qc: QuorumCertificate) -> bool:
-        """Verify a QC (f+1 signatures) and charge per-signature verification energy."""
-        self.meter.tally[self._verify_slot] += len(qc.signatures)
-        return verify_qc(self.scheme, self.pid, qc, self.config.quorum)
+    def certificate_quorum(self, cert_type: MessageType) -> int:
+        """Signers a certificate of ``cert_type`` needs here: f + 1.
 
-    def verify_view_quorum_certificate(self, qc: QuorumCertificate) -> bool:
-        """Verify a view-signature QC (e.g. a blame certificate) with energy accounting."""
+        The one quorum rule: a replica sizes the certificates it builds with
+        it, verifies the ones it adopts against it, and the invariant battery
+        audits every certificate a replica holds against its holder's rule.
+        """
+        return self.config.quorum
+
+    def verify_quorum_certificate(self, qc: QuorumCertificate, cert_type: MessageType) -> bool:
+        """Verify a certificate adopted as ``cert_type``, charging one verify per signature.
+
+        A certificate of another type vouches for nothing and is refused for
+        free; otherwise it needs :meth:`certificate_quorum` valid signers.
+        """
+        if qc.cert_type is not cert_type:
+            return False
         self.meter.tally[self._verify_slot] += len(qc.signatures)
-        return verify_view_qc(self.scheme, self.pid, qc, self.config.quorum)
+        return verify_qc(self.scheme, self.pid, qc, self.certificate_quorum(cert_type))
+
+    def held_certificates(self) -> Iterable[QuorumCertificate]:
+        """Every certificate this replica holds, for the auditor (none by default)."""
+        return ()
 
     def charge_block_hash(self, block: Block) -> None:
         """Charge the energy of hashing a block (chaining / digest checks)."""
@@ -331,16 +347,16 @@ class BaseReplica(Process):
         # such failed attempts instead).
         if not self.blocks.has_ancestry(tip) or not self._sync_extends_commit(tip):
             return
-        cert = data.cert
-        if (
-            cert is not None
-            and cert.block is not None
-            and cert.block.block_hash == tip.block_hash
-        ):
-            if self.verify_quorum_certificate(cert):
+        expected = self.tip_certificate
+        if expected is not None:
+            cert = data.cert
+            if (
+                cert is not None
+                and cert.block is not None
+                and cert.block.block_hash == tip.block_hash
+                and self.verify_quorum_certificate(cert, expected)
+            ):
                 self.commit_chain(tip)
-            return
-        if self.sync_requires_certificate:
             return
         key = (tip.height, tip.block_hash)
         vouchers = self._sync_confirmations.setdefault(key, set())
@@ -393,13 +409,13 @@ class BaseReplica(Process):
         if not isinstance(data, admit.payload):
             return
         certificate = admit.certificate
-        if certificate is not None and data.cert_type != certificate[0]:
+        if certificate is not None and data.cert_type is not certificate:
             return
         if admit.guard is not None and not getattr(self, admit.guard)(message):
             return
         if not self.verify_signed_message(message):
             return
-        if certificate is not None and not getattr(self, certificate[1])(data):
+        if certificate is not None and not self.verify_quorum_certificate(data, certificate):
             return
         getattr(self, handler)(message)
 
@@ -428,7 +444,7 @@ class LeaderReplica(BaseReplica):
         MessageType.BLAME_QC: ("_on_blame_qc", Admit(
             QuorumCertificate,
             InView.BUFFER_LATER,
-            certificate=(MessageType.BLAME, "verify_view_quorum_certificate"),
+            certificate=MessageType.BLAME,
         )),
     }
 
@@ -493,13 +509,14 @@ class LeaderReplica(BaseReplica):
         """Hook: act on evidence a verified ``BLAME`` carries (default: it carries none)."""
 
     def _check_blame_quorum(self, view: View) -> None:
-        """f+1 blames for the current view: flood the blame certificate and quit."""
+        """A quorum of blames for the current view: flood the blame certificate and quit."""
         blames = self.blames.get(view, {})
-        if len(blames) < self.config.quorum:
+        quorum = self.certificate_quorum(_BLAME)
+        if len(blames) < quorum:
             return
         if view != self.v_cur or view in self.quit_views:
             return
-        blame_qc = make_view_qc(list(blames.values())[: self.config.quorum])
+        blame_qc = make_qc(list(blames.values())[:quorum])
         self.broadcast(self.sign_message(MessageType.BLAME_QC, blame_qc, view=view))
         self._leave_view(view)
 

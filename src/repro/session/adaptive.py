@@ -25,7 +25,7 @@ tests).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.session.session import Session, SessionController
 
@@ -41,7 +41,6 @@ class LeaderFollowingController(SessionController):
 
     def __init__(self, fault) -> None:
         self.fault = fault
-        self.victims: List[int] = []
         self._next_check = float(fault.start)
 
     # ------------------------------------------------------------- protocol
@@ -52,10 +51,9 @@ class LeaderFollowingController(SessionController):
         # node honest in this run would be excluded from its safety and
         # liveness accounting.
         self.fault.reset_victims()
-        self.victims.clear()
         self._next_check = float(self.fault.start)
     def next_wakeup(self, session: Session) -> Optional[float]:
-        if len(self.victims) >= self.fault.budget:
+        if len(self.fault.victims) >= self.fault.budget:
             return None
         if session.idle:
             # Nothing will ever run again; striking now cannot change the
@@ -80,6 +78,5 @@ class LeaderFollowingController(SessionController):
         # Matching the DSL's fail-stop semantics: a crashed node never
         # relays again.  deny_relay is refcounted and never released here.
         session.network.deny_relay(pid)
-        self.victims.append(pid)
         self.fault.record_victim(pid)
         session.bus.fault_window(pid, "adaptive-leader-crash", True, session.now)

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.messages import MessageType, QuorumCertificate, verify_qc, verify_view_qc
+from repro.core.messages import QuorumCertificate, verify_qc
 from repro.session.observers import SessionObserver
 
 
@@ -128,7 +128,6 @@ class TraceRecorder(SessionObserver):
     def on_session_end(self, session, result) -> None:
         result.trace = self.capture(
             session.spec,
-            session.config,
             session.sim,
             session.ledger,
             session.network,
@@ -138,7 +137,7 @@ class TraceRecorder(SessionObserver):
         )
 
     # ------------------------------------------------------------ low level
-    def capture(self, spec, config, sim, ledger, network, scheme, replicas, safety) -> RunTrace:
+    def capture(self, spec, sim, ledger, network, scheme, replicas, safety) -> RunTrace:
         """Harvest the structured trace from a finished deployment."""
         trace = RunTrace(spec=spec_fingerprint(spec))
         trace.events = [[time, label] for time, label in sim.trace_log]
@@ -173,8 +172,8 @@ class TraceRecorder(SessionObserver):
                     )
                 if imp.giveups_by_node.get(pid):
                     trace.replica_stats[pid]["delivery_giveups"] = imp.giveups_by_node[pid]
-            for qc in _harvest_qcs(replica):
-                trace.qcs.append(_record_qc(pid, qc, scheme, config))
+            for qc in replica.held_certificates():
+                trace.qcs.append(_record_qc(replica, qc, scheme))
 
         trace.energy_counts = {
             pid: [
@@ -204,31 +203,13 @@ class TraceRecorder(SessionObserver):
         return trace
 
 
-def _harvest_qcs(replica) -> List[QuorumCertificate]:
-    """Every quorum certificate a replica holds, across protocol families."""
-    qcs: List[QuorumCertificate] = []
-    # EESMR view-change certificates.
-    for qc in getattr(replica, "own_commit_qc", {}).values():
-        qcs.append(qc)
-    qcs.extend(getattr(replica, "collected_commit_qcs", ()))
-    best = getattr(replica, "best_commit_qc", None)
-    if best is not None:
-        qcs.append(best)
-    # Sync HotStuff / OptSync vote certificates.
-    for qc in getattr(replica, "certs", {}).values():
-        qcs.append(qc)
-    return qcs
-
-
-def _record_qc(holder: int, qc: QuorumCertificate, scheme, config) -> QCRecord:
-    """Verify and record one certificate (verification energy is not charged:
-    this is the auditor looking at the run, not a node in it)."""
-    if qc.cert_type == MessageType.BLAME:
-        valid = verify_view_qc(scheme, holder, qc, config.quorum)
-    else:
-        valid = verify_qc(scheme, holder, qc, config.quorum)
+def _record_qc(holder, qc: QuorumCertificate, scheme) -> QCRecord:
+    """Verify and record one certificate against its holder's quorum for its
+    type, the rule the holder adopts certificates by (verification energy is
+    not charged: this is the auditor looking at the run, not a node in it)."""
+    valid = verify_qc(scheme, holder.pid, qc, holder.certificate_quorum(qc.cert_type))
     return QCRecord(
-        holder=holder,
+        holder=holder.pid,
         cert_type=qc.cert_type.value,
         view=qc.view,
         signers=sorted(qc.signers),

@@ -29,7 +29,6 @@ from repro.core.messages import (
     SyncRequest,
     SyncResponse,
     make_qc,
-    make_view_qc,
 )
 from repro.core.replica_base import Admit, InView
 from repro.energy.meter import EnergyCategory
@@ -45,11 +44,7 @@ EESMR_TABLE = {
     T.BLAME: ("_on_blame", Admit((type(None), EquivocationProof), view=LATER)),
     T.BLAME_QC: (
         "_on_blame_qc",
-        Admit(
-            QuorumCertificate,
-            view=LATER,
-            certificate=(T.BLAME, "verify_view_quorum_certificate"),
-        ),
+        Admit(QuorumCertificate, view=LATER, certificate=T.BLAME),
     ),
     T.PROPOSE: ("_on_propose", Admit((Block, Round2Proposal), view=LATER, from_leader=True)),
     T.COMMIT_UPDATE: ("_on_commit_update", Admit(Block)),
@@ -58,7 +53,7 @@ EESMR_TABLE = {
     # quits and sent to the next leader in the new one.
     T.COMMIT_QC: (
         "_on_commit_qc",
-        Admit(QuorumCertificate, view=ANY, certificate=(T.CERTIFY, "verify_quorum_certificate")),
+        Admit(QuorumCertificate, view=ANY, certificate=T.CERTIFY),
     ),
     T.NEW_VIEW_PROPOSAL: (
         "_on_new_view_proposal",
@@ -73,11 +68,7 @@ SYNC_HOTSTUFF_TABLE = {
     T.BLAME: ("_on_blame", Admit((type(None), EquivocationProof), view=LATER)),
     T.BLAME_QC: (
         "_on_blame_qc",
-        Admit(
-            QuorumCertificate,
-            view=LATER,
-            certificate=(T.BLAME, "verify_view_quorum_certificate"),
-        ),
+        Admit(QuorumCertificate, view=LATER, certificate=T.BLAME),
     ),
     T.SHS_PROPOSE: (
         "_on_propose",
@@ -151,7 +142,7 @@ def sign(session, pid, msg_type, data, view=1, round_number=0):
 def certificate(session, msg_type, signers):
     """A certificate of ``msg_type`` by ``signers``: view-signed for a blame, else over BLOCK."""
     if msg_type is T.BLAME:
-        return make_view_qc([sign(session, pid, T.BLAME, None) for pid in signers])
+        return make_qc([sign(session, pid, T.BLAME, None) for pid in signers])
     votes = [sign(session, pid, msg_type, BLOCK.block_hash) for pid in signers]
     return make_qc(votes, block=BLOCK)
 

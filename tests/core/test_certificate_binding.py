@@ -41,8 +41,10 @@ def test_every_honest_certificate_binds_its_block(session):
 def test_a_certificate_reattached_to_another_block_is_refused(session):
     replica = session.replicas[1]
     first, second = sorted(replica.certs.values(), key=lambda cert: cert.block.height)[:2]
-    assert replica.verify_quorum_certificate(first)
-    assert not replica.verify_quorum_certificate(replace(first, block=second.block))
+    assert replica.verify_quorum_certificate(first, MessageType.SHS_VOTE)
+    assert not replica.verify_quorum_certificate(
+        replace(first, block=second.block), MessageType.SHS_VOTE
+    )
 
 
 def test_a_sync_response_with_a_forged_tip_certificate_is_not_adopted(session):
@@ -97,7 +99,7 @@ def test_a_round2_proposal_replaying_an_earlier_views_certificate_is_refused(vie
     quorum = view_change.config.quorum
     view2_qc = make_qc(list(view2_leader.nv_votes[2].values())[:quorum])
     receiver = view_change.replicas[3]
-    assert receiver.verify_quorum_certificate(view2_qc)
+    assert receiver.verify_quorum_certificate(view2_qc, MessageType.VOTE)
     receiver.on_message(2, round2(view_change, view2_qc, view2_leader.leader_chain_tip.block_hash))
     assert receiver.r_cur == 1 and receiver.in_view_change
 
@@ -114,7 +116,7 @@ def test_a_round2_certificate_must_be_over_what_the_receiver_voted_for(view_chan
     # A genuine view-3 certificate, but over a proposal this node never saw.
     other = make_block(block, proposer=2, view=3, round_number=1, commands=[])
     elsewhere = vote_certificate(view_change, 3, NewViewProposal(other).digest)
-    assert receiver.verify_quorum_certificate(elsewhere)
+    assert receiver.verify_quorum_certificate(elsewhere, MessageType.VOTE)
     receiver.on_message(2, round2(view_change, elsewhere, other.block_hash))
     assert receiver.r_cur == 2
     # The certificate over the proposal it voted for returns it to the steady state.

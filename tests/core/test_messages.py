@@ -7,11 +7,9 @@ from repro.core.messages import (
     MessageType,
     make_message,
     make_qc,
-    make_view_qc,
     message_data_digest,
     verify_message,
     verify_qc,
-    verify_view_qc,
 )
 
 
@@ -129,9 +127,9 @@ def test_verify_qc_fails_for_wrong_digest(scheme):
 
 def test_view_qc_aggregates_view_signatures(scheme):
     blames = [make_message(scheme, i, MessageType.BLAME, 2, None) for i in range(3)]
-    qc = make_view_qc(blames)
+    qc = make_qc(blames)
     assert qc.cert_type == MessageType.BLAME
-    assert verify_view_qc(scheme, 5, qc, threshold=3)
+    assert verify_qc(scheme, 5, qc, threshold=3)
 
 
 def test_view_qc_tolerates_heterogeneous_payloads(scheme):
@@ -140,13 +138,13 @@ def test_view_qc_tolerates_heterogeneous_payloads(scheme):
         make_message(scheme, 1, MessageType.BLAME, 2, "proof-a"),
         make_message(scheme, 2, MessageType.BLAME, 2, "proof-b"),
     ]
-    qc = make_view_qc(blames)
-    assert verify_view_qc(scheme, 5, qc, threshold=3)
+    qc = make_qc(blames)
+    assert verify_qc(scheme, 5, qc, threshold=3)
 
 
 def test_view_qc_rejects_wrong_view_on_verify(scheme):
     blames = [make_message(scheme, i, MessageType.BLAME, 2, None) for i in range(3)]
-    qc = make_view_qc(blames)
+    qc = make_qc(blames)
     forged = type(qc)(
         cert_type=qc.cert_type,
         view=3,
@@ -154,7 +152,7 @@ def test_view_qc_rejects_wrong_view_on_verify(scheme):
         signers=qc.signers,
         signatures=qc.signatures,
     )
-    assert not verify_view_qc(scheme, 5, forged, threshold=3)
+    assert not verify_qc(scheme, 5, forged, threshold=3)
 
 
 def test_qc_wire_size_counts_signatures(scheme):

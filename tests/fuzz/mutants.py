@@ -104,7 +104,7 @@ class DroppedCatchUpQcMutantBuilder(SessionBuilder):
 
     Per-instance ``sync_serve_certificates = False`` shadows the class
     attribute, so every ``SYNC_RESPONSE`` ships its block suffix bare.
-    Protocols with ``sync_requires_certificate`` never adopt an
+    Protocols with a ``tip_certificate`` never adopt an
     uncertified suffix, so their recovering nodes retry to exhaustion and
     give up past the catch-up grace window.
     """

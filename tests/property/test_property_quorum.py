@@ -6,9 +6,7 @@ from repro.core.messages import (
     MessageType,
     make_message,
     make_qc,
-    make_view_qc,
     verify_qc,
-    verify_view_qc,
 )
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import make_scheme
@@ -39,8 +37,8 @@ def test_view_qc_verifies_regardless_of_payload_mix(signers, view):
         make_message(_SCHEME, s, MessageType.BLAME, view, None if s % 2 else f"proof-{s}")
         for s in signers
     ]
-    qc = make_view_qc(blames)
-    assert verify_view_qc(_SCHEME, 1, qc, threshold=len(signers))
+    qc = make_qc(blames)
+    assert verify_qc(_SCHEME, 1, qc, threshold=len(signers))
 
 
 @given(signers_strategy, st.integers(min_value=1, max_value=5), st.text(min_size=1, max_size=12))

@@ -18,11 +18,14 @@ fix they wait for, and item 21(a) then puts these leaders in the fault
 plane.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.blocks import make_block
 from repro.core.messages import CertifiedBlock, MessageType
 from repro.session import SessionBuilder
+from repro.session import session as session_module
 from repro.session.spec import DeploymentSpec
 from repro.testkit.faults import EquivocateAt, FaultSchedule
 from repro.testkit.scenarios import judge
@@ -153,3 +156,18 @@ def test_one_equivocating_leader_keeps_the_baseline_safe_and_live(
     assert verdict.ok, [report.detail for report in verdict.violations()]
     # The probe bites: the honest nodes saw the two proposals.
     assert verdict.result.equivocations_detected > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="Sync HotStuff x equivocate livelocks at n=25 (CHANGES.md FOUND): "
+    "_start_new_view arms T_blame in every view after the last block commits",
+)
+def test_one_equivocating_leader_lets_sync_hotstuff_quiesce_at_n25(monkeypatch):
+    """The bench's viewchange-n25 shape at bench seed 3: when the event budget
+    trips, all 24 honest nodes have committed height 10 and sit in view 43."""
+    monkeypatch.setattr(session_module, "MAX_EVENTS", 60_000)
+    spec = dataclasses.replace(probe_spec("sync-hotstuff", 25, 5, 2, 0, 10), target_height=10)
+    verdict = judge("probe:sync-hotstuff", spec, EquivocatingLeaderBuilder)
+    assert verdict.ok, [report.detail for report in verdict.violations()]

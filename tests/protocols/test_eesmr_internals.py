@@ -12,7 +12,7 @@ from repro.core.baselines.optsync import OptSyncReplica
 from repro.core.baselines.sync_hotstuff import SyncHotStuffReplica
 from repro.core.config import ProtocolConfig
 from repro.core.eesmr.replica import EesmrReplica
-from repro.core.messages import EquivocationProof, MessageType, make_message, make_view_qc
+from repro.core.messages import EquivocationProof, MessageType, make_message, make_qc
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import make_scheme
 from repro.energy.ledger import ClusterEnergyLedger
@@ -345,7 +345,7 @@ def blame(scheme, sender, view=1):
 
 def blame_certificate(scheme, signers, view=1):
     """A BLAME_QC carrier, signed by the first signer, over the signers' blames."""
-    qc = make_view_qc([blame(scheme, signer, view) for signer in signers])
+    qc = make_qc([blame(scheme, signer, view) for signer in signers])
     return make_message(scheme, signers[0], MessageType.BLAME_QC, view, qc)
 
 
@@ -438,8 +438,7 @@ def test_dispatch_resolves_every_handler_on_the_instance(replica_class):
     replica = replicas[3]
     assert {MessageType.BLAME, MessageType.BLAME_QC} <= set(replica_class._HANDLERS)
     for name, admit in replica_class._HANDLERS.values():
-        methods = [name, admit.guard, admit.certificate and admit.certificate[1]]
-        for method in filter(None, methods):
+        for method in filter(None, [name, admit.guard]):
             assert callable(getattr(replica, method)), method
     # A type the protocol has no handler for, and a non-message, are dropped.
     replica.on_message(0, make_message(scheme, 0, MessageType.TB_ORDER, 1, None))

@@ -59,9 +59,10 @@ def weak_certificates(session, block):
 def test_a_weak_certificate_does_not_verify(session, kind):
     block = made_up_block()
     receiver = session.replicas[3]
-    assert not receiver.verify_quorum_certificate(weak_certificates(session, block)[kind])
+    weak = weak_certificates(session, block)[kind]
+    assert not receiver.verify_quorum_certificate(weak, MessageType.SHS_VOTE)
     assert receiver.verify_quorum_certificate(
-        certificate(session, block, range(receiver.vote_quorum))
+        certificate(session, block, range(receiver.vote_quorum)), MessageType.SHS_VOTE
     )
 
 

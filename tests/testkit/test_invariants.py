@@ -4,7 +4,9 @@ import copy
 
 import pytest
 
+from repro.core.messages import MessageType, make_qc
 from repro.eval.runner import run_protocol
+from repro.session import Session
 from repro.testkit.invariants import (
     DEFAULT_INVARIANTS,
     AgreementInvariant,
@@ -121,20 +123,63 @@ def test_unique_commit_ignores_byzantine_logs():
     UniqueCommitInvariant().check(bad)
 
 
+def captured(spec, plant=None):
+    """Evidence of ``spec``'s run, traced after ``plant(session)`` edits the finished replicas."""
+    session = Session.from_spec(spec, recorder=TraceRecorder()).run()
+    if plant is not None:
+        plant(session)
+    result = session.finish()
+    return Evidence(spec=spec, result=result, trace=result.trace)
+
+
+def certificate(session, msg_type, signers, block):
+    """``signers``' ``msg_type`` votes over ``block``, as a certificate carrying it."""
+    votes = [
+        session.replicas[pid].sign_message(msg_type, block.block_hash, view=1)
+        for pid in signers
+    ]
+    return make_qc(votes, block=block)
+
+
 def test_quorum_invariant_detects_underfull_certificate(evidence):
     spec = honest_spec(fault_schedule=crash_at(0, time=0.0))
-    result = run_protocol(spec, recorder=TraceRecorder())
-    good = Evidence(spec=spec, result=result, trace=result.trace)
+    good = captured(spec)
+    assert good.trace.qcs
     QuorumCertificateInvariant().check(good)
-    bad = doctored(good)
-    assert bad.trace.qcs
-    bad.trace.qcs[0].signers = [0]
-    with pytest.raises(InvariantViolation, match="distinct signers"):
+
+    def plant_one_signer_certify(session):
+        replica = session.replicas[1]
+        replica.collected_commit_qcs.append(
+            certificate(session, MessageType.CERTIFY, [2], replica.b_com)
+        )
+
+    bad = captured(spec, plant_one_signer_certify)
+    assert len(bad.trace.qcs) == len(good.trace.qcs) + 1
+    invalid = [(qc.holder, qc.cert_type, qc.signers) for qc in bad.trace.qcs if not qc.valid]
+    assert invalid == [(1, "certify", [2])]
+    with pytest.raises(InvariantViolation, match="node 1 holds an invalid certify QC"):
         QuorumCertificateInvariant().check(bad)
     bad2 = doctored(good)
     bad2.trace.qcs[0].valid = False
     with pytest.raises(InvariantViolation, match="invalid"):
         QuorumCertificateInvariant().check(bad2)
+
+
+def test_quorum_invariant_judges_a_vote_certificate_by_its_holders_quorum():
+    """A Sync HotStuff replica adopts a vote certificate only with ``vote_quorum``
+    signers, so three (f + 1 at n = 7) is below the rule the auditor applies."""
+    spec = honest_spec("sync-hotstuff", n=7, f=2, k=3)
+    good = captured(spec)
+    assert good.trace.qcs and all(report.ok for report in check_all(good))
+
+    def plant_three_signer_vote(session):
+        replica = session.replicas[3]
+        assert session.config.quorum == 3 < replica.vote_quorum
+        block = replica.b_com
+        replica.certs[block.block_hash] = certificate(session, MessageType.SHS_VOTE, (0, 1, 2), block)
+
+    bad = captured(spec, plant_three_signer_vote)
+    assert [r.name for r in check_all(bad) if not r.ok] == ["quorum-certificates"]
 
 
 def test_energy_conservation_detects_negative_meter(evidence):

@@ -82,9 +82,7 @@ def run_broken_deployment():
     safety = SafetyChecker(
         {pid: r.log for pid, r in replicas.items()}, faulty=spec.byzantine_nodes
     ).check()
-    trace = TraceRecorder().capture(
-        spec, config, sim, ledger, network, scheme, replicas, safety
-    )
+    trace = TraceRecorder().capture(spec, sim, ledger, network, scheme, replicas, safety)
     return spec, trace, safety
 
 
