@@ -8,8 +8,9 @@ difference from Sync HotStuff is the larger quorum: every node must verify
 paper finds Sync HotStuff already more energy-efficient than OptSync and
 EESMR better than both (Section 6, "Let δ be the actual network speed...").
 
-The implementation reuses the Sync HotStuff machinery and overrides the
-certificate quorum and the (shorter) responsive commit delay.
+The implementation reuses the Sync HotStuff machinery: it overrides the
+certificate quorum and adds the (shorter) responsive commit wait to the
+timer table.
 """
 
 from __future__ import annotations
@@ -22,17 +23,13 @@ from repro.core.baselines.sync_hotstuff import SyncHotStuffReplica
 class OptSyncReplica(SyncHotStuffReplica):
     """An OptSync node: responsive quorum of 3n/4 + 1 votes."""
 
-    #: Fraction of the responsive commit delay relative to Δ (2δ with δ ≪ Δ).
-    RESPONSIVE_COMMIT_FRACTION = 0.5
+    #: Sync HotStuff's waits plus the responsive commit: 2δ, taken as Δ (δ ≪ Δ).
+    TIMERS = {**SyncHotStuffReplica.TIMERS, "responsive-commit": 1}
 
     @cached_property
     def vote_quorum(self) -> int:
         """Votes needed for a responsive certificate: ⌊3n/4⌋ + 1."""
         return (3 * self.config.n) // 4 + 1
-
-    def _commit_delay(self) -> float:
-        """Responsive commits happen after ~2δ rather than 2Δ."""
-        return 2 * self.config.delta * self.RESPONSIVE_COMMIT_FRACTION
 
     def _vote_uncertified(self, message) -> bool:
         """Sync HotStuff's guard; each vote it refuses still moves the 2δ deadline
@@ -52,4 +49,6 @@ class OptSyncReplica(SyncHotStuffReplica):
         """Responsive path: replace a certified block's synchronous wait with the 2δ wait."""
         block = self.blocks.get(block_hash)
         if block is not None and block_hash in self.commit_timers:
-            self.commit_timers.start(block_hash, self._commit_delay(), self._commit_on_timer, block)
+            self.commit_timers.start(
+                block_hash, self.timer_delay("responsive-commit"), self._commit_on_timer, block
+            )

@@ -69,6 +69,9 @@ class SyncHotStuffReplica(LeaderReplica):
         MessageType.SHS_STATUS: ("_on_status", Admit(CertifiedBlock, InView.ANY)),
     }
 
+    #: Sync HotStuff's waits in Δ (``quit-view`` is the status wait).
+    TIMERS = {"blame": 4, "commit": 2, "quit-view": 2, "new-view-blame": 8, "new-view-propose": 2}
+
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.certs: Dict[str, QuorumCertificate] = {}
@@ -95,7 +98,7 @@ class SyncHotStuffReplica(LeaderReplica):
 
     # --------------------------------------------------------------- startup
     def start(self) -> None:
-        self.blame_timer.start(4 * self.config.delta)
+        self.blame_timer.start(self.timer_delay("blame"))
         if self.is_leader(self.v_cur):
             self.after(0.0, self._propose_next, label="shs:propose")
 
@@ -154,15 +157,9 @@ class SyncHotStuffReplica(LeaderReplica):
         self.stats.votes_sent += 1
         self._send_vote(vote)
         self.commit_timers.start(
-            block.block_hash,
-            2 * self.config.delta,
-            self._commit_on_timer,
-            block,
+            block.block_hash, self.timer_delay("commit"), self._commit_on_timer, block
         )
-        if block.height >= self.config.target_height:
-            self.blame_timer.cancel()
-        else:
-            self.blame_timer.start(4 * self.config.delta)
+        self._rearm_blame(block.height)
 
     def _send_vote(self, vote: ProtocolMessage) -> None:
         """Disseminate a vote according to the configured forwarding mode."""
@@ -221,7 +218,7 @@ class SyncHotStuffReplica(LeaderReplica):
         status = self.sign_message(MessageType.SHS_STATUS, CertifiedBlock(block, cert), view=view)
         self.broadcast(status)
         self.after(
-            2 * self.config.delta, self._start_new_view, label="shs:new-view", args=(view,)
+            self.timer_delay("quit-view"), self._start_new_view, label="shs:new-view", args=(view,)
         )
 
     def _on_status(self, message: ProtocolMessage) -> None:
@@ -274,7 +271,7 @@ class SyncHotStuffReplica(LeaderReplica):
         self.stats.view_changes_completed += 1
         if self.hooks is not None:
             self.hooks.view_change(self.pid, self.v_cur, self.sim.now)
-        self.blame_timer.start(8 * self.config.delta)
+        self.blame_timer.start(self.timer_delay("new-view-blame"))
         if self.is_leader(self.v_cur):
             block, _ = self._highest_certified()
             # A new leader may hold a lock above its highest certificate —
@@ -289,7 +286,9 @@ class SyncHotStuffReplica(LeaderReplica):
                 block = self.b_lock
             self.leader_chain_tip = block
             self.after(
-                2 * self.config.delta, self._propose_next, label="shs:new-view-propose"
+                self.timer_delay("new-view-propose"),
+                self._propose_next,
+                label="shs:new-view-propose",
             )
 
     # ---------------------------------------------------------------- status

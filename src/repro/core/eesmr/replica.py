@@ -52,6 +52,12 @@ class EesmrReplica(SteadyStateMixin, ViewChangeMixin, LeaderReplica):
         MessageType.VOTE: ("_on_vote", Admit(str, guard="_leads_view")),
     }
 
+    #: The waits of Algorithm 2 in Δ; a full view change is bounded by 21Δ.
+    TIMERS = {
+        "blame": 4, "commit": 4, "quit-view": 1, "finish-quit": 5, "start-new-view": 1,
+        "new-view-blame": 8, "new-view-proposal": 4, "round-2-blame": 6,
+    }
+
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
 
@@ -76,7 +82,7 @@ class EesmrReplica(SteadyStateMixin, ViewChangeMixin, LeaderReplica):
     # --------------------------------------------------------------- startup
     def start(self) -> None:
         """Arm the progress timer and, if leading view 1, start proposing."""
-        self.blame_timer.start(4 * self.config.delta)
+        self.blame_timer.start(self.timer_delay("blame"))
         if self.is_leader(self.v_cur):
             self._schedule_propose(0.0)
 

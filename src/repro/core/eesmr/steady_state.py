@@ -125,13 +125,9 @@ class SteadyStateMixin:
         # Each accepted block extends the one before it, so committing the
         # last one's chain, the new lock's, commits the run in height order.
         key = ",".join(accepted)
-        self.commit_timers.start(key, 4 * self.config.delta, self._commit_on_timer, self.b_lock)
-        if self.b_lock.height >= self.config.target_height:
-            # All expected blocks have been proposed; a quiet leader is not a
-            # faulty leader once the workload is exhausted.
-            self.blame_timer.cancel()
-        else:
-            self.blame_timer.start(4 * self.config.delta)
+        delay = self.timer_delay("commit")
+        self.commit_timers.start(key, delay, self._commit_on_timer, self.b_lock)
+        self._rearm_blame(self.b_lock.height)
 
     def _drain_buffered_proposals(self) -> None:
         """Process the buffered proposal that has become current, if any."""

@@ -18,8 +18,8 @@ The phases are:
    (round 1), collects f+1 votes, and presents the vote certificate
    (round 2), after which the steady state resumes at round 3.
 
-The timer values (Δ, 5Δ, Δ, 4Δ, 8Δ, 6Δ) follow the paper's analysis, which
-bounds a full view change by 21Δ.
+The timer values (``EesmrReplica.TIMERS``: Δ, 5Δ, Δ, 4Δ, 8Δ, 6Δ) follow the
+paper's analysis, which bounds a full view change by 21Δ.
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ class ViewChangeMixin:
     # ------------------------------------------------------------- quit view
     def _quit_view(self, view: View) -> None:
         """Wait Δ so every correct node has quit the view too (lines 231-234)."""
-        self.after(
-            self.config.delta, self._send_commit_update, label="eesmr:quit-view", args=(view,)
-        )
+        delay = self.timer_delay("quit-view")
+        self.after(delay, self._send_commit_update, label="eesmr:quit-view", args=(view,))
 
     def _send_commit_update(self, view: View) -> None:
         """Broadcast B_com and start collecting explicit certificates (lines 235-241)."""
@@ -90,7 +89,7 @@ class ViewChangeMixin:
         commit_update = self.sign_message(MessageType.COMMIT_UPDATE, self.b_com, view=view)
         self.broadcast(commit_update)
         self.after(
-            5 * self.config.delta,
+            self.timer_delay("finish-quit"),
             self._finish_quit_view,
             label="eesmr:finish-quit",
             args=(view,),
@@ -148,7 +147,7 @@ class ViewChangeMixin:
             message = self.sign_message(MessageType.COMMIT_QC, self.best_commit_qc, view=view)
             self.broadcast(message)
         self.after(
-            self.config.delta,
+            self.timer_delay("start-new-view"),
             self._start_new_view,
             label="eesmr:start-new-view",
             args=(view,),
@@ -174,12 +173,11 @@ class ViewChangeMixin:
         if self.best_commit_qc is not None:
             status = self.sign_message(MessageType.COMMIT_QC, self.best_commit_qc, view=self.v_cur)
             self.send(new_leader, status)
-        self.blame_timer.start(8 * self.config.delta)
+        self.blame_timer.start(self.timer_delay("new-view-blame"))
         if new_leader == self.pid:
             self.after(
-                4 * self.config.delta,
-                # Late-bound on purpose: v_cur may have moved on by the time this fires.
-                lambda: self._propose_new_view(self.v_cur),
+                self.timer_delay("new-view-proposal"),
+                self._propose_new_view,
                 label="eesmr:new-view-proposal",
             )
         self._replay_buffered_future()
@@ -200,9 +198,11 @@ class ViewChangeMixin:
         status = [qc for qc in candidates if qc.block is not None][: self.config.quorum]
         return best_block, status
 
-    def _propose_new_view(self, view: View) -> None:
-        """New leader: propose the round-1 block extending the highest certified block."""
-        if self.crashed or self.v_cur != view or not self.is_leader(view):
+    def _propose_new_view(self) -> None:
+        """New leader: propose the round-1 block extending the highest certified
+        block, in the view current when the wait ends (late-bound on purpose)."""
+        view = self.v_cur
+        if self.crashed or not self.is_leader(view):
             return
         base, status = self._highest_certified()
         if base is None:
@@ -258,7 +258,7 @@ class ViewChangeMixin:
         self.nv_voted_digest[message.view] = vote.data_digest
         self.stats.votes_sent += 1
         self.broadcast(vote)
-        self.blame_timer.start(6 * self.config.delta)
+        self.blame_timer.start(self.timer_delay("round-2-blame"))
         self.r_cur = 2
 
     def _leads_view(self, message: ProtocolMessage) -> bool:
@@ -312,10 +312,7 @@ class ViewChangeMixin:
             return
         self.r_cur = 3
         self.in_view_change = False
-        if self.b_lock.height >= self.config.target_height:
-            self.blame_timer.cancel()
-        else:
-            self.blame_timer.start(4 * self.config.delta)
+        self._rearm_blame(self.b_lock.height)
         if self.is_leader(view):
             self.next_propose_round = 3
             # The round-1 block only commits as an ancestor of a steady-state

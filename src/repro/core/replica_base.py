@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from types import NoneType
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.blocks import Block, BlockStore, GENESIS
 from repro.core.config import ProtocolConfig, RunStats
@@ -438,6 +438,11 @@ class LeaderReplica(BaseReplica):
     and :meth:`_quit_view`.
     """
 
+    #: Timer name -> its duration as a whole multiple of Δ.  Every timer a
+    #: protocol arms names its row, and :meth:`timer_delay` is the one read
+    #: of ``config.delta``; subclasses declare their table.
+    TIMERS: Mapping[str, int] = {}
+
     _HANDLERS = {
         **BaseReplica._HANDLERS,
         MessageType.BLAME: ("_on_blame", Admit((NoneType, EquivocationProof), InView.BUFFER_LATER)),
@@ -460,6 +465,19 @@ class LeaderReplica(BaseReplica):
         self.blamed_views: Set[View] = set()
         self.quit_views: Set[View] = set()
         self.equivocation_handled: Set[View] = set()
+
+    # ---------------------------------------------------------------- timers
+    def timer_delay(self, name: str) -> float:
+        """The duration of timer ``name``: its ``TIMERS`` multiple of Δ."""
+        return self.TIMERS[name] * self.config.delta
+
+    def _rearm_blame(self, height: int) -> None:
+        """Progress to ``height``: re-arm ``T_blame``; at the target height a
+        quiet leader is not a faulty one, so cancel it."""
+        if height >= self.config.target_height:
+            self.blame_timer.cancel()
+        else:
+            self.blame_timer.start(self.timer_delay("blame"))
 
     # ------------------------------------------------------ proposals, commit
     def _record_proposal(self, message: ProtocolMessage, slot: int, digest: str) -> None:

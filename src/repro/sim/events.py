@@ -264,3 +264,10 @@ class BucketedEventQueue:
     def cancel(self, event: Event) -> None:
         """Cancel an event previously returned by :meth:`push`."""
         event.cancel()
+
+    def clear(self) -> None:
+        """Drop every entry.  Only for a queue with nothing live in it."""
+        self._near = []
+        self._buckets.clear()
+        self._bucket_ids = []
+        self._far = []

@@ -137,3 +137,10 @@ class Simulator:
             return False
         finally:
             self._running = False
+            if not self._queue:
+                # Nothing live is left, so every entry still queued is a
+                # cancelled one (a run that stops at ``until`` leaves those
+                # past it).  Each keeps its callback, a timer's bound method,
+                # and the timer keeps this simulator: drop them, or a
+                # finished run is a reference cycle.
+                self._queue.clear()

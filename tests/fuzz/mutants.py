@@ -38,6 +38,12 @@ through the same broken build.
   bounded allowance (``LossWindow.exemption_end``) expires.  This is the
   mutant the degradation-aware allowance exists to catch: a blanket
   loss-window exemption would have pardoned it forever.
+* **Timer-table mutants** — one row of the protocol's ``TIMERS`` table
+  (name -> multiple of Δ) takes another value on every replica: EESMR
+  ``commit`` 4 -> 5, Sync HotStuff ``commit`` 2 -> 3, EESMR ``blame``
+  4 -> 6, Sync HotStuff ``quit-view`` 2 -> 3.  Every timer reads its row
+  through ``LeaderReplica.timer_delay``, so each is a one-entry edit.
+  ``tests/core/test_timer_tables.py`` records which checks catch them.
 """
 
 import dataclasses
@@ -113,4 +119,27 @@ class DroppedCatchUpQcMutantBuilder(SessionBuilder):
         session = super().build()
         for replica in session.replicas.values():
             replica.sync_serve_certificates = False
+        return session
+
+
+class TimerTableMutantBuilder(SessionBuilder):
+    """A timer mutant: every replica's ``TIMERS`` row ``timer`` is ``multiple`` Δ.
+
+    Bind the edit with ``functools.partial(TimerTableMutantBuilder,
+    timer="commit", multiple=5)`` to get a builder factory.  The row must
+    exist: a mutant of a timer the protocol does not have changes nothing.
+    """
+
+    def __init__(self, spec, *, timer: str, multiple: int, **kwargs) -> None:
+        super().__init__(spec, **kwargs)
+        self.timer = timer
+        self.multiple = multiple
+
+    def build(self) -> Session:
+        session = super().build()
+        for replica in session.replicas.values():
+            if self.timer not in replica.TIMERS:
+                raise KeyError(f"{type(replica).__name__} has no timer {self.timer!r}")
+            # An instance attribute shadows the class table for this run only.
+            replica.TIMERS = {**replica.TIMERS, self.timer: self.multiple}
         return session

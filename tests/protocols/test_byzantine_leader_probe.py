@@ -171,3 +171,16 @@ def test_one_equivocating_leader_lets_sync_hotstuff_quiesce_at_n25(monkeypatch):
     spec = dataclasses.replace(probe_spec("sync-hotstuff", 25, 5, 2, 0, 10), target_height=10)
     verdict = judge("probe:sync-hotstuff", spec, EquivocatingLeaderBuilder)
     assert verdict.ok, [report.detail for report in verdict.violations()]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="Sync HotStuff forks at n=25 under one equivocating leader (CHANGES.md FOUND): "
+    "a node locks the block it votes for, not the highest certified one; ROADMAP item 1",
+)
+def test_one_equivocating_leader_keeps_sync_hotstuff_safe_at_n25():
+    """Seed 1, no block interval: node 7 commits another height-6 block."""
+    spec = dataclasses.replace(probe_spec("sync-hotstuff", 25, 5, 2, 0, 1), target_height=10)
+    verdict = judge("probe:sync-hotstuff", spec, EquivocatingLeaderBuilder)
+    assert verdict.ok, [report.detail for report in verdict.violations()]

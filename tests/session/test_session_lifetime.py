@@ -21,6 +21,7 @@ from repro.net.impairment import ImpairmentSpec
 from repro.session import CallbackObserver
 from repro.session.builder import SessionBuilder, run_protocol
 from repro.session.metrics import MetricsObserver
+from repro.session.session import SessionController
 from repro.session.spec import PROTOCOLS, DeploymentSpec
 from repro.testkit.scenarios import FAULT_LIBRARY, ScenarioCell, ScenarioMatrix, judge
 from repro.testkit.trace import TraceRecorder
@@ -107,3 +108,32 @@ def test_judged_matrix_cell_frees_the_run(built):
 def test_fuzz_campaign_frees_every_run(built):
     report = assert_freed_on_return(built, lambda: Fuzzer(FuzzConfig(), seed=0).run(5))
     assert len(built) == report.runs
+
+
+class WakeOnceAt(SessionController):
+    """A controller whose only wake-up is at ``time``."""
+
+    def __init__(self, time: float) -> None:
+        self.time = time
+        self.woken = False
+
+    def next_wakeup(self, session):
+        return None if self.woken else self.time
+
+    def on_wakeup(self, session):
+        self.woken = True
+
+
+@pytest.mark.parametrize("wake", [11.559, 12.558, 12.56])
+@pytest.mark.parametrize("protocol", ["eesmr", "sync-hotstuff"])
+def test_controlled_run_frees_the_run(built, protocol, wake):
+    # The Sync HotStuff run's last live event is at 12.559: a wake-up just
+    # after it ends the run with three cancelled T_blame entries (t=16.0)
+    # still queued, which the simulator must drop.
+    def call():
+        session = SessionBuilder(spec_with(protocol=protocol)).build()
+        session.controllers = (WakeOnceAt(wake),)
+        return session.run().finish()
+
+    result = assert_freed_on_return(built, call)
+    assert result.safety.consistent and result.min_committed_height >= 3

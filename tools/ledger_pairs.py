@@ -6,7 +6,9 @@ bench --workload W --seed S --seconds 15 --trace 0``, one run in each of two
 checkouts, alternating which side runs first, a fresh seed per pair, every
 run reported.  This script does exactly that: one line per pair with
 each sampled metric's parent -> change value, then, per end-to-end
-metric, each side's median and quartiles, the pairs the change won, and
+metric, its verdict (``gain``, ``worse``, ``unresolved`` or ``same``, by
+the rules of that section and ``BENCHMARK.json``'s bounds), each side's
+median and quartiles, the pairs the change won, and
 whether the three modelled metrics were bit-identical in every pair; where
 one was not, each pair's parent -> change value and whether it moved in
 the metric's better direction, so a modelled gain gets its rows here too.
@@ -69,8 +71,29 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
-def spread(runs: list, name: str, better: str) -> str:
-    """Both sides' median and quartiles, the pairs the change won, and the claim rule."""
+def verdict(won: int, pairs: int, parent: tuple, c_med: float, better: str, bound: float) -> str:
+    """The row docs/performance.md's rules give a metric ("How to measure a change").
+
+    ``gain``: over at least ten pairs, the change won at least nine in ten
+    and its median is better than the parent's by more than the parent's
+    inter-quartile distance; ``worse``: its median is past the metric's
+    relative bound;
+    ``unresolved``: the parent's own spread (IQR over median) is wider
+    than the bound; ``same`` otherwise.
+    """
+    p_q1, p_med, p_q3 = parent
+    sign = 1 if better == "higher" else -1
+    if pairs >= 10 and 10 * won >= 9 * pairs and sign * (c_med - p_med) > p_q3 - p_q1:
+        return "gain"
+    if -sign * (c_med - p_med) / p_med > bound:
+        return "worse"
+    if (p_q3 - p_q1) / p_med > bound:
+        return "unresolved"
+    return "same"
+
+
+def spread(runs: list, name: str, better: str, bound: float) -> str:
+    """Both sides' median and quartiles, the pairs the change won, and the verdict."""
     parent = [row["parent"][name] for row in runs]
     change = [row["change"][name] for row in runs]
     p_q1, p_med, p_q3 = quartiles(parent)
@@ -79,7 +102,9 @@ def spread(runs: list, name: str, better: str) -> str:
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     tied = sum(c == p for p, c in zip(parent, change))
     apart = abs(c_med - p_med) > (p_q3 - p_q1)
+    row = verdict(won, len(runs), (p_q1, p_med, p_q3), c_med, better, bound)
     return (
+        f"{row:10s} "
         f"parent {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}]  "
         f"change {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]  "
         f"median {(c_med / p_med - 1) * 100:+.1f} %  "
@@ -120,17 +145,19 @@ def main() -> int:
         )
         print(f"pair {pair + 1:2d}  seed {seed}  first={order[0]:6s}  {cells}", flush=True)
 
-    # Which way is better comes from the change's own benchmark declaration.
+    # Which way is better, and by how much a median may move, come from the
+    # change's own benchmark declaration.
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     better = {metric["name"]: metric["better"] for metric in declared}
+    bound = {metric["name"]: metric["bound"] for metric in declared}
 
     print(f"\n{args.workload}: {len(runs)} alternating pairs, --seconds {args.seconds}")
     for name in MEASURED:
-        print(f"  {name:12s} {spread(runs, name, better[name])}")
+        print(f"  {name:12s} {spread(runs, name, better[name], bound[name])}")
     for name in MODELLED:
         differing = [row for row in runs if row["parent"][name] != row["change"][name]]
         if not differing:
-            print(f"  {name:20s} bit-identical in every pair")
+            print(f"  {name:20s} {'same':10s} bit-identical in every pair")
             continue
         # A modelled metric is deterministic per seed: one row per pair is
         # the whole evidence, so print it, with the direction it moved in.
@@ -146,7 +173,7 @@ def main() -> int:
                 f"({(change / parent - 1) * 100:+.2f} %)  "
                 f"{'better' if moved == better[name] else 'WORSE'}"
             )
-        print(f"      {spread(runs, name, better[name])}")
+        print(f"      {spread(runs, name, better[name], bound[name])}")
     failed = {side: sum(row[side]["failed"] for row in runs) for side in trees}
     print(f"  failed operations: parent {failed['parent']}, change {failed['change']}")
 
