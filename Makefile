@@ -112,7 +112,7 @@ import-time:
 	$(PYTHON) -X importtime -c "import repro.cli" 2>&1 | sort -t'|' -k2,2n | tail -15
 
 test-matrix:
-	$(PYTEST) -q -m "matrix or slow" tests/testkit
+	$(PYTEST) -q -m "matrix or slow" tests/testkit tests/protocols
 
 test-all: test-fast test-matrix
 

@@ -2,53 +2,71 @@
 
 OptSync adds optimistic responsiveness to synchronous SMR: when more than
 3n/4 nodes vote, a block commits after 2δ (actual network delay) instead
-of waiting for the synchronous bound.  For the energy analysis the salient
-difference from Sync HotStuff is the larger quorum: every node must verify
-3n/4 + 1 vote signatures per block instead of n/2 + 1, which is why the
-paper finds Sync HotStuff already more energy-efficient than OptSync and
-EESMR better than both (Section 6, "Let δ be the actual network speed...").
+of waiting for the synchronous bound.  Its synchronous path is Sync
+HotStuff's: the leader proposes on, and every node locks on, reports in
+its status and adopts in catch-up, the same ⌊n/2⌋ + 1 vote certificate.
+What OptSync adds is the responsive count: a node verifies every distinct
+vote for a block up to ⌊3n/4⌋ + 1, and that vote arms the 2δ commit, once.
+A vote past that count is refused before its signatures are checked.
 
-The implementation reuses the Sync HotStuff machinery: it overrides the
-certificate quorum and adds the (shorter) responsive commit wait to the
-timer table.
+For the energy analysis the difference from Sync HotStuff is those extra
+vote verifications.  The paper counts 3n/4 + 1 vote signatures per block
+at every node, which is why it finds Sync HotStuff already more
+energy-efficient than OptSync and EESMR better than both (Section 6, "Let
+δ be the actual network speed...").  Here every node verifies the
+majority certificate the next proposal carries, and the votes that reach
+it; under partial vote forwarding only the leader ever holds ⌊3n/4⌋ + 1
+of them, so the margin over Sync HotStuff is small.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Any, Set
 
 from repro.core.baselines.sync_hotstuff import SyncHotStuffReplica
+from repro.core.messages import ProtocolMessage
 
 
 class OptSyncReplica(SyncHotStuffReplica):
-    """An OptSync node: responsive quorum of 3n/4 + 1 votes."""
+    """An OptSync node: Sync HotStuff plus a 2δ commit on ⌊3n/4⌋ + 1 votes."""
 
     #: Sync HotStuff's waits plus the responsive commit: 2δ, taken as Δ (δ ≪ Δ).
     TIMERS = {**SyncHotStuffReplica.TIMERS, "responsive-commit": 1}
 
+    counts_certified_votes = True
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        #: Blocks whose ⌊3n/4⌋ + 1-th distinct vote has been counted.
+        self.responsive: Set[str] = set()
+
     @cached_property
-    def vote_quorum(self) -> int:
-        """Votes needed for a responsive certificate: ⌊3n/4⌋ + 1."""
+    def responsive_quorum(self) -> int:
+        """Votes that arm the responsive commit: ⌊3n/4⌋ + 1."""
         return (3 * self.config.n) // 4 + 1
 
-    def _vote_uncertified(self, message) -> bool:
-        """Sync HotStuff's guard; each vote it refuses still moves the 2δ deadline
-        (the per-vote re-arm ROADMAP item 1 removes)."""
-        if message.data not in self.certs:
-            return True
-        self._rearm_responsive_commit(message.data)
-        return False
+    def _vote_still_counted(self, message: ProtocolMessage) -> bool:
+        """Admission guard: a vote is verified until its block has the responsive count."""
+        return message.data not in self.responsive
 
-    def _on_vote(self, message) -> None:  # type: ignore[override]
-        """Collect votes; on a responsive quorum, shorten the commit timer."""
-        super()._on_vote(message)
-        if message.data in self.certs:
-            self._rearm_responsive_commit(message.data)
-
-    def _rearm_responsive_commit(self, block_hash: str) -> None:
-        """Responsive path: replace a certified block's synchronous wait with the 2δ wait."""
-        block = self.blocks.get(block_hash)
-        if block is not None and block_hash in self.commit_timers:
+    def _on_vote(self, message: ProtocolMessage) -> None:
+        """Count a vote: the majority forms the certificate, the responsive
+        count arms the 2δ commit of a block this node is waiting to commit."""
+        block_hash = message.data
+        per_block = self.votes.setdefault(block_hash, {})
+        per_block[message.sender] = message
+        count = len(per_block)
+        if count >= self.vote_quorum and block_hash not in self.certs:
+            self._certify(block_hash, per_block)
+        if count < self.responsive_quorum:
+            return
+        del self.votes[block_hash]
+        self.responsive.add(block_hash)
+        if block_hash in self.commit_timers:
             self.commit_timers.start(
-                block_hash, self.timer_delay("responsive-commit"), self._commit_on_timer, block
+                block_hash,
+                self.timer_delay("responsive-commit"),
+                self._commit_on_timer,
+                self.blocks.get(block_hash),
             )

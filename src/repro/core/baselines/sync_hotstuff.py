@@ -11,7 +11,10 @@ Sync HotStuff:
   verification O(n) per node);
 * a node commits ``B_k`` 2Δ after voting if it saw no equivocation;
 * a quorum of n/2 + 1 votes forms the certificate the leader attaches to
-  the next proposal.
+  the next proposal;
+* a node locks the highest certified block a proposal or a status brought
+  it and votes only for a proposal that extends it; a new leader extends
+  the highest certified block it holds.
 
 The view change (blame, quit view, status, new leader re-proposal) is the
 standard synchronous one; it is cheaper than EESMR's because the steady
@@ -58,12 +61,16 @@ class SyncHotStuffReplica(LeaderReplica):
     #: O(n^2 d) behaviour) and is used by the ablation benchmark.
     vote_forwarding = "partial"
 
+    #: Whether a certified block's votes are still verified and counted
+    #: (OptSync counts them up to its responsive quorum).
+    counts_certified_votes = False
+
     _HANDLERS = {
         **LeaderReplica._HANDLERS,
         MessageType.SHS_PROPOSE: ("_on_propose", Admit(
             CertifiedBlock, from_leader=True, guard="_outside_view_change"
         )),
-        MessageType.SHS_VOTE: ("_on_vote", Admit(str, guard="_vote_uncertified")),
+        MessageType.SHS_VOTE: ("_on_vote", Admit(str, guard="_vote_still_counted")),
         # Any view: a status is sent in the view being quit and read while
         # the next one starts, and its certificate is checked on its own.
         MessageType.SHS_STATUS: ("_on_status", Admit(CertifiedBlock, InView.ANY)),
@@ -77,6 +84,7 @@ class SyncHotStuffReplica(LeaderReplica):
         self.certs: Dict[str, QuorumCertificate] = {}
         self.votes: Dict[str, Dict[NodeId, ProtocolMessage]] = {}
         self.voted_blocks: set[str] = set()
+        self.last_vote: Optional[ProtocolMessage] = None
 
     # ----------------------------------------------------------- parameters
     @cached_property
@@ -130,31 +138,26 @@ class SyncHotStuffReplica(LeaderReplica):
         self._record_proposal(message, block.height, block.block_hash)
         if self.v_cur in self.equivocation_handled:
             return
-        cert_ok = False
-        cert_block: Optional[Block] = None
-        if cert is not None:
-            cert_ok = self.verify_quorum_certificate(cert, _SHS_VOTE)
-            cert_block = cert.block
-            if cert_ok and cert_block is not None:
-                self._adopt_certificate(cert, cert_block)
+        if (
+            cert is not None
+            and self.verify_quorum_certificate(cert, _SHS_VOTE)
+            and cert.block is not None
+        ):
+            self._adopt_certificate(cert, cert.block)
         self.store_block(block)
-        if not self.blocks.has_ancestry(block):
-            return
-        extends_lock = self.blocks.extends(block, self.b_lock)
-        justified_switch = (
-            cert_ok and cert_block is not None and cert_block.height >= self.b_lock.height
-        )
-        if not extends_lock and not justified_switch:
+        # Vote only for a block that extends the lock: the highest certified
+        # block a proposal or status brought (``_adopt_certificate``).
+        if not self.blocks.has_ancestry(block) or not self.blocks.extends(block, self.b_lock):
             return
         if block.block_hash in self.voted_blocks:
             return
         self.voted_blocks.add(block.block_hash)
-        self.b_lock = block
         self.stats.proposals_received += 1
         vote = self.sign_message(
             MessageType.SHS_VOTE, block.block_hash, view=self.v_cur, round_number=block.height
         )
         self.stats.votes_sent += 1
+        self.last_vote = vote
         self._send_vote(vote)
         self.commit_timers.start(
             block.block_hash, self.timer_delay("commit"), self._commit_on_timer, block
@@ -176,7 +179,7 @@ class SyncHotStuffReplica(LeaderReplica):
         self.deliver(self.pid, vote)
 
     # ----------------------------------------------------------------- votes
-    def _vote_uncertified(self, message: ProtocolMessage) -> bool:
+    def _vote_still_counted(self, message: ProtocolMessage) -> bool:
         """Admission guard: a vote for a block already certified is not verified."""
         return message.data not in self.certs
 
@@ -184,14 +187,16 @@ class SyncHotStuffReplica(LeaderReplica):
         block_hash = message.data
         per_block = self.votes.setdefault(block_hash, {})
         per_block[message.sender] = message
-        quorum = self.certificate_quorum(_SHS_VOTE)
-        if len(per_block) < quorum:
+        if len(per_block) < self.vote_quorum:
             return
-        block = self.blocks.get(block_hash)
-        cert = make_qc(list(per_block.values())[:quorum], block=block)
-        self.certs[block_hash] = cert
-        # Every later vote for the block returns on ``certs`` above.
+        # Every later vote for the block is refused on ``certs`` by the guard.
         del self.votes[block_hash]
+        self._certify(block_hash, per_block)
+
+    def _certify(self, block_hash: str, votes: Dict[NodeId, ProtocolMessage]) -> None:
+        """``votes`` reached the quorum: keep their certificate; the leader proposes on it."""
+        block = self.blocks.get(block_hash)
+        self.certs[block_hash] = make_qc(list(votes.values())[: self.vote_quorum], block=block)
         self.stats.certificates_formed += 1
         if self.is_leader(self.v_cur) and block_hash == self.leader_chain_tip.block_hash:
             self.after(self.config.block_interval, self._propose_next, label="shs:propose")
@@ -213,10 +218,20 @@ class SyncHotStuffReplica(LeaderReplica):
             self._check_blame_quorum(view)
 
     def _quit_view(self, view: View) -> None:
-        """Report the highest certified block, then wait 2Δ for everyone else's."""
+        """Report the highest certified block, then wait 2Δ for everyone else's.
+
+        A vote reaches only the leader and the voter's neighbours, so when
+        the leader fails, a block some node has committed may be certified
+        nowhere else.  A node whose last vote is above the block it reports
+        floods that vote too: every node then forms the certificate in the
+        wait, and the next leader extends the block.
+        """
         block, cert = self._highest_certified()
         status = self.sign_message(MessageType.SHS_STATUS, CertifiedBlock(block, cert), view=view)
         self.broadcast(status)
+        vote = self.last_vote
+        if vote is not None and vote.round > block.height:
+            self.broadcast(vote)
         self.after(
             self.timer_delay("quit-view"), self._start_new_view, label="shs:new-view", args=(view,)
         )
@@ -233,16 +248,20 @@ class SyncHotStuffReplica(LeaderReplica):
             self._adopt_certificate(cert, cert.block)
 
     def _adopt_certificate(self, cert: QuorumCertificate, block: Block) -> None:
-        """Keep a verified certificate a proposal or status carried for ``block``.
+        """Keep a verified certificate a proposal or status carried for ``block``,
+        and lock ``block`` if it is the highest certified block with ancestry.
 
-        Its vote set is done with: ``_on_vote`` returns on ``certs`` before
-        it reads ``votes``.  Commits prune nothing, since under loss the
-        leader may still need late votes for the certificate that releases
-        its next proposal.
+        Its vote set is done with unless ``counts_certified_votes``: the
+        guard refuses a vote for a block in ``certs``.  Commits prune
+        nothing, since under loss the leader may still need late votes for
+        the certificate that releases its next proposal.
         """
         self.store_block(block)
         self.certs.setdefault(block.block_hash, cert)
-        self.votes.pop(block.block_hash, None)
+        if not self.counts_certified_votes:
+            self.votes.pop(block.block_hash, None)
+        if block.height > self.b_lock.height and self.blocks.has_ancestry(block):
+            self.b_lock = block
 
     def _sync_tip_certificate(self, tip: Block) -> Optional[QuorumCertificate]:
         """Serve the vote certificate for a caught-up tip, if we hold one."""
@@ -273,18 +292,7 @@ class SyncHotStuffReplica(LeaderReplica):
             self.hooks.view_change(self.pid, self.v_cur, self.sim.now)
         self.blame_timer.start(self.timer_delay("new-view-blame"))
         if self.is_leader(self.v_cur):
-            block, _ = self._highest_certified()
-            # A new leader may hold a lock above its highest certificate —
-            # with OptSync's 3n/4+1 quorum and partial vote forwarding,
-            # non-leader nodes can end a view with no certificate at all.
-            # Extending only the certified block would then fork away from
-            # every correct node's lock and no proposal would ever gather
-            # votes again (a livelock).  The leader's own lock is a block
-            # every correct node also locked (it was flooded), so extending
-            # it is safe and restores progress.
-            if self.blocks.has_ancestry(self.b_lock) and self.b_lock.height > block.height:
-                block = self.b_lock
-            self.leader_chain_tip = block
+            self.leader_chain_tip, _ = self._highest_certified()
             self.after(
                 self.timer_delay("new-view-propose"),
                 self._propose_next,

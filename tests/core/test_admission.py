@@ -74,7 +74,7 @@ SYNC_HOTSTUFF_TABLE = {
         "_on_propose",
         Admit(CertifiedBlock, from_leader=True, guard="_outside_view_change"),
     ),
-    T.SHS_VOTE: ("_on_vote", Admit(str, guard="_vote_uncertified")),
+    T.SHS_VOTE: ("_on_vote", Admit(str, guard="_vote_still_counted")),
     # Deliberately any view: a status is sent in the view being quit.
     T.SHS_STATUS: ("_on_status", Admit(CertifiedBlock, view=ANY)),
 }

@@ -124,14 +124,16 @@ def test_matrix_subcommand(tmp_path, capsys):
 
 
 def test_matrix_reports_a_mid_run_safety_violation(capsys):
-    """This impaired OptSync cell forks mid-run (ROADMAP item 9): the sweep
-    names the cell's agreement failure and exits 1, with no traceback."""
+    """This EESMR cell forks mid-run (ROADMAP item 9: Δ = 4.0 under
+    ``ble-calibrated`` is outside the model): the sweep names the cell's
+    agreement failure and exits 1, with no traceback."""
     code = main(
         [
             "matrix",
-            "--protocols", "optsync",
-            "--faults", "none", "leader-partition-fork",
-            "--topologies", "star",
+            "--protocols", "eesmr",
+            "--faults", "none", "equivocate+drop-window",
+            "--topologies", "ring-kcast",
+            "--workloads", "open-loop",
             "--media", "wifi",
             "--impairments", "ble-calibrated",
             "-n", "5",
@@ -142,7 +144,10 @@ def test_matrix_reports_a_mid_run_safety_violation(capsys):
     assert "cells run           : 2" in out
     assert "invariants          : 1 FAILURES" in out
     (failure,) = [line for line in out.splitlines() if "FAIL:" in line]
-    assert "optsync×leader-partition-fork×wifi×star×ble-calibrated: [agreement @" in failure
+    assert (
+        "eesmr×equivocate+drop-window×wifi×ring-kcast×open-loop×ble-calibrated: [agreement @"
+        in failure
+    )
     assert "tried to commit" in failure
 
 

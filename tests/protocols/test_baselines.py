@@ -5,7 +5,9 @@ import pytest
 from repro.core.adversary import FaultPlan
 from repro.energy.meter import EnergyCategory
 from repro.eval.runner import DeploymentSpec, run_protocol
-from repro.session import Session
+from repro.session import Session, SessionBuilder
+from repro.testkit.faults import CrashAt, FaultSchedule
+from repro.testkit.scenarios import judge
 from tests.conftest import honest_spec
 
 
@@ -109,6 +111,30 @@ def test_a_carried_certificate_frees_its_vote_set(protocol):
     assert tip.height == 50
     for replica in replicas:
         assert set(replica.votes) <= {tip.block_hash}, replica.pid
+
+
+@pytest.mark.parametrize("block_interval", (0, 2.0))
+@pytest.mark.parametrize("crash_time", (1.0, 5.0, 10.0))
+@pytest.mark.parametrize("protocol", ["sync-hotstuff", "optsync"])
+def test_a_leader_that_crashes_mid_run_forks_nothing(protocol, crash_time, block_interval):
+    """Votes reach only the leader and a voter's neighbours, so when the leader
+    crashes, nodes may have committed a block whose certificate nobody else
+    holds.  Each node floods its last vote as it quits the view, every node
+    forms that certificate, and the next leader extends the block: without
+    the flood, every one of these cells commits two blocks at one height."""
+    spec = DeploymentSpec(
+        protocol=protocol,
+        n=9,
+        f=4,
+        k=2,
+        target_height=6,
+        seed=0,
+        block_interval=block_interval,
+        fault_schedule=FaultSchedule((CrashAt(0, crash_time),)),
+    )
+    verdict = judge(f"crash:{protocol}", spec, SessionBuilder)
+    assert verdict.ok, [report.detail for report in verdict.violations()]
+    assert verdict.result.view_changes >= 1
 
 
 def test_trusted_baseline_commits_all_blocks():

@@ -12,13 +12,12 @@ invariant battery that node 0 is Byzantine and never fail-stops it within
 the run.
 
 Every cell stays inside the paper's model: no impairment, one faulty node,
-f < n/2.  The cells that fail today are ``xfail(strict=True)``: ROADMAP
-item 1 (one quorum fix for OptSync's fork and certified-tip stall) is the
-fix they wait for, and item 21(a) then puts these leaders in the fault
-plane.
+f < n/2.  Every cell passes since both baselines lock the highest certified
+block, vote only for a block that extends it, and a new leader extends its
+highest certified block; before that, 2 Sync HotStuff and 23 OptSync cells
+at n <= 9 stalled or forked.  Item 21(a) of the ROADMAP then puts these
+leaders in the fault plane.
 """
-
-import dataclasses
 
 import pytest
 
@@ -33,39 +32,12 @@ from repro.testkit.scenarios import judge
 #: The height at which the leader equivocates.
 EQUIVOCATION_HEIGHT = 3
 
-SHAPES = ((5, 2, 2), (7, 3, 3), (9, 4, 2))
+#: (n, f, k, target height) of each probed shape.
+SHAPES = ((5, 2, 2, 6), (7, 3, 3, 6), (9, 4, 2, 6), (13, 6, 7, 10), (25, 5, 2, 10))
 BLOCK_INTERVALS = (0, 2.0)
-SEEDS = range(8)
-
-#: (protocol, n, block_interval, seed) -> the invariants the cell fails
-#: today: 2 Sync HotStuff stalls; 9 OptSync forks and 22 OptSync stalls.
-KNOWN_FAILURES = {
-    ("sync-hotstuff", 9, 2.0, 5): "liveness",
-    ("sync-hotstuff", 9, 2.0, 7): "liveness",
-    ("optsync", 5, 0, 3): "agreement, liveness",
-    ("optsync", 5, 0, 4): "agreement, liveness",
-    ("optsync", 5, 0, 5): "liveness",
-    ("optsync", 5, 0, 6): "liveness",
-    ("optsync", 5, 2.0, 3): "agreement, liveness",
-    ("optsync", 5, 2.0, 4): "agreement, liveness",
-    ("optsync", 5, 2.0, 5): "liveness",
-    ("optsync", 5, 2.0, 6): "liveness",
-    ("optsync", 7, 0, 1): "liveness",
-    ("optsync", 7, 0, 2): "liveness",
-    ("optsync", 7, 0, 6): "liveness",
-    ("optsync", 7, 0, 7): "liveness",
-    ("optsync", 7, 2.0, 1): "liveness",
-    ("optsync", 7, 2.0, 2): "liveness",
-    ("optsync", 7, 2.0, 6): "liveness",
-    ("optsync", 7, 2.0, 7): "liveness",
-    ("optsync", 9, 0, 5): "agreement, liveness",
-    ("optsync", 9, 0, 6): "agreement, liveness",
-    ("optsync", 9, 0, 7): "liveness",
-    ("optsync", 9, 2.0, 4): "agreement",
-    ("optsync", 9, 2.0, 5): "agreement, liveness",
-    ("optsync", 9, 2.0, 6): "agreement, liveness",
-    ("optsync", 9, 2.0, 7): "liveness",
-}
+#: Seeds 0-7 run in tier-1; the rest of 0-31 under ``-m matrix``.
+SEEDS = range(32)
+TIER1_SEEDS = range(8)
 
 
 class _Equivocate:
@@ -114,13 +86,13 @@ class EquivocatingLeaderBuilder(SessionBuilder):
         return session
 
 
-def probe_spec(protocol, n, f, k, block_interval, seed):
+def probe_spec(protocol, n, f, k, block_interval, seed, target_height=6):
     return DeploymentSpec(
         protocol=protocol,
         n=n,
         f=f,
         k=k,
-        target_height=6,
+        target_height=target_height,
         seed=seed,
         block_interval=block_interval,
         fault_schedule=FaultSchedule(
@@ -131,56 +103,44 @@ def probe_spec(protocol, n, f, k, block_interval, seed):
 
 def _cells():
     for protocol in ("sync-hotstuff", "optsync"):
-        for n, f, k in SHAPES:
+        for n, f, k, target_height in SHAPES:
             for block_interval in BLOCK_INTERVALS:
                 for seed in SEEDS:
-                    args = (protocol, n, f, k, block_interval, seed)
-                    cell_id = f"{protocol}-n{n}-bi{block_interval}-s{seed}"
-                    failure = KNOWN_FAILURES.get((protocol, n, block_interval, seed))
-                    marks = ()
-                    if failure is not None:
-                        marks = pytest.mark.xfail(
-                            strict=True,
-                            raises=AssertionError,
-                            reason=f"{failure} under one equivocating leader; ROADMAP item 1",
-                        )
-                    yield pytest.param(*args, id=cell_id, marks=marks)
+                    marks = () if seed in TIER1_SEEDS else pytest.mark.matrix
+                    yield pytest.param(
+                        protocol, n, f, k, target_height, block_interval, seed,
+                        id=f"{protocol}-n{n}-bi{block_interval}-s{seed}",
+                        marks=marks,
+                    )
 
 
-@pytest.mark.parametrize("protocol, n, f, k, block_interval, seed", list(_cells()))
+@pytest.mark.parametrize(
+    "protocol, n, f, k, target_height, block_interval, seed", list(_cells())
+)
 def test_one_equivocating_leader_keeps_the_baseline_safe_and_live(
-    protocol, n, f, k, block_interval, seed
+    protocol, n, f, k, target_height, block_interval, seed
 ):
-    spec = probe_spec(protocol, n, f, k, block_interval, seed)
+    spec = probe_spec(protocol, n, f, k, block_interval, seed, target_height)
     verdict = judge(f"probe:{protocol}", spec, EquivocatingLeaderBuilder)
     assert verdict.ok, [report.detail for report in verdict.violations()]
     # The probe bites: the honest nodes saw the two proposals.
     assert verdict.result.equivocations_detected > 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="Sync HotStuff x equivocate livelocks at n=25 (CHANGES.md FOUND): "
-    "_start_new_view arms T_blame in every view after the last block commits",
-)
 def test_one_equivocating_leader_lets_sync_hotstuff_quiesce_at_n25(monkeypatch):
-    """The bench's viewchange-n25 shape at bench seed 3: when the event budget
-    trips, all 24 honest nodes have committed height 10 and sit in view 43."""
+    """The bench's viewchange-n25 shape at bench seed 3.  While a node locked
+    the block it voted for, this run never quiesced: every honest node
+    committed height 10, then each view timed out into the next until the
+    event budget tripped (in view 43)."""
     monkeypatch.setattr(session_module, "MAX_EVENTS", 60_000)
-    spec = dataclasses.replace(probe_spec("sync-hotstuff", 25, 5, 2, 0, 10), target_height=10)
+    spec = probe_spec("sync-hotstuff", 25, 5, 2, 0, 10, target_height=10)
     verdict = judge("probe:sync-hotstuff", spec, EquivocatingLeaderBuilder)
     assert verdict.ok, [report.detail for report in verdict.violations()]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="Sync HotStuff forks at n=25 under one equivocating leader (CHANGES.md FOUND): "
-    "a node locks the block it votes for, not the highest certified one; ROADMAP item 1",
-)
 def test_one_equivocating_leader_keeps_sync_hotstuff_safe_at_n25():
-    """Seed 1, no block interval: node 7 commits another height-6 block."""
-    spec = dataclasses.replace(probe_spec("sync-hotstuff", 25, 5, 2, 0, 1), target_height=10)
+    """Seed 1, no block interval.  While a node locked the block it voted
+    for, node 7 committed another height-6 block here."""
+    spec = probe_spec("sync-hotstuff", 25, 5, 2, 0, 1, target_height=10)
     verdict = judge("probe:sync-hotstuff", spec, EquivocatingLeaderBuilder)
     assert verdict.ok, [report.detail for report in verdict.violations()]

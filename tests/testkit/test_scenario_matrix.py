@@ -484,3 +484,21 @@ def test_recovery_cells_across_all_protocols_and_media():
         # >= : rolling schedules can legitimately overshoot the target
         # while the last window heals.
         assert heights[matrix.n - 1] >= matrix.target_height, outcome.cell.label()
+
+
+@pytest.mark.matrix
+@pytest.mark.parametrize("block_interval", (0, 2.0))
+def test_recovery_cells_over_120_seeds(block_interval):
+    """Every protocol heals a partition and a power cycle at 120 run seeds
+    (n=5, BLE, preload).  Before OptSync certified at n/2 + 1, 11 of its 480
+    cells (both block intervals) stalled one block short under crash-recover:
+    only the leader held the last block's 3n/4 + 1 certificate."""
+    for seed in range(120):
+        report = ScenarioMatrix(
+            fault_names=("partition-heal", "crash-recover"),
+            media=("ble",),
+            block_interval=block_interval,
+            seed=seed,
+        ).run()
+        assert report.cells_run == 2 * len(PROTOCOLS), seed
+        report.assert_clean()
