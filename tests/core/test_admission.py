@@ -198,6 +198,8 @@ def scenario(session, msg_type, broken=None):
             replica.v_cur = view = 2  # node 1 leads view 2
         elif msg_type is T.SHS_PROPOSE:
             replica.in_view_change = True
+        elif msg_type is T.SHS_VOTE and isinstance(replica, OptSyncReplica):
+            replica.responsive.add(data)  # the block's responsive count is reached
         elif msg_type is T.SHS_VOTE:
             replica.certs[data] = certificate(session, T.SHS_VOTE, range(replica.vote_quorum))
     return replica, sign(session, sender, msg_type, data, view, round_number)

@@ -5,7 +5,9 @@ cert_type)``, naming the type it adopts: a certificate of another type
 vouches for nothing and is refused before any signature is checked, so it
 costs no verification energy.  How many signers a type needs is the
 holder's ``certificate_quorum(cert_type)``: f + 1, except a Sync HotStuff /
-OptSync vote certificate, which needs ``vote_quorum``.
+OptSync vote certificate, which needs ``vote_quorum`` (⌊n/2⌋ + 1).  OptSync's
+⌊3n/4⌋ + 1 is not a certificate's size: it is the vote count that arms the
+responsive commit.
 """
 
 import pytest
@@ -18,12 +20,15 @@ from repro.session import Session
 from tests.conftest import honest_spec
 
 #: protocol -> each certificate type its replicas adopt -> the signers it
-#: needs at n = 7, f = 2: f + 1 = 3, ⌊n/2⌋ + 1 = 4 and ⌊3n/4⌋ + 1 = 6.
+#: needs at n = 7, f = 2: f + 1 = 3 and ⌊n/2⌋ + 1 = 4.
 ADOPTED = {
     "eesmr": {T.BLAME: 3, T.CERTIFY: 3, T.VOTE: 3},
     "sync-hotstuff": {T.BLAME: 3, T.SHS_VOTE: 4},
-    "optsync": {T.BLAME: 3, T.SHS_VOTE: 6},
+    "optsync": {T.BLAME: 3, T.SHS_VOTE: 4},
 }
+
+#: OptSync's responsive count at n = 7: ⌊3n/4⌋ + 1 = 6 votes arm its 2δ commit.
+OPTSYNC_RESPONSIVE_QUORUM = 6
 
 #: Every type some protocol certifies.
 CERTIFIED = (T.BLAME, T.CERTIFY, T.VOTE, T.SHS_VOTE)
@@ -88,6 +93,8 @@ def test_each_adopted_type_verifies_at_its_holders_quorum(protocol):
         assert not replica.verify_quorum_certificate(
             certificate(session, cert_type, range(quorum - 1)), cert_type
         )
+    if protocol == "optsync":
+        assert replica.responsive_quorum == OPTSYNC_RESPONSIVE_QUORUM
 
 
 def test_eesmr_adopts_a_synced_suffix_on_vouchers_not_on_a_certificate():

@@ -102,13 +102,22 @@ def test_optsync_commits_and_costs_at_least_sync_hotstuff():
 
 @pytest.mark.parametrize("protocol", ["sync-hotstuff", "optsync"])
 def test_a_carried_certificate_frees_its_vote_set(protocol):
-    """A replica drops a block's partial vote set once a proposal brings its
-    certificate; only the last block's, which no proposal carries, stays."""
+    """A Sync HotStuff replica drops a block's partial vote set once a proposal
+    brings its certificate; only the last block's, which no proposal carries,
+    stays.  OptSync verifies a certified block's votes up to its responsive
+    count and drops the set there, which under partial vote forwarding only
+    the leader reaches."""
     spec = DeploymentSpec(protocol=protocol, n=25, f=5, k=2, target_height=50, seed=7)
     session = Session.from_spec(spec).run()
     replicas = list(session.replicas.values())
     tip = replicas[0].log.committed_blocks()[-1]
     assert tip.height == 50
+    if protocol == "optsync":
+        assert replicas[0].votes == {} and len(replicas[0].responsive) == 50
+        for replica in replicas:
+            sizes = [len(votes) for votes in replica.votes.values()]
+            assert all(size < replica.responsive_quorum for size in sizes), replica.pid
+        return
     for replica in replicas:
         assert set(replica.votes) <= {tip.block_hash}, replica.pid
 

@@ -60,6 +60,9 @@ reason given there: energy became integer operation counts, priced when
 read.  Each trace without its ``energy_*`` keys is byte-identical to before
 (``tests/testkit/test_energy_free_pins.py``).
 
+The 7 OptSync pins were re-pinned once more, with the golden fingerprints
+and for the reason given there: OptSync certifies by majority.
+
 An event-plane change that keeps every ``(time, seq, label)``
 keeps these byte-for-byte; update them only for an intentional protocol
 or model change, and say why in the PR.
@@ -96,11 +99,11 @@ STACKED_LOSSY = ImpairmentSpec(loss=0.2, max_retries=2)
 PINS = {
     "lossy/eesmr": "d6d3b5891baade3c29e8efb022d9fd09b94ffd0c0f6ec6d4b459507ff5ff9946",
     "lossy/sync-hotstuff": "6fa767419e7b7de8c3b5d3c211b90d584c70e53c8861a14e5717c0a6a3439023",
-    "lossy/optsync": "ccea033240000c6764f7634d10bf86d306cc5245ee5611e87dfbb46acb8ee80f",
+    "lossy/optsync": "2a875d9b5b1e712572c54c2fd0850f5a246a66b2afb1aae332f6352602821603",
     "lossy/trusted-baseline": "d54ffe76bd90867bc102c98735e7a3406d7dab0c4e35ad49d4b812a14af7f4cf",
     "giveup/eesmr": "ed5bb40f186ea1ac2e7fe165cbc2a0d5f276778d8b2faaec1954e40193de2df4",
     "giveup/sync-hotstuff": "2ed7be69770f164c44833cc72dca951758cea3eecd46a6cdffc36335d17c3df8",
-    "giveup/optsync": "25a578bcafe1a048466f0b39bad42486a75242d4fc421da45fecba87be0f167f",
+    "giveup/optsync": "3c76e9c0b4d460ccc96cfe43ec1e33482c2e24d7825a39a7b63c07a4cbecb350",
     "giveup/trusted-baseline": "2a631eee9b9f32c1ff5313e4eb5c131cd7ab317b3e57c5282c2445e4b3e00f83",
     "silent_leader/eesmr": "0811eb590d5f1133d4419e475890909b1d198b02d5ca9dbc6e44a92d9a3c9e1f",
     "equivocate/eesmr": "0867eb08b876813ff3f0c09c52a43665abe8a595fea65e0165a7b6c48613ca08",
@@ -108,16 +111,16 @@ PINS = {
     "silent_leader/sync-hotstuff": "48661fa45d6115dfb175b67ea08f21a84198e18521f83e22ae651e2b7fbb61a9",
     "equivocate/sync-hotstuff": "c26cb55c2ababbe3d6ee302ed718be26f3b9ae21e63eaea976b3048c24dfa35d",
     "crash/sync-hotstuff": "1195bea95adcf3ec3cbc83ec37d99f6a4e957c1d5c189c460b519ee242977807",
-    "silent_leader/optsync": "d1963359ff9eef5dae2f8db6c9e9e878248accf3927140798086f806f74e65de",
-    "equivocate/optsync": "2ca2834fd3467c4e1310ac0d1ee0af1442bd856faed6c31c2e8ae42be44ee2c0",
-    "crash/optsync": "e54620ec6d8b0b9799885d4020da3f40fbd101ddf9b7e14b0649b10f1510c56d",
+    "silent_leader/optsync": "74168a97f258632e02b30336dfc88ed5e168c3a6319d771f0bad3007b89df55b",
+    "equivocate/optsync": "bbdb06cdd38b24a9350d2001b2dd71c94d029212892571e50b60c38ae4a4134f",
+    "crash/optsync": "eaa7444bcc5a4c8f247ecdfee1dbf31b140f8c7ec77ecdc0d1694ea840ae111a",
     "stacked/eesmr": "709e9ed146dde2ba04c5b682717f2beac248766b1ce74c3841994dd96a25efb9",
     "stacked/sync-hotstuff": "344a2b8c8cad98d739e9760b6595346b93a778667033f8129f578353a6e6301e",
-    "stacked/optsync": "c3049c332d1d837534f71c920f26def50b881e08d4ca10a649fb0857a1ce6d45",
+    "stacked/optsync": "502af4f346a91602977a159f85625d25795851dbc93f3e7e8b73c6aaceecc9db",
     "stacked/trusted-baseline": "8ba8db6d07642065c2b1196f8164ca9acda9d39e1a6f50df37b7f4ff4285cf9a",
     "stacked-lossy/eesmr": "95466a081de2d6fa7e0d8641b42c4168120083dde29cde7dbb6a2e367ba85924",
     "stacked-lossy/sync-hotstuff": "e763f6acbb659fcc2516dd570de615d6be008654331420f1613c6c4f0ddc5f9a",
-    "stacked-lossy/optsync": "772416eb880708b53b075c23f15325e0066da30e42842a11b53b6d54dc9faa0b",
+    "stacked-lossy/optsync": "e14c9e312e0861cba7a1a235b32bb00b256cfd60cf8e1352f6603c0987a2ebfb",
     "stacked-lossy/trusted-baseline": "4503f0c697170ff822544eb4a480064c964fbd927255af90ead8f9b4ce539218",
 }
 

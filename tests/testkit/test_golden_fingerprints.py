@@ -42,6 +42,11 @@ operation counts: the trace's three energy fields became one,
 moved per-node energy by at most 2.7e-15 relative across every pinned run.
 With every ``energy_*`` key removed, each trace hashes to its previous
 value, which ``tests/testkit/test_energy_free_pins.py`` asserts.
+
+Re-pinned a fifth time, OptSync only, when OptSync began certifying a
+block with ⌊n/2⌋ + 1 votes and arming its responsive commit once, on the
+⌊3n/4⌋ + 1-th: a protocol change, so its run moved.  Every other pinned
+value is held unedited in ``tests/testkit/test_guard_pins.py``.
 """
 
 import pytest
@@ -53,7 +58,7 @@ from repro.testkit.trace import TraceRecorder
 GOLDEN = {
     "eesmr": "3170437f2e68d051e0ddba9c37ef6ef3eb646adc45c22289fe4e8ed91a6e0987",
     "sync-hotstuff": "ead7a85bad1d4ac8bcb3feb808b0aa0105eba69d5b0ccaf7d394c4d76b042ae7",
-    "optsync": "4a6e043e2824e2cbbe303dfbeb91a0bb43b520da9bb2ae677c95169719cdfff8",
+    "optsync": "580780c74415071d020501ecfa90d0e4337a493618fbb2116a26e5dc6d2b2f1f",
     "trusted-baseline": "02836a6801149b749e157dcef8af917799b1c6ee089515c1339ba7be240a6c5e",
 }
 

@@ -32,7 +32,9 @@ them.
 
 Every value in both tables was re-pinned once, with the golden
 fingerprints and for the reason given there: the traces' energy became
-integer operation counts (``energy_counts``), priced when read.
+integer operation counts (``energy_counts``), priced when read.  The 5
+OptSync values were re-pinned once more, with the golden fingerprints and
+for the reason given there: OptSync certifies by majority.
 """
 
 import re
@@ -60,7 +62,7 @@ COMMIT_LABEL = re.compile(r"(timer:p\d+:t-commit:)([^,]+(?:,[^,]+)+)")
 PER_RECEIVER = {
     "golden/eesmr": "594b01d459121346493927fba29678be3a89d11d9e860ef0d2e6df8abcd49eb0",
     "golden/sync-hotstuff": "2f128073a71f06aeb44db19341131b01d4d8077c4fc021fde5a2b9bb1956d75e",
-    "golden/optsync": "dd9862f44a44d9989019892aa9b3c5f0f4622b944c811367251b5151c281dd84",
+    "golden/optsync": "e547a795a43f4215ed77721abe0872f55873ed128912ea1b4f98070e869b223c",
     "golden/wifi-n9": "d88207365e187541bd4f6391f61717bec3cb211e91075d927838720b6026b80f",
     "relay-drop-window": "74fc63f7375352062a8374d2d185e853d809fc4551578c61f9b1e7be15f30f07",
     "partition-heal": "382ef5894ded9a5c744d9808f13267717d3b0e82f64869f25317bc606a39912f",
@@ -70,12 +72,12 @@ PER_RECEIVER = {
     "silent_leader/sync-hotstuff": "10350cb1ad0cfedf71b951952a94f6e7e5476a5c4fa867d6356eee10bb78289c",
     "equivocate/sync-hotstuff": "ebdf08ce2994687e2d1c37ecde666c3aae04d745a5295f7368792f17d433193d",
     "crash/sync-hotstuff": "2703f17495efb2a6f307c00679f1d7bf6c4149c087719990fd0bd6f6169b7adf",
-    "silent_leader/optsync": "8874b1cb16550e8c5c5d613ae3472547c485ba903a0f487f44453d4a482d605f",
-    "equivocate/optsync": "3d829df9cb41984ca50c9ade83c78c5c16efa78ffbf81f13ea2da800a780d4a5",
-    "crash/optsync": "cb6b0e0921a6f690a9b4a26ed0492c630146fe3ce6d704a82a9f5fe15e261ddb",
+    "silent_leader/optsync": "4fc31d13b23c1e5ec60fbcd97db2fb1031d429584279b2f94627b947635299d2",
+    "equivocate/optsync": "c7ef588698e5e27ec13dfa232c94a7ba98b14becfd59c8fd2da76c4b257767c1",
+    "crash/optsync": "c450e425af767994d2aa90c14bd8277580c3da4c8171096237ff40aef0bbbbc4",
     "stacked/eesmr": "f4506771c5b0f243b4e7bbe09d6cc406538cf71c745a9c2d1464cbb72f9700f1",
     "stacked/sync-hotstuff": "3aa6bb88e10d54d3d6a37e40ddeaa919514717774a467a00003ac01e553bb7fb",
-    "stacked/optsync": "ae0edf44e432f15e17ec3da5986298b39f4a09c918956fd9528e91e49b93fcb4",
+    "stacked/optsync": "77a5b9d9f384e11e4fa7efcecfb3a677c7adb7f0934a239b3bfa5b8e491151fc",
 }
 
 
