@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Any, Set
 
-from repro.core.baselines.sync_hotstuff import SyncHotStuffReplica
+from repro.core.baselines.sync_hotstuff import _SHS_VOTE, SyncHotStuffReplica
 from repro.core.messages import ProtocolMessage
 
 
@@ -57,7 +57,7 @@ class OptSyncReplica(SyncHotStuffReplica):
         per_block = self.votes.setdefault(block_hash, {})
         per_block[message.sender] = message
         count = len(per_block)
-        if count >= self.vote_quorum and block_hash not in self.certs:
+        if count >= self.certificate_quorum(_SHS_VOTE) and block_hash not in self.certs:
             self._certify(block_hash, per_block)
         if count < self.responsive_quorum:
             return

@@ -187,7 +187,7 @@ class SyncHotStuffReplica(LeaderReplica):
         block_hash = message.data
         per_block = self.votes.setdefault(block_hash, {})
         per_block[message.sender] = message
-        if len(per_block) < self.vote_quorum:
+        if len(per_block) < self.certificate_quorum(_SHS_VOTE):
             return
         # Every later vote for the block is refused on ``certs`` by the guard.
         del self.votes[block_hash]
@@ -196,7 +196,8 @@ class SyncHotStuffReplica(LeaderReplica):
     def _certify(self, block_hash: str, votes: Dict[NodeId, ProtocolMessage]) -> None:
         """``votes`` reached the quorum: keep their certificate; the leader proposes on it."""
         block = self.blocks.get(block_hash)
-        self.certs[block_hash] = make_qc(list(votes.values())[: self.vote_quorum], block=block)
+        quorum = self.certificate_quorum(_SHS_VOTE)
+        self.certs[block_hash] = make_qc(list(votes.values())[:quorum], block=block)
         self.stats.certificates_formed += 1
         if self.is_leader(self.v_cur) and block_hash == self.leader_chain_tip.block_hash:
             self.after(self.config.block_interval, self._propose_next, label="shs:propose")
