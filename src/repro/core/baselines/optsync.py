@@ -3,20 +3,14 @@
 OptSync adds optimistic responsiveness to synchronous SMR: when more than
 3n/4 nodes vote, a block commits after 2δ (actual network delay) instead
 of waiting for the synchronous bound.  Its synchronous path is Sync
-HotStuff's: the leader proposes on, and every node locks on, reports in
-its status and adopts in catch-up, the same ⌊n/2⌋ + 1 vote certificate.
-What OptSync adds is the responsive count: a node verifies every distinct
-vote for a block up to ⌊3n/4⌋ + 1, and that vote arms the 2δ commit, once.
-A vote past that count is refused before its signatures are checked.
-
-For the energy analysis the difference from Sync HotStuff is those extra
-vote verifications.  The paper counts 3n/4 + 1 vote signatures per block
-at every node, which is why it finds Sync HotStuff already more
+HotStuff's, on the same ⌊n/2⌋ + 1 vote certificate.  A node verifies each
+distinct vote for a block up to ⌊3n/4⌋ + 1, which arms the 2δ commit once,
+and refuses later votes unverified.  The paper counts 3n/4 + 1 verified
+votes per block at every node, which is why it finds Sync HotStuff more
 energy-efficient than OptSync and EESMR better than both (Section 6, "Let
-δ be the actual network speed...").  Here every node verifies the
-majority certificate the next proposal carries, and the votes that reach
-it; under partial vote forwarding only the leader ever holds ⌊3n/4⌋ + 1
-of them, so the margin over Sync HotStuff is small.
+δ be the actual network speed...").  Here every node verifies the majority
+certificate and the votes that reach it; under partial vote forwarding only
+the leader holds ⌊3n/4⌋ + 1, so the margin over Sync HotStuff is small.
 """
 
 from __future__ import annotations
@@ -51,8 +45,7 @@ class OptSyncReplica(SyncHotStuffReplica):
         return message.data not in self.responsive
 
     def _on_vote(self, message: ProtocolMessage) -> None:
-        """Count a vote: the majority forms the certificate, the responsive
-        count arms the 2δ commit of a block this node is waiting to commit."""
+        """Count a vote: a majority certifies the block, ⌊3n/4⌋ + 1 arm its 2δ commit."""
         block_hash = message.data
         per_block = self.votes.setdefault(block_hash, {})
         per_block[message.sender] = message

@@ -221,11 +221,10 @@ class SyncHotStuffReplica(LeaderReplica):
     def _quit_view(self, view: View) -> None:
         """Report the highest certified block, then wait 2Δ for everyone else's.
 
-        A vote reaches only the leader and the voter's neighbours, so when
-        the leader fails, a block some node has committed may be certified
-        nowhere else.  A node whose last vote is above the block it reports
-        floods that vote too: every node then forms the certificate in the
-        wait, and the next leader extends the block.
+        Votes reach only the leader and the voter's neighbours, so a block
+        committed before the leader failed may be certified nowhere else: a
+        last vote above the reported block is flooded, for every node to
+        form that certificate in the wait.
         """
         block, cert = self._highest_certified()
         status = self.sign_message(MessageType.SHS_STATUS, CertifiedBlock(block, cert), view=view)
@@ -249,13 +248,12 @@ class SyncHotStuffReplica(LeaderReplica):
             self._adopt_certificate(cert, cert.block)
 
     def _adopt_certificate(self, cert: QuorumCertificate, block: Block) -> None:
-        """Keep a verified certificate a proposal or status carried for ``block``,
-        and lock ``block`` if it is the highest certified block with ancestry.
+        """Keep a verified certificate a proposal or status carried for
+        ``block``, and lock ``block`` if it is higher, with ancestry.
 
-        Its vote set is done with unless ``counts_certified_votes``: the
-        guard refuses a vote for a block in ``certs``.  Commits prune
-        nothing, since under loss the leader may still need late votes for
-        the certificate that releases its next proposal.
+        Its vote set is done with unless ``counts_certified_votes``.
+        Commits prune nothing, since under loss the leader may still need
+        late votes for the certificate that releases its next proposal.
         """
         self.store_block(block)
         self.certs.setdefault(block.block_hash, cert)
