@@ -391,15 +391,19 @@ def _cli_runs(scratch: Path) -> List[Tuple[List[str], int]]:
     runs.append((["matrix", "--workloads", *WORKLOAD_LIBRARY, "--block-interval", "2.0"], 0))
     runs.append((["matrix", "--impairments", *IMPAIRMENT_LIBRARY], 0))
     # A cell that forks mid-run is a failed cell in the report, not a traceback.
-    runs.append((["matrix", "--protocols", "optsync", "--faults", "leader-partition-fork",
-                  "--topologies", "star", "--media", "wifi",
+    runs.append((["matrix", "--protocols", "eesmr", "--faults", "equivocate+drop-window",
+                  "--workloads", "open-loop", "--media", "wifi",
                   "--impairments", "ble-calibrated"], 1))
     for name in sorted(EXPERIMENTS):
         runs.append((["experiment", name], 0))
     runs.append((["feasibility"], 0))
-    # Seed 0 finds one live defect, so --out writes a reproducer.
-    runs.append((["fuzz", "--seed", "0", "--iterations", "20", "--out", str(scratch / "corpus"),
-                  "--report", str(scratch / "report.json")], 1))
+    # Seed 0 over every kind finds nothing; the campaign pin's partition
+    # sweep finds two live defects, so --out writes their reproducers.
+    runs.append((["fuzz", "--seed", "0", "--iterations", "20"], 0))
+    runs.append((["fuzz", "--seed", "2", "--iterations", "8",
+                  "--protocols", "sync-hotstuff", "optsync",
+                  "--kinds", "PartitionWindow", "CrashRecoverWindow",
+                  "--out", str(scratch / "corpus"), "--report", str(scratch / "report.json")], 1))
     runs.append((["analyze", str(PACKAGE)], 0))
     runs.append((["analyze", "--list-rules"], 0))
     # The planted detlint fixtures, so findings are rendered.
