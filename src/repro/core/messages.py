@@ -22,7 +22,6 @@ flooded message reuse the digest, the wire size and the verification verdict.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
@@ -30,7 +29,7 @@ from typing import Any, Optional, Tuple
 
 from repro.core.blocks import Block
 from repro.core.types import Command, NodeId, Round, View
-from repro.crypto.hashing import sha256_hex, structural_digest
+from repro.crypto.hashing import sha256, sha256_hex, structural_digest
 from repro.crypto.signatures import Signature, SignatureScheme
 
 #: Fixed per-message header bytes (type, view, round, sender).
@@ -343,7 +342,7 @@ def message_data_digest(data: Any) -> str:
     if isinstance(data, Block):
         return data.block_hash
     if isinstance(data, str):
-        return hashlib.sha256(data.encode("utf-8")).hexdigest()
+        return sha256(data.encode("utf-8")).hexdigest()
     if isinstance(data, (QuorumCertificate, PayloadRecord)):
         return data.digest
     return sha256_hex(data)

@@ -4,13 +4,25 @@ The paper instantiates its MAC and hash primitives with SHA-256 and reports
 that "the cost of hashing increased linearly with message size".
 :class:`HashFunction` prices that cost, so the energy meter can charge
 hashing where protocols hash blocks (hash-chaining, voting on H(prop)).
+
+Every SHA-256 of the simulator goes through :data:`sha256`, CPython's
+built-in implementation: ``hashlib`` would load OpenSSL's ``libcrypto``
+(3.5 MiB of resident memory per process) for digests that are
+bit-identical.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict
+
+try:  # CPython 3.12+
+    from _sha2 import sha256
+except ImportError:
+    try:  # CPython 3.11
+        from _sha256 import sha256
+    except ImportError:  # an interpreter without the built-in module
+        from hashlib import sha256
 
 #: Baseline energy (Joules) for hashing an empty message on the CPS board.
 #: Derived from the paper's HMAC figure (0.19 J), which is dominated by the
@@ -41,7 +53,7 @@ def canonical_bytes(payload: Any) -> bytes:
 
 def sha256_hex(payload: Any) -> str:
     """SHA-256 hex digest of a canonical serialization of ``payload``."""
-    return hashlib.sha256(canonical_bytes(payload)).hexdigest()
+    return sha256(canonical_bytes(payload)).hexdigest()
 
 
 #: The strict JSON encoder of every structural digest, built once: each
@@ -60,7 +72,7 @@ def structural_digest(payload: Any) -> str:
     ``TypeError`` instead of falling back to ``repr`` — a digest must never
     depend on an object's memory address.
     """
-    return hashlib.sha256(_encode_json(payload).encode("utf-8")).hexdigest()
+    return sha256(_encode_json(payload).encode("utf-8")).hexdigest()
 
 
 # Retired with the canonicalization cache: nothing is looked up any more, but

@@ -11,14 +11,18 @@ anyone who does not hold the secret.
 A key pair carries its HMAC key schedule: the RFC 2104 inner and outer
 SHA-256 states are hashed once, when the pair is made, and every tag copies
 them instead of re-padding the key and looking the digest up by name.
+Tags compare in constant time with ``_operator._compare_digest``, the very
+function ``hmac.compare_digest`` is, without loading ``hmac``'s OpenSSL
+backend (see :mod:`repro.crypto.hashing`).
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
+from _operator import _compare_digest
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable
+
+from repro.crypto.hashing import sha256
 
 #: SHA-256's block size: RFC 2104 pads (or first hashes) the key to it.
 _BLOCK_BYTES = 64
@@ -39,10 +43,10 @@ class KeyPair:
     def __post_init__(self) -> None:
         key = self.secret_key
         if len(key) > _BLOCK_BYTES:
-            key = hashlib.sha256(key).digest()
+            key = sha256(key).digest()
         key = key.ljust(_BLOCK_BYTES, b"\0")
-        object.__setattr__(self, "_inner", hashlib.sha256(key.translate(_IPAD)))
-        object.__setattr__(self, "_outer", hashlib.sha256(key.translate(_OPAD)))
+        object.__setattr__(self, "_inner", sha256(key.translate(_IPAD)))
+        object.__setattr__(self, "_outer", sha256(key.translate(_OPAD)))
 
     def sign_tag(self, payload: bytes) -> str:
         """HMAC-SHA256 of ``payload`` under the secret key, as hex.
@@ -58,7 +62,7 @@ class KeyPair:
 
 def _derive_secret(seed: int, owner: int) -> bytes:
     material = f"eesmr-key-seed:{seed}:node:{owner}".encode("utf-8")
-    return hashlib.sha256(material).digest()
+    return sha256(material).digest()
 
 
 class KeyStore:
@@ -98,4 +102,4 @@ class KeyStore:
         pair = self._pairs.get(node_id)
         if pair is None:
             return False
-        return hmac.compare_digest(pair.sign_tag(payload), tag)
+        return _compare_digest(pair.sign_tag(payload), tag)

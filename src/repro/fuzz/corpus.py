@@ -25,12 +25,12 @@ entry.build_spec(), SessionBuilder)``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
+from repro.crypto.hashing import sha256
 from repro.session.spec import DeploymentSpec
 from repro.net.impairment import SpecError, read_json
 
@@ -44,7 +44,7 @@ def canonical_json(payload: object) -> str:
 
 
 def _content_id(payload: dict) -> str:
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
     return digest[:10]

@@ -22,6 +22,7 @@ from repro.fuzz.corpus import Corpus
 from repro.fuzz.detect import Detection, Detector
 from repro.fuzz.generator import FuzzConfig, ScheduleGenerator
 from repro.fuzz.shrink import Shrinker, ShrinkResult
+from repro.net.impairment import SpecError
 
 
 @dataclass
@@ -80,7 +81,13 @@ class Fuzzer:
         self.shrinker = Shrinker(self.detector)
 
     def run(self, iterations: int) -> FuzzReport:
-        """Fuzz for ``iterations`` schedules; shrink every failure found."""
+        """Fuzz for ``iterations`` schedules; shrink every failure found.
+
+        An ``iterations`` below 1 is a :class:`SpecError`: a campaign that
+        tries nothing must not pass as a clean one.
+        """
+        if iterations < 1:
+            raise SpecError(f"must be >= 1, got {iterations}", "iterations")
         report = FuzzReport(seed=self.seed, iterations=iterations)
         for iteration in range(iterations):
             schedule = self.generator.generate()

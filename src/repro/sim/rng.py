@@ -8,9 +8,10 @@ This keeps every table and figure regenerable bit-for-bit.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Sequence, TypeVar
+
+from repro.crypto.hashing import sha256
 
 T = TypeVar("T")
 
@@ -23,7 +24,7 @@ def derive_seed(root_seed: int, *labels: object) -> int:
     (a property plain ``random.Random(root + i)`` would not give us).
     """
     payload = repr((root_seed,) + tuple(labels)).encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
+    digest = sha256(payload).digest()
     return int.from_bytes(digest[:8], "big")
 
 

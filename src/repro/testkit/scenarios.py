@@ -616,17 +616,19 @@ class ScenarioMatrix:
             parallel: Number of worker processes.  ``None`` reads the
                 ``REPRO_MATRIX_PARALLEL`` environment variable (defaulting
                 to 1; CI's matrix job sets it to 2, ``bench/`` passes
-                ``parallel=1``; a value that is not an integer is a
-                :class:`SpecError`).
+                ``parallel=1``; a value that is not an integer, or a count
+                below 1, is a :class:`SpecError`).
         """
+        source = "parallel"
         if parallel is None:
-            knob = os.environ.get("REPRO_MATRIX_PARALLEL", "1") or "1"
+            source = "REPRO_MATRIX_PARALLEL"
+            knob = os.environ.get(source, "1") or "1"
             try:
                 parallel = int(knob)
             except ValueError:
-                raise SpecError(
-                    f"expected a worker count, got {knob!r}", "REPRO_MATRIX_PARALLEL"
-                ) from None
+                raise SpecError(f"expected a worker count, got {knob!r}", source) from None
+        if parallel < 1:
+            raise SpecError(f"expected a worker count, got {parallel}", source)
         runs = [(cell, self.build_spec(cell)) for cell in self.cells()]
         verdicts = judge_specs(runs, parallel, SessionBuilder)
         return MatrixReport(

@@ -18,12 +18,12 @@ performance PR) relies on.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.messages import QuorumCertificate, verify_qc
+from repro.crypto.hashing import sha256
 from repro.session.observers import SessionObserver
 
 
@@ -82,7 +82,7 @@ class RunTrace:
 
     def fingerprint(self) -> str:
         """SHA-256 of the canonical encoding — equal iff traces are identical."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return sha256(self.canonical_json().encode()).hexdigest()
 
 
 #: A fault-free spec's ``faults``: the empty ``FaultPlan`` section specs had

@@ -1,13 +1,43 @@
 """Unit tests for hashing with energy accounting."""
 
+import hashlib
+
 import pytest
 
 from repro.crypto.hashing import (
     HASH_PER_BYTE_ENERGY_J,
     HashFunction,
     canonical_bytes,
+    sha256,
     sha256_hex,
 )
+from repro.crypto.keys import KeyStore
+
+
+@pytest.mark.parametrize("length", [0, 55, 56, 63, 64, 65, 1024, 65536])
+def test_the_built_in_sha256_matches_hashlib_at_every_padding_boundary(length):
+    data = bytes(range(256)) * (length // 256) + bytes(range(length % 256))
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    assert sha256(data).digest() == hashlib.sha256(data).digest()
+
+
+def test_a_copied_state_continues_like_hashlib():
+    """The HMAC key schedule copies a precomputed state per tag."""
+    state, reference = sha256(b"k" * 64), hashlib.sha256(b"k" * 64)
+    branch = state.copy()
+    branch.update(b"payload")
+    reference.update(b"payload")
+    assert branch.hexdigest() == reference.hexdigest()
+    assert state.hexdigest() == hashlib.sha256(b"k" * 64).hexdigest()
+
+
+def test_verify_tag_refuses_a_tag_one_hex_digit_off():
+    store = KeyStore(seed=3)
+    store.generate([1])
+    tag = store.key_pair(1).sign_tag(b"block")
+    assert store.verify_tag(1, b"block", tag)
+    forged = tag[:-1] + ("0" if tag[-1] != "0" else "1")
+    assert not store.verify_tag(1, b"block", forged)
 
 
 def test_sha256_hex_deterministic():

@@ -78,6 +78,26 @@ def test_matrix_refuses_a_malformed_parallel_knob_in_one_line(monkeypatch, capsy
     )
 
 
+@pytest.mark.parametrize(
+    "argv, env, line",
+    [
+        (["fuzz", "--iterations", "0"], None, "repro: iterations: must be >= 1, got 0\n"),
+        (["fuzz", "--iterations", "-1"], None, "repro: iterations: must be >= 1, got -1\n"),
+        (["matrix", "--parallel", "0"], None, "repro: parallel: expected a worker count, got 0\n"),
+        (["matrix", "--parallel", "-3"], None, "repro: parallel: expected a worker count, got -3\n"),
+        (["matrix"], "0", "repro: REPRO_MATRIX_PARALLEL: expected a worker count, got 0\n"),
+    ],
+)
+def test_a_count_below_one_is_refused_in_one_line(argv, env, line, monkeypatch, capsys):
+    """A campaign or sweep that would try nothing, or run on no workers, is
+    refused before it starts instead of passing as a clean one."""
+    if env is not None:
+        monkeypatch.setenv("REPRO_MATRIX_PARALLEL", env)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == line and captured.out == ""
+
+
 def test_run_protocol_choices_derive_from_runner_registry():
     run_parser = next(
         action

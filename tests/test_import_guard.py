@@ -6,6 +6,12 @@ another 21 ms for a pool a serial sweep never builds.  Each runs in a fresh
 interpreter, so a stray top-level import anywhere on the run path — which
 would silently give that back — fails here.  This file needs only pytest:
 it is what CI's ``minimal-deps`` job runs with nothing else installed.
+
+The same holds for OpenSSL: ``hashlib`` (through ``_hashlib``) maps
+``libcrypto`` into the process, 3.5 MiB of every run's peak resident memory,
+for SHA-256 digests that CPython's built-in module computes bit-identically.
+Hashing goes through ``repro.crypto.hashing.sha256``, so a run loads none of
+``hashlib``, ``_hashlib``, ``hmac`` or ``_ssl``.
 """
 
 import ast
@@ -14,6 +20,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -52,6 +60,28 @@ def test_run_path_never_imports_third_party_or_multiprocessing():
     proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_run_path_never_loads_an_openssl_backed_module():
+    openssl = ("hashlib", "_hashlib", "hmac", "_ssl")
+    script = RUN_PATH.format(
+        prelude="",
+        epilogue=f"""
+maps = "/proc/self/maps"
+libcrypto = None
+if os.path.exists(maps):
+    with open(maps) as handle:
+        libcrypto = sorted({{line.split()[-1] for line in handle if "libcrypto" in line}})
+print(json.dumps([[name for name in {openssl!r} if name in sys.modules], libcrypto]))
+""",
+    ).replace("import json, sys", "import json, os, sys", 1)
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    modules, libcrypto = json.loads(proc.stdout.splitlines()[-1])
+    assert modules == []
+    if libcrypto is None:
+        pytest.skip("no /proc/self/maps: the libcrypto mapping check is Linux-only")
+    assert libcrypto == []
 
 
 #: ``None`` in ``sys.modules`` makes ``import name`` raise ModuleNotFoundError:
