@@ -80,16 +80,6 @@ def test_malformed_parallel_knob_is_a_spec_error(monkeypatch):
         matrix.run()
 
 
-@pytest.mark.parametrize("parallel", [0, -3])
-def test_a_worker_count_below_one_is_a_spec_error(parallel, monkeypatch):
-    matrix = ScenarioMatrix(protocols=("eesmr",), fault_names=("none",), media=("ble",))
-    with pytest.raises(SpecError, match=f"^parallel: expected a worker count, got {parallel}$"):
-        matrix.run(parallel=parallel)
-    monkeypatch.setenv("REPRO_MATRIX_PARALLEL", str(parallel))
-    with pytest.raises(SpecError, match=f"^REPRO_MATRIX_PARALLEL: expected a worker count, got {parallel}$"):
-        matrix.run()
-
-
 def test_parallel_worker_failure_propagates(monkeypatch):
     """A cell that raises inside a worker must surface, not vanish: as its
     failed ``no-livelock`` report, exactly as in a serial sweep."""
