@@ -9,9 +9,9 @@ fingerprint of the scenario named for that row.  ``docs/api.md`` prints the
 same tables, and a test here keeps the two in step.
 
 ROADMAP item 16's four planted timer mutants are one-entry edits too.
-Today only byte pins catch them: each moves the event-plane pin of its
-silent-leader run, and the invariant battery passes the same run (a strict
-xfail until a timing invariant exists).
+Today only byte pins catch them: each moves the ``events`` section pin of
+its silent-leader run, and the invariant battery passes the same run (a
+strict xfail until a timing invariant exists).
 """
 
 import ast
@@ -31,7 +31,7 @@ from repro.testkit.faults import CrashAt, FaultSchedule
 from repro.testkit.scenarios import judge
 from repro.testkit.trace import TraceRecorder
 from tests.fuzz.mutants import TimerTableMutantBuilder
-from tests.testkit.test_event_plane_pins import PINS, faulty_leader_spec
+from tests.testkit.test_trace_pins import PINS, faulty_leader_spec, sections
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -63,8 +63,8 @@ PROTOCOLS = {
     "optsync": (OptSyncReplica, OPTSYNC_TIMERS),
 }
 
-#: Every scenario is n=7, f=2, k=2, eight blocks, seed 17 (the event-plane
-#: pins' faulty-leader shape) plus its faults.  A ``T_blame`` row needs a
+#: Every scenario is n=7, f=2, k=2, eight blocks, seed 17 (the pinned
+#: faulty-leader runs' shape) plus its faults.  A ``T_blame`` row needs a
 #: run in which that timer fires.
 SCENARIOS = {
     "honest": {},
@@ -127,8 +127,12 @@ def mutant(timer: str, multiple: int):
     return functools.partial(TimerTableMutantBuilder, timer=timer, multiple=multiple)
 
 
+def record(spec: DeploymentSpec, builder=SessionBuilder):
+    return builder(spec, recorder=TraceRecorder()).build().run().finish().trace
+
+
 def fingerprint(spec: DeploymentSpec, builder=SessionBuilder) -> str:
-    return builder(spec, recorder=TraceRecorder()).build().run().finish().trace.fingerprint()
+    return record(spec, builder).fingerprint()
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,9 +213,10 @@ def test_the_documented_tables_are_the_code():
 
 @pytest.mark.parametrize("label", ITEM_16_MUTANTS)
 def test_item_16_mutant_moves_its_byte_pin(label):
+    # A timer that fires later moves the event schedule, whatever else it moves.
     protocol, name, multiple = ITEM_16_MUTANTS[label]
-    spec = faulty_leader_spec("silent_leader", protocol)
-    assert fingerprint(spec, mutant(name, multiple)) != PINS[f"silent_leader/{protocol}"]
+    trace = record(faulty_leader_spec("silent_leader", protocol), mutant(name, multiple))
+    assert sections(trace)["events"] != PINS[f"silent_leader/{protocol}"]["events"]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 16: no invariant bounds when a node commits")

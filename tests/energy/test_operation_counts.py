@@ -16,8 +16,7 @@ import pytest
 
 from repro.energy.meter import EnergyCategory
 from repro.session import Session
-from tests.testkit.test_event_plane_pins import faulty_leader_spec
-from tests.testkit.test_golden_fingerprints import golden_spec
+from tests.testkit.test_trace_pins import faulty_leader_spec, golden_spec
 
 CASES = {
     "golden/eesmr": golden_spec("eesmr"),

@@ -18,7 +18,7 @@ from repro.testkit.faults import CrashAt, FaultSchedule
 from repro.testkit.trace import TraceRecorder, spec_fingerprint
 from repro.workload.engine import TraceReplay
 from tests.conftest import honest_spec
-from tests.testkit.test_golden_fingerprints import GOLDEN
+from tests.testkit.test_trace_pins import PINS, sections
 
 
 def test_spec_validation():
@@ -482,7 +482,7 @@ def test_run_protocol_is_sugar_for_the_one_door():
     session = SessionBuilder(spec, recorder=TraceRecorder()).build()
     assert isinstance(session, Session)
     door = session.run_to_quiescence().finish()
-    assert sugar.trace.fingerprint() == door.trace.fingerprint() == GOLDEN["eesmr"]
+    assert sections(sugar.trace) == sections(door.trace) == PINS["golden/eesmr"]
     with pytest.raises(TypeError):
         run_protocol(spec, not_a_builder_keyword=1)
 

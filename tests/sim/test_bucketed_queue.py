@@ -3,9 +3,9 @@
 The bucketed queue is the simulator's only queue; its contract is "pops
 come out in ``(time, seq)`` order, seq being push order".  The
 oracle here is that contract itself — ``sorted()`` over the pushed keys —
-and, byte-for-byte at the trace level, the golden fingerprints in
-``tests/testkit/test_golden_fingerprints.py``, which were captured on a
-single binary heap.
+and, byte-for-byte at the trace level, the golden runs' section pins in
+``tests/testkit/test_trace_pins.py``, whose schedules were first captured
+on a single binary heap.
 """
 
 import heapq
