@@ -4,7 +4,7 @@ import json
 
 from repro.energy.meter import price
 from repro.eval.runner import run_protocol
-from repro.testkit.trace import TraceRecorder, spec_fingerprint
+from repro.testkit.trace import TraceRecorder
 from repro.testkit.faults import crash_at
 
 from tests.conftest import honest_spec
@@ -77,10 +77,9 @@ def test_fingerprint_reflects_content():
     assert trace.fingerprint() != fingerprint
 
 
-def test_spec_fingerprint_includes_faults_and_medium():
+def test_spec_description_includes_faults_and_medium():
     spec = honest_spec(medium="wifi", fault_schedule=crash_at(1, time=2.0))
-    description = spec_fingerprint(spec)
+    description = spec.to_dict()
     assert description["medium"] == "wifi"
-    assert description["faults"] == [{"kind": "CrashAt", "node": 1, "time": 2.0}]
-    legacy = spec_fingerprint(honest_spec())
-    assert legacy["faults"]["faulty"] == []
+    assert description["fault_schedule"] == [{"kind": "CrashAt", "node": 1, "time": 2.0}]
+    assert honest_spec().to_dict()["fault_schedule"] is None

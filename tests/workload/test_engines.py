@@ -5,8 +5,8 @@ The engine contract under test:
 * the arrival stream is a pure function of the spec (two builds identical,
   different seeds different);
 * ``ClosedLoopPreload()`` is byte-identical to the pre-engine pipeline —
-  a spec carrying the explicit default fingerprints exactly like one
-  carrying ``workload=None``;
+  a spec carrying the explicit default runs exactly like one carrying
+  ``workload=None``: every trace section but ``spec`` is equal;
 * every engine's ``describe()`` schema round-trips through
   ``workload_from_dict`` and the full ``DeploymentSpec`` JSON schema.
 """
@@ -34,6 +34,7 @@ from repro.workload.engine import (
     default_open_loop_duration,
 )
 from tests.conftest import assert_rebuildable_dataclass, registry_inventory
+from tests.testkit.test_trace_pins import sections
 
 
 def test_workload_kinds_registers_every_engine():
@@ -133,26 +134,22 @@ def test_open_loop_validation():
 
 
 # ----------------------------------------------------- closed-loop identity
-def test_explicit_default_preload_fingerprints_like_none():
-    """workload=ClosedLoopPreload() is byte-identical to workload=None."""
+def test_explicit_default_preload_runs_like_none():
+    """workload=ClosedLoopPreload() runs byte-identically to workload=None:
+    only the recorded spec tells the two apart."""
     base = dict(protocol="eesmr", n=5, f=1, k=2, target_height=3, seed=29)
-    plain = DeploymentSpec(**base)
-    explicit = DeploymentSpec(workload=ClosedLoopPreload(), **base)
-    fps = []
-    for spec in (plain, explicit):
-        fps.append(run_protocol(spec, recorder=TraceRecorder()).trace.fingerprint())
-    assert fps[0] == fps[1]
-
-
-def test_non_default_surplus_is_visible_in_spec_fingerprint():
-    from repro.testkit.trace import spec_fingerprint
-
-    base = dict(protocol="eesmr", n=5, f=1, k=2, target_height=3, seed=29)
-    plain = spec_fingerprint(DeploymentSpec(**base))
-    tweaked = spec_fingerprint(
-        DeploymentSpec(workload=ClosedLoopPreload(surplus_blocks=2), **base)
+    plain, explicit = (
+        sections(run_protocol(spec, recorder=TraceRecorder()).trace)
+        for spec in (DeploymentSpec(**base), DeploymentSpec(workload=ClosedLoopPreload(), **base))
     )
-    assert "workload" not in plain
+    del plain["spec"], explicit["spec"]
+    assert plain == explicit
+
+
+def test_non_default_surplus_is_visible_in_the_spec():
+    base = dict(protocol="eesmr", n=5, f=1, k=2, target_height=3, seed=29)
+    tweaked = DeploymentSpec(workload=ClosedLoopPreload(surplus_blocks=2), **base).to_dict()
+    assert DeploymentSpec(**base).to_dict()["workload"] is None
     assert tweaked["workload"] == {"kind": "closed-loop", "surplus_blocks": 2}
 
 
