@@ -85,30 +85,6 @@ class RunTrace:
         return sha256(self.canonical_json().encode()).hexdigest()
 
 
-#: A fault-free spec's ``faults``: the empty ``FaultPlan`` section specs had
-#: before the plan became constructor shorthand.  Every fault-free
-#: fingerprint, the golden traces among them, hashes it, so it stays.
-NO_FAULTS = {"behaviour": "crash", "crash_time": 0.0, "faulty": [], "trigger_round": 3}
-
-
-def spec_fingerprint(spec) -> Dict[str, Any]:
-    """A canonical description of a :class:`DeploymentSpec`: ``to_dict()``
-    under omit rules that keep the fingerprints of specs predating a field
-    byte-identical — whatever is still the seed behaviour stays invisible."""
-    out = spec.to_dict()
-    schedule = out.pop("fault_schedule")
-    out["faults"] = dict(NO_FAULTS) if schedule is None else schedule
-    if spec.topology != "random-kcast":
-        # Only the parameterised topology carries its extra knobs.
-        del out["edges_per_node"], out["topology_seed"]
-    if spec.workload is None or spec.workload.is_default():
-        del out["workload"]
-    for key in ("txpool_limit", "impairment"):
-        if out[key] is None:
-            del out[key]
-    return out
-
-
 class TraceRecorder(SessionObserver):
     """Captures a :class:`RunTrace` from a session-driven run.
 
@@ -139,7 +115,7 @@ class TraceRecorder(SessionObserver):
     # ------------------------------------------------------------ low level
     def capture(self, spec, sim, ledger, network, scheme, replicas, safety) -> RunTrace:
         """Harvest the structured trace from a finished deployment."""
-        trace = RunTrace(spec=spec_fingerprint(spec))
+        trace = RunTrace(spec=spec.to_dict())
         trace.events = [[time, label] for time, label in sim.trace_log]
         trace.executed_events = sim.executed_events
         trace.sim_time = sim.now

@@ -15,7 +15,7 @@ from repro.session import Session, SessionBuilder
 from repro.session.builder import build_topology, compute_delta
 from repro.sim.events import BucketedEventQueue
 from repro.testkit.faults import CrashAt, FaultSchedule
-from repro.testkit.trace import TraceRecorder, spec_fingerprint
+from repro.testkit.trace import TraceRecorder
 from repro.workload.engine import TraceReplay
 from tests.conftest import honest_spec
 from tests.testkit.test_trace_pins import PINS, sections
@@ -340,71 +340,6 @@ def test_repro_turns_an_unknown_axis_name_into_one_stderr_line(argv, axis, capsy
 
 
 # ------------------------------------------------------------- one list
-#: ``json.dumps(spec_fingerprint(spec), sort_keys=True)`` recorded at the
-#: commit before the fingerprint was derived from ``to_dict``: one spec per
-#: omit rule.  Golden trace fingerprints hash this dict, so it may not move.
-_PLAN = '{"behaviour": "crash", "crash_time": 0.0, "faulty": [], "trigger_round": 3}'
-_HEAD = (
-    '{"batch_size": 1, "block_interval": 0.0, "command_payload_bytes": 16, "delta": null, '
-    f'"f": 1, "faults": {_PLAN}, "hop_delay": 1.0, '
-)
-_TAIL = (
-    '"jitter": true, "k": 2, "medium": "ble", "n": 7, "protocol": "eesmr", "seed": 0, '
-    '"signature_scheme": "rsa-1024", "target_height": 5, "topology": "ring-kcast"'
-)
-
-
-def _fingerprint_pins():
-    from repro.net.impairment import ImpairmentSpec
-    from repro.testkit import faults
-    from repro.workload import ClosedLoopPreload, OpenLoopPoisson
-
-    return {
-        "default": (DeploymentSpec(), _HEAD + _TAIL + "}"),
-        "random-kcast": (
-            DeploymentSpec(topology="random-kcast", edges_per_node=2, topology_seed=11),
-            (_HEAD + _TAIL)
-            .replace('"f": 1', '"edges_per_node": 2, "f": 1')
-            .replace("ring-kcast", "random-kcast")
-            + ', "topology_seed": 11}',
-        ),
-        "workload": (
-            DeploymentSpec(workload=OpenLoopPoisson(rate=2.0, clients=3)),
-            _HEAD + _TAIL + ', "workload": {"clients": 3, "duration": null, "kind": "open-loop", '
-            '"payload_size_bytes": null, "rate": 2.0}}',
-        ),
-        "default-workload": (DeploymentSpec(workload=ClosedLoopPreload()), _HEAD + _TAIL + "}"),
-        "txpool-limit": (DeploymentSpec(txpool_limit=8), _HEAD + _TAIL + ', "txpool_limit": 8}'),
-        "impairment": (
-            DeploymentSpec(impairment=ImpairmentSpec(loss=0.2, max_retries=2)),
-            _HEAD + '"impairment": {"loss": 0.2, "max_retries": 2}, ' + _TAIL + "}",
-        ),
-        "schedule": (
-            DeploymentSpec(
-                fault_schedule=faults.crash_at(1, 2.0).add(faults.PartitionWindow(3, 1.0, 4.0)),
-            ),
-            (_HEAD + _TAIL + "}").replace(
-                _PLAN,
-                '[{"kind": "CrashAt", "node": 1, "time": 2.0}, '
-                '{"heal": 4.0, "kind": "PartitionWindow", "node": 3, "start": 1.0}]',
-            ),
-        ),
-        # A plan is written as the schedule it lowers to.
-        "plan": (
-            DeploymentSpec(fault_plan=FaultPlan(faulty=(0,), behaviour="equivocate")),
-            (_HEAD + _TAIL + "}").replace(
-                _PLAN, '[{"baseline_failstop": 0.0, "kind": "EquivocateAt", "node": 0, "round": 3}]'
-            ),
-        ),
-    }
-
-
-@pytest.mark.parametrize("name", list(_fingerprint_pins()))
-def test_spec_fingerprint_is_pinned_per_omit_rule(name):
-    spec, pinned = _fingerprint_pins()[name]
-    assert json.dumps(spec_fingerprint(spec), sort_keys=True) == pinned
-
-
 def test_default_to_dict_is_pinned_key_for_key():
     assert DeploymentSpec().to_dict() == {
         "protocol": "eesmr", "n": 7, "f": 1, "k": 2, "topology": "ring-kcast",

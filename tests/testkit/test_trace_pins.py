@@ -143,38 +143,38 @@ SPECS = {
 #: column by column so that a re-pin's diff is one block per section it moves.
 COLUMNS = {
     "spec": {
-        "golden/eesmr": "9518e78479d27ddf2c6d50f029612831b96fafc942a4411c40824ad74dfe9dfe",
-        "golden/sync-hotstuff": "adb73f55d52d0a2bc1f1bbebbc958a7ec147b4e774c1921898754c38fb4c00e8",
-        "golden/optsync": "6c06cd86af2d8dc5f354ef80f3afa2e674503f32427380d51aee8633a37b0bc9",
-        "golden/trusted-baseline": "aaf439ab063274d3091bfa224dbc1d4b023725057a0fb413d914f20d75d26083",
-        "golden/wifi-n9": "d085e50e25e707085c9ad3b80db0f9facea9eb4960d956dbec17a3bf23041b7c",
-        "lossy/eesmr": "69752ff5300cecf64d9045ca21842923ec8f27bbd2df030cc5f31f6861201e06",
-        "lossy/sync-hotstuff": "b5c612b72e3cdf234c808697bc55459c0a38f02b4362c31cf466d215dc85a867",
-        "lossy/optsync": "d01fdd8b83e260f8d78ac6a64eab0fc576f54f9d1436a0c3b2b15d270f9d1dd4",
-        "lossy/trusted-baseline": "b643dc50b2fa38d610f69b203eeea31684a649b966bc476cf937eda49b4b30c3",
-        "giveup/eesmr": "9b7583215f6e709109c2b1c4d2ec631389aabbd1941b26cb6f930adc8d7aee8b",
-        "giveup/sync-hotstuff": "10a11cb472db9465f835a4885885a3551f8b524718a5dcc77a2ec43e960eed83",
-        "giveup/optsync": "1259179589081ec8f27541ad72100d9f395dd4cb28551353f1a16822d1bf4f65",
-        "giveup/trusted-baseline": "72908b56718da11b4dd6e5111ba542f3b7c1c3a3cefd93c77897cbb113522fc1",
-        "silent_leader/eesmr": "8c21ff407334bf74ec2761013334e4c2ba03b7767068a99a9b5a98d5ebca47b3",
-        "equivocate/eesmr": "2d884b095b178ece4459abec159ef9706b93c7b5e1e23433216a92b99ba82753",
-        "crash/eesmr": "f6047fa800c4d40f51b72c03a4110721dc99f76702a60a140c43f27ac2de904e",
-        "silent_leader/sync-hotstuff": "a6b175d1bdd214f9734be54f611089427160894c93c702fd0e6c3e385b89c8ec",
-        "equivocate/sync-hotstuff": "a9d4ad9c429f7dee8eec11977ae5771ad0f61afa72a0f926f60c510193db136b",
-        "crash/sync-hotstuff": "1786eb8f9422251b34e1c2bfdc58f1c1dc9662889c883ce26be64dea2c8830d3",
-        "silent_leader/optsync": "8e80eb13a9ae8e84d3ea7cf94f713978f23fe32027ebfd683e8509a93b6a6fa2",
-        "equivocate/optsync": "bef6c879da584c03fd1206ca39889321fcaf0a574abfd6a0045ff3873b16554a",
-        "crash/optsync": "448ba4807c243ece60bf84d0c6605e4e6dbcca4cddecb49e50464fdc674bd36f",
-        "stacked/eesmr": "80f13def10f53b8adb000ce0763f4cb6af954046028e8d2a0a71f893a884751a",
-        "stacked/sync-hotstuff": "6a6fe6aad66097eaf3bb254f9b93df4a8665c3b678d36df9bb80a0e1fbff94a9",
-        "stacked/optsync": "f9d10bdf08dc7cdef5244bdb9aa7e8043ecdec6075757a1cb7a6b98e81d6112a",
-        "stacked/trusted-baseline": "f344a8f09e98f9839642fd5ccce49f45dbcb975e437153572ea1e057346b1da2",
-        "stacked-lossy/eesmr": "6fe96d0ac3a15eaff82f29f2426c27b0bc4bc34cc72e0924601ac467c8d4d5ea",
-        "stacked-lossy/sync-hotstuff": "96ce794e2448fd83125f96457d6c9ac4c4f26ce1780398d3f383200575aeebcf",
-        "stacked-lossy/optsync": "e8073f7fed514d751a61560a31850bbea7b3888ce11b95d7876c270911353100",
-        "stacked-lossy/trusted-baseline": "98b28e452b310808c3ff7b5cdeb8889198eaab0bc3c627cd6065c55b120b06eb",
-        "relay-drop-window": "5e3b574aa7dca54e5bcaf294bb50d0a5e1634cfabe7a2254ff4593b191529042",
-        "partition-heal": "2a7ab823aa3e767fcbd3e46950f22cd01a537ce4047fb13f163f9bbfe5198570",
+        "golden/eesmr": "ae2e0a8afd0772fdf739dadbcc070c60b6c20a50d35c94d036f981eed42a1494",
+        "golden/sync-hotstuff": "ab98be84d0f7c4db63dc4e136956bee1a4515b71ab2f97661f0a370d142a51d0",
+        "golden/optsync": "20fbc24a28f0d64644e349eb730f650e8c9db37de7ce2966c81647f1862ea05b",
+        "golden/trusted-baseline": "4ff316030f20a6e902e377b383dde50262eb18825428cea5a5cf4b21ad63c0d3",
+        "golden/wifi-n9": "87033b464ec2346ff975711333bb5e3a5214018e8dc3e4cfb3134afe5ccd8126",
+        "lossy/eesmr": "9bf2c89fd14e080968eae7eb5ff9288f4cb837db0a52cb87336e8e92bf2febb5",
+        "lossy/sync-hotstuff": "427a0c2a8b1ec4ee0d4ff457c0ca02ceff5a82a8045f8a03cce4fba17e86fc72",
+        "lossy/optsync": "966ee7a8a374a5043b9a5b468008ce6688c66ea745c3426beda83b776864b0f4",
+        "lossy/trusted-baseline": "4efc2423b9a40e67acc28f3a3a8d393cf4ab1c42fe31cabd15731660a85026f3",
+        "giveup/eesmr": "6adcdfc039fcd2c90fa421be52257450666d2bd6bfbe4c819b3d6fea45e9c571",
+        "giveup/sync-hotstuff": "0fc4e4bf5bbf2ac1d15b1f14a484421c8242a9d81ff1cf46e143f6151ac53029",
+        "giveup/optsync": "5e94c7c3b7f7adc07f0f06996dc6d2bfb0f1dbadfcd327712bd265d905693ea1",
+        "giveup/trusted-baseline": "d9400eac5bfa715435aed277291498a37994dfa3fe599aad74b9d71ee9f2b4b2",
+        "silent_leader/eesmr": "597cd049f5afd3733597285c3992e66e634ae2e134684d9bb8733dc2d2fb63b1",
+        "equivocate/eesmr": "c4a3ab33eb7bf548a85811eb353e475ac47e4e7850d78671e918a7838f567732",
+        "crash/eesmr": "1f5896f98918a15553bf40317b8f8b804bd4538329c83ffe2c2b3bbf286ad858",
+        "silent_leader/sync-hotstuff": "1fc69a12a7801c62772bc94d8c7597006f764bdaeb4348112e22bc09d3c45812",
+        "equivocate/sync-hotstuff": "0056fa58cde92b550a32cc85edba88d15a4313a653dbc364a81d426fd18befcb",
+        "crash/sync-hotstuff": "12102c61560da05a3512d58e1e551bde5a7fb9922078c70d285548e1f7a3b47d",
+        "silent_leader/optsync": "9ab139a9ae467d8e6ec932514ec52b8d3c2cfba0d21a7429a7e25476620c87a3",
+        "equivocate/optsync": "b869827e5279ab753938042f81ddd2030dea64cb9b5c0dde985ed2ff23859cd8",
+        "crash/optsync": "767159b2ee1cc7eaaa81db6671de31360788811f828cf8f7c1e9b4ce3216df82",
+        "stacked/eesmr": "be21038542cc29854d969852dae581ce5b57442f275e612975ce67a3a0a671c2",
+        "stacked/sync-hotstuff": "91c72d5682214538680fe6f00aef242a659296e1d43fbb0616da242746fc7c81",
+        "stacked/optsync": "9fc745eab9808c495a53891b872aa229d819fdf5d13afe55e590ecd1e0a1dd0f",
+        "stacked/trusted-baseline": "25afa96f41f6bc74ad05d7db0b263d9d13808196672d44e80291c479bfc809aa",
+        "stacked-lossy/eesmr": "212cda5ccd4b6e26ef29a90c2e02f78e99d6725a0c81f165faf25a5f96adb90e",
+        "stacked-lossy/sync-hotstuff": "9cb30a1cb687e3f99ae02174b0c4b4e350924bbc7ab56de20831dedaf4acd731",
+        "stacked-lossy/optsync": "47b5e88ebe4a6e4885fb4365b8579a9248aef1f247bf50505483241c7e91a790",
+        "stacked-lossy/trusted-baseline": "456a2499e8af5aaf3de4dad962d29120bbd97b16df4c457df9eb92d3d2722d89",
+        "relay-drop-window": "743c1b7676708fc9d6b7727fb2cebb7ae97e838ef5ebca5aa19d1155fe1278dc",
+        "partition-heal": "b476543e7d7c4e3e35d38fdc7d4704d6369fe8608de7260986cb6c736c4f485b",
     },
     "events": {
         "golden/eesmr": "f7a6e1418ad5ccb378575bc14d384590788d0b4dc84e3b41c30f146dc2fc4e22",

@@ -133,8 +133,7 @@ def test_default_runs_keep_seed_trace_key_set():
     for stats in result.trace.replica_stats.values():
         assert "commands_dropped" not in stats
         assert "commands_duplicate" not in stats
-    assert "workload" not in result.trace.spec
-    assert "txpool_limit" not in result.trace.spec
+    assert result.trace.spec == spec.to_dict()
 
 
 def test_overload_run_stays_safe_and_live():
