@@ -16,12 +16,6 @@ are exact regression tests, not statistical ones.
 """
 
 import pytest
-from mutants import (
-    CommitRuleMutantBuilder,
-    DroppedCatchUpQcMutantBuilder,
-    LeakyRelayMutantBuilder,
-    RetransmissionGiveUpMutantBuilder,
-)
 
 from repro.fuzz import FuzzConfig, Fuzzer
 from repro.fuzz.corpus import CorpusEntry
@@ -30,6 +24,12 @@ from repro.session.spec import PROTOCOLS, DeploymentSpec
 from repro.testkit.faults import EquivocateAt, FaultSchedule
 from repro.testkit.scenarios import judge, judge_specs
 from tests.corpus.regenerate import LOSSY_RECEIVER, spec_dict
+from tests.fuzz.mutants import (
+    CommitRuleMutantBuilder,
+    DroppedCatchUpQcMutantBuilder,
+    LeakyRelayMutantBuilder,
+    RetransmissionGiveUpMutantBuilder,
+)
 
 #: Budget the ISSUE-style acceptance is phrased in: the fuzzer must find
 #: each planted bug within this many generated schedules.
