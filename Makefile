@@ -1,6 +1,6 @@
 # Test and benchmark entry points.
 #
-#   make test-fast    tier-1: everything except the opt-in sweeps (~15s)
+#   make test-fast    tier-1: everything except the opt-in sweeps (~45s)
 #   make test-matrix  the exhaustive scenario-matrix sweeps (+ slow cells)
 #                     (REPRO_MATRIX_PARALLEL=N shards every matrix sweep's
 #                     cells over N worker processes; results are
@@ -65,8 +65,9 @@
 #                     total; printed, not gated, in CI's lint job)
 #   make loc          src/ line count — `wc -l` over src/repro/**/*.py, per
 #                     package and in total — the number the standing gate
-#                     asks every PR to quote as its net src/ delta
-#                     (printed, not gated, in CI's lint job)
+#                     asks every PR to quote as its net src/ delta, then
+#                     the tests/**/*.py total (printed, not gated, in CI's
+#                     lint job)
 #
 # The default pytest run (pytest.ini addopts) equals test-fast; the matrix
 # sweeps are the opt-in CI job every scale/perf PR should also run.
@@ -106,7 +107,8 @@ loc:
 		printf '%7d %s\n' "$$(find $$pkg -name '*.py' | xargs cat | wc -l)" "$$pkg"; \
 	done; \
 	printf '%7d %s\n' "$$(cat src/repro/*.py | wc -l)" "src/repro/*.py"; \
-	printf '%7d %s\n' "$$(find src/repro -name '*.py' | xargs cat | wc -l)" "total"
+	printf '%7d %s\n' "$$(find src/repro -name '*.py' | xargs cat | wc -l)" "total"; \
+	printf '%7d %s\n' "$$(find tests -name '*.py' | xargs cat | wc -l)" "tests/ total"
 
 import-time:
 	$(PYTHON) -X importtime -c "import repro.cli" 2>&1 | sort -t'|' -k2,2n | tail -15
