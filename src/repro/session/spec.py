@@ -50,8 +50,9 @@ class DeploymentSpec:
     The field declarations are the whole schema: a field's type is its
     annotation, its ``min`` / ``choices`` ride in ``metadata``, and a
     section that is an object of its own names the function that rebuilds
-    it from its ``describe()`` (``load``).  Validation, :meth:`to_dict`,
-    :meth:`from_dict` and ``spec_fingerprint`` all walk these fields.
+    it from its ``describe()`` (``load``).  Validation, :meth:`to_dict` and
+    :meth:`from_dict` walk these fields; a recorded trace holds
+    :meth:`to_dict` as its ``spec``.
     """
 
     protocol: str = field(default="eesmr", metadata={"choices": PROTOCOLS})

@@ -47,7 +47,7 @@ class WorkloadEngine:
       (round-trips through :func:`workload_from_dict`), derived from the
       engine dataclass's compared fields;
     * :meth:`is_default` — whether this engine is byte-identical to the
-      seed behaviour (fingerprints omit default engines entirely).
+      seed behaviour (``repro run`` attaches SLO metrics to the others).
     """
 
     kind = "engine"
@@ -100,10 +100,11 @@ class ClosedLoopPreload(WorkloadEngine):
     """The seed workload path: pre-load one stream into every pool.
 
     Every replica holds the whole stream before the first proposal, and no
-    simulator event is pushed, so every golden trace fingerprint is the
-    same whether a spec carries ``workload=None`` or an explicit default
-    ``ClosedLoopPreload()``.  This mirrors the paper's exclusion of client
-    costs from the protocol energy: commands reach the pools out of band.
+    simulator event is pushed, so a spec carrying ``workload=None`` and one
+    carrying an explicit default ``ClosedLoopPreload()`` run alike: their
+    traces differ only in the recorded spec.  This mirrors the paper's
+    exclusion of client costs from the protocol energy: commands reach the
+    pools out of band.
     """
 
     #: Extra blocks' worth of commands beyond the target height (covers

@@ -120,7 +120,7 @@ def test_overload_run_surfaces_drop_accounting():
     # The structured trace carries per-replica drop counters...
     stats = result.trace.replica_stats
     assert any(s.get("commands_dropped", 0) > 0 for s in stats.values())
-    # ...and the spec fingerprint records both the workload and the bound.
+    # ...and the trace's spec records both the workload and the bound.
     assert result.trace.spec["txpool_limit"] == spec.txpool_limit
     assert result.trace.spec["workload"]["kind"] == "open-loop"
 
