@@ -4,10 +4,11 @@ The plan compiler memoizes the per-hop flood path (out-edges, radio
 costs, relay verdicts, partition-filtered receivers and their meters) per
 (state epoch, wire size).  Every mutation a per-hop re-read of the state
 would observe — deny/allow windows, partition isolate/heal — must
-invalidate the compiled plan.  That runs through compiled plans match the
-path that re-queried the state on every hop, also when the mutation fires
-mid-flood-window, is pinned in ``tests/testkit/test_trace_pins.py``
-(``relay-drop-window``, ``partition-heal`` and the golden runs).
+invalidate the compiled plan.  Runs through compiled plans are
+byte-identical to the path that re-queried that state on every hop, also
+when a mutation fires mid-flood-window: ``tests/testkit/test_trace_pins.py``
+pins such runs (``relay-drop-window``, ``partition-heal``), first recorded
+while both paths existed and agreed.
 """
 
 import pytest
