@@ -136,7 +136,9 @@ SPECS = {
     "relay-drop-window": replace(
         golden_spec("eesmr"), fault_schedule=faults.drop_window(3, 1.0, 8.0)
     ),
-    "partition-heal": replace(golden_spec("eesmr"), fault_schedule=faults.partition(4, 2.0, 10.0)),
+    "partition-heal": replace(
+        golden_spec("eesmr"), fault_schedule=faults.partition(4, 2.0, 10.0)
+    ),
 }
 
 #: section -> case -> the SHA-256 of that section of the case's trace, held
