@@ -19,12 +19,14 @@ per-hop read of the network state would see it.
 An optimisation keeps every section of every run.  A change that means to
 move a run re-pins in one commit that contains nothing else: it edits only
 the sections it declares, and its message lists old -> new for each value
-it edits.  On a failing run pytest's dict diff names the sections that
-moved; one the change did not declare is a regression, not a re-pin.
+it edits.  Each section of each run is its own test, so the failing ids
+name the sections that moved, and each failure lists every moved section of
+its run; one the change did not declare is a regression, not a re-pin.
 """
 
 import json
 from dataclasses import replace
+from functools import cache
 
 import pytest
 
@@ -302,9 +304,17 @@ def record(spec: DeploymentSpec) -> RunTrace:
     return run_protocol(spec, recorder=TraceRecorder()).trace
 
 
-@pytest.mark.parametrize("case", list(SPECS))
-def test_every_section_of_a_pinned_run_is_unchanged(case):
-    assert sections(record(SPECS[case])) == PINS[case]
+@cache
+def pinned_run_sections(case: str) -> dict:
+    """The sections of ``case``'s trace, run once for all of its tests."""
+    return sections(record(SPECS[case]))
+
+
+@pytest.mark.parametrize(("case", "section"), [(case, name) for case in SPECS for name in COLUMNS])
+def test_section_of_a_pinned_run_is_unchanged(case, section):
+    seen = pinned_run_sections(case)
+    moved = [name for name in COLUMNS if seen[name] != PINS[case][name]]
+    assert seen[section] == PINS[case][section], f"{case}: moved sections {moved}"
 
 
 def test_stacked_window_schedule_reports_only_effective_transitions():
